@@ -33,14 +33,13 @@ from .numerics import (
     HarmonicPotential,
     LinearPotential,
     PhysicalParams,
+    TIME_ATOL,
     amplitude_mask,
     paired_momentum_grid,
     spectral_derivative_2d,
     unwrap_phase_2d,
 )
 from .states import WaveFunction
-
-_TIME_ATOL = 1e-12
 
 #: Valid provenance tags for phase-space fields.
 FIELD_KINDS = ("chi", "f", "wigner", "transformed")
@@ -93,7 +92,7 @@ def chi_build(psi: WaveFunction, phi: WaveFunction, grid: Grid2D) -> PhaseSpaceF
         raise ValueError("chi_build needs a position-space and a momentum-space state")
     if psi.params != phi.params:
         raise ValueError("states carry different physical parameters")
-    if abs(psi.t - phi.t) > _TIME_ATOL:
+    if abs(psi.t - phi.t) > TIME_ATOL:
         raise ValueError(f"states are at different times: {psi.t} vs {phi.t}")
     if psi.grid != grid.q_axis:
         raise GridError("position state does not live on the q axis of the grid")
@@ -132,7 +131,6 @@ class ExtendedHamiltonian:
     C: float
     D: float
     E: float
-    potential_kind: str
     alpha: float
 
     @classmethod
@@ -146,7 +144,6 @@ class ExtendedHamiltonian:
                 C=0.0,
                 D=0.0,
                 E=-pot.b,
-                potential_kind="linear",
                 alpha=alpha,
             )
         if isinstance(pot, HarmonicPotential):
@@ -156,7 +153,6 @@ class ExtendedHamiltonian:
                 C=-(1.0 + 2.0 * alpha) * pot.k / 2.0,
                 D=-pot.k,
                 E=0.0,
-                potential_kind="harmonic",
                 alpha=alpha,
             )
         raise ValueError(f"unsupported potential {pot!r}")

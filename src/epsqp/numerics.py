@@ -23,6 +23,9 @@ from numpy.typing import NDArray
 #: considered undefined and masked out.
 NODE_THRESHOLD = 1e-6
 
+#: Snapshot times closer than this count as equal.
+TIME_ATOL = 1e-12
+
 
 class GridError(ValueError):
     """Raised for malformed grids or fields on mismatched grids."""
@@ -374,6 +377,26 @@ def unwrap_phase_2d(
 # ---------------------------------------------------------------------------
 # time differencing and masks
 # ---------------------------------------------------------------------------
+
+
+def snapshot_triple(snapshots) -> tuple:
+    """Unpack snapshots at ``t - dt, t, t + dt`` into ``(minus, center, plus, dt)``.
+
+    Snapshots are states or fields: anything with ``params``, ``grid`` and
+    ``t``.  All three must share parameters and grid and be equally spaced.
+    """
+    if len(snapshots) != 3:
+        raise ValueError("need exactly three snapshots (t - dt, t, t + dt)")
+    minus, center, plus = snapshots
+    for s in snapshots:
+        if s.params != center.params:
+            raise ValueError("snapshots carry different physical parameters")
+        if s.grid != center.grid:
+            raise ValueError("snapshots live on different grids")
+    dt_lo, dt_hi = center.t - minus.t, plus.t - center.t
+    if dt_lo <= 0 or abs(dt_hi - dt_lo) > TIME_ATOL:
+        raise ValueError("snapshots must be equally spaced in time")
+    return minus, center, plus, dt_lo
 
 
 def fd_time_derivative(f_minus: NDArray, f_center: NDArray, f_plus: NDArray, dt: float) -> NDArray:

@@ -61,6 +61,7 @@ from .numerics import (
     PhysicalParams,
     amplitude_mask,
     relative_curvature,
+    snapshot_triple,
     spectral_derivative,
     spectral_derivative_2d,
     unwrap_phase_1d,
@@ -76,8 +77,6 @@ from .reports import (
 )
 from .states import WaveFunction
 from .transforms import apply_extended_transform
-
-_TIME_ATOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -196,37 +195,9 @@ def _check_params(center_params: PhysicalParams, params: PhysicalParams | None) 
 
 
 def _wf_triple(snapshots: Sequence[WaveFunction], space: str):
-    if len(snapshots) != 3:
-        raise ValueError("need exactly three snapshots (t - dt, t, t + dt)")
-    minus, center, plus = snapshots
-    for s in snapshots:
-        if s.space != space:
-            raise ValueError(f"snapshots must be {space}-space states")
-        if s.params != center.params:
-            raise ValueError("snapshots carry different physical parameters")
-        if s.grid != center.grid:
-            raise ValueError("snapshots live on different grids")
-    dt_lo, dt_hi = center.t - minus.t, plus.t - center.t
-    if dt_lo <= 0 or abs(dt_hi - dt_lo) > _TIME_ATOL:
-        raise ValueError("snapshots must be equally spaced in time")
-    return minus, center, plus, dt_lo
-
-
-def _field_triple(snapshots: Sequence[PhaseSpaceField]):
-    if len(snapshots) != 3:
-        raise ValueError("need exactly three snapshots (t - dt, t, t + dt)")
-    minus, center, plus = snapshots
-    for s in snapshots:
-        if s.kind != "chi":
-            raise ValueError("phase-space residuals start from untransformed chi fields")
-        if s.params != center.params:
-            raise ValueError("snapshots carry different physical parameters")
-        if s.grid != center.grid:
-            raise ValueError("snapshots live on different grids")
-    dt_lo, dt_hi = center.t - minus.t, plus.t - center.t
-    if dt_lo <= 0 or abs(dt_hi - dt_lo) > _TIME_ATOL:
-        raise ValueError("snapshots must be equally spaced in time")
-    return minus, center, plus, dt_lo
+    if any(s.space != space for s in snapshots):
+        raise ValueError(f"snapshots must be {space}-space states")
+    return snapshot_triple(snapshots)
 
 
 def _masked(arr: NDArray, mask: NDArray[np.bool_]) -> NDArray[np.float64]:
@@ -432,7 +403,9 @@ def _hj_residual_2d(
     measures the coefficient the data actually demands, which the exact
     identity fixes at 1/2 + alpha (``expected_coefficient``).
     """
-    minus, center, plus, dt = _field_triple(snapshots)
+    if any(s.kind != "chi" for s in snapshots):
+        raise ValueError("phase-space residuals start from untransformed chi fields")
+    minus, center, plus, dt = snapshot_triple(snapshots)
     params = center.params
     grid = center.grid
     m, hbar = params.mass, params.hbar
@@ -587,6 +560,22 @@ class AlphaSweepResult:
     reports: tuple[ResidualReport, ...] = field(repr=False, compare=False, default=())
 
 
+def validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
+    """Return a sweep's shear parameters as floats: at least three, finite,
+    strictly increasing, and including -1/2 (the predicted vanishing point
+    must be probed, not merely extrapolated)."""
+    alphas = tuple(float(a) for a in alphas)
+    if len(alphas) < 3:
+        raise ValueError("alpha sweep needs at least three alpha values")
+    if not all(np.isfinite(alphas)):
+        raise ValueError("alphas must be finite")
+    if any(b <= a for a, b in zip(alphas, alphas[1:])):
+        raise ValueError("alphas must be sorted in strictly increasing order")
+    if not any(abs(a + 0.5) < 1e-12 for a in alphas):
+        raise ValueError("alpha sweep must include alpha = -1/2")
+    return alphas
+
+
 def alpha_sweep(
     snapshots: Sequence[PhaseSpaceField],
     alphas: Sequence[float],
@@ -595,19 +584,11 @@ def alpha_sweep(
 ) -> AlphaSweepResult:
     """Evaluate the transformed residual across a shear-parameter sweep.
 
-    ``alphas`` must be sorted ascending, contain at least three values, and
-    include -1/2 (the predicted vanishing point must be probed, not merely
-    extrapolated).  ``parallel`` evaluates the sweep points concurrently;
-    results are assembled in input order either way, so reports are
-    identical byte-for-byte.
+    ``alphas`` must pass :func:`validate_alphas`.  ``parallel`` evaluates
+    the sweep points concurrently; results are assembled in input order
+    either way, so reports are identical byte-for-byte.
     """
-    alphas = tuple(float(a) for a in alphas)
-    if len(alphas) < 3:
-        raise ValueError("alpha sweep needs at least three alpha values")
-    if any(b <= a for a, b in zip(alphas, alphas[1:])):
-        raise ValueError("alphas must be sorted in strictly increasing order")
-    if not any(abs(a + 0.5) < 1e-12 for a in alphas):
-        raise ValueError("alpha sweep must include alpha = -1/2")
+    alphas = validate_alphas(alphas)
     if len(snapshots) == 3:
         _check_params(snapshots[1].params, params)
 

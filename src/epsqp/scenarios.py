@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -41,6 +41,7 @@ from .quantum_potential import (
     polar_decompose,
     quantum_potential_p,
     quantum_potential_q,
+    validate_alphas,
 )
 from .reports import ResidualReport, fit_global_constant
 from .states import (
@@ -97,6 +98,16 @@ class ScenarioConfig:
     sigma0: float = math.sqrt(0.5)
     eval_time: float = 0.4
     parallel: bool = False
+
+    def __post_init__(self):
+        """Reject a configuration no scenario can run, before any of them runs."""
+        for name, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if self.dt <= 0:
+            raise ValueError(f"dt must be positive, got {self.dt}")
+        make_grid(self.grid_n, self.q_min, self.q_max)
+        validate_alphas(self.alphas)
 
 
 @dataclass(frozen=True)
@@ -524,14 +535,12 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     # --- split-step cross-checks ---------------------------------------------
     psi0 = ho_coherent_state(g, params, cfg.q0, cfg.p0, 0.0)
     t_half_period = math.pi / w_freq
-    evolved = splitstep_propagate(psi0, t_half_period, dt=1e-4)
+    evolved = splitstep_propagate(psi0, t_half_period, dt=5e-3)
     analytic = ho_coherent_state(g, params, cfg.q0, cfg.p0, t_half_period)
-    diff = float(
-        np.sqrt(np.sum(np.abs(evolved.values - analytic.values) ** 2) * g.spacing)
-    )
+    diff = replace(evolved, values=evolved.values - analytic.values).norm()
     report.checks.append(make_check("coherent-splitstep-l2", diff, 1e-8))
 
-    ground_evolved = splitstep_propagate(psi_g, period, dt=1e-4)
+    ground_evolved = splitstep_propagate(psi_g, period, dt=5e-3)
     overlap = abs(
         complex(np.sum(np.conj(psi_g.values) * ground_evolved.values) * g.spacing)
     )
@@ -593,11 +602,9 @@ def scenario_linear_gaussian(cfg: ScenarioConfig) -> ScenarioReport:
     )
 
     psi0 = linear_potential_gaussian(g, params, cfg.q0, cfg.p0, cfg.sigma0, 0.0)
-    evolved = splitstep_propagate(psi0, 0.5, dt=1e-4)
+    evolved = splitstep_propagate(psi0, 0.5, dt=5e-3)
     analytic = linear_potential_gaussian(g, params, cfg.q0, cfg.p0, cfg.sigma0, 0.5)
-    diff = float(
-        np.sqrt(np.sum(np.abs(evolved.values - analytic.values) ** 2) * g.spacing)
-    )
+    diff = replace(evolved, values=evolved.values - analytic.values).norm()
     report.checks.append(make_check("linear-splitstep-l2", diff, 1e-8))
 
     psi_t = linear_potential_gaussian(g, params, cfg.q0, cfg.p0, cfg.sigma0, cfg.eval_time)

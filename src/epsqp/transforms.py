@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.typing import NDArray
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .eps_core import ExtendedHamiltonian, PhaseSpaceField
 from .numerics import (
@@ -29,6 +29,8 @@ from .numerics import (
     PhysicalParams,
     amplitude_mask,
     fd_time_derivative,
+    paired_momentum_grid,
+    snapshot_triple,
     spectral_derivative_2d,
     spectral_resample,
 )
@@ -121,8 +123,11 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     interpolant), so the half-spacing shifts ``q +- hbar tau / 2`` land on
     grid points with tau spacing ``dq / hbar``.  That spacing puts the
     first quadrature alias a full paired-momentum extent away, outside the
-    support of any resolved state.  The kernel is evaluated directly on the
-    target momentum axis (no FFT in tau), so any p axis works.
+    support of any resolved state.
+
+    ``grid`` must be Fourier-paired.  On the paired p axis ``tau_l p_j =
+    2 pi l (j - n/2) / n``, so the sum over the 2n lags ``l`` folds modulo
+    ``n`` with the sign ``(-1)^l`` into one length-n FFT per q column.
 
     The imaginary part of the discrete sum is below roundoff (the
     correlation is Hermitian in tau up to one unpaired endpoint whose
@@ -133,30 +138,22 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
         raise ValueError("wigner_direct expects a position-space state")
     if psi.grid != grid.q_axis:
         raise GridError("state does not live on the q axis of the grid")
-    n = grid.q_axis.n_points
-    dq = grid.q_axis.spacing
     hbar = psi.params.hbar
+    if grid.p_axis != paired_momentum_grid(grid.q_axis, hbar):
+        raise GridError("grid axes are not Fourier-paired")
+    n = grid.q_axis.n_points
 
-    fine = spectral_resample(psi.values, 2)  # 2n points, spacing dq/2
-    l = np.arange(-n, n)
-    tau = l * dq / hbar
-    j2 = 2 * np.arange(n)[:, None]
-    idx_plus = j2 + l[None, :]
-    idx_minus = j2 - l[None, :]
-    # Shifts that leave the domain read zero.  Wrapping them around instead
-    # would correlate the state with its periodic image and plant a mirror
-    # copy of the distribution half an extent away in q.
-    valid = (idx_plus >= 0) & (idx_plus < 2 * n) & (idx_minus >= 0) & (idx_minus < 2 * n)
-    corr = np.where(
-        valid,
-        fine[np.clip(idx_plus, 0, 2 * n - 1)]
-        * np.conj(fine[np.clip(idx_minus, 0, 2 * n - 1)]),
-        0.0,
-    )
+    # Row i of ``windows`` holds psi at q_i + (k - n) dq / 2, k = 0 .. 2n.
+    # Shifts that leave the domain read the zero padding.  Wrapping them
+    # around instead would correlate the state with its periodic image and
+    # plant a mirror copy of the distribution half an extent away in q.
+    padded = np.pad(spectral_resample(psi.values, 2), n)  # spacing dq/2
+    windows = sliding_window_view(padded, 2 * n + 1)[::2]
+    corr = windows[:, :-1] * np.conj(windows[:, :0:-1])  # lags l = -n .. n-1
+    folded = (-1.0) ** np.arange(n) * (corr[:, :n] + corr[:, n:])
 
-    kernel = np.exp(-1j * tau[:, None] * grid.p_axis.points[None, :])
-    d_tau = dq / hbar
-    w = np.real(d_tau * (corr @ kernel).T)
+    d_tau = grid.q_axis.spacing / hbar
+    w = d_tau * np.real(np.fft.fft(folded, axis=1)).T
     return PhaseSpaceField(w.astype(complex), grid, psi.t, psi.params, kind="wigner")
 
 
@@ -174,19 +171,7 @@ def wigner_equation_residual(
     ``snapshots`` are three states at equally spaced times (t - dt, t,
     t + dt) under the same parameters.
     """
-    if len(snapshots) != 3:
-        raise ValueError("need exactly three snapshots (t - dt, t, t + dt)")
-    minus, center, plus = snapshots
-    for s in snapshots:
-        if s.params != center.params:
-            raise ValueError("snapshots carry different physical parameters")
-        if s.grid != grid.q_axis:
-            raise GridError("snapshot does not live on the q axis of the grid")
-    dt_lo = center.t - minus.t
-    dt_hi = plus.t - center.t
-    if dt_lo <= 0 or abs(dt_hi - dt_lo) > 1e-12:
-        raise ValueError("snapshots must be equally spaced in time")
-    dt = dt_lo
+    minus, center, plus, dt = snapshot_triple(snapshots)
 
     w_minus = np.real(wigner_direct(minus, grid).values)
     w_center = np.real(wigner_direct(center, grid).values)

@@ -83,13 +83,39 @@ def test_failed_check_returns_one(capsys):
     assert json.loads(out)["passed"] is False
 
 
-def test_numerical_failure_returns_three(capsys):
-    # sweep without the predicted vanishing point is a domain error raised
-    # by the sweep itself, not a usage error the parser can catch
-    code, out, err = _run(capsys, "run", "alpha-sweep", "--alphas=-1,-0.4,0")
+def test_numerical_failure_returns_three(capsys, tmp_path):
+    # a valid configuration whose state sits outside the domain: every
+    # sample underflows to zero and the constant fit has no basis, which
+    # only running the scenario can find out
+    cfg_file = tmp_path / "far.json"
+    cfg_file.write_text(json.dumps({"q0": 50.0}))
+    code, out, err = _run(
+        capsys, "run", "wigner-equivalence", "--grid-n", "64", "--config", str(cfg_file)
+    )
     assert code == 3
     assert out == ""
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize(
+    "flag",
+    [
+        "--grid-n=100",
+        "--dt=0",
+        "--dt=-1",
+        "--dt=nan",
+        "--alphas=-1,0",
+        "--alphas=-1,-0.4,0",
+        "--alphas=-1,-0.5,nan",
+    ],
+)
+def test_bad_config_values_fail_before_any_scenario(capsys, flag):
+    # the configuration is validated when it is built, so 'run all' stops
+    # with a usage error instead of a numerical failure midway
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", "all", flag])
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,12 @@ def test_run_scenario_rejects_unknown_names():
         run_scenario("no-such-scenario", ScenarioConfig())
 
 
+@pytest.mark.parametrize("name", ["q_max", "mass", "hbar", "sigma0", "eval_time"])
+def test_config_rejects_non_finite_values(name):
+    with pytest.raises(ValueError, match=name):
+        ScenarioConfig(**{name: float("inf")})
+
+
 def test_make_check_comparators():
     assert make_check("x", 1.0, 2.0).passed
     assert not make_check("x", 3.0, 2.0).passed

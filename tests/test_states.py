@@ -175,10 +175,11 @@ def test_momentum_round_trip(q_grid, harmonic_params):
 # ---------------------------------------------------------------------------
 
 
-def test_splitstep_tracks_coherent_state(q_grid, harmonic_params):
+@pytest.mark.parametrize("dt", [1e-4, 5e-3])
+def test_splitstep_tracks_coherent_state(q_grid, harmonic_params, dt):
     t_final = math.pi / 4.0
     psi0 = ho_coherent_state(q_grid, harmonic_params, q0=1.0, p0=0.0, t=0.0)
-    evolved = splitstep_propagate(psi0, t_final, dt=1e-4)
+    evolved = splitstep_propagate(psi0, t_final, dt=dt)
     exact = ho_coherent_state(q_grid, harmonic_params, q0=1.0, p0=0.0, t=t_final)
     dq = q_grid.spacing
     err = np.sqrt(np.sum(np.abs(evolved.values - exact.values) ** 2) * dq)
@@ -186,15 +187,31 @@ def test_splitstep_tracks_coherent_state(q_grid, harmonic_params):
     assert abs(evolved.norm() - 1.0) < 1e-12
 
 
-def test_splitstep_tracks_linear_gaussian(q_grid, linear_params):
+@pytest.mark.parametrize("dt", [1e-4, 5e-3])
+def test_splitstep_tracks_linear_gaussian(q_grid, linear_params, dt):
     t_final = 0.5
     psi0 = linear_potential_gaussian(
         q_grid, linear_params, q0=0.5, p0=0.0, sigma0=math.sqrt(0.5)
     )
-    evolved = splitstep_propagate(psi0, t_final, dt=1e-4)
+    evolved = splitstep_propagate(psi0, t_final, dt=dt)
     exact = linear_potential_gaussian(
         q_grid, linear_params, q0=0.5, p0=0.0, sigma0=math.sqrt(0.5), t=t_final
     )
     dq = q_grid.spacing
     err = np.sqrt(np.sum(np.abs(evolved.values - exact.values) ** 2) * dq)
     assert err < 1e-8
+
+
+def test_splitstep_is_fourth_order(q_grid, harmonic_params):
+    # the harmonic-coherent scenario's half-period cross-check: halving dt
+    # must cut the error by 2^4 = 16 up to the next-order term; a
+    # second-order scheme would give 4
+    t_final = math.pi
+    psi0 = ho_coherent_state(q_grid, harmonic_params, q0=0.5, p0=0.0, t=0.0)
+    exact = ho_coherent_state(q_grid, harmonic_params, q0=0.5, p0=0.0, t=t_final)
+
+    def err(dt):
+        evolved = splitstep_propagate(psi0, t_final, dt=dt)
+        return np.sqrt(np.sum(np.abs(evolved.values - exact.values) ** 2) * q_grid.spacing)
+
+    assert err(5e-3) / err(2.5e-3) >= 14.0

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsqp.eps_core import chi_build
+from epsqp.numerics import Grid2D, GridError, make_grid, spectral_resample
 from epsqp.transforms import (
     TransformParams,
     apply_extended_transform,
@@ -20,6 +21,7 @@ from epsqp.transforms import (
 )
 from epsqp.states import (
     ho_coherent_state,
+    ho_eigenstate,
     linear_potential_gaussian,
     to_momentum_space,
 )
@@ -97,16 +99,38 @@ def test_transformed_hamiltonian_is_the_alpha_family(harmonic_params):
 # ---------------------------------------------------------------------------
 
 
-def test_ground_state_wigner_profile(q_grid, grid2, harmonic_params):
-    # W(p, q) = 2 exp(-q^2 - p^2) in this normalisation (unit phase-space
-    # integral with the 1/(2 pi) measure; peak value 2 at the origin)
-    psi = ho_coherent_state(q_grid, harmonic_params, q0=0.0, p0=0.0, t=0.0)
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_ground_state_wigner_profile(q_grid, grid2, harmonic_params, n):
+    # W(p, q) = 2 (-1)^n L_n(2 (q^2 + p^2)) exp(-q^2 - p^2) in this
+    # normalisation (unit phase-space integral with the 1/(2 pi) measure;
+    # value 2 (-1)^n at the origin).  For n >= 1 it goes negative.
+    psi = ho_eigenstate(q_grid, harmonic_params, n)
     W = wigner_direct(psi, grid2)
     P, Q = grid2.meshes()
-    expected = 2.0 * np.exp(-(Q**2) - P**2)
+    r2 = Q**2 + P**2
+    coeffs = np.zeros(n + 1)
+    coeffs[n] = 1.0
+    expected = 2.0 * (-1) ** n * np.polynomial.laguerre.lagval(2.0 * r2, coeffs) * np.exp(-r2)
     assert np.max(np.abs(W.values.real - expected)) < 1e-8
     assert np.max(np.abs(W.values.imag)) < 1e-12
     assert W.kind == "wigner"
+
+
+def test_wigner_matches_direct_lag_sum(q_grid, grid2, harmonic_params):
+    # reference: the plain O(n^3) quadrature over all 2n lags with an
+    # explicit exp(-i tau p) kernel; shifts that leave the domain read zero
+    psi = ho_coherent_state(q_grid, harmonic_params, q0=0.8, p0=-0.5, t=0.3)
+    n, dq = q_grid.n_points, q_grid.spacing
+    fine = spectral_resample(psi.values, 2)
+    lags = np.arange(-n, n)
+    plus = 2 * np.arange(n)[:, None] + lags
+    minus = 2 * np.arange(n)[:, None] - lags
+    inside = (plus >= 0) & (plus < 2 * n) & (minus >= 0) & (minus < 2 * n)
+    corr = np.where(inside, fine[plus % (2 * n)] * np.conj(fine[minus % (2 * n)]), 0.0)
+    kernel = np.exp(-1j * np.outer(lags * dq, grid2.p_axis.points))  # hbar = 1
+    expected = dq * np.real(corr @ kernel).T
+    W = wigner_direct(psi, grid2)
+    assert np.max(np.abs(W.values.real - expected)) < 1e-12
 
 
 def test_wigner_marginals(q_grid, grid2, harmonic_params):
@@ -150,6 +174,13 @@ def test_wigner_rejects_momentum_space_input(q_grid, grid2, harmonic_params):
     psi = ho_coherent_state(q_grid, harmonic_params, q0=0.0, p0=0.0, t=0.0)
     with pytest.raises(ValueError):
         wigner_direct(to_momentum_space(psi), grid2)
+
+
+def test_wigner_rejects_unpaired_momentum_axis(q_grid, harmonic_params):
+    psi = ho_coherent_state(q_grid, harmonic_params, q0=0.0, p0=0.0, t=0.0)
+    unpaired = Grid2D(make_grid(q_grid.n_points, -10.0, 10.0), q_grid)
+    with pytest.raises(GridError):
+        wigner_direct(psi, unpaired)
 
 
 # ---------------------------------------------------------------------------
