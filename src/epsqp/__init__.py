@@ -4,146 +4,4 @@ distribution chi(p, q) and its dynamical equation, shear transforms of the
 distribution family, quantum-potential profiles, and the classical
 dual-Lagrangian checks."""
 
-from .classical import (
-    Trajectory,
-    el_solve_p,
-    el_solve_q,
-    hamiltonian,
-    lagrangian_p,
-    lagrangian_q,
-    legendre_residual,
-    translate_initial_conditions,
-)
-from .eps_core import (
-    ExtendedAction,
-    ExtendedHamiltonian,
-    PhaseSpaceField,
-    chi_build,
-    eps_rhs_apply,
-    expectation,
-    polar_decompose_2d,
-)
-from .numerics import (
-    Grid1D,
-    Grid2D,
-    GridError,
-    HarmonicPotential,
-    LinearPotential,
-    PhysicalParams,
-    amplitude_mask,
-    make_grid,
-    momentum_to_position,
-    paired_momentum_grid,
-    position_to_momentum,
-    relative_curvature,
-    spectral_derivative,
-    spectral_derivative_2d,
-    spectral_resample,
-)
-from .quantum_potential import (
-    AlphaSweepResult,
-    PolarField,
-    QuantumPotentialProfile,
-    alpha_sweep,
-    hj_residual_eps,
-    hj_residual_p_harmonic,
-    hj_residual_p_linear,
-    hj_residual_q,
-    hj_residual_transformed,
-    polar_decompose,
-    quantum_potential_p,
-    quantum_potential_q,
-)
-from .reports import LineFit, ResidualReport, fit_global_constant, fit_line
-from .scenarios import (
-    Check,
-    ScenarioConfig,
-    ScenarioReport,
-    run_scenario,
-    to_json,
-)
-from .states import (
-    WaveFunction,
-    ho_coherent_state,
-    ho_eigenstate,
-    linear_potential_gaussian,
-    splitstep_propagate,
-    to_momentum_space,
-    to_position_space,
-)
-from .transforms import (
-    TransformParams,
-    apply_extended_transform,
-    canonical_check,
-    transformed_hamiltonian,
-    wigner_direct,
-    wigner_equation_residual,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlphaSweepResult",
-    "Check",
-    "ExtendedAction",
-    "ExtendedHamiltonian",
-    "Grid1D",
-    "Grid2D",
-    "GridError",
-    "HarmonicPotential",
-    "LineFit",
-    "LinearPotential",
-    "PhaseSpaceField",
-    "PhysicalParams",
-    "PolarField",
-    "QuantumPotentialProfile",
-    "ResidualReport",
-    "ScenarioConfig",
-    "ScenarioReport",
-    "Trajectory",
-    "TransformParams",
-    "WaveFunction",
-    "alpha_sweep",
-    "amplitude_mask",
-    "apply_extended_transform",
-    "canonical_check",
-    "chi_build",
-    "el_solve_p",
-    "el_solve_q",
-    "eps_rhs_apply",
-    "expectation",
-    "fit_global_constant",
-    "fit_line",
-    "hamiltonian",
-    "hj_residual_eps",
-    "hj_residual_p_harmonic",
-    "hj_residual_p_linear",
-    "hj_residual_q",
-    "hj_residual_transformed",
-    "ho_coherent_state",
-    "ho_eigenstate",
-    "lagrangian_p",
-    "lagrangian_q",
-    "legendre_residual",
-    "linear_potential_gaussian",
-    "make_grid",
-    "momentum_to_position",
-    "paired_momentum_grid",
-    "polar_decompose",
-    "polar_decompose_2d",
-    "position_to_momentum",
-    "quantum_potential_p",
-    "quantum_potential_q",
-    "relative_curvature",
-    "run_scenario",
-    "spectral_derivative",
-    "spectral_derivative_2d",
-    "spectral_resample",
-    "splitstep_propagate",
-    "to_json",
-    "to_momentum_space",
-    "to_position_space",
-    "translate_initial_conditions",
-    "wigner_direct",
-    "wigner_equation_residual",
-]

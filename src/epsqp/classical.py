@@ -19,7 +19,7 @@ fixed-step fourth-order Runge-Kutta scheme.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from numpy.typing import NDArray

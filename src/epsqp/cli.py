@@ -47,12 +47,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="comma-separated shear parameters for the sweep (must include -0.5)",
     )
     run.add_argument("--out", type=str, default=None, help="directory for report.json and CSV exports")
-    run.add_argument(
-        "--parallel",
-        action="store_true",
-        default=None,
-        help="evaluate sweep points on a thread pool",
-    )
     run.add_argument("--config", type=str, default=None, help="JSON file with config overrides")
     run.add_argument(
         "--fields",
@@ -69,10 +63,6 @@ def _coerce(name: str, value):
     """Coerce a config-file value to the dataclass field's type."""
     if name == "grid_n":
         return int(value)
-    if name == "parallel":
-        if not isinstance(value, bool):
-            raise ValueError(f"{name} must be a boolean")
-        return value
     if name == "alphas":
         return tuple(float(v) for v in value)
     return float(value)
@@ -112,8 +102,6 @@ def _resolve_config(args, parser: argparse.ArgumentParser) -> ScenarioConfig:
             overrides["alphas"] = tuple(float(v) for v in args.alphas.split(","))
         except ValueError:
             parser.error("--alphas expects comma-separated numbers")
-    if args.parallel is not None:
-        overrides["parallel"] = True
     try:
         return dataclasses.replace(ScenarioConfig(), **overrides)
     except (TypeError, ValueError) as exc:

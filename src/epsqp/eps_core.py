@@ -157,17 +157,6 @@ class ExtendedHamiltonian:
             )
         raise ValueError(f"unsupported potential {pot!r}")
 
-    def terms(self) -> dict[str, float]:
-        """Nonzero monomial coefficients by name (for reports)."""
-        named = {
-            "pi_q^2": self.A,
-            "p pi_q": self.B,
-            "pi_p^2": self.C,
-            "q pi_p": self.D,
-            "pi_p": self.E,
-        }
-        return {name: val for name, val in named.items() if val != 0.0}
-
     def evaluate_classical(self, S_q, S_p, P, Q):
         """The Hamilton-Jacobi (gradient) part of the evolution identity.
 
@@ -207,18 +196,16 @@ class ExtendedHamiltonian:
         return out
 
 
-def eps_rhs_apply(field: PhaseSpaceField, transform_alpha: float | None = None) -> PhaseSpaceField:
+def eps_rhs_apply(field: PhaseSpaceField) -> PhaseSpaceField:
     """Right-hand side ``H' chi`` of the dynamical equation ``i hbar d(chi)/dt = H' chi``.
 
     For ``chi``/``f`` fields the untransformed operator is used; for
     transformed fields the operator matching the field's recorded alpha.
-    ``transform_alpha`` overrides the choice explicitly.  The result is
-    returned on the same grid with the same tags (it is an operator image,
-    not a new distribution).
+    The result is returned on the same grid with the same tags (it is an
+    operator image, not a new distribution).
     """
-    if transform_alpha is None:
-        transform_alpha = field.alpha if field.kind == "transformed" else 0.0
-    ham = ExtendedHamiltonian.from_params(field.params, transform_alpha)
+    alpha = field.alpha if field.kind == "transformed" else 0.0
+    ham = ExtendedHamiltonian.from_params(field.params, alpha)
     return PhaseSpaceField(
         ham.apply(field), field.grid, field.t, field.params, field.kind, field.alpha
     )

@@ -328,35 +328,25 @@ def unwrap_phase_1d(wrapped: NDArray, mask: NDArray | None = None) -> NDArray[np
     return out
 
 
-def unwrap_phase_2d(
-    wrapped: NDArray,
-    mask: NDArray | None = None,
-    weights: NDArray | None = None,
-) -> NDArray[np.float64]:
+def unwrap_phase_2d(wrapped: NDArray, mask: NDArray, weights: NDArray) -> NDArray[np.float64]:
     """Unwrap a phase field on a ``[i_p, i_q]`` grid.
 
     Every q-row is unwrapped with :func:`unwrap_phase_1d`; the rows are then
     stitched by unwrapping the column at the q-index with the largest
-    aggregate weight (amplitude if given, else valid-sample count) and
-    shifting each row by the resulting multiple of 2 pi.  Rows that are
-    masked at the reference column keep their own anchor.
+    aggregate weight (e.g. amplitude) on the mask and shifting each row by
+    the resulting multiple of 2 pi.  Rows that are masked at the reference
+    column keep their own anchor.
     """
     wrapped = np.asarray(wrapped, dtype=float)
     if wrapped.ndim != 2:
         raise ValueError("unwrap_phase_2d expects a 2D field")
-    if mask is None:
-        mask = np.ones(wrapped.shape, dtype=bool)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != wrapped.shape:
         raise ValueError("mask shape does not match the phase field")
     if not mask.any():
         raise ValueError("cannot unwrap: mask has no valid samples")
 
-    if weights is None:
-        col_score = mask.sum(axis=0).astype(float)
-    else:
-        weights = np.asarray(weights, dtype=float)
-        col_score = np.where(mask, weights, 0.0).sum(axis=0)
+    col_score = np.where(mask, np.asarray(weights, dtype=float), 0.0).sum(axis=0)
     j_ref = int(np.argmax(col_score))
     col_mask = mask[:, j_ref]
     if not col_mask.any():
@@ -399,10 +389,10 @@ def snapshot_triple(snapshots) -> tuple:
     return minus, center, plus, dt_lo
 
 
-def fd_time_derivative(f_minus: NDArray, f_center: NDArray, f_plus: NDArray, dt: float) -> NDArray:
-    """Second-order central difference from snapshots at t - dt, t, t + dt."""
-    f_minus, f_center, f_plus = (np.asarray(f) for f in (f_minus, f_center, f_plus))
-    if not (f_minus.shape == f_center.shape == f_plus.shape):
+def fd_time_derivative(f_minus: NDArray, f_plus: NDArray, dt: float) -> NDArray:
+    """Second-order central difference at t from snapshots at t - dt and t + dt."""
+    f_minus, f_plus = np.asarray(f_minus), np.asarray(f_plus)
+    if f_minus.shape != f_plus.shape:
         raise GridError("time snapshots live on different grids")
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -448,10 +438,10 @@ def fd_mixed_partial(
     return out, valid
 
 
-def amplitude_mask(amplitude: NDArray, rel_threshold: float = NODE_THRESHOLD) -> NDArray[np.bool_]:
-    """Boolean mask of samples with ``amplitude > rel_threshold * max(amplitude)``."""
+def amplitude_mask(amplitude: NDArray) -> NDArray[np.bool_]:
+    """Boolean mask of samples with ``amplitude > NODE_THRESHOLD * max(amplitude)``."""
     amplitude = np.asarray(amplitude, dtype=float)
     peak = amplitude.max() if amplitude.size else 0.0
     if peak <= 0.0:
         return np.zeros(amplitude.shape, dtype=bool)
-    return amplitude > rel_threshold * peak
+    return amplitude > NODE_THRESHOLD * peak

@@ -46,7 +46,6 @@ derivatives of S enter any residual, so no global constant is affected.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -57,7 +56,6 @@ from .eps_core import ExtendedHamiltonian, PhaseSpaceField
 from .numerics import (
     Grid1D,
     HarmonicPotential,
-    LinearPotential,
     PhysicalParams,
     amplitude_mask,
     relative_curvature,
@@ -145,7 +143,7 @@ class QuantumPotentialProfile:
     grid: Grid1D
 
 
-def quantum_potential_q(pf: PolarField, params: PhysicalParams | None = None) -> QuantumPotentialProfile:
+def quantum_potential_q(pf: PolarField) -> QuantumPotentialProfile:
     """Position-space quantum potential ``-(hbar^2/2m) R''/R`` on the mask.
 
     The curvature ratio comes from :func:`relative_curvature` (log-space
@@ -155,14 +153,14 @@ def quantum_potential_q(pf: PolarField, params: PhysicalParams | None = None) ->
     """
     if pf.space != "q":
         raise ValueError("quantum_potential_q expects a position-space polar field")
-    params = pf.params if params is None else params
+    params = pf.params
     curv = relative_curvature(pf.R, pf.grid.spacing)
     values = np.full(pf.R.shape, np.nan)
     values[pf.mask] = -(params.hbar**2) / (2.0 * params.mass) * curv[pf.mask]
     return QuantumPotentialProfile(values, pf.mask, arena="q-space", grid=pf.grid)
 
 
-def quantum_potential_p(pf: PolarField, params: PhysicalParams | None = None) -> QuantumPotentialProfile:
+def quantum_potential_p(pf: PolarField) -> QuantumPotentialProfile:
     """Momentum-space quantum potential ``-(hbar^2 k/2) R''/R`` (harmonic only).
 
     For a linear potential the momentum-space equation is first order in
@@ -171,7 +169,7 @@ def quantum_potential_p(pf: PolarField, params: PhysicalParams | None = None) ->
     """
     if pf.space != "p":
         raise ValueError("quantum_potential_p expects a momentum-space polar field")
-    params = pf.params if params is None else params
+    params = pf.params
     if not isinstance(params.potential, HarmonicPotential):
         raise ValueError(
             "no momentum-space quantum potential exists for a linear potential"
@@ -188,15 +186,15 @@ def quantum_potential_p(pf: PolarField, params: PhysicalParams | None = None) ->
 # ---------------------------------------------------------------------------
 
 
-def _check_params(center_params: PhysicalParams, params: PhysicalParams | None) -> PhysicalParams:
-    if params is not None and params != center_params:
-        raise ValueError("explicit params disagree with the snapshots' params")
-    return center_params
-
-
 def _wf_triple(snapshots: Sequence[WaveFunction], space: str):
     if any(s.space != space for s in snapshots):
         raise ValueError(f"snapshots must be {space}-space states")
+    return snapshot_triple(snapshots)
+
+
+def _chi_triple(snapshots: Sequence[PhaseSpaceField]):
+    if any(s.kind != "chi" for s in snapshots):
+        raise ValueError("phase-space residuals start from untransformed chi fields")
     return snapshot_triple(snapshots)
 
 
@@ -211,9 +209,7 @@ def _masked(arr: NDArray, mask: NDArray[np.bool_]) -> NDArray[np.float64]:
 # ---------------------------------------------------------------------------
 
 
-def hj_residual_q(
-    snapshots: Sequence[WaveFunction], params: PhysicalParams | None = None
-) -> ResidualReport:
+def hj_residual_q(snapshots: Sequence[WaveFunction]) -> ResidualReport:
     """Residual of the position-space modified Hamilton-Jacobi equation.
 
         dS/dt + (dS/dq)^2 / 2m + V(q) + Q,   Q = -(hbar^2/2m) R''/R
@@ -224,7 +220,7 @@ def hj_residual_q(
     array arithmetic.
     """
     minus, center, plus, dt = _wf_triple(snapshots, "q")
-    params = _check_params(center.params, params)
+    params = center.params
     m, hbar = params.mass, params.hbar
     grid = center.grid
     c = center.values
@@ -264,17 +260,20 @@ def hj_residual_q(
     )
 
 
-def _hj_residual_p(
-    snapshots: Sequence[WaveFunction], params: PhysicalParams | None
-) -> tuple:
+def _hj_residual_p(snapshots: Sequence[WaveFunction], potential: str) -> tuple:
     """Common momentum-space setup: action derivatives and curvature ratio.
 
-    The momentum-space identities hold for S = +hbar arg(phi), so the
-    estimators are applied to the raw field without the stored-convention
-    sign flip (see the module docstring).
+    The snapshots must be momentum-space states under the ``potential``
+    kind.  The momentum-space identities hold for S = +hbar arg(phi), so
+    the estimators are applied to the raw field without the
+    stored-convention sign flip (see the module docstring).
     """
     minus, center, plus, dt = _wf_triple(snapshots, "p")
-    params = _check_params(center.params, params)
+    params = center.params
+    if params.potential.kind != potential:
+        raise ValueError(
+            f"residual needs a {potential} potential, got {params.potential.kind}"
+        )
     grid = center.grid
     c = center.values
 
@@ -289,9 +288,7 @@ def _hj_residual_p(
     return params, grid, dt, center.t, mask, S_t, S_p, curv
 
 
-def hj_residual_p_linear(
-    snapshots: Sequence[WaveFunction], params: PhysicalParams | None = None
-) -> ResidualReport:
+def hj_residual_p_linear(snapshots: Sequence[WaveFunction]) -> ResidualReport:
     """Residual of the momentum-space Hamilton-Jacobi equation, linear potential.
 
         dS/dt + p^2 / 2m - b dS/dp
@@ -300,11 +297,7 @@ def hj_residual_p_linear(
     no quantum term exists to delete.  The action convention here is
     S = +hbar arg(phi) (see the module docstring).
     """
-    if len(snapshots) == 3 and not isinstance(
-        snapshots[1].params.potential, LinearPotential
-    ):
-        raise ValueError("hj_residual_p_linear requires a linear potential")
-    params_out, grid, dt, t, mask, S_t, S_p, _ = _hj_residual_p(snapshots, params)
+    params_out, grid, dt, t, mask, S_t, S_p, _ = _hj_residual_p(snapshots, "linear")
     b = params_out.potential.b
     m = params_out.mass
     full = S_t + grid.points**2 / (2.0 * m) - b * S_p
@@ -329,9 +322,7 @@ def hj_residual_p_linear(
     )
 
 
-def hj_residual_p_harmonic(
-    snapshots: Sequence[WaveFunction], params: PhysicalParams | None = None
-) -> ResidualReport:
+def hj_residual_p_harmonic(snapshots: Sequence[WaveFunction]) -> ResidualReport:
     """Residual of the momentum-space modified Hamilton-Jacobi equation,
     harmonic potential:
 
@@ -340,11 +331,7 @@ def hj_residual_p_harmonic(
     with classical-form and quantum-term fields carried alongside, the same
     way as :func:`hj_residual_q`.  Action convention S = +hbar arg(phi).
     """
-    if len(snapshots) == 3 and not isinstance(
-        snapshots[1].params.potential, HarmonicPotential
-    ):
-        raise ValueError("hj_residual_p_harmonic requires a harmonic potential")
-    params_out, grid, dt, t, mask, S_t, S_p, curv = _hj_residual_p(snapshots, params)
+    params_out, grid, dt, t, mask, S_t, S_p, curv = _hj_residual_p(snapshots, "harmonic")
     k = params_out.potential.k
     m, hbar = params_out.mass, params_out.hbar
 
@@ -381,16 +368,16 @@ def hj_residual_p_harmonic(
 # ---------------------------------------------------------------------------
 
 
-def _hj_residual_2d(
-    snapshots: Sequence[PhaseSpaceField], alpha: float, name: str
-) -> ResidualReport:
+def _hj_residual_2d(triple: tuple, alpha: float, name: str) -> ResidualReport:
     """Shared engine for the phase-space modified Hamilton-Jacobi residual.
 
-    Each snapshot is sheared by alpha separately (skipped exactly at
-    alpha = 0) and the estimators of the module docstring are applied to
-    the transformed fields: the phase of the plus/minus snapshot ratio is
-    immune to the catastrophic cancellation a literal difference of the
-    sheared fields would suffer near the mask edge.
+    ``triple`` is the unpacked ``(minus, center, plus, dt)`` of three chi
+    snapshots (see :func:`_chi_triple`).  Each snapshot is sheared by
+    alpha separately (skipped exactly at alpha = 0) and the estimators of
+    the module docstring are applied to the transformed fields: the phase
+    of the plus/minus snapshot ratio is immune to the catastrophic
+    cancellation a literal difference of the sheared fields would suffer
+    near the mask edge.
 
     Residual pieces:
 
@@ -403,9 +390,7 @@ def _hj_residual_2d(
     measures the coefficient the data actually demands, which the exact
     identity fixes at 1/2 + alpha (``expected_coefficient``).
     """
-    if any(s.kind != "chi" for s in snapshots):
-        raise ValueError("phase-space residuals start from untransformed chi fields")
-    minus, center, plus, dt = snapshot_triple(snapshots)
+    minus, center, plus, dt = triple
     params = center.params
     grid = center.grid
     m, hbar = params.mass, params.hbar
@@ -491,28 +476,18 @@ def _hj_residual_2d(
     )
 
 
-def hj_residual_eps(
-    snapshots: Sequence[PhaseSpaceField], params: PhysicalParams | None = None
-) -> ResidualReport:
+def hj_residual_eps(snapshots: Sequence[PhaseSpaceField]) -> ResidualReport:
     """Residual of the phase-space modified Hamilton-Jacobi identity for chi.
 
     This is the alpha = 0 member of the sheared family: both curvature
     terms enter at coefficient 1/2 (the harmonic case needs the q- and
     p-curvature terms together; the linear case has no p-term).
     """
-    if len(snapshots) == 3:
-        _check_params(snapshots[1].params, params)
-        name = f"eps-hj-{snapshots[1].params.potential.kind}"
-    else:
-        name = "eps-hj"
-    return _hj_residual_2d(snapshots, 0.0, name)
+    triple = _chi_triple(snapshots)
+    return _hj_residual_2d(triple, 0.0, f"eps-hj-{triple[1].params.potential.kind}")
 
 
-def hj_residual_transformed(
-    snapshots: Sequence[PhaseSpaceField],
-    alpha: float,
-    params: PhysicalParams | None = None,
-) -> ResidualReport:
+def hj_residual_transformed(snapshots: Sequence[PhaseSpaceField], alpha: float) -> ResidualReport:
     """Residual of the modified Hamilton-Jacobi identity after shearing by alpha.
 
     Reports the full residual as the headline norms and the classical-form
@@ -521,9 +496,7 @@ def hj_residual_transformed(
     weighted curvature term; at alpha = -1/2 the two coincide and the
     classical equation holds on its own.
     """
-    if len(snapshots) == 3:
-        _check_params(snapshots[1].params, params)
-    return _hj_residual_2d(snapshots, alpha, f"transformed-hj(alpha={alpha})")
+    return _hj_residual_2d(_chi_triple(snapshots), alpha, f"transformed-hj(alpha={alpha})")
 
 
 # ---------------------------------------------------------------------------
@@ -576,31 +549,14 @@ def validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
     return alphas
 
 
-def alpha_sweep(
-    snapshots: Sequence[PhaseSpaceField],
-    alphas: Sequence[float],
-    parallel: bool = False,
-    params: PhysicalParams | None = None,
-) -> AlphaSweepResult:
+def alpha_sweep(snapshots: Sequence[PhaseSpaceField], alphas: Sequence[float]) -> AlphaSweepResult:
     """Evaluate the transformed residual across a shear-parameter sweep.
 
-    ``alphas`` must pass :func:`validate_alphas`.  ``parallel`` evaluates
-    the sweep points concurrently; results are assembled in input order
-    either way, so reports are identical byte-for-byte.
+    ``alphas`` must pass :func:`validate_alphas`; the sweep points are
+    evaluated in that order.
     """
     alphas = validate_alphas(alphas)
-    if len(snapshots) == 3:
-        _check_params(snapshots[1].params, params)
-
-    def evaluate(alpha: float) -> ResidualReport:
-        return hj_residual_transformed(snapshots, alpha)
-
-    if parallel:
-        with ThreadPoolExecutor(max_workers=min(len(alphas), 4)) as pool:
-            reports = tuple(pool.map(evaluate, alphas))
-    else:
-        reports = tuple(evaluate(a) for a in alphas)
-
+    reports = tuple(hj_residual_transformed(snapshots, a) for a in alphas)
     coefficients = tuple(r.metadata["fitted_coefficient"] for r in reports)
     return AlphaSweepResult(
         alphas=alphas,

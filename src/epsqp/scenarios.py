@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -97,7 +98,6 @@ class ScenarioConfig:
     p0: float = 0.0
     sigma0: float = math.sqrt(0.5)
     eval_time: float = 0.4
-    parallel: bool = False
 
     def __post_init__(self):
         """Reject a configuration no scenario can run, before any of them runs."""
@@ -195,20 +195,19 @@ def _linear_params(cfg: ScenarioConfig) -> PhysicalParams:
     return PhysicalParams(cfg.mass, cfg.hbar, LinearPotential(cfg.slope_b))
 
 
-def _grids(cfg: ScenarioConfig, hbar: float, n: int | None = None):
+def _grids(cfg: ScenarioConfig, n: int | None = None):
     g = make_grid(n or cfg.grid_n, cfg.q_min, cfg.q_max)
-    return g, Grid2D.paired(g, hbar)
+    return g, Grid2D.paired(g, cfg.hbar)
 
 
-def _coherent_triplet(grid, params, q0, p0, t, dt):
-    return [ho_coherent_state(grid, params, q0, p0, tt) for tt in (t - dt, t, t + dt)]
+def _triplet(state: Callable[[float], WaveFunction], t: float, dt: float) -> list[WaveFunction]:
+    """``state`` at t - dt, t, t + dt."""
+    return [state(tt) for tt in (t - dt, t, t + dt)]
 
 
-def _linear_triplet(grid, params, q0, p0, sigma0, t, dt):
-    return [
-        linear_potential_gaussian(grid, params, q0, p0, sigma0, tt)
-        for tt in (t - dt, t, t + dt)
-    ]
+def _halving_pair(state: Callable[[float], WaveFunction], cfg: ScenarioConfig) -> list:
+    """Triplets of ``state`` around ``cfg.eval_time`` at ``cfg.dt`` and ``cfg.dt / 2``."""
+    return [_triplet(state, cfg.eval_time, h) for h in (cfg.dt, cfg.dt / 2.0)]
 
 
 def _chi(psi: WaveFunction, grid2: Grid2D):
@@ -219,11 +218,31 @@ def _chi_triplet(psis, grid2):
     return [_chi(psi, grid2) for psi in psis]
 
 
-def _order_from_halving(coarse: float, fine: float) -> float:
-    """Observed convergence order from residuals at dt and dt/2."""
-    if fine == 0.0:
-        return math.inf
-    return math.log2(coarse / fine)
+def _check_halving(
+    report: ScenarioReport,
+    coarse: ResidualReport,
+    fine: ResidualReport,
+    l2_name: str,
+    l2_tol: float,
+    rate_name: str,
+    order: bool = False,
+) -> ResidualReport:
+    """Record one residual evaluated at dt (``coarse``) and at dt/2 (``fine``).
+
+    Adds the dt residual, its L2 check, and a second-order convergence
+    check: the halving ratio (>= 3.5), or with ``order`` the observed order
+    log2 of that ratio (>= 1.9).  Returns the dt residual.  Callers pass
+    the two evaluations as arguments, so the dt/2 snapshots are built only
+    after the dt residual is done and are released on return.
+    """
+    report.residuals.append(coarse)
+    report.checks.append(make_check(l2_name, coarse.l2_norm, l2_tol))
+    if order:
+        rate = math.log2(coarse.l2_norm / fine.l2_norm) if fine.l2_norm else math.inf
+        report.checks.append(make_check(rate_name, rate, 1.9, ">="))
+    else:
+        report.checks.append(make_check(rate_name, coarse.l2_norm / fine.l2_norm, 3.5, ">="))
+    return coarse
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +262,7 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
     report = ScenarioReport("wigner-equivalence", cfg)
 
     def fitted_constant(n: int):
-        g, g2 = _grids(cfg, params.hbar, n)
+        g, g2 = _grids(cfg, n)
         psi = ho_coherent_state(g, params, cfg.q0, cfg.p0, cfg.eval_time)
         chi = _chi(psi, g2)
         sheared = apply_extended_transform(chi, -0.5).values
@@ -252,13 +271,16 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
         deviation = float(
             np.linalg.norm(sheared - c * w) / np.linalg.norm(sheared)
         )
-        return c, deviation, g, g2, psi, w
+        return c, deviation, g, g2, psi, w, sheared
 
-    c_mid, deviation, g, g2, psi, w = fitted_constant(cfg.grid_n)
+    # The other resolutions are fitted first, so none of the grid_n fields
+    # is held while the 2 grid_n fit runs.
+    sizes = sorted({max(cfg.grid_n // 2, 8), cfg.grid_n, cfg.grid_n * 2})
+    constants = {n: fitted_constant(n)[0] for n in sizes if n != cfg.grid_n}
+    c_mid, deviation, g, g2, psi, w, sheared = fitted_constant(cfg.grid_n)
+    constants[cfg.grid_n] = c_mid
     report.checks.append(make_check("wigner-shear-rel-l2", deviation, 1e-8))
 
-    sizes = sorted({max(cfg.grid_n // 2, 8), cfg.grid_n, cfg.grid_n * 2})
-    constants = {n: (c_mid if n == cfg.grid_n else fitted_constant(n)[0]) for n in sizes}
     spread = max(
         abs(constants[a] - constants[b]) for a in sizes for b in sizes if a < b
     )
@@ -329,7 +351,7 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
             "kind": "2d",
             "p": g2.p_axis.points,
             "q": g.points,
-            "values": apply_extended_transform(_chi(psi, g2), -0.5).values,
+            "values": sheared,
             "mask": None,
         },
     }
@@ -347,9 +369,10 @@ def scenario_alpha_sweep(cfg: ScenarioConfig) -> ScenarioReport:
     report = ScenarioReport("alpha-sweep", cfg)
 
     def run_sweep(n: int):
-        g, g2 = _grids(cfg, params.hbar, n)
-        psis = _coherent_triplet(g, params, cfg.q0, cfg.p0, cfg.eval_time, cfg.dt)
-        return alpha_sweep(_chi_triplet(psis, g2), cfg.alphas, parallel=cfg.parallel)
+        g, g2 = _grids(cfg, n)
+        coherent = partial(ho_coherent_state, g, params, cfg.q0, cfg.p0)
+        psis = _triplet(coherent, cfg.eval_time, cfg.dt)
+        return alpha_sweep(_chi_triplet(psis, g2), cfg.alphas)
 
     sweep = run_sweep(cfg.grid_n)
     report.checks.append(make_check("alpha-sweep-fit-r2", sweep.fit.r_squared, 0.999, ">"))
@@ -421,7 +444,7 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     Hamilton-Jacobi residuals with convergence order, the Wigner transport
     equation, the averaging rule, and split-step cross-checks."""
     params = _harmonic_params(cfg)
-    g, g2 = _grids(cfg, params.hbar)
+    g, g2 = _grids(cfg)
     m, hbar, w_freq = params.mass, params.hbar, params.omega
     k = params.potential.k
     report = ScenarioReport("harmonic-coherent", cfg)
@@ -454,29 +477,29 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     )
 
     # --- 1D modified Hamilton-Jacobi residuals + convergence order ---------
-    def hj_pair(dt):
-        psis = _coherent_triplet(g, params, cfg.q0, cfg.p0, cfg.eval_time, dt)
-        r_q = hj_residual_q(psis)
-        r_p = hj_residual_p_harmonic([to_momentum_space(p) for p in psis])
-        return r_q, r_p
-
-    r_q, r_p = hj_pair(cfg.dt)
-    r_q_half, r_p_half = hj_pair(cfg.dt / 2.0)
-    report.residuals += [r_q, r_p]
-    report.checks.append(make_check("hj-q-l2", r_q.l2_norm, 1e-5))
-    report.checks.append(
-        make_check("hj-q-halving-ratio", r_q.l2_norm / r_q_half.l2_norm, 3.5, ">=")
+    psis, psis_half = _halving_pair(partial(ho_coherent_state, g, params, cfg.q0, cfg.p0), cfg)
+    _check_halving(
+        report,
+        hj_residual_q(psis),
+        hj_residual_q(psis_half),
+        "hj-q-l2",
+        1e-5,
+        "hj-q-halving-ratio",
     )
-    report.checks.append(make_check("hj-p-harmonic-l2", r_p.l2_norm, 1e-5))
-    report.checks.append(
-        make_check("hj-p-halving-ratio", r_p.l2_norm / r_p_half.l2_norm, 3.5, ">=")
+    _check_halving(
+        report,
+        hj_residual_p_harmonic([to_momentum_space(p) for p in psis]),
+        hj_residual_p_harmonic([to_momentum_space(p) for p in psis_half]),
+        "hj-p-harmonic-l2",
+        1e-5,
+        "hj-p-halving-ratio",
     )
 
     # --- term deletion: the classical-form residual IS minus the quantum
     # potential (stationary state: time phase supplies -E, potential the
     # rest) ------------------------------------------------------------------
-    psis_g = _coherent_triplet(g, params, 0.0, 0.0, cfg.eval_time, cfg.dt)
-    r_gq = hj_residual_q(psis_g)
+    ground = partial(ho_coherent_state, g, params, 0.0, 0.0)
+    r_gq = hj_residual_q(_triplet(ground, cfg.eval_time, cfg.dt))
     deletion = r_gq.fields["classical_form"] + r_gq.fields["quantum_potential"]
     mask_g = r_gq.fields["mask"]
     report.checks.append(
@@ -488,21 +511,14 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     )
 
     # --- Wigner transport equation + convergence order ----------------------
-    def wigner_res(dt):
-        psis = _coherent_triplet(g, params, cfg.q0, cfg.p0, cfg.eval_time, dt)
-        return wigner_equation_residual(psis, g2)
-
-    r_w = wigner_res(cfg.dt)
-    r_w_half = wigner_res(cfg.dt / 2.0)
-    report.residuals.append(r_w)
-    report.checks.append(make_check("wigner-eq-harmonic-l2", r_w.l2_norm, 1e-4))
-    report.checks.append(
-        make_check(
-            "wigner-eq-harmonic-order",
-            _order_from_halving(r_w.l2_norm, r_w_half.l2_norm),
-            1.9,
-            ">=",
-        )
+    _check_halving(
+        report,
+        wigner_equation_residual(psis, g2),
+        wigner_equation_residual(psis_half, g2),
+        "wigner-eq-harmonic-l2",
+        1e-4,
+        "wigner-eq-harmonic-order",
+        order=True,
     )
 
     # --- averaging rule ------------------------------------------------------
@@ -569,57 +585,46 @@ def scenario_linear_gaussian(cfg: ScenarioConfig) -> ScenarioReport:
     """Linear-potential battery: position-space Hamilton-Jacobi residual,
     Wigner transport, and a split-step cross-check on the drifting state."""
     params = _linear_params(cfg)
-    g, g2 = _grids(cfg, params.hbar)
+    g, g2 = _grids(cfg)
     report = ScenarioReport("linear-gaussian", cfg)
-
-    def hj_res(dt):
-        psis = _linear_triplet(g, params, cfg.q0, cfg.p0, cfg.sigma0, cfg.eval_time, dt)
-        return hj_residual_q(psis)
-
-    r = hj_res(cfg.dt)
-    r_half = hj_res(cfg.dt / 2.0)
-    report.residuals.append(r)
-    report.checks.append(make_check("hj-q-linear-l2", r.l2_norm, 1e-5))
-    report.checks.append(
-        make_check("hj-q-linear-halving-ratio", r.l2_norm / r_half.l2_norm, 3.5, ">=")
+    gaussian = partial(linear_potential_gaussian, g, params, cfg.q0, cfg.p0, cfg.sigma0)
+    psis, psis_half = _halving_pair(gaussian, cfg)
+    _check_halving(
+        report,
+        hj_residual_q(psis),
+        hj_residual_q(psis_half),
+        "hj-q-linear-l2",
+        1e-5,
+        "hj-q-linear-halving-ratio",
+    )
+    _check_halving(
+        report,
+        wigner_equation_residual(psis, g2),
+        wigner_equation_residual(psis_half, g2),
+        "wigner-eq-linear-l2",
+        1e-4,
+        "wigner-eq-linear-order",
+        order=True,
     )
 
-    def wigner_res(dt):
-        psis = _linear_triplet(g, params, cfg.q0, cfg.p0, cfg.sigma0, cfg.eval_time, dt)
-        return wigner_equation_residual(psis, g2)
-
-    r_w = wigner_res(cfg.dt)
-    r_w_half = wigner_res(cfg.dt / 2.0)
-    report.residuals.append(r_w)
-    report.checks.append(make_check("wigner-eq-linear-l2", r_w.l2_norm, 1e-4))
-    report.checks.append(
-        make_check(
-            "wigner-eq-linear-order",
-            _order_from_halving(r_w.l2_norm, r_w_half.l2_norm),
-            1.9,
-            ">=",
-        )
-    )
-
-    psi0 = linear_potential_gaussian(g, params, cfg.q0, cfg.p0, cfg.sigma0, 0.0)
-    evolved = splitstep_propagate(psi0, 0.5, dt=5e-3)
-    analytic = linear_potential_gaussian(g, params, cfg.q0, cfg.p0, cfg.sigma0, 0.5)
-    diff = replace(evolved, values=evolved.values - analytic.values).norm()
+    evolved = splitstep_propagate(gaussian(0.0), 0.5, dt=5e-3)
+    diff = replace(evolved, values=evolved.values - gaussian(0.5).values).norm()
     report.checks.append(make_check("linear-splitstep-l2", diff, 1e-8))
 
-    psi_t = linear_potential_gaussian(g, params, cfg.q0, cfg.p0, cfg.sigma0, cfg.eval_time)
+    psi_t = psis[1]
     b, m = cfg.slope_b, cfg.mass
     q_c = cfg.q0 + cfg.p0 * cfg.eval_time / m - 0.5 * b * cfg.eval_time**2 / m
     mean_q = float(np.sum(g.points * np.abs(psi_t.values) ** 2) * g.spacing)
     report.checks.append(make_check("linear-center-tracking", abs(mean_q - q_c), 1e-8))
 
+    pf_t = polar_decompose(psi_t)
     report.field_bundles = {
         "quantum-potential-q": {
             "kind": "1d",
             "axis_name": "q",
             "axis": g.points,
-            "values": quantum_potential_q(polar_decompose(psi_t)).values,
-            "mask": polar_decompose(psi_t).mask,
+            "values": quantum_potential_q(pf_t).values,
+            "mask": pf_t.mask,
         },
     }
     return report
@@ -630,19 +635,17 @@ def scenario_pspace_linear(cfg: ScenarioConfig) -> ScenarioReport:
     the Hamilton-Jacobi residual with NO quantum term sits at the
     time-difference floor."""
     params = _linear_params(cfg)
-    g, _ = _grids(cfg, params.hbar)
+    g, _ = _grids(cfg)
     report = ScenarioReport("pspace-linear", cfg)
-
-    def res(dt):
-        psis = _linear_triplet(g, params, cfg.q0, cfg.p0, cfg.sigma0, cfg.eval_time, dt)
-        return hj_residual_p_linear([to_momentum_space(p) for p in psis])
-
-    r = res(cfg.dt)
-    r_half = res(cfg.dt / 2.0)
-    report.residuals.append(r)
-    report.checks.append(make_check("pspace-linear-classical-l2", r.l2_norm, 1e-5))
-    report.checks.append(
-        make_check("pspace-linear-halving-ratio", r.l2_norm / r_half.l2_norm, 3.5, ">=")
+    gaussian = partial(linear_potential_gaussian, g, params, cfg.q0, cfg.p0, cfg.sigma0)
+    psis, psis_half = _halving_pair(gaussian, cfg)
+    _check_halving(
+        report,
+        hj_residual_p_linear([to_momentum_space(p) for p in psis]),
+        hj_residual_p_linear([to_momentum_space(p) for p in psis_half]),
+        "pspace-linear-classical-l2",
+        1e-5,
+        "pspace-linear-halving-ratio",
     )
     return report
 
@@ -655,20 +658,18 @@ def scenario_eps_residuals(cfg: ScenarioConfig) -> ScenarioReport:
 
     # --- harmonic -----------------------------------------------------------
     params = _harmonic_params(cfg)
-    g, g2 = _grids(cfg, params.hbar)
+    g, g2 = _grids(cfg)
     hbar = params.hbar
 
-    def chi_snaps_harmonic(dt):
-        psis = _coherent_triplet(g, params, cfg.q0, cfg.p0, cfg.eval_time, dt)
-        return _chi_triplet(psis, g2)
-
-    snaps = chi_snaps_harmonic(cfg.dt)
-    r_h = hj_residual_eps(snaps)
-    r_h_half = hj_residual_eps(chi_snaps_harmonic(cfg.dt / 2.0))
-    report.residuals.append(r_h)
-    report.checks.append(make_check("eps-hj-harmonic-l2", r_h.l2_norm, 1e-5))
-    report.checks.append(
-        make_check("eps-hj-harmonic-halving-ratio", r_h.l2_norm / r_h_half.l2_norm, 3.5, ">=")
+    psis, psis_half = _halving_pair(partial(ho_coherent_state, g, params, cfg.q0, cfg.p0), cfg)
+    snaps = _chi_triplet(psis, g2)
+    r_h = _check_halving(
+        report,
+        hj_residual_eps(snaps),
+        hj_residual_eps(_chi_triplet(psis_half, g2)),
+        "eps-hj-harmonic-l2",
+        1e-5,
+        "eps-hj-harmonic-halving-ratio",
     )
 
     # dynamical equation: i hbar d(chi)/dt = H' chi at the operator level
@@ -686,9 +687,8 @@ def scenario_eps_residuals(cfg: ScenarioConfig) -> ScenarioReport:
 
     # --- separable structure (amplitude factorisation, action additivity) ---
     ea = polar_decompose_2d(center)
-    pf_q = polar_decompose(ho_coherent_state(g, params, cfg.q0, cfg.p0, cfg.eval_time))
-    phi_c = to_momentum_space(ho_coherent_state(g, params, cfg.q0, cfg.p0, cfg.eval_time))
-    pf_p = polar_decompose(phi_c)
+    pf_q = polar_decompose(psis[1])
+    pf_p = polar_decompose(to_momentum_space(psis[1]))
 
     outer = pf_q.R[None, :] * pf_p.R[:, None]
     joint = ea.mask & pf_p.mask[:, None] & pf_q.mask[None, :]
@@ -721,18 +721,15 @@ def scenario_eps_residuals(cfg: ScenarioConfig) -> ScenarioReport:
 
     # --- linear --------------------------------------------------------------
     params_l = _linear_params(cfg)
-    g_l, g2_l = _grids(cfg, params_l.hbar)
-
-    def chi_snaps_linear(dt):
-        psis = _linear_triplet(g_l, params_l, cfg.q0, cfg.p0, cfg.sigma0, cfg.eval_time, dt)
-        return _chi_triplet(psis, g2_l)
-
-    r_l = hj_residual_eps(chi_snaps_linear(cfg.dt))
-    r_l_half = hj_residual_eps(chi_snaps_linear(cfg.dt / 2.0))
-    report.residuals.append(r_l)
-    report.checks.append(make_check("eps-hj-linear-l2", r_l.l2_norm, 1e-5))
-    report.checks.append(
-        make_check("eps-hj-linear-halving-ratio", r_l.l2_norm / r_l_half.l2_norm, 3.5, ">=")
+    gaussian = partial(linear_potential_gaussian, g, params_l, cfg.q0, cfg.p0, cfg.sigma0)
+    lin, lin_half = _halving_pair(gaussian, cfg)
+    _check_halving(
+        report,
+        hj_residual_eps(_chi_triplet(lin, g2)),
+        hj_residual_eps(_chi_triplet(lin_half, g2)),
+        "eps-hj-linear-l2",
+        1e-5,
+        "eps-hj-linear-halving-ratio",
     )
 
     report.field_bundles = {

@@ -21,7 +21,6 @@ from .numerics import (
     LinearPotential,
     PhysicalParams,
     momentum_to_position,
-    paired_momentum_grid,
     position_to_momentum,
 )
 
@@ -176,12 +175,7 @@ def to_position_space(phi: WaveFunction, q_grid: Grid1D) -> WaveFunction:
 # ---------------------------------------------------------------------------
 
 
-def splitstep_propagate(
-    psi0: WaveFunction,
-    t_final: float,
-    dt: float = 5e-3,
-    params: PhysicalParams | None = None,
-) -> WaveFunction:
+def splitstep_propagate(psi0: WaveFunction, t_final: float, dt: float = 5e-3) -> WaveFunction:
     """Propagate with Yoshida's fourth-order split-step composition.
 
     Each step is the triple jump ``S(w1 dt) S(w0 dt) S(w1 dt)`` of the
@@ -190,8 +184,7 @@ def splitstep_propagate(
     The step count is rounded so the final time is hit exactly; the actual
     step used is the returned state's ``t`` divided by that count.  Used as
     an independent check on the closed-form states, not for production
-    data.  ``params`` overrides the state's own physics (e.g. to propagate
-    a state under a different potential).
+    data.
     """
     if psi0.space != "q":
         raise ValueError("split-step propagation works on position-space states")
@@ -202,8 +195,7 @@ def splitstep_propagate(
     if t_final == 0.0:
         return psi0
 
-    if params is None:
-        params = psi0.params
+    params = psi0.params
     m, hbar = params.mass, params.hbar
     grid = psi0.grid
     n_steps = max(1, round(t_final / dt))
@@ -223,4 +215,4 @@ def splitstep_propagate(
             values = half_v * values
             values = np.fft.ifft(kinetic * np.fft.fft(values))
             values = half_v * values
-    return replace(psi0, values=values, t=psi0.t + t_final, params=params)
+    return replace(psi0, values=values, t=psi0.t + t_final)

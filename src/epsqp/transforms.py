@@ -22,11 +22,10 @@ from typing import Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .eps_core import ExtendedHamiltonian, PhaseSpaceField
+from .eps_core import PhaseSpaceField
 from .numerics import (
     Grid2D,
     GridError,
-    PhysicalParams,
     amplitude_mask,
     fd_time_derivative,
     paired_momentum_grid,
@@ -36,17 +35,6 @@ from .numerics import (
 )
 from .reports import ResidualReport, masked_fraction, masked_l2, masked_max
 from .states import WaveFunction
-
-__all__ = [
-    "TransformParams",
-    "canonical_check",
-    "apply_extended_transform",
-    "transformed_hamiltonian",
-    "wigner_direct",
-    "wigner_equation_residual",
-    "ExtendedHamiltonian",
-]
-
 
 @dataclass(frozen=True)
 class TransformParams:
@@ -93,18 +81,6 @@ def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> PhaseSpace
     return PhaseSpaceField(
         values, field.grid, field.t, field.params, kind="transformed", alpha=accumulated
     )
-
-
-def transformed_hamiltonian(params: PhysicalParams, alpha: float) -> ExtendedHamiltonian:
-    """Evolution operator of the alpha-sheared distribution.
-
-    Sharing one implementation with the untransformed case (``alpha = 0``)
-    keeps the coefficient pattern visible: the second-derivative
-    coefficients carry the factor ``(1 + 2 alpha)`` and vanish at
-    ``alpha = -1/2``, where only the transport monomials ``(p/m) pi_q`` and
-    ``-V'(q) pi_p`` survive.
-    """
-    return ExtendedHamiltonian.from_params(params, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +156,7 @@ def wigner_equation_residual(
     P, Q = grid.meshes()
     m = center.params.mass
     v_prime = center.params.potential.derivative(Q)
-    w_t = fd_time_derivative(w_minus, w_center, w_plus, dt)
+    w_t = fd_time_derivative(w_minus, w_plus, dt)
     w_q = np.real(spectral_derivative_2d(w_center, grid, axis=1, order=1))
     w_p = np.real(spectral_derivative_2d(w_center, grid, axis=0, order=1))
     residual = w_t + (P / m) * w_q - v_prime * w_p

@@ -8,6 +8,7 @@ tolerance cannot mask a regression here.
 
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 import time
@@ -35,6 +36,81 @@ def runner(cfg):
         return cache[name]
 
     return get
+
+
+# Scenarios of `run all` and their check names, in report order.
+REPORT_LAYOUT = [
+    ("wigner-equivalence", [
+        "wigner-shear-rel-l2",
+        "wigner-constant-stability",
+        "wigner-constant-vs-reference",
+        "wigner-groundstate-profile-max-err",
+        "wigner-groundstate-peak-err",
+        "wigner-marginal-q-rel-err",
+        "wigner-marginal-p-rel-err",
+    ]),
+    ("alpha-sweep", [
+        "alpha-sweep-fit-r2",
+        "alpha-sweep-zero-crossing-err",
+        "alpha-sweep-vanishing-ratio",
+        "alpha-sweep-full-residual-max",
+        "alpha-sweep-classical-at-minus-half",
+        "alpha-sweep-classical-needed-off-center",
+        "alpha-sweep-grid-stability",
+    ]),
+    ("harmonic-coherent", [
+        "quantum-potential-q-max-err",
+        "quantum-potential-p-max-err",
+        "hj-q-l2",
+        "hj-q-halving-ratio",
+        "hj-p-harmonic-l2",
+        "hj-p-halving-ratio",
+        "hj-q-term-deletion-pointwise",
+        "wigner-eq-harmonic-l2",
+        "wigner-eq-harmonic-order",
+        "expectation-q2-ground-err",
+        "expectation-energy-ground-err",
+        "expectation-trajectory-tracking",
+        "coherent-splitstep-l2",
+        "ground-period-overlap",
+    ]),
+    ("linear-gaussian", [
+        "hj-q-linear-l2",
+        "hj-q-linear-halving-ratio",
+        "wigner-eq-linear-l2",
+        "wigner-eq-linear-order",
+        "linear-splitstep-l2",
+        "linear-center-tracking",
+    ]),
+    ("pspace-linear", [
+        "pspace-linear-classical-l2",
+        "pspace-linear-halving-ratio",
+    ]),
+    ("eps-residuals", [
+        "eps-hj-harmonic-l2",
+        "eps-hj-harmonic-halving-ratio",
+        "eps-evolution-residual-l2",
+        "eps-stationary-max",
+        "eps-amplitude-factorization",
+        "eps-phase-additivity-spread",
+        "eps-action-mixed-partial",
+        "eps-qterm-separability",
+        "eps-hj-linear-l2",
+        "eps-hj-linear-halving-ratio",
+    ]),
+    ("classical-appendix", [
+        "el-q-max-err",
+        "el-p-max-err",
+        "el-cross-consistency",
+        "el-energy-drift",
+        "legendre-residual-harmonic",
+        "legendre-residual-linear",
+    ]),
+]
+
+
+def _reject_non_finite(token: str):
+    raise ValueError(f"report holds the non-JSON number {token}")
 
 
 def find_check(report: ScenarioReport, name: str) -> Check:
@@ -165,3 +241,9 @@ def test_criterion_10_determinism_and_runtime():
         assert elapsed < 180.0, f"full suite took {elapsed:.1f}s (limit 180s)"
         runs.append(proc.stdout)
     assert runs[0] == runs[1], "repeated runs are not byte-identical"
+    payload = json.loads(runs[0], parse_constant=_reject_non_finite)
+    layout = [
+        (sub["scenario"], [c["name"] for c in sub["checks"]])
+        for sub in payload["subreports"]
+    ]
+    assert layout == REPORT_LAYOUT

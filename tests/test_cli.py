@@ -107,10 +107,12 @@ def test_numerical_failure_returns_three(capsys, tmp_path):
         "--alphas=-1,0",
         "--alphas=-1,-0.4,0",
         "--alphas=-1,-0.5,nan",
+        "--parallel",
     ],
 )
 def test_bad_config_values_fail_before_any_scenario(capsys, flag):
-    # the configuration is validated when it is built, so 'run all' stops
+    # the configuration is validated when it is built and unknown flags
+    # (such as --parallel) are rejected by the parser, so 'run all' stops
     # with a usage error instead of a numerical failure midway
     with pytest.raises(SystemExit) as exc_info:
         main(["run", "all", flag])
@@ -156,6 +158,13 @@ def test_bad_config_files_are_usage_errors(capsys, tmp_path):
 
     missing = tmp_path / "missing.json"
     assert _run_usage_error(capsys, "run", "classical-appendix", "--config", str(missing)) == 2
+
+    parallel = tmp_path / "parallel.json"
+    parallel.write_text(json.dumps({"parallel": True}))
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", "all", "--config", str(parallel)])
+    assert exc_info.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # ---------------------------------------------------------------------------

@@ -225,10 +225,10 @@ def test_fd_time_derivative_exact_for_quadratics():
     dt = 1e-3
     t = 0.7
     f = lambda s: 2.0 + 3.0 * s + 4.0 * s**2  # noqa: E731
-    got = fd_time_derivative(f(t - dt), f(t), f(t + dt), dt)
+    got = fd_time_derivative(f(t - dt), f(t + dt), dt)
     assert got == pytest.approx(3.0 + 8.0 * t, abs=1e-10)
     with pytest.raises(ValueError):
-        fd_time_derivative(1.0, 1.0, 1.0, 0.0)
+        fd_time_derivative(1.0, 1.0, 0.0)
 
 
 def test_fd_mixed_partial_exact_for_bilinear():
@@ -255,7 +255,7 @@ def test_fd_mixed_partial_respects_mask():
 
 def test_grid_mismatch_raises():
     with pytest.raises(GridError):
-        fd_time_derivative(np.zeros(4), np.zeros(5), np.zeros(4), 1e-3)
+        fd_time_derivative(np.zeros(4), np.zeros(5), 1e-3)
 
 
 def test_spectral_derivative_checks_length():

@@ -151,6 +151,24 @@ def test_momentum_space_residual_harmonic(coherent_triplet_factory):
     assert rep.l2_norm < 1e-5
 
 
+@pytest.mark.parametrize(
+    "residual, potential",
+    [(hj_residual_p_linear, "linear"), (hj_residual_p_harmonic, "harmonic")],
+)
+def test_momentum_space_residual_guards(
+    residual, potential, coherent_triplet_factory, linear_triplet_factory
+):
+    own, other = coherent_triplet_factory(), linear_triplet_factory()
+    if potential == "linear":
+        own, other = other, own
+    with pytest.raises(ValueError, match=f"needs a {potential} potential"):
+        residual([to_momentum_space(s) for s in other])
+    with pytest.raises(ValueError, match="p-space"):
+        residual(own)
+    with pytest.raises(ValueError, match="three snapshots"):
+        residual([to_momentum_space(s) for s in own[:2]])
+
+
 def test_snapshot_validation(coherent_triplet_factory):
     snaps = coherent_triplet_factory()
     with pytest.raises(ValueError):
@@ -176,6 +194,12 @@ def test_eps_residual_linear(q_grid, grid2, linear_params):
     rep = hj_residual_eps(snaps)
     assert rep.name == "eps-hj-linear"
     assert rep.l2_norm < 1e-5
+
+
+def test_eps_residual_needs_three_snapshots(q_grid, grid2, harmonic_params):
+    snaps = _chi_triplet(q_grid, grid2, harmonic_params)
+    with pytest.raises(ValueError, match="three snapshots"):
+        hj_residual_eps(snaps[:2])
 
 
 def test_classical_form_suffices_only_at_minus_half(q_grid, grid2, harmonic_params):
@@ -216,12 +240,5 @@ def test_alpha_sweep_input_validation(sweep_inputs):
         alpha_sweep(sweep_inputs, (-0.5, 0.0))  # too few
     with pytest.raises(ValueError):
         alpha_sweep(sweep_inputs, (-1.0, -0.4, 0.0))  # missing -1/2
-
-
-def test_alpha_sweep_parallel_is_deterministic(sweep_inputs):
-    alphas = (-1.0, -0.5, 0.0)
-    serial = alpha_sweep(sweep_inputs, alphas, parallel=False)
-    parallel = alpha_sweep(sweep_inputs, alphas, parallel=True)
-    assert serial.coefficients == parallel.coefficients
-    assert serial.term_norms == parallel.term_norms
-    assert serial.fit == parallel.fit
+    with pytest.raises(ValueError, match="three snapshots"):
+        alpha_sweep(sweep_inputs[:2], (-1.0, -0.5, 0.0))

@@ -9,13 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsqp.eps_core import chi_build
+from epsqp.eps_core import ExtendedHamiltonian, chi_build
 from epsqp.numerics import Grid2D, GridError, make_grid, spectral_resample
 from epsqp.transforms import (
     TransformParams,
     apply_extended_transform,
     canonical_check,
-    transformed_hamiltonian,
     wigner_direct,
     wigner_equation_residual,
 )
@@ -88,9 +87,9 @@ def test_shear_inverts_exactly(ground_chi, alpha):
 
 
 def test_transformed_hamiltonian_is_the_alpha_family(harmonic_params):
-    ham = transformed_hamiltonian(harmonic_params, -0.5)
+    ham = ExtendedHamiltonian.from_params(harmonic_params, -0.5)
     assert ham.A == 0.0 and ham.C == 0.0
-    ham0 = transformed_hamiltonian(harmonic_params, 0.0)
+    ham0 = ExtendedHamiltonian.from_params(harmonic_params, 0.0)
     assert ham0.A != 0.0
 
 
