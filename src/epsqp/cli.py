@@ -153,13 +153,11 @@ def _write_csv(path: Path, bundle: dict) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _export(report: ScenarioReport, out_dir: str, selector: str | None,
-            rendered: str, parser: argparse.ArgumentParser) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(rendered)
+def _select_bundles(report: ScenarioReport, selector: str | None,
+                    parser: argparse.ArgumentParser) -> dict:
+    """The field bundles ``--fields`` names; a usage error for unknown names."""
     if selector is None:
-        return
+        return {}
     available = _gather_bundles(report)
     names = [s.strip() for s in selector.split(",") if s.strip()]
     if not names:
@@ -173,8 +171,15 @@ def _export(report: ScenarioReport, out_dir: str, selector: str | None,
                 f"unknown field bundle(s): {', '.join(unknown)}; "
                 f"available: {', '.join(sorted(available)) or '(none)'}"
             )
-    for name in names:
-        _write_csv(out / (name.replace("/", "--") + ".csv"), available[name])
+    return {name: available[name] for name in names}
+
+
+def _export(out_dir: str, rendered: str, bundles: dict) -> None:
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "report.json").write_text(rendered)
+    for name, bundle in bundles.items():
+        _write_csv(out / (name.replace("/", "--") + ".csv"), bundle)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -205,12 +210,14 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     elapsed = time.perf_counter() - start
 
+    # the selector is checked before anything is printed or written
+    bundles = _select_bundles(report, args.fields, parser)
     rendered = to_json(report)
     sys.stdout.write(rendered)
     print(f"scenario {args.scenario!r} finished in {elapsed:.2f}s", file=sys.stderr)
 
     if args.out is not None:
-        _export(report, args.out, args.fields, rendered, parser)
+        _export(args.out, rendered, bundles)
 
     return 0 if report.passed else 1
 

@@ -35,7 +35,7 @@ from .numerics import (
     PhysicalParams,
     TIME_ATOL,
     amplitude_mask,
-    paired_momentum_grid,
+    pq_kernel,
     spectral_derivative_2d,
     unwrap_phase_2d,
 )
@@ -98,15 +98,8 @@ def chi_build(psi: WaveFunction, phi: WaveFunction, grid: Grid2D) -> PhaseSpaceF
         raise GridError("position state does not live on the q axis of the grid")
     if phi.grid != grid.p_axis:
         raise GridError("momentum state does not live on the p axis of the grid")
-    if grid.p_axis != paired_momentum_grid(grid.q_axis, psi.params.hbar):
-        raise GridError("grid axes are not Fourier-paired")
-
-    P, Q = grid.meshes()
-    values = (
-        psi.values[None, :]
-        * np.conj(phi.values)[:, None]
-        * np.exp(-1j * P * Q / psi.params.hbar)
-    )
+    values = pq_kernel(grid, psi.params.hbar, -1)  # checks the pairing
+    values *= psi.values[None, :] * np.conj(phi.values)[:, None]
     return PhaseSpaceField(values, grid, psi.t, psi.params, kind="chi")
 
 

@@ -271,6 +271,36 @@ def momentum_to_position(values: NDArray, p_grid: Grid1D, q_grid: Grid1D, hbar: 
     return (n * dp / np.sqrt(2.0 * np.pi * hbar)) * np.fft.ifft(unshifted)
 
 
+def pq_kernel(grid: Grid2D, hbar: float, sign: int) -> NDArray[np.complex128]:
+    """The phase-space kernel ``exp(sign * i p q / hbar)`` on a Fourier-paired grid.
+
+    On the paired grid ``p_i = k_i dp`` with ``k_i = i - n/2`` and
+    ``dp dq = 2 pi hbar / n``, so
+
+        p_i q_j / hbar = 2 pi k_i (x + j) / n,   x = q_min / dq,
+
+    and the kernel is a row phase times the n-th root of unity with index
+    ``k_i j mod n``.  That takes 2n complex exponentials instead of n^2, and
+    every phase is reduced modulo 2 pi before its exponential, so the kernel
+    is accurate to rounding instead of carrying the rounding of an argument
+    of size |p q / hbar|.
+    """
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
+    if grid.p_axis != paired_momentum_grid(grid.q_axis, hbar):
+        raise GridError("grid axes are not Fourier-paired")
+    q_axis = grid.q_axis
+    n = q_axis.n_points
+    steps = np.arange(n)
+    k = steps - n // 2
+    turns = sign * 2j * np.pi / n
+    rows = np.exp(turns * np.mod(k * (q_axis.min / q_axis.spacing), n))
+    # n is a power of two, so "& (n - 1)" is the non-negative remainder mod n
+    kernel = np.exp(turns * steps)[np.multiply.outer(k, steps) & (n - 1)]
+    kernel *= rows[:, None]
+    return kernel
+
+
 def spectral_resample(values: NDArray, factor: int = 2) -> NDArray[np.complex128]:
     """Resample a periodic field onto a ``factor`` times finer grid.
 

@@ -58,6 +58,7 @@ from .numerics import (
     HarmonicPotential,
     PhysicalParams,
     amplitude_mask,
+    pq_kernel,
     relative_curvature,
     snapshot_triple,
     spectral_derivative,
@@ -74,7 +75,7 @@ from .reports import (
     masked_max,
 )
 from .states import WaveFunction
-from .transforms import apply_extended_transform
+from .transforms import shear_multiplier
 
 
 # ---------------------------------------------------------------------------
@@ -368,16 +369,37 @@ def hj_residual_p_harmonic(snapshots: Sequence[WaveFunction]) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def _hj_residual_2d(triple: tuple, alpha: float, name: str) -> ResidualReport:
+def _sheared(triple: tuple, alphas: Sequence[float]):
+    """Yield the ``(minus, center, plus)`` values of a chi triple sheared by each alpha.
+
+    Each snapshot's 2D spectrum is taken once, however many alphas follow,
+    and each alpha builds one :func:`shear_multiplier` for all three.  At
+    alpha = 0 the chi values themselves are yielded.
+    """
+    minus, center, plus, _ = triple
+    raw = (minus.values, center.values, plus.values)
+    spectra = None
+    for alpha in alphas:
+        if alpha == 0.0:
+            yield raw
+            continue
+        if spectra is None:
+            spectra = [np.fft.fft2(v) for v in raw]
+        multiplier = shear_multiplier(center.grid, alpha, center.params.hbar)
+        yield tuple(np.fft.ifft2(multiplier * s) for s in spectra)
+
+
+def _hj_residual_2d(
+    triple: tuple, values: tuple, alpha: float, name: str, with_fields: bool = True
+) -> ResidualReport:
     """Shared engine for the phase-space modified Hamilton-Jacobi residual.
 
     ``triple`` is the unpacked ``(minus, center, plus, dt)`` of three chi
-    snapshots (see :func:`_chi_triple`).  Each snapshot is sheared by
-    alpha separately (skipped exactly at alpha = 0) and the estimators of
-    the module docstring are applied to the transformed fields: the phase
-    of the plus/minus snapshot ratio is immune to the catastrophic
-    cancellation a literal difference of the sheared fields would suffer
-    near the mask edge.
+    snapshots (see :func:`_chi_triple`) and ``values`` their arrays sheared
+    by alpha (see :func:`_sheared`).  The estimators of the module docstring
+    are applied to the transformed fields: the phase of the plus/minus
+    snapshot ratio is immune to the catastrophic cancellation a literal
+    difference of the sheared fields would suffer near the mask edge.
 
     Residual pieces:
 
@@ -388,19 +410,14 @@ def _hj_residual_2d(triple: tuple, alpha: float, name: str) -> ResidualReport:
     where T collects the curvature terms at unit coefficient.  The
     projection of -classical_form onto T (metadata ``fitted_coefficient``)
     measures the coefficient the data actually demands, which the exact
-    identity fixes at 1/2 + alpha (``expected_coefficient``).
+    identity fixes at 1/2 + alpha (``expected_coefficient``).  Without
+    ``with_fields`` the report carries norms and metadata only.
     """
-    minus, center, plus, dt = triple
+    _, center, _, dt = triple
     params = center.params
     grid = center.grid
     m, hbar = params.mass, params.hbar
-
-    if alpha == 0.0:
-        c, cm, cp = center.values, minus.values, plus.values
-    else:
-        c = apply_extended_transform(center, alpha).values
-        cm = apply_extended_transform(minus, alpha).values
-        cp = apply_extended_transform(plus, alpha).values
+    cm, c, cp = values
 
     mask = amplitude_mask(np.abs(c))
     dens = np.where(mask, np.abs(c) ** 2, 1.0)
@@ -418,7 +435,7 @@ def _hj_residual_2d(triple: tuple, alpha: float, name: str) -> ResidualReport:
         # exact gradients (-p into S_q, -q into S_p) algebraically.  The
         # time derivative needs no peeling: the kernel is static and cancels
         # in the snapshot ratio.
-        smooth = c * np.exp(1j * P * Q / hbar)
+        smooth = c * pq_kernel(grid, hbar, 1)
         sm_q = spectral_derivative_2d(smooth, grid, axis=1, order=1)
         sm_p = spectral_derivative_2d(smooth, grid, axis=0, order=1)
         S_q = hbar * np.imag(np.conj(smooth) * sm_q) / dens - P
@@ -445,6 +462,17 @@ def _hj_residual_2d(triple: tuple, alpha: float, name: str) -> ResidualReport:
     fitted = -np.real(fit_global_constant(classical, T, mask))
     remainder_l2 = masked_l2(classical + fitted * T, mask, grid.cell)
 
+    fields = {}
+    if with_fields:
+        fields = {
+            "residual": _masked(full, mask),
+            "classical_form": _masked(classical, mask),
+            "quantum_term": _masked(quantum, mask),
+            "term_basis": _masked(T, mask),
+            "q_term": _masked(-(hbar**2) * ham.A * rqq, mask),
+            "p_term": _masked(-(hbar**2) * ham.C * rpp, mask),
+            "mask": mask,
+        }
     return ResidualReport(
         name=name,
         l2_norm=masked_l2(full, mask, grid.cell),
@@ -464,15 +492,7 @@ def _hj_residual_2d(triple: tuple, alpha: float, name: str) -> ResidualReport:
             "term_basis_l2": masked_l2(T, mask, grid.cell),
             "remainder_l2": remainder_l2,
         },
-        fields={
-            "residual": _masked(full, mask),
-            "classical_form": _masked(classical, mask),
-            "quantum_term": _masked(quantum, mask),
-            "term_basis": _masked(T, mask),
-            "q_term": _masked(-(hbar**2) * ham.A * rqq, mask),
-            "p_term": _masked(-(hbar**2) * ham.C * rpp, mask),
-            "mask": mask,
-        },
+        fields=fields,
     )
 
 
@@ -484,7 +504,12 @@ def hj_residual_eps(snapshots: Sequence[PhaseSpaceField]) -> ResidualReport:
     p-curvature terms together; the linear case has no p-term).
     """
     triple = _chi_triple(snapshots)
-    return _hj_residual_2d(triple, 0.0, f"eps-hj-{triple[1].params.potential.kind}")
+    values = next(_sheared(triple, (0.0,)))
+    return _hj_residual_2d(triple, values, 0.0, f"eps-hj-{triple[1].params.potential.kind}")
+
+
+def _transformed_name(alpha: float) -> str:
+    return f"transformed-hj(alpha={alpha})"
 
 
 def hj_residual_transformed(snapshots: Sequence[PhaseSpaceField], alpha: float) -> ResidualReport:
@@ -496,7 +521,9 @@ def hj_residual_transformed(snapshots: Sequence[PhaseSpaceField], alpha: float) 
     weighted curvature term; at alpha = -1/2 the two coincide and the
     classical equation holds on its own.
     """
-    return _hj_residual_2d(_chi_triple(snapshots), alpha, f"transformed-hj(alpha={alpha})")
+    triple = _chi_triple(snapshots)
+    values = next(_sheared(triple, (alpha,)))
+    return _hj_residual_2d(triple, values, alpha, _transformed_name(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +548,11 @@ class AlphaSweepResult:
     |1/2 + alpha| and the alpha-dependence of ||T|| itself, making it even
     about alpha = -1/2 rather than affine.  The projection coefficient is
     the faithful affine observable.
+
+    ``reports`` are the per-alpha residual reports with their norms and
+    metadata only, without the n^2 ``fields`` arrays, so a sweep holds the
+    same memory however many alphas it has (call
+    :func:`hj_residual_transformed` for one alpha's fields).
     """
 
     alphas: tuple[float, ...]
@@ -553,10 +585,15 @@ def alpha_sweep(snapshots: Sequence[PhaseSpaceField], alphas: Sequence[float]) -
     """Evaluate the transformed residual across a shear-parameter sweep.
 
     ``alphas`` must pass :func:`validate_alphas`; the sweep points are
-    evaluated in that order.
+    evaluated in that order.  The three snapshots are transformed to
+    Fourier space once for the whole sweep (see :func:`_sheared`).
     """
     alphas = validate_alphas(alphas)
-    reports = tuple(hj_residual_transformed(snapshots, a) for a in alphas)
+    triple = _chi_triple(snapshots)
+    reports = tuple(
+        _hj_residual_2d(triple, values, a, _transformed_name(a), with_fields=False)
+        for a, values in zip(alphas, _sheared(triple, alphas))
+    )
     coefficients = tuple(r.metadata["fitted_coefficient"] for r in reports)
     return AlphaSweepResult(
         alphas=alphas,

@@ -130,11 +130,13 @@ _COMPARATORS: dict[str, Callable[[float, float], bool]] = {
 
 
 def make_check(name: str, value: float, tolerance: float, comparator: str = "<") -> Check:
+    """A check that fails on any non-finite value, whatever the comparator."""
     if comparator not in _COMPARATORS:
         raise ValueError(f"unknown comparator {comparator!r}")
     value = float(value)
     tolerance = float(tolerance)
-    return Check(name, value, tolerance, comparator, bool(_COMPARATORS[comparator](value, tolerance)))
+    passed = math.isfinite(value) and _COMPARATORS[comparator](value, tolerance)
+    return Check(name, value, tolerance, comparator, bool(passed))
 
 
 @dataclass
@@ -144,7 +146,7 @@ class ScenarioReport:
     name: str
     config: ScenarioConfig
     checks: list[Check] = field(default_factory=list)
-    residuals: list[ResidualReport] = field(default_factory=list)
+    residuals: list[ResidualReport] = field(default_factory=list)  # without fields
     constants: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
     field_bundles: dict = field(default_factory=dict, repr=False)
@@ -177,9 +179,25 @@ class ScenarioReport:
         }
 
 
+def _finite_json(obj):
+    """``obj`` with every non-finite float replaced by "inf", "-inf" or "nan"."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return str(float(obj))
+    if isinstance(obj, dict):
+        return {k: _finite_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_json(v) for v in obj]
+    return obj
+
+
 def to_json(report: ScenarioReport) -> str:
-    """Deterministic JSON rendering (sorted keys, fixed indentation)."""
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    """Deterministic, strict JSON rendering (sorted keys, fixed indentation).
+
+    JSON has no infinities or NaNs, so a non-finite float is written as the
+    string "inf", "-inf" or "nan"; a check holding one has failed.
+    """
+    payload = _finite_json(report.to_dict())
+    return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -229,20 +247,46 @@ def _check_halving(
 ) -> ResidualReport:
     """Record one residual evaluated at dt (``coarse``) and at dt/2 (``fine``).
 
-    Adds the dt residual, its L2 check, and a second-order convergence
-    check: the halving ratio (>= 3.5), or with ``order`` the observed order
-    log2 of that ratio (>= 1.9).  Returns the dt residual.  Callers pass
-    the two evaluations as arguments, so the dt/2 snapshots are built only
-    after the dt residual is done and are released on return.
+    Adds the dt residual (norms and metadata, not its fields), its L2
+    check, and a second-order convergence check: the halving ratio
+    (>= 3.5), or with ``order`` the observed order log2 of that ratio
+    (>= 1.9).  A zero residual leaves the ratio undefined or infinite,
+    which fails the check.  Returns the dt residual with its fields.
+    Callers pass the two evaluations as arguments, so the dt/2 snapshots
+    are built only after the dt residual is done and are released on return.
     """
-    report.residuals.append(coarse)
+    report.residuals.append(replace(coarse, fields={}))
     report.checks.append(make_check(l2_name, coarse.l2_norm, l2_tol))
-    if order:
-        rate = math.log2(coarse.l2_norm / fine.l2_norm) if fine.l2_norm else math.inf
-        report.checks.append(make_check(rate_name, rate, 1.9, ">="))
-    else:
-        report.checks.append(make_check(rate_name, coarse.l2_norm / fine.l2_norm, 3.5, ">="))
+    with np.errstate(divide="ignore", invalid="ignore"):  # x/0 = inf, 0/0 = nan
+        ratio = np.float64(coarse.l2_norm) / fine.l2_norm
+        if order:
+            ratio = np.log2(ratio)
+    report.checks.append(make_check(rate_name, ratio, 1.9 if order else 3.5, ">="))
     return coarse
+
+
+def _check_wigner_halving(
+    report: ScenarioReport,
+    psis: list,
+    psis_half: list,
+    grid2: Grid2D,
+    l2_name: str,
+    order_name: str,
+) -> None:
+    """:func:`_check_halving` of the Wigner transport residual (order check).
+
+    The dt and dt/2 triplets share their centre state, so its Wigner
+    function is computed once.
+    """
+    center = wigner_direct(psis[1], grid2)
+
+    def residual(triplet):
+        minus, plus = (wigner_direct(psi, grid2) for psi in (triplet[0], triplet[2]))
+        return wigner_equation_residual([minus, center, plus])
+
+    _check_halving(
+        report, residual(psis), residual(psis_half), l2_name, 1e-4, order_name, order=True
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +555,8 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     )
 
     # --- Wigner transport equation + convergence order ----------------------
-    _check_halving(
-        report,
-        wigner_equation_residual(psis, g2),
-        wigner_equation_residual(psis_half, g2),
-        "wigner-eq-harmonic-l2",
-        1e-4,
-        "wigner-eq-harmonic-order",
-        order=True,
+    _check_wigner_halving(
+        report, psis, psis_half, g2, "wigner-eq-harmonic-l2", "wigner-eq-harmonic-order"
     )
 
     # --- averaging rule ------------------------------------------------------
@@ -597,14 +635,8 @@ def scenario_linear_gaussian(cfg: ScenarioConfig) -> ScenarioReport:
         1e-5,
         "hj-q-linear-halving-ratio",
     )
-    _check_halving(
-        report,
-        wigner_equation_residual(psis, g2),
-        wigner_equation_residual(psis_half, g2),
-        "wigner-eq-linear-l2",
-        1e-4,
-        "wigner-eq-linear-order",
-        order=True,
+    _check_wigner_halving(
+        report, psis, psis_half, g2, "wigner-eq-linear-l2", "wigner-eq-linear-order"
     )
 
     evolved = splitstep_propagate(gaussian(0.0), 0.5, dt=5e-3)

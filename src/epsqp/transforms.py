@@ -21,6 +21,7 @@ from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from numpy.typing import NDArray
 
 from .eps_core import PhaseSpaceField
 from .numerics import (
@@ -65,17 +66,24 @@ def canonical_check(tp: TransformParams) -> bool:
     return tp.beta == tp.alpha and tp.gamma == 0.0 and tp.eta == 0.0
 
 
+def shear_multiplier(grid: Grid2D, alpha: float, hbar: float) -> NDArray[np.complex128]:
+    """The Fourier multiplier ``exp(+i alpha hbar u v)`` of ``U_alpha`` on ``grid``.
+
+    It multiplies a field's ``fft2`` spectrum, so one spectrum serves any
+    number of alphas.  Unimodular: the transform is exactly unitary.
+    """
+    u = grid.p_axis.wavenumbers
+    v = grid.q_axis.wavenumbers
+    return np.exp(1j * alpha * hbar * u[:, None] * v[None, :])
+
+
 def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> PhaseSpaceField:
     """Apply ``U_alpha`` to a phase-space field.
 
     Successive transforms compose additively in alpha; the result is tagged
-    ``kind='transformed'`` with the accumulated parameter.  The multiplier
-    is unimodular, so the transform is exactly unitary on the grid.
+    ``kind='transformed'`` with the accumulated parameter.
     """
-    hbar = field.params.hbar
-    u = field.grid.p_axis.wavenumbers
-    v = field.grid.q_axis.wavenumbers
-    multiplier = np.exp(1j * alpha * hbar * u[:, None] * v[None, :])
+    multiplier = shear_multiplier(field.grid, alpha, field.params.hbar)
     values = np.fft.ifft2(multiplier * np.fft.fft2(field.values))
     accumulated = alpha + (field.alpha if field.alpha is not None else 0.0)
     return PhaseSpaceField(
@@ -133,9 +141,7 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     return PhaseSpaceField(w.astype(complex), grid, psi.t, psi.params, kind="wigner")
 
 
-def wigner_equation_residual(
-    snapshots: Sequence[WaveFunction], grid: Grid2D
-) -> ResidualReport:
+def wigner_equation_residual(wigners: Sequence[PhaseSpaceField]) -> ResidualReport:
     """Residual of the Wigner evolution equation from three time snapshots.
 
     For linear and harmonic potentials the Wigner function obeys the
@@ -144,19 +150,20 @@ def wigner_equation_residual(
         dW/dt + (p/m) dW/dq - V'(q) dW/dp
 
     sampled at the centre time vanishes up to O(dt^2) and spectral error.
-    ``snapshots`` are three states at equally spaced times (t - dt, t,
-    t + dt) under the same parameters.
+    ``wigners`` are :func:`wigner_direct` fields at equally spaced times
+    (t - dt, t, t + dt) under the same parameters; taking the fields rather
+    than the states lets a caller reuse a snapshot's Wigner function.
     """
-    minus, center, plus, dt = snapshot_triple(snapshots)
-
-    w_minus = np.real(wigner_direct(minus, grid).values)
-    w_center = np.real(wigner_direct(center, grid).values)
-    w_plus = np.real(wigner_direct(plus, grid).values)
+    if any(w.kind != "wigner" for w in wigners):
+        raise ValueError("the Wigner equation residual needs wigner_direct fields")
+    minus, center, plus, dt = snapshot_triple(wigners)
+    grid = center.grid
+    w_center = np.real(center.values)
 
     P, Q = grid.meshes()
     m = center.params.mass
     v_prime = center.params.potential.derivative(Q)
-    w_t = fd_time_derivative(w_minus, w_plus, dt)
+    w_t = fd_time_derivative(np.real(minus.values), np.real(plus.values), dt)
     w_q = np.real(spectral_derivative_2d(w_center, grid, axis=1, order=1))
     w_p = np.real(spectral_derivative_2d(w_center, grid, axis=0, order=1))
     residual = w_t + (P / m) * w_q - v_prime * w_p

@@ -20,7 +20,7 @@ def _run(capsys, *argv):
 def _run_usage_error(capsys, *argv):
     with pytest.raises(SystemExit) as exc_info:
         main(list(argv))
-    capsys.readouterr()
+    assert capsys.readouterr().out == ""
     return exc_info.value.code
 
 
@@ -208,6 +208,8 @@ def test_unknown_field_bundle_is_usage_error(capsys, tmp_path):
         )
         == 2
     )
+    # the selector is checked before the report is printed or written
+    assert not (tmp_path / "x").exists()
 
 
 def test_csv_2d_layout_is_q_major(capsys, tmp_path):

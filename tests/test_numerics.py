@@ -21,6 +21,7 @@ from epsqp.numerics import (
     momentum_to_position,
     paired_momentum_grid,
     position_to_momentum,
+    pq_kernel,
     relative_curvature,
     spectral_derivative,
     spectral_derivative_2d,
@@ -262,6 +263,36 @@ def test_spectral_derivative_checks_length():
     g = make_grid(64, 0.0, 1.0)
     with pytest.raises(GridError):
         spectral_derivative(np.zeros(32), g)
+
+
+@pytest.mark.parametrize("domain", [(-10.0, 10.0), (-7.3, 12.1)])
+@pytest.mark.parametrize("n", [2**e for e in range(3, 12)])
+def test_pq_kernel_matches_direct_exponential(n, domain):
+    # The table kernel reduces every phase modulo 2 pi, so what is left is
+    # the reference's own rounding of its argument p q / hbar: measured at
+    # 0.2-2.1 eps * max|p| * max|q| / hbar for n = 8 .. 2048 on both domains
+    # (9.0e-13 and 1.9e-12 at n = 2048).  The reference is built in row
+    # blocks so the largest case holds one n^2 array.
+    hbar = 0.7
+    g2 = Grid2D.paired(make_grid(n, *domain), hbar)
+    p, q = g2.p_axis.points, g2.q_axis.points
+    bound = 4.0 * np.finfo(float).eps * np.abs(p).max() * np.abs(q).max() / hbar
+    for sign in (-1, 1):
+        kernel = pq_kernel(g2, hbar, sign)
+        assert kernel.shape == g2.shape
+        for r in range(0, n, 256):
+            direct = np.exp(sign * 1j * np.multiply.outer(p[r : r + 256], q) / hbar)
+            assert np.max(np.abs(kernel[r : r + 256] - direct)) < bound
+
+
+def test_pq_kernel_needs_a_paired_grid():
+    g = make_grid(64, -10.0, 10.0)
+    with pytest.raises(GridError):
+        pq_kernel(Grid2D(g, g), 1.0, -1)
+    with pytest.raises(GridError):
+        pq_kernel(Grid2D.paired(g, 1.0), 0.5, -1)  # paired for another hbar
+    with pytest.raises(ValueError):
+        pq_kernel(Grid2D.paired(g, 1.0), 1.0, 0)
 
 
 def test_plane_wave_identity_sanity():

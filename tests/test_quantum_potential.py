@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from epsqp.eps_core import chi_build
+from epsqp.numerics import Grid2D, make_grid
 from epsqp.quantum_potential import (
     alpha_sweep,
     hj_residual_eps,
@@ -242,3 +243,49 @@ def test_alpha_sweep_input_validation(sweep_inputs):
         alpha_sweep(sweep_inputs, (-1.0, -0.4, 0.0))  # missing -1/2
     with pytest.raises(ValueError, match="three snapshots"):
         alpha_sweep(sweep_inputs[:2], (-1.0, -0.5, 0.0))
+
+
+def test_alpha_sweep_equals_per_alpha_residuals(sweep_inputs):
+    # the sweep shears spectra it takes once; each alpha on its own must
+    # give the same numbers
+    alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
+    res = alpha_sweep(sweep_inputs, alphas)
+    for i, a in enumerate(alphas):
+        rep = hj_residual_transformed(sweep_inputs, a)
+        swept = res.reports[i]
+        assert swept.name == rep.name
+        assert swept.fields == {}
+        assert set(rep.fields) >= {"residual", "q_term", "mask"}
+        for got, want in (
+            (res.coefficients[i], rep.metadata["fitted_coefficient"]),
+            (res.term_norms[i], rep.metadata["quantum_term_l2"]),
+            (res.classical_norms[i], rep.metadata["classical_form_l2"]),
+            (res.full_norms[i], rep.l2_norm),
+            (res.remainder_norms[i], rep.metadata["remainder_l2"]),
+            (swept.max_norm, rep.max_norm),
+        ):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _array_bytes(obj) -> int:
+    """Total nbytes of the numpy arrays reachable from ``obj``."""
+    if isinstance(obj, np.ndarray):
+        return obj.nbytes
+    if isinstance(obj, dict):
+        return sum(_array_bytes(v) for v in obj.values())
+    if isinstance(obj, (list, tuple)):
+        return sum(_array_bytes(v) for v in obj)
+    if hasattr(obj, "__dataclass_fields__"):
+        return sum(_array_bytes(v) for v in vars(obj).values())
+    return 0
+
+
+def test_alpha_sweep_memory_does_not_grow_with_alphas(harmonic_params):
+    q_grid = make_grid(64, -10.0, 10.0)
+    snaps = _chi_triplet(q_grid, Grid2D.paired(q_grid, harmonic_params.hbar), harmonic_params)
+    few = alpha_sweep(snaps, (-1.0, -0.75, -0.5, -0.25, 0.0))
+    many = alpha_sweep(snaps, tuple((i - 20) * 5 / 100 for i in range(21)))
+    assert len(many.reports) == 21
+    assert _array_bytes(many) == _array_bytes(few)
+    # the walker does see fields when a report holds them
+    assert _array_bytes(hj_residual_transformed(snaps, -0.5)) > 0

@@ -5,18 +5,32 @@ the acceptance suite.)"""
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
+import epsqp.scenarios as scenarios
+from epsqp.quantum_potential import AlphaSweepResult
+from epsqp.reports import ResidualReport, fit_line
 from epsqp.scenarios import (
     REGISTRY,
     SCENARIO_ORDER,
     ScenarioConfig,
     ScenarioReport,
+    _check_halving,
     make_check,
     run_scenario,
     to_json,
 )
+
+
+def _strict_loads(text: str):
+    """json.loads that refuses the bare NaN/Infinity tokens strict JSON lacks."""
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def test_registry_lists_every_scenario_and_all():
@@ -79,3 +93,86 @@ def test_config_round_trips_through_report(q_grid):
     # every config field appears in the serialized form
     for field_name in cfg.__dataclass_fields__:
         assert field_name in payload["config"]
+
+
+def test_non_finite_check_values_fail():
+    assert not make_check("x", math.inf, 3.5, comparator=">=").passed
+    assert not make_check("x", -math.inf, 1.0).passed
+    assert not make_check("x", math.nan, 1.0).passed
+    assert not make_check("x", math.nan, 1.0, comparator=">").passed
+
+
+@pytest.mark.parametrize("order", [False, True])
+@pytest.mark.parametrize("coarse_l2, expected", [(1e-6, "inf"), (0.0, "nan")])
+def test_zero_fine_residual_fails_its_rate_check(order, coarse_l2, expected):
+    report = ScenarioReport("halving", ScenarioConfig(grid_n=16))
+    coarse = ResidualReport("r", coarse_l2, coarse_l2, 0.0, fields={"residual": [coarse_l2]})
+    fine = ResidualReport("r", 0.0, 0.0, 0.0)
+    returned = _check_halving(report, coarse, fine, "r-l2", 1e-5, "r-rate", order=order)
+    assert returned is coarse
+    assert report.residuals[0].fields == {}  # stored without its arrays
+    l2_check, rate_check = report.checks
+    assert l2_check.passed
+    assert not rate_check.passed
+    assert not report.passed
+    payload = _strict_loads(to_json(report))
+    assert payload["checks"][1]["value"] == expected
+
+
+def test_flat_line_fit_has_no_zero_crossing():
+    fit = fit_line([-1.0, -0.5, 0.0], [0.0, 0.0, 0.0])
+    assert fit.slope == 0.0
+    assert math.isnan(fit.zero_crossing)
+
+
+def test_zero_term_norms_and_flat_fit_render_as_strict_json(monkeypatch):
+    # a sweep whose quantum term vanishes everywhere: the vanishing ratio
+    # has a zero reference norm and the coefficient line is flat
+    def flat_sweep(snapshots, alphas):
+        zeros = (0.0,) * len(alphas)
+        return AlphaSweepResult(
+            alphas=tuple(alphas),
+            coefficients=zeros,
+            term_norms=zeros,
+            classical_norms=zeros,
+            full_norms=zeros,
+            remainder_norms=zeros,
+            fit=fit_line(alphas, zeros),
+        )
+
+    monkeypatch.setattr(scenarios, "alpha_sweep", flat_sweep)
+    report = run_scenario("alpha-sweep", ScenarioConfig(grid_n=16))
+    checks = {c.name: c for c in report.checks}
+    assert checks["alpha-sweep-vanishing-ratio"].value == math.inf
+    assert math.isnan(checks["alpha-sweep-zero-crossing-err"].value)
+    assert math.isnan(checks["alpha-sweep-grid-stability"].value)
+    for name in (
+        "alpha-sweep-vanishing-ratio",
+        "alpha-sweep-zero-crossing-err",
+        "alpha-sweep-grid-stability",
+    ):
+        assert not checks[name].passed
+    payload = _strict_loads(to_json(report))
+    rendered = {c["name"]: c["value"] for c in payload["checks"]}
+    assert rendered["alpha-sweep-vanishing-ratio"] == "inf"
+    assert rendered["alpha-sweep-zero-crossing-err"] == "nan"
+    assert payload["constants"]["zero_crossing"] == "nan"
+    assert payload["passed"] is False
+
+
+def test_wigner_transport_computes_each_snapshot_once(monkeypatch):
+    # the dt and dt/2 triplets share their centre state: five distinct
+    # snapshots, five Wigner functions
+    calls = []
+    direct = scenarios.wigner_direct
+
+    def counting(psi, grid):
+        calls.append(psi.t)
+        return direct(psi, grid)
+
+    monkeypatch.setattr(scenarios, "wigner_direct", counting)
+    cfg = ScenarioConfig(grid_n=64)
+    run_scenario("linear-gaussian", cfg)
+    t, dt = cfg.eval_time, cfg.dt
+    expected = [t, t - dt, t + dt, t - dt / 2, t + dt / 2]
+    assert calls == pytest.approx(expected, abs=1e-15)

@@ -193,7 +193,7 @@ def test_stationary_wigner_residual_vanishes(q_grid, grid2, harmonic_params):
         ho_coherent_state(q_grid, harmonic_params, q0=0.0, p0=0.0, t=s * dt)
         for s in (-1, 0, 1)
     ]
-    rep = wigner_equation_residual(snaps, grid2)
+    rep = wigner_equation_residual([wigner_direct(s, grid2) for s in snaps])
     assert rep.l2_norm < 1e-6
 
 
@@ -205,5 +205,10 @@ def test_wigner_transport_for_falling_packet(q_grid, grid2, linear_params):
         )
         for s in (-1, 0, 1)
     ]
-    rep = wigner_equation_residual(snaps, grid2)
+    rep = wigner_equation_residual([wigner_direct(s, grid2) for s in snaps])
     assert rep.l2_norm < 1e-4
+
+
+def test_wigner_residual_needs_wigner_fields(ground_chi):
+    with pytest.raises(ValueError, match="wigner_direct"):
+        wigner_equation_residual([ground_chi] * 3)
