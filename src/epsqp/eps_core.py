@@ -42,7 +42,7 @@ from .numerics import (
 from .states import WaveFunction
 
 #: Valid provenance tags for phase-space fields.
-FIELD_KINDS = ("chi", "f", "wigner", "transformed")
+FIELD_KINDS = ("chi", "wigner", "transformed")
 
 
 @dataclass(frozen=True)
@@ -50,9 +50,9 @@ class PhaseSpaceField:
     """Complex field on a ``(p, q)`` grid, tagged with time and provenance.
 
     ``kind`` is one of ``"chi"`` (product distribution with its ``exp(-ipq/
-    hbar)`` phase), ``"f"`` (bare separable product), ``"wigner"`` (direct
-    Wigner construction), or ``"transformed"`` (a shear applied), in which
-    case ``alpha`` records the accumulated shear parameter.
+    hbar)`` phase), ``"wigner"`` (direct Wigner construction), or
+    ``"transformed"`` (a shear applied), in which case ``alpha`` records the
+    accumulated shear parameter.
     """
 
     values: NDArray[np.complex128]
@@ -150,7 +150,7 @@ class ExtendedHamiltonian:
             )
         raise ValueError(f"unsupported potential {pot!r}")
 
-    def evaluate_classical(self, S_q, S_p, P, Q):
+    def evaluate_classical(self, S_q, S_p, p, q):
         """The Hamilton-Jacobi (gradient) part of the evolution identity.
 
         With ``S`` the phase action of the distribution, this is H' with
@@ -159,13 +159,14 @@ class ExtendedHamiltonian:
             A S_q^2 + B p S_q + C S_p^2 + (D q + E) S_p
 
         the combination a purely classical action balances against
-        ``-dS/dt``.
+        ``-dS/dt``.  The coordinates ``p`` and ``q`` broadcast against the
+        gradients.
         """
         return (
             self.A * S_q**2
-            + self.B * P * S_q
+            + self.B * p * S_q
             + self.C * S_p**2
-            + (self.D * Q + self.E) * S_p
+            + (self.D * q + self.E) * S_p
         )
 
     def apply(self, field: PhaseSpaceField) -> NDArray[np.complex128]:
@@ -176,23 +177,24 @@ class ExtendedHamiltonian:
         """
         hbar = field.params.hbar
         grid = field.grid
-        P, Q = grid.meshes()
+        p = grid.p_axis.points[:, None]
+        q = grid.q_axis.points[None, :]
         out = np.zeros(grid.shape, dtype=complex)
         if self.A != 0.0:
             out -= hbar**2 * self.A * spectral_derivative_2d(field.values, grid, axis=1, order=2)
         if self.B != 0.0:
-            out -= 1j * hbar * self.B * P * spectral_derivative_2d(field.values, grid, axis=1, order=1)
+            out -= 1j * hbar * self.B * p * spectral_derivative_2d(field.values, grid, axis=1, order=1)
         if self.C != 0.0:
             out -= hbar**2 * self.C * spectral_derivative_2d(field.values, grid, axis=0, order=2)
         if self.D != 0.0 or self.E != 0.0:
-            out -= 1j * hbar * (self.D * Q + self.E) * spectral_derivative_2d(field.values, grid, axis=0, order=1)
+            out -= 1j * hbar * (self.D * q + self.E) * spectral_derivative_2d(field.values, grid, axis=0, order=1)
         return out
 
 
 def eps_rhs_apply(field: PhaseSpaceField) -> PhaseSpaceField:
     """Right-hand side ``H' chi`` of the dynamical equation ``i hbar d(chi)/dt = H' chi``.
 
-    For ``chi``/``f`` fields the untransformed operator is used; for
+    For untransformed fields the alpha = 0 operator is used; for
     transformed fields the operator matching the field's recorded alpha.
     The result is returned on the same grid with the same tags (it is an
     operator image, not a new distribution).
@@ -244,16 +246,20 @@ def polar_decompose_2d(field: PhaseSpaceField) -> ExtendedAction:
 def expectation(observable: NDArray, chi: PhaseSpaceField) -> float:
     """Phase-space average ``int O conj(chi) dp dq / int conj(chi) dp dq``.
 
-    ``observable`` is an array on the field's grid (build it from
-    ``grid.meshes()``).  The normalisation by the bare integral of
+    ``observable`` is any array that broadcasts to the field's ``[i_p, i_q]``
+    grid: a full ``(n_p, n_q)`` array, a p-only ``p_axis.points[:, None]``
+    column or a q-only ``q_axis.points[None, :]`` row; any other shape
+    raises :class:`GridError`.  The normalisation by the bare integral of
     ``conj(chi)`` makes the average independent of the Fourier convention's
     overall constants.  The ratio is real for physical observables; a
     relative imaginary part above 1e-8 raises, as does a vanishing
     normalisation integral.
     """
     observable = np.asarray(observable)
-    if observable.shape != chi.grid.shape:
-        raise GridError("observable does not match the field grid")
+    try:
+        np.broadcast_to(observable, chi.grid.shape)
+    except ValueError:
+        raise GridError("observable does not broadcast to the field grid") from None
     weight = np.conj(chi.values) * chi.grid.cell
     den = np.sum(weight)
     if abs(den) < 1e-12:

@@ -91,7 +91,11 @@ def paired_momentum_grid(q_grid: Grid1D, hbar: float) -> Grid1D:
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Tensor grid for phase-space fields; arrays are indexed ``[i_p, i_q]``."""
+    """Tensor grid for phase-space fields; arrays are indexed ``[i_p, i_q]``.
+
+    Coordinates broadcast against such arrays as ``p_axis.points[:, None]``
+    and ``q_axis.points[None, :]``.
+    """
 
     p_axis: Grid1D
     q_axis: Grid1D
@@ -99,10 +103,6 @@ class Grid2D:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.p_axis.n_points, self.q_axis.n_points)
-
-    def meshes(self) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """Return ``(P, Q)`` meshes with ``P[i, j] = p_i`` and ``Q[i, j] = q_j``."""
-        return np.meshgrid(self.p_axis.points, self.q_axis.points, indexing="ij")
 
     @property
     def cell(self) -> float:
@@ -301,8 +301,8 @@ def pq_kernel(grid: Grid2D, hbar: float, sign: int) -> NDArray[np.complex128]:
     return kernel
 
 
-def spectral_resample(values: NDArray, factor: int = 2) -> NDArray[np.complex128]:
-    """Resample a periodic field onto a ``factor`` times finer grid.
+def spectral_resample(values: NDArray) -> NDArray[np.complex128]:
+    """Resample a periodic field onto a twice finer grid.
 
     Zero-pads the spectrum, which evaluates the grid's trigonometric
     interpolant exactly (no local interpolation error).  The Nyquist bin is
@@ -310,7 +310,7 @@ def spectral_resample(values: NDArray, factor: int = 2) -> NDArray[np.complex128
     """
     values = np.asarray(values, dtype=complex)
     n = values.shape[0]
-    m = n * factor
+    m = 2 * n
     f = np.fft.fft(values)
     out = np.zeros(m, dtype=complex)
     half = n // 2
@@ -318,7 +318,7 @@ def spectral_resample(values: NDArray, factor: int = 2) -> NDArray[np.complex128
     out[m - half + 1 :] = f[half + 1 :]
     out[half] = 0.5 * f[half]
     out[m - half] = 0.5 * f[half]
-    return factor * np.fft.ifft(out)
+    return 2.0 * np.fft.ifft(out)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +336,7 @@ def mask_runs(mask: NDArray[np.bool_]) -> list[tuple[int, int]]:
     return list(zip(edges[::2], edges[1::2]))
 
 
-def unwrap_phase_1d(wrapped: NDArray, mask: NDArray | None = None) -> NDArray[np.float64]:
+def unwrap_phase_1d(wrapped: NDArray, mask: NDArray) -> NDArray[np.float64]:
     """Unwrap a 1D phase field on the valid samples of ``mask``.
 
     Each contiguous valid run is unwrapped independently: successive
@@ -345,8 +345,6 @@ def unwrap_phase_1d(wrapped: NDArray, mask: NDArray | None = None) -> NDArray[np
     are passed through unchanged.
     """
     wrapped = np.asarray(wrapped, dtype=float)
-    if mask is None:
-        mask = np.ones(wrapped.shape, dtype=bool)
     mask = np.asarray(mask, dtype=bool)
     if wrapped.shape != mask.shape:
         raise ValueError("mask shape does not match the phase field")
@@ -430,7 +428,7 @@ def fd_time_derivative(f_minus: NDArray, f_plus: NDArray, dt: float) -> NDArray:
 
 
 def fd_mixed_partial(
-    values: NDArray, grid: Grid2D, mask: NDArray | None = None
+    values: NDArray, grid: Grid2D, mask: NDArray
 ) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
     """Mixed partial ``d^2 f / dp dq`` by the centred cross stencil.
 
@@ -447,8 +445,6 @@ def fd_mixed_partial(
     values = np.asarray(values, dtype=float)
     if values.shape != grid.shape:
         raise GridError(f"field shape {values.shape} does not match grid {grid.shape}")
-    if mask is None:
-        mask = np.ones(values.shape, dtype=bool)
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != values.shape:
         raise ValueError("mask shape does not match the field")

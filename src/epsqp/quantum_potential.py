@@ -87,16 +87,15 @@ from .transforms import shear_multiplier
 class PolarField:
     """Amplitude/action split of a 1D state.
 
-    ``sign_convention`` records how the action reassembles the state:
-    position space uses psi = R exp(+i S / hbar) (``"+i"``), momentum space
-    uses phi = R exp(-i S / hbar) (``"-i"``).  ``S`` is NaN off the mask.
+    The action's sign follows from ``space``: a position-space state
+    reassembles as psi = R exp(+i S / hbar), a momentum-space state as
+    phi = R exp(-i S / hbar).  ``S`` is NaN off the mask.
     """
 
     R: NDArray[np.float64]
     S: NDArray[np.float64]
     mask: NDArray[np.bool_]
     space: str
-    sign_convention: str
     grid: Grid1D
     t: float
     params: PhysicalParams
@@ -117,16 +116,7 @@ def polar_decompose(psi: WaveFunction) -> PolarField:
     sign = 1.0 if psi.space == "q" else -1.0
     S = np.full(R.shape, np.nan)
     S[mask] = sign * psi.params.hbar * unwrapped[mask]
-    return PolarField(
-        R=R,
-        S=S,
-        mask=mask,
-        space=psi.space,
-        sign_convention="+i" if psi.space == "q" else "-i",
-        grid=psi.grid,
-        t=psi.t,
-        params=psi.params,
-    )
+    return PolarField(R, S, mask, psi.space, psi.grid, psi.t, psi.params)
 
 
 # ---------------------------------------------------------------------------
@@ -140,8 +130,6 @@ class QuantumPotentialProfile:
 
     values: NDArray[np.float64]
     mask: NDArray[np.bool_]
-    arena: str
-    grid: Grid1D
 
 
 def quantum_potential_q(pf: PolarField) -> QuantumPotentialProfile:
@@ -158,7 +146,7 @@ def quantum_potential_q(pf: PolarField) -> QuantumPotentialProfile:
     curv = relative_curvature(pf.R, pf.grid.spacing)
     values = np.full(pf.R.shape, np.nan)
     values[pf.mask] = -(params.hbar**2) / (2.0 * params.mass) * curv[pf.mask]
-    return QuantumPotentialProfile(values, pf.mask, arena="q-space", grid=pf.grid)
+    return QuantumPotentialProfile(values, pf.mask)
 
 
 def quantum_potential_p(pf: PolarField) -> QuantumPotentialProfile:
@@ -179,18 +167,12 @@ def quantum_potential_p(pf: PolarField) -> QuantumPotentialProfile:
     curv = relative_curvature(pf.R, pf.grid.spacing)
     values = np.full(pf.R.shape, np.nan)
     values[pf.mask] = -(params.hbar**2) * k / 2.0 * curv[pf.mask]
-    return QuantumPotentialProfile(values, pf.mask, arena="p-space", grid=pf.grid)
+    return QuantumPotentialProfile(values, pf.mask)
 
 
 # ---------------------------------------------------------------------------
-# shared snapshot handling
+# shared residual plumbing
 # ---------------------------------------------------------------------------
-
-
-def _wf_triple(snapshots: Sequence[WaveFunction], space: str):
-    if any(s.space != space for s in snapshots):
-        raise ValueError(f"snapshots must be {space}-space states")
-    return snapshot_triple(snapshots)
 
 
 def _chi_triple(snapshots: Sequence[PhaseSpaceField]):
@@ -205,9 +187,70 @@ def _masked(arr: NDArray, mask: NDArray[np.bool_]) -> NDArray[np.float64]:
     return out
 
 
+def _report(
+    name: str, full: NDArray, mask: NDArray[np.bool_], measure: float, metadata: dict,
+    classical: NDArray | None = None, quantum: NDArray | None = None, fields: dict | None = None,
+) -> ResidualReport:
+    """Report of a residual ``full`` (= ``classical + quantum`` when split).
+
+    Norms are taken over ``mask`` with the integration ``measure``; the
+    norms of the classical form and of the quantum term are added to
+    ``metadata`` when those pieces are given.  With ``fields`` the report
+    carries them plus the masked residual, classical form and quantum term;
+    without, it holds no arrays.
+    """
+    if classical is not None:
+        metadata["classical_form_l2"] = masked_l2(classical, mask, measure)
+        metadata["classical_form_max"] = masked_max(classical, mask)
+    if quantum is not None:
+        metadata["quantum_term_l2"] = masked_l2(quantum, mask, measure)
+    if fields is not None:
+        pieces = {"residual": full, "classical_form": classical, "quantum_term": quantum}
+        fields = {k: _masked(v, mask) for k, v in pieces.items() if v is not None} | fields
+    l2, peak = masked_l2(full, mask, measure), masked_max(full, mask)
+    return ResidualReport(name, l2, peak, masked_fraction(mask), metadata, fields or {})
+
+
 # ---------------------------------------------------------------------------
 # 1D Hamilton-Jacobi residuals
 # ---------------------------------------------------------------------------
+
+
+def _hj_setup(snapshots: Sequence[WaveFunction], space: str, potential: str | None = None) -> tuple:
+    """Common 1D setup: action derivatives and curvature ratio at the centre.
+
+    The snapshots must be ``space``-space states (under the ``potential``
+    kind, if given).  Returns ``(params, grid, metadata, mask, S_t, S_x,
+    R''/R)`` with the metadata every 1D report shares.  The momentum-space
+    identities hold for S = +hbar arg(phi), so the estimators are applied
+    to the raw field without the stored-convention sign flip (see the
+    module docstring).
+    """
+    if any(s.space != space for s in snapshots):
+        raise ValueError(f"snapshots must be {space}-space states")
+    minus, center, plus, dt = snapshot_triple(snapshots)
+    params = center.params
+    if potential is not None and params.potential.kind != potential:
+        raise ValueError(
+            f"residual needs a {potential} potential, got {params.potential.kind}"
+        )
+    grid = center.grid
+    c = center.values
+    amp = np.abs(c)
+    mask = amplitude_mask(amp)
+    dens = np.where(mask, amp**2, 1.0)
+
+    hbar = params.hbar
+    S_t = hbar * np.angle(plus.values * np.conj(minus.values)) / (2.0 * dt)
+    S_x = hbar * np.imag(np.conj(c) * spectral_derivative(c, grid, order=1)) / dens
+    curv = relative_curvature(amp, grid.spacing)  # R''/R
+    metadata = {
+        "dt": dt,
+        "t": center.t,
+        "grid_n": grid.n_points,
+        "potential": params.potential.kind,
+    }
+    return params, grid, metadata, mask, S_t, S_x, curv
 
 
 def hj_residual_q(snapshots: Sequence[WaveFunction]) -> ResidualReport:
@@ -217,76 +260,17 @@ def hj_residual_q(snapshots: Sequence[WaveFunction]) -> ResidualReport:
 
     evaluated at the centre snapshot; the classical-form residual (the
     quantum term deleted) and the quantum potential itself are carried in
-    the fields, with ``full = classical_form + Q`` holding exactly as
-    array arithmetic.
+    the fields, with ``full = classical_form + quantum_term`` holding
+    exactly as array arithmetic.
     """
-    minus, center, plus, dt = _wf_triple(snapshots, "q")
-    params = center.params
-    m, hbar = params.mass, params.hbar
-    grid = center.grid
-    c = center.values
-
-    mask = amplitude_mask(np.abs(c))
-    dens = np.where(mask, np.abs(c) ** 2, 1.0)
-    c_q = spectral_derivative(c, grid, order=1)
-
-    S_t = hbar * np.angle(plus.values * np.conj(minus.values)) / (2.0 * dt)
-    S_q = hbar * np.imag(np.conj(c) * c_q) / dens
-
-    quantum = -(hbar**2) / (2.0 * m) * relative_curvature(np.abs(c), grid.spacing)
+    params, grid, metadata, mask, S_t, S_q, curv = _hj_setup(snapshots, "q")
+    m = params.mass
+    quantum = -(params.hbar**2) / (2.0 * m) * curv
     classical = S_t + S_q**2 / (2.0 * m) + params.potential.value(grid.points)
-    full = classical + quantum
-
-    return ResidualReport(
-        name="qspace-hj",
-        l2_norm=masked_l2(full, mask, grid.spacing),
-        max_norm=masked_max(full, mask),
-        masked_fraction=masked_fraction(mask),
-        metadata={
-            "dt": dt,
-            "t": center.t,
-            "grid_n": grid.n_points,
-            "potential": params.potential.kind,
-            "classical_form_l2": masked_l2(classical, mask, grid.spacing),
-            "classical_form_max": masked_max(classical, mask),
-            "quantum_term_l2": masked_l2(quantum, mask, grid.spacing),
-        },
-        fields={
-            "residual": _masked(full, mask),
-            "classical_form": _masked(classical, mask),
-            "quantum_potential": _masked(quantum, mask),
-            "mask": mask,
-            "axis": grid.points,
-        },
+    return _report(
+        "qspace-hj", classical + quantum, mask, grid.spacing, metadata,
+        classical=classical, quantum=quantum, fields={"mask": mask, "axis": grid.points},
     )
-
-
-def _hj_residual_p(snapshots: Sequence[WaveFunction], potential: str) -> tuple:
-    """Common momentum-space setup: action derivatives and curvature ratio.
-
-    The snapshots must be momentum-space states under the ``potential``
-    kind.  The momentum-space identities hold for S = +hbar arg(phi), so
-    the estimators are applied to the raw field without the
-    stored-convention sign flip (see the module docstring).
-    """
-    minus, center, plus, dt = _wf_triple(snapshots, "p")
-    params = center.params
-    if params.potential.kind != potential:
-        raise ValueError(
-            f"residual needs a {potential} potential, got {params.potential.kind}"
-        )
-    grid = center.grid
-    c = center.values
-
-    mask = amplitude_mask(np.abs(c))
-    dens = np.where(mask, np.abs(c) ** 2, 1.0)
-    c_p = spectral_derivative(c, grid, order=1)
-
-    hbar = params.hbar
-    S_t = hbar * np.angle(plus.values * np.conj(minus.values)) / (2.0 * dt)
-    S_p = hbar * np.imag(np.conj(c) * c_p) / dens
-    curv = relative_curvature(np.abs(c), grid.spacing)  # R''/R
-    return params, grid, dt, center.t, mask, S_t, S_p, curv
 
 
 def hj_residual_p_linear(snapshots: Sequence[WaveFunction]) -> ResidualReport:
@@ -298,28 +282,12 @@ def hj_residual_p_linear(snapshots: Sequence[WaveFunction]) -> ResidualReport:
     no quantum term exists to delete.  The action convention here is
     S = +hbar arg(phi) (see the module docstring).
     """
-    params_out, grid, dt, t, mask, S_t, S_p, _ = _hj_residual_p(snapshots, "linear")
-    b = params_out.potential.b
-    m = params_out.mass
-    full = S_t + grid.points**2 / (2.0 * m) - b * S_p
-
-    return ResidualReport(
-        name="pspace-hj-linear",
-        l2_norm=masked_l2(full, mask, grid.spacing),
-        max_norm=masked_max(full, mask),
-        masked_fraction=masked_fraction(mask),
-        metadata={
-            "dt": dt,
-            "t": t,
-            "grid_n": grid.n_points,
-            "potential": "linear",
-            "quantum_term_l2": 0.0,  # structurally absent, not merely small
-        },
-        fields={
-            "residual": _masked(full, mask),
-            "mask": mask,
-            "axis": grid.points,
-        },
+    params, grid, metadata, mask, S_t, S_p, _ = _hj_setup(snapshots, "p", "linear")
+    full = S_t + grid.points**2 / (2.0 * params.mass) - params.potential.b * S_p
+    metadata["quantum_term_l2"] = 0.0  # structurally absent, not merely small
+    return _report(
+        "pspace-hj-linear", full, mask, grid.spacing, metadata,
+        fields={"mask": mask, "axis": grid.points},
     )
 
 
@@ -332,35 +300,13 @@ def hj_residual_p_harmonic(snapshots: Sequence[WaveFunction]) -> ResidualReport:
     with classical-form and quantum-term fields carried alongside, the same
     way as :func:`hj_residual_q`.  Action convention S = +hbar arg(phi).
     """
-    params_out, grid, dt, t, mask, S_t, S_p, curv = _hj_residual_p(snapshots, "harmonic")
-    k = params_out.potential.k
-    m, hbar = params_out.mass, params_out.hbar
-
-    quantum = -(hbar**2) * k / 2.0 * curv
-    classical = S_t + grid.points**2 / (2.0 * m) + k / 2.0 * S_p**2
-    full = classical + quantum
-
-    return ResidualReport(
-        name="pspace-hj-harmonic",
-        l2_norm=masked_l2(full, mask, grid.spacing),
-        max_norm=masked_max(full, mask),
-        masked_fraction=masked_fraction(mask),
-        metadata={
-            "dt": dt,
-            "t": t,
-            "grid_n": grid.n_points,
-            "potential": "harmonic",
-            "classical_form_l2": masked_l2(classical, mask, grid.spacing),
-            "classical_form_max": masked_max(classical, mask),
-            "quantum_term_l2": masked_l2(quantum, mask, grid.spacing),
-        },
-        fields={
-            "residual": _masked(full, mask),
-            "classical_form": _masked(classical, mask),
-            "quantum_potential": _masked(quantum, mask),
-            "mask": mask,
-            "axis": grid.points,
-        },
+    params, grid, metadata, mask, S_t, S_p, curv = _hj_setup(snapshots, "p", "harmonic")
+    k = params.potential.k
+    quantum = -(params.hbar**2) * k / 2.0 * curv
+    classical = S_t + grid.points**2 / (2.0 * params.mass) + k / 2.0 * S_p**2
+    return _report(
+        "pspace-hj-harmonic", classical + quantum, mask, grid.spacing, metadata,
+        classical=classical, quantum=quantum, fields={"mask": mask, "axis": grid.points},
     )
 
 
@@ -418,81 +364,65 @@ def _hj_residual_2d(
     grid = center.grid
     m, hbar = params.mass, params.hbar
     cm, c, cp = values
+    p = grid.p_axis.points[:, None]
+    q = grid.q_axis.points[None, :]
 
-    mask = amplitude_mask(np.abs(c))
-    dens = np.where(mask, np.abs(c) ** 2, 1.0)
-    P, Q = grid.meshes()
+    amp = np.abs(c)
+    mask = amplitude_mask(amp)
+    dens = np.where(mask, amp**2, 1.0)
 
     S_t = hbar * np.angle(cp * np.conj(cm)) / (2.0 * dt)
+    # An untransformed chi carries the anti-standard kernel exp(-i p q / hbar)
+    # by construction, so the p-direction spectrum of the row at position q
+    # is centred near wavenumber -q/hbar; for the outer rows of the mask that
+    # puts spectral tails at the momentum Nyquist (the paired momentum grid
+    # is far coarser than the position grid), flooring a direct spectral
+    # gradient.  At alpha = 0 peel the kernel, differentiate the centred
+    # remainder, and restore the kernel's exact gradients (-p into S_q, -q
+    # into S_p) algebraically.  The time derivative needs no peeling: the
+    # kernel is static and cancels in the snapshot ratio.
+    f = c * pq_kernel(grid, hbar, 1) if alpha == 0.0 else c
+    S_q = hbar * np.imag(np.conj(f) * spectral_derivative_2d(f, grid, axis=1, order=1)) / dens
+    S_p = hbar * np.imag(np.conj(f) * spectral_derivative_2d(f, grid, axis=0, order=1)) / dens
     if alpha == 0.0:
-        # An untransformed chi carries the anti-standard kernel
-        # exp(-i p q / hbar) by construction, so the p-direction spectrum of
-        # the row at position q is centred near wavenumber -q/hbar; for the
-        # outer rows of the mask that puts spectral tails at the momentum
-        # Nyquist (the paired momentum grid is far coarser than the position
-        # grid), flooring a direct spectral gradient.  Peel the kernel,
-        # differentiate the centred remainder, and restore the kernel's
-        # exact gradients (-p into S_q, -q into S_p) algebraically.  The
-        # time derivative needs no peeling: the kernel is static and cancels
-        # in the snapshot ratio.
-        smooth = c * pq_kernel(grid, hbar, 1)
-        sm_q = spectral_derivative_2d(smooth, grid, axis=1, order=1)
-        sm_p = spectral_derivative_2d(smooth, grid, axis=0, order=1)
-        S_q = hbar * np.imag(np.conj(smooth) * sm_q) / dens - P
-        S_p = hbar * np.imag(np.conj(smooth) * sm_p) / dens - Q
-    else:
-        c_q = spectral_derivative_2d(c, grid, axis=1, order=1)
-        c_p = spectral_derivative_2d(c, grid, axis=0, order=1)
-        S_q = hbar * np.imag(np.conj(c) * c_q) / dens
-        S_p = hbar * np.imag(np.conj(c) * c_p) / dens
-    amp = np.abs(c)
+        S_q -= p
+        S_p -= q
+    ham = ExtendedHamiltonian.from_params(params, alpha)
+    classical = S_t + ham.evaluate_classical(S_q, S_p, p, q)
+    del f, dens, S_t, S_q, S_p  # n^2 temporaries: free them before the curvature terms
+
     rqq = relative_curvature(amp, grid.q_axis.spacing, axis=1)  # R_qq / R
     rpp = relative_curvature(amp, grid.p_axis.spacing, axis=0)  # R_pp / R
-
-    ham = ExtendedHamiltonian.from_params(params, alpha)
-    classical = S_t + ham.evaluate_classical(S_q, S_p, P, Q)
 
     # curvature terms at unit coefficient: quantum = (1/2 + alpha) * T
     c1 = -params.potential.k if isinstance(params.potential, HarmonicPotential) else 0.0
     T = -(hbar**2) * (rqq / m + c1 * rpp)
     x = 0.5 + alpha
     quantum = x * T
-    full = classical + quantum
 
     fitted = -np.real(fit_global_constant(classical, T, mask))
-    remainder_l2 = masked_l2(classical + fitted * T, mask, grid.cell)
-
-    fields = {}
+    metadata = {
+        "alpha": alpha,
+        "expected_coefficient": x,
+        "fitted_coefficient": fitted,
+        "dt": dt,
+        "t": center.t,
+        "grid_n": grid.q_axis.n_points,
+        "potential": params.potential.kind,
+        "term_basis_l2": masked_l2(T, mask, grid.cell),
+        "remainder_l2": masked_l2(classical + fitted * T, mask, grid.cell),
+    }
+    fields = None
     if with_fields:
         fields = {
-            "residual": _masked(full, mask),
-            "classical_form": _masked(classical, mask),
-            "quantum_term": _masked(quantum, mask),
             "term_basis": _masked(T, mask),
             "q_term": _masked(-(hbar**2) * ham.A * rqq, mask),
             "p_term": _masked(-(hbar**2) * ham.C * rpp, mask),
             "mask": mask,
         }
-    return ResidualReport(
-        name=name,
-        l2_norm=masked_l2(full, mask, grid.cell),
-        max_norm=masked_max(full, mask),
-        masked_fraction=masked_fraction(mask),
-        metadata={
-            "alpha": alpha,
-            "expected_coefficient": x,
-            "fitted_coefficient": fitted,
-            "dt": dt,
-            "t": center.t,
-            "grid_n": grid.q_axis.n_points,
-            "potential": params.potential.kind,
-            "classical_form_l2": masked_l2(classical, mask, grid.cell),
-            "classical_form_max": masked_max(classical, mask),
-            "quantum_term_l2": masked_l2(quantum, mask, grid.cell),
-            "term_basis_l2": masked_l2(T, mask, grid.cell),
-            "remainder_l2": remainder_l2,
-        },
-        fields=fields,
+    return _report(
+        name, classical + quantum, mask, grid.cell, metadata,
+        classical=classical, quantum=quantum, fields=fields,
     )
 
 

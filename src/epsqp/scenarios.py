@@ -104,8 +104,9 @@ class ScenarioConfig:
         for name, value in vars(self).items():
             if isinstance(value, float) and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        for name in ("dt", "mass", "hbar", "spring_k", "sigma0"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         make_grid(self.grid_n, self.q_min, self.q_max)
         validate_alphas(self.alphas)
 
@@ -347,9 +348,9 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
     # (general: 2 exp(-m w q^2 / hbar - p^2 / (m w hbar))), peak value 2.
     psi_g = ho_coherent_state(g, params, 0.0, 0.0, 0.0)
     w_g = np.real(wigner_direct(psi_g, g2).values)
-    P, Q = g2.meshes()
+    p, q = g2.p_axis.points[:, None], g.points[None, :]
     m, hbar, w_freq = params.mass, params.hbar, params.omega
-    w_exact = 2.0 * np.exp(-m * w_freq * Q**2 / hbar - P**2 / (m * w_freq * hbar))
+    w_exact = 2.0 * np.exp(-m * w_freq * q**2 / hbar - p**2 / (m * w_freq * hbar))
     report.checks.append(
         make_check("wigner-groundstate-profile-max-err", float(np.max(np.abs(w_g - w_exact))), 1e-8)
     )
@@ -544,7 +545,7 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     # rest) ------------------------------------------------------------------
     ground = partial(ho_coherent_state, g, params, 0.0, 0.0)
     r_gq = hj_residual_q(_triplet(ground, cfg.eval_time, cfg.dt))
-    deletion = r_gq.fields["classical_form"] + r_gq.fields["quantum_potential"]
+    deletion = r_gq.fields["classical_form"] + r_gq.fields["quantum_term"]
     mask_g = r_gq.fields["mask"]
     report.checks.append(
         make_check(
@@ -561,9 +562,9 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
 
     # --- averaging rule ------------------------------------------------------
     chi_g = _chi(psi_g, g2)
-    P, Q = g2.meshes()
-    q2_val = expectation(Q**2, chi_g)
-    h_val = expectation(P**2 / (2.0 * m) + 0.5 * k * Q**2, chi_g)
+    p, q = g2.p_axis.points[:, None], g.points[None, :]
+    q2_val = expectation(q**2, chi_g)
+    h_val = expectation(p**2 / (2.0 * m) + 0.5 * k * q**2, chi_g)
     report.checks.append(
         make_check("expectation-q2-ground-err", abs(q2_val - hbar / (2.0 * m * w_freq)), 1e-8)
     )
@@ -581,8 +582,8 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
         p_c = cfg.p0 * math.cos(w_freq * t_i) - m * w_freq * cfg.q0 * math.sin(w_freq * t_i)
         worst_track = max(
             worst_track,
-            abs(expectation(Q, chi_i) - q_c),
-            abs(expectation(P, chi_i) - p_c),
+            abs(expectation(q, chi_i) - q_c),
+            abs(expectation(p, chi_i) - p_c),
         )
     report.checks.append(make_check("expectation-trajectory-tracking", worst_track, 1e-7))
 
@@ -727,12 +728,12 @@ def scenario_eps_residuals(cfg: ScenarioConfig) -> ScenarioReport:
     fact_err = float(np.max(np.abs(ea.R - outer)[joint] / outer[joint]))
     report.checks.append(make_check("eps-amplitude-factorization", fact_err, 1e-10))
 
-    P, Q = g2.meshes()
-    additivity = ea.S + P * Q - pf_q.S[None, :] - pf_p.S[:, None]
+    pq = g2.p_axis.points[:, None] * g.points[None, :]
+    additivity = ea.S + pq - pf_q.S[None, :] - pf_p.S[:, None]
     spread = float(np.ptp(additivity[joint]))
     report.checks.append(make_check("eps-phase-additivity-spread", spread, 1e-7))
 
-    mixed, valid = fd_mixed_partial(ea.S + P * Q, g2, ea.mask)
+    mixed, valid = fd_mixed_partial(ea.S + pq, g2, ea.mask)
     report.checks.append(
         make_check("eps-action-mixed-partial", float(np.max(np.abs(mixed[valid]))), 1e-6)
     )

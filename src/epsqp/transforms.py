@@ -16,7 +16,6 @@ reported, never silently absorbed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,34 +35,6 @@ from .numerics import (
 )
 from .reports import ResidualReport, masked_fraction, masked_l2, masked_max
 from .states import WaveFunction
-
-@dataclass(frozen=True)
-class TransformParams:
-    """Parameters of the general linear mixing of phase-space operators:
-
-        p -> p + alpha pi_q,   q -> q + beta pi_p,
-
-    with ``gamma`` scaling and ``eta`` offsetting the conjugate momenta.
-    Only the symmetric pure shear survives the canonicity requirement; see
-    :func:`canonical_check`.
-    """
-
-    alpha: float
-    beta: float
-    gamma: float = 0.0
-    eta: float = 0.0
-
-
-def canonical_check(tp: TransformParams) -> bool:
-    """Whether the transform preserves the extended Poisson-bracket pairs.
-
-    The bracket relations ``{q, pi_q} = {p, pi_p} = 1`` and ``{q, p} =
-    {pi_q, pi_p} = 0`` survive exactly when the two shears match and no
-    scaling or offset is applied: ``beta == alpha``, ``gamma == eta == 0``.
-    The comparison is exact — canonicity is an algebraic property, not an
-    approximate one.
-    """
-    return tp.beta == tp.alpha and tp.gamma == 0.0 and tp.eta == 0.0
 
 
 def shear_multiplier(grid: Grid2D, alpha: float, hbar: float) -> NDArray[np.complex128]:
@@ -131,7 +102,7 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     # Shifts that leave the domain read the zero padding.  Wrapping them
     # around instead would correlate the state with its periodic image and
     # plant a mirror copy of the distribution half an extent away in q.
-    padded = np.pad(spectral_resample(psi.values, 2), n)  # spacing dq/2
+    padded = np.pad(spectral_resample(psi.values), n)  # spacing dq/2
     windows = sliding_window_view(padded, 2 * n + 1)[::2]
     corr = windows[:, :-1] * np.conj(windows[:, :0:-1])  # lags l = -n .. n-1
     folded = (-1.0) ** np.arange(n) * (corr[:, :n] + corr[:, n:])
@@ -160,13 +131,13 @@ def wigner_equation_residual(wigners: Sequence[PhaseSpaceField]) -> ResidualRepo
     grid = center.grid
     w_center = np.real(center.values)
 
-    P, Q = grid.meshes()
     m = center.params.mass
-    v_prime = center.params.potential.derivative(Q)
+    p = grid.p_axis.points[:, None]
+    v_prime = center.params.potential.derivative(grid.q_axis.points[None, :])
     w_t = fd_time_derivative(np.real(minus.values), np.real(plus.values), dt)
     w_q = np.real(spectral_derivative_2d(w_center, grid, axis=1, order=1))
     w_p = np.real(spectral_derivative_2d(w_center, grid, axis=0, order=1))
-    residual = w_t + (P / m) * w_q - v_prime * w_p
+    residual = w_t + (p / m) * w_q - v_prime * w_p
 
     mask = amplitude_mask(np.abs(w_center))
     return ResidualReport(

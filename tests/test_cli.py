@@ -108,12 +108,21 @@ def test_numerical_failure_returns_three(capsys, tmp_path):
         "--alphas=-1,-0.4,0",
         "--alphas=-1,-0.5,nan",
         "--parallel",
+        pytest.param({"mass": 0}, id="config-mass=0"),
+        pytest.param({"hbar": -1}, id="config-hbar=-1"),
+        pytest.param({"spring_k": -1}, id="config-spring_k=-1"),
+        pytest.param({"sigma0": -1}, id="config-sigma0=-1"),
     ],
 )
-def test_bad_config_values_fail_before_any_scenario(capsys, flag):
+def test_bad_config_values_fail_before_any_scenario(capsys, tmp_path, flag):
     # the configuration is validated when it is built and unknown flags
     # (such as --parallel) are rejected by the parser, so 'run all' stops
-    # with a usage error instead of a numerical failure midway
+    # with a usage error instead of a numerical failure midway; a dict is
+    # passed as a --config file
+    if isinstance(flag, dict):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(flag))
+        flag = f"--config={cfg_file}"
     with pytest.raises(SystemExit) as exc_info:
         main(["run", "all", flag])
     assert exc_info.value.code == 2

@@ -18,7 +18,7 @@ from epsqp.eps_core import (
     expectation,
     polar_decompose_2d,
 )
-from epsqp.numerics import GridError, unwrap_phase_1d
+from epsqp.numerics import GridError, amplitude_mask, unwrap_phase_1d
 from epsqp.states import ho_coherent_state, to_momentum_space
 from epsqp.transforms import apply_extended_transform
 
@@ -84,9 +84,9 @@ def test_amplitude_factorizes(q_grid, grid2, harmonic_params):
 
 def test_ground_action_is_minus_pq(ground_chi, grid2):
     act = polar_decompose_2d(ground_chi)
-    P, Q = grid2.meshes()
+    pq = grid2.p_axis.points[:, None] * grid2.q_axis.points[None, :]
     hbar = ground_chi.params.hbar
-    diff = act.S[act.mask] + (P * Q)[act.mask]
+    diff = act.S[act.mask] + pq[act.mask]
     # equal up to a single global multiple of 2 pi hbar
     offset = diff[np.argmax(act.R[act.mask])]
     assert np.max(np.abs(diff - offset)) < 1e-8
@@ -101,10 +101,10 @@ def test_phase_splits_into_q_and_p_parts(q_grid, grid2, harmonic_params):
     phi = to_momentum_space(psi)
     hbar = harmonic_params.hbar
     act = polar_decompose_2d(chi)
-    P, Q = grid2.meshes()
-    s_psi = hbar * unwrap_phase_1d(np.angle(psi.values))
-    s_phi = hbar * unwrap_phase_1d(np.angle(phi.values))
-    combo = act.S + P * Q - s_psi[None, :] + s_phi[:, None]
+    pq = grid2.p_axis.points[:, None] * grid2.q_axis.points[None, :]
+    s_psi = hbar * unwrap_phase_1d(np.angle(psi.values), amplitude_mask(np.abs(psi.values)))
+    s_phi = hbar * unwrap_phase_1d(np.angle(phi.values), amplitude_mask(np.abs(phi.values)))
+    combo = act.S + pq - s_psi[None, :] + s_phi[:, None]
     vals = combo[act.mask]
     # compare winding-free: spread modulo 2 pi hbar
     resid = vals - vals[np.argmax(act.R[act.mask])]
@@ -113,9 +113,7 @@ def test_phase_splits_into_q_and_p_parts(q_grid, grid2, harmonic_params):
 
 
 def test_polar_decompose_rejects_empty_mask(grid2, harmonic_params):
-    zero = PhaseSpaceField(
-        np.zeros(grid2.shape), grid2, 0.0, harmonic_params, kind="f"
-    )
+    zero = PhaseSpaceField(np.zeros(grid2.shape), grid2, 0.0, harmonic_params)
     with pytest.raises(ValueError):
         polar_decompose_2d(zero)
 
@@ -136,12 +134,10 @@ def test_operator_reduces_to_transport_at_minus_half(harmonic_params, linear_par
 def test_operator_action_on_plane_wave(grid2, harmonic_params):
     # exact eigen-relation: for f = exp(i (kq q + kp p)) the operator gives
     # (hbar^2 A kq^2 + hbar B kq p + hbar^2 C kp^2 + hbar (D q + E) kp) f
-    P, Q = grid2.meshes()
+    P, Q = grid2.p_axis.points[:, None], grid2.q_axis.points[None, :]
     kq = 4.0 * (2.0 * np.pi / grid2.q_axis.extent)
     kp = 4.0 * (2.0 * np.pi / grid2.p_axis.extent)
-    f = PhaseSpaceField(
-        np.exp(1j * (kq * Q + kp * P)), grid2, 0.0, harmonic_params, kind="f"
-    )
+    f = PhaseSpaceField(np.exp(1j * (kq * Q + kp * P)), grid2, 0.0, harmonic_params)
     ham = ExtendedHamiltonian.from_params(harmonic_params, alpha=0.25)
     hbar = harmonic_params.hbar
     expected = (
@@ -228,7 +224,7 @@ def test_rhs_alpha_selection(ground_chi):
 
 
 def test_ground_state_moments(ground_chi, grid2):
-    P, Q = grid2.meshes()
+    P, Q = grid2.p_axis.points[:, None], grid2.q_axis.points[None, :]
     m = ground_chi.params.mass
     k = ground_chi.params.potential.k
     assert expectation(Q**2, ground_chi) == pytest.approx(0.5, abs=1e-8)
@@ -241,7 +237,7 @@ def test_ground_state_moments(ground_chi, grid2):
 def test_coherent_first_moments_track_the_orbit(q_grid, grid2, harmonic_params):
     t = 0.6
     chi, _ = _chi_at(q_grid, grid2, harmonic_params, 1.0, 0.0, t)
-    P, Q = grid2.meshes()
+    P, Q = grid2.p_axis.points[:, None], grid2.q_axis.points[None, :]
     assert expectation(Q, chi) == pytest.approx(math.cos(t), abs=1e-8)
     assert expectation(P, chi) == pytest.approx(-math.sin(t), abs=1e-8)
 
@@ -249,8 +245,21 @@ def test_coherent_first_moments_track_the_orbit(q_grid, grid2, harmonic_params):
 def test_expectation_validation(grid2, harmonic_params, ground_chi):
     with pytest.raises(GridError):
         expectation(np.ones(4), ground_chi)
-    zero = PhaseSpaceField(
-        np.zeros(grid2.shape), grid2, 0.0, harmonic_params, kind="f"
-    )
+    zero = PhaseSpaceField(np.zeros(grid2.shape), grid2, 0.0, harmonic_params)
     with pytest.raises(ValueError):
         expectation(np.ones(grid2.shape), zero)
+
+
+@pytest.mark.parametrize("axis", ["p", "q"])
+def test_expectation_broadcasts_one_axis_observables(grid2, ground_chi, axis):
+    # a p-only (n, 1) column or a q-only (1, n) row gives exactly the value
+    # of the full n x n array it broadcasts to; other shapes still raise
+    points = grid2.p_axis.points[:, None] if axis == "p" else grid2.q_axis.points[None, :]
+    observable = points**2 + points
+    full = np.broadcast_to(observable, grid2.shape).copy()
+    assert expectation(observable, ground_chi) == expectation(full, ground_chi)
+    short = observable[:-1] if axis == "p" else observable[:, :-1]
+    with pytest.raises(GridError):
+        expectation(short, ground_chi)
+    with pytest.raises(GridError):
+        expectation(full[None], ground_chi)

@@ -49,7 +49,7 @@ def _chi_triplet(q_grid, grid2, params, t=0.4, dt=1e-3, q0=0.5, p0=0.0, linear=F
 def test_polar_decompose_position_convention(q_grid, harmonic_params):
     psi = ho_coherent_state(q_grid, harmonic_params, q0=1.0, p0=0.0, t=0.3)
     pf = polar_decompose(psi)
-    assert pf.space == "q" and pf.sign_convention == "+i"
+    assert pf.space == "q"
     rebuilt = pf.R[pf.mask] * np.exp(1j * pf.S[pf.mask] / harmonic_params.hbar)
     np.testing.assert_allclose(rebuilt, psi.values[pf.mask], atol=1e-12)
 
@@ -59,7 +59,7 @@ def test_polar_decompose_momentum_convention(q_grid, harmonic_params):
         ho_coherent_state(q_grid, harmonic_params, q0=1.0, p0=0.0, t=0.3)
     )
     pf = polar_decompose(phi)
-    assert pf.space == "p" and pf.sign_convention == "-i"
+    assert pf.space == "p"
     rebuilt = pf.R[pf.mask] * np.exp(-1j * pf.S[pf.mask] / harmonic_params.hbar)
     np.testing.assert_allclose(rebuilt, phi.values[pf.mask], atol=1e-12)
 
@@ -80,7 +80,6 @@ def test_ground_state_quantum_potential_q(q_grid, harmonic_params):
     assert np.max(np.abs(prof.values[prof.mask] - expected[prof.mask])) < 1e-8
     i0 = int(np.argmin(np.abs(x)))
     assert prof.values[i0] == pytest.approx(0.5, abs=1e-10)
-    assert prof.arena == "q-space"
 
 
 def test_ground_state_quantum_potential_p(q_grid, harmonic_params):
@@ -90,7 +89,6 @@ def test_ground_state_quantum_potential_p(q_grid, harmonic_params):
     p = phi.grid.points
     expected = 0.5 - 0.5 * p**2
     assert np.max(np.abs(prof.values[prof.mask] - expected[prof.mask])) < 1e-8
-    assert prof.arena == "p-space"
 
 
 def test_quantum_potential_space_and_potential_guards(q_grid, harmonic_params, linear_params):
@@ -118,7 +116,7 @@ def test_position_space_residual_harmonic(coherent_triplet_factory):
     # the decomposition is exact as array arithmetic
     full = rep.fields["residual"]
     classical = rep.fields["classical_form"]
-    qpot = rep.fields["quantum_potential"]
+    qpot = rep.fields["quantum_term"]
     mask = rep.fields["mask"]
     np.testing.assert_allclose(
         full[mask], (classical + qpot)[mask], atol=1e-13, rtol=0.0
@@ -154,20 +152,26 @@ def test_momentum_space_residual_harmonic(coherent_triplet_factory):
 
 @pytest.mark.parametrize(
     "residual, potential",
-    [(hj_residual_p_linear, "linear"), (hj_residual_p_harmonic, "harmonic")],
+    [(hj_residual_q, None), (hj_residual_p_linear, "linear"), (hj_residual_p_harmonic, "harmonic")],
 )
 def test_momentum_space_residual_guards(
     residual, potential, coherent_triplet_factory, linear_triplet_factory
 ):
+    # every 1D residual rejects the other space and a pair of snapshots; the
+    # momentum-space residuals also reject the other potential
     own, other = coherent_triplet_factory(), linear_triplet_factory()
     if potential == "linear":
         own, other = other, own
-    with pytest.raises(ValueError, match=f"needs a {potential} potential"):
-        residual([to_momentum_space(s) for s in other])
-    with pytest.raises(ValueError, match="p-space"):
-        residual(own)
+    if potential is None:
+        space, wrong_space = "q", [to_momentum_space(s) for s in own]
+    else:
+        space, wrong_space, own = "p", own, [to_momentum_space(s) for s in own]
+        with pytest.raises(ValueError, match=f"needs a {potential} potential"):
+            residual([to_momentum_space(s) for s in other])
+    with pytest.raises(ValueError, match=f"{space}-space"):
+        residual(wrong_space)
     with pytest.raises(ValueError, match="three snapshots"):
-        residual([to_momentum_space(s) for s in own[:2]])
+        residual(own[:2])
 
 
 def test_snapshot_validation(coherent_triplet_factory):

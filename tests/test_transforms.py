@@ -1,4 +1,4 @@
-"""Shear transforms, canonicity, and the direct Wigner construction."""
+"""Shear transforms and the direct Wigner construction."""
 
 from __future__ import annotations
 
@@ -12,9 +12,7 @@ from hypothesis import strategies as st
 from epsqp.eps_core import ExtendedHamiltonian, chi_build
 from epsqp.numerics import Grid2D, GridError, make_grid, spectral_resample
 from epsqp.transforms import (
-    TransformParams,
     apply_extended_transform,
-    canonical_check,
     wigner_direct,
     wigner_equation_residual,
 )
@@ -26,29 +24,6 @@ from epsqp.states import (
 )
 
 HYP = settings(max_examples=25, deadline=None)
-
-
-# ---------------------------------------------------------------------------
-# canonicity of the operator mixing
-# ---------------------------------------------------------------------------
-
-
-def test_only_the_symmetric_shear_is_canonical():
-    assert canonical_check(TransformParams(alpha=-0.5, beta=-0.5))
-    assert canonical_check(TransformParams(alpha=0.3, beta=0.3))
-    assert not canonical_check(TransformParams(alpha=-0.5, beta=0.5))
-    assert not canonical_check(TransformParams(alpha=0.1, beta=0.1, gamma=0.2))
-    assert not canonical_check(TransformParams(alpha=0.1, beta=0.1, eta=-0.1))
-
-
-@HYP
-@given(
-    alpha=st.floats(min_value=-1.0, max_value=1.0),
-    beta=st.floats(min_value=-1.0, max_value=1.0),
-)
-def test_canonical_check_requires_matched_shears(alpha, beta):
-    tp = TransformParams(alpha=alpha, beta=beta)
-    assert canonical_check(tp) == (alpha == beta)
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +80,7 @@ def test_ground_state_wigner_profile(q_grid, grid2, harmonic_params, n):
     # value 2 (-1)^n at the origin).  For n >= 1 it goes negative.
     psi = ho_eigenstate(q_grid, harmonic_params, n)
     W = wigner_direct(psi, grid2)
-    P, Q = grid2.meshes()
-    r2 = Q**2 + P**2
+    r2 = grid2.q_axis.points[None, :] ** 2 + grid2.p_axis.points[:, None] ** 2
     coeffs = np.zeros(n + 1)
     coeffs[n] = 1.0
     expected = 2.0 * (-1) ** n * np.polynomial.laguerre.lagval(2.0 * r2, coeffs) * np.exp(-r2)
@@ -120,7 +94,7 @@ def test_wigner_matches_direct_lag_sum(q_grid, grid2, harmonic_params):
     # explicit exp(-i tau p) kernel; shifts that leave the domain read zero
     psi = ho_coherent_state(q_grid, harmonic_params, q0=0.8, p0=-0.5, t=0.3)
     n, dq = q_grid.n_points, q_grid.spacing
-    fine = spectral_resample(psi.values, 2)
+    fine = spectral_resample(psi.values)
     lags = np.arange(-n, n)
     plus = 2 * np.arange(n)[:, None] + lags
     minus = 2 * np.arange(n)[:, None] - lags
