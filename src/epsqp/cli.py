@@ -1,9 +1,10 @@
 """Command-line entry point: run verification scenarios, export fields.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage
-error (unknown scenario, bad flag, bad config file), 3 numerical failure
-while running a scenario.  Reports go to stdout and are byte-identical
-across repeated runs; wall-clock timing goes to stderr only.
+error (unknown scenario, bad flag, bad config file), 3 a scenario raised
+(stderr names the scenario and the exception type).  Reports go to stdout
+and are byte-identical across repeated runs; wall-clock timing goes to
+stderr only.
 """
 
 from __future__ import annotations
@@ -205,8 +206,11 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         report = run_scenario(args.scenario, cfg)
-    except (ValueError, ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"numerical failure in scenario {args.scenario!r}: {exc}", file=sys.stderr)
+    except Exception as exc:  # whatever a scenario raises is exit 3, never a check verdict
+        import traceback  # imported on this path only: start-up imports stay as they were
+
+        traceback.print_exc()
+        print(f"numerical failure in scenario {args.scenario!r}: {exc!r}", file=sys.stderr)
         return 3
     elapsed = time.perf_counter() - start
 

@@ -226,10 +226,19 @@ def relative_curvature(amplitude: NDArray, spacing: float, axis: int = 0) -> NDA
     float; the resulting values are garbage there and for their immediate
     neighbours, all of which lie far below any amplitude mask.
     """
+    return log_curvature(log_amplitude(amplitude), spacing, axis)
+
+
+def log_amplitude(amplitude: NDArray) -> NDArray[np.float64]:
+    """``log R``, zeros clamped; take it once to get :func:`log_curvature` along several axes."""
     amplitude = np.asarray(amplitude, dtype=float)
     if np.any(amplitude < 0.0):
-        raise ValueError("relative_curvature needs a non-negative amplitude")
-    u = np.log(np.maximum(amplitude, np.finfo(float).tiny))
+        raise ValueError("the amplitude must be non-negative")
+    return np.log(np.maximum(amplitude, np.finfo(float).tiny))
+
+
+def log_curvature(u: NDArray, spacing: float, axis: int = 0) -> NDArray[np.float64]:
+    """``R''/R = u'' + (u')^2`` along ``axis`` from ``u = log R`` (see :func:`relative_curvature`)."""
     up = np.roll(u, -1, axis=axis)
     um = np.roll(u, 1, axis=axis)
     first = (up - um) / (2.0 * spacing)

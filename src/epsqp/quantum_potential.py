@@ -58,6 +58,8 @@ from .numerics import (
     HarmonicPotential,
     PhysicalParams,
     amplitude_mask,
+    log_amplitude,
+    log_curvature,
     pq_kernel,
     relative_curvature,
     snapshot_triple,
@@ -315,37 +317,20 @@ def hj_residual_p_harmonic(snapshots: Sequence[WaveFunction]) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def _sheared(triple: tuple, alphas: Sequence[float]):
-    """Yield the ``(minus, center, plus)`` values of a chi triple sheared by each alpha.
-
-    Each snapshot's 2D spectrum is taken once, however many alphas follow,
-    and each alpha builds one :func:`shear_multiplier` for all three.  At
-    alpha = 0 the chi values themselves are yielded.
-    """
-    minus, center, plus, _ = triple
-    raw = (minus.values, center.values, plus.values)
-    spectra = None
-    for alpha in alphas:
-        if alpha == 0.0:
-            yield raw
-            continue
-        if spectra is None:
-            spectra = [np.fft.fft2(v) for v in raw]
-        multiplier = shear_multiplier(center.grid, alpha, center.params.hbar)
-        yield tuple(np.fft.ifft2(multiplier * s) for s in spectra)
-
-
 def _hj_residual_2d(
-    triple: tuple, values: tuple, alpha: float, name: str, with_fields: bool = True
+    triple: tuple, alpha: float, name: str, spectra: list | None = None, with_fields: bool = True
 ) -> ResidualReport:
     """Shared engine for the phase-space modified Hamilton-Jacobi residual.
 
     ``triple`` is the unpacked ``(minus, center, plus, dt)`` of three chi
-    snapshots (see :func:`_chi_triple`) and ``values`` their arrays sheared
-    by alpha (see :func:`_sheared`).  The estimators of the module docstring
-    are applied to the transformed fields: the phase of the plus/minus
-    snapshot ratio is immune to the catastrophic cancellation a literal
-    difference of the sheared fields would suffer near the mask edge.
+    snapshots (see :func:`_chi_triple`).  At alpha != 0 the engine shears
+    them itself from their ``fft2`` ``spectra``, so one set of spectra
+    serves any number of alphas and no caller holds a sheared field: the
+    t +- dt fields are freed as soon as S_t is formed.  The estimators of
+    the module docstring are applied to the transformed fields: the phase
+    of the plus/minus snapshot ratio is immune to the catastrophic
+    cancellation a literal difference of the sheared fields would suffer
+    near the mask edge.
 
     Residual pieces:
 
@@ -363,15 +348,23 @@ def _hj_residual_2d(
     params = center.params
     grid = center.grid
     m, hbar = params.mass, params.hbar
-    cm, c, cp = values
     p = grid.p_axis.points[:, None]
     q = grid.q_axis.points[None, :]
+    multiplier = None if alpha == 0.0 else shear_multiplier(grid, alpha, hbar)
+
+    def field(i: int) -> NDArray[np.complex128]:  # snapshot i sheared by alpha
+        return triple[i].values if multiplier is None else np.fft.ifft2(multiplier * spectra[i])
+
+    cm, cp = field(0), field(2)
+    S_t = hbar * np.angle(cp * np.conj(cm)) / (2.0 * dt)
+    del cm, cp
+    c = field(1)
+    del multiplier
 
     amp = np.abs(c)
     mask = amplitude_mask(amp)
     dens = np.where(mask, amp**2, 1.0)
 
-    S_t = hbar * np.angle(cp * np.conj(cm)) / (2.0 * dt)
     # An untransformed chi carries the anti-standard kernel exp(-i p q / hbar)
     # by construction, so the p-direction spectrum of the row at position q
     # is centred near wavenumber -q/hbar; for the outer rows of the mask that
@@ -389,10 +382,12 @@ def _hj_residual_2d(
         S_p -= q
     ham = ExtendedHamiltonian.from_params(params, alpha)
     classical = S_t + ham.evaluate_classical(S_q, S_p, p, q)
-    del f, dens, S_t, S_q, S_p  # n^2 temporaries: free them before the curvature terms
+    log_amp = log_amplitude(amp)  # one log for both curvature ratios
+    del c, f, amp, dens, S_t, S_q, S_p  # n^2 temporaries: free them before the curvature terms
 
-    rqq = relative_curvature(amp, grid.q_axis.spacing, axis=1)  # R_qq / R
-    rpp = relative_curvature(amp, grid.p_axis.spacing, axis=0)  # R_pp / R
+    rqq = log_curvature(log_amp, grid.q_axis.spacing, axis=1)  # R_qq / R
+    rpp = log_curvature(log_amp, grid.p_axis.spacing, axis=0)  # R_pp / R
+    del log_amp
 
     # curvature terms at unit coefficient: quantum = (1/2 + alpha) * T
     c1 = -params.potential.k if isinstance(params.potential, HarmonicPotential) else 0.0
@@ -434,8 +429,7 @@ def hj_residual_eps(snapshots: Sequence[PhaseSpaceField]) -> ResidualReport:
     p-curvature terms together; the linear case has no p-term).
     """
     triple = _chi_triple(snapshots)
-    values = next(_sheared(triple, (0.0,)))
-    return _hj_residual_2d(triple, values, 0.0, f"eps-hj-{triple[1].params.potential.kind}")
+    return _hj_residual_2d(triple, 0.0, f"eps-hj-{triple[1].params.potential.kind}")
 
 
 def _transformed_name(alpha: float) -> str:
@@ -452,8 +446,8 @@ def hj_residual_transformed(snapshots: Sequence[PhaseSpaceField], alpha: float) 
     classical equation holds on its own.
     """
     triple = _chi_triple(snapshots)
-    values = next(_sheared(triple, (alpha,)))
-    return _hj_residual_2d(triple, values, alpha, _transformed_name(alpha))
+    spectra = [np.fft.fft2(s.values) for s in snapshots]
+    return _hj_residual_2d(triple, alpha, _transformed_name(alpha), spectra)
 
 
 # ---------------------------------------------------------------------------
@@ -516,13 +510,14 @@ def alpha_sweep(snapshots: Sequence[PhaseSpaceField], alphas: Sequence[float]) -
 
     ``alphas`` must pass :func:`validate_alphas`; the sweep points are
     evaluated in that order.  The three snapshots are transformed to
-    Fourier space once for the whole sweep (see :func:`_sheared`).
+    Fourier space once for the whole sweep.
     """
     alphas = validate_alphas(alphas)
     triple = _chi_triple(snapshots)
+    spectra = [np.fft.fft2(s.values) for s in snapshots]
     reports = tuple(
-        _hj_residual_2d(triple, values, a, _transformed_name(a), with_fields=False)
-        for a, values in zip(alphas, _sheared(triple, alphas))
+        _hj_residual_2d(triple, a, _transformed_name(a), spectra, with_fields=False)
+        for a in alphas
     )
     coefficients = tuple(r.metadata["fitted_coefficient"] for r in reports)
     return AlphaSweepResult(

@@ -309,8 +309,7 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
     def fitted_constant(n: int):
         g, g2 = _grids(cfg, n)
         psi = ho_coherent_state(g, params, cfg.q0, cfg.p0, cfg.eval_time)
-        chi = _chi(psi, g2)
-        sheared = apply_extended_transform(chi, -0.5).values
+        sheared = apply_extended_transform(_chi(psi, g2), -0.5).values
         w = np.real(wigner_direct(psi, g2).values)
         c = fit_global_constant(sheared, w)
         deviation = float(
@@ -686,12 +685,18 @@ def scenario_pspace_linear(cfg: ScenarioConfig) -> ScenarioReport:
 def scenario_eps_residuals(cfg: ScenarioConfig) -> ScenarioReport:
     """Phase-space identities for the product distribution chi: the
     dynamical equation itself, the modified Hamilton-Jacobi residuals for
-    both potentials, and the separable structure of amplitude and action."""
+    both potentials, and the separable structure of amplitude and action.
+    One helper per potential frees the harmonic arrays before the linear part."""
     report = ScenarioReport("eps-residuals", cfg)
-
-    # --- harmonic -----------------------------------------------------------
-    params = _harmonic_params(cfg)
     g, g2 = _grids(cfg)
+    report.field_bundles = {"eps-quantum-q-term": _eps_harmonic(report, cfg, g, g2)}
+    _eps_linear(report, cfg, g, g2)
+    return report
+
+
+def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) -> dict:
+    """The harmonic checks of eps-residuals; returns the q-term field bundle."""
+    params = _harmonic_params(cfg)
     hbar = params.hbar
 
     psis, psis_half = _halving_pair(partial(ho_coherent_state, g, params, cfg.q0, cfg.p0), cfg)
@@ -752,9 +757,14 @@ def scenario_eps_residuals(cfg: ScenarioConfig) -> ScenarioReport:
         )
     )
 
-    # --- linear --------------------------------------------------------------
-    params_l = _linear_params(cfg)
-    gaussian = partial(linear_potential_gaussian, g, params_l, cfg.q0, cfg.p0, cfg.sigma0)
+    mask = r_h.fields["mask"]
+    return {"kind": "2d", "p": g2.p_axis.points, "q": g.points, "values": q_term, "mask": mask}
+
+
+def _eps_linear(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) -> None:
+    """The linear-potential Hamilton-Jacobi checks of eps-residuals."""
+    params = _linear_params(cfg)
+    gaussian = partial(linear_potential_gaussian, g, params, cfg.q0, cfg.p0, cfg.sigma0)
     lin, lin_half = _halving_pair(gaussian, cfg)
     _check_halving(
         report,
@@ -764,17 +774,6 @@ def scenario_eps_residuals(cfg: ScenarioConfig) -> ScenarioReport:
         1e-5,
         "eps-hj-linear-halving-ratio",
     )
-
-    report.field_bundles = {
-        "eps-quantum-q-term": {
-            "kind": "2d",
-            "p": g2.p_axis.points,
-            "q": g.points,
-            "values": q_term,
-            "mask": r_h.fields["mask"],
-        },
-    }
-    return report
 
 
 def scenario_classical_appendix(cfg: ScenarioConfig) -> ScenarioReport:

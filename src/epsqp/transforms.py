@@ -42,10 +42,25 @@ def shear_multiplier(grid: Grid2D, alpha: float, hbar: float) -> NDArray[np.comp
 
     It multiplies a field's ``fft2`` spectrum, so one spectrum serves any
     number of alphas.  Unimodular: the transform is exactly unitary.
+
+    ``grid`` must be Fourier-paired.  Then ``alpha hbar u_a v_b = 2 pi
+    alpha a b / n`` for the integer wavenumber indices ``a, b``, and with
+    ``2 a b = (a + b)^2 - a^2 - b^2`` (Bluestein's chirp identity) it is the
+    Hankel matrix of the table ``exp(i pi alpha s^2 / n)``, ``s = -n .. n-2``,
+    times the chirp ``exp(-i pi alpha a^2 / n)`` on each axis: 2n - 1
+    exponentials instead of n^2.
     """
-    u = grid.p_axis.wavenumbers
-    v = grid.q_axis.wavenumbers
-    return np.exp(1j * alpha * hbar * u[:, None] * v[None, :])
+    if grid.p_axis != paired_momentum_grid(grid.q_axis, hbar):
+        raise GridError("grid axes are not Fourier-paired")
+    n = grid.q_axis.n_points
+    s = np.arange(-n, n - 1)
+    table = np.exp(1j * (np.pi * alpha / n) * (s * s))
+    chirp = np.fft.ifftshift(np.conj(table[n // 2 : 3 * n // 2]))  # FFT order
+    # Hankel view [i, j] -> table[i + j] in centred order, block-swapped to FFT order
+    multiplier = np.fft.ifftshift(sliding_window_view(table, n))
+    multiplier *= chirp[:, None]
+    multiplier *= chirp[None, :]
+    return multiplier
 
 
 def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> PhaseSpaceField:
@@ -54,8 +69,9 @@ def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> PhaseSpace
     Successive transforms compose additively in alpha; the result is tagged
     ``kind='transformed'`` with the accumulated parameter.
     """
-    multiplier = shear_multiplier(field.grid, alpha, field.params.hbar)
-    values = np.fft.ifft2(multiplier * np.fft.fft2(field.values))
+    spectrum = np.fft.fft2(field.values)
+    spectrum *= shear_multiplier(field.grid, alpha, field.params.hbar)
+    values = np.fft.ifft2(spectrum)
     accumulated = alpha + (field.alpha if field.alpha is not None else 0.0)
     return PhaseSpaceField(
         values, field.grid, field.t, field.params, kind="transformed", alpha=accumulated
@@ -82,7 +98,9 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
 
     ``grid`` must be Fourier-paired.  On the paired p axis ``tau_l p_j =
     2 pi l (j - n/2) / n``, so the sum over the 2n lags ``l`` folds modulo
-    ``n`` with the sign ``(-1)^l`` into one length-n FFT per q column.
+    ``n`` with the sign ``(-1)^l`` into one length-n FFT per q column.  The
+    products of lags ``-n .. -1`` fill one n x n buffer and those of lags
+    ``0 .. n-1`` are added on top, so the n x 2n correlation is never stored.
 
     The imaginary part of the discrete sum is below roundoff (the
     correlation is Hermitian in tau up to one unpaired endpoint whose
@@ -104,11 +122,15 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     # plant a mirror copy of the distribution half an extent away in q.
     padded = np.pad(spectral_resample(psi.values), n)  # spacing dq/2
     windows = sliding_window_view(padded, 2 * n + 1)[::2]
-    corr = windows[:, :-1] * np.conj(windows[:, :0:-1])  # lags l = -n .. n-1
-    folded = (-1.0) ** np.arange(n) * (corr[:, :n] + corr[:, n:])
+    # Lag l = k - n pairs windows[:, k] with conj(windows[:, 2n - k]).  The conjugate
+    # comes first: numpy's vectorised complex product is not bitwise commutative.
+    folded = np.conj(windows[:, :n:-1]) * windows[:, :n]  # lags -n .. -1
+    folded += np.conj(windows[:, n:0:-1]) * windows[:, n:-1]  # lags 0 .. n-1
+    folded[:, 1::2] *= -1.0
 
     d_tau = grid.q_axis.spacing / hbar
     w = d_tau * np.real(np.fft.fft(folded, axis=1)).T
+    del folded
     return PhaseSpaceField(w.astype(complex), grid, psi.t, psi.params, kind="wigner")
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import pytest
 
@@ -75,3 +76,24 @@ def linear_triplet_factory(q_grid, linear_params):
         ]
 
     return build
+
+
+@pytest.fixture
+def temporary_arrays():
+    """Measure the peak memory a call allocates, in n x n complex128 arrays.
+
+    Everything that exists before the call (its inputs) is excluded; the
+    returned value is included.
+    """
+
+    def measure(call, n):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return (peak - before) / (n * n * 16)
+
+    return measure

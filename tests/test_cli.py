@@ -8,6 +8,7 @@ import json
 import numpy as np
 import pytest
 
+from epsqp import scenarios
 from epsqp.cli import main
 
 
@@ -95,6 +96,20 @@ def test_numerical_failure_returns_three(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert "numerical failure" in err
+
+
+@pytest.mark.parametrize("error", [KeyError, TypeError])
+def test_any_scenario_exception_returns_three(capsys, monkeypatch, error):
+    # exit 1 means "a check failed"; an exception that is not numerical
+    # must not escape with Python's own status 1
+    def broken(cfg):
+        raise error("missing")
+
+    monkeypatch.setitem(scenarios.REGISTRY, "classical-appendix", (broken, "raises"))
+    code, out, err = _run(capsys, "run", "classical-appendix")
+    assert code == 3
+    assert out == ""
+    assert "'classical-appendix'" in err and error.__name__ in err
 
 
 @pytest.mark.parametrize(

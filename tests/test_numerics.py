@@ -16,6 +16,8 @@ from epsqp.numerics import (
     amplitude_mask,
     fd_mixed_partial,
     fd_time_derivative,
+    log_amplitude,
+    log_curvature,
     make_grid,
     mask_runs,
     momentum_to_position,
@@ -132,6 +134,21 @@ def test_relative_curvature_exact_for_gaussians(center, width):
     mask = amplitude_mask(R)
     scale = max(1.0, float(np.max(np.abs(expected[mask]))))
     assert np.max(np.abs((got - expected)[mask])) < 1e-9 * scale
+
+
+@pytest.mark.parametrize("amplitude", ["random", "gaussian-chi"])
+def test_one_log_gives_both_curvature_ratios(amplitude, ground_chi):
+    # the 2D residual takes log R once and differentiates it along both
+    # axes; that must change no value against one relative_curvature per axis
+    if amplitude == "random":
+        R = np.random.default_rng(11).uniform(0.05, 2.0, size=(64, 32))
+        dp, dq = 0.3, 0.07
+    else:
+        R = np.abs(ground_chi.values)
+        dp, dq = ground_chi.grid.p_axis.spacing, ground_chi.grid.q_axis.spacing
+    u = log_amplitude(R)
+    assert np.array_equal(log_curvature(u, dq, axis=1), relative_curvature(R, dq, axis=1))
+    assert np.array_equal(log_curvature(u, dp, axis=0), relative_curvature(R, dp, axis=0))
 
 
 def test_relative_curvature_rejects_negative_amplitude():

@@ -293,3 +293,14 @@ def test_alpha_sweep_memory_does_not_grow_with_alphas(harmonic_params):
     assert _array_bytes(many) == _array_bytes(few)
     # the walker does see fields when a report holds them
     assert _array_bytes(hj_residual_transformed(snaps, -0.5)) > 0
+
+
+def test_alpha_sweep_frees_its_sheared_fields(temporary_arrays, harmonic_params):
+    # The sweep holds the three spectra; each alpha's sheared t +- dt fields
+    # die once S_t is formed and nothing outside the engine keeps them, so
+    # the peak beyond the three chi snapshots stays under 11 n x n arrays.
+    n = 512
+    q_grid = make_grid(n, -10.0, 10.0)
+    snaps = _chi_triplet(q_grid, Grid2D.paired(q_grid, harmonic_params.hbar), harmonic_params)
+    alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
+    assert temporary_arrays(lambda: alpha_sweep(snaps, alphas), n) <= 11.0

@@ -13,6 +13,7 @@ from epsqp.eps_core import ExtendedHamiltonian, chi_build
 from epsqp.numerics import Grid2D, GridError, make_grid, spectral_resample
 from epsqp.transforms import (
     apply_extended_transform,
+    shear_multiplier,
     wigner_direct,
     wigner_equation_residual,
 )
@@ -59,6 +60,51 @@ def test_shear_inverts_exactly(ground_chi, alpha):
         apply_extended_transform(ground_chi, alpha), -alpha
     )
     assert np.max(np.abs(back.values - ground_chi.values)) < 1e-12
+
+
+@pytest.mark.parametrize("lo, hi, hbar", [(-10.0, 10.0, 1.0), (-3.0, 5.0, 0.7)])
+def test_shear_multiplier_matches_direct_exponential(lo, hi, hbar):
+    # The chirp factorisation rounds phases of size up to pi |alpha| n
+    # (the direct argument alpha hbar u v reaches pi |alpha| n / 2), so the
+    # difference is bounded by a few eps * pi |alpha| n.
+    eps = np.finfo(float).eps
+    for n in (2**k for k in range(3, 12)):
+        g2 = Grid2D.paired(make_grid(n, lo, hi), hbar)
+        u, v = g2.p_axis.wavenumbers, g2.q_axis.wavenumbers
+        for alpha in (-1.0, -0.75, -0.7, -0.5, -0.25, 0.3):
+            direct = np.exp(1j * alpha * hbar * u[:, None] * v[None, :])
+            err = np.max(np.abs(shear_multiplier(g2, alpha, hbar) - direct))
+            assert err <= 4.0 * eps * math.pi * abs(alpha) * n, (n, alpha, err)
+        assert np.all(shear_multiplier(g2, 0.0, hbar) == 1.0)
+
+
+def test_shear_multiplier_needs_a_paired_grid(q_grid):
+    unpaired = Grid2D(make_grid(256, -5.0, 5.0), q_grid)
+    with pytest.raises(GridError):
+        shear_multiplier(unpaired, -0.5, 1.0)
+    with pytest.raises(GridError):  # paired for another hbar
+        shear_multiplier(Grid2D.paired(q_grid, 2.0), -0.5, 1.0)
+
+
+@pytest.mark.parametrize(
+    "kernel, limit",
+    [("shear_multiplier", 1.25), ("apply_extended_transform", 3.25), ("wigner_direct", 3.0)],
+)
+def test_phase_space_kernels_allocate_little(temporary_arrays, harmonic_params, kernel, limit):
+    # peak allocation beyond the inputs, in n x n complex arrays, returned
+    # array included: no multiplier mesh, no second spectrum, no n x 2n
+    # correlation
+    n = 512
+    g = make_grid(n, -10.0, 10.0)
+    g2 = Grid2D.paired(g, harmonic_params.hbar)
+    psi = ho_coherent_state(g, harmonic_params, q0=1.0, p0=0.5, t=0.3)
+    chi = chi_build(psi, to_momentum_space(psi), g2)
+    calls = {
+        "shear_multiplier": lambda: shear_multiplier(g2, -0.5, harmonic_params.hbar),
+        "apply_extended_transform": lambda: apply_extended_transform(chi, -0.5),
+        "wigner_direct": lambda: wigner_direct(psi, g2),
+    }
+    assert temporary_arrays(calls[kernel], n) <= limit
 
 
 def test_transformed_hamiltonian_is_the_alpha_family(harmonic_params):
