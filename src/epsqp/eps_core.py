@@ -36,7 +36,6 @@ from .numerics import (
     TIME_ATOL,
     amplitude_mask,
     pq_kernel,
-    spectral_derivative_2d,
     unwrap_phase_2d,
 )
 from .states import WaveFunction
@@ -180,14 +179,17 @@ class ExtendedHamiltonian:
         p = grid.p_axis.points[:, None]
         q = grid.q_axis.points[None, :]
         out = np.zeros(grid.shape, dtype=complex)
-        if self.A != 0.0:
-            out -= hbar**2 * self.A * spectral_derivative_2d(field.values, grid, axis=1, order=2)
-        if self.B != 0.0:
-            out -= 1j * hbar * self.B * p * spectral_derivative_2d(field.values, grid, axis=1, order=1)
-        if self.C != 0.0:
-            out -= hbar**2 * self.C * spectral_derivative_2d(field.values, grid, axis=0, order=2)
-        if self.D != 0.0 or self.E != 0.0:
-            out -= 1j * hbar * (self.D * q + self.E) * spectral_derivative_2d(field.values, grid, axis=0, order=1)
+        for axis, k, terms in (
+            (1, grid.q_axis.wavenumbers[None, :], ((2, hbar**2 * self.A), (1, 1j * hbar * self.B * p))),
+            (0, grid.p_axis.wavenumbers[:, None], ((2, hbar**2 * self.C), (1, 1j * hbar * (self.D * q + self.E)))),
+        ):
+            if not any(np.any(coefficient) for _, coefficient in terms):
+                continue
+            spectrum = np.fft.fft(field.values, axis=axis)  # serves both derivative orders
+            for order, coefficient in terms:
+                if np.any(coefficient):
+                    derivative = spectrum * (1j * k) ** order
+                    out -= coefficient * np.fft.ifft(derivative, axis=axis, out=derivative)
         return out
 
 

@@ -198,10 +198,36 @@ def spectral_derivative_2d(values: NDArray, grid: Grid2D, axis: int, order: int 
     values = np.asarray(values)
     if values.shape != grid.shape:
         raise GridError(f"field shape {values.shape} does not match grid {grid.shape}")
-    axis_grid = grid.p_axis if axis == 0 else grid.q_axis
-    mult = (1j * axis_grid.wavenumbers) ** order
-    shape = (-1, 1) if axis == 0 else (1, -1)
-    return np.fft.ifft(mult.reshape(shape) * np.fft.fft(values, axis=axis), axis=axis)
+    k = grid.p_axis.wavenumbers[:, None] if axis == 0 else grid.q_axis.wavenumbers[None, :]
+    spectrum = np.fft.fft(values, axis=axis)
+    spectrum *= (1j * k) ** order
+    return np.fft.ifft(spectrum, axis=axis, out=spectrum)
+
+
+def fft2_passes(values: NDArray, inverse: bool = False, in_place: bool = False) -> NDArray[np.complex128]:
+    """``np.fft.fft2`` (``ifft2`` if ``inverse``) as numpy's own two one-axis passes, q then p.
+
+    Bitwise equal to ``fft2``, but into one new array, or ``in_place`` into complex ``values``.
+    """
+    transform = np.fft.ifft if inverse else np.fft.fft
+    out = transform(values, axis=1, out=values if in_place else None)
+    return transform(out, axis=0, out=out)
+
+
+def field_and_gradients(spectrum: NDArray[np.complex128], grid: Grid2D) -> tuple:
+    """A field and its spectral gradients ``(f, f_q, f_p)`` from its ``fft2`` spectrum.
+
+    With ``B = ifft_p(spectrum)``: ``f = ifft_q(B)``, ``f_q = ifft_q(i k_q B)`` and
+    ``f_p = ifft_p(i k_p ifft_q(spectrum))``, five one-axis passes and no forward
+    transform.  ``spectrum`` is consumed: its buffer becomes ``f_q``.
+    """
+    f_p = np.fft.ifft(spectrum, axis=1)
+    f_p *= 1j * grid.p_axis.wavenumbers[:, None]
+    np.fft.ifft(f_p, axis=0, out=f_p)
+    b = np.fft.ifft(spectrum, axis=0, out=spectrum)
+    f = np.fft.ifft(b, axis=1)
+    b *= 1j * grid.q_axis.wavenumbers[None, :]
+    return f, np.fft.ifft(b, axis=1, out=b), f_p
 
 
 def relative_curvature(amplitude: NDArray, spacing: float, axis: int = 0) -> NDArray[np.float64]:
@@ -239,8 +265,9 @@ def log_amplitude(amplitude: NDArray) -> NDArray[np.float64]:
 
 def log_curvature(u: NDArray, spacing: float, axis: int = 0) -> NDArray[np.float64]:
     """``R''/R = u'' + (u')^2`` along ``axis`` from ``u = log R`` (see :func:`relative_curvature`)."""
-    up = np.roll(u, -1, axis=axis)
-    um = np.roll(u, 1, axis=axis)
+    lead = (slice(None),) * (axis % u.ndim)  # the axes before ``axis``, whole
+    padded = np.concatenate((u[lead + (slice(-1, None),)], u, u[lead + (slice(1),)]), axis=axis)
+    up, um = padded[lead + (slice(2, None),)], padded[lead + (slice(-2),)]  # periodic neighbours
     first = (up - um) / (2.0 * spacing)
     second = (up - 2.0 * u + um) / spacing**2
     return second + first**2

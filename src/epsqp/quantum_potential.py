@@ -22,7 +22,7 @@ hold on sampled states, using three estimators chosen for conditioning
 
 * spatial action gradients from the algebraic identity
   S_x = hbar Im(conj(f) f_x)/|f|^2 with spectral f_x — no truncation
-  error at all;
+  error at all (a sheared field's f_x comes from its sheared spectrum);
 * the action time derivative from the phase of the snapshot ratio,
   S_t = hbar arg(f(t+dt) conj(f(t-dt)))/(2 dt), whose error is exactly
   (dt^2/6) d^3S/dt^3.  The naive Im(conj(f) df/dt)/|f|^2 form hides an
@@ -58,6 +58,8 @@ from .numerics import (
     HarmonicPotential,
     PhysicalParams,
     amplitude_mask,
+    fft2_passes,
+    field_and_gradients,
     log_amplitude,
     log_curvature,
     pq_kernel,
@@ -326,11 +328,12 @@ def _hj_residual_2d(
     snapshots (see :func:`_chi_triple`).  At alpha != 0 the engine shears
     them itself from their ``fft2`` ``spectra``, so one set of spectra
     serves any number of alphas and no caller holds a sheared field: the
-    t +- dt fields are freed as soon as S_t is formed.  The estimators of
-    the module docstring are applied to the transformed fields: the phase
-    of the plus/minus snapshot ratio is immune to the catastrophic
-    cancellation a literal difference of the sheared fields would suffer
-    near the mask edge.
+    t +- dt fields are freed as soon as S_t is formed, and the centre field
+    and its gradients come from its sheared spectrum (nine one-axis FFT
+    passes per alpha in all).  The estimators of the module docstring are
+    applied to the transformed fields: the phase of the plus/minus snapshot
+    ratio is immune to the catastrophic cancellation a literal difference
+    of the sheared fields would suffer near the mask edge.
 
     Residual pieces:
 
@@ -350,40 +353,46 @@ def _hj_residual_2d(
     m, hbar = params.mass, params.hbar
     p = grid.p_axis.points[:, None]
     q = grid.q_axis.points[None, :]
-    multiplier = None if alpha == 0.0 else shear_multiplier(grid, alpha, hbar)
 
-    def field(i: int) -> NDArray[np.complex128]:  # snapshot i sheared by alpha
-        return triple[i].values if multiplier is None else np.fft.ifft2(multiplier * spectra[i])
+    if alpha == 0.0:
+        ratio, cp = np.conj(triple[0].values), triple[2].values
+    else:  # a sheared field is two in-place inverse passes over multiplier * spectrum
+        multiplier = shear_multiplier(grid, alpha, hbar)
+        ratio, cp = (fft2_passes(multiplier * spectra[i], inverse=True, in_place=True) for i in (0, 2))
+        np.conj(ratio, out=ratio)
+    ratio *= cp
+    S_t = hbar * np.angle(ratio) / (2.0 * dt)
+    del ratio, cp  # the sheared t +- dt fields
+    if alpha == 0.0:
+        amp = np.abs(center.values)
+        # An untransformed chi carries the kernel exp(-i p q / hbar), so the
+        # p-spectrum of the row at q is centred near wavenumber -q/hbar: on the
+        # outer mask rows its tails reach the (coarse) momentum Nyquist and floor
+        # a direct spectral gradient.  So peel the kernel, differentiate the
+        # centred remainder and restore the kernel's exact gradients (-p into
+        # S_q, -q into S_p) below; it is static, so it cancels in S_t.
+        f = center.values * pq_kernel(grid, hbar, 1)
+        f_q = spectral_derivative_2d(f, grid, axis=1, order=1)
+        f_p = spectral_derivative_2d(f, grid, axis=0, order=1)
+    else:  # the centre spectrum overwrites the multiplier
+        f, f_q, f_p = field_and_gradients(np.multiply(multiplier, spectra[1], out=multiplier), grid)
+        del multiplier
+        amp = np.abs(f)
 
-    cm, cp = field(0), field(2)
-    S_t = hbar * np.angle(cp * np.conj(cm)) / (2.0 * dt)
-    del cm, cp
-    c = field(1)
-    del multiplier
-
-    amp = np.abs(c)
     mask = amplitude_mask(amp)
     dens = np.where(mask, amp**2, 1.0)
-
-    # An untransformed chi carries the anti-standard kernel exp(-i p q / hbar)
-    # by construction, so the p-direction spectrum of the row at position q
-    # is centred near wavenumber -q/hbar; for the outer rows of the mask that
-    # puts spectral tails at the momentum Nyquist (the paired momentum grid
-    # is far coarser than the position grid), flooring a direct spectral
-    # gradient.  At alpha = 0 peel the kernel, differentiate the centred
-    # remainder, and restore the kernel's exact gradients (-p into S_q, -q
-    # into S_p) algebraically.  The time derivative needs no peeling: the
-    # kernel is static and cancels in the snapshot ratio.
-    f = c * pq_kernel(grid, hbar, 1) if alpha == 0.0 else c
-    S_q = hbar * np.imag(np.conj(f) * spectral_derivative_2d(f, grid, axis=1, order=1)) / dens
-    S_p = hbar * np.imag(np.conj(f) * spectral_derivative_2d(f, grid, axis=0, order=1)) / dens
+    np.conj(f, out=f)  # S_x from conj(f) * f_x, in that operand order
+    S_q = hbar * np.imag(np.multiply(f, f_q, out=f_q)) / dens
+    del f_q
+    S_p = hbar * np.imag(np.multiply(f, f_p, out=f_p)) / dens
+    del f, f_p, dens
     if alpha == 0.0:
         S_q -= p
         S_p -= q
     ham = ExtendedHamiltonian.from_params(params, alpha)
     classical = S_t + ham.evaluate_classical(S_q, S_p, p, q)
     log_amp = log_amplitude(amp)  # one log for both curvature ratios
-    del c, f, amp, dens, S_t, S_q, S_p  # n^2 temporaries: free them before the curvature terms
+    del amp, S_t, S_q, S_p  # n^2 temporaries: free them before the curvature terms
 
     rqq = log_curvature(log_amp, grid.q_axis.spacing, axis=1)  # R_qq / R
     rpp = log_curvature(log_amp, grid.p_axis.spacing, axis=0)  # R_pp / R
@@ -446,7 +455,7 @@ def hj_residual_transformed(snapshots: Sequence[PhaseSpaceField], alpha: float) 
     classical equation holds on its own.
     """
     triple = _chi_triple(snapshots)
-    spectra = [np.fft.fft2(s.values) for s in snapshots]
+    spectra = None if alpha == 0.0 else [fft2_passes(s.values) for s in snapshots]
     return _hj_residual_2d(triple, alpha, _transformed_name(alpha), spectra)
 
 
@@ -514,7 +523,7 @@ def alpha_sweep(snapshots: Sequence[PhaseSpaceField], alphas: Sequence[float]) -
     """
     alphas = validate_alphas(alphas)
     triple = _chi_triple(snapshots)
-    spectra = [np.fft.fft2(s.values) for s in snapshots]
+    spectra = [fft2_passes(s.values) for s in snapshots]
     reports = tuple(
         _hj_residual_2d(triple, a, _transformed_name(a), spectra, with_fields=False)
         for a in alphas

@@ -28,6 +28,7 @@ from .numerics import (
     GridError,
     amplitude_mask,
     fd_time_derivative,
+    fft2_passes,
     paired_momentum_grid,
     snapshot_triple,
     spectral_derivative_2d,
@@ -69,9 +70,9 @@ def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> PhaseSpace
     Successive transforms compose additively in alpha; the result is tagged
     ``kind='transformed'`` with the accumulated parameter.
     """
-    spectrum = np.fft.fft2(field.values)
+    spectrum = fft2_passes(field.values)
     spectrum *= shear_multiplier(field.grid, alpha, field.params.hbar)
-    values = np.fft.ifft2(spectrum)
+    values = fft2_passes(spectrum, inverse=True, in_place=True)
     accumulated = alpha + (field.alpha if field.alpha is not None else 0.0)
     return PhaseSpaceField(
         values, field.grid, field.t, field.params, kind="transformed", alpha=accumulated

@@ -18,7 +18,7 @@ from epsqp.eps_core import (
     expectation,
     polar_decompose_2d,
 )
-from epsqp.numerics import GridError, amplitude_mask, unwrap_phase_1d
+from epsqp.numerics import GridError, amplitude_mask, spectral_derivative_2d, unwrap_phase_1d
 from epsqp.states import ho_coherent_state, to_momentum_space
 from epsqp.transforms import apply_extended_transform
 
@@ -148,6 +148,41 @@ def test_operator_action_on_plane_wave(grid2, harmonic_params):
     ) * f.values
     got = ham.apply(f)
     assert np.max(np.abs(got - expected)) < 1e-9 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.25, -0.5])
+@pytest.mark.parametrize("potential", ["harmonic", "linear"])
+@pytest.mark.parametrize("values", ["chi", "random"])
+def test_operator_takes_one_forward_transform_per_axis(
+    monkeypatch, ground_chi, harmonic_params, linear_params, alpha, potential, values
+):
+    # the first and second derivative along an axis share one forward FFT;
+    # the sum equals the per-term spectral_derivative_2d sum to rounding
+    params = harmonic_params if potential == "harmonic" else linear_params
+    grid = ground_chi.grid
+    if values == "chi":
+        f = ground_chi.values
+    else:
+        rng = np.random.default_rng(3)
+        f = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    field = PhaseSpaceField(f, grid, 0.0, params)
+    ham = ExtendedHamiltonian.from_params(params, alpha)
+    hbar = params.hbar
+    p, q = grid.p_axis.points[:, None], grid.q_axis.points[None, :]
+    terms = [
+        (ham.A, hbar**2 * ham.A * spectral_derivative_2d(f, grid, axis=1, order=2)),
+        (ham.B, 1j * hbar * ham.B * p * spectral_derivative_2d(f, grid, axis=1, order=1)),
+        (ham.C, hbar**2 * ham.C * spectral_derivative_2d(f, grid, axis=0, order=2)),
+        (ham.D or ham.E, 1j * hbar * (ham.D * q + ham.E) * spectral_derivative_2d(f, grid, axis=0, order=1)),
+    ]
+    expected = -sum(term for coefficient, term in terms if coefficient != 0.0)
+
+    forward = []
+    fft = np.fft.fft
+    monkeypatch.setattr(np.fft, "fft", lambda *a, **k: forward.append(k.get("axis")) or fft(*a, **k))
+    got = ham.apply(field)
+    assert sorted(forward) == [0, 1]
+    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
 @HYP

@@ -16,6 +16,7 @@ from epsqp.numerics import (
     amplitude_mask,
     fd_mixed_partial,
     fd_time_derivative,
+    fft2_passes,
     log_amplitude,
     log_curvature,
     make_grid,
@@ -100,6 +101,17 @@ def test_spectral_derivative_2d_axis_semantics():
     np.testing.assert_allclose(fp, 1j * kp * f, atol=1e-9)
 
 
+@pytest.mark.parametrize("n", [2**e for e in range(3, 11)])
+def test_fft2_passes_are_bitwise_numpy(n):
+    rng = np.random.default_rng(n)
+    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    assert np.array_equal(fft2_passes(x), np.fft.fft2(x))
+    assert np.array_equal(fft2_passes(x, inverse=True), np.fft.ifft2(x))
+    expected = np.fft.ifft2(x)
+    assert fft2_passes(x, inverse=True, in_place=True) is x
+    assert np.array_equal(x, expected)
+
+
 def test_spectral_resample_evaluates_trig_interpolant():
     g = make_grid(32, 0.0, 2.0 * np.pi)
     f = np.cos(3.0 * g.points) + 0.5 * np.sin(5.0 * g.points)
@@ -149,6 +161,16 @@ def test_one_log_gives_both_curvature_ratios(amplitude, ground_chi):
     u = log_amplitude(R)
     assert np.array_equal(log_curvature(u, dq, axis=1), relative_curvature(R, dq, axis=1))
     assert np.array_equal(log_curvature(u, dp, axis=0), relative_curvature(R, dp, axis=0))
+
+
+@pytest.mark.parametrize("shape", [(40,), (64, 32)])
+def test_log_curvature_equals_the_roll_formula(shape):
+    # the wrap-padded neighbours give bitwise the arithmetic of np.roll
+    u = np.random.default_rng(5).normal(size=shape)
+    for axis in range(len(shape)):
+        up, um = np.roll(u, -1, axis=axis), np.roll(u, 1, axis=axis)
+        expected = (up - 2.0 * u + um) / 0.3**2 + ((up - um) / (2.0 * 0.3)) ** 2
+        assert np.array_equal(log_curvature(u, 0.3, axis=axis), expected)
 
 
 def test_relative_curvature_rejects_negative_amplitude():

@@ -9,7 +9,13 @@ import numpy as np
 import pytest
 
 from epsqp.eps_core import chi_build
-from epsqp.numerics import Grid2D, make_grid
+from epsqp.numerics import (
+    Grid2D,
+    amplitude_mask,
+    field_and_gradients,
+    make_grid,
+    spectral_derivative_2d,
+)
 from epsqp.quantum_potential import (
     alpha_sweep,
     hj_residual_eps,
@@ -26,6 +32,7 @@ from epsqp.states import (
     linear_potential_gaussian,
     to_momentum_space,
 )
+from epsqp.transforms import shear_multiplier
 
 
 def _chi_triplet(q_grid, grid2, params, t=0.4, dt=1e-3, q0=0.5, p0=0.0, linear=False):
@@ -271,6 +278,46 @@ def test_alpha_sweep_equals_per_alpha_residuals(sweep_inputs):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("alpha", [-1.0, -0.75, -0.5, -0.25])
+@pytest.mark.parametrize("values", ["chi", "random"])
+def test_sheared_gradients_come_from_the_spectrum(sweep_inputs, alpha, values):
+    # the engine takes the sheared field and its gradients from the sheared
+    # spectrum; they must match a round-trip derivative of ifft2(M X)
+    center = sweep_inputs[1]
+    grid = center.grid
+    if values == "chi":
+        f = center.values
+    else:
+        rng = np.random.default_rng(7)
+        f = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
+    spectrum = shear_multiplier(grid, alpha, center.params.hbar) * np.fft.fft2(f)
+    sheared = np.fft.ifft2(spectrum)
+    expected = (
+        sheared,
+        spectral_derivative_2d(sheared, grid, axis=1),
+        spectral_derivative_2d(sheared, grid, axis=0),
+    )
+    mask = amplitude_mask(np.abs(sheared))
+    for got, want in zip(field_and_gradients(spectrum, grid), expected):
+        assert np.max(np.abs(got - want)[mask]) <= 1e-12 * np.max(np.abs(want[mask]))
+
+
+@pytest.mark.parametrize("alpha, passes", [(-0.75, (6, 9)), (0.0, (2, 2))])
+def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, alpha, passes):
+    # alpha != 0: two forward passes per snapshot spectrum, two inverse
+    # passes per sheared t +- dt field and five for the centre field and its
+    # gradients.  alpha = 0 builds no spectra: one round trip per gradient.
+    calls = dict.fromkeys(("fft", "ifft", "fft2", "ifft2"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _call=getattr(np.fft, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    hj_residual_transformed(sweep_inputs, alpha)
+    assert calls == {"fft": passes[0], "ifft": passes[1], "fft2": 0, "ifft2": 0}
+
+
 def _array_bytes(obj) -> int:
     """Total nbytes of the numpy arrays reachable from ``obj``."""
     if isinstance(obj, np.ndarray):
@@ -297,10 +344,12 @@ def test_alpha_sweep_memory_does_not_grow_with_alphas(harmonic_params):
 
 def test_alpha_sweep_frees_its_sheared_fields(temporary_arrays, harmonic_params):
     # The sweep holds the three spectra; each alpha's sheared t +- dt fields
-    # die once S_t is formed and nothing outside the engine keeps them, so
-    # the peak beyond the three chi snapshots stays under 11 n x n arrays.
+    # die once S_t is formed, the centre spectrum overwrites the multiplier
+    # and nothing outside the engine keeps a sheared field, so the peak
+    # beyond the three chi snapshots stays under 8.25 n x n arrays
+    # (measured 8.07).
     n = 512
     q_grid = make_grid(n, -10.0, 10.0)
     snaps = _chi_triplet(q_grid, Grid2D.paired(q_grid, harmonic_params.hbar), harmonic_params)
     alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
-    assert temporary_arrays(lambda: alpha_sweep(snaps, alphas), n) <= 11.0
+    assert temporary_arrays(lambda: alpha_sweep(snaps, alphas), n) <= 8.25

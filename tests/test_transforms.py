@@ -88,11 +88,11 @@ def test_shear_multiplier_needs_a_paired_grid(q_grid):
 
 @pytest.mark.parametrize(
     "kernel, limit",
-    [("shear_multiplier", 1.25), ("apply_extended_transform", 3.25), ("wigner_direct", 3.0)],
+    [("shear_multiplier", 1.25), ("apply_extended_transform", 2.25), ("wigner_direct", 3.0)],
 )
 def test_phase_space_kernels_allocate_little(temporary_arrays, harmonic_params, kernel, limit):
     # peak allocation beyond the inputs, in n x n complex arrays, returned
-    # array included: no multiplier mesh, no second spectrum, no n x 2n
+    # array included: no multiplier mesh, no fft2 intermediate, no n x 2n
     # correlation
     n = 512
     g = make_grid(n, -10.0, 10.0)
