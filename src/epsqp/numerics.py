@@ -194,10 +194,11 @@ def spectral_derivative(values: NDArray, grid: Grid1D, order: int = 1) -> NDArra
 
 
 def spectral_derivative_2d(values: NDArray, grid: Grid2D, axis: int, order: int = 1) -> NDArray[np.complex128]:
-    """Spectral derivative of a 2D phase-space field along ``axis`` (0 = p, 1 = q)."""
+    """Spectral derivative along ``axis`` (0 = p, 1 = q) of a 2D phase-space field, or of
+    any subset of its lanes (rows for q, columns for p)."""
     values = np.asarray(values)
-    if values.shape != grid.shape:
-        raise GridError(f"field shape {values.shape} does not match grid {grid.shape}")
+    if values.ndim != 2 or values.shape[axis] != grid.shape[axis]:
+        raise GridError(f"field shape {values.shape} does not match grid {grid.shape} along axis {axis}")
     k = grid.p_axis.wavenumbers[:, None] if axis == 0 else grid.q_axis.wavenumbers[None, :]
     spectrum = np.fft.fft(values, axis=axis)
     spectrum *= (1j * k) ** order
@@ -214,20 +215,34 @@ def fft2_passes(values: NDArray, inverse: bool = False, in_place: bool = False) 
     return transform(out, axis=0, out=out)
 
 
-def field_and_gradients(spectrum: NDArray[np.complex128], grid: Grid2D) -> tuple:
-    """A field and its spectral gradients ``(f, f_q, f_p)`` from its ``fft2`` spectrum.
+def inverse_on_box(spectrum: NDArray[np.complex128], box: tuple) -> NDArray[np.complex128]:
+    """``ifft2(spectrum)[box]`` as a new array: a whole q pass in place, then the p pass
+    on the box columns only."""
+    rows, cols = box
+    np.fft.ifft(spectrum, axis=1, out=spectrum)
+    return np.fft.ifft(spectrum[:, cols], axis=0)[rows].copy()
 
-    With ``B = ifft_p(spectrum)``: ``f = ifft_q(B)``, ``f_q = ifft_q(i k_q B)`` and
-    ``f_p = ifft_p(i k_p ifft_q(spectrum))``, five one-axis passes and no forward
-    transform.  ``spectrum`` is consumed: its buffer becomes ``f_q``.
+
+def field_and_gradients(spectrum: NDArray[np.complex128], grid: Grid2D) -> tuple:
+    """A field's amplitude mask, and the field with its spectral gradients on the mask's box.
+
+    From the ``fft2`` spectrum, ``f = ifft_q(B)`` with ``B = ifft_p(spectrum)``
+    is taken on the whole grid, since the mask needs ``|f|`` everywhere.  With
+    ``box = mask_box(mask)``, ``f_q = ifft_q(i k_q B)`` then runs on the box
+    rows only and ``f_p = ifft_p(i k_p ifft_q(spectrum))`` on the box columns
+    only.  Returns ``(mask, box, f, f_q, f_p)`` with the fields as new
+    box-sized arrays.  ``spectrum`` is consumed.
     """
-    f_p = np.fft.ifft(spectrum, axis=1)
-    f_p *= 1j * grid.p_axis.wavenumbers[:, None]
-    np.fft.ifft(f_p, axis=0, out=f_p)
+    g = np.fft.ifft(spectrum, axis=1)
     b = np.fft.ifft(spectrum, axis=0, out=spectrum)
     f = np.fft.ifft(b, axis=1)
-    b *= 1j * grid.q_axis.wavenumbers[None, :]
-    return f, np.fft.ifft(b, axis=1, out=b), f_p
+    mask = amplitude_mask(np.abs(f))
+    rows, cols = box = mask_box(mask)
+    f_q = b[rows] * (1j * grid.q_axis.wavenumbers[None, :])
+    f_p = g[:, cols] * (1j * grid.p_axis.wavenumbers[:, None])
+    del g, b
+    f_q, f_p = np.fft.ifft(f_q, axis=1, out=f_q), np.fft.ifft(f_p, axis=0, out=f_p)
+    return mask, box, f[box].copy(), f_q[:, cols].copy(), f_p[rows].copy()
 
 
 def relative_curvature(amplitude: NDArray, spacing: float, axis: int = 0) -> NDArray[np.float64]:
@@ -507,3 +522,16 @@ def amplitude_mask(amplitude: NDArray) -> NDArray[np.bool_]:
     if peak <= 0.0:
         return np.zeros(amplitude.shape, dtype=bool)
     return amplitude > NODE_THRESHOLD * peak
+
+
+def mask_box(mask: NDArray[np.bool_]) -> tuple[slice, slice]:
+    """Row and column slices of a 2D mask's bounding box, grown by one cell so that
+    it holds every neighbour a 3-point stencil reads at a masked cell.  An axis whose
+    grown box passes a grid edge is taken whole, which keeps the periodic wrap."""
+    if not mask.any():
+        raise ValueError("no sample lies above the node threshold: empty mask")
+    box = []
+    for hit in (mask.any(axis=1), mask.any(axis=0)):
+        lo, hi = np.flatnonzero(hit)[[0, -1]] + (-1, 2)
+        box.append(slice(int(lo), int(hi)) if lo >= 0 and hi <= hit.size else slice(None))
+    return tuple(box)

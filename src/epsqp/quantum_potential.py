@@ -35,6 +35,9 @@ hold on sampled states, using three estimators chosen for conditioning
   uniformly conditioned on the mask, unlike a spectral derivative of R,
   whose absolute rounding floor is amplified by 1/R at the mask edge.
 
+The phase-space residuals apply them only on the bounding box of the
+amplitude mask, grown by one cell for the curvature stencils.
+
 Momentum-space sign conventions: the stored :class:`PolarField` for a
 momentum-space state honours phi = R exp(-i S / hbar) (so the product
 distribution's action decomposes additively as S^q + S^p - pq).  The
@@ -60,8 +63,10 @@ from .numerics import (
     amplitude_mask,
     fft2_passes,
     field_and_gradients,
+    inverse_on_box,
     log_amplitude,
     log_curvature,
+    mask_box,
     pq_kernel,
     relative_curvature,
     snapshot_triple,
@@ -74,6 +79,7 @@ from .reports import (
     ResidualReport,
     fit_global_constant,
     fit_line,
+    masked_field,
     masked_fraction,
     masked_l2,
     masked_max,
@@ -185,33 +191,29 @@ def _chi_triple(snapshots: Sequence[PhaseSpaceField]):
     return snapshot_triple(snapshots)
 
 
-def _masked(arr: NDArray, mask: NDArray[np.bool_]) -> NDArray[np.float64]:
-    out = np.full(arr.shape, np.nan)
-    out[mask] = arr[mask]
-    return out
-
-
 def _report(
     name: str, full: NDArray, mask: NDArray[np.bool_], measure: float, metadata: dict,
     classical: NDArray | None = None, quantum: NDArray | None = None, fields: dict | None = None,
+    box: tuple = (),
 ) -> ResidualReport:
     """Report of a residual ``full`` (= ``classical + quantum`` when split).
 
-    Norms are taken over ``mask`` with the integration ``measure``; the
-    norms of the classical form and of the quantum term are added to
-    ``metadata`` when those pieces are given.  With ``fields`` the report
-    carries them plus the masked residual, classical form and quantum term;
-    without, it holds no arrays.
+    The arrays cover the ``box`` crop of ``mask``'s grid.  Norms are taken
+    over the mask with the integration ``measure``; the norms of the
+    classical form and of the quantum term are added to ``metadata`` when
+    those pieces are given.  With ``fields`` the report carries them plus the
+    masked residual, classical form and quantum term; without, no arrays.
     """
+    inside = mask[box]
     if classical is not None:
-        metadata["classical_form_l2"] = masked_l2(classical, mask, measure)
-        metadata["classical_form_max"] = masked_max(classical, mask)
+        metadata["classical_form_l2"] = masked_l2(classical, inside, measure)
+        metadata["classical_form_max"] = masked_max(classical, inside)
     if quantum is not None:
-        metadata["quantum_term_l2"] = masked_l2(quantum, mask, measure)
+        metadata["quantum_term_l2"] = masked_l2(quantum, inside, measure)
     if fields is not None:
         pieces = {"residual": full, "classical_form": classical, "quantum_term": quantum}
-        fields = {k: _masked(v, mask) for k, v in pieces.items() if v is not None} | fields
-    l2, peak = masked_l2(full, mask, measure), masked_max(full, mask)
+        fields = {k: masked_field(v, mask, box) for k, v in pieces.items() if v is not None} | fields
+    l2, peak = masked_l2(full, inside, measure), masked_max(full, inside)
     return ResidualReport(name, l2, peak, masked_fraction(mask), metadata, fields or {})
 
 
@@ -327,10 +329,11 @@ def _hj_residual_2d(
     ``triple`` is the unpacked ``(minus, center, plus, dt)`` of three chi
     snapshots (see :func:`_chi_triple`).  At alpha != 0 the engine shears
     them itself from their ``fft2`` ``spectra``, so one set of spectra
-    serves any number of alphas and no caller holds a sheared field: the
-    t +- dt fields are freed as soon as S_t is formed, and the centre field
-    and its gradients come from its sheared spectrum (nine one-axis FFT
-    passes per alpha in all).  The estimators of the module docstring are
+    serves any number of alphas and no caller holds a sheared field.  Only
+    the box of the centre's amplitude mask (:func:`mask_box`) is evaluated:
+    the centre field, whose mask needs it whole, is sheared first, and the
+    last inverse pass of its gradients and of the t +- dt fields runs on the
+    box rows or columns only.  The estimators of the module docstring are
     applied to the transformed fields: the phase of the plus/minus snapshot
     ratio is immune to the catastrophic cancellation a literal difference
     of the sheared fields would suffer near the mask edge.
@@ -345,58 +348,56 @@ def _hj_residual_2d(
     projection of -classical_form onto T (metadata ``fitted_coefficient``)
     measures the coefficient the data actually demands, which the exact
     identity fixes at 1/2 + alpha (``expected_coefficient``).  Without
-    ``with_fields`` the report carries norms and metadata only.
+    ``with_fields`` the report carries norms and metadata only; its fields
+    are NaN off the mask.
     """
     _, center, _, dt = triple
     params = center.params
     grid = center.grid
     m, hbar = params.mass, params.hbar
-    p = grid.p_axis.points[:, None]
-    q = grid.q_axis.points[None, :]
 
     if alpha == 0.0:
-        ratio, cp = np.conj(triple[0].values), triple[2].values
-    else:  # a sheared field is two in-place inverse passes over multiplier * spectrum
-        multiplier = shear_multiplier(grid, alpha, hbar)
-        ratio, cp = (fft2_passes(multiplier * spectra[i], inverse=True, in_place=True) for i in (0, 2))
-        np.conj(ratio, out=ratio)
-    ratio *= cp
-    S_t = hbar * np.angle(ratio) / (2.0 * dt)
-    del ratio, cp  # the sheared t +- dt fields
-    if alpha == 0.0:
         amp = np.abs(center.values)
+        mask = amplitude_mask(amp)
+        rows, cols = box = mask_box(mask)
+        amp = amp[box].copy()
         # An untransformed chi carries the kernel exp(-i p q / hbar), so the
         # p-spectrum of the row at q is centred near wavenumber -q/hbar: on the
         # outer mask rows its tails reach the (coarse) momentum Nyquist and floor
         # a direct spectral gradient.  So peel the kernel, differentiate the
         # centred remainder and restore the kernel's exact gradients (-p into
         # S_q, -q into S_p) below; it is static, so it cancels in S_t.
-        f = center.values * pq_kernel(grid, hbar, 1)
-        f_q = spectral_derivative_2d(f, grid, axis=1, order=1)
-        f_p = spectral_derivative_2d(f, grid, axis=0, order=1)
-    else:  # the centre spectrum overwrites the multiplier
-        f, f_q, f_p = field_and_gradients(np.multiply(multiplier, spectra[1], out=multiplier), grid)
-        del multiplier
+        f = center.values * pq_kernel(grid, hbar, 1)  # whole grid: numpy's elided operand order
+        f_q = spectral_derivative_2d(f[rows], grid, axis=1)[:, cols].copy()
+        f_p = spectral_derivative_2d(f[:, cols], grid, axis=0)[rows].copy()
+        f = f[box].copy()
+        minus, plus = triple[0].values[box], triple[2].values[box]
+    else:  # each sheared field is an inverse transform of multiplier * spectrum
+        multiplier = shear_multiplier(grid, alpha, hbar)
+        mask, box, f, f_q, f_p = field_and_gradients(multiplier * spectra[1], grid)
         amp = np.abs(f)
+        minus = inverse_on_box(multiplier * spectra[0], box)
+        plus = inverse_on_box(np.multiply(multiplier, spectra[2], out=multiplier), box)
+        del multiplier
+    ratio = np.conj(minus)
+    ratio *= plus
+    S_t = hbar * np.angle(ratio) / (2.0 * dt)
 
-    mask = amplitude_mask(amp)
-    dens = np.where(mask, amp**2, 1.0)
-    np.conj(f, out=f)  # S_x from conj(f) * f_x, in that operand order
-    S_q = hbar * np.imag(np.multiply(f, f_q, out=f_q)) / dens
-    del f_q
-    S_p = hbar * np.imag(np.multiply(f, f_p, out=f_p)) / dens
-    del f, f_p, dens
+    inside = mask[box]
+    p = grid.p_axis.points[box[0], None]
+    q = grid.q_axis.points[None, box[1]]
+    dens = np.where(inside, amp**2, 1.0)
+    f = np.conj(f)  # S_x from conj(f) * f_x, in that operand order
+    S_q = hbar * np.imag(np.multiply(f, f_q)) / dens
+    S_p = hbar * np.imag(np.multiply(f, f_p)) / dens
     if alpha == 0.0:
         S_q -= p
         S_p -= q
     ham = ExtendedHamiltonian.from_params(params, alpha)
     classical = S_t + ham.evaluate_classical(S_q, S_p, p, q)
     log_amp = log_amplitude(amp)  # one log for both curvature ratios
-    del amp, S_t, S_q, S_p  # n^2 temporaries: free them before the curvature terms
-
     rqq = log_curvature(log_amp, grid.q_axis.spacing, axis=1)  # R_qq / R
     rpp = log_curvature(log_amp, grid.p_axis.spacing, axis=0)  # R_pp / R
-    del log_amp
 
     # curvature terms at unit coefficient: quantum = (1/2 + alpha) * T
     c1 = -params.potential.k if isinstance(params.potential, HarmonicPotential) else 0.0
@@ -404,7 +405,7 @@ def _hj_residual_2d(
     x = 0.5 + alpha
     quantum = x * T
 
-    fitted = -np.real(fit_global_constant(classical, T, mask))
+    fitted = -np.real(fit_global_constant(classical, T, inside))
     metadata = {
         "alpha": alpha,
         "expected_coefficient": x,
@@ -413,20 +414,20 @@ def _hj_residual_2d(
         "t": center.t,
         "grid_n": grid.q_axis.n_points,
         "potential": params.potential.kind,
-        "term_basis_l2": masked_l2(T, mask, grid.cell),
-        "remainder_l2": masked_l2(classical + fitted * T, mask, grid.cell),
+        "term_basis_l2": masked_l2(T, inside, grid.cell),
+        "remainder_l2": masked_l2(classical + fitted * T, inside, grid.cell),
     }
     fields = None
     if with_fields:
         fields = {
-            "term_basis": _masked(T, mask),
-            "q_term": _masked(-(hbar**2) * ham.A * rqq, mask),
-            "p_term": _masked(-(hbar**2) * ham.C * rpp, mask),
+            "term_basis": masked_field(T, mask, box),
+            "q_term": masked_field(-(hbar**2) * ham.A * rqq, mask, box),
+            "p_term": masked_field(-(hbar**2) * ham.C * rpp, mask, box),
             "mask": mask,
         }
     return _report(
         name, classical + quantum, mask, grid.cell, metadata,
-        classical=classical, quantum=quantum, fields=fields,
+        classical=classical, quantum=quantum, fields=fields, box=box,
     )
 
 

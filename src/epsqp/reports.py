@@ -37,13 +37,18 @@ class ResidualReport:
             raise ValueError("masked_fraction must lie in [0, 1]")
 
 
+def l2(values: NDArray, measure: float = 1.0) -> float:
+    """``sqrt(sum |values|^2 * measure)``, without BLAS: independent of its thread count."""
+    return float(np.sqrt(np.sum(np.abs(values) ** 2) * measure))
+
+
 def masked_l2(values: NDArray, mask: NDArray, measure: float) -> float:
-    """``sqrt(sum |values|^2 * measure)`` over the valid samples."""
+    """:func:`l2` over the valid samples."""
     values = np.asarray(values)
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise ValueError("cannot take a norm over an empty mask")
-    return float(np.sqrt(np.sum(np.abs(values[mask]) ** 2) * measure))
+    return l2(values[mask], measure)
 
 
 def masked_max(values: NDArray, mask: NDArray) -> float:
@@ -53,6 +58,14 @@ def masked_max(values: NDArray, mask: NDArray) -> float:
     if not mask.any():
         raise ValueError("cannot take a norm over an empty mask")
     return float(np.max(np.abs(values[mask])))
+
+
+def masked_field(values: NDArray, mask: NDArray, box: tuple = ()) -> NDArray[np.float64]:
+    """``values``, given on the ``box`` crop of ``mask``'s grid, on ``mask`` and NaN elsewhere."""
+    out = np.full(mask.shape, np.nan)
+    inside = mask[box]
+    out[box][inside] = values[inside]
+    return out
 
 
 def masked_fraction(mask: NDArray) -> float:

@@ -44,7 +44,7 @@ from .quantum_potential import (
     quantum_potential_q,
     validate_alphas,
 )
-from .reports import ResidualReport, fit_global_constant
+from .reports import ResidualReport, fit_global_constant, l2
 from .states import (
     WaveFunction,
     ho_coherent_state,
@@ -312,9 +312,7 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
         sheared = apply_extended_transform(_chi(psi, g2), -0.5).values
         w = np.real(wigner_direct(psi, g2).values)
         c = fit_global_constant(sheared, w)
-        deviation = float(
-            np.linalg.norm(sheared - c * w) / np.linalg.norm(sheared)
-        )
+        deviation = l2(sheared - c * w) / l2(sheared)
         return c, deviation, g, g2, psi, w, sheared
 
     # The other resolutions are fitted first, so none of the grid_n fields

@@ -4,6 +4,9 @@ byte-determinism."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -61,6 +64,20 @@ def test_repeated_runs_are_byte_identical(capsys):
     _, out1, _ = _run(capsys, "run", "classical-appendix")
     _, out2, _ = _run(capsys, "run", "classical-appendix")
     assert out1 == out2
+
+
+def test_report_is_independent_of_the_blas_thread_count():
+    # a norm through BLAS (numpy.linalg.norm's dot) splits its sum across
+    # threads and so moves in its last digits with the thread count
+    outs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "epsqp", "run", "wigner-equivalence"],
+            capture_output=True, timeout=300, env=dict(os.environ, OPENBLAS_NUM_THREADS=threads),
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------

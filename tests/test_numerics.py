@@ -20,6 +20,7 @@ from epsqp.numerics import (
     log_amplitude,
     log_curvature,
     make_grid,
+    mask_box,
     mask_runs,
     momentum_to_position,
     paired_momentum_grid,
@@ -216,6 +217,20 @@ def test_amplitude_mask_relative_threshold():
     mask = amplitude_mask(amp)  # default threshold 1e-6 of the peak
     np.testing.assert_array_equal(mask, [True, True, False, False, True])
     assert not amplitude_mask(np.zeros(4)).any()
+
+
+def test_mask_box_grows_by_one_cell_and_keeps_the_wrap():
+    mask = np.zeros((16, 8), dtype=bool)
+    mask[4:7, 2] = True
+    assert mask_box(mask) == (slice(3, 8), slice(1, 4))
+    mask[4, 6] = True  # the grown box ends on the last column
+    assert mask_box(mask) == (slice(3, 8), slice(1, 8))
+    mask[4, 7] = True  # the grown box passes the edge: the axis is taken whole
+    assert mask_box(mask) == (slice(3, 8), slice(None))
+    mask[0, 2] = True
+    assert mask_box(mask) == (slice(None), slice(None))
+    with pytest.raises(ValueError, match="empty mask"):
+        mask_box(np.zeros((8, 8), dtype=bool))
 
 
 def test_mask_runs_finds_contiguous_blocks():

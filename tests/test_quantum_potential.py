@@ -8,12 +8,14 @@ import math
 import numpy as np
 import pytest
 
-from epsqp.eps_core import chi_build
+from epsqp import numerics, quantum_potential, transforms
+from epsqp.eps_core import PhaseSpaceField, chi_build
 from epsqp.numerics import (
     Grid2D,
     amplitude_mask,
     field_and_gradients,
     make_grid,
+    mask_box,
     spectral_derivative_2d,
 )
 from epsqp.quantum_potential import (
@@ -32,7 +34,7 @@ from epsqp.states import (
     linear_potential_gaussian,
     to_momentum_space,
 )
-from epsqp.transforms import shear_multiplier
+from epsqp.transforms import shear_multiplier, wigner_equation_residual
 
 
 def _chi_triplet(q_grid, grid2, params, t=0.4, dt=1e-3, q0=0.5, p0=0.0, linear=False):
@@ -297,25 +299,34 @@ def test_sheared_gradients_come_from_the_spectrum(sweep_inputs, alpha, values):
         spectral_derivative_2d(sheared, grid, axis=1),
         spectral_derivative_2d(sheared, grid, axis=0),
     )
-    mask = amplitude_mask(np.abs(sheared))
-    for got, want in zip(field_and_gradients(spectrum, grid), expected):
-        assert np.max(np.abs(got - want)[mask]) <= 1e-12 * np.max(np.abs(want[mask]))
+    mask, box, *fields = field_and_gradients(spectrum, grid)
+    inside = mask[box]
+    assert inside.sum() == mask.sum() == amplitude_mask(np.abs(sheared)).sum()
+    for got, want in zip(fields, expected):
+        want = want[box][inside]
+        assert np.max(np.abs(got[inside] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("alpha, passes", [(-0.75, (6, 9)), (0.0, (2, 2))])
+@pytest.mark.parametrize("alpha, passes", [(-0.75, (6, 9, 1650)), (0.0, (2, 2, 180))])
 def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, alpha, passes):
     # alpha != 0: two forward passes per snapshot spectrum, two inverse
     # passes per sheared t +- dt field and five for the centre field and its
     # gradients.  alpha = 0 builds no spectra: one round trip per gradient.
+    # The last entry bounds the inverse lanes: at n = 256 the box prunes
+    # alpha = -0.75 to 1635 lanes (9 whole passes are 2304) and alpha = 0 to
+    # 173 (2 whole passes are 512).
     calls = dict.fromkeys(("fft", "ifft", "fft2", "ifft2"), 0)
+    lanes = dict.fromkeys(calls, 0)
     for name in calls:
-        def counted(*args, _name=name, _call=getattr(np.fft, name), **kwargs):
+        def counted(a, *args, _name=name, _call=getattr(np.fft, name), axis=-1, **kwargs):
             calls[_name] += 1
-            return _call(*args, **kwargs)
+            lanes[_name] += a.size // a.shape[axis]
+            return _call(a, *args, axis=axis, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
     hj_residual_transformed(sweep_inputs, alpha)
     assert calls == {"fft": passes[0], "ifft": passes[1], "fft2": 0, "ifft2": 0}
+    assert lanes["ifft"] <= passes[2] < passes[1] * sweep_inputs[1].grid.shape[0]
 
 
 def _array_bytes(obj) -> int:
@@ -343,13 +354,81 @@ def test_alpha_sweep_memory_does_not_grow_with_alphas(harmonic_params):
 
 
 def test_alpha_sweep_frees_its_sheared_fields(temporary_arrays, harmonic_params):
-    # The sweep holds the three spectra; each alpha's sheared t +- dt fields
-    # die once S_t is formed, the centre spectrum overwrites the multiplier
-    # and nothing outside the engine keeps a sheared field, so the peak
-    # beyond the three chi snapshots stays under 8.25 n x n arrays
-    # (measured 8.07).
+    # The sweep holds the three spectra and the engine one multiplier; the
+    # centre field's whole-grid passes set the peak, every later array is
+    # box-sized and nothing outside the engine keeps a sheared field, so the
+    # peak beyond the three chi snapshots stays under 7.8 n x n arrays
+    # (measured 7.73).
     n = 512
     q_grid = make_grid(n, -10.0, 10.0)
     snaps = _chi_triplet(q_grid, Grid2D.paired(q_grid, harmonic_params.hbar), harmonic_params)
     alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
-    assert temporary_arrays(lambda: alpha_sweep(snaps, alphas), n) <= 8.25
+    assert temporary_arrays(lambda: alpha_sweep(snaps, alphas), n) <= 7.8
+
+
+def test_eps_residual_allocates_little(temporary_arrays, harmonic_params):
+    # the six full-size float fields of the returned report are 3 n x n
+    # arrays; the evaluation itself works on the mask box (measured 3.48)
+    n = 512
+    q_grid = make_grid(n, -10.0, 10.0)
+    snaps = _chi_triplet(q_grid, Grid2D.paired(q_grid, harmonic_params.hbar), harmonic_params)
+    assert temporary_arrays(lambda: hj_residual_eps(snaps), n) <= 3.6
+
+
+def _whole_grid(monkeypatch):
+    """Make every engine evaluate on the whole grid instead of the mask box."""
+    whole = lambda mask: (slice(None), slice(None))  # noqa: E731
+    for module in (numerics, quantum_potential, transforms):
+        monkeypatch.setattr(module, "mask_box", whole)
+
+
+def _same_report(got, want):
+    assert (got.l2_norm, got.max_norm, got.masked_fraction) == pytest.approx(
+        (want.l2_norm, want.max_norm, want.masked_fraction), rel=1e-12, abs=0.0
+    )
+    assert got.metadata.keys() == want.metadata.keys()
+    for key, value in want.metadata.items():
+        assert got.metadata[key] == (value if isinstance(value, str) else pytest.approx(value, rel=1e-12))
+    np.testing.assert_allclose(got.fields["residual"], want.fields["residual"], rtol=1e-12, equal_nan=True)
+
+
+@pytest.mark.parametrize("axis", [1, 0])
+def test_box_evaluation_keeps_a_wrapping_mask(monkeypatch, sweep_inputs, axis):
+    # rolled by n/2 the mask straddles the periodic edge of that axis, so
+    # the box takes the axis whole; the other axis is still cropped
+    n = sweep_inputs[1].grid.shape[axis]
+    rolled = [
+        PhaseSpaceField(np.roll(s.values, n // 2, axis=axis), s.grid, s.t, s.params)
+        for s in sweep_inputs
+    ]
+    wigners = [
+        PhaseSpaceField(np.abs(s.values), s.grid, s.t, s.params, kind="wigner") for s in rolled
+    ]
+    evaluations = (
+        lambda: hj_residual_eps(rolled),
+        lambda: hj_residual_transformed(rolled, -0.75),
+        lambda: wigner_equation_residual(wigners),
+    )
+    boxed = [evaluate() for evaluate in evaluations]
+    for rep in boxed:
+        box = mask_box(rep.fields["mask"])
+        assert box[axis] == slice(None) and box[1 - axis] != slice(None)
+    _whole_grid(monkeypatch)
+    for got, evaluate in zip(boxed, evaluations):
+        _same_report(got, evaluate())
+
+
+@pytest.mark.parametrize("engine", ["eps", "transformed", "wigner"])
+def test_empty_mask_is_a_value_error(sweep_inputs, engine):
+    kind = "wigner" if engine == "wigner" else "chi"
+    zeros = [
+        PhaseSpaceField(np.zeros(s.grid.shape), s.grid, s.t, s.params, kind=kind)
+        for s in sweep_inputs
+    ]
+    evaluate = {
+        "eps": hj_residual_eps,
+        "transformed": lambda snaps: hj_residual_transformed(snaps, -0.75),
+        "wigner": wigner_equation_residual,
+    }[engine]
+    with pytest.raises(ValueError, match="empty mask"):
+        evaluate(zeros)
