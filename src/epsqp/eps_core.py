@@ -38,6 +38,7 @@ from .numerics import (
     pq_kernel,
     unwrap_phase_2d,
 )
+from .reports import l2
 from .states import WaveFunction
 
 #: Valid provenance tags for phase-space fields.
@@ -77,7 +78,7 @@ class PhaseSpaceField:
 
     def norm(self) -> float:
         """Discrete L2 norm with the phase-space cell measure."""
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.cell))
+        return l2(self.values, self.grid.cell)
 
 
 def chi_build(psi: WaveFunction, phi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:

@@ -5,8 +5,8 @@ Every module builds on the conventions fixed here:
 * Periodic grids with a power-of-two point count; ``spacing = (max - min)/n``
   and ``max`` is an excluded endpoint.
 * The position -> momentum transform uses the kernel ``exp(-i p q / hbar)``
-  with symmetric normalisation ``1/sqrt(2 pi hbar)``.  The inverse uses the
-  conjugate kernel.  No other module defines its own transform.
+  with symmetric normalisation ``1/sqrt(2 pi hbar)``.  No other module
+  defines its own transform.
 * Derivatives are spectral: multiply the discrete Fourier transform by
   ``(i k)**order`` and transform back.
 * Amplitude masks use the relative node threshold ``NODE_THRESHOLD``.
@@ -308,20 +308,6 @@ def position_to_momentum(values: NDArray, q_grid: Grid1D, hbar: float) -> tuple[
     return np.fft.fftshift(unshifted), paired_momentum_grid(q_grid, hbar)
 
 
-def momentum_to_position(values: NDArray, p_grid: Grid1D, q_grid: Grid1D, hbar: float) -> NDArray[np.complex128]:
-    """Inverse of :func:`position_to_momentum` (kernel ``exp(+i p q/hbar)``)."""
-    values = np.asarray(values, dtype=complex)
-    if values.shape != (p_grid.n_points,):
-        raise GridError("field does not match the momentum grid")
-    expected = paired_momentum_grid(q_grid, hbar)
-    if p_grid != expected:
-        raise GridError("momentum grid is not Fourier-paired with the target position grid")
-    n, dq, dp = q_grid.n_points, q_grid.spacing, p_grid.spacing
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dq)
-    unshifted = np.fft.ifftshift(values) * np.exp(1j * k * q_grid.min)
-    return (n * dp / np.sqrt(2.0 * np.pi * hbar)) * np.fft.ifft(unshifted)
-
-
 def pq_kernel(grid: Grid2D, hbar: float, sign: int) -> NDArray[np.complex128]:
     """The phase-space kernel ``exp(sign * i p q / hbar)`` on a Fourier-paired grid.
 
@@ -466,16 +452,6 @@ def snapshot_triple(snapshots) -> tuple:
     if dt_lo <= 0 or abs(dt_hi - dt_lo) > TIME_ATOL:
         raise ValueError("snapshots must be equally spaced in time")
     return minus, center, plus, dt_lo
-
-
-def fd_time_derivative(f_minus: NDArray, f_plus: NDArray, dt: float) -> NDArray:
-    """Second-order central difference at t from snapshots at t - dt and t + dt."""
-    f_minus, f_plus = np.asarray(f_minus), np.asarray(f_plus)
-    if f_minus.shape != f_plus.shape:
-        raise GridError("time snapshots live on different grids")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    return (f_plus - f_minus) / (2.0 * dt)
 
 
 def fd_mixed_partial(

@@ -80,9 +80,9 @@ from .reports import (
     fit_global_constant,
     fit_line,
     masked_field,
-    masked_fraction,
     masked_l2,
-    masked_max,
+    residual_report,
+    snapshot_metadata,
 )
 from .states import WaveFunction
 from .transforms import shear_multiplier
@@ -134,87 +134,34 @@ def polar_decompose(psi: WaveFunction) -> PolarField:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuantumPotentialProfile:
-    """Quantum-potential values (energy units), NaN off the validity mask."""
+def _curvature_coefficient(params: PhysicalParams, space: str) -> float:
+    """The 1D quantum potential's coefficient of ``R''/R``: ``-hbar^2/2m`` in q and
+    ``-hbar^2 k/2`` in p.  For a linear potential the momentum-space equation is
+    first order in d/dp and carries no curvature term at all, so asking for its
+    coefficient is a usage error (see :func:`hj_residual_p_linear`)."""
+    if space == "q":
+        return -(params.hbar**2) / (2.0 * params.mass)
+    if not isinstance(params.potential, HarmonicPotential):
+        raise ValueError(
+            "no momentum-space quantum potential exists for a linear potential"
+        )
+    return -(params.hbar**2) * params.potential.k / 2.0
 
-    values: NDArray[np.float64]
-    mask: NDArray[np.bool_]
 
-
-def quantum_potential_q(pf: PolarField) -> QuantumPotentialProfile:
-    """Position-space quantum potential ``-(hbar^2/2m) R''/R`` on the mask.
+def quantum_potential(pf: PolarField) -> NDArray[np.float64]:
+    """Quantum potential (energy units) of a 1D state, NaN off ``pf.mask``:
+    ``-(hbar^2/2m) R''/R`` in position space, ``-(hbar^2 k/2) R''/R`` in
+    momentum space (harmonic only).
 
     The curvature ratio comes from :func:`relative_curvature` (log-space
     differences), which keeps the profile accurate all the way to the mask
     edge, where R is a millionth of its peak and any absolute error in a
     directly differentiated R would be amplified a millionfold.
     """
-    if pf.space != "q":
-        raise ValueError("quantum_potential_q expects a position-space polar field")
-    params = pf.params
-    curv = relative_curvature(pf.R, pf.grid.spacing)
+    coefficient = _curvature_coefficient(pf.params, pf.space)
     values = np.full(pf.R.shape, np.nan)
-    values[pf.mask] = -(params.hbar**2) / (2.0 * params.mass) * curv[pf.mask]
-    return QuantumPotentialProfile(values, pf.mask)
-
-
-def quantum_potential_p(pf: PolarField) -> QuantumPotentialProfile:
-    """Momentum-space quantum potential ``-(hbar^2 k/2) R''/R`` (harmonic only).
-
-    For a linear potential the momentum-space equation is first order in
-    d/dp and carries no curvature term at all — asking for its quantum
-    potential is a usage error (see :func:`hj_residual_p_linear`).
-    """
-    if pf.space != "p":
-        raise ValueError("quantum_potential_p expects a momentum-space polar field")
-    params = pf.params
-    if not isinstance(params.potential, HarmonicPotential):
-        raise ValueError(
-            "no momentum-space quantum potential exists for a linear potential"
-        )
-    k = params.potential.k
-    curv = relative_curvature(pf.R, pf.grid.spacing)
-    values = np.full(pf.R.shape, np.nan)
-    values[pf.mask] = -(params.hbar**2) * k / 2.0 * curv[pf.mask]
-    return QuantumPotentialProfile(values, pf.mask)
-
-
-# ---------------------------------------------------------------------------
-# shared residual plumbing
-# ---------------------------------------------------------------------------
-
-
-def _chi_triple(snapshots: Sequence[PhaseSpaceField]):
-    if any(s.kind != "chi" for s in snapshots):
-        raise ValueError("phase-space residuals start from untransformed chi fields")
-    return snapshot_triple(snapshots)
-
-
-def _report(
-    name: str, full: NDArray, mask: NDArray[np.bool_], measure: float, metadata: dict,
-    classical: NDArray | None = None, quantum: NDArray | None = None, fields: dict | None = None,
-    box: tuple = (),
-) -> ResidualReport:
-    """Report of a residual ``full`` (= ``classical + quantum`` when split).
-
-    The arrays cover the ``box`` crop of ``mask``'s grid.  Norms are taken
-    over the mask with the integration ``measure``; the norms of the
-    classical form and of the quantum term are added to ``metadata`` when
-    those pieces are given.  With ``fields`` the report carries them plus the
-    masked residual, classical form and quantum term; without, no arrays.
-    """
-    inside = mask[box]
-    if classical is not None:
-        metadata["classical_form_l2"] = masked_l2(classical, inside, measure)
-        metadata["classical_form_max"] = masked_max(classical, inside)
-    if quantum is not None:
-        metadata["quantum_term_l2"] = masked_l2(quantum, inside, measure)
-    if fields is not None:
-        pieces = {"residual": full, "classical_form": classical, "quantum_term": quantum}
-        fields = {k: masked_field(v, mask, box) for k, v in pieces.items() if v is not None} | fields
-    l2, peak = masked_l2(full, inside, measure), masked_max(full, inside)
-    return ResidualReport(name, l2, peak, masked_fraction(mask), metadata, fields or {})
+    values[pf.mask] = coefficient * relative_curvature(pf.R, pf.grid.spacing)[pf.mask]
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +197,7 @@ def _hj_setup(snapshots: Sequence[WaveFunction], space: str, potential: str | No
     S_t = hbar * np.angle(plus.values * np.conj(minus.values)) / (2.0 * dt)
     S_x = hbar * np.imag(np.conj(c) * spectral_derivative(c, grid, order=1)) / dens
     curv = relative_curvature(amp, grid.spacing)  # R''/R
-    metadata = {
-        "dt": dt,
-        "t": center.t,
-        "grid_n": grid.n_points,
-        "potential": params.potential.kind,
-    }
-    return params, grid, metadata, mask, S_t, S_x, curv
+    return params, grid, snapshot_metadata(center, dt), mask, S_t, S_x, curv
 
 
 def hj_residual_q(snapshots: Sequence[WaveFunction]) -> ResidualReport:
@@ -270,12 +211,11 @@ def hj_residual_q(snapshots: Sequence[WaveFunction]) -> ResidualReport:
     exactly as array arithmetic.
     """
     params, grid, metadata, mask, S_t, S_q, curv = _hj_setup(snapshots, "q")
-    m = params.mass
-    quantum = -(params.hbar**2) / (2.0 * m) * curv
-    classical = S_t + S_q**2 / (2.0 * m) + params.potential.value(grid.points)
-    return _report(
+    quantum = _curvature_coefficient(params, "q") * curv
+    classical = S_t + S_q**2 / (2.0 * params.mass) + params.potential.value(grid.points)
+    return residual_report(
         "qspace-hj", classical + quantum, mask, grid.spacing, metadata,
-        classical=classical, quantum=quantum, fields={"mask": mask, "axis": grid.points},
+        classical=classical, quantum=quantum, fields={"mask": mask},
     )
 
 
@@ -291,10 +231,7 @@ def hj_residual_p_linear(snapshots: Sequence[WaveFunction]) -> ResidualReport:
     params, grid, metadata, mask, S_t, S_p, _ = _hj_setup(snapshots, "p", "linear")
     full = S_t + grid.points**2 / (2.0 * params.mass) - params.potential.b * S_p
     metadata["quantum_term_l2"] = 0.0  # structurally absent, not merely small
-    return _report(
-        "pspace-hj-linear", full, mask, grid.spacing, metadata,
-        fields={"mask": mask, "axis": grid.points},
-    )
+    return residual_report("pspace-hj-linear", full, mask, grid.spacing, metadata, fields={"mask": mask})
 
 
 def hj_residual_p_harmonic(snapshots: Sequence[WaveFunction]) -> ResidualReport:
@@ -307,18 +244,23 @@ def hj_residual_p_harmonic(snapshots: Sequence[WaveFunction]) -> ResidualReport:
     way as :func:`hj_residual_q`.  Action convention S = +hbar arg(phi).
     """
     params, grid, metadata, mask, S_t, S_p, curv = _hj_setup(snapshots, "p", "harmonic")
-    k = params.potential.k
-    quantum = -(params.hbar**2) * k / 2.0 * curv
-    classical = S_t + grid.points**2 / (2.0 * params.mass) + k / 2.0 * S_p**2
-    return _report(
+    quantum = _curvature_coefficient(params, "p") * curv
+    classical = S_t + grid.points**2 / (2.0 * params.mass) + params.potential.k / 2.0 * S_p**2
+    return residual_report(
         "pspace-hj-harmonic", classical + quantum, mask, grid.spacing, metadata,
-        classical=classical, quantum=quantum, fields={"mask": mask, "axis": grid.points},
+        classical=classical, quantum=quantum, fields={"mask": mask},
     )
 
 
 # ---------------------------------------------------------------------------
 # phase-space Hamilton-Jacobi residuals (untransformed and sheared)
 # ---------------------------------------------------------------------------
+
+
+def _chi_triple(snapshots: Sequence[PhaseSpaceField]):
+    if any(s.kind != "chi" for s in snapshots):
+        raise ValueError("phase-space residuals start from untransformed chi fields")
+    return snapshot_triple(snapshots)
 
 
 def _hj_residual_2d(
@@ -410,22 +352,14 @@ def _hj_residual_2d(
         "alpha": alpha,
         "expected_coefficient": x,
         "fitted_coefficient": fitted,
-        "dt": dt,
-        "t": center.t,
-        "grid_n": grid.q_axis.n_points,
-        "potential": params.potential.kind,
+        **snapshot_metadata(center, dt),
         "term_basis_l2": masked_l2(T, inside, grid.cell),
         "remainder_l2": masked_l2(classical + fitted * T, inside, grid.cell),
     }
     fields = None
     if with_fields:
-        fields = {
-            "term_basis": masked_field(T, mask, box),
-            "q_term": masked_field(-(hbar**2) * ham.A * rqq, mask, box),
-            "p_term": masked_field(-(hbar**2) * ham.C * rpp, mask, box),
-            "mask": mask,
-        }
-    return _report(
+        fields = {"q_term": masked_field(-(hbar**2) * ham.A * rqq, mask, box), "mask": mask}
+    return residual_report(
         name, classical + quantum, mask, grid.cell, metadata,
         classical=classical, quantum=quantum, fields=fields, box=box,
     )

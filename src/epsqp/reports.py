@@ -74,6 +74,43 @@ def masked_fraction(mask: NDArray) -> float:
     return float(1.0 - mask.sum() / mask.size)
 
 
+def snapshot_metadata(center, dt: float) -> dict:
+    """The ``dt``, ``t``, ``grid_n`` and ``potential`` entries of a residual at the
+    ``center`` snapshot (a state or field; ``grid_n`` counts its q points)."""
+    return {
+        "dt": dt,
+        "t": center.t,
+        "grid_n": center.values.shape[-1],
+        "potential": center.params.potential.kind,
+    }
+
+
+def residual_report(
+    name: str, full: NDArray, mask: NDArray[np.bool_], measure: float, metadata: dict,
+    classical: NDArray | None = None, quantum: NDArray | None = None, fields: dict | None = None,
+    box: tuple = (),
+) -> ResidualReport:
+    """Report of a residual ``full`` (= ``classical + quantum`` when split).
+
+    The arrays cover the ``box`` crop of ``mask``'s grid.  Norms are taken
+    over the mask with the integration ``measure``; the norms of the
+    classical form and of the quantum term are added to ``metadata`` when
+    those pieces are given.  With ``fields`` the report carries them plus the
+    masked residual, classical form and quantum term; without, no arrays.
+    """
+    inside = mask[box]
+    if classical is not None:
+        metadata["classical_form_l2"] = masked_l2(classical, inside, measure)
+        metadata["classical_form_max"] = masked_max(classical, inside)
+    if quantum is not None:
+        metadata["quantum_term_l2"] = masked_l2(quantum, inside, measure)
+    if fields is not None:
+        pieces = {"residual": full, "classical_form": classical, "quantum_term": quantum}
+        fields = {k: masked_field(v, mask, box) for k, v in pieces.items() if v is not None} | fields
+    l2_norm, peak = masked_l2(full, inside, measure), masked_max(full, inside)
+    return ResidualReport(name, l2_norm, peak, masked_fraction(mask), metadata, fields or {})
+
+
 @dataclass(frozen=True)
 class LineFit:
     """Least-squares line ``y = slope * x + intercept``.

@@ -20,9 +20,9 @@ from .numerics import (
     HarmonicPotential,
     LinearPotential,
     PhysicalParams,
-    momentum_to_position,
     position_to_momentum,
 )
+from .reports import l2
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class WaveFunction:
 
     def norm(self) -> float:
         """Discrete L2 norm, ``sqrt(sum |f|^2 dx)``."""
-        return float(np.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.spacing))
+        return l2(self.values, self.grid.spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -156,18 +156,6 @@ def to_momentum_space(psi: WaveFunction) -> WaveFunction:
         raise ValueError("to_momentum_space expects a position-space state")
     values, p_grid = position_to_momentum(psi.values, psi.grid, psi.params.hbar)
     return WaveFunction(values, p_grid, "p", psi.t, psi.params)
-
-
-def to_position_space(phi: WaveFunction, q_grid: Grid1D) -> WaveFunction:
-    """Transform a momentum-space state back onto ``q_grid``.
-
-    The momentum grid fixes only the spacing and extent of the position
-    grid, not its origin, so the target grid must be supplied.
-    """
-    if phi.space != "p":
-        raise ValueError("to_position_space expects a momentum-space state")
-    values = momentum_to_position(phi.values, phi.grid, q_grid, phi.params.hbar)
-    return WaveFunction(values, q_grid, "q", phi.t, phi.params)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from .numerics import (
     Grid2D,
     GridError,
     amplitude_mask,
-    fd_time_derivative,
     fft2_passes,
     mask_box,
     paired_momentum_grid,
@@ -35,7 +34,7 @@ from .numerics import (
     spectral_derivative_2d,
     spectral_resample,
 )
-from .reports import ResidualReport, masked_field, masked_fraction, masked_l2, masked_max
+from .reports import ResidualReport, residual_report, snapshot_metadata
 from .states import WaveFunction
 
 
@@ -159,30 +158,16 @@ def wigner_equation_residual(wigners: Sequence[PhaseSpaceField]) -> ResidualRepo
     w_center = np.real(center.values)
     mask = amplitude_mask(np.abs(w_center))
     rows, cols = box = mask_box(mask)
-    inside = mask[box]
 
     m = center.params.mass
     p = grid.p_axis.points[rows, None]
     v_prime = center.params.potential.derivative(grid.q_axis.points[None, cols])
-    w_t = fd_time_derivative(np.real(minus.values[box]), np.real(plus.values[box]), dt)
+    w_t = (np.real(plus.values[box]) - np.real(minus.values[box])) / (2.0 * dt)
     w_q = np.real(spectral_derivative_2d(w_center[rows], grid, axis=1))[:, cols]
     w_p = np.real(spectral_derivative_2d(w_center[:, cols], grid, axis=0))[rows]
     residual = w_t + (p / m) * w_q - v_prime * w_p
 
-    return ResidualReport(
-        name="wigner-equation",
-        l2_norm=masked_l2(residual, inside, grid.cell),
-        max_norm=masked_max(residual, inside),
-        masked_fraction=masked_fraction(mask),
-        metadata={
-            "dt": dt,
-            "t": center.t,
-            "grid_n": grid.q_axis.n_points,
-            "potential": center.params.potential.kind,
-        },
-        fields={
-            "residual": masked_field(residual, mask, box),
-            "w_center": w_center,
-            "mask": mask,
-        },
+    return residual_report(
+        "wigner-equation", residual, mask, grid.cell, snapshot_metadata(center, dt),
+        fields={"w_center": w_center, "mask": mask}, box=box,
     )

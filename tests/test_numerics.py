@@ -15,14 +15,12 @@ from epsqp.numerics import (
     GridError,
     amplitude_mask,
     fd_mixed_partial,
-    fd_time_derivative,
     fft2_passes,
     log_amplitude,
     log_curvature,
     make_grid,
     mask_box,
     mask_runs,
-    momentum_to_position,
     paired_momentum_grid,
     position_to_momentum,
     pq_kernel,
@@ -188,8 +186,6 @@ def test_fourier_pair_round_trip_and_plancherel():
     g = make_grid(256, -10.0, 10.0)
     f = np.exp(-((g.points - 0.7) ** 2) + 0.3j * g.points)
     fp, p_grid = position_to_momentum(f, g, hbar=1.0)
-    back = momentum_to_position(fp, p_grid, g, hbar=1.0)
-    np.testing.assert_allclose(back, f, atol=1e-12)
     # unitary normalisation: sum |f|^2 dq == sum |fp|^2 dp
     nq = np.sum(np.abs(f) ** 2) * g.spacing
     np_ = np.sum(np.abs(fp) ** 2) * p_grid.spacing
@@ -268,16 +264,6 @@ def test_unwrap_respects_mask_runs():
 # ---------------------------------------------------------------------------
 
 
-def test_fd_time_derivative_exact_for_quadratics():
-    dt = 1e-3
-    t = 0.7
-    f = lambda s: 2.0 + 3.0 * s + 4.0 * s**2  # noqa: E731
-    got = fd_time_derivative(f(t - dt), f(t + dt), dt)
-    assert got == pytest.approx(3.0 + 8.0 * t, abs=1e-10)
-    with pytest.raises(ValueError):
-        fd_time_derivative(1.0, 1.0, 0.0)
-
-
 def test_fd_mixed_partial_exact_for_bilinear():
     q = make_grid(32, -4.0, 4.0)
     g2 = Grid2D.paired(q, hbar=1.0)
@@ -298,11 +284,6 @@ def test_fd_mixed_partial_respects_mask():
     # evaluable only where all four diagonal neighbours are valid
     assert valid.sum() == (8 - 4 - 2) ** 2
     assert np.all(np.isnan(mixed[~valid]))
-
-
-def test_grid_mismatch_raises():
-    with pytest.raises(GridError):
-        fd_time_derivative(np.zeros(4), np.zeros(5), 1e-3)
 
 
 def test_spectral_derivative_checks_length():

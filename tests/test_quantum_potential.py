@@ -8,7 +8,8 @@ import math
 import numpy as np
 import pytest
 
-from epsqp import numerics, quantum_potential, transforms
+import epsqp.quantum_potential
+from epsqp import numerics, transforms
 from epsqp.eps_core import PhaseSpaceField, chi_build
 from epsqp.numerics import (
     Grid2D,
@@ -26,8 +27,7 @@ from epsqp.quantum_potential import (
     hj_residual_q,
     hj_residual_transformed,
     polar_decompose,
-    quantum_potential_p,
-    quantum_potential_q,
+    quantum_potential,
 )
 from epsqp.states import (
     ho_coherent_state,
@@ -83,34 +83,34 @@ def test_ground_state_quantum_potential_q(q_grid, harmonic_params):
     # the quantum potential completes the classical energy balance of the
     # stationary state
     psi = ho_coherent_state(q_grid, harmonic_params, q0=0.0, p0=0.0, t=0.0)
-    prof = quantum_potential_q(polar_decompose(psi))
+    pf = polar_decompose(psi)
+    values = quantum_potential(pf)
     x = q_grid.points
     expected = 0.5 - 0.5 * x**2
-    assert np.max(np.abs(prof.values[prof.mask] - expected[prof.mask])) < 1e-8
+    assert np.max(np.abs(values[pf.mask] - expected[pf.mask])) < 1e-8
+    assert np.isnan(values[~pf.mask]).all()
     i0 = int(np.argmin(np.abs(x)))
-    assert prof.values[i0] == pytest.approx(0.5, abs=1e-10)
+    assert values[i0] == pytest.approx(0.5, abs=1e-10)
 
 
 def test_ground_state_quantum_potential_p(q_grid, harmonic_params):
     psi = ho_coherent_state(q_grid, harmonic_params, q0=0.0, p0=0.0, t=0.0)
     phi = to_momentum_space(psi)
-    prof = quantum_potential_p(polar_decompose(phi))
+    pf = polar_decompose(phi)
+    values = quantum_potential(pf)
     p = phi.grid.points
     expected = 0.5 - 0.5 * p**2
-    assert np.max(np.abs(prof.values[prof.mask] - expected[prof.mask])) < 1e-8
+    assert np.max(np.abs(values[pf.mask] - expected[pf.mask])) < 1e-8
 
 
-def test_quantum_potential_space_and_potential_guards(q_grid, harmonic_params, linear_params):
-    psi = ho_coherent_state(q_grid, harmonic_params, q0=0.0, p0=0.0, t=0.0)
-    phi = to_momentum_space(psi)
-    with pytest.raises(ValueError):
-        quantum_potential_q(polar_decompose(phi))
-    with pytest.raises(ValueError):
-        quantum_potential_p(polar_decompose(psi))
-    # no momentum-space curvature term exists for a linear potential
+def test_quantum_potential_space_and_potential_guards(q_grid, linear_params):
+    # a linear potential has a position-space quantum potential ...
     lin = linear_potential_gaussian(q_grid, linear_params, q0=0.0, p0=0.0, sigma0=1.0)
-    with pytest.raises(ValueError):
-        quantum_potential_p(polar_decompose(to_momentum_space(lin)))
+    pf = polar_decompose(lin)
+    assert np.isfinite(quantum_potential(pf)[pf.mask]).all()
+    # ... but no momentum-space curvature term at all
+    with pytest.raises(ValueError, match="linear potential"):
+        quantum_potential(polar_decompose(to_momentum_space(lin)))
 
 
 # ---------------------------------------------------------------------------
@@ -367,18 +367,18 @@ def test_alpha_sweep_frees_its_sheared_fields(temporary_arrays, harmonic_params)
 
 
 def test_eps_residual_allocates_little(temporary_arrays, harmonic_params):
-    # the six full-size float fields of the returned report are 3 n x n
-    # arrays; the evaluation itself works on the mask box (measured 3.48)
+    # the four full-size float fields of the returned report are 2 n x n
+    # arrays; the evaluation itself works on the mask box (measured 2.48)
     n = 512
     q_grid = make_grid(n, -10.0, 10.0)
     snaps = _chi_triplet(q_grid, Grid2D.paired(q_grid, harmonic_params.hbar), harmonic_params)
-    assert temporary_arrays(lambda: hj_residual_eps(snaps), n) <= 3.6
+    assert temporary_arrays(lambda: hj_residual_eps(snaps), n) <= 2.6
 
 
 def _whole_grid(monkeypatch):
     """Make every engine evaluate on the whole grid instead of the mask box."""
     whole = lambda mask: (slice(None), slice(None))  # noqa: E731
-    for module in (numerics, quantum_potential, transforms):
+    for module in (numerics, epsqp.quantum_potential, transforms):
         monkeypatch.setattr(module, "mask_box", whole)
 
 

@@ -16,7 +16,6 @@ from epsqp.states import (
     linear_potential_gaussian,
     splitstep_propagate,
     to_momentum_space,
-    to_position_space,
 )
 
 HYP = settings(max_examples=25, deadline=None)
@@ -160,14 +159,6 @@ def test_ground_state_momentum_profile(q_grid, harmonic_params):
     expected = np.pi**-0.25 * np.exp(-(phi.grid.points**2) / 2.0)
     assert np.max(np.abs(phi.values - expected)) < 1e-10
     assert phi.space == "p"
-
-
-def test_momentum_round_trip(q_grid, harmonic_params):
-    psi = ho_coherent_state(q_grid, harmonic_params, q0=0.8, p0=-0.3, t=0.2)
-    back = to_position_space(to_momentum_space(psi), q_grid)
-    np.testing.assert_allclose(back.values, psi.values, atol=1e-12)
-    assert back.space == "q"
-    assert back.t == psi.t
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -232,3 +233,17 @@ def test_wigner_transport_for_falling_packet(q_grid, grid2, linear_params):
 def test_wigner_residual_needs_wigner_fields(ground_chi):
     with pytest.raises(ValueError, match="wigner_direct"):
         wigner_equation_residual([ground_chi] * 3)
+
+
+def test_wigner_residual_rejects_bad_triples(ground_state, grid2):
+    w = wigner_direct(ground_state, grid2)
+    at = [replace(w, t=t) for t in (0.0, 1e-3, 2e-3, 3e-3)]
+    with pytest.raises(ValueError, match="exactly three"):
+        wigner_equation_residual(at[:2])
+    with pytest.raises(ValueError, match="equally spaced"):
+        wigner_equation_residual([at[0], at[1], at[3]])
+    with pytest.raises(ValueError, match="equally spaced"):  # dt <= 0
+        wigner_equation_residual(at[2::-1])
+    shifted = Grid2D.paired(make_grid(grid2.q_axis.n_points, -8.0, 8.0), hbar=1.0)
+    with pytest.raises(ValueError, match="different grids"):
+        wigner_equation_residual([at[0], at[1], replace(at[2], grid=shifted)])
