@@ -60,13 +60,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _coerce(name: str, value):
-    """Coerce a config-file value to the dataclass field's type."""
-    if name == "grid_n":
-        return int(value)
-    if name == "alphas":
-        return tuple(float(v) for v in value)
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def _coerce(name: str, value):
+    """A config-file value as the dataclass field's type: a JSON number, an integer
+    for ``grid_n``, a list of numbers for ``alphas``.  Booleans, strings and
+    fractional grid sizes are a ``TypeError``, never silently converted."""
+    if name == "grid_n":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"expected an integer, got {value!r}")
+        return value
+    if name == "alphas":
+        return tuple(_number(v) for v in value)
+    return _number(value)
 
 
 def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
@@ -84,7 +94,7 @@ def _load_config(path: str, parser: argparse.ArgumentParser) -> dict:
             parser.error(f"unknown config key {key!r}")
         try:
             overrides[key] = _coerce(key, value)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, OverflowError) as exc:
             parser.error(f"bad value for config key {key!r}: {exc}")
     return overrides
 
@@ -120,38 +130,25 @@ def _gather_bundles(report: ScenarioReport) -> dict:
     return dict(report.field_bundles)
 
 
-def _format_value(x: float) -> str:
-    return "%.17g" % x
-
-
 def _write_csv(path: Path, bundle: dict) -> None:
+    """One row per sample, ``%.17g`` coordinates, real and imaginary parts and a ``%d``
+    masked flag; a 2-D bundle's rows run over p within each q."""
     values = np.asarray(bundle["values"])
     mask = bundle.get("mask")
-    lines = []
+    masked = np.zeros(values.shape) if mask is None else ~np.asarray(mask, dtype=bool)
     if bundle["kind"] == "2d":
-        p = bundle["p"]
-        q = bundle["q"]
-        lines.append("q,p,re,im,masked")
-        for j in range(len(q)):
-            for i in range(len(p)):
-                v = complex(values[i, j])
-                flag = 0 if mask is None else int(not bool(mask[i, j]))
-                lines.append(
-                    f"{_format_value(q[j])},{_format_value(p[i])},"
-                    f"{_format_value(v.real)},{_format_value(v.imag)},{flag}"
-                )
+        header = "q,p"
+        axes = (
+            np.broadcast_to(bundle["q"], values.shape),
+            np.broadcast_to(np.asarray(bundle["p"])[:, None], values.shape),
+        )
     else:
-        axis_name = bundle["axis_name"]
-        axis = bundle["axis"]
-        lines.append(f"{axis_name},re,im,masked")
-        for i in range(len(axis)):
-            v = complex(values[i])
-            flag = 0 if mask is None else int(not bool(mask[i]))
-            lines.append(
-                f"{_format_value(axis[i])},"
-                f"{_format_value(v.real)},{_format_value(v.imag)},{flag}"
-            )
-    path.write_text("\n".join(lines) + "\n")
+        header, axes = bundle["axis_name"], (bundle["axis"],)
+    columns = [np.ravel(c, order="F") for c in (*axes, values.real, values.imag, masked)]
+    np.savetxt(
+        path, np.column_stack(columns), fmt=["%.17g"] * (len(columns) - 1) + ["%d"],
+        delimiter=",", header=f"{header},re,im,masked", comments="",
+    )
 
 
 def _select_bundles(report: ScenarioReport, selector: str | None,

@@ -223,26 +223,19 @@ def inverse_on_box(spectrum: NDArray[np.complex128], box: tuple) -> NDArray[np.c
     return np.fft.ifft(spectrum[:, cols], axis=0)[rows].copy()
 
 
-def field_and_gradients(spectrum: NDArray[np.complex128], grid: Grid2D) -> tuple:
-    """A field's amplitude mask, and the field with its spectral gradients on the mask's box.
+def mask_box_gradients(values: NDArray, grid: Grid2D) -> tuple:
+    """A whole 2D field's amplitude mask, and the field with its spectral gradients on
+    the mask's box.
 
-    From the ``fft2`` spectrum, ``f = ifft_q(B)`` with ``B = ifft_p(spectrum)``
-    is taken on the whole grid, since the mask needs ``|f|`` everywhere.  With
-    ``box = mask_box(mask)``, ``f_q = ifft_q(i k_q B)`` then runs on the box
-    rows only and ``f_p = ifft_p(i k_p ifft_q(spectrum))`` on the box columns
-    only.  Returns ``(mask, box, f, f_q, f_p)`` with the fields as new
-    box-sized arrays.  ``spectrum`` is consumed.
+    ``f_q`` is :func:`spectral_derivative_2d` of the box rows and ``f_p`` that of the
+    box columns, so only those lanes are transformed.  Returns ``(mask, box, f, f_q,
+    f_p)`` with ``box = mask_box(mask)`` and the fields as new box-sized arrays.
     """
-    g = np.fft.ifft(spectrum, axis=1)
-    b = np.fft.ifft(spectrum, axis=0, out=spectrum)
-    f = np.fft.ifft(b, axis=1)
-    mask = amplitude_mask(np.abs(f))
+    mask = amplitude_mask(np.abs(values))
     rows, cols = box = mask_box(mask)
-    f_q = b[rows] * (1j * grid.q_axis.wavenumbers[None, :])
-    f_p = g[:, cols] * (1j * grid.p_axis.wavenumbers[:, None])
-    del g, b
-    f_q, f_p = np.fft.ifft(f_q, axis=1, out=f_q), np.fft.ifft(f_p, axis=0, out=f_p)
-    return mask, box, f[box].copy(), f_q[:, cols].copy(), f_p[rows].copy()
+    f_q = spectral_derivative_2d(values[rows], grid, axis=1)[:, cols].copy()
+    f_p = spectral_derivative_2d(values[:, cols], grid, axis=0)[rows].copy()
+    return mask, box, values[box].copy(), f_q, f_p
 
 
 def relative_curvature(amplitude: NDArray, spacing: float, axis: int = 0) -> NDArray[np.float64]:

@@ -22,7 +22,8 @@ hold on sampled states, using three estimators chosen for conditioning
 
 * spatial action gradients from the algebraic identity
   S_x = hbar Im(conj(f) f_x)/|f|^2 with spectral f_x — no truncation
-  error at all (a sheared field's f_x comes from its sheared spectrum);
+  error at all (every phase-space f_x comes from
+  :func:`~epsqp.numerics.mask_box_gradients`);
 * the action time derivative from the phase of the snapshot ratio,
   S_t = hbar arg(f(t+dt) conj(f(t-dt)))/(2 dt), whose error is exactly
   (dt^2/6) d^3S/dt^3.  The naive Im(conj(f) df/dt)/|f|^2 form hides an
@@ -62,16 +63,14 @@ from .numerics import (
     PhysicalParams,
     amplitude_mask,
     fft2_passes,
-    field_and_gradients,
     inverse_on_box,
     log_amplitude,
     log_curvature,
-    mask_box,
+    mask_box_gradients,
     pq_kernel,
     relative_curvature,
     snapshot_triple,
     spectral_derivative,
-    spectral_derivative_2d,
     unwrap_phase_1d,
 )
 from .reports import (
@@ -272,13 +271,15 @@ def _hj_residual_2d(
     snapshots (see :func:`_chi_triple`).  At alpha != 0 the engine shears
     them itself from their ``fft2`` ``spectra``, so one set of spectra
     serves any number of alphas and no caller holds a sheared field.  Only
-    the box of the centre's amplitude mask (:func:`mask_box`) is evaluated:
-    the centre field, whose mask needs it whole, is sheared first, and the
-    last inverse pass of its gradients and of the t +- dt fields runs on the
-    box rows or columns only.  The estimators of the module docstring are
-    applied to the transformed fields: the phase of the plus/minus snapshot
-    ratio is immune to the catastrophic cancellation a literal difference
-    of the sheared fields would suffer near the mask edge.
+    the box of the centre's amplitude mask is evaluated, with the mask, box
+    and gradients of :func:`~epsqp.numerics.mask_box_gradients` applied to
+    the whole centre field: the peeled chi at alpha = 0, whose t +- dt
+    fields are read on the box as they are, and the sheared chi otherwise,
+    whose t +- dt fields come from :func:`~epsqp.numerics.inverse_on_box`.
+    The estimators of the module docstring are applied to the transformed
+    fields: the phase of the plus/minus snapshot ratio is immune to the
+    catastrophic cancellation a literal difference of the sheared fields
+    would suffer near the mask edge.
 
     Residual pieces:
 
@@ -299,28 +300,25 @@ def _hj_residual_2d(
     m, hbar = params.mass, params.hbar
 
     if alpha == 0.0:
-        amp = np.abs(center.values)
-        mask = amplitude_mask(amp)
-        rows, cols = box = mask_box(mask)
-        amp = amp[box].copy()
         # An untransformed chi carries the kernel exp(-i p q / hbar), so the
         # p-spectrum of the row at q is centred near wavenumber -q/hbar: on the
         # outer mask rows its tails reach the (coarse) momentum Nyquist and floor
         # a direct spectral gradient.  So peel the kernel, differentiate the
         # centred remainder and restore the kernel's exact gradients (-p into
         # S_q, -q into S_p) below; it is static, so it cancels in S_t.
-        f = center.values * pq_kernel(grid, hbar, 1)  # whole grid: numpy's elided operand order
-        f_q = spectral_derivative_2d(f[rows], grid, axis=1)[:, cols].copy()
-        f_p = spectral_derivative_2d(f[:, cols], grid, axis=0)[rows].copy()
-        f = f[box].copy()
+        peeled = center.values * pq_kernel(grid, hbar, 1)  # numpy's elided operand order
+        mask, box, f, f_q, f_p = mask_box_gradients(peeled, grid)
+        del peeled
         minus, plus = triple[0].values[box], triple[2].values[box]
     else:  # each sheared field is an inverse transform of multiplier * spectrum
         multiplier = shear_multiplier(grid, alpha, hbar)
-        mask, box, f, f_q, f_p = field_and_gradients(multiplier * spectra[1], grid)
-        amp = np.abs(f)
+        sheared = fft2_passes(multiplier * spectra[1], inverse=True, in_place=True)
+        mask, box, f, f_q, f_p = mask_box_gradients(sheared, grid)
+        del sheared
         minus = inverse_on_box(multiplier * spectra[0], box)
         plus = inverse_on_box(np.multiply(multiplier, spectra[2], out=multiplier), box)
         del multiplier
+    amp = np.abs(f)
     ratio = np.conj(minus)
     ratio *= plus
     S_t = hbar * np.angle(ratio) / (2.0 * dt)

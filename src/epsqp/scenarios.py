@@ -341,7 +341,8 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
     }
 
     # ground-state closed form: W(p, q) = 2 exp(-q^2 - p^2) in natural units
-    # (general: 2 exp(-m w q^2 / hbar - p^2 / (m w hbar))), peak value 2.
+    # (general: 2 exp(-m w q^2 / hbar - p^2 / (m w hbar))), peak value 2 at
+    # any hbar in the lag-y measure of wigner_direct.
     psi_g = ho_coherent_state(g, params, 0.0, 0.0, 0.0)
     w_g = np.real(wigner_direct(psi_g, g2).values)
     p, q = g2.p_axis.points[:, None], g.points[None, :]
@@ -357,14 +358,14 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
     )
 
     # marginals of the coherent-state Wigner function: integrating out p
-    # leaves 2 pi |psi(q)|^2, integrating out q leaves 2 pi |phi(p)|^2
-    # (the 2 pi hbar of the correlation integral divided by the hbar of
-    # the tau measure).
+    # leaves 2 pi hbar |psi(q)|^2, integrating out q leaves 2 pi hbar
+    # |phi(p)|^2 (the correlation integral runs over the lag y, without the
+    # 1/(2 pi hbar) prefactor).
     phi = to_momentum_space(psi)
     marg_q = w.sum(axis=0) * g2.p_axis.spacing
     marg_p = w.sum(axis=1) * g.spacing
-    dens_q = 2.0 * np.pi * np.abs(psi.values) ** 2
-    dens_p = 2.0 * np.pi * np.abs(phi.values) ** 2
+    dens_q = 2.0 * np.pi * params.hbar * np.abs(psi.values) ** 2
+    dens_p = 2.0 * np.pi * params.hbar * np.abs(phi.values) ** 2
     report.checks.append(
         make_check(
             "wigner-marginal-q-rel-err",

@@ -26,12 +26,10 @@ from .eps_core import PhaseSpaceField
 from .numerics import (
     Grid2D,
     GridError,
-    amplitude_mask,
     fft2_passes,
-    mask_box,
+    mask_box_gradients,
     paired_momentum_grid,
     snapshot_triple,
-    spectral_derivative_2d,
     spectral_resample,
 )
 from .reports import ResidualReport, residual_report, snapshot_metadata
@@ -87,24 +85,27 @@ def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> PhaseSpace
 def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     """Wigner function by direct correlation quadrature, no prefactor:
 
-        W(p, q) = integral psi(q + hbar tau / 2) conj(psi)(q - hbar tau / 2)
-                  exp(-i p tau) d tau
+        W(p, q) = integral psi(q + y / 2) conj(psi)(q - y / 2) exp(-i p y / hbar) dy
+
+    In this measure the harmonic ground state peaks at ``W(0, 0) = 2``, the
+    marginals are ``2 pi hbar`` times the position and momentum densities and
+    the -1/2 shear of chi is ``W / sqrt(2 pi hbar)``, at any hbar.
 
     The state is first resampled onto a twice-finer grid by spectral
     zero-padding (exact evaluation of the grid's trigonometric
-    interpolant), so the half-spacing shifts ``q +- hbar tau / 2`` land on
-    grid points with tau spacing ``dq / hbar``.  That spacing puts the
-    first quadrature alias a full paired-momentum extent away, outside the
-    support of any resolved state.
+    interpolant), so the half-spacing shifts ``q +- y / 2`` land on grid
+    points with lag spacing ``dq``.  That spacing puts the first quadrature
+    alias a full paired-momentum extent away, outside the support of any
+    resolved state.
 
-    ``grid`` must be Fourier-paired.  On the paired p axis ``tau_l p_j =
+    ``grid`` must be Fourier-paired.  On the paired p axis ``y_l p_j / hbar =
     2 pi l (j - n/2) / n``, so the sum over the 2n lags ``l`` folds modulo
     ``n`` with the sign ``(-1)^l`` into one length-n FFT per q column.  The
     products of lags ``-n .. -1`` fill one n x n buffer and those of lags
     ``0 .. n-1`` are added on top, so the n x 2n correlation is never stored.
 
     The imaginary part of the discrete sum is below roundoff (the
-    correlation is Hermitian in tau up to one unpaired endpoint whose
+    correlation is Hermitian in the lag up to one unpaired endpoint whose
     contribution is negligible for states that decay at the grid edge);
     the real part is returned as a ``kind="wigner"`` field.
     """
@@ -129,8 +130,7 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     folded += np.conj(windows[:, n:0:-1]) * windows[:, n:-1]  # lags 0 .. n-1
     folded[:, 1::2] *= -1.0
 
-    d_tau = grid.q_axis.spacing / hbar
-    w = d_tau * np.real(np.fft.fft(folded, axis=1)).T
+    w = grid.q_axis.spacing * np.real(np.fft.fft(folded, axis=1)).T
     del folded
     return PhaseSpaceField(w.astype(complex), grid, psi.t, psi.params, kind="wigner")
 
@@ -148,24 +148,22 @@ def wigner_equation_residual(wigners: Sequence[PhaseSpaceField]) -> ResidualRepo
     (t - dt, t, t + dt) under the same parameters; taking the fields rather
     than the states lets a caller reuse a snapshot's Wigner function.
 
-    Only the box of the centre's amplitude mask (:func:`mask_box`) is
-    evaluated, and the ``residual`` field is NaN off the mask.
+    Only the box of the centre's amplitude mask is evaluated, with the
+    gradients of :func:`mask_box_gradients`, and the ``residual`` field is
+    NaN off the mask.
     """
     if any(w.kind != "wigner" for w in wigners):
         raise ValueError("the Wigner equation residual needs wigner_direct fields")
     minus, center, plus, dt = snapshot_triple(wigners)
     grid = center.grid
     w_center = np.real(center.values)
-    mask = amplitude_mask(np.abs(w_center))
-    rows, cols = box = mask_box(mask)
+    mask, box, _, w_q, w_p = mask_box_gradients(w_center, grid)
 
     m = center.params.mass
-    p = grid.p_axis.points[rows, None]
-    v_prime = center.params.potential.derivative(grid.q_axis.points[None, cols])
+    p = grid.p_axis.points[box[0], None]
+    v_prime = center.params.potential.derivative(grid.q_axis.points[None, box[1]])
     w_t = (np.real(plus.values[box]) - np.real(minus.values[box])) / (2.0 * dt)
-    w_q = np.real(spectral_derivative_2d(w_center[rows], grid, axis=1))[:, cols]
-    w_p = np.real(spectral_derivative_2d(w_center[:, cols], grid, axis=0))[rows]
-    residual = w_t + (p / m) * w_q - v_prime * w_p
+    residual = w_t + (p / m) * np.real(w_q) - v_prime * np.real(w_p)
 
     return residual_report(
         "wigner-equation", residual, mask, grid.cell, snapshot_metadata(center, dt),

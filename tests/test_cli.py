@@ -144,21 +144,34 @@ def test_any_scenario_exception_returns_three(capsys, monkeypatch, error):
         pytest.param({"hbar": -1}, id="config-hbar=-1"),
         pytest.param({"spring_k": -1}, id="config-spring_k=-1"),
         pytest.param({"sigma0": -1}, id="config-sigma0=-1"),
+        # values JSON holds but the config would only get by coercion
+        pytest.param({"grid_n": 64.9}, id="config-grid_n=64.9"),
+        pytest.param({"grid_n": 64.0}, id="config-grid_n=64.0"),
+        pytest.param({"grid_n": True}, id="config-grid_n=true"),
+        pytest.param({"mass": True}, id="config-mass=true"),
+        pytest.param({"dt": "0.001"}, id="config-dt-string"),
+        pytest.param({"alphas": [-1, -0.5, True]}, id="config-alphas-bool"),
+        pytest.param({"alphas": [-1, "-0.5", 0]}, id="config-alphas-string"),
+        pytest.param({"hbar": 10**400}, id="config-hbar-overflow"),
     ],
 )
 def test_bad_config_values_fail_before_any_scenario(capsys, tmp_path, flag):
     # the configuration is validated when it is built and unknown flags
     # (such as --parallel) are rejected by the parser, so 'run all' stops
     # with a usage error instead of a numerical failure midway; a dict is
-    # passed as a --config file
+    # passed as a --config file, and the error names its key
+    key = None
     if isinstance(flag, dict):
+        (key,) = flag
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(flag))
         flag = f"--config={cfg_file}"
     with pytest.raises(SystemExit) as exc_info:
         main(["run", "all", flag])
     assert exc_info.value.code == 2
-    assert capsys.readouterr().out == ""
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert key is None or key in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,14 @@ import math
 import numpy as np
 import pytest
 
-import epsqp.quantum_potential
-from epsqp import numerics, transforms
+from epsqp import numerics
 from epsqp.eps_core import PhaseSpaceField, chi_build
 from epsqp.numerics import (
     Grid2D,
     amplitude_mask,
-    field_and_gradients,
     make_grid,
     mask_box,
+    mask_box_gradients,
     spectral_derivative_2d,
 )
 from epsqp.quantum_potential import (
@@ -34,7 +33,7 @@ from epsqp.states import (
     linear_potential_gaussian,
     to_momentum_space,
 )
-from epsqp.transforms import shear_multiplier, wigner_equation_residual
+from epsqp.transforms import shear_multiplier, wigner_direct, wigner_equation_residual
 
 
 def _chi_triplet(q_grid, grid2, params, t=0.4, dt=1e-3, q0=0.5, p0=0.0, linear=False):
@@ -280,41 +279,51 @@ def test_alpha_sweep_equals_per_alpha_residuals(sweep_inputs):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("alpha", [-1.0, -0.75, -0.5, -0.25])
-@pytest.mark.parametrize("values", ["chi", "random"])
-def test_sheared_gradients_come_from_the_spectrum(sweep_inputs, alpha, values):
-    # the engine takes the sheared field and its gradients from the sheared
-    # spectrum; they must match a round-trip derivative of ifft2(M X)
+@pytest.mark.parametrize(
+    "values, alpha",
+    [*((v, a) for v in ("chi", "random") for a in (-1.0, -0.75, -0.5, -0.25)), ("wigner", 0.0)],
+)
+def test_mask_box_gradients_match_whole_grid_derivatives(sweep_inputs, values, alpha):
+    # every phase-space residual takes its mask, box and gradients from
+    # mask_box_gradients: a sheared chi, any complex field, a real Wigner
+    # function.  On the box they must be the whole-grid derivatives.
     center = sweep_inputs[1]
     grid = center.grid
     if values == "chi":
         f = center.values
-    else:
+    elif values == "random":
         rng = np.random.default_rng(7)
         f = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    spectrum = shear_multiplier(grid, alpha, center.params.hbar) * np.fft.fft2(f)
-    sheared = np.fft.ifft2(spectrum)
+    else:
+        psi = ho_coherent_state(grid.q_axis, center.params, q0=0.5, p0=0.0, t=center.t)
+        f = np.real(wigner_direct(psi, grid).values)
+    if alpha != 0.0:
+        f = np.fft.ifft2(shear_multiplier(grid, alpha, center.params.hbar) * np.fft.fft2(f))
+    mask, box, *fields = mask_box_gradients(f, grid)
+    np.testing.assert_array_equal(mask, amplitude_mask(np.abs(f)))
+    assert box == mask_box(mask)
+    if values != "random":
+        assert box != (slice(None), slice(None))
     expected = (
-        sheared,
-        spectral_derivative_2d(sheared, grid, axis=1),
-        spectral_derivative_2d(sheared, grid, axis=0),
+        f,
+        spectral_derivative_2d(f, grid, axis=1),
+        spectral_derivative_2d(f, grid, axis=0),
     )
-    mask, box, *fields = field_and_gradients(spectrum, grid)
-    inside = mask[box]
-    assert inside.sum() == mask.sum() == amplitude_mask(np.abs(sheared)).sum()
     for got, want in zip(fields, expected):
-        want = want[box][inside]
-        assert np.max(np.abs(got[inside] - want)) <= 1e-12 * np.max(np.abs(want))
+        want = want[box]
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("alpha, passes", [(-0.75, (6, 9, 1650)), (0.0, (2, 2, 180))])
+@pytest.mark.parametrize("alpha, passes", [(-0.75, (8, 8, 3100)), (0.0, (2, 2, 360))])
 def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, alpha, passes):
     # alpha != 0: two forward passes per snapshot spectrum, two inverse
-    # passes per sheared t +- dt field and five for the centre field and its
-    # gradients.  alpha = 0 builds no spectra: one round trip per gradient.
-    # The last entry bounds the inverse lanes: at n = 256 the box prunes
-    # alpha = -0.75 to 1635 lanes (9 whole passes are 2304) and alpha = 0 to
-    # 173 (2 whole passes are 512).
+    # passes for the sheared centre and for each sheared t +- dt field, and
+    # one round trip per gradient.  alpha = 0 builds no spectra: one round
+    # trip per gradient.  The last entry bounds the forward and inverse
+    # lanes together: at n = 256 the box prunes alpha = -0.75 to 3052 lanes
+    # (its 16 whole passes are 4096) and alpha = 0 to 346 (4 whole passes
+    # are 1024).
     calls = dict.fromkeys(("fft", "ifft", "fft2", "ifft2"), 0)
     lanes = dict.fromkeys(calls, 0)
     for name in calls:
@@ -326,7 +335,8 @@ def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, alpha, passe
         monkeypatch.setattr(np.fft, name, counted)
     hj_residual_transformed(sweep_inputs, alpha)
     assert calls == {"fft": passes[0], "ifft": passes[1], "fft2": 0, "ifft2": 0}
-    assert lanes["ifft"] <= passes[2] < passes[1] * sweep_inputs[1].grid.shape[0]
+    whole = (passes[0] + passes[1]) * sweep_inputs[1].grid.shape[0]
+    assert sum(lanes.values()) <= passes[2] < whole
 
 
 def _array_bytes(obj) -> int:
@@ -355,15 +365,15 @@ def test_alpha_sweep_memory_does_not_grow_with_alphas(harmonic_params):
 
 def test_alpha_sweep_frees_its_sheared_fields(temporary_arrays, harmonic_params):
     # The sweep holds the three spectra and the engine one multiplier; the
-    # centre field's whole-grid passes set the peak, every later array is
-    # box-sized and nothing outside the engine keeps a sheared field, so the
-    # peak beyond the three chi snapshots stays under 7.8 n x n arrays
-    # (measured 7.73).
+    # sheared centre field and its amplitude mask set the peak, every later
+    # array is box-sized and nothing outside the engine keeps a sheared
+    # field, so the peak beyond the three chi snapshots stays under 5.8
+    # n x n arrays (measured 5.74).
     n = 512
     q_grid = make_grid(n, -10.0, 10.0)
     snaps = _chi_triplet(q_grid, Grid2D.paired(q_grid, harmonic_params.hbar), harmonic_params)
     alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
-    assert temporary_arrays(lambda: alpha_sweep(snaps, alphas), n) <= 7.8
+    assert temporary_arrays(lambda: alpha_sweep(snaps, alphas), n) <= 5.8
 
 
 def test_eps_residual_allocates_little(temporary_arrays, harmonic_params):
@@ -376,10 +386,9 @@ def test_eps_residual_allocates_little(temporary_arrays, harmonic_params):
 
 
 def _whole_grid(monkeypatch):
-    """Make every engine evaluate on the whole grid instead of the mask box."""
-    whole = lambda mask: (slice(None), slice(None))  # noqa: E731
-    for module in (numerics, epsqp.quantum_potential, transforms):
-        monkeypatch.setattr(module, "mask_box", whole)
+    """Make every engine evaluate on the whole grid instead of the mask box: all of
+    them take their box from ``numerics.mask_box_gradients``."""
+    monkeypatch.setattr(numerics, "mask_box", lambda mask: (slice(None), slice(None)))
 
 
 def _same_report(got, want):

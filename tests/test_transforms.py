@@ -121,19 +121,22 @@ def test_transformed_hamiltonian_is_the_alpha_family(harmonic_params):
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
-def test_ground_state_wigner_profile(q_grid, grid2, harmonic_params, n):
-    # W(p, q) = 2 (-1)^n L_n(2 (q^2 + p^2)) exp(-q^2 - p^2) in this
-    # normalisation (unit phase-space integral with the 1/(2 pi) measure;
-    # value 2 (-1)^n at the origin).  For n >= 1 it goes negative.
-    psi = ho_eigenstate(q_grid, harmonic_params, n)
-    W = wigner_direct(psi, grid2)
-    r2 = grid2.q_axis.points[None, :] ** 2 + grid2.p_axis.points[:, None] ** 2
-    coeffs = np.zeros(n + 1)
-    coeffs[n] = 1.0
-    expected = 2.0 * (-1) ** n * np.polynomial.laguerre.lagval(2.0 * r2, coeffs) * np.exp(-r2)
-    assert np.max(np.abs(W.values.real - expected)) < 1e-8
-    assert np.max(np.abs(W.values.imag)) < 1e-12
-    assert W.kind == "wigner"
+def test_ground_state_wigner_profile(q_grid, harmonic_params, n):
+    # W(p, q) = 2 (-1)^n L_n(2 r^2) exp(-r^2), r^2 = (q^2 + p^2) / hbar, in
+    # this normalisation (unit phase-space integral with the 1/(2 pi hbar)
+    # measure; value 2 (-1)^n at the origin at any hbar).  For n >= 1 it
+    # goes negative.
+    for hbar in (1.0, 0.5):
+        grid2 = Grid2D.paired(q_grid, hbar)
+        psi = ho_eigenstate(q_grid, replace(harmonic_params, hbar=hbar), n)
+        W = wigner_direct(psi, grid2)
+        r2 = (grid2.q_axis.points[None, :] ** 2 + grid2.p_axis.points[:, None] ** 2) / hbar
+        coeffs = np.zeros(n + 1)
+        coeffs[n] = 1.0
+        expected = 2.0 * (-1) ** n * np.polynomial.laguerre.lagval(2.0 * r2, coeffs) * np.exp(-r2)
+        assert np.max(np.abs(W.values.real - expected)) < 1e-8
+        assert np.max(np.abs(W.values.imag)) < 1e-12
+        assert W.kind == "wigner"
 
 
 def test_wigner_matches_direct_lag_sum(q_grid, grid2, harmonic_params):
@@ -153,41 +156,39 @@ def test_wigner_matches_direct_lag_sum(q_grid, grid2, harmonic_params):
     assert np.max(np.abs(W.values.real - expected)) < 1e-12
 
 
-def test_wigner_marginals(q_grid, grid2, harmonic_params):
-    # integrating out p recovers 2 pi |psi(q)|^2; integrating out q gives
-    # 2 pi |phi(p)|^2 (the 2 pi is this construction's fixed measure)
-    psi = ho_coherent_state(q_grid, harmonic_params, q0=0.8, p0=-0.5, t=0.3)
-    phi = to_momentum_space(psi)
-    W = wigner_direct(psi, grid2)
-    dp = grid2.p_axis.spacing
-    dq = grid2.q_axis.spacing
-    marg_q = np.sum(W.values.real, axis=0) * dp
-    marg_p = np.sum(W.values.real, axis=1) * dq
-    np.testing.assert_allclose(
-        marg_q, 2.0 * np.pi * np.abs(psi.values) ** 2, atol=1e-9
-    )
-    np.testing.assert_allclose(
-        marg_p, 2.0 * np.pi * np.abs(phi.values) ** 2, atol=1e-9
-    )
+def test_wigner_marginals(q_grid, harmonic_params):
+    # integrating out p recovers 2 pi hbar |psi(q)|^2; integrating out q
+    # gives 2 pi hbar |phi(p)|^2 (the 2 pi hbar is the lag-y measure's)
+    for hbar in (1.0, 0.5):
+        grid2 = Grid2D.paired(q_grid, hbar)
+        psi = ho_coherent_state(q_grid, replace(harmonic_params, hbar=hbar), q0=0.8, p0=-0.5, t=0.3)
+        phi = to_momentum_space(psi)
+        W = wigner_direct(psi, grid2)
+        marg_q = np.sum(W.values.real, axis=0) * grid2.p_axis.spacing
+        marg_p = np.sum(W.values.real, axis=1) * grid2.q_axis.spacing
+        np.testing.assert_allclose(marg_q, 2.0 * np.pi * hbar * np.abs(psi.values) ** 2, atol=1e-9)
+        np.testing.assert_allclose(marg_p, 2.0 * np.pi * hbar * np.abs(phi.values) ** 2, atol=1e-9)
 
 
-def test_wigner_matches_half_shear_of_chi(q_grid, grid2, harmonic_params):
+def test_wigner_matches_half_shear_of_chi(q_grid, harmonic_params):
     # the central identity: shearing the product distribution by -1/2
     # reproduces the independent correlation-quadrature Wigner function, up
     # to the fixed overall constant 1/sqrt(2 pi hbar) the two conventions
     # differ by
-    psi = ho_coherent_state(q_grid, harmonic_params, q0=1.0, p0=0.0, t=0.4)
-    chi = chi_build(psi, to_momentum_space(psi), grid2)
-    sheared = apply_extended_transform(chi, -0.5)
-    W = wigner_direct(psi, grid2)
-    c = 1.0 / math.sqrt(2.0 * math.pi * harmonic_params.hbar)
-    num = np.sqrt(np.sum(np.abs(sheared.values - c * W.values) ** 2))
-    den = np.sqrt(np.sum(np.abs(sheared.values) ** 2))
-    assert num / den < 1e-8
-    # and the sheared field is real to the same precision
-    assert np.max(np.abs(sheared.values.imag)) < 1e-8 * np.max(
-        np.abs(sheared.values.real)
-    )
+    for hbar in (1.0, 0.5):
+        grid2 = Grid2D.paired(q_grid, hbar)
+        psi = ho_coherent_state(q_grid, replace(harmonic_params, hbar=hbar), q0=1.0, p0=0.0, t=0.4)
+        chi = chi_build(psi, to_momentum_space(psi), grid2)
+        sheared = apply_extended_transform(chi, -0.5)
+        W = wigner_direct(psi, grid2)
+        c = 1.0 / math.sqrt(2.0 * math.pi * hbar)
+        num = np.sqrt(np.sum(np.abs(sheared.values - c * W.values) ** 2))
+        den = np.sqrt(np.sum(np.abs(sheared.values) ** 2))
+        assert num / den < 1e-8
+        # and the sheared field is real to the same precision
+        assert np.max(np.abs(sheared.values.imag)) < 1e-8 * np.max(
+            np.abs(sheared.values.real)
+        )
 
 
 def test_wigner_rejects_momentum_space_input(q_grid, grid2, harmonic_params):
