@@ -2,15 +2,15 @@
 
 The same dynamics can be generated from a Lagrangian in either variable:
 
-    L_q(q, qdot) = m qdot^2 / 2 - V(q)
-    L_p(p, pdot) = p^2 / 2m - pdot^2 / 2k      (harmonic, V = k q^2 / 2)
-    L_p(p, pdot) = p^2 / 2m                    (linear, V = b q; pdot = -b
-                                                is constant and the pdot^2
-                                                term is gauged away)
+    L_q(q, qdot) = m qdot^2 / 2 - V(q),        V = k q^2 / 2 + b q
+    L_p(p, pdot) = p^2 / 2m - (pdot + b)^2 / 2k   (harmonic, k != 0)
+    L_p(p, pdot) = p^2 / 2m                       (linear, k = 0; pdot = -b
+                                                   is constant and the pdot^2
+                                                   term is gauged away)
 
 Both connect to the same Hamiltonian through Legendre transforms — the
 momentum-space version with q = dL_p/dpdot — and their Euler-Lagrange
-equations (m qddot = -V'(q) and pddot = -(V''/m) p) describe one motion
+equations (m qddot = -V'(q) and pddot = -(k/m) p) describe one motion
 related by p = m qdot, pdot = -V'(q).  This module verifies those algebraic
 identities pointwise and integrates both trajectory families with a
 fixed-step fourth-order Runge-Kutta scheme.
@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 from numpy.typing import NDArray
 
-from .numerics import HarmonicPotential, PhysicalParams
+from .numerics import PhysicalParams
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,8 @@ def lagrangian_p(params: PhysicalParams, p, pdot):
     p = np.asarray(p, dtype=float)
     pdot = np.asarray(pdot, dtype=float)
     kinetic = p**2 / (2.0 * params.mass)
-    if isinstance(params.potential, HarmonicPotential):
-        return kinetic - pdot**2 / (2.0 * params.potential.k)
-    return kinetic
+    k, b = params.potential.k, params.potential.b
+    return kinetic - (pdot + b) ** 2 / (2.0 * k) if k else kinetic
 
 
 def hamiltonian(params: PhysicalParams, q, p):
@@ -86,25 +85,22 @@ def legendre_residual(
 
     * as ``(q, qdot)``: with p = dL_q/dqdot = m qdot, the identity
       ``H(q, p) = qdot p - L_q`` must hold;
-    * as ``(p, pdot)``: with q = dL_p/dpdot (= -pdot/k harmonic, 0 in the
-      linear gauge where L_p has no pdot dependence), the identity
+    * as ``(p, pdot)``: with q = dL_p/dpdot (= -(pdot + b)/k harmonic, 0 in
+      the linear gauge where L_p has no pdot dependence), the identity
       ``H(q, p) = -pdot q + L_p`` must hold.
 
     These are algebraic identities of the Lagrangian pair, not dynamics —
     the residual is rounding-level at arbitrary points, on or off shell.
     """
     worst = 0.0
-    m = params.mass
+    m, k, b = params.mass, params.potential.k, params.potential.b
     for x, v in samples:
         p_conj = m * v
         r_q = abs(
             float(hamiltonian(params, x, p_conj))
             - (v * p_conj - float(lagrangian_q(params, x, v)))
         )
-        if isinstance(params.potential, HarmonicPotential):
-            q_conj = -v / params.potential.k
-        else:
-            q_conj = 0.0
+        q_conj = -(v + b) / k if k else 0.0
         r_p = abs(
             float(hamiltonian(params, q_conj, x))
             - (-v * q_conj + float(lagrangian_p(params, x, v)))
@@ -165,13 +161,13 @@ def el_solve_q(
 def el_solve_p(
     params: PhysicalParams, p0: float, pdot0: float, t_final: float, dt: float = 1e-3
 ) -> Trajectory:
-    """Euler-Lagrange trajectory of L_p: integrate ``pddot = -(V''/m) p``.
+    """Euler-Lagrange trajectory of L_p: integrate ``pddot = -(k/m) p``.
 
     For the harmonic potential this is the same oscillation as the
-    position-space solution (p = m qdot); for the linear potential V'' = 0
+    position-space solution (p = m qdot); for the linear potential k = 0
     and the momentum moves uniformly, pdot frozen at its initial value.
     """
-    curvature = float(params.potential.second_derivative(0.0)) / params.mass
+    curvature = params.potential.k / params.mass
 
     def accel(x: float) -> float:
         return -curvature * x

@@ -10,7 +10,8 @@ in time, and applying a shear transform to it produces a one-parameter
 family of distributions (the Wigner function among them).
 
 :class:`ExtendedHamiltonian` captures every evolution operator in that
-family for linear and harmonic potentials through five coefficients:
+family for the quadratic potential V = k q^2 / 2 + b q (harmonic, or linear
+at k = 0) through five coefficients:
 
     H' = A pi_q^2 + B p pi_q + C pi_p^2 + (D q + E) pi_p
 
@@ -30,8 +31,6 @@ from numpy.typing import NDArray
 from .numerics import (
     Grid2D,
     GridError,
-    HarmonicPotential,
-    LinearPotential,
     PhysicalParams,
     TIME_ATOL,
     amplitude_mask,
@@ -128,27 +127,15 @@ class ExtendedHamiltonian:
 
     @classmethod
     def from_params(cls, params: PhysicalParams, alpha: float = 0.0) -> "ExtendedHamiltonian":
-        m = params.mass
-        pot = params.potential
-        if isinstance(pot, LinearPotential):
-            return cls(
-                A=(1.0 + 2.0 * alpha) / (2.0 * m),
-                B=1.0 / m,
-                C=0.0,
-                D=0.0,
-                E=-pot.b,
-                alpha=alpha,
-            )
-        if isinstance(pot, HarmonicPotential):
-            return cls(
-                A=(1.0 + 2.0 * alpha) / (2.0 * m),
-                B=1.0 / m,
-                C=-(1.0 + 2.0 * alpha) * pot.k / 2.0,
-                D=-pot.k,
-                E=0.0,
-                alpha=alpha,
-            )
-        raise ValueError(f"unsupported potential {pot!r}")
+        m, k, b = params.mass, params.potential.k, params.potential.b
+        return cls(
+            A=(1.0 + 2.0 * alpha) / (2.0 * m),
+            B=1.0 / m,
+            C=-(1.0 + 2.0 * alpha) * k / 2.0,
+            D=-k,
+            E=-b,
+            alpha=alpha,
+        )
 
     def evaluate_classical(self, S_q, S_p, p, q):
         """The Hamilton-Jacobi (gradient) part of the evolution identity.

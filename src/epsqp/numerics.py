@@ -120,42 +120,25 @@ class Grid2D:
 
 
 @dataclass(frozen=True)
-class LinearPotential:
-    """V(q) = b q."""
+class Potential:
+    """V(q) = k q^2 / 2 + b q: harmonic when k != 0, linear otherwise.
 
-    b: float = 1.0
+    Every identity checked here holds for potentials of at most second order
+    in q, so these two coefficients cover them all.
+    """
 
-    kind = "linear"
+    k: float = 0.0
+    b: float = 0.0
 
-    def value(self, q):
-        return self.b * q
-
-    def derivative(self, q):
-        return self.b * np.ones_like(np.asarray(q, dtype=float))
-
-    def second_derivative(self, q):
-        return np.zeros_like(np.asarray(q, dtype=float))
-
-
-@dataclass(frozen=True)
-class HarmonicPotential:
-    """V(q) = k q^2 / 2."""
-
-    k: float = 1.0
-
-    kind = "harmonic"
+    @property
+    def kind(self) -> str:
+        return "harmonic" if self.k != 0.0 else "linear"
 
     def value(self, q):
-        return 0.5 * self.k * q * q
+        return 0.5 * self.k * q * q + self.b * q
 
     def derivative(self, q):
-        return self.k * q
-
-    def second_derivative(self, q):
-        return self.k * np.ones_like(np.asarray(q, dtype=float))
-
-
-Potential = LinearPotential | HarmonicPotential
+        return self.k * q + self.b
 
 
 @dataclass(frozen=True)
@@ -164,12 +147,12 @@ class PhysicalParams:
 
     mass: float = 1.0
     hbar: float = 1.0
-    potential: Potential = HarmonicPotential(1.0)
+    potential: Potential = Potential(k=1.0)
 
     @property
     def omega(self) -> float:
-        if not isinstance(self.potential, HarmonicPotential):
-            raise ValueError("omega is defined for harmonic parameters only")
+        if self.potential.k <= 0.0:
+            raise ValueError("omega needs a positive spring constant k")
         return float(np.sqrt(self.potential.k / self.mass))
 
 

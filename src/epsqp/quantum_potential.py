@@ -6,14 +6,13 @@ curvature ("quantum potential") corrections proportional to hbar^2:
 
 * position space:  dS/dt + (dS/dq)^2/2m + V(q) + Q = 0,
   with Q = -(hbar^2/2m) R''/R;
-* momentum space, linear potential V = b q:
-  dS/dt + p^2/2m - b dS/dp = 0  — no quantum term at all;
-* momentum space, harmonic potential:
-  dS/dt + p^2/2m + (k/2)(dS/dp)^2 + Q_p = 0,
-  with Q_p = -(hbar^2 k/2) R''/R;
+* momentum space, for V = k q^2/2 + b q:
+  dS/dt + p^2/2m + (k/2)(dS/dp)^2 - b dS/dp + Q_p = 0,
+  with Q_p = -(hbar^2 k/2) R''/R, which vanishes for a linear potential
+  (k = 0): its momentum-space equation is classical already;
 * phase space (sheared by alpha): dS/dt plus the gradient form of the
   sheared Hamiltonian plus (1/2 + alpha) * T, where
-  T = -hbar^2 [R_qq/m - k R_pp] / R  (the k-term only for harmonic).
+  T = -hbar^2 [R_qq/m - k R_pp] / R.
 
 The residual evaluators in this module measure how well those identities
 hold on sampled states, using three estimators chosen for conditioning
@@ -59,7 +58,6 @@ from numpy.typing import NDArray
 from .eps_core import ExtendedHamiltonian, PhaseSpaceField
 from .numerics import (
     Grid1D,
-    HarmonicPotential,
     PhysicalParams,
     amplitude_mask,
     fft2_passes,
@@ -135,22 +133,16 @@ def polar_decompose(psi: WaveFunction) -> PolarField:
 
 def _curvature_coefficient(params: PhysicalParams, space: str) -> float:
     """The 1D quantum potential's coefficient of ``R''/R``: ``-hbar^2/2m`` in q and
-    ``-hbar^2 k/2`` in p.  For a linear potential the momentum-space equation is
-    first order in d/dp and carries no curvature term at all, so asking for its
-    coefficient is a usage error (see :func:`hj_residual_p_linear`)."""
+    ``-hbar^2 k/2`` in p (zero for a linear potential)."""
     if space == "q":
         return -(params.hbar**2) / (2.0 * params.mass)
-    if not isinstance(params.potential, HarmonicPotential):
-        raise ValueError(
-            "no momentum-space quantum potential exists for a linear potential"
-        )
     return -(params.hbar**2) * params.potential.k / 2.0
 
 
 def quantum_potential(pf: PolarField) -> NDArray[np.float64]:
     """Quantum potential (energy units) of a 1D state, NaN off ``pf.mask``:
     ``-(hbar^2/2m) R''/R`` in position space, ``-(hbar^2 k/2) R''/R`` in
-    momentum space (harmonic only).
+    momentum space (exactly zero for a linear potential).
 
     The curvature ratio comes from :func:`relative_curvature` (log-space
     differences), which keeps the profile accurate all the way to the mask
@@ -168,24 +160,19 @@ def quantum_potential(pf: PolarField) -> NDArray[np.float64]:
 # ---------------------------------------------------------------------------
 
 
-def _hj_setup(snapshots: Sequence[WaveFunction], space: str, potential: str | None = None) -> tuple:
+def _hj_setup(snapshots: Sequence[WaveFunction], space: str) -> tuple:
     """Common 1D setup: action derivatives and curvature ratio at the centre.
 
-    The snapshots must be ``space``-space states (under the ``potential``
-    kind, if given).  Returns ``(params, grid, metadata, mask, S_t, S_x,
-    R''/R)`` with the metadata every 1D report shares.  The momentum-space
-    identities hold for S = +hbar arg(phi), so the estimators are applied
-    to the raw field without the stored-convention sign flip (see the
-    module docstring).
+    The snapshots must be ``space``-space states.  Returns ``(params, grid,
+    metadata, mask, S_t, S_x, R''/R)`` with the metadata every 1D report
+    shares.  The momentum-space identities hold for S = +hbar arg(phi), so
+    the estimators are applied to the raw field without the stored-convention
+    sign flip (see the module docstring).
     """
     if any(s.space != space for s in snapshots):
         raise ValueError(f"snapshots must be {space}-space states")
     minus, center, plus, dt = snapshot_triple(snapshots)
     params = center.params
-    if potential is not None and params.potential.kind != potential:
-        raise ValueError(
-            f"residual needs a {potential} potential, got {params.potential.kind}"
-        )
     grid = center.grid
     c = center.values
     amp = np.abs(c)
@@ -218,35 +205,23 @@ def hj_residual_q(snapshots: Sequence[WaveFunction]) -> ResidualReport:
     )
 
 
-def hj_residual_p_linear(snapshots: Sequence[WaveFunction]) -> ResidualReport:
-    """Residual of the momentum-space Hamilton-Jacobi equation, linear potential.
+def hj_residual_p(snapshots: Sequence[WaveFunction]) -> ResidualReport:
+    """Residual of the momentum-space modified Hamilton-Jacobi equation for
+    V = k q^2/2 + b q:
 
-        dS/dt + p^2 / 2m - b dS/dp
-
-    The equation is first order in d/dp, so it is already in classical form:
-    no quantum term exists to delete.  The action convention here is
-    S = +hbar arg(phi) (see the module docstring).
-    """
-    params, grid, metadata, mask, S_t, S_p, _ = _hj_setup(snapshots, "p", "linear")
-    full = S_t + grid.points**2 / (2.0 * params.mass) - params.potential.b * S_p
-    metadata["quantum_term_l2"] = 0.0  # structurally absent, not merely small
-    return residual_report("pspace-hj-linear", full, mask, grid.spacing, metadata, fields={"mask": mask})
-
-
-def hj_residual_p_harmonic(snapshots: Sequence[WaveFunction]) -> ResidualReport:
-    """Residual of the momentum-space modified Hamilton-Jacobi equation,
-    harmonic potential:
-
-        dS/dt + p^2/2m + (k/2)(dS/dp)^2 + Q_p,   Q_p = -(hbar^2 k/2) R''/R
+        dS/dt + p^2/2m + (k/2)(dS/dp)^2 - b dS/dp + Q_p,   Q_p = -(hbar^2 k/2) R''/R
 
     with classical-form and quantum-term fields carried alongside, the same
-    way as :func:`hj_residual_q`.  Action convention S = +hbar arg(phi).
+    way as :func:`hj_residual_q`.  For a linear potential (k = 0) the quantum
+    term is exactly zero: the equation is first order in d/dp and classical
+    already.  Action convention S = +hbar arg(phi).
     """
-    params, grid, metadata, mask, S_t, S_p, curv = _hj_setup(snapshots, "p", "harmonic")
+    params, grid, metadata, mask, S_t, S_p, curv = _hj_setup(snapshots, "p")
+    pot = params.potential
     quantum = _curvature_coefficient(params, "p") * curv
-    classical = S_t + grid.points**2 / (2.0 * params.mass) + params.potential.k / 2.0 * S_p**2
+    classical = S_t + grid.points**2 / (2.0 * params.mass) + pot.k / 2.0 * S_p**2 - pot.b * S_p
     return residual_report(
-        "pspace-hj-harmonic", classical + quantum, mask, grid.spacing, metadata,
+        f"pspace-hj-{pot.kind}", classical + quantum, mask, grid.spacing, metadata,
         classical=classical, quantum=quantum, fields={"mask": mask},
     )
 
@@ -340,8 +315,7 @@ def _hj_residual_2d(
     rpp = log_curvature(log_amp, grid.p_axis.spacing, axis=0)  # R_pp / R
 
     # curvature terms at unit coefficient: quantum = (1/2 + alpha) * T
-    c1 = -params.potential.k if isinstance(params.potential, HarmonicPotential) else 0.0
-    T = -(hbar**2) * (rqq / m + c1 * rpp)
+    T = -(hbar**2) * (rqq / m - params.potential.k * rpp)
     x = 0.5 + alpha
     quantum = x * T
 
@@ -367,8 +341,8 @@ def hj_residual_eps(snapshots: Sequence[PhaseSpaceField]) -> ResidualReport:
     """Residual of the phase-space modified Hamilton-Jacobi identity for chi.
 
     This is the alpha = 0 member of the sheared family: both curvature
-    terms enter at coefficient 1/2 (the harmonic case needs the q- and
-    p-curvature terms together; the linear case has no p-term).
+    terms enter at coefficient 1/2 (the p-term carries k, so it vanishes
+    for a linear potential).
     """
     triple = _chi_triple(snapshots)
     return _hj_residual_2d(triple, 0.0, f"eps-hj-{triple[1].params.potential.kind}")

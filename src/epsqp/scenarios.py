@@ -27,23 +27,22 @@ from .classical import (
 from .eps_core import chi_build, eps_rhs_apply, expectation, polar_decompose_2d
 from .numerics import (
     Grid2D,
-    HarmonicPotential,
-    LinearPotential,
+    GridError,
     PhysicalParams,
+    Potential,
     fd_mixed_partial,
     make_grid,
 )
 from .quantum_potential import (
     alpha_sweep,
     hj_residual_eps,
-    hj_residual_p_harmonic,
-    hj_residual_p_linear,
+    hj_residual_p,
     hj_residual_q,
     polar_decompose,
     quantum_potential,
     validate_alphas,
 )
-from .reports import ResidualReport, fit_global_constant, l2
+from .reports import ResidualReport, fit_global_constant, l2, masked_max
 from .states import (
     WaveFunction,
     ho_coherent_state,
@@ -106,7 +105,12 @@ class ScenarioConfig:
         for name in ("dt", "mass", "hbar", "spring_k", "sigma0"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        make_grid(self.grid_n, self.q_min, self.q_max)
+        if not self.q_max > self.q_min:
+            raise ValueError(f"q_max must exceed q_min, got [{self.q_min}, {self.q_max})")
+        try:
+            make_grid(self.grid_n, self.q_min, self.q_max)
+        except GridError as exc:
+            raise GridError(f"grid_n: {exc}") from None
         validate_alphas(self.alphas)
 
 
@@ -206,11 +210,11 @@ def to_json(report: ScenarioReport) -> str:
 
 
 def _harmonic_params(cfg: ScenarioConfig) -> PhysicalParams:
-    return PhysicalParams(cfg.mass, cfg.hbar, HarmonicPotential(cfg.spring_k))
+    return PhysicalParams(cfg.mass, cfg.hbar, Potential(k=cfg.spring_k))
 
 
 def _linear_params(cfg: ScenarioConfig) -> PhysicalParams:
-    return PhysicalParams(cfg.mass, cfg.hbar, LinearPotential(cfg.slope_b))
+    return PhysicalParams(cfg.mass, cfg.hbar, Potential(b=cfg.slope_b))
 
 
 def _grids(cfg: ScenarioConfig, n: int | None = None):
@@ -496,26 +500,16 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     pf_q = polar_decompose(psi_g)
     qpot_q = quantum_potential(pf_q)
     q_exact = 0.5 * hbar * w_freq - 0.5 * m * w_freq**2 * g.points**2
-    err_q = np.abs(qpot_q - q_exact)
     report.checks.append(
-        make_check(
-            "quantum-potential-q-max-err",
-            float(np.max(err_q[pf_q.mask])),
-            TOL_QPOT,
-        )
+        make_check("quantum-potential-q-max-err", masked_max(qpot_q - q_exact, pf_q.mask), TOL_QPOT)
     )
 
     phi_g = to_momentum_space(psi_g)
     pf_p = polar_decompose(phi_g)
     qpot_p = quantum_potential(pf_p)
     p_exact = 0.5 * hbar * w_freq - pf_p.grid.points**2 / (2.0 * m)
-    err_p = np.abs(qpot_p - p_exact)
     report.checks.append(
-        make_check(
-            "quantum-potential-p-max-err",
-            float(np.max(err_p[pf_p.mask])),
-            TOL_QPOT,
-        )
+        make_check("quantum-potential-p-max-err", masked_max(qpot_p - p_exact, pf_p.mask), TOL_QPOT)
     )
 
     # --- 1D modified Hamilton-Jacobi residuals + convergence order ---------
@@ -530,8 +524,8 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     )
     _check_halving(
         report,
-        hj_residual_p_harmonic([to_momentum_space(p) for p in psis]),
-        hj_residual_p_harmonic([to_momentum_space(p) for p in psis_half]),
+        hj_residual_p([to_momentum_space(p) for p in psis]),
+        hj_residual_p([to_momentum_space(p) for p in psis_half]),
         "hj-p-harmonic-l2",
         1e-5,
         "hj-p-halving-ratio",
@@ -543,13 +537,8 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     ground = partial(ho_coherent_state, g, params, 0.0, 0.0)
     r_gq = hj_residual_q(_triplet(ground, cfg.eval_time, cfg.dt))
     deletion = r_gq.fields["classical_form"] + r_gq.fields["quantum_term"]
-    mask_g = r_gq.fields["mask"]
     report.checks.append(
-        make_check(
-            "hj-q-term-deletion-pointwise",
-            float(np.max(np.abs(deletion[mask_g]))),
-            1e-6,
-        )
+        make_check("hj-q-term-deletion-pointwise", masked_max(deletion, r_gq.fields["mask"]), 1e-6)
     )
 
     # --- Wigner transport equation + convergence order ----------------------
@@ -671,8 +660,8 @@ def scenario_pspace_linear(cfg: ScenarioConfig) -> ScenarioReport:
     psis, psis_half = _halving_pair(gaussian, cfg)
     _check_halving(
         report,
-        hj_residual_p_linear([to_momentum_space(p) for p in psis]),
-        hj_residual_p_linear([to_momentum_space(p) for p in psis_half]),
+        hj_residual_p([to_momentum_space(p) for p in psis]),
+        hj_residual_p([to_momentum_space(p) for p in psis_half]),
         "pspace-linear-classical-l2",
         1e-5,
         "pspace-linear-halving-ratio",
@@ -736,23 +725,14 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
     report.checks.append(make_check("eps-phase-additivity-spread", spread, 1e-7))
 
     mixed, valid = fd_mixed_partial(ea.S + pq, g2, ea.mask)
-    report.checks.append(
-        make_check("eps-action-mixed-partial", float(np.max(np.abs(mixed[valid]))), 1e-6)
-    )
+    report.checks.append(make_check("eps-action-mixed-partial", masked_max(mixed, valid), 1e-6))
 
     # the q-curvature quantum term of the 2D identity equals the 1D quantum
     # potential of the psi factor, broadcast over p
     q_term = r_h.fields["q_term"]
     q_1d = quantum_potential(pf_q)
-    sep_err = np.abs(q_term - q_1d[None, :])
-    full_joint = joint & r_h.fields["mask"]
-    report.checks.append(
-        make_check(
-            "eps-qterm-separability",
-            float(np.max(sep_err[full_joint])),
-            TOL_QPOT,
-        )
-    )
+    sep_err = masked_max(q_term - q_1d[None, :], joint & r_h.fields["mask"])
+    report.checks.append(make_check("eps-qterm-separability", sep_err, TOL_QPOT))
 
     mask = r_h.fields["mask"]
     return {"kind": "2d", "p": g2.p_axis.points, "q": g.points, "values": q_term, "mask": mask}

@@ -17,8 +17,6 @@ from numpy.typing import NDArray
 from .numerics import (
     Grid1D,
     GridError,
-    HarmonicPotential,
-    LinearPotential,
     PhysicalParams,
     position_to_momentum,
 )
@@ -71,8 +69,8 @@ def ho_coherent_state(
                     * exp(i (p_c q - p_c q_c / 2) / hbar)
                     * exp(-i w t / 2)
     """
-    if not isinstance(params.potential, HarmonicPotential):
-        raise ValueError("coherent state requires harmonic parameters")
+    if params.potential.k <= 0.0 or params.potential.b != 0.0:
+        raise ValueError("coherent state requires harmonic parameters (k > 0, b = 0)")
     m, hbar, w = params.mass, params.hbar, params.omega
     q = grid.points
     q_c = q0 * np.cos(w * t) + (p0 / (m * w)) * np.sin(w * t)
@@ -89,8 +87,8 @@ def ho_coherent_state(
 
 def ho_eigenstate(grid: Grid1D, params: PhysicalParams, n: int, t: float = 0.0) -> WaveFunction:
     """n-th harmonic-oscillator eigenstate with its phase ``exp(-i E_n t/hbar)``."""
-    if not isinstance(params.potential, HarmonicPotential):
-        raise ValueError("eigenstate requires harmonic parameters")
+    if params.potential.k <= 0.0 or params.potential.b != 0.0:
+        raise ValueError("eigenstate requires harmonic parameters (k > 0, b = 0)")
     if n < 0:
         raise ValueError("quantum number must be non-negative")
     m, hbar, w = params.mass, params.hbar, params.omega
@@ -126,8 +124,8 @@ def linear_potential_gaussian(
               * exp(-(q - q_c)^2 / (4 sigma0^2 c_t))
               * exp(i (p_c (q - q_c) + gamma) / hbar)
     """
-    if not isinstance(params.potential, LinearPotential):
-        raise ValueError("linear-potential Gaussian requires linear parameters")
+    if params.potential.k != 0.0:
+        raise ValueError("linear-potential Gaussian requires linear parameters (k = 0)")
     if sigma0 <= 0:
         raise ValueError("sigma0 must be positive")
     m, hbar, b = params.mass, params.hbar, params.potential.b

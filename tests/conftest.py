@@ -10,9 +10,8 @@ import pytest
 from epsqp.eps_core import chi_build
 from epsqp.numerics import (
     Grid2D,
-    HarmonicPotential,
-    LinearPotential,
     PhysicalParams,
+    Potential,
     make_grid,
 )
 from epsqp.states import ho_coherent_state, linear_potential_gaussian, to_momentum_space
@@ -30,12 +29,12 @@ def grid2(q_grid):
 
 @pytest.fixture(scope="session")
 def harmonic_params():
-    return PhysicalParams(mass=1.0, hbar=1.0, potential=HarmonicPotential(k=1.0))
+    return PhysicalParams(mass=1.0, hbar=1.0, potential=Potential(k=1.0))
 
 
 @pytest.fixture(scope="session")
 def linear_params():
-    return PhysicalParams(mass=1.0, hbar=1.0, potential=LinearPotential(b=1.0))
+    return PhysicalParams(mass=1.0, hbar=1.0, potential=Potential(b=1.0))
 
 
 @pytest.fixture(scope="session")

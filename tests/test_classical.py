@@ -20,6 +20,7 @@ from epsqp.classical import (
     legendre_residual,
     translate_initial_conditions,
 )
+from epsqp.numerics import PhysicalParams, Potential
 
 HYP = settings(max_examples=25, deadline=None)
 
@@ -120,6 +121,9 @@ def test_legendre_duality_is_pointwise(harmonic_params, linear_params, x, v):
     # an algebraic identity of the Lagrangian pair: holds off shell too
     assert legendre_residual(harmonic_params, [(x, v)]) < 1e-13
     assert legendre_residual(linear_params, [(x, v)]) < 1e-13
+    # a harmonic potential with a slope: q = -(pdot + b)/k
+    both = PhysicalParams(mass=2.0, potential=Potential(k=1.5, b=0.7))
+    assert legendre_residual(both, [(x, v)]) < 1e-13
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,10 @@ def test_any_scenario_exception_returns_three(capsys, monkeypatch, error):
         pytest.param({"alphas": [-1, -0.5, True]}, id="config-alphas-bool"),
         pytest.param({"alphas": [-1, "-0.5", 0]}, id="config-alphas-string"),
         pytest.param({"hbar": 10**400}, id="config-hbar-overflow"),
+        # grids the grid itself rejects
+        pytest.param({"grid_n": 100}, id="config-grid_n=100"),
+        pytest.param({"grid_n": 4}, id="config-grid_n=4"),
+        pytest.param({"q_max": -10}, id="config-q_max=-10"),
     ],
 )
 def test_bad_config_values_fail_before_any_scenario(capsys, tmp_path, flag):

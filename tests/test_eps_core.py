@@ -18,7 +18,14 @@ from epsqp.eps_core import (
     expectation,
     polar_decompose_2d,
 )
-from epsqp.numerics import GridError, amplitude_mask, spectral_derivative_2d, unwrap_phase_1d
+from epsqp.numerics import (
+    GridError,
+    PhysicalParams,
+    Potential,
+    amplitude_mask,
+    spectral_derivative_2d,
+    unwrap_phase_1d,
+)
 from epsqp.states import ho_coherent_state, to_momentum_space
 from epsqp.transforms import apply_extended_transform
 
@@ -129,6 +136,18 @@ def test_operator_reduces_to_transport_at_minus_half(harmonic_params, linear_par
         assert ham.A == 0.0
         assert ham.C == 0.0
         assert ham.B == 1.0 / params.mass
+
+
+def test_from_params_is_one_formula_in_k_and_b(harmonic_params, linear_params):
+    # a linear potential has no p-curvature or q-dependent drift, a harmonic
+    # one no constant force
+    linear = ExtendedHamiltonian.from_params(linear_params, alpha=0.25)
+    assert linear.C == 0.0 and linear.D == 0.0 and linear.E == -1.0
+    harmonic = ExtendedHamiltonian.from_params(harmonic_params, alpha=0.25)
+    assert harmonic.E == 0.0 and harmonic.D == -1.0
+    both = PhysicalParams(mass=2.0, potential=Potential(k=1.5, b=0.7))
+    ham = ExtendedHamiltonian.from_params(both, alpha=0.25)
+    assert (ham.A, ham.B, ham.C, ham.D, ham.E) == (0.375, 0.5, -1.125, -1.5, -0.7)
 
 
 def test_operator_action_on_plane_wave(grid2, harmonic_params):

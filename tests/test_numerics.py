@@ -13,6 +13,8 @@ from epsqp.numerics import (
     Grid1D,
     Grid2D,
     GridError,
+    PhysicalParams,
+    Potential,
     amplitude_mask,
     fd_mixed_partial,
     fft2_passes,
@@ -55,6 +57,20 @@ def test_grid_rejects_non_power_of_two(n):
 def test_grid_rejects_empty_interval():
     with pytest.raises(GridError):
         make_grid(16, 1.0, 1.0)
+
+
+def test_potential_is_one_quadratic():
+    pot = Potential(k=1.5, b=0.7)
+    q = np.array([-2.0, 0.0, 3.0])
+    np.testing.assert_allclose(pot.value(q), 0.75 * q**2 + 0.7 * q, rtol=1e-15)
+    np.testing.assert_allclose(pot.derivative(q), 1.5 * q + 0.7, rtol=1e-15)
+    # the kind follows k alone: a zero slope is still a linear potential
+    assert pot.kind == "harmonic"
+    assert Potential(b=0.7).kind == Potential().kind == "linear"
+    assert PhysicalParams(mass=2.0, potential=Potential(k=8.0)).omega == 2.0
+    for pot in (Potential(b=1.0), Potential(k=-1.0)):
+        with pytest.raises(ValueError, match="positive spring constant"):
+            PhysicalParams(potential=pot).omega
 
 
 def test_paired_momentum_grid_spacing_and_centering():

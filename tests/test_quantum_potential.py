@@ -4,6 +4,7 @@ shear-parameter sweep locating where the quantum term vanishes."""
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from epsqp import numerics
 from epsqp.eps_core import PhaseSpaceField, chi_build
 from epsqp.numerics import (
     Grid2D,
+    PhysicalParams,
+    Potential,
     amplitude_mask,
     make_grid,
     mask_box,
@@ -21,8 +24,7 @@ from epsqp.numerics import (
 from epsqp.quantum_potential import (
     alpha_sweep,
     hj_residual_eps,
-    hj_residual_p_harmonic,
-    hj_residual_p_linear,
+    hj_residual_p,
     hj_residual_q,
     hj_residual_transformed,
     polar_decompose,
@@ -107,9 +109,11 @@ def test_quantum_potential_space_and_potential_guards(q_grid, linear_params):
     lin = linear_potential_gaussian(q_grid, linear_params, q0=0.0, p0=0.0, sigma0=1.0)
     pf = polar_decompose(lin)
     assert np.isfinite(quantum_potential(pf)[pf.mask]).all()
-    # ... but no momentum-space curvature term at all
-    with pytest.raises(ValueError, match="linear potential"):
-        quantum_potential(polar_decompose(to_momentum_space(lin)))
+    # ... but its momentum-space curvature coefficient -hbar^2 k/2 is zero
+    pf_p = polar_decompose(to_momentum_space(lin))
+    values = quantum_potential(pf_p)
+    assert (values[pf_p.mask] == 0.0).all()
+    assert np.isnan(values[~pf_p.mask]).all()
 
 
 # ---------------------------------------------------------------------------
@@ -144,38 +148,51 @@ def test_position_space_residual_linear(linear_triplet_factory):
     assert rep.l2_norm < 1e-5
 
 
+# away from unit constants (mass 2), so a swapped or dropped coefficient shows
+_M2_LINEAR = PhysicalParams(mass=2.0, potential=Potential(b=0.7))
+_M2_HARMONIC = PhysicalParams(mass=2.0, potential=Potential(k=1.5))
+
+
+def _p_triplet(state, t=0.4, dt=1e-3):
+    return [to_momentum_space(state(t + s * dt)) for s in (-1, 0, 1)]
+
+
 def test_momentum_space_residual_linear(linear_triplet_factory, q_grid):
     snaps = [to_momentum_space(s) for s in linear_triplet_factory()]
-    rep = hj_residual_p_linear(snaps)
+    rep = hj_residual_p(snaps)
+    assert rep.name == "pspace-hj-linear"
     assert rep.l2_norm < 1e-5
-    # first-order equation: no curvature term exists to delete
+    # first-order equation: the quantum term is exactly zero
+    assert rep.metadata["quantum_term_l2"] == 0.0
+    rep = hj_residual_p(
+        _p_triplet(partial(linear_potential_gaussian, q_grid, _M2_LINEAR, 0.5, 0.0, math.sqrt(0.5)))
+    )
+    assert rep.l2_norm < 1e-5
     assert rep.metadata["quantum_term_l2"] == 0.0
 
 
-def test_momentum_space_residual_harmonic(coherent_triplet_factory):
+def test_momentum_space_residual_harmonic(coherent_triplet_factory, q_grid):
     snaps = [to_momentum_space(s) for s in coherent_triplet_factory()]
-    rep = hj_residual_p_harmonic(snaps)
+    rep = hj_residual_p(snaps)
+    assert rep.name == "pspace-hj-harmonic"
     assert rep.l2_norm < 1e-5
+    coherent = partial(ho_coherent_state, q_grid, _M2_HARMONIC, 0.5, 0.0)
+    assert hj_residual_p(_p_triplet(coherent)).l2_norm < 1e-5
 
 
 @pytest.mark.parametrize(
     "residual, potential",
-    [(hj_residual_q, None), (hj_residual_p_linear, "linear"), (hj_residual_p_harmonic, "harmonic")],
+    [(hj_residual_q, None), (hj_residual_p, "linear"), (hj_residual_p, "harmonic")],
 )
 def test_momentum_space_residual_guards(
     residual, potential, coherent_triplet_factory, linear_triplet_factory
 ):
-    # every 1D residual rejects the other space and a pair of snapshots; the
-    # momentum-space residuals also reject the other potential
-    own, other = coherent_triplet_factory(), linear_triplet_factory()
-    if potential == "linear":
-        own, other = other, own
+    # every 1D residual rejects the other space and a pair of snapshots
+    own = linear_triplet_factory() if potential == "linear" else coherent_triplet_factory()
     if potential is None:
         space, wrong_space = "q", [to_momentum_space(s) for s in own]
     else:
         space, wrong_space, own = "p", own, [to_momentum_space(s) for s in own]
-        with pytest.raises(ValueError, match=f"needs a {potential} potential"):
-            residual([to_momentum_space(s) for s in other])
     with pytest.raises(ValueError, match=f"{space}-space"):
         residual(wrong_space)
     with pytest.raises(ValueError, match="three snapshots"):

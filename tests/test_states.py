@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsqp.numerics import PhysicalParams, Potential
 from epsqp.states import (
     ho_coherent_state,
     ho_eigenstate,
@@ -19,6 +20,19 @@ from epsqp.states import (
 )
 
 HYP = settings(max_examples=25, deadline=None)
+
+
+def test_closed_form_states_check_their_potential(q_grid):
+    # the oscillator states need k > 0 and b = 0, the drifting Gaussian k = 0
+    for pot in (Potential(b=1.0), Potential(k=1.0, b=0.5), Potential(k=-1.0)):
+        params = PhysicalParams(potential=pot)
+        with pytest.raises(ValueError, match="harmonic parameters"):
+            ho_coherent_state(q_grid, params, 0.0, 0.0)
+        with pytest.raises(ValueError, match="harmonic parameters"):
+            ho_eigenstate(q_grid, params, 0)
+    sloped_oscillator = PhysicalParams(potential=Potential(k=1.0, b=1.0))
+    with pytest.raises(ValueError, match="linear parameters"):
+        linear_potential_gaussian(q_grid, sloped_oscillator, 0.0, 0.0, 1.0)
 
 
 def _mean_position(psi):
