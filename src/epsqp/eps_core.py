@@ -34,7 +34,7 @@ from .numerics import (
     PhysicalParams,
     TIME_ATOL,
     amplitude_mask,
-    pq_kernel,
+    pq_factors,
     unwrap_phase_2d,
 )
 from .reports import l2
@@ -85,7 +85,8 @@ def chi_build(psi: WaveFunction, phi: WaveFunction, grid: Grid2D) -> PhaseSpaceF
 
     ``psi`` must live on ``grid.q_axis``, ``phi`` on ``grid.p_axis``, the
     two axes must be Fourier-paired, and the states must agree on time and
-    physical parameters.
+    physical parameters.  Written in two passes from the kernel's
+    :func:`~epsqp.numerics.pq_factors`.
     """
     if psi.space != "q" or phi.space != "p":
         raise ValueError("chi_build needs a position-space and a momentum-space state")
@@ -97,8 +98,9 @@ def chi_build(psi: WaveFunction, phi: WaveFunction, grid: Grid2D) -> PhaseSpaceF
         raise GridError("position state does not live on the q axis of the grid")
     if phi.grid != grid.p_axis:
         raise GridError("momentum state does not live on the p axis of the grid")
-    values = pq_kernel(grid, psi.params.hbar, -1)  # checks the pairing
-    values *= psi.values[None, :] * np.conj(phi.values)[:, None]
+    hankel, row, col = pq_factors(grid, psi.params.hbar, -1)  # checks the pairing
+    values = hankel * (row * np.conj(phi.values))[:, None]
+    values *= (col * psi.values)[None, :]
     return PhaseSpaceField(values, grid, psi.t, psi.params, kind="chi")
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 #: Relative amplitude below which polar quantities (phase, R''/R, ...) are
@@ -206,19 +207,28 @@ def inverse_on_box(spectrum: NDArray[np.complex128], box: tuple) -> NDArray[np.c
     return np.fft.ifft(spectrum[:, cols], axis=0)[rows].copy()
 
 
-def mask_box_gradients(values: NDArray, grid: Grid2D) -> tuple:
+def mask_box_gradients(values: NDArray, grid: Grid2D, kernel: tuple | None = None) -> tuple:
     """A whole 2D field's amplitude mask, and the field with its spectral gradients on
     the mask's box.
 
     ``f_q`` is :func:`spectral_derivative_2d` of the box rows and ``f_p`` that of the
     box columns, so only those lanes are transformed.  Returns ``(mask, box, f, f_q,
     f_p)`` with ``box = mask_box(mask)`` and the fields as new box-sized arrays.
+
+    With ``kernel``, the :func:`pq_factors` of a unimodular kernel, the field is
+    ``values * kernel``: its mask is that of ``values``, and only the lanes read are
+    multiplied.
     """
     mask = amplitude_mask(np.abs(values))
     rows, cols = box = mask_box(mask)
-    f_q = spectral_derivative_2d(values[rows], grid, axis=1)[:, cols].copy()
-    f_p = spectral_derivative_2d(values[:, cols], grid, axis=0)[rows].copy()
-    return mask, box, values[box].copy(), f_q, f_p
+    lanes_q, lanes_p = values[rows], values[:, cols]
+    if kernel is not None:
+        hankel, row, col = kernel
+        lanes_q = lanes_q * hankel[rows] * row[rows, None] * col
+        lanes_p = lanes_p * hankel[:, cols] * row[:, None] * col[cols]
+    f_q = spectral_derivative_2d(lanes_q, grid, axis=1)[:, cols].copy()
+    f_p = spectral_derivative_2d(lanes_p, grid, axis=0)[rows].copy()
+    return mask, box, lanes_q[:, cols].copy(), f_q, f_p
 
 
 def relative_curvature(amplitude: NDArray, spacing: float, axis: int = 0) -> NDArray[np.float64]:
@@ -284,19 +294,16 @@ def position_to_momentum(values: NDArray, q_grid: Grid1D, hbar: float) -> tuple[
     return np.fft.fftshift(unshifted), paired_momentum_grid(q_grid, hbar)
 
 
-def pq_kernel(grid: Grid2D, hbar: float, sign: int) -> NDArray[np.complex128]:
-    """The phase-space kernel ``exp(sign * i p q / hbar)`` on a Fourier-paired grid.
+def pq_factors(grid: Grid2D, hbar: float, sign: int) -> tuple:
+    """Bluestein factors ``(hankel, row, col)`` of the phase-space kernel ``exp(sign i p q
+    / hbar)`` on a Fourier-paired grid: ``kernel[i, j] = hankel[i, j] row[i] col[j]``.
 
-    On the paired grid ``p_i = k_i dp`` with ``k_i = i - n/2`` and
-    ``dp dq = 2 pi hbar / n``, so
-
-        p_i q_j / hbar = 2 pi k_i (x + j) / n,   x = q_min / dq,
-
-    and the kernel is a row phase times the n-th root of unity with index
-    ``k_i j mod n``.  That takes 2n complex exponentials instead of n^2, and
-    every phase is reduced modulo 2 pi before its exponential, so the kernel
-    is accurate to rounding instead of carrying the rounding of an argument
-    of size |p q / hbar|.
+    There ``p_i q_j / hbar = 2 pi k_i (x + j) / n`` with ``k_i = i - n/2`` and ``x =
+    q_min / dq``, and ``2 k j = (k + j)^2 - k^2 - j^2`` (Bluestein's chirp identity)
+    makes ``hankel`` the read-only view ``[i, j] -> h[i + j]`` of the 2n - 1 roots ``h[s]
+    = exp(sign i pi (s - n/2)^2 / n)``.  Integer phases are reduced modulo 2n and the
+    row phase ``k_i x`` modulo n before their exponentials, so the kernel is accurate to
+    rounding instead of carrying the rounding of an argument of size |p q / hbar|.
     """
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
@@ -304,14 +311,16 @@ def pq_kernel(grid: Grid2D, hbar: float, sign: int) -> NDArray[np.complex128]:
         raise GridError("grid axes are not Fourier-paired")
     q_axis = grid.q_axis
     n = q_axis.n_points
-    steps = np.arange(n)
-    k = steps - n // 2
-    turns = sign * 2j * np.pi / n
-    rows = np.exp(turns * np.mod(k * (q_axis.min / q_axis.spacing), n))
-    # n is a power of two, so "& (n - 1)" is the non-negative remainder mod n
-    kernel = np.exp(turns * steps)[np.multiply.outer(k, steps) & (n - 1)]
-    kernel *= rows[:, None]
-    return kernel
+    steps = np.arange(2 * n - 1)
+    k = steps[:n] - n // 2
+    turns = sign * 1j * np.pi / n  # one turn is 2n of these
+
+    def roots(s):  # exp(sign i pi s^2 / n), s^2 reduced modulo 2n in integers
+        return np.exp(turns * ((s * s) % (2 * n)))
+
+    row = np.exp(2 * turns * np.mod(k * (q_axis.min / q_axis.spacing), n))
+    row *= np.conj(roots(k))
+    return sliding_window_view(roots(steps - n // 2), n), row, np.conj(roots(steps[:n]))
 
 
 def spectral_resample(values: NDArray) -> NDArray[np.complex128]:

@@ -65,7 +65,7 @@ from .numerics import (
     log_amplitude,
     log_curvature,
     mask_box_gradients,
-    pq_kernel,
+    pq_factors,
     relative_curvature,
     snapshot_triple,
     spectral_derivative,
@@ -280,10 +280,9 @@ def _hj_residual_2d(
         # outer mask rows its tails reach the (coarse) momentum Nyquist and floor
         # a direct spectral gradient.  So peel the kernel, differentiate the
         # centred remainder and restore the kernel's exact gradients (-p into
-        # S_q, -q into S_p) below; it is static, so it cancels in S_t.
-        peeled = center.values * pq_kernel(grid, hbar, 1)  # numpy's elided operand order
-        mask, box, f, f_q, f_p = mask_box_gradients(peeled, grid)
-        del peeled
+        # S_q, -q into S_p) below; it is static, so it cancels in S_t.  The
+        # kernel multiplies only the lanes read and leaves |chi|, so the mask.
+        mask, box, f, f_q, f_p = mask_box_gradients(center.values, grid, pq_factors(grid, hbar, 1))
         minus, plus = triple[0].values[box], triple[2].values[box]
     else:  # each sheared field is an inverse transform of multiplier * spectrum
         multiplier = shear_multiplier(grid, alpha, hbar)

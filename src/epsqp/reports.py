@@ -149,7 +149,8 @@ def fit_global_constant(target: NDArray, basis: NDArray, mask: NDArray | None = 
     """Least-squares constant ``c`` minimising ``||target - c * basis||``.
 
     Works for complex fields; restrict to ``mask`` if given.  Raises if the
-    basis is identically zero on the mask.
+    basis is identically zero on the mask.  The two sums come from
+    ``np.einsum``, without a full-size temporary and without BLAS.
     """
     target = np.asarray(target)
     basis = np.asarray(basis)
@@ -159,7 +160,9 @@ def fit_global_constant(target: NDArray, basis: NDArray, mask: NDArray | None = 
         mask = np.asarray(mask, dtype=bool)
         target = target[mask]
         basis = basis[mask]
-    denom = np.sum(np.abs(basis) ** 2)
+    axes = "abcdefghijkl"[: basis.ndim]
+    conj = basis.conj()  # the array itself when it is real
+    denom = np.einsum(f"{axes},{axes}->", conj, basis).real
     if denom == 0.0:
         raise ValueError("cannot fit a constant against a zero basis")
-    return complex(np.sum(np.conj(basis) * target) / denom)
+    return complex(np.einsum(f"{axes},{axes}->", conj, target) / denom)

@@ -36,27 +36,28 @@ from .reports import ResidualReport, residual_report, snapshot_metadata
 from .states import WaveFunction
 
 
-def shear_multiplier(grid: Grid2D, alpha: float, hbar: float) -> NDArray[np.complex128]:
-    """The Fourier multiplier ``exp(+i alpha hbar u v)`` of ``U_alpha`` on ``grid``.
+def _shear_factors(grid: Grid2D, alpha: float, hbar: float) -> tuple:
+    """Bluestein factors ``(hankel, chirp)`` of ``U_alpha``'s multiplier on a paired grid.
 
-    It multiplies a field's ``fft2`` spectrum, so one spectrum serves any
-    number of alphas.  Unimodular: the transform is exactly unitary.
-
-    ``grid`` must be Fourier-paired.  Then ``alpha hbar u_a v_b = 2 pi
-    alpha a b / n`` for the integer wavenumber indices ``a, b``, and with
-    ``2 a b = (a + b)^2 - a^2 - b^2`` (Bluestein's chirp identity) it is the
-    Hankel matrix of the table ``exp(i pi alpha s^2 / n)``, ``s = -n .. n-2``,
-    times the chirp ``exp(-i pi alpha a^2 / n)`` on each axis: 2n - 1
-    exponentials instead of n^2.
+    There ``alpha hbar u_a v_b = 2 pi alpha a b / n`` for the integer wavenumber indices
+    ``a, b``, and ``2 a b = (a + b)^2 - a^2 - b^2`` makes the multiplier the Hankel view
+    ``[i, j] -> h[i + j]`` of ``h = exp(i pi alpha s^2 / n)``, ``s = -n .. n-2``, in
+    centred order, times ``chirp = exp(-i pi alpha a^2 / n)`` in FFT order on each axis.
     """
     if grid.p_axis != paired_momentum_grid(grid.q_axis, hbar):
         raise GridError("grid axes are not Fourier-paired")
     n = grid.q_axis.n_points
     s = np.arange(-n, n - 1)
     table = np.exp(1j * (np.pi * alpha / n) * (s * s))
-    chirp = np.fft.ifftshift(np.conj(table[n // 2 : 3 * n // 2]))  # FFT order
-    # Hankel view [i, j] -> table[i + j] in centred order, block-swapped to FFT order
-    multiplier = np.fft.ifftshift(sliding_window_view(table, n))
+    chirp = np.fft.ifftshift(np.conj(table[n // 2 : 3 * n // 2]))
+    return sliding_window_view(table, n), chirp
+
+
+def shear_multiplier(grid: Grid2D, alpha: float, hbar: float) -> NDArray[np.complex128]:
+    """The unimodular Fourier multiplier ``exp(+i alpha hbar u v)`` of ``U_alpha`` on
+    ``grid``, for one alpha applied to several ``fft2`` spectra."""
+    hankel, chirp = _shear_factors(grid, alpha, hbar)
+    multiplier = np.fft.ifftshift(hankel)  # block-swapped to FFT order
     multiplier *= chirp[:, None]
     multiplier *= chirp[None, :]
     return multiplier
@@ -65,11 +66,20 @@ def shear_multiplier(grid: Grid2D, alpha: float, hbar: float) -> NDArray[np.comp
 def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> PhaseSpaceField:
     """Apply ``U_alpha`` to a phase-space field.
 
+    The spectrum is multiplied in place by the :func:`_shear_factors`, each
+    quadrant by its block of the Hankel view, so no n x n multiplier is built.
     Successive transforms compose additively in alpha; the result is tagged
     ``kind='transformed'`` with the accumulated parameter.
     """
+    hankel, chirp = _shear_factors(field.grid, alpha, field.params.hbar)
     spectrum = fft2_passes(field.values)
-    spectrum *= shear_multiplier(field.grid, alpha, field.params.hbar)
+    h = field.grid.q_axis.n_points // 2
+    halves = (slice(None, h), slice(h, None))  # FFT order; the centred block is the other half
+    for a, centred_a in zip(halves, halves[::-1]):
+        for b, centred_b in zip(halves, halves[::-1]):
+            spectrum[a, b] *= hankel[centred_a, centred_b]
+    spectrum *= chirp[:, None]
+    spectrum *= chirp[None, :]
     values = fft2_passes(spectrum, inverse=True, in_place=True)
     accumulated = alpha + (field.alpha if field.alpha is not None else 0.0)
     return PhaseSpaceField(
@@ -99,15 +109,13 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     resolved state.
 
     ``grid`` must be Fourier-paired.  On the paired p axis ``y_l p_j / hbar =
-    2 pi l (j - n/2) / n``, so the sum over the 2n lags ``l`` folds modulo
-    ``n`` with the sign ``(-1)^l`` into one length-n FFT per q column.  The
-    products of lags ``-n .. -1`` fill one n x n buffer and those of lags
-    ``0 .. n-1`` are added on top, so the n x 2n correlation is never stored.
-
-    The imaginary part of the discrete sum is below roundoff (the
-    correlation is Hermitian in the lag up to one unpaired endpoint whose
-    contribution is negligible for states that decay at the grid edge);
-    the real part is returned as a ``kind="wigner"`` field.
+    2 pi l (j - n/2) / n``, so the lag sum folds modulo ``n`` with the sign
+    ``(-1)^l`` into one length-n transform per q column.  The correlation is
+    Hermitian in the lag, ``C_-l = conj(C_l)``, so folded bin ``m`` is ``C_m +
+    conj(C_(n-m))`` and bins ``n/2 + 1 .. n-1`` conjugate bins ``n/2 - 1 .. 1``:
+    lags ``0 .. n`` fill ``n/2 + 1`` bins, and ``np.fft.hfft`` returns the real
+    W by construction.  Lag ``+n`` replaces the unpaired ``-n`` of a sum over
+    ``-n .. n-1``; both read the zero padding of a state that decays at the edge.
     """
     if psi.space != "q":
         raise ValueError("wigner_direct expects a position-space state")
@@ -117,6 +125,7 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     if grid.p_axis != paired_momentum_grid(grid.q_axis, hbar):
         raise GridError("grid axes are not Fourier-paired")
     n = grid.q_axis.n_points
+    h = n // 2
 
     # Row i of ``windows`` holds psi at q_i + (k - n) dq / 2, k = 0 .. 2n.
     # Shifts that leave the domain read the zero padding.  Wrapping them
@@ -126,12 +135,13 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     windows = sliding_window_view(padded, 2 * n + 1)[::2]
     # Lag l = k - n pairs windows[:, k] with conj(windows[:, 2n - k]).  The conjugate
     # comes first: numpy's vectorised complex product is not bitwise commutative.
-    folded = np.conj(windows[:, :n:-1]) * windows[:, :n]  # lags -n .. -1
-    folded += np.conj(windows[:, n:0:-1]) * windows[:, n:-1]  # lags 0 .. n-1
+    folded = np.conj(windows[:, n : h - 1 : -1]) * windows[:, n : n + h + 1]  # C_m
+    folded += np.conj(windows[:, 2 * n : n + h - 1 : -1]) * windows[:, : h + 1]  # conj(C_(n-m))
     folded[:, 1::2] *= -1.0
 
-    w = grid.q_axis.spacing * np.real(np.fft.fft(folded, axis=1)).T
+    w = np.fft.hfft(folded, n, axis=1).T
     del folded
+    w *= grid.q_axis.spacing
     return PhaseSpaceField(w.astype(complex), grid, psi.t, psi.params, kind="wigner")
 
 

@@ -178,6 +178,19 @@ def test_bad_config_values_fail_before_any_scenario(capsys, tmp_path, flag):
     assert key is None or key in err
 
 
+def test_zero_slope_is_a_usage_error(capsys, tmp_path):
+    # at b = 0 the linear-potential dt residual already sits at the rounding
+    # floor, so its halving check could never pass: the config is refused
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"slope_b": 0}))
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", "all", "--config", str(cfg_file)])
+    assert exc_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "slope_b must be non-zero" in err
+
+
 # ---------------------------------------------------------------------------
 # configuration precedence
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ decomposition and expectation values."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from epsqp.eps_core import (
     polar_decompose_2d,
 )
 from epsqp.numerics import (
+    Grid2D,
     GridError,
     PhysicalParams,
     Potential,
     amplitude_mask,
+    make_grid,
     spectral_derivative_2d,
     unwrap_phase_1d,
 )
@@ -60,6 +63,22 @@ def test_chi_build_rejects_mismatched_params(
     )
     with pytest.raises(ValueError):
         chi_build(psi, to_momentum_space(other), grid2)
+
+
+def test_chi_build_matches_the_direct_product(harmonic_params):
+    # psi(q) conj(phi(p)) exp(-i p q / hbar) with the exponential taken
+    # directly, on a domain whose q_min / dq is not an integer, at hbar != 1;
+    # the bound is the reference's own rounding of its argument p q / hbar
+    params = replace(harmonic_params, hbar=0.7)
+    q_grid = make_grid(256, -7.3, 12.1)
+    g2 = Grid2D.paired(q_grid, params.hbar)
+    psi = ho_coherent_state(q_grid, params, q0=1.3, p0=-0.4, t=0.3)
+    phi = to_momentum_space(psi)
+    p, q = g2.p_axis.points[:, None], g2.q_axis.points[None, :]
+    direct = psi.values[None, :] * np.conj(phi.values)[:, None] * np.exp(-1j * p * q / params.hbar)
+    scale = np.abs(psi.values).max() * np.abs(phi.values).max()
+    bound = 4.0 * np.finfo(float).eps * np.abs(p).max() * np.abs(q).max() / params.hbar * scale
+    assert np.max(np.abs(chi_build(psi, phi, g2).values - direct)) < bound
 
 
 def test_field_kind_and_alpha_tagging(grid2, harmonic_params, ground_chi):

@@ -25,7 +25,7 @@ from epsqp.numerics import (
     mask_runs,
     paired_momentum_grid,
     position_to_momentum,
-    pq_kernel,
+    pq_factors,
     relative_curvature,
     spectral_derivative,
     spectral_derivative_2d,
@@ -311,31 +311,32 @@ def test_spectral_derivative_checks_length():
 @pytest.mark.parametrize("domain", [(-10.0, 10.0), (-7.3, 12.1)])
 @pytest.mark.parametrize("n", [2**e for e in range(3, 12)])
 def test_pq_kernel_matches_direct_exponential(n, domain):
-    # The table kernel reduces every phase modulo 2 pi, so what is left is
+    # The Bluestein factors reduce every phase modulo 2 pi, so what is left is
     # the reference's own rounding of its argument p q / hbar: measured at
-    # 0.2-2.1 eps * max|p| * max|q| / hbar for n = 8 .. 2048 on both domains
-    # (9.0e-13 and 1.9e-12 at n = 2048).  The reference is built in row
-    # blocks so the largest case holds one n^2 array.
+    # 0.2-0.6 x this bound for n = 8 .. 2048 on both domains.  The kernel and
+    # the reference are built in row blocks so the largest case holds one n^2
+    # array.
     hbar = 0.7
     g2 = Grid2D.paired(make_grid(n, *domain), hbar)
     p, q = g2.p_axis.points, g2.q_axis.points
     bound = 4.0 * np.finfo(float).eps * np.abs(p).max() * np.abs(q).max() / hbar
     for sign in (-1, 1):
-        kernel = pq_kernel(g2, hbar, sign)
-        assert kernel.shape == g2.shape
+        hankel, row, col = pq_factors(g2, hbar, sign)
+        assert hankel.shape == g2.shape and row.shape == col.shape == (n,)
         for r in range(0, n, 256):
+            kernel = hankel[r : r + 256] * row[r : r + 256, None] * col
             direct = np.exp(sign * 1j * np.multiply.outer(p[r : r + 256], q) / hbar)
-            assert np.max(np.abs(kernel[r : r + 256] - direct)) < bound
+            assert np.max(np.abs(kernel - direct)) < bound
 
 
 def test_pq_kernel_needs_a_paired_grid():
     g = make_grid(64, -10.0, 10.0)
     with pytest.raises(GridError):
-        pq_kernel(Grid2D(g, g), 1.0, -1)
+        pq_factors(Grid2D(g, g), 1.0, -1)
     with pytest.raises(GridError):
-        pq_kernel(Grid2D.paired(g, 1.0), 0.5, -1)  # paired for another hbar
+        pq_factors(Grid2D.paired(g, 1.0), 0.5, -1)  # paired for another hbar
     with pytest.raises(ValueError):
-        pq_kernel(Grid2D.paired(g, 1.0), 1.0, 0)
+        pq_factors(Grid2D.paired(g, 1.0), 1.0, 0)
 
 
 def test_plane_wave_identity_sanity():

@@ -176,3 +176,13 @@ def test_wigner_transport_computes_each_snapshot_once(monkeypatch):
     t, dt = cfg.eval_time, cfg.dt
     expected = [t, t - dt, t + dt, t - dt / 2, t + dt / 2]
     assert calls == pytest.approx(expected, abs=1e-15)
+
+
+def test_wigner_peak_reference_needs_no_sample_at_the_origin():
+    # q_min / dq = -59.52 on this domain, so no q sample sits at 0 and the
+    # peak check must compare with the closed form at the nearest sample
+    cfg = ScenarioConfig(grid_n=128, q_min=-9.3, q_max=10.7, hbar=0.7)
+    report = scenarios.scenario_wigner_equivalence(cfg)
+    peak = next(c for c in report.checks if c.name == "wigner-groundstate-peak-err")
+    assert peak.passed and peak.value < 1e-12
+    assert report.passed
