@@ -46,15 +46,16 @@ FIELD_KINDS = ("chi", "wigner", "transformed")
 
 @dataclass(frozen=True)
 class PhaseSpaceField:
-    """Complex field on a ``(p, q)`` grid, tagged with time and provenance.
+    """Field on a ``(p, q)`` grid, tagged with time and provenance.
 
     ``kind`` is one of ``"chi"`` (product distribution with its ``exp(-ipq/
     hbar)`` phase), ``"wigner"`` (direct Wigner construction), or
     ``"transformed"`` (a shear applied), in which case ``alpha`` records the
-    accumulated shear parameter.
+    accumulated shear parameter.  Wigner values are stored as float64 (a
+    non-zero imaginary part raises), all others as complex128.
     """
 
-    values: NDArray[np.complex128]
+    values: NDArray
     grid: Grid2D
     t: float
     params: PhysicalParams
@@ -68,7 +69,12 @@ class PhaseSpaceField:
             raise ValueError("transformed fields must record their alpha")
         if self.kind != "transformed" and self.alpha is not None:
             raise ValueError(f"{self.kind!r} fields do not carry an alpha")
-        values = np.asarray(self.values, dtype=complex)
+        values = np.asarray(self.values)
+        if self.kind == "wigner" and np.iscomplexobj(values):
+            if np.any(values.imag):
+                raise ValueError("a Wigner field is real: its values have a non-zero imaginary part")
+            values = values.real.copy()  # not a view that keeps the complex array alive
+        values = values.astype(float if self.kind == "wigner" else complex, copy=False)
         if values.shape != self.grid.shape:
             raise GridError(
                 f"values shape {values.shape} does not match grid {self.grid.shape}"
@@ -169,6 +175,7 @@ class ExtendedHamiltonian:
         p = grid.p_axis.points[:, None]
         q = grid.q_axis.points[None, :]
         out = np.zeros(grid.shape, dtype=complex)
+        work = np.empty_like(out)  # one buffer for every derivative term
         for axis, k, terms in (
             (1, grid.q_axis.wavenumbers[None, :], ((2, hbar**2 * self.A), (1, 1j * hbar * self.B * p))),
             (0, grid.p_axis.wavenumbers[:, None], ((2, hbar**2 * self.C), (1, 1j * hbar * (self.D * q + self.E)))),
@@ -178,8 +185,10 @@ class ExtendedHamiltonian:
             spectrum = np.fft.fft(field.values, axis=axis)  # serves both derivative orders
             for order, coefficient in terms:
                 if np.any(coefficient):
-                    derivative = spectrum * (1j * k) ** order
-                    out -= coefficient * np.fft.ifft(derivative, axis=axis, out=derivative)
+                    np.multiply(spectrum, (1j * k) ** order, out=work)
+                    np.fft.ifft(work, axis=axis, out=work)
+                    out -= np.multiply(coefficient, work, out=work)
+            del spectrum  # freed before the other axis is transformed
         return out
 
 
@@ -189,8 +198,11 @@ def eps_rhs_apply(field: PhaseSpaceField) -> PhaseSpaceField:
     For untransformed fields the alpha = 0 operator is used; for
     transformed fields the operator matching the field's recorded alpha.
     The result is returned on the same grid with the same tags (it is an
-    operator image, not a new distribution).
+    operator image, not a new distribution).  A Wigner field raises
+    ``ValueError``: its image is complex, and Wigner values are real.
     """
+    if field.kind == "wigner":
+        raise ValueError("eps_rhs_apply takes chi or transformed fields: H' W is complex")
     alpha = field.alpha if field.kind == "transformed" else 0.0
     ham = ExtendedHamiltonian.from_params(field.params, alpha)
     return PhaseSpaceField(

@@ -423,17 +423,24 @@ def validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
 def alpha_sweep(snapshots: Sequence[PhaseSpaceField], alphas: Sequence[float]) -> AlphaSweepResult:
     """Evaluate the transformed residual across a shear-parameter sweep.
 
-    ``alphas`` must pass :func:`validate_alphas`; the sweep points are
-    evaluated in that order.  The three snapshots are transformed to
-    Fourier space once for the whole sweep.
+    ``alphas`` must pass :func:`validate_alphas`; the reports follow that
+    order.  alpha = 0, the only member that reads the chi values (through
+    the peel), is evaluated first.  Then the three snapshots are transformed
+    to Fourier space once for the whole sweep, and only the centre field,
+    whose metadata the reports carry, is kept: a snapshot list that only
+    this call holds frees its t +- dt fields there.
     """
     alphas = validate_alphas(alphas)
     triple = _chi_triple(snapshots)
-    spectra = [fft2_passes(s.values) for s in snapshots]
-    reports = tuple(
-        _hj_residual_2d(triple, a, _transformed_name(a), spectra, with_fields=False)
-        for a in alphas
-    )
+    del snapshots
+
+    def evaluate(a, spectra=None):  # reads ``triple`` as rebound below
+        return _hj_residual_2d(triple, a, _transformed_name(a), spectra, with_fields=False)
+
+    first = {a: evaluate(a) for a in alphas if a == 0.0}
+    spectra = [fft2_passes(s.values) for s in triple[:3]]
+    triple = (None, triple[1], None, triple[3])
+    reports = tuple(first[a] if a in first else evaluate(a, spectra) for a in alphas)
     coefficients = tuple(r.metadata["fitted_coefficient"] for r in reports)
     return AlphaSweepResult(
         alphas=alphas,

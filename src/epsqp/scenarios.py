@@ -32,8 +32,10 @@ from .numerics import (
     Potential,
     fd_mixed_partial,
     make_grid,
+    snapshot_triple,
 )
 from .quantum_potential import (
+    _hj_residual_2d,
     alpha_sweep,
     hj_residual_eps,
     hj_residual_p,
@@ -258,9 +260,9 @@ def _check_halving(
     check, and a second-order convergence check: the halving ratio
     (>= 3.5), or with ``order`` the observed order log2 of that ratio
     (>= 1.9).  A zero residual leaves the ratio undefined or infinite,
-    which fails the check.  Returns the dt residual with its fields.
-    Callers pass the two evaluations as arguments, so the dt/2 snapshots
-    are built only after the dt residual is done and are released on return.
+    which fails the check.  Returns the dt residual with its fields; only
+    the norms of ``fine`` are read.  The 1D callers evaluate the dt residual
+    first (argument order); :func:`_eps_halving` evaluates the dt/2 one first.
     """
     report.residuals.append(replace(coarse, fields={}))
     report.checks.append(make_check(l2_name, coarse.l2_norm, l2_tol))
@@ -316,7 +318,7 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
         g, g2 = _grids(cfg, n)
         psi = ho_coherent_state(g, params, cfg.q0, cfg.p0, cfg.eval_time)
         sheared = apply_extended_transform(_chi(psi, g2), -0.5).values
-        w = np.real(wigner_direct(psi, g2).values)
+        w = wigner_direct(psi, g2).values
         c = fit_global_constant(sheared, w)
         # ||sheared - c w|| / ||sheared||, summed over fixed row blocks: no full-size temporary
         num = den = 0.0
@@ -356,7 +358,7 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
     # (general: 2 exp(-m w q^2 / hbar - p^2 / (m w hbar))), peak value 2 at
     # any hbar in the lag-y measure of wigner_direct.
     psi_g = ho_coherent_state(g, params, 0.0, 0.0, 0.0)
-    w_g = np.real(wigner_direct(psi_g, g2).values)
+    w_g = wigner_direct(psi_g, g2).values
     p, q = g2.p_axis.points[:, None], g.points[None, :]
     m, hbar, w_freq = params.mass, params.hbar, params.omega
     w_exact = 2.0 * np.exp(-m * w_freq * q**2 / hbar - p**2 / (m * w_freq * hbar))
@@ -680,46 +682,62 @@ def scenario_eps_residuals(cfg: ScenarioConfig) -> ScenarioReport:
     """Phase-space identities for the product distribution chi: the
     dynamical equation itself, the modified Hamilton-Jacobi residuals for
     both potentials, and the separable structure of amplitude and action.
-    One helper per potential frees the harmonic arrays before the linear part."""
+    The harmonic helper frees its arrays before the linear part runs."""
     report = ScenarioReport("eps-residuals", cfg)
     g, g2 = _grids(cfg)
     report.field_bundles = {"eps-quantum-q-term": _eps_harmonic(report, cfg, g, g2)}
-    _eps_linear(report, cfg, g, g2)
+    gaussian = partial(linear_potential_gaussian, g, _linear_params(cfg), cfg.q0, cfg.p0, cfg.sigma0)
+    _eps_halving(report, gaussian, cfg, g2)
     return report
+
+
+def _eps_halving(report: ScenarioReport, state, cfg: ScenarioConfig, g2: Grid2D) -> tuple:
+    """:func:`_check_halving` of the phase-space Hamilton-Jacobi residual of
+    ``state``'s chi, with the dt/2 residual (norms only) evaluated first.
+
+    The dt/2 and dt triplets share their centre chi, the state at
+    ``cfg.eval_time``, so it is built once and only one triplet is alive at
+    a time.  Returns the centre state, the dt chi triplet and the dt
+    residual's ``q_term`` and ``mask`` fields.
+    """
+    psis, psis_half = _halving_pair(state, cfg)
+    center = _chi(psis[1], g2)
+    half = snapshot_triple([_chi(psis_half[0], g2), center, _chi(psis_half[2], g2)])
+    fine = _hj_residual_2d(half, 0.0, "eps-hj-dt/2", with_fields=False)
+    del half
+    snaps = [_chi(psis[0], g2), center, _chi(psis[2], g2)]
+    coarse = hj_residual_eps(snaps)
+    name = coarse.name  # eps-hj-harmonic or eps-hj-linear
+    _check_halving(report, coarse, fine, f"{name}-l2", 1e-5, f"{name}-halving-ratio")
+    return psis[1], snaps, coarse.fields["q_term"], coarse.fields["mask"]
 
 
 def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) -> dict:
     """The harmonic checks of eps-residuals; returns the q-term field bundle."""
     params = _harmonic_params(cfg)
     hbar = params.hbar
-
-    psis, psis_half = _halving_pair(partial(ho_coherent_state, g, params, cfg.q0, cfg.p0), cfg)
-    snaps = _chi_triplet(psis, g2)
-    r_h = _check_halving(
-        report,
-        hj_residual_eps(snaps),
-        hj_residual_eps(_chi_triplet(psis_half, g2)),
-        "eps-hj-harmonic-l2",
-        1e-5,
-        "eps-hj-harmonic-halving-ratio",
-    )
+    coherent = partial(ho_coherent_state, g, params, cfg.q0, cfg.p0)
+    psi_t, snaps, q_term, mask = _eps_halving(report, coherent, cfg, g2)
 
     # dynamical equation: i hbar d(chi)/dt = H' chi at the operator level
-    minus, center, plus = snaps
-    lhs = 1j * hbar * (plus.values - minus.values) / (2.0 * cfg.dt)
-    rhs = eps_rhs_apply(center).values
-    report.checks.append(make_check("eps-evolution-residual-l2", l2(lhs - rhs, g2.cell), 1e-6))
+    lhs = 1j * hbar * (snaps[2].values - snaps[0].values) / (2.0 * cfg.dt)
+    center = snaps[1]
+    del snaps  # the t +- dt fields
+    lhs -= eps_rhs_apply(center).values
+    report.checks.append(make_check("eps-evolution-residual-l2", l2(lhs, g2.cell), 1e-6))
+    del lhs
 
     # stationary pair: energy phases cancel in psi phi*, so H' chi = 0
-    psi_g = ho_coherent_state(g, params, 0.0, 0.0, 0.0)
-    chi_g = _chi(psi_g, g2)
+    chi_g = _chi(ho_coherent_state(g, params, 0.0, 0.0, 0.0), g2)
     stationary_max = float(np.max(np.abs(eps_rhs_apply(chi_g).values)))
     report.checks.append(make_check("eps-stationary-max", stationary_max, 1e-8))
+    del chi_g
 
     # --- separable structure (amplitude factorisation, action additivity) ---
     ea = polar_decompose_2d(center)
-    pf_q = polar_decompose(psis[1])
-    pf_p = polar_decompose(to_momentum_space(psis[1]))
+    del center
+    pf_q = polar_decompose(psi_t)
+    pf_p = polar_decompose(to_momentum_space(psi_t))
 
     outer = pf_q.R[None, :] * pf_p.R[:, None]
     joint = ea.mask & pf_p.mask[:, None] & pf_q.mask[None, :]
@@ -736,28 +754,10 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
 
     # the q-curvature quantum term of the 2D identity equals the 1D quantum
     # potential of the psi factor, broadcast over p
-    q_term = r_h.fields["q_term"]
     q_1d = quantum_potential(pf_q)
-    sep_err = masked_max(q_term - q_1d[None, :], joint & r_h.fields["mask"])
+    sep_err = masked_max(q_term - q_1d[None, :], joint & mask)
     report.checks.append(make_check("eps-qterm-separability", sep_err, TOL_QPOT))
-
-    mask = r_h.fields["mask"]
     return {"kind": "2d", "p": g2.p_axis.points, "q": g.points, "values": q_term, "mask": mask}
-
-
-def _eps_linear(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) -> None:
-    """The linear-potential Hamilton-Jacobi checks of eps-residuals."""
-    params = _linear_params(cfg)
-    gaussian = partial(linear_potential_gaussian, g, params, cfg.q0, cfg.p0, cfg.sigma0)
-    lin, lin_half = _halving_pair(gaussian, cfg)
-    _check_halving(
-        report,
-        hj_residual_eps(_chi_triplet(lin, g2)),
-        hj_residual_eps(_chi_triplet(lin_half, g2)),
-        "eps-hj-linear-l2",
-        1e-5,
-        "eps-hj-linear-halving-ratio",
-    )
 
 
 def scenario_classical_appendix(cfg: ScenarioConfig) -> ScenarioReport:

@@ -195,10 +195,12 @@ def splitstep_propagate(psi0: WaveFunction, t_final: float, dt: float = 5e-3) ->
         for h in (w1 * dt_eff, (1.0 - 2.0 * w1) * dt_eff, w1 * dt_eff)
     ]
 
-    values = psi0.values.copy()
+    values = psi0.values.copy()  # every stage works in place on it
     for _ in range(n_steps):
         for half_v, kinetic in stages:
-            values = half_v * values
-            values = np.fft.ifft(kinetic * np.fft.fft(values))
-            values = half_v * values
+            np.multiply(half_v, values, out=values)
+            np.fft.fft(values, out=values)
+            np.multiply(kinetic, values, out=values)
+            np.fft.ifft(values, out=values)
+            np.multiply(half_v, values, out=values)
     return replace(psi0, values=values, t=psi0.t + t_final)

@@ -113,9 +113,10 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     ``(-1)^l`` into one length-n transform per q column.  The correlation is
     Hermitian in the lag, ``C_-l = conj(C_l)``, so folded bin ``m`` is ``C_m +
     conj(C_(n-m))`` and bins ``n/2 + 1 .. n-1`` conjugate bins ``n/2 - 1 .. 1``:
-    lags ``0 .. n`` fill ``n/2 + 1`` bins, and ``np.fft.hfft`` returns the real
-    W by construction.  Lag ``+n`` replaces the unpaired ``-n`` of a sum over
-    ``-n .. n-1``; both read the zero padding of a state that decays at the edge.
+    lags ``0 .. n`` fill ``n/2 + 1`` bins, and the inverse real transform of
+    their conjugate returns the real W by construction, as a float64 field.
+    Lag ``+n`` replaces the unpaired ``-n`` of a sum over ``-n .. n-1``; both
+    read the zero padding of a state that decays at the edge.
     """
     if psi.space != "q":
         raise ValueError("wigner_direct expects a position-space state")
@@ -139,10 +140,11 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     folded += np.conj(windows[:, 2 * n : n + h - 1 : -1]) * windows[:, : h + 1]  # conj(C_(n-m))
     folded[:, 1::2] *= -1.0
 
-    w = np.fft.hfft(folded, n, axis=1).T
+    # np.fft.hfft, without the conjugated copy of its input
+    w = np.fft.irfft(np.conj(folded, out=folded), n, axis=1, norm="forward").T
     del folded
     w *= grid.q_axis.spacing
-    return PhaseSpaceField(w.astype(complex), grid, psi.t, psi.params, kind="wigner")
+    return PhaseSpaceField(w, grid, psi.t, psi.params, kind="wigner")
 
 
 def wigner_equation_residual(wigners: Sequence[PhaseSpaceField]) -> ResidualReport:
@@ -166,13 +168,13 @@ def wigner_equation_residual(wigners: Sequence[PhaseSpaceField]) -> ResidualRepo
         raise ValueError("the Wigner equation residual needs wigner_direct fields")
     minus, center, plus, dt = snapshot_triple(wigners)
     grid = center.grid
-    w_center = np.real(center.values)
+    w_center = center.values
     mask, box, _, w_q, w_p = mask_box_gradients(w_center, grid)
 
     m = center.params.mass
     p = grid.p_axis.points[box[0], None]
     v_prime = center.params.potential.derivative(grid.q_axis.points[None, box[1]])
-    w_t = (np.real(plus.values[box]) - np.real(minus.values[box])) / (2.0 * dt)
+    w_t = (plus.values[box] - minus.values[box]) / (2.0 * dt)
     residual = w_t + (p / m) * np.real(w_q) - v_prime * np.real(w_p)
 
     return residual_report(

@@ -30,7 +30,7 @@ from epsqp.numerics import (
     unwrap_phase_1d,
 )
 from epsqp.states import ho_coherent_state, to_momentum_space
-from epsqp.transforms import apply_extended_transform
+from epsqp.transforms import apply_extended_transform, wigner_direct
 
 HYP = settings(max_examples=20, deadline=None)
 
@@ -94,6 +94,19 @@ def test_field_kind_and_alpha_tagging(grid2, harmonic_params, ground_chi):
         PhaseSpaceField(
             ground_chi.values, grid2, 0.0, harmonic_params, kind="chi", alpha=0.3
         )  # untransformed fields must not
+
+
+def test_wigner_fields_are_real(grid2, harmonic_params, ground_chi):
+    # a Wigner field stores float64 values; a complex array is accepted only
+    # when its imaginary part is zero, never silently truncated
+    w = np.real(ground_chi.values)
+    for values in (w, w + 0j):
+        field = PhaseSpaceField(values, grid2, 0.0, harmonic_params, kind="wigner")
+        assert field.values.dtype == np.float64
+        np.testing.assert_array_equal(field.values, w)
+    with pytest.raises(ValueError, match="imaginary"):
+        PhaseSpaceField(ground_chi.values, grid2, 0.0, harmonic_params, kind="wigner")
+    assert PhaseSpaceField(w, grid2, 0.0, harmonic_params).values.dtype == np.complex128
 
 
 def test_amplitude_factorizes(q_grid, grid2, harmonic_params):
@@ -289,6 +302,21 @@ def test_rhs_alpha_selection(ground_chi):
     )
     # a different operator family gives a genuinely different image
     assert np.max(np.abs(untransformed.apply(sheared) - image.values)) > 1e-3
+
+
+def test_rhs_rejects_a_wigner_field(ground_state, grid2):
+    # H' W is complex, so it cannot be returned as a (real) Wigner field
+    with pytest.raises(ValueError, match="chi or transformed"):
+        eps_rhs_apply(wigner_direct(ground_state, grid2))
+
+
+def test_rhs_allocates_one_work_buffer(temporary_arrays, harmonic_params):
+    # the image, one work buffer and one axis spectrum at a time, in n x n
+    # complex arrays (measured 3.04)
+    n = 512
+    g = make_grid(n, -10.0, 10.0)
+    chi = _chi_at(g, Grid2D.paired(g, harmonic_params.hbar), harmonic_params, 1.0, 0.5, 0.3)[0]
+    assert temporary_arrays(lambda: eps_rhs_apply(chi), n) <= 3.25
 
 
 # ---------------------------------------------------------------------------

@@ -186,3 +186,15 @@ def test_wigner_peak_reference_needs_no_sample_at_the_origin():
     peak = next(c for c in report.checks if c.name == "wigner-groundstate-peak-err")
     assert peak.passed and peak.value < 1e-12
     assert report.passed
+
+
+@pytest.mark.parametrize(
+    "scenario, limit",
+    [(scenarios.scenario_eps_residuals, 7.5), (scenarios.scenario_all, 9.5)],
+)
+def test_scenarios_free_their_fields(temporary_arrays, scenario, limit):
+    # Traced peak in n x n complex arrays at n = 512, the returned reports and
+    # their field bundles included: each n^2 array is freed after its last
+    # read (measured 6.09 and 8.25; 12.80 and 14.82 before).
+    n = 512
+    assert temporary_arrays(lambda: scenario(ScenarioConfig(grid_n=n)), n) <= limit
