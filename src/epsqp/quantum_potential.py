@@ -266,8 +266,8 @@ def _hj_residual_2d(
     projection of -classical_form onto T (metadata ``fitted_coefficient``)
     measures the coefficient the data actually demands, which the exact
     identity fixes at 1/2 + alpha (``expected_coefficient``).  Without
-    ``with_fields`` the report carries norms and metadata only; its fields
-    are NaN off the mask.
+    ``with_fields`` (only :func:`alpha_sweep` passes ``False``) the report
+    carries norms and metadata only; its fields are NaN off the mask.
     """
     _, center, _, dt = triple
     params = center.params

@@ -32,10 +32,8 @@ from .numerics import (
     Potential,
     fd_mixed_partial,
     make_grid,
-    snapshot_triple,
 )
 from .quantum_potential import (
-    _hj_residual_2d,
     alpha_sweep,
     hj_residual_eps,
     hj_residual_p,
@@ -232,70 +230,46 @@ def _triplet(state: Callable[[float], WaveFunction], t: float, dt: float) -> lis
     return [state(tt) for tt in (t - dt, t, t + dt)]
 
 
-def _halving_pair(state: Callable[[float], WaveFunction], cfg: ScenarioConfig) -> list:
-    """Triplets of ``state`` around ``cfg.eval_time`` at ``cfg.dt`` and ``cfg.dt / 2``."""
-    return [_triplet(state, cfg.eval_time, h) for h in (cfg.dt, cfg.dt / 2.0)]
-
-
 def _chi(psi: WaveFunction, grid2: Grid2D):
     return chi_build(psi, to_momentum_space(psi), grid2)
 
 
-def _chi_triplet(psis, grid2):
-    return [_chi(psi, grid2) for psi in psis]
-
-
 def _check_halving(
     report: ScenarioReport,
-    coarse: ResidualReport,
-    fine: ResidualReport,
+    cfg: ScenarioConfig,
+    snapshot: Callable[[float], object],
+    residual: Callable[[list], ResidualReport],
     l2_name: str,
     l2_tol: float,
     rate_name: str,
     order: bool = False,
-) -> ResidualReport:
-    """Record one residual evaluated at dt (``coarse``) and at dt/2 (``fine``).
+) -> tuple[ResidualReport, list]:
+    """Record ``residual`` of ``snapshot`` around ``cfg.eval_time`` at dt and dt/2.
 
+    ``snapshot(t)`` returns what ``residual`` reads at time t: a state, its
+    momentum-space form, its Wigner function or its chi.  The centre
+    snapshot is built once for both triplets; the dt/2 triplet is evaluated
+    first and only its L2 norm kept, so one triplet is alive at a time.
     Adds the dt residual (norms and metadata, not its fields), its L2
     check, and a second-order convergence check: the halving ratio
     (>= 3.5), or with ``order`` the observed order log2 of that ratio
     (>= 1.9).  A zero residual leaves the ratio undefined or infinite,
-    which fails the check.  Returns the dt residual with its fields; only
-    the norms of ``fine`` are read.  The 1D callers evaluate the dt residual
-    first (argument order); :func:`_eps_halving` evaluates the dt/2 one first.
+    which fails the check.  Returns the dt residual with its fields and the
+    dt snapshots.
     """
+    t, dt, half = cfg.eval_time, cfg.dt, cfg.dt / 2.0
+    center = snapshot(t)
+    fine_l2 = residual([snapshot(t - half), center, snapshot(t + half)]).l2_norm
+    snaps = [snapshot(t - dt), center, snapshot(t + dt)]
+    coarse = residual(snaps)
     report.residuals.append(replace(coarse, fields={}))
     report.checks.append(make_check(l2_name, coarse.l2_norm, l2_tol))
     with np.errstate(divide="ignore", invalid="ignore"):  # x/0 = inf, 0/0 = nan
-        ratio = np.float64(coarse.l2_norm) / fine.l2_norm
+        ratio = np.float64(coarse.l2_norm) / fine_l2
         if order:
             ratio = np.log2(ratio)
     report.checks.append(make_check(rate_name, ratio, 1.9 if order else 3.5, ">="))
-    return coarse
-
-
-def _check_wigner_halving(
-    report: ScenarioReport,
-    psis: list,
-    psis_half: list,
-    grid2: Grid2D,
-    l2_name: str,
-    order_name: str,
-) -> None:
-    """:func:`_check_halving` of the Wigner transport residual (order check).
-
-    The dt and dt/2 triplets share their centre state, so its Wigner
-    function is computed once.
-    """
-    center = wigner_direct(psis[1], grid2)
-
-    def residual(triplet):
-        minus, plus = (wigner_direct(psi, grid2) for psi in (triplet[0], triplet[2]))
-        return wigner_equation_residual([minus, center, plus])
-
-    _check_halving(
-        report, residual(psis), residual(psis_half), l2_name, 1e-4, order_name, order=True
-    )
+    return coarse, snaps
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +401,7 @@ def scenario_alpha_sweep(cfg: ScenarioConfig) -> ScenarioReport:
         g, g2 = _grids(cfg, n)
         coherent = partial(ho_coherent_state, g, params, cfg.q0, cfg.p0)
         psis = _triplet(coherent, cfg.eval_time, cfg.dt)
-        return alpha_sweep(_chi_triplet(psis, g2), cfg.alphas)
+        return alpha_sweep([_chi(psi, g2) for psi in psis], cfg.alphas)
 
     sweep = run_sweep(cfg.grid_n)
     report.checks.append(make_check("alpha-sweep-fit-r2", sweep.fit.r_squared, 0.999, ">"))
@@ -522,22 +496,11 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     )
 
     # --- 1D modified Hamilton-Jacobi residuals + convergence order ---------
-    psis, psis_half = _halving_pair(partial(ho_coherent_state, g, params, cfg.q0, cfg.p0), cfg)
+    coherent = partial(ho_coherent_state, g, params, cfg.q0, cfg.p0)
+    _check_halving(report, cfg, coherent, hj_residual_q, "hj-q-l2", 1e-5, "hj-q-halving-ratio")
     _check_halving(
-        report,
-        hj_residual_q(psis),
-        hj_residual_q(psis_half),
-        "hj-q-l2",
-        1e-5,
-        "hj-q-halving-ratio",
-    )
-    _check_halving(
-        report,
-        hj_residual_p([to_momentum_space(p) for p in psis]),
-        hj_residual_p([to_momentum_space(p) for p in psis_half]),
-        "hj-p-harmonic-l2",
-        1e-5,
-        "hj-p-halving-ratio",
+        report, cfg, lambda t: to_momentum_space(coherent(t)), hj_residual_p,
+        "hj-p-harmonic-l2", 1e-5, "hj-p-halving-ratio",
     )
 
     # --- term deletion: the classical-form residual IS minus the quantum
@@ -551,8 +514,9 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     )
 
     # --- Wigner transport equation + convergence order ----------------------
-    _check_wigner_halving(
-        report, psis, psis_half, g2, "wigner-eq-harmonic-l2", "wigner-eq-harmonic-order"
+    _check_halving(
+        report, cfg, lambda t: wigner_direct(coherent(t), g2), wigner_equation_residual,
+        "wigner-eq-harmonic-l2", 1e-4, "wigner-eq-harmonic-order", order=True,
     )
 
     # --- averaging rule ------------------------------------------------------
@@ -622,17 +586,12 @@ def scenario_linear_gaussian(cfg: ScenarioConfig) -> ScenarioReport:
     g, g2 = _grids(cfg)
     report = ScenarioReport("linear-gaussian", cfg)
     gaussian = partial(linear_potential_gaussian, g, params, cfg.q0, cfg.p0, cfg.sigma0)
-    psis, psis_half = _halving_pair(gaussian, cfg)
-    _check_halving(
-        report,
-        hj_residual_q(psis),
-        hj_residual_q(psis_half),
-        "hj-q-linear-l2",
-        1e-5,
-        "hj-q-linear-halving-ratio",
+    _, psis = _check_halving(
+        report, cfg, gaussian, hj_residual_q, "hj-q-linear-l2", 1e-5, "hj-q-linear-halving-ratio"
     )
-    _check_wigner_halving(
-        report, psis, psis_half, g2, "wigner-eq-linear-l2", "wigner-eq-linear-order"
+    _check_halving(
+        report, cfg, lambda t: wigner_direct(gaussian(t), g2), wigner_equation_residual,
+        "wigner-eq-linear-l2", 1e-4, "wigner-eq-linear-order", order=True,
     )
 
     evolved = splitstep_propagate(gaussian(0.0), 0.5, dt=5e-3)
@@ -666,14 +625,9 @@ def scenario_pspace_linear(cfg: ScenarioConfig) -> ScenarioReport:
     g, _ = _grids(cfg)
     report = ScenarioReport("pspace-linear", cfg)
     gaussian = partial(linear_potential_gaussian, g, params, cfg.q0, cfg.p0, cfg.sigma0)
-    psis, psis_half = _halving_pair(gaussian, cfg)
     _check_halving(
-        report,
-        hj_residual_p([to_momentum_space(p) for p in psis]),
-        hj_residual_p([to_momentum_space(p) for p in psis_half]),
-        "pspace-linear-classical-l2",
-        1e-5,
-        "pspace-linear-halving-ratio",
+        report, cfg, lambda t: to_momentum_space(gaussian(t)), hj_residual_p,
+        "pspace-linear-classical-l2", 1e-5, "pspace-linear-halving-ratio",
     )
     return report
 
@@ -687,29 +641,11 @@ def scenario_eps_residuals(cfg: ScenarioConfig) -> ScenarioReport:
     g, g2 = _grids(cfg)
     report.field_bundles = {"eps-quantum-q-term": _eps_harmonic(report, cfg, g, g2)}
     gaussian = partial(linear_potential_gaussian, g, _linear_params(cfg), cfg.q0, cfg.p0, cfg.sigma0)
-    _eps_halving(report, gaussian, cfg, g2)
+    _check_halving(
+        report, cfg, lambda t: _chi(gaussian(t), g2), hj_residual_eps,
+        "eps-hj-linear-l2", 1e-5, "eps-hj-linear-halving-ratio",
+    )
     return report
-
-
-def _eps_halving(report: ScenarioReport, state, cfg: ScenarioConfig, g2: Grid2D) -> tuple:
-    """:func:`_check_halving` of the phase-space Hamilton-Jacobi residual of
-    ``state``'s chi, with the dt/2 residual (norms only) evaluated first.
-
-    The dt/2 and dt triplets share their centre chi, the state at
-    ``cfg.eval_time``, so it is built once and only one triplet is alive at
-    a time.  Returns the centre state, the dt chi triplet and the dt
-    residual's ``q_term`` and ``mask`` fields.
-    """
-    psis, psis_half = _halving_pair(state, cfg)
-    center = _chi(psis[1], g2)
-    half = snapshot_triple([_chi(psis_half[0], g2), center, _chi(psis_half[2], g2)])
-    fine = _hj_residual_2d(half, 0.0, "eps-hj-dt/2", with_fields=False)
-    del half
-    snaps = [_chi(psis[0], g2), center, _chi(psis[2], g2)]
-    coarse = hj_residual_eps(snaps)
-    name = coarse.name  # eps-hj-harmonic or eps-hj-linear
-    _check_halving(report, coarse, fine, f"{name}-l2", 1e-5, f"{name}-halving-ratio")
-    return psis[1], snaps, coarse.fields["q_term"], coarse.fields["mask"]
 
 
 def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) -> dict:
@@ -717,7 +653,12 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
     params = _harmonic_params(cfg)
     hbar = params.hbar
     coherent = partial(ho_coherent_state, g, params, cfg.q0, cfg.p0)
-    psi_t, snaps, q_term, mask = _eps_halving(report, coherent, cfg, g2)
+    coarse, snaps = _check_halving(
+        report, cfg, lambda t: _chi(coherent(t), g2), hj_residual_eps,
+        "eps-hj-harmonic-l2", 1e-5, "eps-hj-harmonic-halving-ratio",
+    )
+    q_term, mask = coarse.fields["q_term"], coarse.fields["mask"]
+    del coarse  # its residual, classical-form and quantum-term fields
 
     # dynamical equation: i hbar d(chi)/dt = H' chi at the operator level
     lhs = 1j * hbar * (snaps[2].values - snaps[0].values) / (2.0 * cfg.dt)
@@ -736,6 +677,7 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
     # --- separable structure (amplitude factorisation, action additivity) ---
     ea = polar_decompose_2d(center)
     del center
+    psi_t = coherent(cfg.eval_time)
     pf_q = polar_decompose(psi_t)
     pf_p = polar_decompose(to_momentum_space(psi_t))
 

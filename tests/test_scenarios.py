@@ -105,11 +105,19 @@ def test_non_finite_check_values_fail():
 @pytest.mark.parametrize("order", [False, True])
 @pytest.mark.parametrize("coarse_l2, expected", [(1e-6, "inf"), (0.0, "nan")])
 def test_zero_fine_residual_fails_its_rate_check(order, coarse_l2, expected):
-    report = ScenarioReport("halving", ScenarioConfig(grid_n=16))
+    cfg = ScenarioConfig(grid_n=16)
+    report = ScenarioReport("halving", cfg)
     coarse = ResidualReport("r", coarse_l2, coarse_l2, 0.0, fields={"residual": [coarse_l2]})
     fine = ResidualReport("r", 0.0, 0.0, 0.0)
-    returned = _check_halving(report, coarse, fine, "r-l2", 1e-5, "r-rate", order=order)
+
+    def residual(snaps):  # the snapshots are their times: dt triplets span 2 dt
+        return coarse if snaps[2] - snaps[0] > 1.5 * cfg.dt else fine
+
+    returned, snaps = _check_halving(
+        report, cfg, lambda t: t, residual, "r-l2", 1e-5, "r-rate", order=order
+    )
     assert returned is coarse
+    assert snaps == [cfg.eval_time - cfg.dt, cfg.eval_time, cfg.eval_time + cfg.dt]
     assert report.residuals[0].fields == {}  # stored without its arrays
     l2_check, rate_check = report.checks
     assert l2_check.passed
@@ -160,21 +168,31 @@ def test_zero_term_norms_and_flat_fit_render_as_strict_json(monkeypatch):
     assert payload["passed"] is False
 
 
-def test_wigner_transport_computes_each_snapshot_once(monkeypatch):
-    # the dt and dt/2 triplets share their centre state: five distinct
-    # snapshots, five Wigner functions
+@pytest.mark.parametrize(
+    "scenario, counted",
+    [
+        ("linear-gaussian", "wigner_direct"),
+        ("pspace-linear", "to_momentum_space"),
+        ("eps-residuals", "chi_build"),
+    ],
+)
+def test_halving_checks_build_each_snapshot_once(monkeypatch, scenario, counted):
+    # the dt and dt/2 triplets share their centre snapshot, built first; the
+    # dt/2 triplet is evaluated before the dt one: five snapshots per check
     calls = []
-    direct = scenarios.wigner_direct
+    original = getattr(scenarios, counted)
 
-    def counting(psi, grid):
+    def counting(psi, *args):
         calls.append(psi.t)
-        return direct(psi, grid)
+        return original(psi, *args)
 
-    monkeypatch.setattr(scenarios, "wigner_direct", counting)
+    monkeypatch.setattr(scenarios, counted, counting)
     cfg = ScenarioConfig(grid_n=64)
-    run_scenario("linear-gaussian", cfg)
+    run_scenario(scenario, cfg)
     t, dt = cfg.eval_time, cfg.dt
-    expected = [t, t - dt, t + dt, t - dt / 2, t + dt / 2]
+    halving = [t, t - dt / 2, t + dt / 2, t - dt, t + dt]
+    # eps-residuals: the harmonic check, the ground state's chi, the linear check
+    expected = halving + [0.0] + halving if scenario == "eps-residuals" else halving
     assert calls == pytest.approx(expected, abs=1e-15)
 
 
@@ -190,11 +208,16 @@ def test_wigner_peak_reference_needs_no_sample_at_the_origin():
 
 @pytest.mark.parametrize(
     "scenario, limit",
-    [(scenarios.scenario_eps_residuals, 7.5), (scenarios.scenario_all, 9.5)],
+    [
+        (scenarios.scenario_eps_residuals, 7.5),
+        (scenarios.scenario_all, 9.5),
+        (scenarios.scenario_linear_gaussian, 2.6),
+    ],
 )
 def test_scenarios_free_their_fields(temporary_arrays, scenario, limit):
     # Traced peak in n x n complex arrays at n = 512, the returned reports and
     # their field bundles included: each n^2 array is freed after its last
-    # read (measured 6.09 and 8.25; 12.80 and 14.82 before).
+    # read and a halving check holds one snapshot triplet at a time
+    # (measured 6.11, 8.25 and 2.40).
     n = 512
     assert temporary_arrays(lambda: scenario(ScenarioConfig(grid_n=n)), n) <= limit
