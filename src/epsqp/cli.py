@@ -1,10 +1,10 @@
 """Command-line entry point: run verification scenarios, export fields.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage
-error (unknown scenario, bad flag, bad config file), 3 a scenario raised
-(stderr names the scenario and the exception type).  Reports go to stdout
-and are byte-identical across repeated runs; wall-clock timing goes to
-stderr only.
+error (unknown scenario, bad flag, bad config file, an ``--out`` directory
+that cannot be created), 3 a scenario raised (stderr names the scenario and
+the exception type).  Reports go to stdout and are byte-identical across
+repeated runs; wall-clock timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -172,12 +172,15 @@ def _select_bundles(report: ScenarioReport, selector: str | None,
     return {name: available[name] for name in names}
 
 
-def _export(out_dir: str, rendered: str, bundles: dict) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(rendered)
-    for name, bundle in bundles.items():
-        _write_csv(out / (name.replace("/", "--") + ".csv"), bundle)
+def _make_out_dir(out_dir: str, parser: argparse.ArgumentParser) -> list[Path]:
+    """Create ``--out`` (a usage error if it cannot be); return the directories made."""
+    out = Path(out_dir).resolve()
+    made = [d for d in (out, *out.parents) if not d.exists()]
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(f"cannot create the --out directory: {exc}")
+    return made
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -199,11 +202,17 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--fields requires --out")
 
     cfg = _resolve_config(args, parser)
+    made = [] if args.out is None else _make_out_dir(args.out, parser)
 
     start = time.perf_counter()
     try:
         report = run_scenario(args.scenario, cfg)
-    except Exception as exc:  # whatever a scenario raises is exit 3, never a check verdict
+        bundles = _select_bundles(report, args.fields, parser)  # before anything is printed or written
+    except BaseException as exc:
+        for directory in made:  # a run that prints no report leaves no --out directory
+            directory.rmdir()
+        if not isinstance(exc, Exception):  # the selector's usage error; what a scenario raises is exit 3
+            raise
         import traceback  # imported on this path only: start-up imports stay as they were
 
         traceback.print_exc()
@@ -211,14 +220,14 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     elapsed = time.perf_counter() - start
 
-    # the selector is checked before anything is printed or written
-    bundles = _select_bundles(report, args.fields, parser)
     rendered = to_json(report)
     sys.stdout.write(rendered)
     print(f"scenario {args.scenario!r} finished in {elapsed:.2f}s", file=sys.stderr)
 
     if args.out is not None:
-        _export(args.out, rendered, bundles)
+        (Path(args.out) / "report.json").write_text(rendered)
+        for name, bundle in bundles.items():
+            _write_csv(Path(args.out) / (name.replace("/", "--") + ".csv"), bundle)
 
     return 0 if report.passed else 1
 

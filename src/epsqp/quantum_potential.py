@@ -82,7 +82,7 @@ from .reports import (
     snapshot_metadata,
 )
 from .states import WaveFunction
-from .transforms import shear_multiplier
+from .transforms import shear_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +244,15 @@ def _hj_residual_2d(
 
     ``triple`` is the unpacked ``(minus, center, plus, dt)`` of three chi
     snapshots (see :func:`_chi_triple`).  At alpha != 0 the engine shears
-    them itself from their ``fft2`` ``spectra``, so one set of spectra
-    serves any number of alphas and no caller holds a sheared field.  Only
-    the box of the centre's amplitude mask is evaluated, with the mask, box
-    and gradients of :func:`~epsqp.numerics.mask_box_gradients` applied to
-    the whole centre field: the peeled chi at alpha = 0, whose t +- dt
-    fields are read on the box as they are, and the sheared chi otherwise,
-    whose t +- dt fields come from :func:`~epsqp.numerics.inverse_on_box`.
+    them itself from their ``fft2`` ``spectra``, which it only reads, so one
+    set serves any number of alphas and no caller holds a sheared field:
+    :func:`~epsqp.transforms.shear_spectrum` writes each sheared spectrum
+    into one work buffer, inverted whole for the centre and by
+    :func:`~epsqp.numerics.inverse_on_box` for t +- dt.  Only the box of the
+    centre's amplitude mask is evaluated, with the mask, box and gradients
+    of :func:`~epsqp.numerics.mask_box_gradients` applied to the whole
+    centre field: the peeled chi at alpha = 0, whose t +- dt fields are
+    read on the box as they are, and the sheared chi otherwise.
     The estimators of the module docstring are applied to the transformed
     fields: the phase of the plus/minus snapshot ratio is immune to the
     catastrophic cancellation a literal difference of the sheared fields
@@ -284,14 +286,13 @@ def _hj_residual_2d(
         # kernel multiplies only the lanes read and leaves |chi|, so the mask.
         mask, box, f, f_q, f_p = mask_box_gradients(center.values, grid, pq_factors(grid, hbar, 1))
         minus, plus = triple[0].values[box], triple[2].values[box]
-    else:  # each sheared field is an inverse transform of multiplier * spectrum
-        multiplier = shear_multiplier(grid, alpha, hbar)
-        sheared = fft2_passes(multiplier * spectra[1], inverse=True, in_place=True)
-        mask, box, f, f_q, f_p = mask_box_gradients(sheared, grid)
-        del sheared
-        minus = inverse_on_box(multiplier * spectra[0], box)
-        plus = inverse_on_box(np.multiply(multiplier, spectra[2], out=multiplier), box)
-        del multiplier
+    else:  # each sheared field is an inverse transform of a sheared spectrum in ``work``
+        work = np.empty_like(spectra[1])
+        shear_spectrum(spectra[1], grid, alpha, hbar, out=work)
+        mask, box, f, f_q, f_p = mask_box_gradients(fft2_passes(work, inverse=True, in_place=True), grid)
+        minus = inverse_on_box(shear_spectrum(spectra[0], grid, alpha, hbar, out=work), box)
+        plus = inverse_on_box(shear_spectrum(spectra[2], grid, alpha, hbar, out=work), box)
+        del work
     amp = np.abs(f)
     ratio = np.conj(minus)
     ratio *= plus

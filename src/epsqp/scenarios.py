@@ -368,22 +368,8 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
         )
     )
 
-    report.field_bundles = {
-        "wigner": {
-            "kind": "2d",
-            "p": g2.p_axis.points,
-            "q": g.points,
-            "values": w,
-            "mask": None,
-        },
-        "sheared-chi": {
-            "kind": "2d",
-            "p": g2.p_axis.points,
-            "q": g.points,
-            "values": sheared,
-            "mask": None,
-        },
-    }
+    axes = {"kind": "2d", "p": g2.p_axis.points, "q": g.points, "mask": None}
+    report.field_bundles = {"wigner": {**axes, "values": w}, "sheared-chi": {**axes, "values": sheared}}
     return report
 
 

@@ -36,13 +36,18 @@ from .reports import ResidualReport, residual_report, snapshot_metadata
 from .states import WaveFunction
 
 
-def _shear_factors(grid: Grid2D, alpha: float, hbar: float) -> tuple:
-    """Bluestein factors ``(hankel, chirp)`` of ``U_alpha``'s multiplier on a paired grid.
+def shear_spectrum(
+    spectrum: NDArray[np.complex128], grid: Grid2D, alpha: float, hbar: float, out: NDArray[np.complex128]
+) -> NDArray[np.complex128]:
+    """Write ``U_alpha``'s ``exp(+i alpha hbar u v) * spectrum`` into ``out`` (which may be
+    ``spectrum``) for an ``fft2`` spectrum on a paired grid, and return ``out``.
 
     There ``alpha hbar u_a v_b = 2 pi alpha a b / n`` for the integer wavenumber indices
     ``a, b``, and ``2 a b = (a + b)^2 - a^2 - b^2`` makes the multiplier the Hankel view
     ``[i, j] -> h[i + j]`` of ``h = exp(i pi alpha s^2 / n)``, ``s = -n .. n-2``, in
     centred order, times ``chirp = exp(-i pi alpha a^2 / n)`` in FFT order on each axis.
+    Each quadrant is multiplied by its block of the view, so from 2n - 1 exponentials
+    and no n x n multiplier.
     """
     if grid.p_axis != paired_momentum_grid(grid.q_axis, hbar):
         raise GridError("grid axes are not Fourier-paired")
@@ -50,36 +55,25 @@ def _shear_factors(grid: Grid2D, alpha: float, hbar: float) -> tuple:
     s = np.arange(-n, n - 1)
     table = np.exp(1j * (np.pi * alpha / n) * (s * s))
     chirp = np.fft.ifftshift(np.conj(table[n // 2 : 3 * n // 2]))
-    return sliding_window_view(table, n), chirp
-
-
-def shear_multiplier(grid: Grid2D, alpha: float, hbar: float) -> NDArray[np.complex128]:
-    """The unimodular Fourier multiplier ``exp(+i alpha hbar u v)`` of ``U_alpha`` on
-    ``grid``, for one alpha applied to several ``fft2`` spectra."""
-    hankel, chirp = _shear_factors(grid, alpha, hbar)
-    multiplier = np.fft.ifftshift(hankel)  # block-swapped to FFT order
-    multiplier *= chirp[:, None]
-    multiplier *= chirp[None, :]
-    return multiplier
+    hankel = sliding_window_view(table, n)
+    halves = (slice(None, n // 2), slice(n // 2, None))  # FFT order; the centred block is the other half
+    for a, centred_a in zip(halves, halves[::-1]):
+        for b, centred_b in zip(halves, halves[::-1]):
+            np.multiply(spectrum[a, b], hankel[centred_a, centred_b], out=out[a, b])
+    out *= chirp[:, None]
+    out *= chirp[None, :]
+    return out
 
 
 def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> PhaseSpaceField:
-    """Apply ``U_alpha`` to a phase-space field.
+    """Apply ``U_alpha`` to a phase-space field: its spectrum is sheared in place by
+    :func:`shear_spectrum`.
 
-    The spectrum is multiplied in place by the :func:`_shear_factors`, each
-    quadrant by its block of the Hankel view, so no n x n multiplier is built.
     Successive transforms compose additively in alpha; the result is tagged
     ``kind='transformed'`` with the accumulated parameter.
     """
-    hankel, chirp = _shear_factors(field.grid, alpha, field.params.hbar)
     spectrum = fft2_passes(field.values)
-    h = field.grid.q_axis.n_points // 2
-    halves = (slice(None, h), slice(h, None))  # FFT order; the centred block is the other half
-    for a, centred_a in zip(halves, halves[::-1]):
-        for b, centred_b in zip(halves, halves[::-1]):
-            spectrum[a, b] *= hankel[centred_a, centred_b]
-    spectrum *= chirp[:, None]
-    spectrum *= chirp[None, :]
+    shear_spectrum(spectrum, field.grid, alpha, field.params.hbar, out=spectrum)
     values = fft2_passes(spectrum, inverse=True, in_place=True)
     accumulated = alpha + (field.alpha if field.alpha is not None else 0.0)
     return PhaseSpaceField(

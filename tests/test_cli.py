@@ -283,6 +283,36 @@ def test_unknown_field_bundle_is_usage_error(capsys, tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+def test_out_directory_that_cannot_be_made_is_usage_error(capsys, tmp_path):
+    # --out is made before the scenario runs: a path under a regular file
+    # stops the run before any report is printed
+    blocker = tmp_path / "f"
+    blocker.touch()
+    with pytest.raises(SystemExit) as exc_info:
+        main(["run", "classical-appendix", "--out", str(blocker / "sub")])
+    assert exc_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--out" in err
+
+
+def test_run_without_a_report_leaves_no_out_directory(capsys, monkeypatch, tmp_path):
+    # the --out directories a run made, parents included, are removed again
+    # when it ends without a report: a bad --fields selector (exit 2) or a
+    # scenario that raises (exit 3)
+    out_dir = tmp_path / "a" / "b"
+    args = ["run", "classical-appendix", "--out", str(out_dir)]
+    assert _run_usage_error(capsys, *args, "--fields", "no-such-bundle") == 2
+    assert not (tmp_path / "a").exists()
+
+    def broken(cfg):
+        raise ValueError("broken")
+
+    monkeypatch.setitem(scenarios.REGISTRY, "classical-appendix", (broken, "raises"))
+    assert _run(capsys, *args)[0] == 3
+    assert not (tmp_path / "a").exists()
+
+
 def test_csv_2d_layout_is_q_major(capsys, tmp_path):
     out_dir = tmp_path / "w"
     code, _, _ = _run(

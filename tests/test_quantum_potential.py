@@ -35,7 +35,12 @@ from epsqp.states import (
     linear_potential_gaussian,
     to_momentum_space,
 )
-from epsqp.transforms import shear_multiplier, wigner_direct, wigner_equation_residual
+from epsqp.transforms import (
+    apply_extended_transform,
+    shear_spectrum,
+    wigner_direct,
+    wigner_equation_residual,
+)
 
 
 def _chi_triplet(q_grid, grid2, params, t=0.4, dt=1e-3, q0=0.5, p0=0.0, linear=False):
@@ -296,6 +301,17 @@ def test_alpha_sweep_equals_per_alpha_residuals(sweep_inputs):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def test_shears_leave_the_caller_chi_unchanged(q_grid, grid2, harmonic_params):
+    # shear_spectrum may write into the spectrum it reads: every shear must
+    # still leave the caller's chi values as they were, bit for bit
+    snaps = _chi_triplet(q_grid, grid2, harmonic_params)
+    before = [s.values.tobytes() for s in snaps]
+    apply_extended_transform(snaps[1], -0.5)
+    hj_residual_transformed(snaps, -0.75)
+    alpha_sweep(snaps, (-1.0, -0.75, -0.5, -0.25, 0.0))
+    assert [s.values.tobytes() for s in snaps] == before
+
+
 @pytest.mark.parametrize(
     "values, alpha",
     [*((v, a) for v in ("chi", "random") for a in (-1.0, -0.75, -0.5, -0.25)), ("wigner", 0.0)],
@@ -315,7 +331,8 @@ def test_mask_box_gradients_match_whole_grid_derivatives(sweep_inputs, values, a
         psi = ho_coherent_state(grid.q_axis, center.params, q0=0.5, p0=0.0, t=center.t)
         f = np.real(wigner_direct(psi, grid).values)
     if alpha != 0.0:
-        f = np.fft.ifft2(shear_multiplier(grid, alpha, center.params.hbar) * np.fft.fft2(f))
+        spectrum = np.fft.fft2(f)
+        f = np.fft.ifft2(shear_spectrum(spectrum, grid, alpha, center.params.hbar, out=spectrum))
     mask, box, *fields = mask_box_gradients(f, grid)
     np.testing.assert_array_equal(mask, amplitude_mask(np.abs(f)))
     assert box == mask_box(mask)
@@ -381,29 +398,29 @@ def test_alpha_sweep_memory_does_not_grow_with_alphas(harmonic_params):
 
 
 def test_alpha_sweep_frees_its_sheared_fields(temporary_arrays, harmonic_params):
-    # The sweep holds the three spectra and the engine one multiplier; the
+    # The sweep holds the three spectra and the engine one work buffer; the
     # sheared centre field and its amplitude mask set the peak, every later
     # array is box-sized and nothing outside the engine keeps a sheared
-    # field, so the peak beyond the three chi snapshots stays under 5.8
-    # n x n arrays (measured 5.74).
+    # field, so the peak beyond the three chi snapshots stays under 5.0
+    # n x n arrays (measured 4.78).
     n = 512
     q_grid = make_grid(n, -10.0, 10.0)
     snaps = _chi_triplet(q_grid, Grid2D.paired(q_grid, harmonic_params.hbar), harmonic_params)
     alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
-    assert temporary_arrays(lambda: alpha_sweep(snaps, alphas), n) <= 5.8
+    assert temporary_arrays(lambda: alpha_sweep(snaps, alphas), n) <= 5.0
 
 
 def test_alpha_sweep_frees_the_chi_it_alone_holds(temporary_arrays, harmonic_params):
     # Given a triplet no caller keeps, the sweep evaluates alpha = 0 first and
-    # then keeps only the centre chi beside the three spectra: the peak, the
-    # triplet's own three arrays included, stays under 7 n x n arrays
-    # (measured 6.74; 8.74 with all three chi kept).
+    # then keeps only the centre chi beside the three spectra and one work
+    # buffer: the peak, the triplet's own three arrays included, stays under
+    # 6.25 n x n arrays (measured 6.00).
     n = 512
     q_grid = make_grid(n, -10.0, 10.0)
     grid2 = Grid2D.paired(q_grid, harmonic_params.hbar)
     alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
     sweep = lambda: alpha_sweep(_chi_triplet(q_grid, grid2, harmonic_params), alphas)
-    assert temporary_arrays(sweep, n) <= 7.0
+    assert temporary_arrays(sweep, n) <= 6.25
 
 
 def test_eps_residual_allocates_little(temporary_arrays, harmonic_params):

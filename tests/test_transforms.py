@@ -14,7 +14,7 @@ from epsqp.eps_core import ExtendedHamiltonian, chi_build
 from epsqp.numerics import Grid2D, GridError, make_grid, spectral_resample
 from epsqp.transforms import (
     apply_extended_transform,
-    shear_multiplier,
+    shear_spectrum,
     wigner_direct,
     wigner_equation_residual,
 )
@@ -64,33 +64,37 @@ def test_shear_inverts_exactly(ground_chi, alpha):
 
 
 @pytest.mark.parametrize("lo, hi, hbar", [(-10.0, 10.0, 1.0), (-3.0, 5.0, 0.7)])
-def test_shear_multiplier_matches_direct_exponential(lo, hi, hbar):
-    # The chirp factorisation rounds phases of size up to pi |alpha| n
-    # (the direct argument alpha hbar u v reaches pi |alpha| n / 2), so the
-    # difference is bounded by a few eps * pi |alpha| n.
+def test_shear_spectrum_matches_direct_exponential(lo, hi, hbar):
+    # Sheared, an all-ones spectrum is the multiplier itself.  The chirp
+    # factorisation rounds phases of size up to pi |alpha| n (the direct
+    # argument alpha hbar u v reaches pi |alpha| n / 2), so the difference
+    # is bounded by a few eps * pi |alpha| n.
     eps = np.finfo(float).eps
     for n in (2**k for k in range(3, 12)):
         g2 = Grid2D.paired(make_grid(n, lo, hi), hbar)
         u, v = g2.p_axis.wavenumbers, g2.q_axis.wavenumbers
+        ones = np.ones(g2.shape, dtype=complex)
         for alpha in (-1.0, -0.75, -0.7, -0.5, -0.25, 0.3):
             direct = np.exp(1j * alpha * hbar * u[:, None] * v[None, :])
-            err = np.max(np.abs(shear_multiplier(g2, alpha, hbar) - direct))
+            multiplier = shear_spectrum(ones, g2, alpha, hbar, out=np.empty_like(ones))
+            err = np.max(np.abs(multiplier - direct))
             assert err <= 4.0 * eps * math.pi * abs(alpha) * n, (n, alpha, err)
-        assert np.all(shear_multiplier(g2, 0.0, hbar) == 1.0)
+        assert np.all(shear_spectrum(ones, g2, 0.0, hbar, out=ones) == 1.0)
 
 
-def test_shear_multiplier_needs_a_paired_grid(q_grid):
+def test_shear_spectrum_needs_a_paired_grid(q_grid):
     unpaired = Grid2D(make_grid(256, -5.0, 5.0), q_grid)
+    spectrum = np.ones(unpaired.shape, dtype=complex)
     with pytest.raises(GridError):
-        shear_multiplier(unpaired, -0.5, 1.0)
+        shear_spectrum(spectrum, unpaired, -0.5, 1.0, out=spectrum)
     with pytest.raises(GridError):  # paired for another hbar
-        shear_multiplier(Grid2D.paired(q_grid, 2.0), -0.5, 1.0)
+        shear_spectrum(spectrum, Grid2D.paired(q_grid, 2.0), -0.5, 1.0, out=spectrum)
 
 
 @pytest.mark.parametrize(
     "kernel, limit",
     [
-        ("shear_multiplier", 1.25),
+        ("shear_spectrum", 0.25),
         ("apply_extended_transform", 1.25),
         ("wigner_direct", 1.25),
         ("chi_build", 1.25),
@@ -98,17 +102,18 @@ def test_shear_multiplier_needs_a_paired_grid(q_grid):
 )
 def test_phase_space_kernels_allocate_little(temporary_arrays, harmonic_params, kernel, limit):
     # peak allocation beyond the inputs, in n x n complex arrays, returned
-    # array included: no multiplier mesh, no fft2 intermediate, no n x n lag
-    # correlation, no complex W, no n^2 index table (measured 1.04, 1.10,
-    # 1.04 and 1.07)
+    # array included: no multiplier, no fft2 intermediate, no n x n lag
+    # correlation, no complex W, no n^2 index table (measured 0.13 for a
+    # shear into the caller's buffer, then 1.10, 1.04 and 1.07)
     n = 512
     g = make_grid(n, -10.0, 10.0)
     g2 = Grid2D.paired(g, harmonic_params.hbar)
     psi = ho_coherent_state(g, harmonic_params, q0=1.0, p0=0.5, t=0.3)
     phi = to_momentum_space(psi)
     chi = chi_build(psi, phi, g2)
+    spectrum, buffer = np.fft.fft2(chi.values), np.empty_like(chi.values)
     calls = {
-        "shear_multiplier": lambda: shear_multiplier(g2, -0.5, harmonic_params.hbar),
+        "shear_spectrum": lambda: shear_spectrum(spectrum, g2, -0.5, harmonic_params.hbar, out=buffer),
         "apply_extended_transform": lambda: apply_extended_transform(chi, -0.5),
         "wigner_direct": lambda: wigner_direct(psi, g2),
         "chi_build": lambda: chi_build(psi, phi, g2),
