@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .numerics import (
@@ -35,10 +36,11 @@ from .numerics import (
     TIME_ATOL,
     amplitude_mask,
     pq_factors,
+    row_blocks,
     unwrap_phase_2d,
 )
 from .reports import l2
-from .states import WaveFunction
+from .states import WaveFunction, to_momentum_space
 
 #: Valid provenance tags for phase-space fields.
 FIELD_KINDS = ("chi", "wigner", "transformed")
@@ -110,6 +112,27 @@ def chi_build(psi: WaveFunction, phi: WaveFunction, grid: Grid2D) -> PhaseSpaceF
     return PhaseSpaceField(values, grid, psi.t, psi.params, kind="chi")
 
 
+def chi_spectrum(psi: WaveFunction, grid: Grid2D) -> NDArray[np.complex128]:
+    """``fft2`` of :func:`chi_build`'s chi of ``psi`` and its momentum-space form, without chi.
+
+    On the paired grid chi's q-spectrum is its (p, v) form (Cohen, J. Math. Phys. 7, 781
+    (1966)), ``conj(phi_i) exp(-2 pi i k_i x / n) fft(psi)[(k_i + b) mod n]`` with ``k_i =
+    i - n/2`` and ``x = q_min / dq``, the row phase reduced modulo n as in :func:`pq_factors`:
+    one product with the Hankel view ``[i, b] -> e[i + b]`` of 2n - 1 entries, then one p pass.
+    """
+    if psi.space != "q" or psi.grid != grid.q_axis:
+        raise GridError("chi_spectrum needs a position-space state on the q axis of the grid")
+    phi = to_momentum_space(psi)
+    if phi.grid != grid.p_axis:
+        raise GridError("grid axes are not Fourier-paired")
+    n, x = grid.q_axis.n_points, grid.q_axis.min / grid.q_axis.spacing
+    k = np.arange(n) - n // 2
+    row = np.exp((-2j * np.pi / n) * np.mod(k * x, n)) * np.conj(phi.values)
+    extended = np.fft.fft(psi.values)[(np.arange(2 * n - 1) - n // 2) % n]
+    spectrum = sliding_window_view(extended, n) * row[:, None]
+    return np.fft.fft(spectrum, axis=0, out=spectrum)
+
+
 # ---------------------------------------------------------------------------
 # extended Hamiltonian family
 # ---------------------------------------------------------------------------
@@ -169,26 +192,27 @@ class ExtendedHamiltonian:
 
             H' f = -hbar^2 A f_qq - i hbar B p f_q
                    - hbar^2 C f_pp - i hbar (D q + E) f_p
+
+        Along each axis, with wavenumber k, both orders are the one spectral
+        multiplier ``hbar k (hbar A k + B p)`` (q) or ``hbar k (hbar C k + D q + E)``
+        (p), applied to the axis spectrum in row blocks: one forward and one inverse
+        FFT per axis, and no n x n multiplier.
         """
         hbar = field.params.hbar
         grid = field.grid
         p = grid.p_axis.points[:, None]
         q = grid.q_axis.points[None, :]
-        out = np.zeros(grid.shape, dtype=complex)
-        work = np.empty_like(out)  # one buffer for every derivative term
-        for axis, k, terms in (
-            (1, grid.q_axis.wavenumbers[None, :], ((2, hbar**2 * self.A), (1, 1j * hbar * self.B * p))),
-            (0, grid.p_axis.wavenumbers[:, None], ((2, hbar**2 * self.C), (1, 1j * hbar * (self.D * q + self.E)))),
+        out = None
+        for axis, k, second, first in (
+            (1, grid.q_axis.wavenumbers[None, :], self.A, self.B * p),
+            (0, grid.p_axis.wavenumbers[:, None], self.C, self.D * q + self.E),
         ):
-            if not any(np.any(coefficient) for _, coefficient in terms):
-                continue
-            spectrum = np.fft.fft(field.values, axis=axis)  # serves both derivative orders
-            for order, coefficient in terms:
-                if np.any(coefficient):
-                    np.multiply(spectrum, (1j * k) ** order, out=work)
-                    np.fft.ifft(work, axis=axis, out=work)
-                    out -= np.multiply(coefficient, work, out=work)
-            del spectrum  # freed before the other axis is transformed
+            k, first = np.broadcast_to(k, grid.shape), np.broadcast_to(first, grid.shape)
+            spectrum = np.fft.fft(field.values, axis=axis)
+            for rows in row_blocks(grid.shape):
+                spectrum[rows] *= hbar * k[rows] * (hbar * second * k[rows] + first[rows])
+            np.fft.ifft(spectrum, axis=axis, out=spectrum)
+            out = spectrum if out is None else np.add(out, spectrum, out=out)
         return out
 
 
@@ -253,18 +277,23 @@ def expectation(observable: NDArray, chi: PhaseSpaceField) -> float:
     ``observable`` is any array that broadcasts to the field's ``[i_p, i_q]``
     grid: a full ``(n_p, n_q)`` array, a p-only ``p_axis.points[:, None]``
     column or a q-only ``q_axis.points[None, :]`` row; any other shape
-    raises :class:`GridError`.  The normalisation by the bare integral of
-    ``conj(chi)`` makes the average independent of the Fourier convention's
-    overall constants.  The ratio is real for physical observables; a
-    relative imaginary part above 1e-8 raises, as does a vanishing
-    normalisation integral.
+    raises :class:`GridError`.  A p-only or q-only observable is averaged
+    over the marginal of chi, chi summed over the other axis, without an
+    n x n temporary.  The normalisation by the bare integral of ``conj(chi)``
+    makes the average independent of the Fourier convention's overall
+    constants.  The ratio is real for physical observables; a relative
+    imaginary part above 1e-8 raises, as does a vanishing normalisation
+    integral.
     """
     observable = np.asarray(observable)
     try:
         np.broadcast_to(observable, chi.grid.shape)
     except ValueError:
         raise GridError("observable does not broadcast to the field grid") from None
-    weight = np.conj(chi.values) * chi.grid.cell
+    shape = (1,) * (2 - observable.ndim) + observable.shape
+    constant = tuple(axis for axis in (0, 1) if shape[axis] == 1)  # axes the observable ignores
+    values = chi.values.sum(axis=constant, keepdims=True) if constant else chi.values
+    weight = np.conj(values) * chi.grid.cell
     den = np.sum(weight)
     if abs(den) < 1e-12:
         raise ValueError("normalisation integral of the distribution vanishes")

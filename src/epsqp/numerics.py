@@ -199,6 +199,12 @@ def fft2_passes(values: NDArray, inverse: bool = False, in_place: bool = False) 
     return transform(out, axis=0, out=out)
 
 
+def row_blocks(shape: tuple, size: int = 2**15) -> list[slice]:
+    """Row slices of a 2D ``shape``, each of at most ``size`` elements or one row."""
+    step = max(1, size // shape[1])
+    return [slice(r, r + step) for r in range(0, shape[0], step)]
+
+
 def inverse_on_box(spectrum: NDArray[np.complex128], box: tuple) -> NDArray[np.complex128]:
     """``ifft2(spectrum)[box]`` as a new array: a whole q pass in place, then the p pass
     on the box columns only."""

@@ -55,9 +55,10 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .eps_core import ExtendedHamiltonian, PhaseSpaceField
+from .eps_core import ExtendedHamiltonian, PhaseSpaceField, chi_build, chi_spectrum
 from .numerics import (
     Grid1D,
+    Grid2D,
     PhysicalParams,
     amplitude_mask,
     fft2_passes,
@@ -76,12 +77,11 @@ from .reports import (
     ResidualReport,
     fit_global_constant,
     fit_line,
-    masked_field,
     masked_l2,
     residual_report,
     snapshot_metadata,
 )
-from .states import WaveFunction
+from .states import WaveFunction, to_momentum_space
 from .transforms import shear_spectrum
 
 
@@ -231,27 +231,29 @@ def hj_residual_p(snapshots: Sequence[WaveFunction]) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def _chi_triple(snapshots: Sequence[PhaseSpaceField]):
-    if any(s.kind != "chi" for s in snapshots):
-        raise ValueError("phase-space residuals start from untransformed chi fields")
-    return snapshot_triple(snapshots)
+def _chis(triple: tuple, grid: Grid2D) -> tuple:
+    """The chi fields of a state triple, with its ``dt``."""
+    return (*(chi_build(s, to_momentum_space(s), grid) for s in triple[:3]), triple[3])
 
 
 def _hj_residual_2d(
-    triple: tuple, alpha: float, name: str, spectra: list | None = None, with_fields: bool = True
+    triple: tuple, grid: Grid2D, alpha: float, name: str, spectra: list | None = None,
+    with_fields: bool = True,
 ) -> ResidualReport:
     """Shared engine for the phase-space modified Hamilton-Jacobi residual.
 
-    ``triple`` is the unpacked ``(minus, center, plus, dt)`` of three chi
-    snapshots (see :func:`_chi_triple`).  At alpha != 0 the engine shears
-    them itself from their ``fft2`` ``spectra``, which it only reads, so one
-    set serves any number of alphas and no caller holds a sheared field:
-    :func:`~epsqp.transforms.shear_spectrum` writes each sheared spectrum
-    into one work buffer, inverted whole for the centre and by
-    :func:`~epsqp.numerics.inverse_on_box` for t +- dt.  Only the box of the
-    centre's amplitude mask is evaluated, with the mask, box and gradients
-    of :func:`~epsqp.numerics.mask_box_gradients` applied to the whole
-    centre field: the peeled chi at alpha = 0, whose t +- dt fields are
+    ``triple`` is the unpacked ``(minus, center, plus, dt)`` of three
+    snapshots on ``grid``: chi fields at alpha = 0, whose values it reads,
+    and otherwise anything with the centre's time and parameters, such as
+    the states.  At alpha != 0 the engine shears the
+    :func:`~epsqp.eps_core.chi_spectrum` ``spectra`` itself, and only reads
+    them, so one set serves any number of alphas and no caller holds a
+    sheared field: :func:`~epsqp.transforms.shear_spectrum` writes each
+    sheared spectrum into one work buffer, inverted whole for the centre and
+    by :func:`~epsqp.numerics.inverse_on_box` for t +- dt.  Only the box of
+    the centre's amplitude mask is evaluated, with the mask, box and
+    gradients of :func:`~epsqp.numerics.mask_box_gradients` applied to the
+    whole centre field: the peeled chi at alpha = 0, whose t +- dt fields are
     read on the box as they are, and the sheared chi otherwise.
     The estimators of the module docstring are applied to the transformed
     fields: the phase of the plus/minus snapshot ratio is immune to the
@@ -269,11 +271,10 @@ def _hj_residual_2d(
     measures the coefficient the data actually demands, which the exact
     identity fixes at 1/2 + alpha (``expected_coefficient``).  Without
     ``with_fields`` (only :func:`alpha_sweep` passes ``False``) the report
-    carries norms and metadata only; its fields are NaN off the mask.
+    carries norms and metadata only; its fields are box crops, NaN off the mask.
     """
     _, center, _, dt = triple
     params = center.params
-    grid = center.grid
     m, hbar = params.mass, params.hbar
 
     if alpha == 0.0:
@@ -330,7 +331,7 @@ def _hj_residual_2d(
     }
     fields = None
     if with_fields:
-        fields = {"q_term": masked_field(-(hbar**2) * ham.A * rqq, mask, box), "mask": mask}
+        fields = {"q_term": np.where(inside, -(hbar**2) * ham.A * rqq, np.nan), "mask": mask}
     return residual_report(
         name, classical + quantum, mask, grid.cell, metadata,
         classical=classical, quantum=quantum, fields=fields, box=box,
@@ -344,26 +345,32 @@ def hj_residual_eps(snapshots: Sequence[PhaseSpaceField]) -> ResidualReport:
     terms enter at coefficient 1/2 (the p-term carries k, so it vanishes
     for a linear potential).
     """
-    triple = _chi_triple(snapshots)
-    return _hj_residual_2d(triple, 0.0, f"eps-hj-{triple[1].params.potential.kind}")
+    if any(s.kind != "chi" for s in snapshots):
+        raise ValueError("phase-space residuals start from untransformed chi fields")
+    triple = snapshot_triple(snapshots)
+    center = triple[1]
+    return _hj_residual_2d(triple, center.grid, 0.0, f"eps-hj-{center.params.potential.kind}")
 
 
 def _transformed_name(alpha: float) -> str:
     return f"transformed-hj(alpha={alpha})"
 
 
-def hj_residual_transformed(snapshots: Sequence[PhaseSpaceField], alpha: float) -> ResidualReport:
+def hj_residual_transformed(snapshots: Sequence[WaveFunction], grid: Grid2D, alpha: float) -> ResidualReport:
     """Residual of the modified Hamilton-Jacobi identity after shearing by alpha.
 
-    Reports the full residual as the headline norms and the classical-form
-    residual (curvature terms deleted) in the metadata: away from
-    alpha = -1/2 the classical form fails by exactly the (1/2 + alpha)-
-    weighted curvature term; at alpha = -1/2 the two coincide and the
-    classical equation holds on its own.
+    ``snapshots`` are position-space states at t - dt, t, t + dt, and their
+    chi lives on ``grid``.  Reports the full residual as the headline norms
+    and the classical-form residual (curvature terms deleted) in the
+    metadata: away from alpha = -1/2 the classical form fails by exactly the
+    (1/2 + alpha)-weighted curvature term; at alpha = -1/2 the two coincide
+    and the classical equation holds on its own.
     """
-    triple = _chi_triple(snapshots)
-    spectra = None if alpha == 0.0 else [fft2_passes(s.values) for s in snapshots]
-    return _hj_residual_2d(triple, alpha, _transformed_name(alpha), spectra)
+    triple = snapshot_triple(snapshots)
+    name = _transformed_name(alpha)
+    if alpha == 0.0:
+        return _hj_residual_2d(_chis(triple, grid), grid, 0.0, name)
+    return _hj_residual_2d(triple, grid, alpha, name, [chi_spectrum(s, grid) for s in triple[:3]])
 
 
 # ---------------------------------------------------------------------------
@@ -421,27 +428,27 @@ def validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
     return alphas
 
 
-def alpha_sweep(snapshots: Sequence[PhaseSpaceField], alphas: Sequence[float]) -> AlphaSweepResult:
+def alpha_sweep(
+    snapshots: Sequence[WaveFunction], grid: Grid2D, alphas: Sequence[float]
+) -> AlphaSweepResult:
     """Evaluate the transformed residual across a shear-parameter sweep.
 
-    ``alphas`` must pass :func:`validate_alphas`; the reports follow that
-    order.  alpha = 0, the only member that reads the chi values (through
-    the peel), is evaluated first.  Then the three snapshots are transformed
-    to Fourier space once for the whole sweep, and only the centre field,
-    whose metadata the reports carry, is kept: a snapshot list that only
-    this call holds frees its t +- dt fields there.
+    ``snapshots`` and ``grid`` are as for :func:`hj_residual_transformed`;
+    ``alphas`` must pass :func:`validate_alphas`, and the reports follow
+    that order.  alpha = 0, the only member that reads chi values (through
+    the peel), is evaluated first, from a chi triple that is freed before
+    the three :func:`~epsqp.eps_core.chi_spectrum` spectra are built once
+    for the rest of the sweep.
     """
     alphas = validate_alphas(alphas)
-    triple = _chi_triple(snapshots)
-    del snapshots
+    triple = snapshot_triple(snapshots)
 
-    def evaluate(a, spectra=None):  # reads ``triple`` as rebound below
-        return _hj_residual_2d(triple, a, _transformed_name(a), spectra, with_fields=False)
+    def evaluate(a, snaps, spectra=None):
+        return _hj_residual_2d(snaps, grid, a, _transformed_name(a), spectra, with_fields=False)
 
-    first = {a: evaluate(a) for a in alphas if a == 0.0}
-    spectra = [fft2_passes(s.values) for s in triple[:3]]
-    triple = (None, triple[1], None, triple[3])
-    reports = tuple(first[a] if a in first else evaluate(a, spectra) for a in alphas)
+    first = {a: evaluate(a, _chis(triple, grid)) for a in alphas if a == 0.0}
+    spectra = [chi_spectrum(s, grid) for s in triple[:3]]
+    reports = tuple(first[a] if a in first else evaluate(a, triple, spectra) for a in alphas)
     coefficients = tuple(r.metadata["fitted_coefficient"] for r in reports)
     return AlphaSweepResult(
         alphas=alphas,

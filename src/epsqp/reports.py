@@ -20,7 +20,9 @@ class ResidualReport:
 
     ``metadata`` carries scalar context (alpha, dt, grid size, fitted
     constants); ``fields`` carries the arrays behind the norms for dumps
-    and follow-up analysis and is excluded from repr/comparison.
+    and follow-up analysis and is excluded from repr/comparison.  A 2D
+    residual's fields are crops of the mask's bounding ``fields["box"]``,
+    NaN off the mask (:func:`masked_field` puts one on the whole grid).
     """
 
     name: str
@@ -96,7 +98,8 @@ def residual_report(
     over the mask with the integration ``measure``; the norms of the
     classical form and of the quantum term are added to ``metadata`` when
     those pieces are given.  With ``fields`` the report carries them plus the
-    masked residual, classical form and quantum term; without, no arrays.
+    ``box`` and the residual, classical form and quantum term on it, NaN off
+    the mask; without, no arrays.
     """
     inside = mask[box]
     if classical is not None:
@@ -106,7 +109,8 @@ def residual_report(
         metadata["quantum_term_l2"] = masked_l2(quantum, inside, measure)
     if fields is not None:
         pieces = {"residual": full, "classical_form": classical, "quantum_term": quantum}
-        fields = {k: masked_field(v, mask, box) for k, v in pieces.items() if v is not None} | fields
+        crops = {k: np.where(inside, v, np.nan) for k, v in pieces.items() if v is not None}
+        fields = crops | {"box": box} | fields
     l2_norm, peak = masked_l2(full, inside, measure), masked_max(full, inside)
     return ResidualReport(name, l2_norm, peak, masked_fraction(mask), metadata, fields or {})
 

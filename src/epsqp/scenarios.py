@@ -24,14 +24,16 @@ from .classical import (
     legendre_residual,
     translate_initial_conditions,
 )
-from .eps_core import chi_build, eps_rhs_apply, expectation, polar_decompose_2d
+from .eps_core import chi_build, chi_spectrum, eps_rhs_apply, expectation, polar_decompose_2d
 from .numerics import (
     Grid2D,
     GridError,
     PhysicalParams,
     Potential,
     fd_mixed_partial,
+    fft2_passes,
     make_grid,
+    row_blocks,
 )
 from .quantum_potential import (
     alpha_sweep,
@@ -42,7 +44,7 @@ from .quantum_potential import (
     quantum_potential,
     validate_alphas,
 )
-from .reports import ResidualReport, fit_global_constant, l2, masked_max
+from .reports import ResidualReport, fit_global_constant, l2, masked_field, masked_max
 from .states import (
     WaveFunction,
     ho_coherent_state,
@@ -50,7 +52,7 @@ from .states import (
     splitstep_propagate,
     to_momentum_space,
 )
-from .transforms import apply_extended_transform, wigner_direct, wigner_equation_residual
+from .transforms import shear_spectrum, wigner_direct, wigner_equation_residual
 
 REGISTRY_VERSION = "1.0"
 
@@ -291,14 +293,17 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
     def fitted_constant(n: int):
         g, g2 = _grids(cfg, n)
         psi = ho_coherent_state(g, params, cfg.q0, cfg.p0, cfg.eval_time)
-        sheared = apply_extended_transform(_chi(psi, g2), -0.5).values
         w = wigner_direct(psi, g2).values
+        # chi's spectrum, sheared and inverted in place: the fit's only n^2 complex array
+        sheared = chi_spectrum(psi, g2)
+        shear_spectrum(sheared, g2, -0.5, params.hbar, out=sheared)
+        fft2_passes(sheared, inverse=True, in_place=True)
         c = fit_global_constant(sheared, w)
-        # ||sheared - c w|| / ||sheared||, summed over fixed row blocks: no full-size temporary
+        # ||sheared - c w|| / ||sheared||, summed over fixed blocks: no full-size temporary
         num = den = 0.0
-        for r in range(0, n, 256):
-            block = sheared[r : r + 256]
-            num += np.sum(np.abs(block - c * w[r : r + 256]) ** 2)
+        for rows in row_blocks(sheared.shape):
+            block = sheared[rows]
+            num += np.sum(np.abs(block - c * w[rows]) ** 2)
             den += np.sum(np.abs(block) ** 2)
         return c, math.sqrt(num / den), g, g2, psi, w, sheared
 
@@ -316,9 +321,7 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
     report.checks.append(make_check("wigner-constant-stability", spread, 1e-6))
 
     reference = 1.0 / math.sqrt(2.0 * math.pi * params.hbar)
-    report.checks.append(
-        make_check("wigner-constant-vs-reference", abs(c_mid - reference), 1e-6)
-    )
+    report.checks.append(make_check("wigner-constant-vs-reference", abs(c_mid - reference), 1e-6))
     report.constants = {
         "fitted_constant_real": float(c_mid.real),
         "fitted_constant_imag": float(c_mid.imag),
@@ -348,25 +351,12 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
     # leaves 2 pi hbar |psi(q)|^2, integrating out q leaves 2 pi hbar
     # |phi(p)|^2 (the correlation integral runs over the lag y, without the
     # 1/(2 pi hbar) prefactor).
-    phi = to_momentum_space(psi)
-    marg_q = w.sum(axis=0) * g2.p_axis.spacing
-    marg_p = w.sum(axis=1) * g.spacing
-    dens_q = 2.0 * np.pi * params.hbar * np.abs(psi.values) ** 2
-    dens_p = 2.0 * np.pi * params.hbar * np.abs(phi.values) ** 2
-    report.checks.append(
-        make_check(
-            "wigner-marginal-q-rel-err",
-            float(np.max(np.abs(marg_q - dens_q)) / np.max(dens_q)),
-            1e-8,
-        )
-    )
-    report.checks.append(
-        make_check(
-            "wigner-marginal-p-rel-err",
-            float(np.max(np.abs(marg_p - dens_p)) / np.max(dens_p)),
-            1e-8,
-        )
-    )
+    marginals = (("q", psi, g2.p_axis.spacing), ("p", to_momentum_space(psi), g.spacing))
+    for axis, state, spacing in marginals:
+        marginal = w.sum(axis=int(axis == "p")) * spacing
+        density = 2.0 * np.pi * params.hbar * np.abs(state.values) ** 2
+        err = float(np.max(np.abs(marginal - density)) / np.max(density))
+        report.checks.append(make_check(f"wigner-marginal-{axis}-rel-err", err, 1e-8))
 
     axes = {"kind": "2d", "p": g2.p_axis.points, "q": g.points, "mask": None}
     report.field_bundles = {"wigner": {**axes, "values": w}, "sheared-chi": {**axes, "values": sheared}}
@@ -386,8 +376,7 @@ def scenario_alpha_sweep(cfg: ScenarioConfig) -> ScenarioReport:
     def run_sweep(n: int):
         g, g2 = _grids(cfg, n)
         coherent = partial(ho_coherent_state, g, params, cfg.q0, cfg.p0)
-        psis = _triplet(coherent, cfg.eval_time, cfg.dt)
-        return alpha_sweep([_chi(psi, g2) for psi in psis], cfg.alphas)
+        return alpha_sweep(_triplet(coherent, cfg.eval_time, cfg.dt), g2, cfg.alphas)
 
     sweep = run_sweep(cfg.grid_n)
     report.checks.append(make_check("alpha-sweep-fit-r2", sweep.fit.r_squared, 0.999, ">"))
@@ -406,35 +395,16 @@ def scenario_alpha_sweep(cfg: ScenarioConfig) -> ScenarioReport:
         else math.inf
     )
     report.checks.append(make_check("alpha-sweep-vanishing-ratio", ratio, 1e-6))
-    report.checks.append(
-        make_check("alpha-sweep-full-residual-max", max(sweep.full_norms), 1e-5)
-    )
-    report.checks.append(
-        make_check(
-            "alpha-sweep-classical-at-minus-half",
-            sweep.classical_norms[idx_half],
-            1e-5,
-        )
-    )
+    report.checks.append(make_check("alpha-sweep-full-residual-max", max(sweep.full_norms), 1e-5))
+    classical = sweep.classical_norms
+    report.checks.append(make_check("alpha-sweep-classical-at-minus-half", classical[idx_half], 1e-5))
     if any(a == -0.25 for a in sweep.alphas):
-        report.checks.append(
-            make_check(
-                "alpha-sweep-classical-needed-off-center",
-                sweep.classical_norms[sweep.alphas.index(-0.25)],
-                1e-3,
-                ">",
-            )
-        )
+        off_center = classical[sweep.alphas.index(-0.25)]
+        report.checks.append(make_check("alpha-sweep-classical-needed-off-center", off_center, 1e-3, ">"))
 
     if cfg.grid_n >= 16:
-        sweep_half = run_sweep(cfg.grid_n // 2)
-        report.checks.append(
-            make_check(
-                "alpha-sweep-grid-stability",
-                abs(sweep.fit.zero_crossing - sweep_half.fit.zero_crossing),
-                1e-4,
-            )
-        )
+        stability = abs(sweep.fit.zero_crossing - run_sweep(cfg.grid_n // 2).fit.zero_crossing)
+        report.checks.append(make_check("alpha-sweep-grid-stability", stability, 1e-4))
 
     report.constants = {
         "slope": sweep.fit.slope,
@@ -643,7 +613,7 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
         report, cfg, lambda t: _chi(coherent(t), g2), hj_residual_eps,
         "eps-hj-harmonic-l2", 1e-5, "eps-hj-harmonic-halving-ratio",
     )
-    q_term, mask = coarse.fields["q_term"], coarse.fields["mask"]
+    q_term, mask, box = (coarse.fields[key] for key in ("q_term", "mask", "box"))
     del coarse  # its residual, classical-form and quantum-term fields
 
     # dynamical equation: i hbar d(chi)/dt = H' chi at the operator level
@@ -671,11 +641,13 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
     joint = ea.mask & pf_p.mask[:, None] & pf_q.mask[None, :]
     fact_err = float(np.max(np.abs(ea.R - outer)[joint] / outer[joint]))
     report.checks.append(make_check("eps-amplitude-factorization", fact_err, 1e-10))
+    del outer
 
     pq = g2.p_axis.points[:, None] * g.points[None, :]
     additivity = ea.S + pq - pf_q.S[None, :] - pf_p.S[:, None]
     spread = float(np.ptp(additivity[joint]))
     report.checks.append(make_check("eps-phase-additivity-spread", spread, 1e-7))
+    del additivity
 
     mixed, valid = fd_mixed_partial(ea.S + pq, g2, ea.mask)
     report.checks.append(make_check("eps-action-mixed-partial", masked_max(mixed, valid), 1e-6))
@@ -683,9 +655,10 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
     # the q-curvature quantum term of the 2D identity equals the 1D quantum
     # potential of the psi factor, broadcast over p
     q_1d = quantum_potential(pf_q)
-    sep_err = masked_max(q_term - q_1d[None, :], joint & mask)
+    sep_err = masked_max(q_term - q_1d[None, box[1]], (joint & mask)[box])
     report.checks.append(make_check("eps-qterm-separability", sep_err, TOL_QPOT))
-    return {"kind": "2d", "p": g2.p_axis.points, "q": g.points, "values": q_term, "mask": mask}
+    values = masked_field(q_term, mask, box)
+    return {"kind": "2d", "p": g2.p_axis.points, "q": g.points, "values": values, "mask": mask}
 
 
 def scenario_classical_appendix(cfg: ScenarioConfig) -> ScenarioReport:

@@ -15,6 +15,7 @@ from epsqp.eps_core import (
     ExtendedHamiltonian,
     PhaseSpaceField,
     chi_build,
+    chi_spectrum,
     eps_rhs_apply,
     expectation,
     polar_decompose_2d,
@@ -25,6 +26,7 @@ from epsqp.numerics import (
     PhysicalParams,
     Potential,
     amplitude_mask,
+    fft2_passes,
     make_grid,
     spectral_derivative_2d,
     unwrap_phase_1d,
@@ -79,6 +81,33 @@ def test_chi_build_matches_the_direct_product(harmonic_params):
     scale = np.abs(psi.values).max() * np.abs(phi.values).max()
     bound = 4.0 * np.finfo(float).eps * np.abs(p).max() * np.abs(q).max() / params.hbar * scale
     assert np.max(np.abs(chi_build(psi, phi, g2).values - direct)) < bound
+
+
+@pytest.mark.parametrize("lo, hi, hbar", [(-10.0, 10.0, 1.0), (-9.3, 10.7, 0.7)])
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_chi_spectrum_is_the_fft2_of_chi(harmonic_params, lo, hi, hbar, n):
+    # the (p, v) product and one p pass equal fft2 of chi_build's chi to
+    # rounding, also where q_min / dq is not an integer (-9.3 / (20 / n))
+    params = replace(harmonic_params, hbar=hbar)
+    q_grid = make_grid(n, lo, hi)
+    g2 = Grid2D.paired(q_grid, hbar)
+    psi = ho_coherent_state(q_grid, params, q0=0.5, p0=0.3, t=0.4)
+    expected = fft2_passes(chi_build(psi, to_momentum_space(psi), g2).values)
+    got = chi_spectrum(psi, g2)
+    assert got.shape == g2.shape and got.dtype == np.complex128
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_chi_spectrum_needs_a_paired_grid_and_a_position_state(q_grid, grid2, harmonic_params):
+    psi = ho_coherent_state(q_grid, harmonic_params, q0=0.5, p0=0.0, t=0.0)
+    with pytest.raises(GridError):
+        chi_spectrum(psi, Grid2D(make_grid(256, -5.0, 5.0), q_grid))
+    with pytest.raises(GridError):  # paired for another hbar
+        chi_spectrum(psi, Grid2D.paired(q_grid, 2.0))
+    with pytest.raises(GridError):  # the state lives on another q axis
+        chi_spectrum(psi, Grid2D.paired(make_grid(128, -10.0, 10.0), 1.0))
+    with pytest.raises(GridError):
+        chi_spectrum(to_momentum_space(psi), grid2)
 
 
 def test_field_kind_and_alpha_tagging(grid2, harmonic_params, ground_chi):
@@ -207,8 +236,10 @@ def test_operator_action_on_plane_wave(grid2, harmonic_params):
 def test_operator_takes_one_forward_transform_per_axis(
     monkeypatch, ground_chi, harmonic_params, linear_params, alpha, potential, values
 ):
-    # the first and second derivative along an axis share one forward FFT;
-    # the sum equals the per-term spectral_derivative_2d sum to rounding
+    # the first and second derivative along an axis share one spectral
+    # multiplier, so one forward and one inverse FFT; the sum equals the
+    # per-term spectral_derivative_2d sum to rounding of the terms (for the
+    # stationary ground chi at alpha = 0 they cancel to rounding level)
     params = harmonic_params if potential == "harmonic" else linear_params
     grid = ground_chi.grid
     if values == "chi":
@@ -228,12 +259,14 @@ def test_operator_takes_one_forward_transform_per_axis(
     ]
     expected = -sum(term for coefficient, term in terms if coefficient != 0.0)
 
-    forward = []
-    fft = np.fft.fft
+    forward, inverse = [], []
+    fft, ifft = np.fft.fft, np.fft.ifft
     monkeypatch.setattr(np.fft, "fft", lambda *a, **k: forward.append(k.get("axis")) or fft(*a, **k))
+    monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: inverse.append(k.get("axis")) or ifft(*a, **k))
     got = ham.apply(field)
-    assert sorted(forward) == [0, 1]
-    assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+    assert sorted(forward) == sorted(inverse) == [0, 1]
+    scale = max(np.max(np.abs(term)) for coefficient, term in terms if coefficient != 0.0)
+    assert np.max(np.abs(got - expected)) <= 1e-13 * scale
 
 
 @HYP
@@ -311,12 +344,12 @@ def test_rhs_rejects_a_wigner_field(ground_state, grid2):
 
 
 def test_rhs_allocates_one_work_buffer(temporary_arrays, harmonic_params):
-    # the image, one work buffer and one axis spectrum at a time, in n x n
-    # complex arrays (measured 3.04)
+    # the image (the q-axis term) and one p-axis spectrum, in n x n complex
+    # arrays; each multiplier is applied in row blocks (measured 2.15)
     n = 512
     g = make_grid(n, -10.0, 10.0)
     chi = _chi_at(g, Grid2D.paired(g, harmonic_params.hbar), harmonic_params, 1.0, 0.5, 0.3)[0]
-    assert temporary_arrays(lambda: eps_rhs_apply(chi), n) <= 3.25
+    assert temporary_arrays(lambda: eps_rhs_apply(chi), n) <= 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -353,14 +386,28 @@ def test_expectation_validation(grid2, harmonic_params, ground_chi):
 
 @pytest.mark.parametrize("axis", ["p", "q"])
 def test_expectation_broadcasts_one_axis_observables(grid2, ground_chi, axis):
-    # a p-only (n, 1) column or a q-only (1, n) row gives exactly the value
-    # of the full n x n array it broadcasts to; other shapes still raise
+    # a p-only (n, 1) column or a q-only (1, n) row is averaged over a
+    # marginal of chi: the value of the full n x n array it broadcasts to, up
+    # to the rounding of the other summation order; other shapes still raise
     points = grid2.p_axis.points[:, None] if axis == "p" else grid2.q_axis.points[None, :]
     observable = points**2 + points
     full = np.broadcast_to(observable, grid2.shape).copy()
-    assert expectation(observable, ground_chi) == expectation(full, ground_chi)
+    want = expectation(full, ground_chi)
+    assert expectation(observable, ground_chi) == pytest.approx(want, rel=0.0, abs=1e-15)
     short = observable[:-1] if axis == "p" else observable[:, :-1]
     with pytest.raises(GridError):
         expectation(short, ground_chi)
     with pytest.raises(GridError):
         expectation(full[None], ground_chi)
+
+
+@pytest.mark.parametrize("axis", ["p", "q"])
+def test_one_axis_expectation_builds_no_full_size_temporary(temporary_arrays, harmonic_params, axis):
+    # a p-only or q-only observable reads chi through its marginal: the peak
+    # allocation stays far below one n x n complex array (a full-size
+    # observable takes the 2D path, two n x n temporaries)
+    n = 512
+    g = make_grid(n, -10.0, 10.0)
+    chi = _chi_at(g, Grid2D.paired(g, harmonic_params.hbar), harmonic_params, 1.0, 0.5, 0.3)[0]
+    points = chi.grid.p_axis.points[:, None] if axis == "p" else chi.grid.q_axis.points[None, :]
+    assert temporary_arrays(lambda: expectation(points, chi), n) <= 0.05

@@ -4,6 +4,7 @@ shear-parameter sweep locating where the quantum term vanishes."""
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -13,6 +14,7 @@ from epsqp import numerics
 from epsqp.eps_core import PhaseSpaceField, chi_build
 from epsqp.numerics import (
     Grid2D,
+    GridError,
     PhysicalParams,
     Potential,
     amplitude_mask,
@@ -30,6 +32,7 @@ from epsqp.quantum_potential import (
     polar_decompose,
     quantum_potential,
 )
+from epsqp.reports import masked_field
 from epsqp.states import (
     ho_coherent_state,
     linear_potential_gaussian,
@@ -43,17 +46,16 @@ from epsqp.transforms import (
 )
 
 
-def _chi_triplet(q_grid, grid2, params, t=0.4, dt=1e-3, q0=0.5, p0=0.0, linear=False):
-    out = []
-    for s in (-1, 0, 1):
-        if linear:
-            psi = linear_potential_gaussian(
-                q_grid, params, q0=q0, p0=p0, sigma0=math.sqrt(0.5), t=t + s * dt
-            )
-        else:
-            psi = ho_coherent_state(q_grid, params, q0=q0, p0=p0, t=t + s * dt)
-        out.append(chi_build(psi, to_momentum_space(psi), grid2))
-    return out
+def _state_triplet(q_grid, params, t=0.4, dt=1e-3, q0=0.5, p0=0.0, linear=False):
+    if linear:
+        state = partial(linear_potential_gaussian, q_grid, params, q0, p0, math.sqrt(0.5))
+    else:
+        state = partial(ho_coherent_state, q_grid, params, q0, p0)
+    return [state(t + s * dt) for s in (-1, 0, 1)]
+
+
+def _chi_triplet(q_grid, grid2, params, **kwargs):
+    return [chi_build(psi, to_momentum_space(psi), grid2) for psi in _state_triplet(q_grid, params, **kwargs)]
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +240,11 @@ def test_eps_residual_needs_three_snapshots(q_grid, grid2, harmonic_params):
 
 
 def test_classical_form_suffices_only_at_minus_half(q_grid, grid2, harmonic_params):
-    base = _chi_triplet(q_grid, grid2, harmonic_params)
-    rep_half = hj_residual_transformed(base, -0.5)
+    rep_half = hj_residual_transformed(_state_triplet(q_grid, harmonic_params), grid2, -0.5)
     classical_half = rep_half.metadata["classical_form_l2"]
     assert classical_half < 1e-5
     # at alpha = 0 the classical form fails by the full quantum term
-    rep_zero = hj_residual_eps(base)
+    rep_zero = hj_residual_eps(_chi_triplet(q_grid, grid2, harmonic_params))
     classical_zero = rep_zero.metadata["classical_form_l2"]
     assert classical_zero > 100.0 * classical_half
 
@@ -254,13 +255,19 @@ def test_classical_form_suffices_only_at_minus_half(q_grid, grid2, harmonic_para
 
 
 @pytest.fixture(scope="module")
-def sweep_inputs(q_grid, grid2, harmonic_params):
+def sweep_inputs(q_grid, harmonic_params):
+    """The state triplet the sweep and the transformed residual take."""
+    return _state_triplet(q_grid, harmonic_params)
+
+
+@pytest.fixture(scope="module")
+def chi_inputs(q_grid, grid2, harmonic_params):
     return _chi_triplet(q_grid, grid2, harmonic_params)
 
 
-def test_alpha_sweep_finds_the_vanishing_point(sweep_inputs):
+def test_alpha_sweep_finds_the_vanishing_point(sweep_inputs, grid2):
     alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
-    res = alpha_sweep(sweep_inputs, alphas)
+    res = alpha_sweep(sweep_inputs, grid2, alphas)
     assert res.fit.r_squared > 0.999
     assert abs(res.fit.zero_crossing - (-0.5)) < 1e-3
     # measured coefficient tracks 1/2 + alpha across the sweep
@@ -268,24 +275,29 @@ def test_alpha_sweep_finds_the_vanishing_point(sweep_inputs):
         assert c == pytest.approx(0.5 + a, abs=5e-3)
 
 
-def test_alpha_sweep_input_validation(sweep_inputs):
+def test_alpha_sweep_input_validation(sweep_inputs, grid2, chi_inputs):
     with pytest.raises(ValueError):
-        alpha_sweep(sweep_inputs, (0.0, -0.5, -1.0))  # unsorted
+        alpha_sweep(sweep_inputs, grid2, (0.0, -0.5, -1.0))  # unsorted
     with pytest.raises(ValueError):
-        alpha_sweep(sweep_inputs, (-0.5, 0.0))  # too few
+        alpha_sweep(sweep_inputs, grid2, (-0.5, 0.0))  # too few
     with pytest.raises(ValueError):
-        alpha_sweep(sweep_inputs, (-1.0, -0.4, 0.0))  # missing -1/2
+        alpha_sweep(sweep_inputs, grid2, (-1.0, -0.4, 0.0))  # missing -1/2
     with pytest.raises(ValueError, match="three snapshots"):
-        alpha_sweep(sweep_inputs[:2], (-1.0, -0.5, 0.0))
+        alpha_sweep(sweep_inputs[:2], grid2, (-1.0, -0.5, 0.0))
+    with pytest.raises(ValueError, match="position-space"):
+        alpha_sweep([to_momentum_space(s) for s in sweep_inputs], grid2, (-1.0, -0.5, 0.0))
+    off_grid = _state_triplet(make_grid(128, -10.0, 10.0), chi_inputs[1].params)
+    with pytest.raises(GridError):  # the states do not live on the grid's q axis
+        alpha_sweep(off_grid, grid2, (-1.0, -0.5, 0.0))
 
 
-def test_alpha_sweep_equals_per_alpha_residuals(sweep_inputs):
+def test_alpha_sweep_equals_per_alpha_residuals(sweep_inputs, grid2):
     # the sweep shears spectra it takes once; each alpha on its own must
     # give the same numbers
     alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
-    res = alpha_sweep(sweep_inputs, alphas)
+    res = alpha_sweep(sweep_inputs, grid2, alphas)
     for i, a in enumerate(alphas):
-        rep = hj_residual_transformed(sweep_inputs, a)
+        rep = hj_residual_transformed(sweep_inputs, grid2, a)
         swept = res.reports[i]
         assert swept.name == rep.name
         assert swept.fields == {}
@@ -302,25 +314,29 @@ def test_alpha_sweep_equals_per_alpha_residuals(sweep_inputs):
 
 
 def test_shears_leave_the_caller_chi_unchanged(q_grid, grid2, harmonic_params):
-    # shear_spectrum may write into the spectrum it reads: every shear must
-    # still leave the caller's chi values as they were, bit for bit
-    snaps = _chi_triplet(q_grid, grid2, harmonic_params)
-    before = [s.values.tobytes() for s in snaps]
-    apply_extended_transform(snaps[1], -0.5)
-    hj_residual_transformed(snaps, -0.75)
-    alpha_sweep(snaps, (-1.0, -0.75, -0.5, -0.25, 0.0))
-    assert [s.values.tobytes() for s in snaps] == before
+    # shear_spectrum may write into the spectrum it reads, and the sweep
+    # shears spectra it builds from the states: every shear must still leave
+    # the caller's chi and states as they were, bit for bit
+    states = _state_triplet(q_grid, harmonic_params)
+    chi = chi_build(states[1], to_momentum_space(states[1]), grid2)
+    held = [chi, *states]
+    before = [s.values.tobytes() for s in held]
+    apply_extended_transform(chi, -0.5)
+    hj_residual_transformed(states, grid2, -0.75)
+    hj_residual_transformed(states, grid2, 0.0)
+    alpha_sweep(states, grid2, (-1.0, -0.75, -0.5, -0.25, 0.0))
+    assert [s.values.tobytes() for s in held] == before
 
 
 @pytest.mark.parametrize(
     "values, alpha",
     [*((v, a) for v in ("chi", "random") for a in (-1.0, -0.75, -0.5, -0.25)), ("wigner", 0.0)],
 )
-def test_mask_box_gradients_match_whole_grid_derivatives(sweep_inputs, values, alpha):
+def test_mask_box_gradients_match_whole_grid_derivatives(chi_inputs, values, alpha):
     # every phase-space residual takes its mask, box and gradients from
     # mask_box_gradients: a sheared chi, any complex field, a real Wigner
     # function.  On the box they must be the whole-grid derivatives.
-    center = sweep_inputs[1]
+    center = chi_inputs[1]
     grid = center.grid
     if values == "chi":
         f = center.values
@@ -349,15 +365,16 @@ def test_mask_box_gradients_match_whole_grid_derivatives(sweep_inputs, values, a
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("alpha, passes", [(-0.75, (8, 8, 3100)), (0.0, (2, 2, 360))])
-def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, alpha, passes):
-    # alpha != 0: two forward passes per snapshot spectrum, two inverse
+@pytest.mark.parametrize("alpha, passes", [(-0.75, (11, 8, 2300)), (0.0, (5, 2, 360))])
+def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, grid2, alpha, passes):
+    # alpha != 0: each snapshot's chi_spectrum is two 1D transforms of the
+    # state (its phi and fft(psi)) and one forward p pass; then two inverse
     # passes for the sheared centre and for each sheared t +- dt field, and
-    # one round trip per gradient.  alpha = 0 builds no spectra: one round
-    # trip per gradient.  The last entry bounds the forward and inverse
-    # lanes together: at n = 256 the box prunes alpha = -0.75 to 3052 lanes
-    # (its 16 whole passes are 4096) and alpha = 0 to 346 (4 whole passes
-    # are 1024).
+    # one round trip per gradient.  alpha = 0 builds no spectra: the phi of
+    # each chi field, and one round trip per gradient.  The last entry
+    # bounds the forward and inverse lanes together: at n = 256 the box
+    # prunes alpha = -0.75 to 2290 lanes (its 16 whole passes are 4096) and
+    # alpha = 0 to 349 (4 whole passes are 1024).
     calls = dict.fromkeys(("fft", "ifft", "fft2", "ifft2"), 0)
     lanes = dict.fromkeys(calls, 0)
     for name in calls:
@@ -367,9 +384,9 @@ def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, alpha, passe
             return _call(a, *args, axis=axis, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    hj_residual_transformed(sweep_inputs, alpha)
+    hj_residual_transformed(sweep_inputs, grid2, alpha)
     assert calls == {"fft": passes[0], "ifft": passes[1], "fft2": 0, "ifft2": 0}
-    whole = (passes[0] + passes[1]) * sweep_inputs[1].grid.shape[0]
+    whole = (passes[0] + passes[1]) * grid2.shape[0]
     assert sum(lanes.values()) <= passes[2] < whole
 
 
@@ -388,48 +405,55 @@ def _array_bytes(obj) -> int:
 
 def test_alpha_sweep_memory_does_not_grow_with_alphas(harmonic_params):
     q_grid = make_grid(64, -10.0, 10.0)
-    snaps = _chi_triplet(q_grid, Grid2D.paired(q_grid, harmonic_params.hbar), harmonic_params)
-    few = alpha_sweep(snaps, (-1.0, -0.75, -0.5, -0.25, 0.0))
-    many = alpha_sweep(snaps, tuple((i - 20) * 5 / 100 for i in range(21)))
+    grid2 = Grid2D.paired(q_grid, harmonic_params.hbar)
+    snaps = _state_triplet(q_grid, harmonic_params)
+    few = alpha_sweep(snaps, grid2, (-1.0, -0.75, -0.5, -0.25, 0.0))
+    many = alpha_sweep(snaps, grid2, tuple((i - 20) * 5 / 100 for i in range(21)))
     assert len(many.reports) == 21
     assert _array_bytes(many) == _array_bytes(few)
     # the walker does see fields when a report holds them
-    assert _array_bytes(hj_residual_transformed(snaps, -0.5)) > 0
+    assert _array_bytes(hj_residual_transformed(snaps, grid2, -0.5)) > 0
 
 
 def test_alpha_sweep_frees_its_sheared_fields(temporary_arrays, harmonic_params):
-    # The sweep holds the three spectra and the engine one work buffer; the
-    # sheared centre field and its amplitude mask set the peak, every later
-    # array is box-sized and nothing outside the engine keeps a sheared
-    # field, so the peak beyond the three chi snapshots stays under 5.0
-    # n x n arrays (measured 4.78).
+    # The sweep holds the three chi spectra and the engine one work buffer;
+    # the sheared centre field and its amplitude mask set the peak, every
+    # later array is box-sized and nothing outside the engine keeps a
+    # sheared field, so the peak stays under 5.0 n x n arrays (measured
+    # 4.81).
     n = 512
     q_grid = make_grid(n, -10.0, 10.0)
-    snaps = _chi_triplet(q_grid, Grid2D.paired(q_grid, harmonic_params.hbar), harmonic_params)
+    snaps = _state_triplet(q_grid, harmonic_params)
     alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
-    assert temporary_arrays(lambda: alpha_sweep(snaps, alphas), n) <= 5.0
+    grid2 = Grid2D.paired(q_grid, harmonic_params.hbar)
+    assert temporary_arrays(lambda: alpha_sweep(snaps, grid2, alphas), n) <= 5.0
 
 
 def test_alpha_sweep_frees_the_chi_it_alone_holds(temporary_arrays, harmonic_params):
-    # Given a triplet no caller keeps, the sweep evaluates alpha = 0 first and
-    # then keeps only the centre chi beside the three spectra and one work
-    # buffer: the peak, the triplet's own three arrays included, stays under
-    # 6.25 n x n arrays (measured 6.00).
+    # The chi triple built for the alpha = 0 peel is freed before the three
+    # spectra are built: the sweep peaks under 5.0 n x n arrays with alpha = 0
+    # as without it (measured 4.81 and 4.78); holding the chi triple beside
+    # the spectra would add 3.
     n = 512
     q_grid = make_grid(n, -10.0, 10.0)
     grid2 = Grid2D.paired(q_grid, harmonic_params.hbar)
-    alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
-    sweep = lambda: alpha_sweep(_chi_triplet(q_grid, grid2, harmonic_params), alphas)
-    assert temporary_arrays(sweep, n) <= 6.25
+    snaps = _state_triplet(q_grid, harmonic_params)
+    peaks = [
+        temporary_arrays(lambda: alpha_sweep(snaps, grid2, alphas), n)
+        for alphas in ((-1.0, -0.75, -0.5, -0.25, 0.0), (-1.0, -0.75, -0.5, -0.25))
+    ]
+    assert max(peaks) <= 5.0
+    assert peaks[0] <= peaks[1] + 0.25
 
 
 def test_eps_residual_allocates_little(temporary_arrays, harmonic_params):
-    # the four full-size float fields of the returned report are 2 n x n
-    # arrays; the evaluation itself works on the mask box (measured 2.48)
+    # the returned report's fields are crops of the mask box and the
+    # evaluation itself works on the box: the peak stays under 1.5 n x n
+    # arrays (measured 1.27)
     n = 512
     q_grid = make_grid(n, -10.0, 10.0)
     snaps = _chi_triplet(q_grid, Grid2D.paired(q_grid, harmonic_params.hbar), harmonic_params)
-    assert temporary_arrays(lambda: hj_residual_eps(snaps), n) <= 2.6
+    assert temporary_arrays(lambda: hj_residual_eps(snaps), n) <= 1.5
 
 
 def _whole_grid(monkeypatch):
@@ -445,24 +469,29 @@ def _same_report(got, want):
     assert got.metadata.keys() == want.metadata.keys()
     for key, value in want.metadata.items():
         assert got.metadata[key] == (value if isinstance(value, str) else pytest.approx(value, rel=1e-12))
-    np.testing.assert_allclose(got.fields["residual"], want.fields["residual"], rtol=1e-12, equal_nan=True)
+    residual = masked_field(got.fields["residual"], got.fields["mask"], got.fields["box"])
+    np.testing.assert_allclose(residual, want.fields["residual"], rtol=1e-12, equal_nan=True)
 
 
 @pytest.mark.parametrize("axis", [1, 0])
-def test_box_evaluation_keeps_a_wrapping_mask(monkeypatch, sweep_inputs, axis):
+def test_box_evaluation_keeps_a_wrapping_mask(monkeypatch, chi_inputs, sweep_inputs, grid2, axis):
     # rolled by n/2 the mask straddles the periodic edge of that axis, so
-    # the box takes the axis whole; the other axis is still cropped
-    n = sweep_inputs[1].grid.shape[axis]
+    # the box takes the axis whole; the other axis is still cropped.  The
+    # sheared residual takes states: rolled by n/2 in q, or times (-1)^j, a
+    # shift by n/2 in p, their chi is rolled the same way.
+    n = grid2.shape[axis]
     rolled = [
         PhaseSpaceField(np.roll(s.values, n // 2, axis=axis), s.grid, s.t, s.params)
-        for s in sweep_inputs
+        for s in chi_inputs
     ]
+    shift = (lambda v: np.roll(v, n // 2)) if axis == 1 else (lambda v: v * (-1.0) ** np.arange(n))
+    states = [replace(s, values=shift(s.values)) for s in sweep_inputs]
     wigners = [
         PhaseSpaceField(np.abs(s.values), s.grid, s.t, s.params, kind="wigner") for s in rolled
     ]
     evaluations = (
         lambda: hj_residual_eps(rolled),
-        lambda: hj_residual_transformed(rolled, -0.75),
+        lambda: hj_residual_transformed(states, grid2, -0.75),
         lambda: wigner_equation_residual(wigners),
     )
     boxed = [evaluate() for evaluate in evaluations]
@@ -475,16 +504,40 @@ def test_box_evaluation_keeps_a_wrapping_mask(monkeypatch, sweep_inputs, axis):
 
 
 @pytest.mark.parametrize("engine", ["eps", "transformed", "wigner"])
-def test_empty_mask_is_a_value_error(sweep_inputs, engine):
-    kind = "wigner" if engine == "wigner" else "chi"
-    zeros = [
-        PhaseSpaceField(np.zeros(s.grid.shape), s.grid, s.t, s.params, kind=kind)
-        for s in sweep_inputs
-    ]
-    evaluate = {
-        "eps": hj_residual_eps,
-        "transformed": lambda snaps: hj_residual_transformed(snaps, -0.75),
-        "wigner": wigner_equation_residual,
-    }[engine]
+def test_residual_fields_are_box_crops(chi_inputs, sweep_inputs, grid2, engine):
+    # every 2D field of a residual report is a crop of the mask's box, NaN
+    # off the mask; masked_field puts it on the whole grid
+    if engine == "wigner":
+        psis = [ho_coherent_state(grid2.q_axis, s.params, q0=0.5, p0=0.0, t=s.t) for s in chi_inputs]
+        rep = wigner_equation_residual([wigner_direct(psi, grid2) for psi in psis])
+    elif engine == "eps":
+        rep = hj_residual_eps(chi_inputs)
+    else:
+        rep = hj_residual_transformed(sweep_inputs, grid2, -0.75)
+    mask, box = rep.fields["mask"], rep.fields["box"]
+    assert mask.shape == grid2.shape and box == mask_box(mask) and box != (slice(None), slice(None))
+    crops = [key for key in ("residual", "classical_form", "quantum_term", "q_term") if key in rep.fields]
+    assert "residual" in crops
+    for key in crops:
+        crop = rep.fields[key]
+        assert crop.shape == mask[box].shape
+        assert np.isnan(crop[~mask[box]]).all() and np.isfinite(crop[mask[box]]).all()
+        whole = masked_field(crop, mask, box)
+        assert whole.shape == grid2.shape and np.isnan(whole[~mask]).all()
+        np.testing.assert_array_equal(whole[box], crop)
+
+
+@pytest.mark.parametrize("engine", ["eps", "transformed", "wigner"])
+def test_empty_mask_is_a_value_error(chi_inputs, sweep_inputs, grid2, engine):
+    if engine == "transformed":
+        zeros = [replace(s, values=np.zeros(grid2.q_axis.n_points)) for s in sweep_inputs]
+        evaluate = lambda snaps: hj_residual_transformed(snaps, grid2, -0.75)
+    else:
+        kind = "wigner" if engine == "wigner" else "chi"
+        zeros = [
+            PhaseSpaceField(np.zeros(s.grid.shape), s.grid, s.t, s.params, kind=kind)
+            for s in chi_inputs
+        ]
+        evaluate = hj_residual_eps if engine == "eps" else wigner_equation_residual
     with pytest.raises(ValueError, match="empty mask"):
         evaluate(zeros)

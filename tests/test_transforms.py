@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsqp.eps_core import ExtendedHamiltonian, chi_build
+from epsqp.eps_core import ExtendedHamiltonian, chi_build, chi_spectrum
 from epsqp.numerics import Grid2D, GridError, make_grid, spectral_resample
 from epsqp.transforms import (
     apply_extended_transform,
@@ -98,13 +98,15 @@ def test_shear_spectrum_needs_a_paired_grid(q_grid):
         ("apply_extended_transform", 1.25),
         ("wigner_direct", 1.25),
         ("chi_build", 1.25),
+        ("chi_spectrum", 1.25),
     ],
 )
 def test_phase_space_kernels_allocate_little(temporary_arrays, harmonic_params, kernel, limit):
     # peak allocation beyond the inputs, in n x n complex arrays, returned
     # array included: no multiplier, no fft2 intermediate, no n x n lag
-    # correlation, no complex W, no n^2 index table (measured 0.13 for a
-    # shear into the caller's buffer, then 1.10, 1.04 and 1.07)
+    # correlation, no complex W, no n^2 index table, no chi for its spectrum
+    # (measured 0.13 for a shear into the caller's buffer, then 1.10, 1.04,
+    # 1.07 and 1.10)
     n = 512
     g = make_grid(n, -10.0, 10.0)
     g2 = Grid2D.paired(g, harmonic_params.hbar)
@@ -117,6 +119,7 @@ def test_phase_space_kernels_allocate_little(temporary_arrays, harmonic_params, 
         "apply_extended_transform": lambda: apply_extended_transform(chi, -0.5),
         "wigner_direct": lambda: wigner_direct(psi, g2),
         "chi_build": lambda: chi_build(psi, phi, g2),
+        "chi_spectrum": lambda: chi_spectrum(psi, g2),
     }
     assert temporary_arrays(calls[kernel], n) <= limit
 
