@@ -199,9 +199,13 @@ def fft2_passes(values: NDArray, inverse: bool = False, in_place: bool = False) 
     return transform(out, axis=0, out=out)
 
 
-def row_blocks(shape: tuple, size: int = 2**15) -> list[slice]:
-    """Row slices of a 2D ``shape``, each of at most ``size`` elements or one row."""
-    step = max(1, size // shape[1])
+#: Element count of one row block: bounds the temporaries of a blockwise pass.
+_BLOCK = 2**15
+
+
+def row_blocks(shape: tuple) -> list[slice]:
+    """Row slices of a 2D ``shape``, each of at most ``_BLOCK`` elements or one row."""
+    step = max(1, _BLOCK // shape[1])
     return [slice(r, r + step) for r in range(0, shape[0], step)]
 
 
