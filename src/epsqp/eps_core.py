@@ -33,7 +33,6 @@ from .numerics import (
     Grid2D,
     GridError,
     PhysicalParams,
-    TIME_ATOL,
     amplitude_mask,
     pq_factors,
     row_blocks,
@@ -88,44 +87,33 @@ class PhaseSpaceField:
         return l2(self.values, self.grid.cell)
 
 
-def chi_build(psi: WaveFunction, phi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
-    """Assemble ``chi(p, q) = psi(q) conj(phi(p)) exp(-i p q / hbar)``.
+def chi_build(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
+    """Assemble ``chi(p, q) = psi(q) conj(phi(p)) exp(-i p q / hbar)``, with ``phi``
+    the momentum-space form of the position-space state ``psi``.
 
-    ``psi`` must live on ``grid.q_axis``, ``phi`` on ``grid.p_axis``, the
-    two axes must be Fourier-paired, and the states must agree on time and
-    physical parameters.  Written in two passes from the kernel's
-    :func:`~epsqp.numerics.pq_factors`.
+    ``psi`` must live on ``grid.q_axis`` and the two axes must be Fourier-paired.
+    Written in two passes from the kernel's :func:`~epsqp.numerics.pq_factors`.
     """
-    if psi.space != "q" or phi.space != "p":
-        raise ValueError("chi_build needs a position-space and a momentum-space state")
-    if psi.params != phi.params:
-        raise ValueError("states carry different physical parameters")
-    if abs(psi.t - phi.t) > TIME_ATOL:
-        raise ValueError(f"states are at different times: {psi.t} vs {phi.t}")
+    phi = to_momentum_space(psi)  # rejects a momentum-space state
     if psi.grid != grid.q_axis:
         raise GridError("position state does not live on the q axis of the grid")
-    if phi.grid != grid.p_axis:
-        raise GridError("momentum state does not live on the p axis of the grid")
     hankel, row, col = pq_factors(grid, psi.params.hbar, -1)  # checks the pairing
     values = hankel * (row * np.conj(phi.values))[:, None]
     values *= (col * psi.values)[None, :]
     return PhaseSpaceField(values, grid, psi.t, psi.params, kind="chi")
 
 
-def chi_spectrum(psi: WaveFunction, grid: Grid2D) -> NDArray[np.complex128]:
-    """``fft2`` of :func:`chi_build`'s chi of ``psi`` and its momentum-space form, without chi.
+def chi_spectrum(psi: WaveFunction) -> NDArray[np.complex128]:
+    """``fft2`` of :func:`chi_build`'s chi of the position-space state ``psi`` on its
+    paired grid, without chi.
 
-    On the paired grid chi's q-spectrum is its (p, v) form (Cohen, J. Math. Phys. 7, 781
-    (1966)), ``conj(phi_i) exp(-2 pi i k_i x / n) fft(psi)[(k_i + b) mod n]`` with ``k_i =
-    i - n/2`` and ``x = q_min / dq``, the row phase reduced modulo n as in :func:`pq_factors`:
+    There chi's q-spectrum is its (p, v) form (Cohen, J. Math. Phys. 7, 781 (1966)),
+    ``conj(phi_i) exp(-2 pi i k_i x / n) fft(psi)[(k_i + b) mod n]`` with ``k_i = i -
+    n/2`` and ``x = q_min / dq``, the row phase reduced modulo n as in :func:`pq_factors`:
     one product with the Hankel view ``[i, b] -> e[i + b]`` of 2n - 1 entries, then one p pass.
     """
-    if psi.space != "q" or psi.grid != grid.q_axis:
-        raise GridError("chi_spectrum needs a position-space state on the q axis of the grid")
-    phi = to_momentum_space(psi)
-    if phi.grid != grid.p_axis:
-        raise GridError("grid axes are not Fourier-paired")
-    n, x = grid.q_axis.n_points, grid.q_axis.min / grid.q_axis.spacing
+    phi = to_momentum_space(psi)  # rejects a momentum-space state
+    n, x = psi.grid.n_points, psi.grid.min / psi.grid.spacing
     k = np.arange(n) - n // 2
     row = np.exp((-2j * np.pi / n) * np.mod(k * x, n)) * np.conj(phi.values)
     extended = np.fft.fft(psi.values)[(np.arange(2 * n - 1) - n // 2) % n]

@@ -217,28 +217,19 @@ def inverse_on_box(spectrum: NDArray[np.complex128], box: tuple) -> NDArray[np.c
     return np.fft.ifft(spectrum[:, cols], axis=0)[rows].copy()
 
 
-def mask_box_gradients(values: NDArray, grid: Grid2D, kernel: tuple | None = None) -> tuple:
+def mask_box_gradients(values: NDArray, grid: Grid2D) -> tuple:
     """A whole 2D field's amplitude mask, and the field with its spectral gradients on
     the mask's box.
 
     ``f_q`` is :func:`spectral_derivative_2d` of the box rows and ``f_p`` that of the
     box columns, so only those lanes are transformed.  Returns ``(mask, box, f, f_q,
     f_p)`` with ``box = mask_box(mask)`` and the fields as new box-sized arrays.
-
-    With ``kernel``, the :func:`pq_factors` of a unimodular kernel, the field is
-    ``values * kernel``: its mask is that of ``values``, and only the lanes read are
-    multiplied.
     """
     mask = amplitude_mask(np.abs(values))
     rows, cols = box = mask_box(mask)
-    lanes_q, lanes_p = values[rows], values[:, cols]
-    if kernel is not None:
-        hankel, row, col = kernel
-        lanes_q = lanes_q * hankel[rows] * row[rows, None] * col
-        lanes_p = lanes_p * hankel[:, cols] * row[:, None] * col[cols]
-    f_q = spectral_derivative_2d(lanes_q, grid, axis=1)[:, cols].copy()
-    f_p = spectral_derivative_2d(lanes_p, grid, axis=0)[rows].copy()
-    return mask, box, lanes_q[:, cols].copy(), f_q, f_p
+    f_q = spectral_derivative_2d(values[rows], grid, axis=1)[:, cols].copy()
+    f_p = spectral_derivative_2d(values[:, cols], grid, axis=0)[rows].copy()
+    return mask, box, values[box].copy(), f_q, f_p
 
 
 def relative_curvature(amplitude: NDArray, spacing: float, axis: int = 0) -> NDArray[np.float64]:

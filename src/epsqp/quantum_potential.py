@@ -55,7 +55,7 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .eps_core import ExtendedHamiltonian, PhaseSpaceField, chi_build, chi_spectrum
+from .eps_core import ExtendedHamiltonian, chi_spectrum
 from .numerics import (
     Grid1D,
     Grid2D,
@@ -66,7 +66,6 @@ from .numerics import (
     log_amplitude,
     log_curvature,
     mask_box_gradients,
-    pq_factors,
     relative_curvature,
     snapshot_triple,
     spectral_derivative,
@@ -231,32 +230,25 @@ def hj_residual_p(snapshots: Sequence[WaveFunction]) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def _chis(triple: tuple, grid: Grid2D) -> tuple:
-    """The chi fields of a state triple, with its ``dt``."""
-    return (*(chi_build(s, to_momentum_space(s), grid) for s in triple[:3]), triple[3])
-
-
 def _hj_residual_2d(
-    triple: tuple, grid: Grid2D, alpha: float, name: str, spectra: list | None = None,
-    with_fields: bool = True,
+    triple: tuple, alpha: float, name: str, spectra: list | None = None, with_fields: bool = True,
 ) -> ResidualReport:
     """Shared engine for the phase-space modified Hamilton-Jacobi residual.
 
     ``triple`` is the unpacked ``(minus, center, plus, dt)`` of three
-    snapshots on ``grid``: chi fields at alpha = 0, whose values it reads,
-    and otherwise anything with the centre's time and parameters, such as
-    the states.  At alpha != 0 the engine shears the
-    :func:`~epsqp.eps_core.chi_spectrum` ``spectra`` itself, and only reads
-    them, so one set serves any number of alphas and no caller holds a
-    sheared field: :func:`~epsqp.transforms.shear_spectrum` writes each
-    sheared spectrum into one work buffer, inverted whole for the centre and
-    by :func:`~epsqp.numerics.inverse_on_box` for t +- dt.  Only the box of
-    the centre's amplitude mask is evaluated, with the mask, box and
-    gradients of :func:`~epsqp.numerics.mask_box_gradients` applied to the
-    whole centre field: the peeled chi at alpha = 0, whose t +- dt fields are
-    read on the box as they are, and the sheared chi otherwise.
-    The estimators of the module docstring are applied to the transformed
-    fields: the phase of the plus/minus snapshot ratio is immune to the
+    position-space states; their chi lives on the paired grid of the centre's
+    q axis.  Only the box of the centre field's amplitude mask is evaluated,
+    with the mask, box and gradients of
+    :func:`~epsqp.numerics.mask_box_gradients`.  At alpha = 0 that field is
+    the product psi(q) conj(phi(p)) of chi without its kernel, and the t +- dt
+    products are formed on the box only.  Otherwise it is the sheared chi:
+    :func:`~epsqp.transforms.shear_spectrum` writes each sheared
+    :func:`~epsqp.eps_core.chi_spectrum` of ``spectra`` (built here when none
+    are passed) into one work buffer, inverted whole for the centre and by
+    :func:`~epsqp.numerics.inverse_on_box` for t +- dt.  The spectra are only
+    read, so one set serves any number of alphas and no caller holds a
+    sheared field.  The estimators of the module docstring are applied to
+    these fields: the phase of the plus/minus snapshot ratio is immune to the
     catastrophic cancellation a literal difference of the sheared fields
     would suffer near the mask edge.
 
@@ -276,18 +268,20 @@ def _hj_residual_2d(
     _, center, _, dt = triple
     params = center.params
     m, hbar = params.mass, params.hbar
+    grid = Grid2D.paired(center.grid, hbar)
 
     if alpha == 0.0:
-        # An untransformed chi carries the kernel exp(-i p q / hbar), so the
-        # p-spectrum of the row at q is centred near wavenumber -q/hbar: on the
-        # outer mask rows its tails reach the (coarse) momentum Nyquist and floor
-        # a direct spectral gradient.  So peel the kernel, differentiate the
-        # centred remainder and restore the kernel's exact gradients (-p into
-        # S_q, -q into S_p) below; it is static, so it cancels in S_t.  The
-        # kernel multiplies only the lanes read and leaves |chi|, so the mask.
-        mask, box, f, f_q, f_p = mask_box_gradients(center.values, grid, pq_factors(grid, hbar, 1))
-        minus, plus = triple[0].values[box], triple[2].values[box]
+        # chi's kernel exp(-i p q / hbar) centres the p-spectrum of the row at q
+        # near wavenumber -q/hbar: on the outer mask rows its tails reach the
+        # (coarse) momentum Nyquist and floor a direct spectral gradient.  So
+        # differentiate the product without the kernel and restore the kernel's
+        # exact gradients (-p into S_q, -q into S_p) below; it is static, so it
+        # cancels in S_t, and unimodular, so it leaves the mask.
+        phis = [np.conj(to_momentum_space(s).values) for s in triple[:3]]
+        mask, box, f, f_q, f_p = mask_box_gradients(phis[1][:, None] * center.values[None, :], grid)
+        minus, plus = (phis[i][box[0], None] * triple[i].values[None, box[1]] for i in (0, 2))
     else:  # each sheared field is an inverse transform of a sheared spectrum in ``work``
+        spectra = spectra or [chi_spectrum(s) for s in triple[:3]]
         work = np.empty_like(spectra[1])
         shear_spectrum(spectra[1], grid, alpha, hbar, out=work)
         mask, box, f, f_q, f_p = mask_box_gradients(fft2_passes(work, inverse=True, in_place=True), grid)
@@ -338,39 +332,33 @@ def _hj_residual_2d(
     )
 
 
-def hj_residual_eps(snapshots: Sequence[PhaseSpaceField]) -> ResidualReport:
+def hj_residual_eps(snapshots: Sequence[WaveFunction]) -> ResidualReport:
     """Residual of the phase-space modified Hamilton-Jacobi identity for chi.
 
-    This is the alpha = 0 member of the sheared family: both curvature
-    terms enter at coefficient 1/2 (the p-term carries k, so it vanishes
-    for a linear potential).
+    ``snapshots`` are position-space states at t - dt, t, t + dt.  This is
+    the alpha = 0 member of the sheared family: both curvature terms enter
+    at coefficient 1/2 (the p-term carries k, so it vanishes for a linear
+    potential).
     """
-    if any(s.kind != "chi" for s in snapshots):
-        raise ValueError("phase-space residuals start from untransformed chi fields")
     triple = snapshot_triple(snapshots)
-    center = triple[1]
-    return _hj_residual_2d(triple, center.grid, 0.0, f"eps-hj-{center.params.potential.kind}")
+    return _hj_residual_2d(triple, 0.0, f"eps-hj-{triple[1].params.potential.kind}")
 
 
 def _transformed_name(alpha: float) -> str:
     return f"transformed-hj(alpha={alpha})"
 
 
-def hj_residual_transformed(snapshots: Sequence[WaveFunction], grid: Grid2D, alpha: float) -> ResidualReport:
+def hj_residual_transformed(snapshots: Sequence[WaveFunction], alpha: float) -> ResidualReport:
     """Residual of the modified Hamilton-Jacobi identity after shearing by alpha.
 
-    ``snapshots`` are position-space states at t - dt, t, t + dt, and their
-    chi lives on ``grid``.  Reports the full residual as the headline norms
-    and the classical-form residual (curvature terms deleted) in the
-    metadata: away from alpha = -1/2 the classical form fails by exactly the
-    (1/2 + alpha)-weighted curvature term; at alpha = -1/2 the two coincide
-    and the classical equation holds on its own.
+    ``snapshots`` are position-space states at t - dt, t, t + dt.  Reports
+    the full residual as the headline norms and the classical-form residual
+    (curvature terms deleted) in the metadata: away from alpha = -1/2 the
+    classical form fails by exactly the (1/2 + alpha)-weighted curvature
+    term; at alpha = -1/2 the two coincide and the classical equation holds
+    on its own.
     """
-    triple = snapshot_triple(snapshots)
-    name = _transformed_name(alpha)
-    if alpha == 0.0:
-        return _hj_residual_2d(_chis(triple, grid), grid, 0.0, name)
-    return _hj_residual_2d(triple, grid, alpha, name, [chi_spectrum(s, grid) for s in triple[:3]])
+    return _hj_residual_2d(snapshot_triple(snapshots), alpha, _transformed_name(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -428,27 +416,21 @@ def validate_alphas(alphas: Sequence[float]) -> tuple[float, ...]:
     return alphas
 
 
-def alpha_sweep(
-    snapshots: Sequence[WaveFunction], grid: Grid2D, alphas: Sequence[float]
-) -> AlphaSweepResult:
+def alpha_sweep(snapshots: Sequence[WaveFunction], alphas: Sequence[float]) -> AlphaSweepResult:
     """Evaluate the transformed residual across a shear-parameter sweep.
 
-    ``snapshots`` and ``grid`` are as for :func:`hj_residual_transformed`;
-    ``alphas`` must pass :func:`validate_alphas`, and the reports follow
-    that order.  alpha = 0, the only member that reads chi values (through
-    the peel), is evaluated first, from a chi triple that is freed before
-    the three :func:`~epsqp.eps_core.chi_spectrum` spectra are built once
-    for the rest of the sweep.
+    ``snapshots`` are as for :func:`hj_residual_transformed`; ``alphas``
+    must pass :func:`validate_alphas`, and the reports follow that order.
+    The three :func:`~epsqp.eps_core.chi_spectrum` spectra are built once
+    and every alpha is evaluated from them in one pass (alpha = 0 reads the
+    states instead).
     """
     alphas = validate_alphas(alphas)
     triple = snapshot_triple(snapshots)
-
-    def evaluate(a, snaps, spectra=None):
-        return _hj_residual_2d(snaps, grid, a, _transformed_name(a), spectra, with_fields=False)
-
-    first = {a: evaluate(a, _chis(triple, grid)) for a in alphas if a == 0.0}
-    spectra = [chi_spectrum(s, grid) for s in triple[:3]]
-    reports = tuple(first[a] if a in first else evaluate(a, triple, spectra) for a in alphas)
+    spectra = [chi_spectrum(s) for s in triple[:3]]
+    reports = tuple(
+        _hj_residual_2d(triple, a, _transformed_name(a), spectra, with_fields=False) for a in alphas
+    )
     coefficients = tuple(r.metadata["fitted_coefficient"] for r in reports)
     return AlphaSweepResult(
         alphas=alphas,

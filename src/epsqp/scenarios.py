@@ -232,10 +232,6 @@ def _triplet(state: Callable[[float], WaveFunction], t: float, dt: float) -> lis
     return [state(tt) for tt in (t - dt, t, t + dt)]
 
 
-def _chi(psi: WaveFunction, grid2: Grid2D):
-    return chi_build(psi, to_momentum_space(psi), grid2)
-
-
 def _check_halving(
     report: ScenarioReport,
     cfg: ScenarioConfig,
@@ -249,7 +245,7 @@ def _check_halving(
     """Record ``residual`` of ``snapshot`` around ``cfg.eval_time`` at dt and dt/2.
 
     ``snapshot(t)`` returns what ``residual`` reads at time t: a state, its
-    momentum-space form, its Wigner function or its chi.  The centre
+    momentum-space form or its Wigner function.  The centre
     snapshot is built once for both triplets; the dt/2 triplet is evaluated
     first and only its L2 norm kept, so one triplet is alive at a time.
     Adds the dt residual (norms and metadata, not its fields), its L2
@@ -295,7 +291,7 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
         psi = ho_coherent_state(g, params, cfg.q0, cfg.p0, cfg.eval_time)
         w = wigner_direct(psi, g2).values
         # chi's spectrum, sheared and inverted in place: the fit's only n^2 complex array
-        sheared = chi_spectrum(psi, g2)
+        sheared = chi_spectrum(psi)
         shear_spectrum(sheared, g2, -0.5, params.hbar, out=sheared)
         fft2_passes(sheared, inverse=True, in_place=True)
         c = fit_global_constant(sheared, w)
@@ -374,9 +370,9 @@ def scenario_alpha_sweep(cfg: ScenarioConfig) -> ScenarioReport:
     report = ScenarioReport("alpha-sweep", cfg)
 
     def run_sweep(n: int):
-        g, g2 = _grids(cfg, n)
+        g, _ = _grids(cfg, n)
         coherent = partial(ho_coherent_state, g, params, cfg.q0, cfg.p0)
-        return alpha_sweep(_triplet(coherent, cfg.eval_time, cfg.dt), g2, cfg.alphas)
+        return alpha_sweep(_triplet(coherent, cfg.eval_time, cfg.dt), cfg.alphas)
 
     sweep = run_sweep(cfg.grid_n)
     report.checks.append(make_check("alpha-sweep-fit-r2", sweep.fit.r_squared, 0.999, ">"))
@@ -476,7 +472,7 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     )
 
     # --- averaging rule ------------------------------------------------------
-    chi_g = _chi(psi_g, g2)
+    chi_g = chi_build(psi_g, g2)
     p, q = g2.p_axis.points[:, None], g.points[None, :]
     q2_val = expectation(q**2, chi_g)
     h_val = expectation(p**2 / (2.0 * m) + 0.5 * k * q**2, chi_g)
@@ -492,7 +488,7 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     for i in range(10):
         t_i = i * period / 10.0
         psi_i = ho_coherent_state(g, params, cfg.q0, cfg.p0, t_i)
-        chi_i = _chi(psi_i, g2)
+        chi_i = chi_build(psi_i, g2)
         q_c = cfg.q0 * math.cos(w_freq * t_i) + cfg.p0 / (m * w_freq) * math.sin(w_freq * t_i)
         p_c = cfg.p0 * math.cos(w_freq * t_i) - m * w_freq * cfg.q0 * math.sin(w_freq * t_i)
         worst_track = max(
@@ -598,8 +594,7 @@ def scenario_eps_residuals(cfg: ScenarioConfig) -> ScenarioReport:
     report.field_bundles = {"eps-quantum-q-term": _eps_harmonic(report, cfg, g, g2)}
     gaussian = partial(linear_potential_gaussian, g, _linear_params(cfg), cfg.q0, cfg.p0, cfg.sigma0)
     _check_halving(
-        report, cfg, lambda t: _chi(gaussian(t), g2), hj_residual_eps,
-        "eps-hj-linear-l2", 1e-5, "eps-hj-linear-halving-ratio",
+        report, cfg, gaussian, hj_residual_eps, "eps-hj-linear-l2", 1e-5, "eps-hj-linear-halving-ratio",
     )
     return report
 
@@ -610,22 +605,23 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
     hbar = params.hbar
     coherent = partial(ho_coherent_state, g, params, cfg.q0, cfg.p0)
     coarse, snaps = _check_halving(
-        report, cfg, lambda t: _chi(coherent(t), g2), hj_residual_eps,
-        "eps-hj-harmonic-l2", 1e-5, "eps-hj-harmonic-halving-ratio",
+        report, cfg, coherent, hj_residual_eps, "eps-hj-harmonic-l2", 1e-5, "eps-hj-harmonic-halving-ratio",
     )
     q_term, mask, box = (coarse.fields[key] for key in ("q_term", "mask", "box"))
     del coarse  # its residual, classical-form and quantum-term fields
 
     # dynamical equation: i hbar d(chi)/dt = H' chi at the operator level
-    lhs = 1j * hbar * (snaps[2].values - snaps[0].values) / (2.0 * cfg.dt)
-    center = snaps[1]
-    del snaps  # the t +- dt fields
+    plus, minus = (chi_build(s, g2).values for s in (snaps[2], snaps[0]))
+    lhs = 1j * hbar * (plus - minus) / (2.0 * cfg.dt)
+    del plus, minus
+    psi_t = snaps[1]
+    center = chi_build(psi_t, g2)
     lhs -= eps_rhs_apply(center).values
     report.checks.append(make_check("eps-evolution-residual-l2", l2(lhs, g2.cell), 1e-6))
     del lhs
 
     # stationary pair: energy phases cancel in psi phi*, so H' chi = 0
-    chi_g = _chi(ho_coherent_state(g, params, 0.0, 0.0, 0.0), g2)
+    chi_g = chi_build(ho_coherent_state(g, params, 0.0, 0.0, 0.0), g2)
     stationary_max = float(np.max(np.abs(eps_rhs_apply(chi_g).values)))
     report.checks.append(make_check("eps-stationary-max", stationary_max, 1e-8))
     del chi_g
@@ -633,7 +629,6 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
     # --- separable structure (amplitude factorisation, action additivity) ---
     ea = polar_decompose_2d(center)
     del center
-    psi_t = coherent(cfg.eval_time)
     pf_q = polar_decompose(psi_t)
     pf_p = polar_decompose(to_momentum_space(psi_t))
 

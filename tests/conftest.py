@@ -14,7 +14,7 @@ from epsqp.numerics import (
     Potential,
     make_grid,
 )
-from epsqp.states import ho_coherent_state, linear_potential_gaussian, to_momentum_space
+from epsqp.states import ho_coherent_state, linear_potential_gaussian
 
 
 @pytest.fixture(scope="session")
@@ -45,8 +45,7 @@ def ground_state(q_grid, harmonic_params):
 
 @pytest.fixture(scope="session")
 def ground_chi(ground_state, grid2):
-    phi = to_momentum_space(ground_state)
-    return chi_build(ground_state, phi, grid2)
+    return chi_build(ground_state, grid2)
 
 
 @pytest.fixture(scope="session")

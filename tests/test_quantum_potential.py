@@ -13,8 +13,6 @@ import pytest
 from epsqp import numerics
 from epsqp.eps_core import PhaseSpaceField, chi_build
 from epsqp.numerics import (
-    Grid2D,
-    GridError,
     PhysicalParams,
     Potential,
     amplitude_mask,
@@ -52,10 +50,6 @@ def _state_triplet(q_grid, params, t=0.4, dt=1e-3, q0=0.5, p0=0.0, linear=False)
     else:
         state = partial(ho_coherent_state, q_grid, params, q0, p0)
     return [state(t + s * dt) for s in (-1, 0, 1)]
-
-
-def _chi_triplet(q_grid, grid2, params, **kwargs):
-    return [chi_build(psi, to_momentum_space(psi), grid2) for psi in _state_triplet(q_grid, params, **kwargs)]
 
 
 # ---------------------------------------------------------------------------
@@ -219,34 +213,49 @@ def test_snapshot_validation(coherent_triplet_factory):
 # ---------------------------------------------------------------------------
 
 
-def test_eps_residual_harmonic(q_grid, grid2, harmonic_params):
-    snaps = _chi_triplet(q_grid, grid2, harmonic_params)
-    rep = hj_residual_eps(snaps)
+def test_eps_residual_harmonic(q_grid, harmonic_params):
+    rep = hj_residual_eps(_state_triplet(q_grid, harmonic_params))
     assert rep.name == "eps-hj-harmonic"
     assert rep.l2_norm < 1e-5
 
 
-def test_eps_residual_linear(q_grid, grid2, linear_params):
-    snaps = _chi_triplet(q_grid, grid2, linear_params, linear=True)
-    rep = hj_residual_eps(snaps)
+def test_eps_residual_linear(q_grid, linear_params):
+    rep = hj_residual_eps(_state_triplet(q_grid, linear_params, linear=True))
     assert rep.name == "eps-hj-linear"
     assert rep.l2_norm < 1e-5
 
 
-def test_eps_residual_needs_three_snapshots(q_grid, grid2, harmonic_params):
-    snaps = _chi_triplet(q_grid, grid2, harmonic_params)
+def test_eps_residual_needs_three_snapshots(q_grid, harmonic_params):
+    snaps = _state_triplet(q_grid, harmonic_params)
     with pytest.raises(ValueError, match="three snapshots"):
         hj_residual_eps(snaps[:2])
+    with pytest.raises(ValueError, match="position-space"):
+        hj_residual_eps([to_momentum_space(s) for s in snaps])
 
 
-def test_classical_form_suffices_only_at_minus_half(q_grid, grid2, harmonic_params):
-    rep_half = hj_residual_transformed(_state_triplet(q_grid, harmonic_params), grid2, -0.5)
+def test_classical_form_suffices_only_at_minus_half(q_grid, harmonic_params):
+    rep_half = hj_residual_transformed(_state_triplet(q_grid, harmonic_params), -0.5)
     classical_half = rep_half.metadata["classical_form_l2"]
     assert classical_half < 1e-5
     # at alpha = 0 the classical form fails by the full quantum term
-    rep_zero = hj_residual_eps(_chi_triplet(q_grid, grid2, harmonic_params))
+    rep_zero = hj_residual_eps(_state_triplet(q_grid, harmonic_params))
     classical_zero = rep_zero.metadata["classical_form_l2"]
     assert classical_zero > 100.0 * classical_half
+
+
+@pytest.mark.parametrize("n", [128, 256, 1024])
+def test_eps_residual_vanishes_on_the_stationary_pair(harmonic_params, n):
+    # q0 = p0 = 0: the energy phases cancel in psi(q) conj(phi(p)), so S_t is
+    # zero and no dt^2 floor hides a wrong restoration of the kernel's
+    # gradients (-p into S_q, -q into S_p): the coefficient the data demands
+    # is 1/2 and the residual vanishes, both to rounding
+    states = _state_triplet(make_grid(n, -10.0, 10.0), harmonic_params, q0=0.0)
+    rep = hj_residual_eps(states)
+    assert abs(rep.metadata["fitted_coefficient"] - 0.5) <= 1e-8
+    assert rep.l2_norm <= 1e-8
+    same = hj_residual_transformed(states, 0.0)
+    summary = lambda r: (r.l2_norm, r.max_norm, r.masked_fraction, r.metadata)
+    assert summary(same) == summary(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -261,13 +270,13 @@ def sweep_inputs(q_grid, harmonic_params):
 
 
 @pytest.fixture(scope="module")
-def chi_inputs(q_grid, grid2, harmonic_params):
-    return _chi_triplet(q_grid, grid2, harmonic_params)
+def chi_inputs(sweep_inputs, grid2):
+    return [chi_build(psi, grid2) for psi in sweep_inputs]
 
 
-def test_alpha_sweep_finds_the_vanishing_point(sweep_inputs, grid2):
+def test_alpha_sweep_finds_the_vanishing_point(sweep_inputs):
     alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
-    res = alpha_sweep(sweep_inputs, grid2, alphas)
+    res = alpha_sweep(sweep_inputs, alphas)
     assert res.fit.r_squared > 0.999
     assert abs(res.fit.zero_crossing - (-0.5)) < 1e-3
     # measured coefficient tracks 1/2 + alpha across the sweep
@@ -275,29 +284,26 @@ def test_alpha_sweep_finds_the_vanishing_point(sweep_inputs, grid2):
         assert c == pytest.approx(0.5 + a, abs=5e-3)
 
 
-def test_alpha_sweep_input_validation(sweep_inputs, grid2, chi_inputs):
+def test_alpha_sweep_input_validation(sweep_inputs):
     with pytest.raises(ValueError):
-        alpha_sweep(sweep_inputs, grid2, (0.0, -0.5, -1.0))  # unsorted
+        alpha_sweep(sweep_inputs, (0.0, -0.5, -1.0))  # unsorted
     with pytest.raises(ValueError):
-        alpha_sweep(sweep_inputs, grid2, (-0.5, 0.0))  # too few
+        alpha_sweep(sweep_inputs, (-0.5, 0.0))  # too few
     with pytest.raises(ValueError):
-        alpha_sweep(sweep_inputs, grid2, (-1.0, -0.4, 0.0))  # missing -1/2
+        alpha_sweep(sweep_inputs, (-1.0, -0.4, 0.0))  # missing -1/2
     with pytest.raises(ValueError, match="three snapshots"):
-        alpha_sweep(sweep_inputs[:2], grid2, (-1.0, -0.5, 0.0))
+        alpha_sweep(sweep_inputs[:2], (-1.0, -0.5, 0.0))
     with pytest.raises(ValueError, match="position-space"):
-        alpha_sweep([to_momentum_space(s) for s in sweep_inputs], grid2, (-1.0, -0.5, 0.0))
-    off_grid = _state_triplet(make_grid(128, -10.0, 10.0), chi_inputs[1].params)
-    with pytest.raises(GridError):  # the states do not live on the grid's q axis
-        alpha_sweep(off_grid, grid2, (-1.0, -0.5, 0.0))
+        alpha_sweep([to_momentum_space(s) for s in sweep_inputs], (-1.0, -0.5, 0.0))
 
 
-def test_alpha_sweep_equals_per_alpha_residuals(sweep_inputs, grid2):
+def test_alpha_sweep_equals_per_alpha_residuals(sweep_inputs):
     # the sweep shears spectra it takes once; each alpha on its own must
     # give the same numbers
     alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
-    res = alpha_sweep(sweep_inputs, grid2, alphas)
+    res = alpha_sweep(sweep_inputs, alphas)
     for i, a in enumerate(alphas):
-        rep = hj_residual_transformed(sweep_inputs, grid2, a)
+        rep = hj_residual_transformed(sweep_inputs, a)
         swept = res.reports[i]
         assert swept.name == rep.name
         assert swept.fields == {}
@@ -318,13 +324,13 @@ def test_shears_leave_the_caller_chi_unchanged(q_grid, grid2, harmonic_params):
     # shears spectra it builds from the states: every shear must still leave
     # the caller's chi and states as they were, bit for bit
     states = _state_triplet(q_grid, harmonic_params)
-    chi = chi_build(states[1], to_momentum_space(states[1]), grid2)
+    chi = chi_build(states[1], grid2)
     held = [chi, *states]
     before = [s.values.tobytes() for s in held]
     apply_extended_transform(chi, -0.5)
-    hj_residual_transformed(states, grid2, -0.75)
-    hj_residual_transformed(states, grid2, 0.0)
-    alpha_sweep(states, grid2, (-1.0, -0.75, -0.5, -0.25, 0.0))
+    hj_residual_transformed(states, -0.75)
+    hj_residual_transformed(states, 0.0)
+    alpha_sweep(states, (-1.0, -0.75, -0.5, -0.25, 0.0))
     assert [s.values.tobytes() for s in held] == before
 
 
@@ -371,7 +377,7 @@ def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, grid2, alpha
     # state (its phi and fft(psi)) and one forward p pass; then two inverse
     # passes for the sheared centre and for each sheared t +- dt field, and
     # one round trip per gradient.  alpha = 0 builds no spectra: the phi of
-    # each chi field, and one round trip per gradient.  The last entry
+    # each state, and one round trip per gradient.  The last entry
     # bounds the forward and inverse lanes together: at n = 256 the box
     # prunes alpha = -0.75 to 2290 lanes (its 16 whole passes are 4096) and
     # alpha = 0 to 349 (4 whole passes are 1024).
@@ -384,7 +390,7 @@ def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, grid2, alpha
             return _call(a, *args, axis=axis, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    hj_residual_transformed(sweep_inputs, grid2, alpha)
+    hj_residual_transformed(sweep_inputs, alpha)
     assert calls == {"fft": passes[0], "ifft": passes[1], "fft2": 0, "ifft2": 0}
     whole = (passes[0] + passes[1]) * grid2.shape[0]
     assert sum(lanes.values()) <= passes[2] < whole
@@ -404,15 +410,13 @@ def _array_bytes(obj) -> int:
 
 
 def test_alpha_sweep_memory_does_not_grow_with_alphas(harmonic_params):
-    q_grid = make_grid(64, -10.0, 10.0)
-    grid2 = Grid2D.paired(q_grid, harmonic_params.hbar)
-    snaps = _state_triplet(q_grid, harmonic_params)
-    few = alpha_sweep(snaps, grid2, (-1.0, -0.75, -0.5, -0.25, 0.0))
-    many = alpha_sweep(snaps, grid2, tuple((i - 20) * 5 / 100 for i in range(21)))
+    snaps = _state_triplet(make_grid(64, -10.0, 10.0), harmonic_params)
+    few = alpha_sweep(snaps, (-1.0, -0.75, -0.5, -0.25, 0.0))
+    many = alpha_sweep(snaps, tuple((i - 20) * 5 / 100 for i in range(21)))
     assert len(many.reports) == 21
     assert _array_bytes(many) == _array_bytes(few)
     # the walker does see fields when a report holds them
-    assert _array_bytes(hj_residual_transformed(snaps, grid2, -0.5)) > 0
+    assert _array_bytes(hj_residual_transformed(snaps, -0.5)) > 0
 
 
 def test_alpha_sweep_frees_its_sheared_fields(temporary_arrays, harmonic_params):
@@ -425,21 +429,17 @@ def test_alpha_sweep_frees_its_sheared_fields(temporary_arrays, harmonic_params)
     q_grid = make_grid(n, -10.0, 10.0)
     snaps = _state_triplet(q_grid, harmonic_params)
     alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
-    grid2 = Grid2D.paired(q_grid, harmonic_params.hbar)
-    assert temporary_arrays(lambda: alpha_sweep(snaps, grid2, alphas), n) <= 5.0
+    assert temporary_arrays(lambda: alpha_sweep(snaps, alphas), n) <= 5.0
 
 
-def test_alpha_sweep_frees_the_chi_it_alone_holds(temporary_arrays, harmonic_params):
-    # The chi triple built for the alpha = 0 peel is freed before the three
-    # spectra are built: the sweep peaks under 5.0 n x n arrays with alpha = 0
-    # as without it (measured 4.81 and 4.78); holding the chi triple beside
-    # the spectra would add 3.
+def test_alpha_sweep_peaks_as_low_with_alpha_zero(temporary_arrays, harmonic_params):
+    # alpha = 0 differentiates the product psi(q) conj(phi(p)) beside the
+    # three spectra the sheared alphas read: the sweep peaks under 5.0 n x n
+    # arrays with alpha = 0 as without it (measured 4.81 and 4.78).
     n = 512
-    q_grid = make_grid(n, -10.0, 10.0)
-    grid2 = Grid2D.paired(q_grid, harmonic_params.hbar)
-    snaps = _state_triplet(q_grid, harmonic_params)
+    snaps = _state_triplet(make_grid(n, -10.0, 10.0), harmonic_params)
     peaks = [
-        temporary_arrays(lambda: alpha_sweep(snaps, grid2, alphas), n)
+        temporary_arrays(lambda: alpha_sweep(snaps, alphas), n)
         for alphas in ((-1.0, -0.75, -0.5, -0.25, 0.0), (-1.0, -0.75, -0.5, -0.25))
     ]
     assert max(peaks) <= 5.0
@@ -447,13 +447,13 @@ def test_alpha_sweep_frees_the_chi_it_alone_holds(temporary_arrays, harmonic_par
 
 
 def test_eps_residual_allocates_little(temporary_arrays, harmonic_params):
-    # the returned report's fields are crops of the mask box and the
-    # evaluation itself works on the box: the peak stays under 1.5 n x n
-    # arrays (measured 1.27)
+    # from the states the engine builds one n x n field, the centre product,
+    # with its amplitude and mask; the returned report's fields are crops of
+    # the mask box and the evaluation itself works on the box: the peak stays
+    # under 1.75 n x n arrays (measured 1.67)
     n = 512
-    q_grid = make_grid(n, -10.0, 10.0)
-    snaps = _chi_triplet(q_grid, Grid2D.paired(q_grid, harmonic_params.hbar), harmonic_params)
-    assert temporary_arrays(lambda: hj_residual_eps(snaps), n) <= 1.5
+    snaps = _state_triplet(make_grid(n, -10.0, 10.0), harmonic_params)
+    assert temporary_arrays(lambda: hj_residual_eps(snaps), n) <= 1.75
 
 
 def _whole_grid(monkeypatch):
@@ -477,21 +477,18 @@ def _same_report(got, want):
 def test_box_evaluation_keeps_a_wrapping_mask(monkeypatch, chi_inputs, sweep_inputs, grid2, axis):
     # rolled by n/2 the mask straddles the periodic edge of that axis, so
     # the box takes the axis whole; the other axis is still cropped.  The
-    # sheared residual takes states: rolled by n/2 in q, or times (-1)^j, a
+    # chi residuals take states: rolled by n/2 in q, or times (-1)^j, a
     # shift by n/2 in p, their chi is rolled the same way.
     n = grid2.shape[axis]
-    rolled = [
-        PhaseSpaceField(np.roll(s.values, n // 2, axis=axis), s.grid, s.t, s.params)
-        for s in chi_inputs
-    ]
     shift = (lambda v: np.roll(v, n // 2)) if axis == 1 else (lambda v: v * (-1.0) ** np.arange(n))
     states = [replace(s, values=shift(s.values)) for s in sweep_inputs]
     wigners = [
-        PhaseSpaceField(np.abs(s.values), s.grid, s.t, s.params, kind="wigner") for s in rolled
+        PhaseSpaceField(np.abs(np.roll(s.values, n // 2, axis=axis)), s.grid, s.t, s.params, kind="wigner")
+        for s in chi_inputs
     ]
     evaluations = (
-        lambda: hj_residual_eps(rolled),
-        lambda: hj_residual_transformed(states, grid2, -0.75),
+        lambda: hj_residual_eps(states),
+        lambda: hj_residual_transformed(states, -0.75),
         lambda: wigner_equation_residual(wigners),
     )
     boxed = [evaluate() for evaluate in evaluations]
@@ -504,16 +501,15 @@ def test_box_evaluation_keeps_a_wrapping_mask(monkeypatch, chi_inputs, sweep_inp
 
 
 @pytest.mark.parametrize("engine", ["eps", "transformed", "wigner"])
-def test_residual_fields_are_box_crops(chi_inputs, sweep_inputs, grid2, engine):
+def test_residual_fields_are_box_crops(sweep_inputs, grid2, engine):
     # every 2D field of a residual report is a crop of the mask's box, NaN
     # off the mask; masked_field puts it on the whole grid
     if engine == "wigner":
-        psis = [ho_coherent_state(grid2.q_axis, s.params, q0=0.5, p0=0.0, t=s.t) for s in chi_inputs]
-        rep = wigner_equation_residual([wigner_direct(psi, grid2) for psi in psis])
+        rep = wigner_equation_residual([wigner_direct(psi, grid2) for psi in sweep_inputs])
     elif engine == "eps":
-        rep = hj_residual_eps(chi_inputs)
+        rep = hj_residual_eps(sweep_inputs)
     else:
-        rep = hj_residual_transformed(sweep_inputs, grid2, -0.75)
+        rep = hj_residual_transformed(sweep_inputs, -0.75)
     mask, box = rep.fields["mask"], rep.fields["box"]
     assert mask.shape == grid2.shape and box == mask_box(mask) and box != (slice(None), slice(None))
     crops = [key for key in ("residual", "classical_form", "quantum_term", "q_term") if key in rep.fields]
@@ -528,16 +524,14 @@ def test_residual_fields_are_box_crops(chi_inputs, sweep_inputs, grid2, engine):
 
 
 @pytest.mark.parametrize("engine", ["eps", "transformed", "wigner"])
-def test_empty_mask_is_a_value_error(chi_inputs, sweep_inputs, grid2, engine):
-    if engine == "transformed":
-        zeros = [replace(s, values=np.zeros(grid2.q_axis.n_points)) for s in sweep_inputs]
-        evaluate = lambda snaps: hj_residual_transformed(snaps, grid2, -0.75)
-    else:
-        kind = "wigner" if engine == "wigner" else "chi"
+def test_empty_mask_is_a_value_error(sweep_inputs, grid2, engine):
+    if engine == "wigner":
         zeros = [
-            PhaseSpaceField(np.zeros(s.grid.shape), s.grid, s.t, s.params, kind=kind)
-            for s in chi_inputs
+            PhaseSpaceField(np.zeros(grid2.shape), grid2, s.t, s.params, kind="wigner") for s in sweep_inputs
         ]
-        evaluate = hj_residual_eps if engine == "eps" else wigner_equation_residual
+        evaluate = wigner_equation_residual
+    else:
+        zeros = [replace(s, values=np.zeros(grid2.q_axis.n_points)) for s in sweep_inputs]
+        evaluate = hj_residual_eps if engine == "eps" else partial(hj_residual_transformed, alpha=-0.75)
     with pytest.raises(ValueError, match="empty mask"):
         evaluate(zeros)

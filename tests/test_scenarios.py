@@ -136,7 +136,7 @@ def test_flat_line_fit_has_no_zero_crossing():
 def test_zero_term_norms_and_flat_fit_render_as_strict_json(monkeypatch):
     # a sweep whose quantum term vanishes everywhere: the vanishing ratio
     # has a zero reference norm and the coefficient line is flat
-    def flat_sweep(snapshots, grid, alphas):
+    def flat_sweep(snapshots, alphas):
         zeros = (0.0,) * len(alphas)
         return AlphaSweepResult(
             alphas=tuple(alphas),
@@ -171,27 +171,28 @@ def test_zero_term_norms_and_flat_fit_render_as_strict_json(monkeypatch):
 @pytest.mark.parametrize(
     "scenario, counted",
     [
-        ("linear-gaussian", "wigner_direct"),
-        ("pspace-linear", "to_momentum_space"),
-        ("eps-residuals", "chi_build"),
+        ("linear-gaussian", ("wigner_direct",)),
+        ("pspace-linear", ("to_momentum_space",)),
+        ("eps-residuals", ("ho_coherent_state", "linear_potential_gaussian")),
     ],
+    ids=["linear-gaussian-wigner_direct", "pspace-linear-to_momentum_space", "eps-residuals-states"],
 )
 def test_halving_checks_build_each_snapshot_once(monkeypatch, scenario, counted):
     # the dt and dt/2 triplets share their centre snapshot, built first; the
     # dt/2 triplet is evaluated before the dt one: five snapshots per check
     calls = []
-    original = getattr(scenarios, counted)
+    for name in counted:
+        def counting(*args, _original=getattr(scenarios, name)):
+            snapshot = _original(*args)
+            calls.append(snapshot.t)
+            return snapshot
 
-    def counting(psi, *args):
-        calls.append(psi.t)
-        return original(psi, *args)
-
-    monkeypatch.setattr(scenarios, counted, counting)
+        monkeypatch.setattr(scenarios, name, counting)
     cfg = ScenarioConfig(grid_n=64)
     run_scenario(scenario, cfg)
     t, dt = cfg.eval_time, cfg.dt
     halving = [t, t - dt / 2, t + dt / 2, t - dt, t + dt]
-    # eps-residuals: the harmonic check, the ground state's chi, the linear check
+    # eps-residuals: the harmonic check, the stationary ground state, the linear check
     expected = halving + [0.0] + halving if scenario == "eps-residuals" else halving
     assert calls == pytest.approx(expected, abs=1e-15)
 
@@ -209,8 +210,8 @@ def test_wigner_peak_reference_needs_no_sample_at_the_origin():
 @pytest.mark.parametrize(
     "scenario, limit",
     [
-        (scenarios.scenario_eps_residuals, 5.25),
-        (scenarios.scenario_all, 7.0),
+        (scenarios.scenario_eps_residuals, 4.5),
+        (scenarios.scenario_all, 6.4),
         (scenarios.scenario_linear_gaussian, 2.6),
         (scenarios.scenario_wigner_equivalence, 6.6),
     ],
@@ -218,8 +219,9 @@ def test_wigner_peak_reference_needs_no_sample_at_the_origin():
 def test_scenarios_free_their_fields(temporary_arrays, scenario, limit):
     # Traced peak in n x n complex arrays at n = 512, the returned reports and
     # their field bundles included: each n^2 array is freed after its last
-    # read, a halving check holds one snapshot triplet at a time, residual
+    # read, a halving check holds one snapshot triplet at a time, the eps
+    # checks build chi from states only where they read it whole, residual
     # fields are mask-box crops and the Wigner fits shear chi's spectrum in
-    # place, built without chi (measured 4.93, 6.45, 2.40 and 6.32).
+    # place, built without chi (measured 4.24, 6.29, 2.40 and 6.29).
     n = 512
     assert temporary_arrays(lambda: scenario(ScenarioConfig(grid_n=n)), n) <= limit

@@ -111,15 +111,14 @@ def test_phase_space_kernels_allocate_little(temporary_arrays, harmonic_params, 
     g = make_grid(n, -10.0, 10.0)
     g2 = Grid2D.paired(g, harmonic_params.hbar)
     psi = ho_coherent_state(g, harmonic_params, q0=1.0, p0=0.5, t=0.3)
-    phi = to_momentum_space(psi)
-    chi = chi_build(psi, phi, g2)
+    chi = chi_build(psi, g2)
     spectrum, buffer = np.fft.fft2(chi.values), np.empty_like(chi.values)
     calls = {
         "shear_spectrum": lambda: shear_spectrum(spectrum, g2, -0.5, harmonic_params.hbar, out=buffer),
         "apply_extended_transform": lambda: apply_extended_transform(chi, -0.5),
         "wigner_direct": lambda: wigner_direct(psi, g2),
-        "chi_build": lambda: chi_build(psi, phi, g2),
-        "chi_spectrum": lambda: chi_spectrum(psi, g2),
+        "chi_build": lambda: chi_build(psi, g2),
+        "chi_spectrum": lambda: chi_spectrum(psi),
     }
     assert temporary_arrays(calls[kernel], n) <= limit
 
@@ -208,7 +207,7 @@ def test_wigner_matches_half_shear_of_chi(q_grid, harmonic_params):
     for hbar in (1.0, 0.5):
         grid2 = Grid2D.paired(q_grid, hbar)
         psi = ho_coherent_state(q_grid, replace(harmonic_params, hbar=hbar), q0=1.0, p0=0.0, t=0.4)
-        chi = chi_build(psi, to_momentum_space(psi), grid2)
+        chi = chi_build(psi, grid2)
         sheared = apply_extended_transform(chi, -0.5)
         W = wigner_direct(psi, grid2)
         c = 1.0 / math.sqrt(2.0 * math.pi * hbar)
