@@ -119,17 +119,6 @@ def _resolve_config(args, parser: argparse.ArgumentParser) -> ScenarioConfig:
         parser.error(f"bad configuration: {exc}")
 
 
-def _gather_bundles(report: ScenarioReport) -> dict:
-    """Flatten field bundles, namespaced by scenario for aggregate runs."""
-    if report.subreports:
-        out = {}
-        for sub in report.subreports:
-            for name, bundle in sub.field_bundles.items():
-                out[f"{sub.name}/{name}"] = bundle
-        return out
-    return dict(report.field_bundles)
-
-
 def _write_csv(path: Path, bundle: dict) -> None:
     """One row per sample, ``%.17g`` coordinates, real and imaginary parts and a ``%d``
     masked flag; a 2-D bundle's rows run over p within each q."""
@@ -153,10 +142,12 @@ def _write_csv(path: Path, bundle: dict) -> None:
 
 def _select_bundles(report: ScenarioReport, selector: str | None,
                     parser: argparse.ArgumentParser) -> dict:
-    """The field bundles ``--fields`` names; a usage error for unknown names."""
+    """The bundle builders ``--fields`` names ("scenario/name" under all); a usage error for unknown names."""
     if selector is None:
         return {}
-    available = _gather_bundles(report)
+    available = dict(report.field_bundles)
+    for sub in report.subreports:
+        available.update({f"{sub.name}/{name}": build for name, build in sub.field_bundles.items()})
     names = [s.strip() for s in selector.split(",") if s.strip()]
     if not names:
         parser.error("--fields got an empty selector")
@@ -226,8 +217,8 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.out is not None:
         (Path(args.out) / "report.json").write_text(rendered)
-        for name, bundle in bundles.items():
-            _write_csv(Path(args.out) / (name.replace("/", "--") + ".csv"), bundle)
+        for name, build in bundles.items():
+            _write_csv(Path(args.out) / (name.replace("/", "--") + ".csv"), build())
 
     return 0 if report.passed else 1
 

@@ -13,6 +13,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from operator import ge, gt, le, lt
 from typing import Callable
 
 import numpy as np
@@ -44,7 +45,7 @@ from .quantum_potential import (
     quantum_potential,
     validate_alphas,
 )
-from .reports import ResidualReport, fit_global_constant, l2, masked_field, masked_max
+from .reports import ResidualReport, l2, masked_field, masked_max
 from .states import (
     WaveFunction,
     ho_coherent_state,
@@ -52,7 +53,7 @@ from .states import (
     splitstep_propagate,
     to_momentum_space,
 )
-from .transforms import shear_spectrum, wigner_direct, wigner_equation_residual
+from .transforms import _wigner_blocks, shear_spectrum, wigner_direct, wigner_equation_residual
 
 REGISTRY_VERSION = "1.0"
 
@@ -130,12 +131,7 @@ class Check:
     passed: bool
 
 
-_COMPARATORS: dict[str, Callable[[float, float], bool]] = {
-    "<": lambda v, t: v < t,
-    "<=": lambda v, t: v <= t,
-    ">": lambda v, t: v > t,
-    ">=": lambda v, t: v >= t,
-}
+_COMPARATORS: dict[str, Callable[[float, float], bool]] = {"<": lt, "<=": le, ">": gt, ">=": ge}
 
 
 def make_check(name: str, value: float, tolerance: float, comparator: str = "<") -> Check:
@@ -158,7 +154,7 @@ class ScenarioReport:
     residuals: list[ResidualReport] = field(default_factory=list)  # without fields
     constants: dict = field(default_factory=dict)
     details: dict = field(default_factory=dict)
-    field_bundles: dict = field(default_factory=dict, repr=False)
+    field_bundles: dict = field(default_factory=dict, repr=False)  # name -> () -> bundle dict
     subreports: list["ScenarioReport"] = field(default_factory=list)
 
     @property
@@ -172,13 +168,7 @@ class ScenarioReport:
             "config": asdict(self.config),
             "checks": [asdict(c) for c in self.checks],
             "residuals": [
-                {
-                    "name": r.name,
-                    "l2_norm": r.l2_norm,
-                    "max_norm": r.max_norm,
-                    "masked_fraction": r.masked_fraction,
-                    "metadata": r.metadata,
-                }
+                {k: getattr(r, k) for k in ("name", "l2_norm", "max_norm", "masked_fraction", "metadata")}
                 for r in self.residuals
             ],
             "constants": self.constants,
@@ -286,31 +276,33 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
     params = _harmonic_params(cfg)
     report = ScenarioReport("wigner-equivalence", cfg)
 
-    def fitted_constant(n: int):
+    def coherent(n: int):
         g, g2 = _grids(cfg, n)
-        psi = ho_coherent_state(g, params, cfg.q0, cfg.p0, cfg.eval_time)
-        w = wigner_direct(psi, g2).values
-        # chi's spectrum, sheared and inverted in place: the fit's only n^2 complex array
-        sheared = chi_spectrum(psi)
-        shear_spectrum(sheared, g2, -0.5, params.hbar, out=sheared)
-        fft2_passes(sheared, inverse=True, in_place=True)
-        c = fit_global_constant(sheared, w)
-        # ||sheared - c w|| / ||sheared||, summed over fixed blocks: no full-size temporary
-        num = den = 0.0
-        for rows in row_blocks(sheared.shape):
-            block = sheared[rows]
-            num += np.sum(np.abs(block - c * w[rows]) ** 2)
-            den += np.sum(np.abs(block) ** 2)
-        return c, math.sqrt(num / den), g, g2, psi, w, sheared
+        return g, g2, ho_coherent_state(g, params, cfg.q0, cfg.p0, cfg.eval_time)
 
-    # The other resolutions are fitted first, so none of the grid_n fields
-    # is held while the 2 grid_n fit runs.
+    # The other resolutions are fitted first, from W's column blocks, so no
+    # whole W there and no grid_n field is held while the 2 grid_n fit runs.
     sizes = sorted({max(cfg.grid_n // 2, 8), cfg.grid_n, cfg.grid_n * 2})
-    constants = {n: fitted_constant(n)[0] for n in sizes if n != cfg.grid_n}
-    c_mid, deviation, g, g2, psi, w, sheared = fitted_constant(cfg.grid_n)
-    constants[cfg.grid_n] = c_mid
-    report.checks.append(make_check("wigner-shear-rel-l2", deviation, 1e-8))
-
+    constants = {}
+    for n in sizes:
+        if n != cfg.grid_n:
+            _, g2, psi = coherent(n)
+            constants[n] = _fit_wigner_constant(_sheared_chi(psi, g2), _wigner_blocks(psi, g2))
+    # at grid_n the whole W also serves the deviation and the marginals
+    g, g2, psi = coherent(cfg.grid_n)
+    w = wigner_direct(psi, g2).values
+    sheared = _sheared_chi(psi, g2)
+    c_mid = constants[cfg.grid_n] = _fit_wigner_constant(
+        sheared, ((cols, w[:, cols]) for cols in row_blocks(w.shape))
+    )
+    # ||sheared - c w|| / ||sheared||, summed over fixed blocks: no full-size temporary
+    num = den = 0.0
+    for rows in row_blocks(sheared.shape):
+        block = sheared[rows]
+        num += np.sum(np.abs(block - c_mid * w[rows]) ** 2)
+        den += np.sum(np.abs(block) ** 2)
+    del sheared
+    report.checks.append(make_check("wigner-shear-rel-l2", math.sqrt(num / den), 1e-8))
     spread = max(
         abs(constants[a] - constants[b]) for a in sizes for b in sizes if a < b
     )
@@ -354,9 +346,31 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
         err = float(np.max(np.abs(marginal - density)) / np.max(density))
         report.checks.append(make_check(f"wigner-marginal-{axis}-rel-err", err, 1e-8))
 
+    # rebuilt from the state when exported: the report holds no n^2 array
     axes = {"kind": "2d", "p": g2.p_axis.points, "q": g.points, "mask": None}
-    report.field_bundles = {"wigner": {**axes, "values": w}, "sheared-chi": {**axes, "values": sheared}}
+    report.field_bundles = {
+        "wigner": lambda: {**axes, "values": wigner_direct(psi, g2).values},
+        "sheared-chi": lambda: {**axes, "values": _sheared_chi(psi, g2)},
+    }
     return report
+
+
+def _sheared_chi(psi: WaveFunction, g2: Grid2D) -> np.ndarray:
+    """chi's -1/2 shear: its spectrum, sheared and inverted in place (one n^2 complex array)."""
+    sheared = chi_spectrum(psi)
+    shear_spectrum(sheared, g2, -0.5, psi.params.hbar, out=sheared)
+    return fft2_passes(sheared, inverse=True, in_place=True)
+
+
+def _fit_wigner_constant(sheared: np.ndarray, blocks) -> complex:
+    """Least-squares ``c`` of ``sheared = c W`` from the real W's q-column blocks ``(cols, W[:, cols])``."""
+    num = den = 0.0
+    for cols, block in blocks:
+        num += np.einsum("ij,ij->", block, sheared[:, cols])
+        den += np.einsum("ij,ij->", block, block)
+    if den == 0.0:
+        raise ValueError("cannot fit a constant against a zero basis")
+    return complex(num / den)
 
 
 def scenario_alpha_sweep(cfg: ScenarioConfig) -> ScenarioReport:
@@ -418,6 +432,14 @@ def scenario_alpha_sweep(cfg: ScenarioConfig) -> ScenarioReport:
     }
     report.residuals = list(sweep.reports)
     return report
+
+
+def _quantum_potential_bundle(pf) -> Callable[[], dict]:
+    """The builder of a 1-D bundle: ``pf``'s quantum potential on its axis and mask."""
+    return lambda: {
+        "kind": "1d", "axis_name": pf.space, "axis": pf.grid.points,
+        "values": quantum_potential(pf), "mask": pf.mask,
+    }
 
 
 def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
@@ -513,20 +535,8 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     report.checks.append(make_check("ground-period-overlap", overlap, 1.0 - 1e-8, ">"))
 
     report.field_bundles = {
-        "quantum-potential-q": {
-            "kind": "1d",
-            "axis_name": "q",
-            "axis": g.points,
-            "values": qpot_q,
-            "mask": pf_q.mask,
-        },
-        "quantum-potential-p": {
-            "kind": "1d",
-            "axis_name": "p",
-            "axis": pf_p.grid.points,
-            "values": qpot_p,
-            "mask": pf_p.mask,
-        },
+        "quantum-potential-q": _quantum_potential_bundle(pf_q),
+        "quantum-potential-p": _quantum_potential_bundle(pf_p),
     }
     return report
 
@@ -556,16 +566,7 @@ def scenario_linear_gaussian(cfg: ScenarioConfig) -> ScenarioReport:
     mean_q = float(np.sum(g.points * np.abs(psi_t.values) ** 2) * g.spacing)
     report.checks.append(make_check("linear-center-tracking", abs(mean_q - q_c), 1e-8))
 
-    pf_t = polar_decompose(psi_t)
-    report.field_bundles = {
-        "quantum-potential-q": {
-            "kind": "1d",
-            "axis_name": "q",
-            "axis": g.points,
-            "values": quantum_potential(pf_t),
-            "mask": pf_t.mask,
-        },
-    }
+    report.field_bundles = {"quantum-potential-q": _quantum_potential_bundle(polar_decompose(psi_t))}
     return report
 
 
@@ -599,8 +600,8 @@ def scenario_eps_residuals(cfg: ScenarioConfig) -> ScenarioReport:
     return report
 
 
-def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) -> dict:
-    """The harmonic checks of eps-residuals; returns the q-term field bundle."""
+def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) -> Callable[[], dict]:
+    """The harmonic checks of eps-residuals; returns the q-term bundle's builder (box crops only)."""
     params = _harmonic_params(cfg)
     hbar = params.hbar
     coherent = partial(ho_coherent_state, g, params, cfg.q0, cfg.p0)
@@ -652,8 +653,15 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
     q_1d = quantum_potential(pf_q)
     sep_err = masked_max(q_term - q_1d[None, box[1]], (joint & mask)[box])
     report.checks.append(make_check("eps-qterm-separability", sep_err, TOL_QPOT))
-    values = masked_field(q_term, mask, box)
-    return {"kind": "2d", "p": g2.p_axis.points, "q": g.points, "values": values, "mask": mask}
+    shape, mask = mask.shape, mask[box].copy()  # the mask is False off its box
+
+    def bundle() -> dict:
+        whole = np.zeros(shape, dtype=bool)
+        whole[box] = mask
+        return {"kind": "2d", "p": g2.p_axis.points, "q": g.points,
+                "values": masked_field(q_term, whole, box), "mask": whole}
+
+    return bundle
 
 
 def scenario_classical_appendix(cfg: ScenarioConfig) -> ScenarioReport:

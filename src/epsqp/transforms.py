@@ -29,6 +29,7 @@ from .numerics import (
     fft2_passes,
     mask_box_gradients,
     paired_momentum_grid,
+    row_blocks,
     snapshot_triple,
     spectral_resample,
 )
@@ -112,6 +113,19 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     Lag ``+n`` replaces the unpaired ``-n`` of a sum over ``-n .. n-1``; both
     read the zero padding of a state that decays at the edge.
     """
+    w = np.empty(grid.shape[::-1]).T  # W[p, q] with contiguous q columns, as the blocks are
+    for cols, block in _wigner_blocks(psi, grid):
+        w[:, cols] = block
+    return PhaseSpaceField(w, grid, psi.t, psi.params, kind="wigner")
+
+
+def _wigner_blocks(psi: WaveFunction, grid: Grid2D):
+    """Yield ``(cols, W[:, cols])`` for the q-column blocks of :func:`wigner_direct`'s W,
+    each of at most ``numerics._BLOCK`` elements, as new float64 arrays.
+
+    A block's values are bitwise those of the whole W: every step below acts on one q
+    column at a time.
+    """
     if psi.space != "q":
         raise ValueError("wigner_direct expects a position-space state")
     if psi.grid != grid.q_axis:
@@ -128,17 +142,17 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     # plant a mirror copy of the distribution half an extent away in q.
     padded = np.pad(spectral_resample(psi.values), n)  # spacing dq/2
     windows = sliding_window_view(padded, 2 * n + 1)[::2]
-    # Lag l = k - n pairs windows[:, k] with conj(windows[:, 2n - k]).  The conjugate
-    # comes first: numpy's vectorised complex product is not bitwise commutative.
-    folded = np.conj(windows[:, n : h - 1 : -1]) * windows[:, n : n + h + 1]  # C_m
-    folded += np.conj(windows[:, 2 * n : n + h - 1 : -1]) * windows[:, : h + 1]  # conj(C_(n-m))
-    folded[:, 1::2] *= -1.0
-
-    # np.fft.hfft, without the conjugated copy of its input
-    w = np.fft.irfft(np.conj(folded, out=folded), n, axis=1, norm="forward").T
-    del folded
-    w *= grid.q_axis.spacing
-    return PhaseSpaceField(w, grid, psi.t, psi.params, kind="wigner")
+    for cols in row_blocks((n, n)):
+        window = windows[cols]
+        # Lag l = k - n pairs window[:, k] with conj(window[:, 2n - k]).  The conjugate
+        # comes first: numpy's vectorised complex product is not bitwise commutative.
+        folded = np.conj(window[:, n : h - 1 : -1]) * window[:, n : n + h + 1]  # C_m
+        folded += np.conj(window[:, 2 * n : n + h - 1 : -1]) * window[:, : h + 1]  # conj(C_(n-m))
+        folded[:, 1::2] *= -1.0
+        # np.fft.hfft, without the conjugated copy of its input
+        block = np.fft.irfft(np.conj(folded, out=folded), n, axis=1, norm="forward").T
+        block *= grid.q_axis.spacing
+        yield cols, block
 
 
 def wigner_equation_residual(wigners: Sequence[PhaseSpaceField]) -> ResidualReport:

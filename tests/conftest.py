@@ -95,3 +95,22 @@ def temporary_arrays():
         return (peak - before) / (n * n * 16)
 
     return measure
+
+
+@pytest.fixture
+def retained_arrays():
+    """Measure the memory a call's result still holds once the call returns, in n x n
+    complex128 arrays: tracemalloc's current memory, not its peak.  Returns the
+    measure and the result."""
+
+    def measure(call, n):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = call()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        return (held - before) / (n * n * 16), result
+
+    return measure

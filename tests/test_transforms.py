@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from epsqp import numerics
 from epsqp.eps_core import ExtendedHamiltonian, chi_build, chi_spectrum
 from epsqp.numerics import Grid2D, GridError, make_grid, spectral_resample
 from epsqp.transforms import (
@@ -104,9 +105,9 @@ def test_shear_spectrum_needs_a_paired_grid(q_grid):
 def test_phase_space_kernels_allocate_little(temporary_arrays, harmonic_params, kernel, limit):
     # peak allocation beyond the inputs, in n x n complex arrays, returned
     # array included: no multiplier, no fft2 intermediate, no n x n lag
-    # correlation, no complex W, no n^2 index table, no chi for its spectrum
-    # (measured 0.13 for a shear into the caller's buffer, then 1.10, 1.04,
-    # 1.07 and 1.10)
+    # correlation, no complex W, W folded one column block at a time, no n^2
+    # index table, no chi for its spectrum (measured 0.13 for a shear into the
+    # caller's buffer, then 1.10, 0.76, 1.07 and 1.10)
     n = 512
     g = make_grid(n, -10.0, 10.0)
     g2 = Grid2D.paired(g, harmonic_params.hbar)
@@ -218,6 +219,25 @@ def test_wigner_matches_half_shear_of_chi(q_grid, harmonic_params):
         assert np.max(np.abs(sheared.values.imag)) < 1e-8 * np.max(
             np.abs(sheared.values.real)
         )
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_wigner_direct_is_the_same_in_one_block_or_many(monkeypatch, harmonic_params, n):
+    # wigner_direct assembles W from q-column blocks of at most numerics._BLOCK
+    # elements: one block, the default blocks and one column per block give the same
+    # values, in the (p, q) transpose of a C-ordered (q, p) array
+    g = make_grid(n, -10.0, 10.0)
+    g2 = Grid2D.paired(g, harmonic_params.hbar)
+    psi = ho_coherent_state(g, harmonic_params, q0=1.0, p0=0.5, t=0.3)
+    fields = []
+    for block in (n * n, numerics._BLOCK, 1):
+        monkeypatch.setattr(numerics, "_BLOCK", block)
+        fields.append(wigner_direct(psi, g2).values)
+    whole = fields[0]
+    assert whole.dtype == np.float64 and whole.strides == (8, 8 * n) and whole.T.flags.c_contiguous
+    for w in fields[1:]:
+        assert w.strides == whole.strides
+        np.testing.assert_array_equal(w, whole)
 
 
 def test_wigner_rejects_momentum_space_input(q_grid, grid2, harmonic_params):
