@@ -92,7 +92,10 @@ def chi_build(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     the momentum-space form of the position-space state ``psi``.
 
     ``psi`` must live on ``grid.q_axis`` and the two axes must be Fourier-paired.
-    Written in two passes from the kernel's :func:`~epsqp.numerics.pq_factors`.
+    Written in two passes from the kernel's :func:`~epsqp.numerics.pq_factors`, not
+    as the inverse q pass of :func:`chi_spectrum`: an FFT's absolute rounding floor
+    would swamp chi at the mask edge, where |chi| is 1e-6 of its peak, while this
+    product is accurate relative to each sample.
     """
     phi = to_momentum_space(psi)  # rejects a momentum-space state
     if psi.grid != grid.q_axis:

@@ -4,6 +4,7 @@ the acceptance suite.)"""
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from functools import partial
@@ -12,13 +13,17 @@ import numpy as np
 import pytest
 
 import epsqp.scenarios as scenarios
+import test_acceptance
 from epsqp.eps_core import chi_spectrum
 from epsqp.numerics import fft2_passes
 from epsqp.quantum_potential import AlphaSweepResult, hj_residual_eps
 from epsqp.reports import ResidualReport, fit_global_constant, fit_line, masked_field
 from epsqp.scenarios import (
+    CHECKS,
+    KIND_COMPARATORS,
     REGISTRY,
     SCENARIO_ORDER,
+    Check,
     ScenarioConfig,
     ScenarioReport,
     _check_halving,
@@ -57,24 +62,33 @@ def test_config_rejects_non_finite_values(name):
         ScenarioConfig(**{name: float("inf")})
 
 
+# One check of each comparator: "<" (rounding), ">=" (rate) and ">" (fit).
+COMPARATOR_CHECKS = ["wigner-shear-rel-l2", "hj-q-halving-ratio", "alpha-sweep-fit-r2"]
+
+
 def test_make_check_comparators():
-    assert make_check("x", 1.0, 2.0).passed
-    assert not make_check("x", 3.0, 2.0).passed
-    assert make_check("x", 2.0, 2.0, comparator="<=").passed
-    assert make_check("x", 4.0, 3.5, comparator=">=").passed
-    assert not make_check("x", 3.0, 3.5, comparator=">=").passed
-    with pytest.raises(ValueError):
-        make_check("x", 1.0, 2.0, comparator="~")
+    # passes below, at and above the tolerance
+    expected = {"<": [True, False, False], ">=": [False, True, True], ">": [False, False, True]}
+    for name in COMPARATOR_CHECKS:
+        tol = CHECKS[name].tolerance
+        checks = [make_check(name, v) for v in (0.5 * tol, tol, 2.0 * tol)]
+        comparator = checks[0].comparator
+        assert comparator == KIND_COMPARATORS[CHECKS[name].kind]
+        assert [c.passed for c in checks] == expected[comparator], name
+        assert all(c.tolerance == tol for c in checks)
+    assert {make_check(n, 0.0).comparator for n in COMPARATOR_CHECKS} == set(expected)
+    with pytest.raises(KeyError):  # a misspelt check cannot enter a report unbounded
+        make_check("wigner-shear-rel-l", 0.0)
 
 
 def test_report_passed_aggregates_subreports():
     cfg = ScenarioConfig()
     parent = ScenarioReport("parent", cfg)
     child = ScenarioReport("child", cfg)
-    child.checks.append(make_check("ok", 0.0, 1.0))
+    child.check("wigner-shear-rel-l2", 0.0)
     parent.subreports.append(child)
     assert parent.passed
-    child.checks.append(make_check("bad", 2.0, 1.0))
+    child.check("wigner-shear-rel-l2", 1.0)
     assert not parent.passed
 
 
@@ -102,35 +116,114 @@ def test_config_round_trips_through_report(q_grid):
 
 
 def test_non_finite_check_values_fail():
-    assert not make_check("x", math.inf, 3.5, comparator=">=").passed
-    assert not make_check("x", -math.inf, 1.0).passed
-    assert not make_check("x", math.nan, 1.0).passed
-    assert not make_check("x", math.nan, 1.0, comparator=">").passed
+    for name in COMPARATOR_CHECKS:
+        for value in (math.inf, -math.inf, math.nan):
+            assert not make_check(name, value).passed, (name, value)
+
+
+# A rate pair and an order pair of _check_halving, by the kind of the second name.
+HALVING_PAIRS = {
+    False: ("hj-q-l2", "hj-q-halving-ratio"),
+    True: ("wigner-eq-harmonic-l2", "wigner-eq-harmonic-order"),
+}
+
+
+def _halving(cfg: ScenarioConfig, order: bool, coarse_l2: float, fine_l2: float):
+    """Run _check_halving on a fake residual: ``coarse_l2`` at dt, ``fine_l2`` at dt/2."""
+    report = ScenarioReport("halving", cfg)
+    coarse = ResidualReport("r", coarse_l2, coarse_l2, 0.0, fields={"residual": [coarse_l2]})
+    fine = ResidualReport("r", fine_l2, fine_l2, 0.0)
+
+    def residual(snaps):  # the snapshots are their times: dt triplets span 2 dt
+        return coarse if snaps[2] - snaps[0] > 1.5 * cfg.dt else fine
+
+    returned, snaps = _check_halving(report, cfg, lambda t: t, residual, *HALVING_PAIRS[order])
+    assert returned is coarse
+    assert snaps == [cfg.eval_time - cfg.dt, cfg.eval_time, cfg.eval_time + cfg.dt]
+    assert report.residuals[0].fields == {}  # stored without its arrays
+    assert [c.name for c in report.checks] == list(HALVING_PAIRS[order])
+    return report
 
 
 @pytest.mark.parametrize("order", [False, True])
 @pytest.mark.parametrize("coarse_l2, expected", [(1e-6, "inf"), (0.0, "nan")])
 def test_zero_fine_residual_fails_its_rate_check(order, coarse_l2, expected):
-    cfg = ScenarioConfig(grid_n=16)
-    report = ScenarioReport("halving", cfg)
-    coarse = ResidualReport("r", coarse_l2, coarse_l2, 0.0, fields={"residual": [coarse_l2]})
-    fine = ResidualReport("r", 0.0, 0.0, 0.0)
-
-    def residual(snaps):  # the snapshots are their times: dt triplets span 2 dt
-        return coarse if snaps[2] - snaps[0] > 1.5 * cfg.dt else fine
-
-    returned, snaps = _check_halving(
-        report, cfg, lambda t: t, residual, "r-l2", 1e-5, "r-rate", order=order
-    )
-    assert returned is coarse
-    assert snaps == [cfg.eval_time - cfg.dt, cfg.eval_time, cfg.eval_time + cfg.dt]
-    assert report.residuals[0].fields == {}  # stored without its arrays
+    report = _halving(ScenarioConfig(grid_n=16), order, coarse_l2, 0.0)
     l2_check, rate_check = report.checks
     assert l2_check.passed
     assert not rate_check.passed
     assert not report.passed
     payload = _strict_loads(to_json(report))
     assert payload["checks"][1]["value"] == expected
+
+
+@pytest.mark.parametrize("order, value", [(False, 4.0), (True, 2.0)])
+def test_halving_order_checks_take_log2_of_the_ratio(order, value):
+    report = _halving(ScenarioConfig(grid_n=16), order, 1e-6, 2.5e-7)
+    assert report.checks[1].value == value
+    assert report.passed
+
+
+def test_checks_table_lists_every_reported_check_in_report_order():
+    # no orphan row and no unlisted check; every kind has a comparator and is used
+    layout = [name for _, names in test_acceptance.REPORT_LAYOUT for name in names]
+    assert list(CHECKS) == layout
+    assert {spec.kind for spec in CHECKS.values()} == set(KIND_COMPARATORS)
+
+
+def _recording(op: str):
+    def compare(self, literal):
+        self.seen.append((self.name, op, literal))
+        return True
+
+    return compare
+
+
+class _RecordedValue:
+    """A check value that records each comparison made with it, and lets it pass."""
+
+    def __init__(self, name: str, seen: list):
+        self.name, self.seen = name, seen
+
+    __lt__, __le__, __gt__, __ge__ = map(_recording, ("<", "<=", ">", ">="))
+
+
+def test_checks_table_agrees_with_the_acceptance_criteria():
+    # The criteria keep their own tolerance literals, so that a loosened table
+    # row cannot mask a regression; each literal and comparator they assert
+    # must still be the table's.  Every criterion but the CLI run (10) is run
+    # on recorded values.
+    criteria = [
+        fn for name, fn in vars(test_acceptance).items()
+        if name.startswith("test_criterion_") and "runner" in inspect.signature(fn).parameters
+    ]
+    assert len(criteria) == 9
+    cfg = ScenarioConfig()
+    for criterion in criteria:
+        seen: list = []
+        report = ScenarioReport("recorded", cfg)
+        report.checks = [Check(name, _RecordedValue(name, seen), 0.0, "", True) for name in CHECKS]
+        kwargs = {"runner": lambda _: (report, 0.0), "cfg": cfg}
+        criterion(**{k: kwargs[k] for k in inspect.signature(criterion).parameters})
+        assert seen, criterion.__name__
+        for name, op, literal in seen:
+            spec = CHECKS[name]
+            assert (op, literal) == (KIND_COMPARATORS[spec.kind], spec.tolerance), (criterion.__name__, name)
+
+
+def test_check_kinds_match_how_values_move_with_dt():
+    # Halving dt cuts every dt2-floor value by at least 3x (measured 4.00-4.17
+    # at n = 128) and no other "<" value by 3x (measured <= 1.01).  A pair of
+    # zeros counts as not falling.
+    def values(dt):
+        report = scenarios.scenario_all(ScenarioConfig(grid_n=128, dt=dt))
+        return {c.name: c.value for sub in report.subreports for c in sub.checks}
+
+    coarse, fine = values(1e-3), values(5e-4)
+    for name, spec in CHECKS.items():
+        if KIND_COMPARATORS[spec.kind] == "<":
+            falls = coarse[name] > 0.0 and coarse[name] >= 3.0 * fine[name]
+            assert falls == (spec.kind == "dt2-floor"), (name, coarse[name], fine[name])
 
 
 def test_flat_line_fit_has_no_zero_crossing():
