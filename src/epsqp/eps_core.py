@@ -33,10 +33,8 @@ from .numerics import (
     Grid2D,
     GridError,
     PhysicalParams,
-    amplitude_mask,
     pq_factors,
     row_blocks,
-    unwrap_phase_2d,
 )
 from .reports import l2
 from .states import WaveFunction, to_momentum_space
@@ -226,40 +224,8 @@ def eps_rhs_apply(field: PhaseSpaceField) -> PhaseSpaceField:
 
 
 # ---------------------------------------------------------------------------
-# polar decomposition and expectations
+# expectations
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExtendedAction:
-    """Amplitude/phase split of a phase-space field: ``f = R exp(i S / hbar)``.
-
-    ``S`` is NaN where the amplitude is below the node threshold; ``mask``
-    marks the valid samples.
-    """
-
-    S: NDArray[np.float64]
-    R: NDArray[np.float64]
-    mask: NDArray[np.bool_]
-
-
-def polar_decompose_2d(field: PhaseSpaceField) -> ExtendedAction:
-    """Split a phase-space field into amplitude and unwrapped phase action.
-
-    The phase is unwrapped row-by-row in q and stitched across rows at the
-    highest-amplitude column, so smooth fields recover a smooth action
-    (e.g. the stationary ground-state chi gives S = -pq exactly, up to an
-    overall multiple of 2 pi hbar).
-    """
-    R = np.abs(field.values)
-    mask = amplitude_mask(R)
-    if not mask.any():
-        raise ValueError("field amplitude is everywhere below the node threshold")
-    wrapped = np.angle(field.values)
-    S = np.full(field.grid.shape, np.nan)
-    unwrapped = unwrap_phase_2d(wrapped, mask=mask, weights=R)
-    S[mask] = field.params.hbar * unwrapped[mask]
-    return ExtendedAction(S=S, R=R, mask=mask)
 
 
 def expectation(observable: NDArray, chi: PhaseSpaceField) -> float:

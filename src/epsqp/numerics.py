@@ -1,4 +1,4 @@
-"""Grids, spectral differentiation, phase unwrapping and the Fourier convention.
+"""Grids, spectral differentiation, 1-D phase unwrapping and the Fourier convention.
 
 Every module builds on the conventions fixed here:
 
@@ -345,7 +345,7 @@ def spectral_resample(values: NDArray) -> NDArray[np.complex128]:
 
 
 # ---------------------------------------------------------------------------
-# phase unwrapping
+# 1-D phase unwrapping
 # ---------------------------------------------------------------------------
 
 
@@ -379,42 +379,6 @@ def unwrap_phase_1d(wrapped: NDArray, mask: NDArray) -> NDArray[np.float64]:
     return out
 
 
-def unwrap_phase_2d(wrapped: NDArray, mask: NDArray, weights: NDArray) -> NDArray[np.float64]:
-    """Unwrap a phase field on a ``[i_p, i_q]`` grid.
-
-    Every q-row is unwrapped with :func:`unwrap_phase_1d`; the rows are then
-    stitched by unwrapping the column at the q-index with the largest
-    aggregate weight (e.g. amplitude) on the mask and shifting each row by
-    the resulting multiple of 2 pi.  Rows that are masked at the reference
-    column keep their own anchor.
-    """
-    wrapped = np.asarray(wrapped, dtype=float)
-    if wrapped.ndim != 2:
-        raise ValueError("unwrap_phase_2d expects a 2D field")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != wrapped.shape:
-        raise ValueError("mask shape does not match the phase field")
-    if not mask.any():
-        raise ValueError("cannot unwrap: mask has no valid samples")
-
-    col_score = np.where(mask, np.asarray(weights, dtype=float), 0.0).sum(axis=0)
-    j_ref = int(np.argmax(col_score))
-    col_mask = mask[:, j_ref]
-    if not col_mask.any():
-        raise ValueError("reference column is fully masked")
-
-    out = wrapped.copy()
-    for i in range(wrapped.shape[0]):
-        if mask[i].any():
-            out[i] = unwrap_phase_1d(wrapped[i], mask[i])
-
-    column = unwrap_phase_1d(wrapped[:, j_ref], col_mask)
-    offsets = column - out[:, j_ref]
-    rows = col_mask & mask.any(axis=1)
-    out[rows] += offsets[rows, None]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # time differencing and masks
 # ---------------------------------------------------------------------------
@@ -438,43 +402,6 @@ def snapshot_triple(snapshots) -> tuple:
     if dt_lo <= 0 or abs(dt_hi - dt_lo) > TIME_ATOL:
         raise ValueError("snapshots must be equally spaced in time")
     return minus, center, plus, dt_lo
-
-
-def fd_mixed_partial(
-    values: NDArray, grid: Grid2D, mask: NDArray
-) -> tuple[NDArray[np.float64], NDArray[np.bool_]]:
-    """Mixed partial ``d^2 f / dp dq`` by the centred cross stencil.
-
-    Spectral differentiation is unusable for fields defined only on a mask
-    (e.g. an unwrapped action), so this uses the local 4-point stencil
-
-        (f[i+1,j+1] - f[i+1,j-1] - f[i-1,j+1] + f[i-1,j-1]) / (4 dp dq)
-
-    evaluated wherever all four diagonal neighbours are valid.  Returns the
-    derivative (NaN where not evaluable) and the evaluability mask.  Exact
-    for bilinear fields and for any separable field f1(p) + f2(q), whose
-    mixed partial the stencil cancels identically.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != grid.shape:
-        raise GridError(f"field shape {values.shape} does not match grid {grid.shape}")
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != values.shape:
-        raise ValueError("mask shape does not match the field")
-
-    valid = np.zeros(values.shape, dtype=bool)
-    valid[1:-1, 1:-1] = (
-        mask[2:, 2:] & mask[2:, :-2] & mask[:-2, 2:] & mask[:-2, :-2]
-    )
-    out = np.full(values.shape, np.nan)
-    denom = 4.0 * grid.p_axis.spacing * grid.q_axis.spacing
-    filled = np.where(mask, values, 0.0)  # never read where valid is False
-    cross = (
-        filled[2:, 2:] - filled[2:, :-2] - filled[:-2, 2:] + filled[:-2, :-2]
-    ) / denom
-    inner = valid[1:-1, 1:-1]
-    out[1:-1, 1:-1][inner] = cross[inner]
-    return out, valid
 
 
 def amplitude_mask(amplitude: NDArray) -> NDArray[np.bool_]:

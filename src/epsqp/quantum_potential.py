@@ -16,8 +16,9 @@ curvature ("quantum potential") corrections proportional to hbar^2:
 
 The residual evaluators in this module measure how well those identities
 hold on sampled states, using three estimators chosen for conditioning
-(all branch-cut-free; explicit unwrapping appears only in
-:func:`polar_decompose`, whose output is a deliverable in its own right):
+(all branch-cut-free; in the whole package, explicit unwrapping appears
+only in :func:`polar_decompose`, whose output is a deliverable in its own
+right):
 
 * spatial action gradients from the algebraic identity
   S_x = hbar Im(conj(f) f_x)/|f|^2 with spectral f_x — no truncation

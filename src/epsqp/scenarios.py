@@ -25,15 +25,16 @@ from .classical import (
     legendre_residual,
     translate_initial_conditions,
 )
-from .eps_core import chi_build, chi_spectrum, eps_rhs_apply, expectation, polar_decompose_2d
+from .eps_core import PhaseSpaceField, chi_build, chi_spectrum, eps_rhs_apply, expectation
 from .numerics import (
     Grid2D,
     GridError,
     PhysicalParams,
     Potential,
-    fd_mixed_partial,
+    amplitude_mask,
     fft2_passes,
     make_grid,
+    mask_box,
     row_blocks,
 )
 from .quantum_potential import (
@@ -674,30 +675,12 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
     report.check("eps-stationary-max", float(np.max(np.abs(eps_rhs_apply(chi_g).values))))
     del chi_g
 
-    # --- separable structure (amplitude factorisation, action additivity) ---
-    ea = polar_decompose_2d(center)
+    joint = _check_separable(report, center, psi_t, to_momentum_space(psi_t))
     del center
-    pf_q = polar_decompose(psi_t)
-    pf_p = polar_decompose(to_momentum_space(psi_t))
-
-    outer = pf_q.R[None, :] * pf_p.R[:, None]
-    joint = ea.mask & pf_p.mask[:, None] & pf_q.mask[None, :]
-    fact_err = float(np.max(np.abs(ea.R - outer)[joint] / outer[joint]))
-    report.check("eps-amplitude-factorization", fact_err)
-    del outer
-
-    pq = g2.p_axis.points[:, None] * g.points[None, :]
-    additivity = ea.S + pq - pf_q.S[None, :] - pf_p.S[:, None]
-    spread = float(np.ptp(additivity[joint]))
-    report.check("eps-phase-additivity-spread", spread)
-    del additivity
-
-    mixed, valid = fd_mixed_partial(ea.S + pq, g2, ea.mask)
-    report.check("eps-action-mixed-partial", masked_max(mixed, valid))
 
     # the q-curvature quantum term of the 2D identity equals the 1D quantum
     # potential of the psi factor, broadcast over p
-    q_1d = quantum_potential(pf_q)
+    q_1d = quantum_potential(polar_decompose(psi_t))
     sep_err = masked_max(q_term - q_1d[None, box[1]], (joint & mask)[box])
     report.check("eps-qterm-separability", sep_err)
     shape, mask = mask.shape, mask[box].copy()  # the mask is False off its box
@@ -709,6 +692,39 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
                 "values": masked_field(q_term, whole, box), "mask": whole}
 
     return bundle
+
+
+def _check_separable(
+    report: ScenarioReport, chi: PhaseSpaceField, psi: WaveFunction, phi: WaveFunction
+) -> np.ndarray:
+    """Record the separable-structure checks of chi = psi(q) conj(phi(p)) exp(-i p q / hbar):
+    |chi| = |psi| |phi|, and theta = arg chi + p q / hbar equals arg psi - arg phi modulo 2 pi,
+    so its centred cross difference vanishes.  Evaluated on the box of chi's amplitude mask,
+    from wrapped phases: each compared quantity is 0 where the structure holds, so wrapping
+    cannot alias it.  Returns the joint mask of chi, psi and phi on the whole grid."""
+    mask = amplitude_mask(np.abs(chi.values))
+    rows, cols = box = mask_box(mask)
+    r_p, r_q = np.abs(phi.values), np.abs(psi.values)
+    joint = mask & amplitude_mask(r_p)[:, None] & amplitude_mask(r_q)[None, :]
+    inside, values = joint[box], chi.values[box]
+    outer = r_p[rows, None] * r_q[None, cols]
+    report.check("eps-amplitude-factorization", np.max(np.abs(np.abs(values) - outer)[inside] / outer[inside]))
+
+    def wrap(phase):  # into [-pi, pi)
+        return np.remainder(phase + np.pi, 2.0 * np.pi) - np.pi
+
+    p_axis, q_axis, hbar = chi.grid.p_axis, chi.grid.q_axis, chi.params.hbar
+    theta = np.angle(values) + p_axis.points[rows, None] * q_axis.points[None, cols] / hbar
+    additivity = wrap(theta - np.angle(psi.values[None, cols]) + np.angle(phi.values[rows, None]))
+    report.check("eps-phase-additivity-spread", hbar * np.ptp(additivity[inside]))
+
+    # hbar d^2(theta)/dp dq by the centred cross stencil, where all four diagonal neighbours lie in the mask
+    m = mask[box]
+    valid = m[2:, 2:] & m[2:, :-2] & m[:-2, 2:] & m[:-2, :-2]
+    cross = wrap(theta[2:, 2:] - theta[2:, :-2] - theta[:-2, 2:] + theta[:-2, :-2])
+    cell = 4.0 * p_axis.spacing * q_axis.spacing
+    report.check("eps-action-mixed-partial", hbar * masked_max(cross, valid) / cell)
+    return joint
 
 
 def scenario_classical_appendix(cfg: ScenarioConfig) -> ScenarioReport:

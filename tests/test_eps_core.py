@@ -1,5 +1,5 @@
-"""Phase-space product distributions, the extended Hamiltonian, polar
-decomposition and expectation values."""
+"""Phase-space product distributions, their phase, the extended Hamiltonian
+and expectation values."""
 
 from __future__ import annotations
 
@@ -18,7 +18,6 @@ from epsqp.eps_core import (
     chi_spectrum,
     eps_rhs_apply,
     expectation,
-    polar_decompose_2d,
 )
 from epsqp.numerics import (
     Grid2D,
@@ -29,7 +28,6 @@ from epsqp.numerics import (
     fft2_passes,
     make_grid,
     spectral_derivative_2d,
-    unwrap_phase_1d,
 )
 from epsqp.states import ho_coherent_state, to_momentum_space
 from epsqp.transforms import apply_extended_transform, wigner_direct
@@ -127,44 +125,37 @@ def test_amplitude_factorizes(q_grid, grid2, harmonic_params):
 
 
 # ---------------------------------------------------------------------------
-# polar decomposition
+# phase
 # ---------------------------------------------------------------------------
 
 
-def test_ground_action_is_minus_pq(ground_chi, grid2):
-    act = polar_decompose_2d(ground_chi)
-    pq = grid2.p_axis.points[:, None] * grid2.q_axis.points[None, :]
-    hbar = ground_chi.params.hbar
-    diff = act.S[act.mask] + pq[act.mask]
-    # equal up to a single global multiple of 2 pi hbar
-    offset = diff[np.argmax(act.R[act.mask])]
-    assert np.max(np.abs(diff - offset)) < 1e-8
-    winding = offset / (2.0 * np.pi * hbar)
-    assert abs(winding - round(winding)) < 1e-8
+def _wrapped(phase):
+    return np.angle(np.exp(1j * phase))
+
+
+def _theta(chi):
+    """arg chi + p q / hbar on chi's amplitude mask: chi's phase without its kernel."""
+    mask = amplitude_mask(np.abs(chi.values))
+    pq = chi.grid.p_axis.points[:, None] * chi.grid.q_axis.points[None, :]
+    return (np.angle(chi.values) + pq / chi.params.hbar)[mask], mask
+
+
+def test_ground_action_is_minus_pq(ground_chi):
+    # theta + const = 0 with const a multiple of 2 pi: the ground state's action is -p q
+    theta, mask = _theta(ground_chi)
+    offset = theta[np.argmax(np.abs(ground_chi.values)[mask])]
+    assert np.max(np.abs(_wrapped(theta - offset))) < 1e-8
+    assert abs(_wrapped(offset)) < 1e-8
 
 
 def test_phase_splits_into_q_and_p_parts(q_grid, grid2, harmonic_params):
-    # S(p, q) + p q  =  S_psi(q) - S_phi(p)  (up to one global constant):
-    # the product's action separates into its factors' 1D actions
+    # theta = arg psi(q) - arg phi(p) modulo 2 pi: the product's action separates
+    # into its factors' 1D actions, with no constant between them
     chi, psi = _chi_at(q_grid, grid2, harmonic_params, 1.0, 0.0, 0.4)
     phi = to_momentum_space(psi)
-    hbar = harmonic_params.hbar
-    act = polar_decompose_2d(chi)
-    pq = grid2.p_axis.points[:, None] * grid2.q_axis.points[None, :]
-    s_psi = hbar * unwrap_phase_1d(np.angle(psi.values), amplitude_mask(np.abs(psi.values)))
-    s_phi = hbar * unwrap_phase_1d(np.angle(phi.values), amplitude_mask(np.abs(phi.values)))
-    combo = act.S + pq - s_psi[None, :] + s_phi[:, None]
-    vals = combo[act.mask]
-    # compare winding-free: spread modulo 2 pi hbar
-    resid = vals - vals[np.argmax(act.R[act.mask])]
-    resid -= 2.0 * np.pi * hbar * np.round(resid / (2.0 * np.pi * hbar))
-    assert np.max(np.abs(resid)) < 1e-8
-
-
-def test_polar_decompose_rejects_empty_mask(grid2, harmonic_params):
-    zero = PhaseSpaceField(np.zeros(grid2.shape), grid2, 0.0, harmonic_params)
-    with pytest.raises(ValueError):
-        polar_decompose_2d(zero)
+    theta, mask = _theta(chi)
+    factors = np.angle(psi.values)[None, :] - np.angle(phi.values)[:, None]
+    assert np.max(np.abs(_wrapped(theta - factors[mask]))) < 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from epsqp.numerics import (
     PhysicalParams,
     Potential,
     amplitude_mask,
-    fd_mixed_partial,
     fft2_passes,
     log_amplitude,
     log_curvature,
@@ -276,30 +275,8 @@ def test_unwrap_respects_mask_runs():
 
 
 # ---------------------------------------------------------------------------
-# finite differences
+# input checks and the phase-space kernel
 # ---------------------------------------------------------------------------
-
-
-def test_fd_mixed_partial_exact_for_bilinear():
-    q = make_grid(32, -4.0, 4.0)
-    g2 = Grid2D.paired(q, hbar=1.0)
-    P, Q = g2.p_axis.points[:, None], g2.q_axis.points[None, :]
-    values = 1.5 * P * Q + 0.2 * P - 0.7 * Q + 3.0
-    mixed, valid = fd_mixed_partial(values, g2, np.ones(g2.shape, dtype=bool))
-    assert valid.any()
-    np.testing.assert_allclose(mixed[valid], 1.5, atol=1e-10)
-
-
-def test_fd_mixed_partial_respects_mask():
-    q = make_grid(16, -2.0, 2.0)
-    g2 = Grid2D.paired(q, hbar=1.0)
-    values = np.ones(g2.shape)
-    mask = np.zeros(g2.shape, dtype=bool)
-    mask[4:8, 4:8] = True
-    mixed, valid = fd_mixed_partial(values, g2, mask=mask)
-    # evaluable only where all four diagonal neighbours are valid
-    assert valid.sum() == (8 - 4 - 2) ** 2
-    assert np.all(np.isnan(mixed[~valid]))
 
 
 def test_spectral_derivative_checks_length():

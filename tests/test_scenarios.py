@@ -7,6 +7,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -14,8 +15,8 @@ import pytest
 
 import epsqp.scenarios as scenarios
 import test_acceptance
-from epsqp.eps_core import chi_spectrum
-from epsqp.numerics import fft2_passes
+from epsqp.eps_core import chi_build, chi_spectrum
+from epsqp.numerics import amplitude_mask, fft2_passes
 from epsqp.quantum_potential import AlphaSweepResult, hj_residual_eps
 from epsqp.reports import ResidualReport, fit_global_constant, fit_line, masked_field
 from epsqp.scenarios import (
@@ -27,11 +28,12 @@ from epsqp.scenarios import (
     ScenarioConfig,
     ScenarioReport,
     _check_halving,
+    _check_separable,
     make_check,
     run_scenario,
     to_json,
 )
-from epsqp.states import ho_coherent_state
+from epsqp.states import ho_coherent_state, to_momentum_space
 from epsqp.transforms import _wigner_blocks, shear_spectrum, wigner_direct
 
 
@@ -384,3 +386,79 @@ def test_wigner_constant_from_column_blocks(domain, n):
 
     compensated = fsum(w * sheared.real) / fsum(w * w)  # the imaginary part is ~1e-16 of it
     assert abs(got.real - compensated) <= 1e-15 * abs(compensated)
+
+
+def _coherent_chi(n: int):
+    """The default config, its coherent state at the evaluation time, that state's
+    momentum-space state and their chi, at n."""
+    cfg = ScenarioConfig(grid_n=n)
+    g, g2 = scenarios._grids(cfg)
+    psi = ho_coherent_state(g, scenarios._harmonic_params(cfg), cfg.q0, cfg.p0, cfg.eval_time)
+    return cfg, psi, to_momentum_space(psi), chi_build(psi, g2)
+
+
+# Factors of the default coherent chi at n = 256 (hbar = 1), each as a function of
+# (p, q, chi's amplitude mask), with the checks it must fail and the values they
+# read; every other separable-structure check must pass, at rounding level where
+# nothing fails.
+SEPARABLE_FAULTS = {
+    "none": (lambda p, q, mask: 1.0, {}),
+    "bilinear-phase": (
+        lambda p, q, mask: np.exp(1e-3j * p * q),
+        # the stencil reads the bilinear coefficient
+        {"eps-action-mixed-partial": (1e-3, 1e-9), "eps-phase-additivity-spread": (3.1e-2, 1e-2)},
+    ),
+    "sine-phase": (
+        lambda p, q, mask: np.exp(1e-6j * np.sin(p) * np.sin(q)),
+        {"eps-phase-additivity-spread": (2.0e-6, 1e-2)},
+    ),
+    "amplitude": (lambda p, q, mask: 1 + 1e-9 * p * q, {"eps-amplitude-factorization": (1.6e-8, 3e-2)}),
+    "kernel-sign": (
+        lambda p, q, mask: np.exp(2j * p * q),
+        # the spread saturates at the width of the wrapped range
+        {"eps-action-mixed-partial": (2.0, 1e-9), "eps-phase-additivity-spread": (2.0 * np.pi, 1e-9)},
+    ),
+    # phases off chi's mask are never read: the stencil takes only centres whose
+    # four diagonal neighbours lie in the mask
+    "random-phase-off-mask": (
+        lambda p, q, mask: np.where(mask, 1.0, np.exp(2j * np.pi * np.random.default_rng(0).random(mask.shape))),
+        {},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def coherent_chi_256():
+    return _coherent_chi(256)
+
+
+@pytest.mark.parametrize("case", SEPARABLE_FAULTS)
+def test_separable_checks_catch_faults(coherent_chi_256, case):
+    cfg, psi, phi, chi = coherent_chi_256
+    factor, failing = SEPARABLE_FAULTS[case]
+    p, q = chi.grid.p_axis.points[:, None], chi.grid.q_axis.points[None, :]
+    mask = amplitude_mask(np.abs(chi.values))
+    report = ScenarioReport("eps-residuals", cfg)
+    joint = _check_separable(report, replace(chi, values=chi.values * factor(p, q, mask)), psi, phi)
+    assert [c.name for c in report.checks] == [
+        "eps-amplitude-factorization", "eps-phase-additivity-spread", "eps-action-mixed-partial"
+    ]
+    assert {c.name for c in report.checks if not c.passed} == set(failing)
+    for check in report.checks:
+        if check.name in failing:
+            value, rel = failing[check.name]
+            assert check.value == pytest.approx(value, rel=rel)
+        elif not failing:
+            assert check.value < 1e-12  # rounding level
+    expected = mask & amplitude_mask(np.abs(phi.values))[:, None] & amplitude_mask(np.abs(psi.values))
+    np.testing.assert_array_equal(joint, expected)
+
+
+def test_separable_checks_allocate_little(temporary_arrays):
+    # Traced peak in n x n complex arrays at n = 512: the phases are taken on
+    # the box of chi's mask only (measured 0.56; unwrapping the whole grid's
+    # phase in 2-D peaked at 3.7)
+    n = 512
+    cfg, psi, phi, chi = _coherent_chi(n)
+    report = ScenarioReport("eps-residuals", cfg)
+    assert temporary_arrays(lambda: _check_separable(report, chi, psi, phi), n) <= 1.0
