@@ -98,7 +98,7 @@ def chi_build(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     phi = to_momentum_space(psi)  # rejects a momentum-space state
     if psi.grid != grid.q_axis:
         raise GridError("position state does not live on the q axis of the grid")
-    hankel, row, col = pq_factors(grid, psi.params.hbar, -1)  # checks the pairing
+    hankel, row, col = pq_factors(grid, psi.params.hbar)  # checks the pairing
     values = hankel * (row * np.conj(phi.values))[:, None]
     values *= (col * psi.values)[None, :]
     return PhaseSpaceField(values, grid, psi.t, psi.params, kind="chi")

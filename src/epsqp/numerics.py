@@ -1,4 +1,4 @@
-"""Grids, spectral differentiation, 1-D phase unwrapping and the Fourier convention.
+"""Grids, spectral differentiation, amplitude masks and the Fourier convention.
 
 Every module builds on the conventions fixed here:
 
@@ -20,8 +20,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
-#: Relative amplitude below which polar quantities (phase, R''/R, ...) are
-#: considered undefined and masked out.
+#: Relative amplitude below which polar quantities (action gradients, R''/R,
+#: ...) are considered undefined and masked out.
 NODE_THRESHOLD = 1e-6
 
 #: Snapshot times closer than this count as equal.
@@ -295,28 +295,26 @@ def position_to_momentum(values: NDArray, q_grid: Grid1D, hbar: float) -> tuple[
     return np.fft.fftshift(unshifted), paired_momentum_grid(q_grid, hbar)
 
 
-def pq_factors(grid: Grid2D, hbar: float, sign: int) -> tuple:
-    """Bluestein factors ``(hankel, row, col)`` of the phase-space kernel ``exp(sign i p q
-    / hbar)`` on a Fourier-paired grid: ``kernel[i, j] = hankel[i, j] row[i] col[j]``.
+def pq_factors(grid: Grid2D, hbar: float) -> tuple:
+    """Bluestein factors ``(hankel, row, col)`` of chi's kernel ``exp(-i p q / hbar)``
+    on a Fourier-paired grid: ``kernel[i, j] = hankel[i, j] row[i] col[j]``.
 
     There ``p_i q_j / hbar = 2 pi k_i (x + j) / n`` with ``k_i = i - n/2`` and ``x =
     q_min / dq``, and ``2 k j = (k + j)^2 - k^2 - j^2`` (Bluestein's chirp identity)
     makes ``hankel`` the read-only view ``[i, j] -> h[i + j]`` of the 2n - 1 roots ``h[s]
-    = exp(sign i pi (s - n/2)^2 / n)``.  Integer phases are reduced modulo 2n and the
+    = exp(-i pi (s - n/2)^2 / n)``.  Integer phases are reduced modulo 2n and the
     row phase ``k_i x`` modulo n before their exponentials, so the kernel is accurate to
     rounding instead of carrying the rounding of an argument of size |p q / hbar|.
     """
-    if sign not in (1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     if grid.p_axis != paired_momentum_grid(grid.q_axis, hbar):
         raise GridError("grid axes are not Fourier-paired")
     q_axis = grid.q_axis
     n = q_axis.n_points
     steps = np.arange(2 * n - 1)
     k = steps[:n] - n // 2
-    turns = sign * 1j * np.pi / n  # one turn is 2n of these
+    turns = -1j * np.pi / n  # one turn is 2n of these
 
-    def roots(s):  # exp(sign i pi s^2 / n), s^2 reduced modulo 2n in integers
+    def roots(s):  # exp(-i pi s^2 / n), s^2 reduced modulo 2n in integers
         return np.exp(turns * ((s * s) % (2 * n)))
 
     row = np.exp(2 * turns * np.mod(k * (q_axis.min / q_axis.spacing), n))
@@ -342,41 +340,6 @@ def spectral_resample(values: NDArray) -> NDArray[np.complex128]:
     out[half] = 0.5 * f[half]
     out[m - half] = 0.5 * f[half]
     return 2.0 * np.fft.ifft(out)
-
-
-# ---------------------------------------------------------------------------
-# 1-D phase unwrapping
-# ---------------------------------------------------------------------------
-
-
-def mask_runs(mask: NDArray[np.bool_]) -> list[tuple[int, int]]:
-    """Contiguous True runs of a boolean array as ``(start, stop)`` pairs."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.ndim != 1:
-        raise ValueError("mask_runs expects a 1D mask")
-    padded = np.concatenate(([False], mask, [False])).astype(int)
-    edges = np.flatnonzero(np.diff(padded))
-    return list(zip(edges[::2], edges[1::2]))
-
-
-def unwrap_phase_1d(wrapped: NDArray, mask: NDArray) -> NDArray[np.float64]:
-    """Unwrap a 1D phase field on the valid samples of ``mask``.
-
-    Each contiguous valid run is unwrapped independently: successive
-    differences are mapped into ``(-pi, pi]`` by adding multiples of 2 pi,
-    and the first sample of a run keeps its wrapped value.  Masked samples
-    are passed through unchanged.
-    """
-    wrapped = np.asarray(wrapped, dtype=float)
-    mask = np.asarray(mask, dtype=bool)
-    if wrapped.shape != mask.shape:
-        raise ValueError("mask shape does not match the phase field")
-    if not mask.any():
-        raise ValueError("cannot unwrap: mask has no valid samples")
-    out = wrapped.copy()
-    for a, b in mask_runs(mask):
-        out[a:b] = np.unwrap(wrapped[a:b])
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,7 @@ curvature ("quantum potential") corrections proportional to hbar^2:
 
 The residual evaluators in this module measure how well those identities
 hold on sampled states, using three estimators chosen for conditioning
-(all branch-cut-free; in the whole package, explicit unwrapping appears
-only in :func:`polar_decompose`, whose output is a deliverable in its own
-right):
+(all branch-cut-free: no phase is unwrapped anywhere in the package):
 
 * spatial action gradients from the algebraic identity
   S_x = hbar Im(conj(f) f_x)/|f|^2 with spectral f_x — no truncation
@@ -35,17 +33,16 @@ right):
   differences on log R): exact for the Gaussian amplitude family and
   uniformly conditioned on the mask, unlike a spectral derivative of R,
   whose absolute rounding floor is amplified by 1/R at the mask edge.
+  The 1D residuals' quantum term is the centre state's
+  :func:`quantum_potential`, the same profile the scenarios check.
 
 The phase-space residuals apply them only on the bounding box of the
 amplitude mask, grown by one cell for the curvature stencils.
 
-Momentum-space sign conventions: the stored :class:`PolarField` for a
-momentum-space state honours phi = R exp(-i S / hbar) (so the product
-distribution's action decomposes additively as S^q + S^p - pq).  The
-momentum-space Hamilton-Jacobi identities above, however, hold for the
-action +hbar arg(phi) — one sign flip away — and the residual evaluators
-use that convention internally.  Both facts are unit-tested; only the
-derivatives of S enter any residual, so no global constant is affected.
+The momentum-space identities above hold for the action S = +hbar arg(phi)
+(phi = R exp(+i S / hbar)), the same sign as in position space, and the
+residual evaluators use it.  Only derivatives of S enter any residual, so
+no global constant is affected.
 """
 
 from __future__ import annotations
@@ -58,9 +55,7 @@ from numpy.typing import NDArray
 
 from .eps_core import ExtendedHamiltonian, chi_spectrum
 from .numerics import (
-    Grid1D,
     Grid2D,
-    PhysicalParams,
     amplitude_mask,
     fft2_passes,
     inverse_on_box,
@@ -70,7 +65,6 @@ from .numerics import (
     relative_curvature,
     snapshot_triple,
     spectral_derivative,
-    unwrap_phase_1d,
 )
 from .reports import (
     LineFit,
@@ -86,72 +80,32 @@ from .transforms import shear_spectrum
 
 
 # ---------------------------------------------------------------------------
-# polar decomposition (1D)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PolarField:
-    """Amplitude/action split of a 1D state.
-
-    The action's sign follows from ``space``: a position-space state
-    reassembles as psi = R exp(+i S / hbar), a momentum-space state as
-    phi = R exp(-i S / hbar).  ``S`` is NaN off the mask.
-    """
-
-    R: NDArray[np.float64]
-    S: NDArray[np.float64]
-    mask: NDArray[np.bool_]
-    space: str
-    grid: Grid1D
-    t: float
-    params: PhysicalParams
-
-
-def polar_decompose(psi: WaveFunction) -> PolarField:
-    """Split a 1D state into amplitude and unwrapped action.
-
-    Contiguous above-threshold runs are unwrapped independently (phase is
-    meaningless across a node), and the action is scaled by hbar with the
-    sign convention of the state's space.
-    """
-    R = np.abs(psi.values)
-    mask = amplitude_mask(R)
-    if not mask.any():
-        raise ValueError("state amplitude is everywhere below the node threshold")
-    unwrapped = unwrap_phase_1d(np.angle(psi.values), mask)
-    sign = 1.0 if psi.space == "q" else -1.0
-    S = np.full(R.shape, np.nan)
-    S[mask] = sign * psi.params.hbar * unwrapped[mask]
-    return PolarField(R, S, mask, psi.space, psi.grid, psi.t, psi.params)
-
-
-# ---------------------------------------------------------------------------
 # quantum potential profiles
 # ---------------------------------------------------------------------------
 
 
-def _curvature_coefficient(params: PhysicalParams, space: str) -> float:
-    """The 1D quantum potential's coefficient of ``R''/R``: ``-hbar^2/2m`` in q and
-    ``-hbar^2 k/2`` in p (zero for a linear potential)."""
-    if space == "q":
-        return -(params.hbar**2) / (2.0 * params.mass)
-    return -(params.hbar**2) * params.potential.k / 2.0
-
-
-def quantum_potential(pf: PolarField) -> NDArray[np.float64]:
-    """Quantum potential (energy units) of a 1D state, NaN off ``pf.mask``:
-    ``-(hbar^2/2m) R''/R`` in position space, ``-(hbar^2 k/2) R''/R`` in
-    momentum space (exactly zero for a linear potential).
+def quantum_potential(state: WaveFunction) -> NDArray[np.float64]:
+    """Quantum potential (energy units) of a 1D state, NaN off its amplitude
+    mask: ``-(hbar^2/2m) R''/R`` in position space, ``-(hbar^2 k/2) R''/R`` in
+    momentum space (exactly zero for a linear potential), with R = |state|.
 
     The curvature ratio comes from :func:`relative_curvature` (log-space
     differences), which keeps the profile accurate all the way to the mask
     edge, where R is a millionth of its peak and any absolute error in a
-    directly differentiated R would be amplified a millionfold.
+    directly differentiated R would be amplified a millionfold.  Raises
+    ``ValueError`` for a state whose mask is empty.
     """
-    coefficient = _curvature_coefficient(pf.params, pf.space)
-    values = np.full(pf.R.shape, np.nan)
-    values[pf.mask] = coefficient * relative_curvature(pf.R, pf.grid.spacing)[pf.mask]
+    params = state.params
+    R = np.abs(state.values)
+    mask = amplitude_mask(R)
+    if not mask.any():
+        raise ValueError("state amplitude is everywhere below the node threshold")
+    if state.space == "q":
+        coefficient = -(params.hbar**2) / (2.0 * params.mass)
+    else:
+        coefficient = -(params.hbar**2) * params.potential.k / 2.0
+    values = np.full(R.shape, np.nan)
+    values[mask] = coefficient * relative_curvature(R, state.grid.spacing)[mask]
     return values
 
 
@@ -161,13 +115,12 @@ def quantum_potential(pf: PolarField) -> NDArray[np.float64]:
 
 
 def _hj_setup(snapshots: Sequence[WaveFunction], space: str) -> tuple:
-    """Common 1D setup: action derivatives and curvature ratio at the centre.
+    """Common 1D setup: action derivatives and quantum potential at the centre.
 
     The snapshots must be ``space``-space states.  Returns ``(params, grid,
-    metadata, mask, S_t, S_x, R''/R)`` with the metadata every 1D report
-    shares.  The momentum-space identities hold for S = +hbar arg(phi), so
-    the estimators are applied to the raw field without the stored-convention
-    sign flip (see the module docstring).
+    metadata, mask, S_t, S_x, Q)`` with the metadata every 1D report shares
+    and ``Q`` the centre's :func:`quantum_potential`.  The action is
+    S = +hbar arg(f) in both spaces (see the module docstring).
     """
     if any(s.space != space for s in snapshots):
         raise ValueError(f"snapshots must be {space}-space states")
@@ -175,15 +128,14 @@ def _hj_setup(snapshots: Sequence[WaveFunction], space: str) -> tuple:
     params = center.params
     grid = center.grid
     c = center.values
-    amp = np.abs(c)
-    mask = amplitude_mask(amp)
-    dens = np.where(mask, amp**2, 1.0)
+    quantum = quantum_potential(center)
+    mask = ~np.isnan(quantum)  # the centre's amplitude mask
+    dens = np.where(mask, np.abs(c) ** 2, 1.0)
 
     hbar = params.hbar
     S_t = hbar * np.angle(plus.values * np.conj(minus.values)) / (2.0 * dt)
     S_x = hbar * np.imag(np.conj(c) * spectral_derivative(c, grid, order=1)) / dens
-    curv = relative_curvature(amp, grid.spacing)  # R''/R
-    return params, grid, snapshot_metadata(center, dt), mask, S_t, S_x, curv
+    return params, grid, snapshot_metadata(center, dt), mask, S_t, S_x, quantum
 
 
 def hj_residual_q(snapshots: Sequence[WaveFunction]) -> ResidualReport:
@@ -196,8 +148,7 @@ def hj_residual_q(snapshots: Sequence[WaveFunction]) -> ResidualReport:
     the fields, with ``full = classical_form + quantum_term`` holding
     exactly as array arithmetic.
     """
-    params, grid, metadata, mask, S_t, S_q, curv = _hj_setup(snapshots, "q")
-    quantum = _curvature_coefficient(params, "q") * curv
+    params, grid, metadata, mask, S_t, S_q, quantum = _hj_setup(snapshots, "q")
     classical = S_t + S_q**2 / (2.0 * params.mass) + params.potential.value(grid.points)
     return residual_report(
         "qspace-hj", classical + quantum, mask, grid.spacing, metadata,
@@ -216,9 +167,8 @@ def hj_residual_p(snapshots: Sequence[WaveFunction]) -> ResidualReport:
     term is exactly zero: the equation is first order in d/dp and classical
     already.  Action convention S = +hbar arg(phi).
     """
-    params, grid, metadata, mask, S_t, S_p, curv = _hj_setup(snapshots, "p")
+    params, grid, metadata, mask, S_t, S_p, quantum = _hj_setup(snapshots, "p")
     pot = params.potential
-    quantum = _curvature_coefficient(params, "p") * curv
     classical = S_t + grid.points**2 / (2.0 * params.mass) + pot.k / 2.0 * S_p**2 - pot.b * S_p
     return residual_report(
         f"pspace-hj-{pot.kind}", classical + quantum, mask, grid.spacing, metadata,

@@ -42,7 +42,6 @@ from .quantum_potential import (
     hj_residual_eps,
     hj_residual_p,
     hj_residual_q,
-    polar_decompose,
     quantum_potential,
     validate_alphas,
 )
@@ -495,12 +494,15 @@ def scenario_alpha_sweep(cfg: ScenarioConfig) -> ScenarioReport:
     return report
 
 
-def _quantum_potential_bundle(pf) -> Callable[[], dict]:
-    """The builder of a 1-D bundle: ``pf``'s quantum potential on its axis and mask."""
-    return lambda: {
-        "kind": "1d", "axis_name": pf.space, "axis": pf.grid.points,
-        "values": quantum_potential(pf), "mask": pf.mask,
-    }
+def _quantum_potential_bundle(state: WaveFunction) -> Callable[[], dict]:
+    """The builder of a 1-D bundle: ``state``'s quantum potential on its axis and mask."""
+
+    def bundle() -> dict:
+        values = quantum_potential(state)
+        return {"kind": "1d", "axis_name": state.space, "axis": state.grid.points,
+                "values": values, "mask": ~np.isnan(values)}
+
+    return bundle
 
 
 def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
@@ -515,16 +517,14 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
 
     # --- analytic quantum potentials on the ground state -------------------
     psi_g = ho_coherent_state(g, params, 0.0, 0.0, 0.0)
-    pf_q = polar_decompose(psi_g)
-    qpot_q = quantum_potential(pf_q)
+    qpot_q = quantum_potential(psi_g)
     q_exact = 0.5 * hbar * w_freq - 0.5 * m * w_freq**2 * g.points**2
-    report.check("quantum-potential-q-max-err", masked_max(qpot_q - q_exact, pf_q.mask))
+    report.check("quantum-potential-q-max-err", masked_max(qpot_q - q_exact, ~np.isnan(qpot_q)))
 
     phi_g = to_momentum_space(psi_g)
-    pf_p = polar_decompose(phi_g)
-    qpot_p = quantum_potential(pf_p)
-    p_exact = 0.5 * hbar * w_freq - pf_p.grid.points**2 / (2.0 * m)
-    report.check("quantum-potential-p-max-err", masked_max(qpot_p - p_exact, pf_p.mask))
+    qpot_p = quantum_potential(phi_g)
+    p_exact = 0.5 * hbar * w_freq - phi_g.grid.points**2 / (2.0 * m)
+    report.check("quantum-potential-p-max-err", masked_max(qpot_p - p_exact, ~np.isnan(qpot_p)))
 
     # --- 1D modified Hamilton-Jacobi residuals + convergence order ---------
     coherent = partial(ho_coherent_state, g, params, cfg.q0, cfg.p0)
@@ -586,8 +586,8 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     report.check("ground-period-overlap", overlap)
 
     report.field_bundles = {
-        "quantum-potential-q": _quantum_potential_bundle(pf_q),
-        "quantum-potential-p": _quantum_potential_bundle(pf_p),
+        "quantum-potential-q": _quantum_potential_bundle(psi_g),
+        "quantum-potential-p": _quantum_potential_bundle(phi_g),
     }
     return report
 
@@ -617,7 +617,7 @@ def scenario_linear_gaussian(cfg: ScenarioConfig) -> ScenarioReport:
     mean_q = float(np.sum(g.points * np.abs(psi_t.values) ** 2) * g.spacing)
     report.check("linear-center-tracking", abs(mean_q - q_c))
 
-    report.field_bundles = {"quantum-potential-q": _quantum_potential_bundle(polar_decompose(psi_t))}
+    report.field_bundles = {"quantum-potential-q": _quantum_potential_bundle(psi_t)}
     return report
 
 
@@ -680,7 +680,7 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
 
     # the q-curvature quantum term of the 2D identity equals the 1D quantum
     # potential of the psi factor, broadcast over p
-    q_1d = quantum_potential(polar_decompose(psi_t))
+    q_1d = quantum_potential(psi_t)
     sep_err = masked_max(q_term - q_1d[None, box[1]], (joint & mask)[box])
     report.check("eps-qterm-separability", sep_err)
     shape, mask = mask.shape, mask[box].copy()  # the mask is False off its box

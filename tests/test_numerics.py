@@ -21,7 +21,6 @@ from epsqp.numerics import (
     log_curvature,
     make_grid,
     mask_box,
-    mask_runs,
     paired_momentum_grid,
     position_to_momentum,
     pq_factors,
@@ -29,7 +28,6 @@ from epsqp.numerics import (
     spectral_derivative,
     spectral_derivative_2d,
     spectral_resample,
-    unwrap_phase_1d,
 )
 
 HYP = settings(max_examples=30, deadline=None)
@@ -219,7 +217,7 @@ def test_fourier_shift_theorem():
 
 
 # ---------------------------------------------------------------------------
-# masking and unwrapping
+# masking
 # ---------------------------------------------------------------------------
 
 
@@ -242,36 +240,6 @@ def test_mask_box_grows_by_one_cell_and_keeps_the_wrap():
     assert mask_box(mask) == (slice(None), slice(None))
     with pytest.raises(ValueError, match="empty mask"):
         mask_box(np.zeros((8, 8), dtype=bool))
-
-
-def test_mask_runs_finds_contiguous_blocks():
-    mask = np.array([0, 1, 1, 0, 1, 0, 1, 1, 1], dtype=bool)
-    assert mask_runs(mask) == [(1, 3), (4, 5), (6, 9)]
-    assert mask_runs(np.zeros(5, dtype=bool)) == []
-
-
-@HYP
-@given(slope=st.floats(min_value=-3.0, max_value=3.0))
-def test_unwrap_recovers_linear_phase(slope):
-    g = make_grid(128, -5.0, 5.0)
-    true_phase = slope * g.points
-    wrapped = np.angle(np.exp(1j * true_phase))
-    unwrapped = unwrap_phase_1d(wrapped, np.ones(wrapped.shape, dtype=bool))
-    # recovered up to the (wrapped) anchor of the first sample
-    diff = unwrapped - true_phase
-    np.testing.assert_allclose(diff, diff[0], atol=1e-10)
-    assert abs(diff[0] / (2.0 * np.pi) - round(diff[0] / (2.0 * np.pi))) < 1e-10
-
-
-def test_unwrap_respects_mask_runs():
-    phase = np.linspace(0.0, 8.0 * np.pi, 64)
-    wrapped = np.angle(np.exp(1j * phase))
-    mask = np.ones(64, dtype=bool)
-    mask[30:34] = False
-    out = unwrap_phase_1d(wrapped, mask=mask)
-    # each run is internally smooth (no 2 pi jumps between valid neighbours)
-    for start, stop in mask_runs(mask):
-        assert np.max(np.abs(np.diff(out[start:stop]))) < np.pi
 
 
 # ---------------------------------------------------------------------------
@@ -297,23 +265,20 @@ def test_pq_kernel_matches_direct_exponential(n, domain):
     g2 = Grid2D.paired(make_grid(n, *domain), hbar)
     p, q = g2.p_axis.points, g2.q_axis.points
     bound = 4.0 * np.finfo(float).eps * np.abs(p).max() * np.abs(q).max() / hbar
-    for sign in (-1, 1):
-        hankel, row, col = pq_factors(g2, hbar, sign)
-        assert hankel.shape == g2.shape and row.shape == col.shape == (n,)
-        for r in range(0, n, 256):
-            kernel = hankel[r : r + 256] * row[r : r + 256, None] * col
-            direct = np.exp(sign * 1j * np.multiply.outer(p[r : r + 256], q) / hbar)
-            assert np.max(np.abs(kernel - direct)) < bound
+    hankel, row, col = pq_factors(g2, hbar)
+    assert hankel.shape == g2.shape and row.shape == col.shape == (n,)
+    for r in range(0, n, 256):
+        kernel = hankel[r : r + 256] * row[r : r + 256, None] * col
+        direct = np.exp(-1j * np.multiply.outer(p[r : r + 256], q) / hbar)
+        assert np.max(np.abs(kernel - direct)) < bound
 
 
 def test_pq_kernel_needs_a_paired_grid():
     g = make_grid(64, -10.0, 10.0)
     with pytest.raises(GridError):
-        pq_factors(Grid2D(g, g), 1.0, -1)
+        pq_factors(Grid2D(g, g), 1.0)
     with pytest.raises(GridError):
-        pq_factors(Grid2D.paired(g, 1.0), 0.5, -1)  # paired for another hbar
-    with pytest.raises(ValueError):
-        pq_factors(Grid2D.paired(g, 1.0), 1.0, 0)
+        pq_factors(Grid2D.paired(g, 1.0), 0.5)  # paired for another hbar
 
 
 def test_plane_wave_identity_sanity():

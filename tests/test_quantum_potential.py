@@ -27,11 +27,11 @@ from epsqp.quantum_potential import (
     hj_residual_p,
     hj_residual_q,
     hj_residual_transformed,
-    polar_decompose,
     quantum_potential,
 )
 from epsqp.reports import masked_field
 from epsqp.states import (
+    WaveFunction,
     ho_coherent_state,
     linear_potential_gaussian,
     to_momentum_space,
@@ -53,29 +53,6 @@ def _state_triplet(q_grid, params, t=0.4, dt=1e-3, q0=0.5, p0=0.0, linear=False)
 
 
 # ---------------------------------------------------------------------------
-# polar conventions
-# ---------------------------------------------------------------------------
-
-
-def test_polar_decompose_position_convention(q_grid, harmonic_params):
-    psi = ho_coherent_state(q_grid, harmonic_params, q0=1.0, p0=0.0, t=0.3)
-    pf = polar_decompose(psi)
-    assert pf.space == "q"
-    rebuilt = pf.R[pf.mask] * np.exp(1j * pf.S[pf.mask] / harmonic_params.hbar)
-    np.testing.assert_allclose(rebuilt, psi.values[pf.mask], atol=1e-12)
-
-
-def test_polar_decompose_momentum_convention(q_grid, harmonic_params):
-    phi = to_momentum_space(
-        ho_coherent_state(q_grid, harmonic_params, q0=1.0, p0=0.0, t=0.3)
-    )
-    pf = polar_decompose(phi)
-    assert pf.space == "p"
-    rebuilt = pf.R[pf.mask] * np.exp(-1j * pf.S[pf.mask] / harmonic_params.hbar)
-    np.testing.assert_allclose(rebuilt, phi.values[pf.mask], atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
 # quantum-potential profiles
 # ---------------------------------------------------------------------------
 
@@ -85,12 +62,12 @@ def test_ground_state_quantum_potential_q(q_grid, harmonic_params):
     # the quantum potential completes the classical energy balance of the
     # stationary state
     psi = ho_coherent_state(q_grid, harmonic_params, q0=0.0, p0=0.0, t=0.0)
-    pf = polar_decompose(psi)
-    values = quantum_potential(pf)
+    values = quantum_potential(psi)
+    mask = amplitude_mask(np.abs(psi.values))
     x = q_grid.points
     expected = 0.5 - 0.5 * x**2
-    assert np.max(np.abs(values[pf.mask] - expected[pf.mask])) < 1e-8
-    assert np.isnan(values[~pf.mask]).all()
+    assert np.max(np.abs(values[mask] - expected[mask])) < 1e-8
+    assert np.isnan(values[~mask]).all()
     i0 = int(np.argmin(np.abs(x)))
     assert values[i0] == pytest.approx(0.5, abs=1e-10)
 
@@ -98,23 +75,29 @@ def test_ground_state_quantum_potential_q(q_grid, harmonic_params):
 def test_ground_state_quantum_potential_p(q_grid, harmonic_params):
     psi = ho_coherent_state(q_grid, harmonic_params, q0=0.0, p0=0.0, t=0.0)
     phi = to_momentum_space(psi)
-    pf = polar_decompose(phi)
-    values = quantum_potential(pf)
+    values = quantum_potential(phi)
+    mask = amplitude_mask(np.abs(phi.values))
     p = phi.grid.points
     expected = 0.5 - 0.5 * p**2
-    assert np.max(np.abs(values[pf.mask] - expected[pf.mask])) < 1e-8
+    assert np.max(np.abs(values[mask] - expected[mask])) < 1e-8
 
 
 def test_quantum_potential_space_and_potential_guards(q_grid, linear_params):
     # a linear potential has a position-space quantum potential ...
     lin = linear_potential_gaussian(q_grid, linear_params, q0=0.0, p0=0.0, sigma0=1.0)
-    pf = polar_decompose(lin)
-    assert np.isfinite(quantum_potential(pf)[pf.mask]).all()
+    assert np.isfinite(quantum_potential(lin)[amplitude_mask(np.abs(lin.values))]).all()
     # ... but its momentum-space curvature coefficient -hbar^2 k/2 is zero
-    pf_p = polar_decompose(to_momentum_space(lin))
-    values = quantum_potential(pf_p)
-    assert (values[pf_p.mask] == 0.0).all()
-    assert np.isnan(values[~pf_p.mask]).all()
+    lin_p = to_momentum_space(lin)
+    values = quantum_potential(lin_p)
+    mask = amplitude_mask(np.abs(lin_p.values))
+    assert (values[mask] == 0.0).all()
+    assert np.isnan(values[~mask]).all()
+
+
+def test_quantum_potential_rejects_an_all_zero_state(q_grid, harmonic_params):
+    zero = WaveFunction(np.zeros(q_grid.n_points), q_grid, "q", 0.0, harmonic_params)
+    with pytest.raises(ValueError, match="node threshold"):
+        quantum_potential(zero)
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +119,22 @@ def test_position_space_residual_harmonic(coherent_triplet_factory):
     )
     # deleting the quantum term leaves exactly -Q as the classical failure
     np.testing.assert_allclose(classical[mask], (full - qpot)[mask], atol=1e-13)
+
+
+@pytest.mark.parametrize("space", ["q", "p"])
+@pytest.mark.parametrize("linear", [False, True])
+def test_1d_residual_quantum_term_is_the_quantum_potential(
+    space, linear, q_grid, harmonic_params, linear_params
+):
+    # the residuals' quantum term and the checked profile take one path
+    snaps = _state_triplet(q_grid, linear_params if linear else harmonic_params, linear=linear)
+    if space == "p":
+        snaps = [to_momentum_space(s) for s in snaps]
+    rep = (hj_residual_q if space == "q" else hj_residual_p)(snaps)
+    mask = rep.fields["mask"]
+    values = quantum_potential(snaps[1])
+    assert np.array_equal(rep.fields["quantum_term"][mask], values[mask])
+    assert np.array_equal(np.isnan(values), ~mask)
 
 
 def test_position_space_residual_halves_with_dt(coherent_triplet_factory):
