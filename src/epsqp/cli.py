@@ -121,10 +121,9 @@ def _resolve_config(args, parser: argparse.ArgumentParser) -> ScenarioConfig:
 
 def _write_csv(path: Path, bundle: dict) -> None:
     """One row per sample, ``%.17g`` coordinates, real and imaginary parts and a ``%d``
-    masked flag; a 2-D bundle's rows run over p within each q."""
+    masked flag, set where the value is NaN; a 2-D bundle's rows run over p within each q."""
     values = np.asarray(bundle["values"])
-    mask = bundle.get("mask")
-    masked = np.zeros(values.shape) if mask is None else ~np.asarray(mask, dtype=bool)
+    masked = np.isnan(values)
     if bundle["kind"] == "2d":
         header = "q,p"
         axes = (

@@ -36,22 +36,17 @@ from .numerics import (
     pq_factors,
     row_blocks,
 )
-from .reports import l2
 from .states import WaveFunction, to_momentum_space
-
-#: Valid provenance tags for phase-space fields.
-FIELD_KINDS = ("chi", "wigner", "transformed")
 
 
 @dataclass(frozen=True)
 class PhaseSpaceField:
     """Field on a ``(p, q)`` grid, tagged with time and provenance.
 
-    ``kind`` is one of ``"chi"`` (product distribution with its ``exp(-ipq/
-    hbar)`` phase), ``"wigner"`` (direct Wigner construction), or
-    ``"transformed"`` (a shear applied), in which case ``alpha`` records the
-    accumulated shear parameter.  Wigner values are stored as float64 (a
-    non-zero imaginary part raises), all others as complex128.
+    ``kind`` is ``"chi"`` (product distribution with its ``exp(-ipq/hbar)``
+    phase) or ``"wigner"`` (direct Wigner construction).  Wigner values are
+    stored as float64 (a non-zero imaginary part raises), chi as complex128.
+    The grid's hbar must be that of ``params``.
     """
 
     values: NDArray
@@ -59,15 +54,12 @@ class PhaseSpaceField:
     t: float
     params: PhysicalParams
     kind: str = "chi"
-    alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind not in FIELD_KINDS:
-            raise ValueError(f"kind must be one of {FIELD_KINDS}, got {self.kind!r}")
-        if self.kind == "transformed" and self.alpha is None:
-            raise ValueError("transformed fields must record their alpha")
-        if self.kind != "transformed" and self.alpha is not None:
-            raise ValueError(f"{self.kind!r} fields do not carry an alpha")
+        if self.kind not in ("chi", "wigner"):
+            raise ValueError(f"kind must be 'chi' or 'wigner', got {self.kind!r}")
+        if self.grid.hbar != self.params.hbar:
+            raise GridError(f"grid hbar {self.grid.hbar} is not the parameters' hbar {self.params.hbar}")
         values = np.asarray(self.values)
         if self.kind == "wigner" and np.iscomplexobj(values):
             if np.any(values.imag):
@@ -80,25 +72,21 @@ class PhaseSpaceField:
             )
         object.__setattr__(self, "values", values)
 
-    def norm(self) -> float:
-        """Discrete L2 norm with the phase-space cell measure."""
-        return l2(self.values, self.grid.cell)
-
 
 def chi_build(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     """Assemble ``chi(p, q) = psi(q) conj(phi(p)) exp(-i p q / hbar)``, with ``phi``
     the momentum-space form of the position-space state ``psi``.
 
-    ``psi`` must live on ``grid.q_axis`` and the two axes must be Fourier-paired.
+    ``grid`` must be ``Grid2D(psi.grid, psi.params.hbar)``.
     Written in two passes from the kernel's :func:`~epsqp.numerics.pq_factors`, not
     as the inverse q pass of :func:`chi_spectrum`: an FFT's absolute rounding floor
     would swamp chi at the mask edge, where |chi| is 1e-6 of its peak, while this
     product is accurate relative to each sample.
     """
     phi = to_momentum_space(psi)  # rejects a momentum-space state
-    if psi.grid != grid.q_axis:
-        raise GridError("position state does not live on the q axis of the grid")
-    hankel, row, col = pq_factors(grid, psi.params.hbar)  # checks the pairing
+    if grid != Grid2D(psi.grid, psi.params.hbar):
+        raise GridError("grid is not the state's phase-space grid")
+    hankel, row, col = pq_factors(grid)
     values = hankel * (row * np.conj(phi.values))[:, None]
     values *= (col * psi.values)[None, :]
     return PhaseSpaceField(values, grid, psi.t, psi.params, kind="chi")
@@ -106,7 +94,7 @@ def chi_build(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
 
 def chi_spectrum(psi: WaveFunction) -> NDArray[np.complex128]:
     """``fft2`` of :func:`chi_build`'s chi of the position-space state ``psi`` on its
-    paired grid, without chi.
+    phase-space grid, without chi.
 
     There chi's q-spectrum is its (p, v) form (Cohen, J. Math. Phys. 7, 781 (1966)),
     ``conj(phi_i) exp(-2 pi i k_i x / n) fft(psi)[(k_i + b) mod n]`` with ``k_i = i -
@@ -182,6 +170,9 @@ class ExtendedHamiltonian:
             H' f = -hbar^2 A f_qq - i hbar B p f_q
                    - hbar^2 C f_pp - i hbar (D q + E) f_p
 
+        At alpha = 0 and on chi this is the right-hand side of the dynamical
+        equation ``i hbar d(chi)/dt = H' chi``.
+
         Along each axis, with wavenumber k, both orders are the one spectral
         multiplier ``hbar k (hbar A k + B p)`` (q) or ``hbar k (hbar C k + D q + E)``
         (p), applied to the axis spectrum in row blocks: one forward and one inverse
@@ -203,24 +194,6 @@ class ExtendedHamiltonian:
             np.fft.ifft(spectrum, axis=axis, out=spectrum)
             out = spectrum if out is None else np.add(out, spectrum, out=out)
         return out
-
-
-def eps_rhs_apply(field: PhaseSpaceField) -> PhaseSpaceField:
-    """Right-hand side ``H' chi`` of the dynamical equation ``i hbar d(chi)/dt = H' chi``.
-
-    For untransformed fields the alpha = 0 operator is used; for
-    transformed fields the operator matching the field's recorded alpha.
-    The result is returned on the same grid with the same tags (it is an
-    operator image, not a new distribution).  A Wigner field raises
-    ``ValueError``: its image is complex, and Wigner values are real.
-    """
-    if field.kind == "wigner":
-        raise ValueError("eps_rhs_apply takes chi or transformed fields: H' W is complex")
-    alpha = field.alpha if field.kind == "transformed" else 0.0
-    ham = ExtendedHamiltonian.from_params(field.params, alpha)
-    return PhaseSpaceField(
-        ham.apply(field), field.grid, field.t, field.params, field.kind, field.alpha
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ Every module builds on the conventions fixed here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -92,14 +92,19 @@ def paired_momentum_grid(q_grid: Grid1D, hbar: float) -> Grid1D:
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Tensor grid for phase-space fields; arrays are indexed ``[i_p, i_q]``.
+    """Phase-space grid of a q axis and hbar; arrays are indexed ``[i_p, i_q]``.
 
-    Coordinates broadcast against such arrays as ``p_axis.points[:, None]``
-    and ``q_axis.points[None, :]``.
+    The p axis is always :func:`paired_momentum_grid` of the q axis at ``hbar``,
+    set here, so an unpaired grid cannot be built.  Coordinates broadcast
+    against such arrays as ``p_axis.points[:, None]`` and ``q_axis.points[None, :]``.
     """
 
-    p_axis: Grid1D
     q_axis: Grid1D
+    hbar: float
+    p_axis: Grid1D = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "p_axis", paired_momentum_grid(self.q_axis, self.hbar))
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -109,10 +114,6 @@ class Grid2D:
     def cell(self) -> float:
         """Phase-space volume element ``dp * dq``."""
         return self.p_axis.spacing * self.q_axis.spacing
-
-    @classmethod
-    def paired(cls, q_grid: Grid1D, hbar: float) -> "Grid2D":
-        return cls(paired_momentum_grid(q_grid, hbar), q_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -295,9 +296,9 @@ def position_to_momentum(values: NDArray, q_grid: Grid1D, hbar: float) -> tuple[
     return np.fft.fftshift(unshifted), paired_momentum_grid(q_grid, hbar)
 
 
-def pq_factors(grid: Grid2D, hbar: float) -> tuple:
+def pq_factors(grid: Grid2D) -> tuple:
     """Bluestein factors ``(hankel, row, col)`` of chi's kernel ``exp(-i p q / hbar)``
-    on a Fourier-paired grid: ``kernel[i, j] = hankel[i, j] row[i] col[j]``.
+    on ``grid``: ``kernel[i, j] = hankel[i, j] row[i] col[j]``.
 
     There ``p_i q_j / hbar = 2 pi k_i (x + j) / n`` with ``k_i = i - n/2`` and ``x =
     q_min / dq``, and ``2 k j = (k + j)^2 - k^2 - j^2`` (Bluestein's chirp identity)
@@ -306,8 +307,6 @@ def pq_factors(grid: Grid2D, hbar: float) -> tuple:
     row phase ``k_i x`` modulo n before their exponentials, so the kernel is accurate to
     rounding instead of carrying the rounding of an argument of size |p q / hbar|.
     """
-    if grid.p_axis != paired_momentum_grid(grid.q_axis, hbar):
-        raise GridError("grid axes are not Fourier-paired")
     q_axis = grid.q_axis
     n = q_axis.n_points
     steps = np.arange(2 * n - 1)

@@ -47,7 +47,7 @@ no global constant is affected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -181,14 +181,12 @@ def hj_residual_p(snapshots: Sequence[WaveFunction]) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def _hj_residual_2d(
-    triple: tuple, alpha: float, name: str, spectra: list | None = None, with_fields: bool = True,
-) -> ResidualReport:
+def _hj_residual_2d(triple: tuple, alpha: float, name: str, spectra: list | None = None) -> ResidualReport:
     """Shared engine for the phase-space modified Hamilton-Jacobi residual.
 
     ``triple`` is the unpacked ``(minus, center, plus, dt)`` of three
-    position-space states; their chi lives on the paired grid of the centre's
-    q axis.  Only the box of the centre field's amplitude mask is evaluated,
+    position-space states; their chi lives on the phase-space grid of the
+    centre's q axis.  Only the box of the centre field's amplitude mask is evaluated,
     with the mask, box and gradients of
     :func:`~epsqp.numerics.mask_box_gradients`.  At alpha = 0 that field is
     the product psi(q) conj(phi(p)) of chi without its kernel, and the t +- dt
@@ -212,14 +210,13 @@ def _hj_residual_2d(
     where T collects the curvature terms at unit coefficient.  The
     projection of -classical_form onto T (metadata ``fitted_coefficient``)
     measures the coefficient the data actually demands, which the exact
-    identity fixes at 1/2 + alpha (``expected_coefficient``).  Without
-    ``with_fields`` (only :func:`alpha_sweep` passes ``False``) the report
-    carries norms and metadata only; its fields are box crops, NaN off the mask.
+    identity fixes at 1/2 + alpha (``expected_coefficient``).  The report's
+    fields are box crops, NaN off the mask.
     """
     _, center, _, dt = triple
     params = center.params
     m, hbar = params.mass, params.hbar
-    grid = Grid2D.paired(center.grid, hbar)
+    grid = Grid2D(center.grid, hbar)
 
     if alpha == 0.0:
         # chi's kernel exp(-i p q / hbar) centres the p-spectrum of the row at q
@@ -234,10 +231,10 @@ def _hj_residual_2d(
     else:  # each sheared field is an inverse transform of a sheared spectrum in ``work``
         spectra = spectra or [chi_spectrum(s) for s in triple[:3]]
         work = np.empty_like(spectra[1])
-        shear_spectrum(spectra[1], grid, alpha, hbar, out=work)
+        shear_spectrum(spectra[1], grid, alpha, out=work)
         mask, box, f, f_q, f_p = mask_box_gradients(fft2_passes(work, inverse=True, in_place=True), grid)
-        minus = inverse_on_box(shear_spectrum(spectra[0], grid, alpha, hbar, out=work), box)
-        plus = inverse_on_box(shear_spectrum(spectra[2], grid, alpha, hbar, out=work), box)
+        minus = inverse_on_box(shear_spectrum(spectra[0], grid, alpha, out=work), box)
+        plus = inverse_on_box(shear_spectrum(spectra[2], grid, alpha, out=work), box)
         del work
     amp = np.abs(f)
     ratio = np.conj(minus)
@@ -274,9 +271,7 @@ def _hj_residual_2d(
         "term_basis_l2": masked_l2(T, inside, grid.cell),
         "remainder_l2": masked_l2(classical + fitted * T, inside, grid.cell),
     }
-    fields = None
-    if with_fields:
-        fields = {"q_term": np.where(inside, -(hbar**2) * ham.A * rqq, np.nan), "mask": mask}
+    fields = {"q_term": np.where(inside, -(hbar**2) * ham.A * rqq, np.nan), "mask": mask}
     return residual_report(
         name, classical + quantum, mask, grid.cell, metadata,
         classical=classical, quantum=quantum, fields=fields, box=box,
@@ -380,7 +375,7 @@ def alpha_sweep(snapshots: Sequence[WaveFunction], alphas: Sequence[float]) -> A
     triple = snapshot_triple(snapshots)
     spectra = [chi_spectrum(s) for s in triple[:3]]
     reports = tuple(
-        _hj_residual_2d(triple, a, _transformed_name(a), spectra, with_fields=False) for a in alphas
+        replace(_hj_residual_2d(triple, a, _transformed_name(a), spectra), fields={}) for a in alphas
     )
     coefficients = tuple(r.metadata["fitted_coefficient"] for r in reports)
     return AlphaSweepResult(

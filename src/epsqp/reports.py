@@ -22,7 +22,7 @@ class ResidualReport:
     constants); ``fields`` carries the arrays behind the norms for dumps
     and follow-up analysis and is excluded from repr/comparison.  A 2D
     residual's fields are crops of the mask's bounding ``fields["box"]``,
-    NaN off the mask (:func:`masked_field` puts one on the whole grid).
+    NaN off the mask.
     """
 
     name: str
@@ -60,14 +60,6 @@ def masked_max(values: NDArray, mask: NDArray) -> float:
     if not mask.any():
         raise ValueError("cannot take a norm over an empty mask")
     return float(np.max(np.abs(values[mask])))
-
-
-def masked_field(values: NDArray, mask: NDArray, box: tuple = ()) -> NDArray[np.float64]:
-    """``values``, given on the ``box`` crop of ``mask``'s grid, on ``mask`` and NaN elsewhere."""
-    out = np.full(mask.shape, np.nan)
-    inside = mask[box]
-    out[box][inside] = values[inside]
-    return out
 
 
 def masked_fraction(mask: NDArray) -> float:

@@ -25,7 +25,7 @@ from .classical import (
     legendre_residual,
     translate_initial_conditions,
 )
-from .eps_core import PhaseSpaceField, chi_build, chi_spectrum, eps_rhs_apply, expectation
+from .eps_core import ExtendedHamiltonian, PhaseSpaceField, chi_build, chi_spectrum, expectation
 from .numerics import (
     Grid2D,
     GridError,
@@ -45,7 +45,7 @@ from .quantum_potential import (
     quantum_potential,
     validate_alphas,
 )
-from .reports import ResidualReport, l2, masked_field, masked_max
+from .reports import ResidualReport, l2, masked_max
 from .states import (
     WaveFunction,
     ho_coherent_state,
@@ -290,7 +290,7 @@ def _linear_params(cfg: ScenarioConfig) -> PhysicalParams:
 
 def _grids(cfg: ScenarioConfig, n: int | None = None):
     g = make_grid(n or cfg.grid_n, cfg.q_min, cfg.q_max)
-    return g, Grid2D.paired(g, cfg.hbar)
+    return g, Grid2D(g, cfg.hbar)
 
 
 def _triplet(state: Callable[[float], WaveFunction], t: float, dt: float) -> list[WaveFunction]:
@@ -418,7 +418,7 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
         report.check(f"wigner-marginal-{axis}-rel-err", err)
 
     # rebuilt from the state when exported: the report holds no n^2 array
-    axes = {"kind": "2d", "p": g2.p_axis.points, "q": g.points, "mask": None}
+    axes = {"kind": "2d", "p": g2.p_axis.points, "q": g.points}
     report.field_bundles = {
         "wigner": lambda: {**axes, "values": wigner_direct(psi, g2).values},
         "sheared-chi": lambda: {**axes, "values": _sheared_chi(psi, g2)},
@@ -429,7 +429,7 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
 def _sheared_chi(psi: WaveFunction, g2: Grid2D) -> np.ndarray:
     """chi's -1/2 shear: its spectrum, sheared and inverted in place (one n^2 complex array)."""
     sheared = chi_spectrum(psi)
-    shear_spectrum(sheared, g2, -0.5, psi.params.hbar, out=sheared)
+    shear_spectrum(sheared, g2, -0.5, out=sheared)
     return fft2_passes(sheared, inverse=True, in_place=True)
 
 
@@ -495,12 +495,11 @@ def scenario_alpha_sweep(cfg: ScenarioConfig) -> ScenarioReport:
 
 
 def _quantum_potential_bundle(state: WaveFunction) -> Callable[[], dict]:
-    """The builder of a 1-D bundle: ``state``'s quantum potential on its axis and mask."""
+    """The builder of a 1-D bundle: ``state``'s quantum potential on its axis, NaN off its mask."""
 
     def bundle() -> dict:
-        values = quantum_potential(state)
         return {"kind": "1d", "axis_name": state.space, "axis": state.grid.points,
-                "values": values, "mask": ~np.isnan(values)}
+                "values": quantum_potential(state)}
 
     return bundle
 
@@ -650,9 +649,10 @@ def scenario_eps_residuals(cfg: ScenarioConfig) -> ScenarioReport:
 
 
 def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) -> Callable[[], dict]:
-    """The harmonic checks of eps-residuals; returns the q-term bundle's builder (box crops only)."""
+    """The harmonic checks of eps-residuals; returns the q-term bundle's builder (box crop only)."""
     params = _harmonic_params(cfg)
     hbar = params.hbar
+    ham = ExtendedHamiltonian.from_params(params)
     coherent = partial(ho_coherent_state, g, params, cfg.q0, cfg.p0)
     coarse, snaps = _check_halving(
         report, cfg, coherent, hj_residual_eps, "eps-hj-harmonic-l2", "eps-hj-harmonic-halving-ratio"
@@ -666,13 +666,13 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
     del plus, minus
     psi_t = snaps[1]
     center = chi_build(psi_t, g2)
-    lhs -= eps_rhs_apply(center).values
+    lhs -= ham.apply(center)
     report.check("eps-evolution-residual-l2", l2(lhs, g2.cell))
     del lhs
 
     # stationary pair: energy phases cancel in psi phi*, so H' chi = 0
     chi_g = chi_build(ho_coherent_state(g, params, 0.0, 0.0, 0.0), g2)
-    report.check("eps-stationary-max", float(np.max(np.abs(eps_rhs_apply(chi_g).values))))
+    report.check("eps-stationary-max", float(np.max(np.abs(ham.apply(chi_g)))))
     del chi_g
 
     joint = _check_separable(report, center, psi_t, to_momentum_space(psi_t))
@@ -683,13 +683,11 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
     q_1d = quantum_potential(psi_t)
     sep_err = masked_max(q_term - q_1d[None, box[1]], (joint & mask)[box])
     report.check("eps-qterm-separability", sep_err)
-    shape, mask = mask.shape, mask[box].copy()  # the mask is False off its box
 
-    def bundle() -> dict:
-        whole = np.zeros(shape, dtype=bool)
-        whole[box] = mask
-        return {"kind": "2d", "p": g2.p_axis.points, "q": g.points,
-                "values": masked_field(q_term, whole, box), "mask": whole}
+    def bundle() -> dict:  # q_term is NaN off the mask, which lies in its box
+        values = np.full(g2.shape, np.nan)
+        values[box] = q_term
+        return {"kind": "2d", "p": g2.p_axis.points, "q": g.points, "values": values}
 
     return bundle
 

@@ -28,7 +28,6 @@ from .numerics import (
     GridError,
     fft2_passes,
     mask_box_gradients,
-    paired_momentum_grid,
     row_blocks,
     snapshot_triple,
     spectral_resample,
@@ -38,10 +37,10 @@ from .states import WaveFunction
 
 
 def shear_spectrum(
-    spectrum: NDArray[np.complex128], grid: Grid2D, alpha: float, hbar: float, out: NDArray[np.complex128]
+    spectrum: NDArray[np.complex128], grid: Grid2D, alpha: float, out: NDArray[np.complex128]
 ) -> NDArray[np.complex128]:
     """Write ``U_alpha``'s ``exp(+i alpha hbar u v) * spectrum`` into ``out`` (which may be
-    ``spectrum``) for an ``fft2`` spectrum on a paired grid, and return ``out``.
+    ``spectrum``) for an ``fft2`` spectrum on ``grid``, and return ``out``.
 
     There ``alpha hbar u_a v_b = 2 pi alpha a b / n`` for the integer wavenumber indices
     ``a, b``, and ``2 a b = (a + b)^2 - a^2 - b^2`` makes the multiplier the Hankel view
@@ -50,8 +49,6 @@ def shear_spectrum(
     Each quadrant is multiplied by its block of the view, so from 2n - 1 exponentials
     and no n x n multiplier.
     """
-    if grid.p_axis != paired_momentum_grid(grid.q_axis, hbar):
-        raise GridError("grid axes are not Fourier-paired")
     n = grid.q_axis.n_points
     s = np.arange(-n, n - 1)
     table = np.exp(1j * (np.pi * alpha / n) * (s * s))
@@ -66,20 +63,14 @@ def shear_spectrum(
     return out
 
 
-def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> PhaseSpaceField:
-    """Apply ``U_alpha`` to a phase-space field: its spectrum is sheared in place by
-    :func:`shear_spectrum`.
-
-    Successive transforms compose additively in alpha; the result is tagged
-    ``kind='transformed'`` with the accumulated parameter.
+def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> NDArray[np.complex128]:
+    """``U_alpha`` applied to a phase-space field, as a new complex array: its spectrum
+    is sheared in place by :func:`shear_spectrum`.  Successive transforms compose
+    additively in alpha.
     """
     spectrum = fft2_passes(field.values)
-    shear_spectrum(spectrum, field.grid, alpha, field.params.hbar, out=spectrum)
-    values = fft2_passes(spectrum, inverse=True, in_place=True)
-    accumulated = alpha + (field.alpha if field.alpha is not None else 0.0)
-    return PhaseSpaceField(
-        values, field.grid, field.t, field.params, kind="transformed", alpha=accumulated
-    )
+    shear_spectrum(spectrum, field.grid, alpha, out=spectrum)
+    return fft2_passes(spectrum, inverse=True, in_place=True)
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +94,7 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     alias a full paired-momentum extent away, outside the support of any
     resolved state.
 
-    ``grid`` must be Fourier-paired.  On the paired p axis ``y_l p_j / hbar =
+    ``grid`` must be the state's phase-space grid.  On its p axis ``y_l p_j / hbar =
     2 pi l (j - n/2) / n``, so the lag sum folds modulo ``n`` with the sign
     ``(-1)^l`` into one length-n transform per q column.  The correlation is
     Hermitian in the lag, ``C_-l = conj(C_l)``, so folded bin ``m`` is ``C_m +
@@ -128,11 +119,8 @@ def _wigner_blocks(psi: WaveFunction, grid: Grid2D):
     """
     if psi.space != "q":
         raise ValueError("wigner_direct expects a position-space state")
-    if psi.grid != grid.q_axis:
-        raise GridError("state does not live on the q axis of the grid")
-    hbar = psi.params.hbar
-    if grid.p_axis != paired_momentum_grid(grid.q_axis, hbar):
-        raise GridError("grid axes are not Fourier-paired")
+    if grid != Grid2D(psi.grid, psi.params.hbar):
+        raise GridError("grid is not the state's phase-space grid")
     n = grid.q_axis.n_points
     h = n // 2
 

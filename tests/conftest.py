@@ -24,7 +24,7 @@ def q_grid():
 
 @pytest.fixture(scope="session")
 def grid2(q_grid):
-    return Grid2D.paired(q_grid, hbar=1.0)
+    return Grid2D(q_grid, hbar=1.0)
 
 
 @pytest.fixture(scope="session")

@@ -264,6 +264,7 @@ def test_out_writes_report_and_fields_csv(capsys, tmp_path):
     # masked rows are flagged, not dropped; the profile itself is NaN there
     flags = np.array([int(line.rsplit(",", 1)[1]) for line in lines[1:]])
     assert 0 < flags.sum() < 256
+    np.testing.assert_array_equal(flags, [line.split(",")[1] == "nan" for line in lines[1:]])
 
 
 def test_unknown_field_bundle_is_usage_error(capsys, tmp_path):

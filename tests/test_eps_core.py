@@ -16,7 +16,6 @@ from epsqp.eps_core import (
     PhaseSpaceField,
     chi_build,
     chi_spectrum,
-    eps_rhs_apply,
     expectation,
 )
 from epsqp.numerics import (
@@ -30,7 +29,7 @@ from epsqp.numerics import (
     spectral_derivative_2d,
 )
 from epsqp.states import ho_coherent_state, to_momentum_space
-from epsqp.transforms import apply_extended_transform, wigner_direct
+from epsqp.transforms import wigner_direct
 
 HYP = settings(max_examples=20, deadline=None)
 
@@ -58,7 +57,7 @@ def test_chi_build_matches_the_direct_product(harmonic_params):
     # the bound is the reference's own rounding of its argument p q / hbar
     params = replace(harmonic_params, hbar=0.7)
     q_grid = make_grid(256, -7.3, 12.1)
-    g2 = Grid2D.paired(q_grid, params.hbar)
+    g2 = Grid2D(q_grid, params.hbar)
     psi = ho_coherent_state(q_grid, params, q0=1.3, p0=-0.4, t=0.3)
     phi = to_momentum_space(psi)
     p, q = g2.p_axis.points[:, None], g2.q_axis.points[None, :]
@@ -75,7 +74,7 @@ def test_chi_spectrum_is_the_fft2_of_chi(harmonic_params, lo, hi, hbar, n):
     # rounding, also where q_min / dq is not an integer (-9.3 / (20 / n))
     params = replace(harmonic_params, hbar=hbar)
     q_grid = make_grid(n, lo, hi)
-    g2 = Grid2D.paired(q_grid, hbar)
+    g2 = Grid2D(q_grid, hbar)
     psi = ho_coherent_state(q_grid, params, q0=0.5, p0=0.3, t=0.4)
     expected = fft2_passes(chi_build(psi, g2).values)
     got = chi_spectrum(psi)
@@ -89,19 +88,33 @@ def test_chi_spectrum_needs_a_position_state(q_grid, harmonic_params):
         chi_spectrum(to_momentum_space(psi))
 
 
-def test_field_kind_and_alpha_tagging(grid2, harmonic_params, ground_chi):
-    with pytest.raises(ValueError):
-        PhaseSpaceField(
-            ground_chi.values, grid2, 0.0, harmonic_params, kind="nonsense"
-        )
-    with pytest.raises(ValueError):
-        PhaseSpaceField(
-            ground_chi.values, grid2, 0.0, harmonic_params, kind="transformed"
-        )  # transformed fields must record alpha
-    with pytest.raises(ValueError):
-        PhaseSpaceField(
-            ground_chi.values, grid2, 0.0, harmonic_params, kind="chi", alpha=0.3
-        )  # untransformed fields must not
+def test_field_kind_validation(grid2, harmonic_params, ground_chi):
+    with pytest.raises(ValueError, match="kind"):
+        PhaseSpaceField(ground_chi.values, grid2, 0.0, harmonic_params, kind="nonsense")
+
+
+@pytest.mark.parametrize(
+    "build, grid",
+    [
+        ("field", "hbar"),
+        ("chi_build", "hbar"),
+        ("chi_build", "q"),
+        ("wigner_direct", "hbar"),
+        ("wigner_direct", "q"),
+    ],
+)
+def test_phase_space_grid_must_be_the_states(q_grid, ground_state, build, grid):
+    # a field's grid carries its hbar, and a builder's grid is the state's own: a grid paired
+    # at another hbar, or one on another q axis, is a GridError, never a silently wrong field
+    foreign = Grid2D(q_grid, 0.5) if grid == "hbar" else Grid2D(make_grid(q_grid.n_points, -8.0, 8.0), 1.0)
+    builders = {
+        "field": lambda: PhaseSpaceField(np.zeros(foreign.shape), foreign, 0.0, ground_state.params),
+        "chi_build": lambda: chi_build(ground_state, foreign),
+        "wigner_direct": lambda: wigner_direct(ground_state, foreign),
+    }
+    assert ground_state.params.hbar == 1.0
+    with pytest.raises(GridError):
+        builders[build]()
 
 
 def test_wigner_fields_are_real(grid2, harmonic_params, ground_chi):
@@ -276,8 +289,8 @@ def test_evaluate_classical_matches_coefficients(harmonic_params):
 
 def test_ground_distribution_is_a_zero_mode(ground_chi):
     # the stationary ground-state product is annihilated by the operator
-    rhs = eps_rhs_apply(ground_chi)
-    assert np.max(np.abs(rhs.values)) < 1e-8
+    rhs = ExtendedHamiltonian.from_params(ground_chi.params).apply(ground_chi)
+    assert np.max(np.abs(rhs)) < 1e-8
 
 
 def test_evolution_identity_for_coherent_distribution(q_grid, grid2, harmonic_params):
@@ -290,32 +303,10 @@ def test_evolution_identity_for_coherent_distribution(q_grid, grid2, harmonic_pa
     ]
     hbar = harmonic_params.hbar
     lhs = 1j * hbar * (chis[2].values - chis[0].values) / (2.0 * dt)
-    rhs = eps_rhs_apply(chis[1]).values
+    rhs = ExtendedHamiltonian.from_params(harmonic_params).apply(chis[1])
     cell = grid2.cell
     err = np.sqrt(np.sum(np.abs(lhs - rhs) ** 2) * cell)
     assert err < 1e-5
-
-
-def test_rhs_alpha_selection(ground_chi):
-    # a field sheared by -1/2 gets the alpha = -1/2 operator, an unsheared
-    # one the alpha = 0 operator
-    sheared = apply_extended_transform(ground_chi, -0.5)
-    image = eps_rhs_apply(sheared)
-    assert image.kind == "transformed" and image.alpha == -0.5
-    transport = ExtendedHamiltonian.from_params(ground_chi.params, -0.5)
-    np.testing.assert_array_equal(image.values, transport.apply(sheared))
-    untransformed = ExtendedHamiltonian.from_params(ground_chi.params, 0.0)
-    np.testing.assert_array_equal(
-        eps_rhs_apply(ground_chi).values, untransformed.apply(ground_chi)
-    )
-    # a different operator family gives a genuinely different image
-    assert np.max(np.abs(untransformed.apply(sheared) - image.values)) > 1e-3
-
-
-def test_rhs_rejects_a_wigner_field(ground_state, grid2):
-    # H' W is complex, so it cannot be returned as a (real) Wigner field
-    with pytest.raises(ValueError, match="chi or transformed"):
-        eps_rhs_apply(wigner_direct(ground_state, grid2))
 
 
 def test_rhs_allocates_one_work_buffer(temporary_arrays, harmonic_params):
@@ -323,8 +314,9 @@ def test_rhs_allocates_one_work_buffer(temporary_arrays, harmonic_params):
     # arrays; each multiplier is applied in row blocks (measured 2.15)
     n = 512
     g = make_grid(n, -10.0, 10.0)
-    chi = _chi_at(g, Grid2D.paired(g, harmonic_params.hbar), harmonic_params, 1.0, 0.5, 0.3)[0]
-    assert temporary_arrays(lambda: eps_rhs_apply(chi), n) <= 2.5
+    chi = _chi_at(g, Grid2D(g, harmonic_params.hbar), harmonic_params, 1.0, 0.5, 0.3)[0]
+    ham = ExtendedHamiltonian.from_params(harmonic_params)
+    assert temporary_arrays(lambda: ham.apply(chi), n) <= 2.5
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +375,6 @@ def test_one_axis_expectation_builds_no_full_size_temporary(temporary_arrays, ha
     # observable takes the 2D path, two n x n temporaries)
     n = 512
     g = make_grid(n, -10.0, 10.0)
-    chi = _chi_at(g, Grid2D.paired(g, harmonic_params.hbar), harmonic_params, 1.0, 0.5, 0.3)[0]
+    chi = _chi_at(g, Grid2D(g, harmonic_params.hbar), harmonic_params, 1.0, 0.5, 0.3)[0]
     points = chi.grid.p_axis.points[:, None] if axis == "p" else chi.grid.q_axis.points[None, :]
     assert temporary_arrays(lambda: expectation(points, chi), n) <= 0.05

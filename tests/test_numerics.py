@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -80,6 +81,19 @@ def test_paired_momentum_grid_spacing_and_centering():
     assert 0.0 in p.points
 
 
+def test_grid2d_pairs_its_momentum_axis():
+    # the p axis is set from the q axis and hbar, so a grid is always Fourier-paired;
+    # two grids are equal when their q axis and hbar are
+    q = make_grid(64, -10.0, 10.0)
+    g2 = Grid2D(q, 0.5)
+    assert g2.p_axis == paired_momentum_grid(q, 0.5)
+    assert g2 == Grid2D(make_grid(64, -10.0, 10.0), 0.5)
+    assert g2 != Grid2D(q, 1.0)
+    assert [f.name for f in dataclasses.fields(Grid2D) if f.init] == ["q_axis", "hbar"]
+    with pytest.raises(GridError):  # no momentum extent
+        Grid2D(q, 0.0)
+
+
 # ---------------------------------------------------------------------------
 # spectral derivatives
 # ---------------------------------------------------------------------------
@@ -98,7 +112,7 @@ def test_spectral_derivative_exact_for_plane_wave(k):
 
 def test_spectral_derivative_2d_axis_semantics():
     q = make_grid(32, 0.0, 2.0 * np.pi)
-    g2 = Grid2D.paired(q, hbar=1.0)
+    g2 = Grid2D(q, hbar=1.0)
     assert g2.shape == (32, 32)
     assert g2.cell == pytest.approx(g2.q_axis.spacing * g2.p_axis.spacing)
     # axis 0 indexes p, axis 1 indexes q
@@ -262,23 +276,15 @@ def test_pq_kernel_matches_direct_exponential(n, domain):
     # the reference are built in row blocks so the largest case holds one n^2
     # array.
     hbar = 0.7
-    g2 = Grid2D.paired(make_grid(n, *domain), hbar)
+    g2 = Grid2D(make_grid(n, *domain), hbar)
     p, q = g2.p_axis.points, g2.q_axis.points
     bound = 4.0 * np.finfo(float).eps * np.abs(p).max() * np.abs(q).max() / hbar
-    hankel, row, col = pq_factors(g2, hbar)
+    hankel, row, col = pq_factors(g2)
     assert hankel.shape == g2.shape and row.shape == col.shape == (n,)
     for r in range(0, n, 256):
         kernel = hankel[r : r + 256] * row[r : r + 256, None] * col
         direct = np.exp(-1j * np.multiply.outer(p[r : r + 256], q) / hbar)
         assert np.max(np.abs(kernel - direct)) < bound
-
-
-def test_pq_kernel_needs_a_paired_grid():
-    g = make_grid(64, -10.0, 10.0)
-    with pytest.raises(GridError):
-        pq_factors(Grid2D(g, g), 1.0)
-    with pytest.raises(GridError):
-        pq_factors(Grid2D.paired(g, 1.0), 0.5)  # paired for another hbar
 
 
 def test_plane_wave_identity_sanity():
