@@ -41,36 +41,16 @@ from .states import WaveFunction, to_momentum_space
 
 @dataclass(frozen=True)
 class PhaseSpaceField:
-    """Field on a ``(p, q)`` grid, tagged with time and provenance.
-
-    ``kind`` is ``"chi"`` (product distribution with its ``exp(-ipq/hbar)``
-    phase) or ``"wigner"`` (direct Wigner construction).  Wigner values are
-    stored as float64 (a non-zero imaginary part raises), chi as complex128.
-    The grid's hbar must be that of ``params``.
+    """A field's values on its ``(p, q)`` grid, whose hbar is the field's: chi from
+    :func:`chi_build` is complex128, W from :func:`~epsqp.transforms.wigner_direct` float64.
     """
 
     values: NDArray
     grid: Grid2D
-    t: float
-    params: PhysicalParams
-    kind: str = "chi"
 
     def __post_init__(self):
-        if self.kind not in ("chi", "wigner"):
-            raise ValueError(f"kind must be 'chi' or 'wigner', got {self.kind!r}")
-        if self.grid.hbar != self.params.hbar:
-            raise GridError(f"grid hbar {self.grid.hbar} is not the parameters' hbar {self.params.hbar}")
-        values = np.asarray(self.values)
-        if self.kind == "wigner" and np.iscomplexobj(values):
-            if np.any(values.imag):
-                raise ValueError("a Wigner field is real: its values have a non-zero imaginary part")
-            values = values.real.copy()  # not a view that keeps the complex array alive
-        values = values.astype(float if self.kind == "wigner" else complex, copy=False)
-        if values.shape != self.grid.shape:
-            raise GridError(
-                f"values shape {values.shape} does not match grid {self.grid.shape}"
-            )
-        object.__setattr__(self, "values", values)
+        if np.shape(self.values) != self.grid.shape:
+            raise GridError(f"values shape {np.shape(self.values)} does not match grid {self.grid.shape}")
 
 
 def chi_build(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
@@ -89,7 +69,7 @@ def chi_build(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     hankel, row, col = pq_factors(grid)
     values = hankel * (row * np.conj(phi.values))[:, None]
     values *= (col * psi.values)[None, :]
-    return PhaseSpaceField(values, grid, psi.t, psi.params, kind="chi")
+    return PhaseSpaceField(values, grid)
 
 
 def chi_spectrum(psi: WaveFunction) -> NDArray[np.complex128]:
@@ -131,7 +111,6 @@ class ExtendedHamiltonian:
     C: float
     D: float
     E: float
-    alpha: float
 
     @classmethod
     def from_params(cls, params: PhysicalParams, alpha: float = 0.0) -> "ExtendedHamiltonian":
@@ -142,7 +121,6 @@ class ExtendedHamiltonian:
             C=-(1.0 + 2.0 * alpha) * k / 2.0,
             D=-k,
             E=-b,
-            alpha=alpha,
         )
 
     def evaluate_classical(self, S_q, S_p, p, q):
@@ -178,8 +156,8 @@ class ExtendedHamiltonian:
         (p), applied to the axis spectrum in row blocks: one forward and one inverse
         FFT per axis, and no n x n multiplier.
         """
-        hbar = field.params.hbar
         grid = field.grid
+        hbar = grid.hbar
         p = grid.p_axis.points[:, None]
         q = grid.q_axis.points[None, :]
         out = None

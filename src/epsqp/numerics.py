@@ -349,8 +349,8 @@ def spectral_resample(values: NDArray) -> NDArray[np.complex128]:
 def snapshot_triple(snapshots) -> tuple:
     """Unpack snapshots at ``t - dt, t, t + dt`` into ``(minus, center, plus, dt)``.
 
-    Snapshots are states or fields: anything with ``params``, ``grid`` and
-    ``t``.  All three must share parameters and grid and be equally spaced.
+    Snapshots are states.  All three must share parameters and grid and be
+    equally spaced in ``t``.
     """
     if len(snapshots) != 3:
         raise ValueError("need exactly three snapshots (t - dt, t, t + dt)")

@@ -70,11 +70,11 @@ def masked_fraction(mask: NDArray) -> float:
 
 def snapshot_metadata(center, dt: float) -> dict:
     """The ``dt``, ``t``, ``grid_n`` and ``potential`` entries of a residual at the
-    ``center`` snapshot (a state or field; ``grid_n`` counts its q points)."""
+    ``center`` state (``grid_n`` counts its points)."""
     return {
         "dt": dt,
         "t": center.t,
-        "grid_n": center.values.shape[-1],
+        "grid_n": center.grid.n_points,
         "potential": center.params.potential.kind,
     }
 

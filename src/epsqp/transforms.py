@@ -107,7 +107,7 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     w = np.empty(grid.shape[::-1]).T  # W[p, q] with contiguous q columns, as the blocks are
     for cols, block in _wigner_blocks(psi, grid):
         w[:, cols] = block
-    return PhaseSpaceField(w, grid, psi.t, psi.params, kind="wigner")
+    return PhaseSpaceField(w, grid)
 
 
 def _wigner_blocks(psi: WaveFunction, grid: Grid2D):
@@ -143,7 +143,7 @@ def _wigner_blocks(psi: WaveFunction, grid: Grid2D):
         yield cols, block
 
 
-def wigner_equation_residual(wigners: Sequence[PhaseSpaceField]) -> ResidualReport:
+def wigner_equation_residual(snapshots: Sequence[WaveFunction]) -> ResidualReport:
     """Residual of the Wigner evolution equation from three time snapshots.
 
     For linear and harmonic potentials the Wigner function obeys the
@@ -152,28 +152,24 @@ def wigner_equation_residual(wigners: Sequence[PhaseSpaceField]) -> ResidualRepo
         dW/dt + (p/m) dW/dq - V'(q) dW/dp
 
     sampled at the centre time vanishes up to O(dt^2) and spectral error.
-    ``wigners`` are :func:`wigner_direct` fields at equally spaced times
-    (t - dt, t, t + dt) under the same parameters; taking the fields rather
-    than the states lets a caller reuse a snapshot's Wigner function.
+    ``snapshots`` are position-space states at t - dt, t, t + dt; W of each
+    is their :func:`wigner_direct` on the centre's phase-space grid.
 
-    Only the box of the centre's amplitude mask is evaluated, with the
+    Only the box of the centre W's amplitude mask is evaluated, with the
     gradients of :func:`mask_box_gradients`, and the ``residual`` field is
     NaN off the mask.
     """
-    if any(w.kind != "wigner" for w in wigners):
-        raise ValueError("the Wigner equation residual needs wigner_direct fields")
-    minus, center, plus, dt = snapshot_triple(wigners)
-    grid = center.grid
-    w_center = center.values
-    mask, box, _, w_q, w_p = mask_box_gradients(w_center, grid)
+    minus, center, plus, dt = snapshot_triple(snapshots)
+    grid = Grid2D(center.grid, center.params.hbar)
+    mask, box, _, w_q, w_p = mask_box_gradients(wigner_direct(center, grid).values, grid)
 
     m = center.params.mass
     p = grid.p_axis.points[box[0], None]
     v_prime = center.params.potential.derivative(grid.q_axis.points[None, box[1]])
-    w_t = (plus.values[box] - minus.values[box]) / (2.0 * dt)
+    w_t = (wigner_direct(plus, grid).values[box] - wigner_direct(minus, grid).values[box]) / (2.0 * dt)
     residual = w_t + (p / m) * np.real(w_q) - v_prime * np.real(w_p)
 
     return residual_report(
         "wigner-equation", residual, mask, grid.cell, snapshot_metadata(center, dt),
-        fields={"w_center": w_center, "mask": mask}, box=box,
+        fields={"mask": mask}, box=box,
     )

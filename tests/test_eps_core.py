@@ -88,15 +88,9 @@ def test_chi_spectrum_needs_a_position_state(q_grid, harmonic_params):
         chi_spectrum(to_momentum_space(psi))
 
 
-def test_field_kind_validation(grid2, harmonic_params, ground_chi):
-    with pytest.raises(ValueError, match="kind"):
-        PhaseSpaceField(ground_chi.values, grid2, 0.0, harmonic_params, kind="nonsense")
-
-
 @pytest.mark.parametrize(
     "build, grid",
     [
-        ("field", "hbar"),
         ("chi_build", "hbar"),
         ("chi_build", "q"),
         ("wigner_direct", "hbar"),
@@ -104,11 +98,10 @@ def test_field_kind_validation(grid2, harmonic_params, ground_chi):
     ],
 )
 def test_phase_space_grid_must_be_the_states(q_grid, ground_state, build, grid):
-    # a field's grid carries its hbar, and a builder's grid is the state's own: a grid paired
+    # a field's grid carries its hbar, so a builder's grid is the state's own: a grid paired
     # at another hbar, or one on another q axis, is a GridError, never a silently wrong field
     foreign = Grid2D(q_grid, 0.5) if grid == "hbar" else Grid2D(make_grid(q_grid.n_points, -8.0, 8.0), 1.0)
     builders = {
-        "field": lambda: PhaseSpaceField(np.zeros(foreign.shape), foreign, 0.0, ground_state.params),
         "chi_build": lambda: chi_build(ground_state, foreign),
         "wigner_direct": lambda: wigner_direct(ground_state, foreign),
     }
@@ -117,17 +110,14 @@ def test_phase_space_grid_must_be_the_states(q_grid, ground_state, build, grid):
         builders[build]()
 
 
-def test_wigner_fields_are_real(grid2, harmonic_params, ground_chi):
-    # a Wigner field stores float64 values; a complex array is accepted only
-    # when its imaginary part is zero, never silently truncated
-    w = np.real(ground_chi.values)
-    for values in (w, w + 0j):
-        field = PhaseSpaceField(values, grid2, 0.0, harmonic_params, kind="wigner")
-        assert field.values.dtype == np.float64
-        np.testing.assert_array_equal(field.values, w)
-    with pytest.raises(ValueError, match="imaginary"):
-        PhaseSpaceField(ground_chi.values, grid2, 0.0, harmonic_params, kind="wigner")
-    assert PhaseSpaceField(w, grid2, 0.0, harmonic_params).values.dtype == np.complex128
+def test_wigner_fields_are_real(grid2, ground_state, ground_chi):
+    # a field is its values on its grid: the Wigner builder writes float64 W,
+    # chi_build complex128 chi, and values of another shape are a GridError
+    w = wigner_direct(ground_state, grid2)
+    assert w.values.dtype == np.float64 and w.values.shape == grid2.shape
+    assert ground_chi.values.dtype == np.complex128
+    with pytest.raises(GridError, match="shape"):
+        PhaseSpaceField(w.values[:, 1:], grid2)
 
 
 def test_amplitude_factorizes(q_grid, grid2, harmonic_params):
@@ -150,7 +140,7 @@ def _theta(chi):
     """arg chi + p q / hbar on chi's amplitude mask: chi's phase without its kernel."""
     mask = amplitude_mask(np.abs(chi.values))
     pq = chi.grid.p_axis.points[:, None] * chi.grid.q_axis.points[None, :]
-    return (np.angle(chi.values) + pq / chi.params.hbar)[mask], mask
+    return (np.angle(chi.values) + pq / chi.grid.hbar)[mask], mask
 
 
 def test_ground_action_is_minus_pq(ground_chi):
@@ -202,7 +192,7 @@ def test_operator_action_on_plane_wave(grid2, harmonic_params):
     P, Q = grid2.p_axis.points[:, None], grid2.q_axis.points[None, :]
     kq = 4.0 * (2.0 * np.pi / grid2.q_axis.extent)
     kp = 4.0 * (2.0 * np.pi / grid2.p_axis.extent)
-    f = PhaseSpaceField(np.exp(1j * (kq * Q + kp * P)), grid2, 0.0, harmonic_params)
+    f = PhaseSpaceField(np.exp(1j * (kq * Q + kp * P)), grid2)
     ham = ExtendedHamiltonian.from_params(harmonic_params, alpha=0.25)
     hbar = harmonic_params.hbar
     expected = (
@@ -232,7 +222,7 @@ def test_operator_takes_one_forward_transform_per_axis(
     else:
         rng = np.random.default_rng(3)
         f = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    field = PhaseSpaceField(f, grid, 0.0, params)
+    field = PhaseSpaceField(f, grid)
     ham = ExtendedHamiltonian.from_params(params, alpha)
     hbar = params.hbar
     p, q = grid.p_axis.points[:, None], grid.q_axis.points[None, :]
@@ -287,9 +277,9 @@ def test_evaluate_classical_matches_coefficients(harmonic_params):
 # ---------------------------------------------------------------------------
 
 
-def test_ground_distribution_is_a_zero_mode(ground_chi):
+def test_ground_distribution_is_a_zero_mode(ground_chi, harmonic_params):
     # the stationary ground-state product is annihilated by the operator
-    rhs = ExtendedHamiltonian.from_params(ground_chi.params).apply(ground_chi)
+    rhs = ExtendedHamiltonian.from_params(harmonic_params).apply(ground_chi)
     assert np.max(np.abs(rhs)) < 1e-8
 
 
@@ -324,10 +314,10 @@ def test_rhs_allocates_one_work_buffer(temporary_arrays, harmonic_params):
 # ---------------------------------------------------------------------------
 
 
-def test_ground_state_moments(ground_chi, grid2):
+def test_ground_state_moments(ground_chi, grid2, harmonic_params):
     P, Q = grid2.p_axis.points[:, None], grid2.q_axis.points[None, :]
-    m = ground_chi.params.mass
-    k = ground_chi.params.potential.k
+    m = harmonic_params.mass
+    k = harmonic_params.potential.k
     assert expectation(Q**2, ground_chi) == pytest.approx(0.5, abs=1e-8)
     assert expectation(P**2 / (2 * m) + 0.5 * k * Q**2, ground_chi) == pytest.approx(
         0.5, abs=1e-8
@@ -346,7 +336,7 @@ def test_coherent_first_moments_track_the_orbit(q_grid, grid2, harmonic_params):
 def test_expectation_validation(grid2, harmonic_params, ground_chi):
     with pytest.raises(GridError):
         expectation(np.ones(4), ground_chi)
-    zero = PhaseSpaceField(np.zeros(grid2.shape), grid2, 0.0, harmonic_params)
+    zero = PhaseSpaceField(np.zeros(grid2.shape), grid2)
     with pytest.raises(ValueError):
         expectation(np.ones(grid2.shape), zero)
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from epsqp import numerics
-from epsqp.eps_core import PhaseSpaceField, chi_build
+from epsqp.eps_core import chi_build
 from epsqp.numerics import (
     PhysicalParams,
     Potential,
@@ -336,7 +336,7 @@ def test_shears_leave_the_caller_chi_unchanged(q_grid, grid2, harmonic_params):
     "values, alpha",
     [*((v, a) for v in ("chi", "random") for a in (-1.0, -0.75, -0.5, -0.25)), ("wigner", 0.0)],
 )
-def test_mask_box_gradients_match_whole_grid_derivatives(chi_inputs, values, alpha):
+def test_mask_box_gradients_match_whole_grid_derivatives(sweep_inputs, chi_inputs, values, alpha):
     # every phase-space residual takes its mask, box and gradients from
     # mask_box_gradients: a sheared chi, any complex field, a real Wigner
     # function.  On the box they must be the whole-grid derivatives.
@@ -348,8 +348,7 @@ def test_mask_box_gradients_match_whole_grid_derivatives(chi_inputs, values, alp
         rng = np.random.default_rng(7)
         f = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     else:
-        psi = ho_coherent_state(grid.q_axis, center.params, q0=0.5, p0=0.0, t=center.t)
-        f = np.real(wigner_direct(psi, grid).values)
+        f = wigner_direct(sweep_inputs[1], grid).values
     if alpha != 0.0:
         spectrum = np.fft.fft2(f)
         f = np.fft.ifft2(shear_spectrum(spectrum, grid, alpha, out=spectrum))
@@ -479,22 +478,19 @@ def _same_report(got, want):
 
 
 @pytest.mark.parametrize("axis", [1, 0])
-def test_box_evaluation_keeps_a_wrapping_mask(monkeypatch, chi_inputs, sweep_inputs, grid2, axis):
+def test_box_evaluation_keeps_a_wrapping_mask(monkeypatch, sweep_inputs, grid2, axis):
     # rolled by n/2 the mask straddles the periodic edge of that axis, so
     # the box takes the axis whole; the other axis is still cropped.  The
     # chi residuals take states: rolled by n/2 in q, or times (-1)^j, a
-    # shift by n/2 in p, their chi is rolled the same way.
+    # shift by n/2 in p, their chi is rolled the same way.  (W of such a
+    # state fills both axes: wigner_direct zero-pads in q and resamples at
+    # the p Nyquist, so the Wigner residual has no wrapping case.)
     n = grid2.shape[axis]
     shift = (lambda v: np.roll(v, n // 2)) if axis == 1 else (lambda v: v * (-1.0) ** np.arange(n))
     states = [replace(s, values=shift(s.values)) for s in sweep_inputs]
-    wigners = [
-        PhaseSpaceField(np.abs(np.roll(s.values, n // 2, axis=axis)), s.grid, s.t, s.params, kind="wigner")
-        for s in chi_inputs
-    ]
     evaluations = (
         lambda: hj_residual_eps(states),
         lambda: hj_residual_transformed(states, -0.75),
-        lambda: wigner_equation_residual(wigners),
     )
     boxed = [evaluate() for evaluate in evaluations]
     for rep in boxed:
@@ -510,7 +506,7 @@ def test_residual_fields_are_box_crops(sweep_inputs, grid2, engine):
     # every 2D field of a residual report is a crop of the mask's box, NaN
     # off the mask, so on the whole grid it is NaN off the mask
     if engine == "wigner":
-        rep = wigner_equation_residual([wigner_direct(psi, grid2) for psi in sweep_inputs])
+        rep = wigner_equation_residual(sweep_inputs)
     elif engine == "eps":
         rep = hj_residual_eps(sweep_inputs)
     else:
@@ -530,13 +526,11 @@ def test_residual_fields_are_box_crops(sweep_inputs, grid2, engine):
 
 @pytest.mark.parametrize("engine", ["eps", "transformed", "wigner"])
 def test_empty_mask_is_a_value_error(sweep_inputs, grid2, engine):
-    if engine == "wigner":
-        zeros = [
-            PhaseSpaceField(np.zeros(grid2.shape), grid2, s.t, s.params, kind="wigner") for s in sweep_inputs
-        ]
-        evaluate = wigner_equation_residual
-    else:
-        zeros = [replace(s, values=np.zeros(grid2.q_axis.n_points)) for s in sweep_inputs]
-        evaluate = hj_residual_eps if engine == "eps" else partial(hj_residual_transformed, alpha=-0.75)
+    zeros = [replace(s, values=np.zeros(grid2.q_axis.n_points)) for s in sweep_inputs]
+    evaluate = {
+        "eps": hj_residual_eps,
+        "transformed": partial(hj_residual_transformed, alpha=-0.75),
+        "wigner": wigner_equation_residual,
+    }[engine]
     with pytest.raises(ValueError, match="empty mask"):
         evaluate(zeros)

@@ -272,11 +272,11 @@ def test_zero_term_norms_and_flat_fit_render_as_strict_json(monkeypatch):
 @pytest.mark.parametrize(
     "scenario, counted",
     [
-        ("linear-gaussian", ("wigner_direct",)),
+        ("linear-gaussian", ("linear_potential_gaussian",)),
         ("pspace-linear", ("to_momentum_space",)),
         ("eps-residuals", ("ho_coherent_state", "linear_potential_gaussian")),
     ],
-    ids=["linear-gaussian-wigner_direct", "pspace-linear-to_momentum_space", "eps-residuals-states"],
+    ids=["linear-gaussian-states", "pspace-linear-to_momentum_space", "eps-residuals-states"],
 )
 def test_halving_checks_build_each_snapshot_once(monkeypatch, scenario, counted):
     # the dt and dt/2 triplets share their centre snapshot, built first; the
@@ -293,8 +293,13 @@ def test_halving_checks_build_each_snapshot_once(monkeypatch, scenario, counted)
     run_scenario(scenario, cfg)
     t, dt = cfg.eval_time, cfg.dt
     halving = [t, t - dt / 2, t + dt / 2, t - dt, t + dt]
+    # linear-gaussian: its two checks, then the split-step start and end states;
     # eps-residuals: the harmonic check, the stationary ground state, the linear check
-    expected = halving + [0.0] + halving if scenario == "eps-residuals" else halving
+    expected = {
+        "linear-gaussian": halving + halving + [0.0, 0.5],
+        "pspace-linear": halving,
+        "eps-residuals": halving + [0.0] + halving,
+    }[scenario]
     assert calls == pytest.approx(expected, abs=1e-15)
 
 

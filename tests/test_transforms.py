@@ -141,9 +141,8 @@ def test_ground_state_wigner_profile(q_grid, harmonic_params, n):
         coeffs = np.zeros(n + 1)
         coeffs[n] = 1.0
         expected = 2.0 * (-1) ** n * np.polynomial.laguerre.lagval(2.0 * r2, coeffs) * np.exp(-r2)
-        assert np.max(np.abs(W.values.real - expected)) < 1e-8
-        assert np.max(np.abs(W.values.imag)) < 1e-12
-        assert W.kind == "wigner"
+        assert W.values.dtype == np.float64
+        assert np.max(np.abs(W.values - expected)) < 1e-8
 
 
 def _lag_sum_wigner(psi, grid2):
@@ -240,17 +239,17 @@ def test_wigner_rejects_momentum_space_input(q_grid, grid2, harmonic_params):
 # ---------------------------------------------------------------------------
 
 
-def test_stationary_wigner_residual_vanishes(q_grid, grid2, harmonic_params):
+def test_stationary_wigner_residual_vanishes(q_grid, harmonic_params):
     dt = 1e-3
     snaps = [
         ho_coherent_state(q_grid, harmonic_params, q0=0.0, p0=0.0, t=s * dt)
         for s in (-1, 0, 1)
     ]
-    rep = wigner_equation_residual([wigner_direct(s, grid2) for s in snaps])
+    rep = wigner_equation_residual(snaps)
     assert rep.l2_norm < 1e-6
 
 
-def test_wigner_transport_for_falling_packet(q_grid, grid2, linear_params):
+def test_wigner_transport_for_falling_packet(q_grid, linear_params):
     dt = 1e-3
     snaps = [
         linear_potential_gaussian(
@@ -258,24 +257,24 @@ def test_wigner_transport_for_falling_packet(q_grid, grid2, linear_params):
         )
         for s in (-1, 0, 1)
     ]
-    rep = wigner_equation_residual([wigner_direct(s, grid2) for s in snaps])
+    rep = wigner_equation_residual(snaps)
     assert rep.l2_norm < 1e-4
 
 
-def test_wigner_residual_needs_wigner_fields(ground_chi):
-    with pytest.raises(ValueError, match="wigner_direct"):
-        wigner_equation_residual([ground_chi] * 3)
+def test_wigner_residual_needs_position_states(coherent_triplet_factory):
+    # the residual builds W of each state itself, from the position-space form
+    with pytest.raises(ValueError, match="position-space"):
+        wigner_equation_residual([to_momentum_space(s) for s in coherent_triplet_factory()])
 
 
 def test_wigner_residual_rejects_bad_triples(ground_state, grid2):
-    w = wigner_direct(ground_state, grid2)
-    at = [replace(w, t=t) for t in (0.0, 1e-3, 2e-3, 3e-3)]
+    at = [replace(ground_state, t=t) for t in (0.0, 1e-3, 2e-3, 3e-3)]
     with pytest.raises(ValueError, match="exactly three"):
         wigner_equation_residual(at[:2])
     with pytest.raises(ValueError, match="equally spaced"):
         wigner_equation_residual([at[0], at[1], at[3]])
     with pytest.raises(ValueError, match="equally spaced"):  # dt <= 0
         wigner_equation_residual(at[2::-1])
-    shifted = Grid2D(make_grid(grid2.q_axis.n_points, -8.0, 8.0), hbar=1.0)
+    shifted = make_grid(grid2.q_axis.n_points, -8.0, 8.0)
     with pytest.raises(ValueError, match="different grids"):
         wigner_equation_residual([at[0], at[1], replace(at[2], grid=shifted)])
