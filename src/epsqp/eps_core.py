@@ -74,20 +74,24 @@ def chi_build(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
 
 def chi_spectrum(psi: WaveFunction) -> NDArray[np.complex128]:
     """``fft2`` of :func:`chi_build`'s chi of the position-space state ``psi`` on its
-    phase-space grid, without chi.
+    phase-space grid, without chi: one p pass of its whole :func:`chi_q_spectrum`."""
+    spectrum = chi_q_spectrum(psi, slice(None), np.arange(psi.grid.n_points))
+    return np.fft.fft(spectrum, axis=0, out=spectrum)
 
-    There chi's q-spectrum is its (p, v) form (Cohen, J. Math. Phys. 7, 781 (1966)),
-    ``conj(phi_i) exp(-2 pi i k_i x / n) fft(psi)[(k_i + b) mod n]`` with ``k_i = i -
-    n/2`` and ``x = q_min / dq``, the row phase reduced modulo n as in :func:`pq_factors`:
-    one product with the Hankel view ``[i, b] -> e[i + b]`` of 2n - 1 entries, then one p pass.
+
+def chi_q_spectrum(psi: WaveFunction, rows: slice, band: NDArray[np.int_]) -> NDArray[np.complex128]:
+    """The q-spectrum of :func:`chi_build`'s chi of ``psi`` on the p ``rows`` and the
+    consecutive q wavenumbers ``band`` (modulo n): chi's (p, v) form (Cohen, J. Math. Phys.
+    7, 781 (1966)), ``conj(phi_i) exp(-2 pi i k_i x / n) fft(psi)[(k_i + b) mod n]`` with
+    ``k_i = i - n/2`` and ``x = q_min / dq``, the row phase reduced modulo n as in
+    :func:`pq_factors`: one product with a Hankel view ``[i, b] -> e[i + b]`` of fft(psi).
     """
     phi = to_momentum_space(psi)  # rejects a momentum-space state
     n, x = psi.grid.n_points, psi.grid.min / psi.grid.spacing
-    k = np.arange(n) - n // 2
-    row = np.exp((-2j * np.pi / n) * np.mod(k * x, n)) * np.conj(phi.values)
-    extended = np.fft.fft(psi.values)[(np.arange(2 * n - 1) - n // 2) % n]
-    spectrum = sliding_window_view(extended, n) * row[:, None]
-    return np.fft.fft(spectrum, axis=0, out=spectrum)
+    k = np.arange(n)[rows] - n // 2
+    row = np.exp((-2j * np.pi / n) * np.mod(k * x, n)) * np.conj(phi.values[rows])
+    extended = np.fft.fft(psi.values)[(k[0] + band[0] + np.arange(len(k) + len(band) - 1)) % n]
+    return sliding_window_view(extended, len(band)) * row[:, None]
 
 
 # ---------------------------------------------------------------------------

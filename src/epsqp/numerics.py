@@ -210,14 +210,6 @@ def row_blocks(shape: tuple) -> list[slice]:
     return [slice(r, r + step) for r in range(0, shape[0], step)]
 
 
-def inverse_on_box(spectrum: NDArray[np.complex128], box: tuple) -> NDArray[np.complex128]:
-    """``ifft2(spectrum)[box]`` as a new array: a whole q pass in place, then the p pass
-    on the box columns only."""
-    rows, cols = box
-    np.fft.ifft(spectrum, axis=1, out=spectrum)
-    return np.fft.ifft(spectrum[:, cols], axis=0)[rows].copy()
-
-
 def mask_box_gradients(values: NDArray, grid: Grid2D) -> tuple:
     """A whole 2D field's amplitude mask, and the field with its spectral gradients on
     the mask's box.
@@ -375,14 +367,29 @@ def amplitude_mask(amplitude: NDArray) -> NDArray[np.bool_]:
     return amplitude > NODE_THRESHOLD * peak
 
 
+def grown_span(hit: NDArray[np.bool_], grow: int) -> slice:
+    """Slice from the first to the last set entry of a 1D mask, grown by ``grow`` on each
+    side; the whole axis if the grown span passes an edge, which keeps the periodic wrap."""
+    if not hit.any():
+        raise ValueError("no sample lies above the node threshold: empty mask")
+    lo, hi = np.flatnonzero(hit)[[0, -1]] + (-grow, grow + 1)
+    return slice(int(lo), int(hi)) if lo >= 0 and hi <= hit.size else slice(None)
+
+
 def mask_box(mask: NDArray[np.bool_]) -> tuple[slice, slice]:
     """Row and column slices of a 2D mask's bounding box, grown by one cell so that
-    it holds every neighbour a 3-point stencil reads at a masked cell.  An axis whose
-    grown box passes a grid edge is taken whole, which keeps the periodic wrap."""
-    if not mask.any():
-        raise ValueError("no sample lies above the node threshold: empty mask")
-    box = []
-    for hit in (mask.any(axis=1), mask.any(axis=0)):
-        lo, hi = np.flatnonzero(hit)[[0, -1]] + (-1, 2)
-        box.append(slice(int(lo), int(hi)) if lo >= 0 and hi <= hit.size else slice(None))
-    return tuple(box)
+    it holds every neighbour a 3-point stencil reads at a masked cell."""
+    return grown_span(mask.any(axis=1), 1), grown_span(mask.any(axis=0), 1)
+
+
+def strip_mask_box(values: NDArray, rows: slice) -> tuple:
+    """The whole-grid amplitude mask of a square field given on its p ``rows`` only, and its
+    :func:`mask_box`; a mask on an edge row of ``rows`` inside the axis raises ``ValueError``."""
+    n = values.shape[1]
+    local = amplitude_mask(np.abs(values))
+    hit = local.any(axis=1)
+    if len(hit) < n and (hit[0] or hit[-1]):
+        raise ValueError("the amplitude mask reaches an edge of its momentum strip")
+    mask = np.zeros((n, n), dtype=bool)
+    mask[rows] = local
+    return mask, mask_box(mask)

@@ -20,8 +20,7 @@ hold on sampled states, using three estimators chosen for conditioning
 
 * spatial action gradients from the algebraic identity
   S_x = hbar Im(conj(f) f_x)/|f|^2 with spectral f_x — no truncation
-  error at all (every phase-space f_x comes from
-  :func:`~epsqp.numerics.mask_box_gradients`);
+  error at all;
 * the action time derivative from the phase of the snapshot ratio,
   S_t = hbar arg(f(t+dt) conj(f(t-dt)))/(2 dt), whose error is exactly
   (dt^2/6) d^3S/dt^3.  The naive Im(conj(f) df/dt)/|f|^2 form hides an
@@ -37,7 +36,8 @@ hold on sampled states, using three estimators chosen for conditioning
   :func:`quantum_potential`, the same profile the scenarios check.
 
 The phase-space residuals apply them only on the bounding box of the
-amplitude mask, grown by one cell for the curvature stencils.
+amplitude mask, grown by one cell for the curvature stencils, and form
+their fields on the few dozen p rows phi occupies at any n (:class:`_Strip`).
 
 The momentum-space identities above hold for the action S = +hbar arg(phi)
 (phi = R exp(+i S / hbar)), the same sign as in position space, and the
@@ -47,24 +47,25 @@ no global constant is affected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .eps_core import ExtendedHamiltonian, chi_spectrum
+from .eps_core import ExtendedHamiltonian, chi_q_spectrum
 from .numerics import (
     Grid2D,
     amplitude_mask,
-    fft2_passes,
-    inverse_on_box,
+    grown_span,
     log_amplitude,
     log_curvature,
-    mask_box_gradients,
     relative_curvature,
     snapshot_triple,
     spectral_derivative,
+    strip_mask_box,
 )
 from .reports import (
     LineFit,
@@ -76,7 +77,7 @@ from .reports import (
     snapshot_metadata,
 )
 from .states import WaveFunction, to_momentum_space
-from .transforms import shear_spectrum
+from .transforms import shear_kernels, shear_strip
 
 
 # ---------------------------------------------------------------------------
@@ -181,25 +182,85 @@ def hj_residual_p(snapshots: Sequence[WaveFunction]) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def _hj_residual_2d(triple: tuple, alpha: float, name: str, spectra: list | None = None) -> ResidualReport:
+#: |phi| level, relative to its peak, down to which the momentum strip reaches: the tails
+#: left out stay at rounding where a sheared field is 1e-6 of its peak, above phi's own
+#: floor (3e-17 at n = 256).  Twelve rows past the node mask left 8e-13 at m, k, hbar = 2, 1.5, 0.7.
+STRIP_TAIL = 1e-15
+
+
+class _Strip:
+    """The momentum strip of a snapshot triple: the p ``rows`` where some |phi| exceeds
+    :data:`STRIP_TAIL` of its peak, grown by one row (the whole axis past an edge), and
+    the ``blocks`` of their chi q-spectra there.  Column b pairs rows i and i + b of phi,
+    so on m rows the ``band`` is the signed columns |b| < m, or all n.
+    """
+
+    def __init__(self, triple: tuple):
+        self.states = triple[:3]
+        self.grid = Grid2D(triple[1].grid, triple[1].params.hbar)
+        self.phis = tuple(np.conj(to_momentum_space(s).values) for s in self.states)
+        self.hit = np.logical_or.reduce([np.abs(phi) > STRIP_TAIL * np.abs(phi).max() for phi in self.phis])
+        self.rows = grown_span(self.hit, 1)
+        n = len(self.hit)
+        self.size = len(range(n)[self.rows])
+        self.band = np.arange(1 - self.size, self.size) if 2 * self.size <= n else np.arange(n) - n // 2
+
+    @cached_property
+    def blocks(self) -> tuple:
+        return tuple(chi_q_spectrum(s, self.rows, self.band) for s in self.states)
+
+    def fields(self, alpha: float) -> tuple:
+        """``(mask, box, f, f_q, f_p, minus, plus)``: the centre field's whole-grid mask and
+        box, and on the box the field, its spectral gradients and the t -+ dt fields.
+
+        Sheared by alpha, chi is formed on the rows it occupies for the mask and on the box
+        rows for the fields, each row then one length-n inverse q pass.  At alpha = 0 the
+        field is psi(q) conj(phi(p)): chi's kernel exp(-i p q / hbar) would carry its
+        p-spectrum past the coarse momentum Nyquist on the outer mask rows, and, static and
+        unimodular, it leaves S_t and the mask alone, so the engine adds its gradients.
+        """
+        grid, psis, phis = self.grid, [s.values for s in self.states], self.phis
+        if alpha == 0.0:
+            mask, box = strip_mask_box(phis[1][self.rows, None] * psis[1][None, :], self.rows)
+            rows, cols = box
+            f, minus, plus = (phis[i][rows, None] * psis[i][None, cols] for i in (1, 0, 2))
+            f_q = phis[1][rows, None] * spectral_derivative(psis[1], grid.q_axis)[None, cols]
+            f_p = spectral_derivative(phis[1], grid.p_axis)[rows, None] * psis[1][None, cols]
+            return mask, box, f, f_q, f_p, minus, plus
+
+        kernels = shear_kernels(grid, alpha, self.band)
+        n = grid.q_axis.n_points
+        columns = self.band % n
+
+        def shear(i: int, rows: slice, kernel: int = 0):
+            return shear_strip(kernels[kernel], self.blocks[i], self.rows, rows)
+
+        def q_pass(spectrum):
+            values = np.zeros((len(spectrum), n), dtype=complex)
+            values[:, columns] = spectrum
+            return np.fft.ifft(values, axis=1, out=values)
+
+        # p is a convex combination of phi's arguments p + alpha hbar v, p + (1 + alpha) hbar v
+        out_rows = grown_span(self.hit, 1 + math.ceil(max(alpha, -1.0 - alpha, 0.0) * self.size))
+        mask, box = strip_mask_box(q_pass(shear(1, out_rows)), out_rows)
+        rows, cols = box
+        spectrum = shear(1, rows)
+        f_q = spectrum * (1j * grid.q_axis.wavenumbers[columns])
+        fields = (spectrum, f_q, shear(1, rows, kernel=1), shear(0, rows), shear(2, rows))
+        return (mask, box, *(q_pass(s)[:, cols] for s in fields))
+
+
+def _hj_residual_2d(triple: tuple, alpha: float, name: str, strip: _Strip | None = None) -> ResidualReport:
     """Shared engine for the phase-space modified Hamilton-Jacobi residual.
 
     ``triple`` is the unpacked ``(minus, center, plus, dt)`` of three
     position-space states; their chi lives on the phase-space grid of the
-    centre's q axis.  Only the box of the centre field's amplitude mask is evaluated,
-    with the mask, box and gradients of
-    :func:`~epsqp.numerics.mask_box_gradients`.  At alpha = 0 that field is
-    the product psi(q) conj(phi(p)) of chi without its kernel, and the t +- dt
-    products are formed on the box only.  Otherwise it is the sheared chi:
-    :func:`~epsqp.transforms.shear_spectrum` writes each sheared
-    :func:`~epsqp.eps_core.chi_spectrum` of ``spectra`` (built here when none
-    are passed) into one work buffer, inverted whole for the centre and by
-    :func:`~epsqp.numerics.inverse_on_box` for t +- dt.  The spectra are only
-    read, so one set serves any number of alphas and no caller holds a
-    sheared field.  The estimators of the module docstring are applied to
-    these fields: the phase of the plus/minus snapshot ratio is immune to the
-    catastrophic cancellation a literal difference of the sheared fields
-    would suffer near the mask edge.
+    centre's q axis.  Only the box of the centre field's amplitude mask is
+    evaluated, with the mask, box and fields of :meth:`_Strip.fields` (a
+    sweep passes one ``strip`` for all its alphas).  The estimators of the
+    module docstring are applied to these fields: the phase of the
+    plus/minus snapshot ratio is immune to the catastrophic cancellation a
+    literal difference of the sheared fields would suffer near the mask edge.
 
     Residual pieces:
 
@@ -216,26 +277,9 @@ def _hj_residual_2d(triple: tuple, alpha: float, name: str, spectra: list | None
     _, center, _, dt = triple
     params = center.params
     m, hbar = params.mass, params.hbar
-    grid = Grid2D(center.grid, hbar)
-
-    if alpha == 0.0:
-        # chi's kernel exp(-i p q / hbar) centres the p-spectrum of the row at q
-        # near wavenumber -q/hbar: on the outer mask rows its tails reach the
-        # (coarse) momentum Nyquist and floor a direct spectral gradient.  So
-        # differentiate the product without the kernel and restore the kernel's
-        # exact gradients (-p into S_q, -q into S_p) below; it is static, so it
-        # cancels in S_t, and unimodular, so it leaves the mask.
-        phis = [np.conj(to_momentum_space(s).values) for s in triple[:3]]
-        mask, box, f, f_q, f_p = mask_box_gradients(phis[1][:, None] * center.values[None, :], grid)
-        minus, plus = (phis[i][box[0], None] * triple[i].values[None, box[1]] for i in (0, 2))
-    else:  # each sheared field is an inverse transform of a sheared spectrum in ``work``
-        spectra = spectra or [chi_spectrum(s) for s in triple[:3]]
-        work = np.empty_like(spectra[1])
-        shear_spectrum(spectra[1], grid, alpha, out=work)
-        mask, box, f, f_q, f_p = mask_box_gradients(fft2_passes(work, inverse=True, in_place=True), grid)
-        minus = inverse_on_box(shear_spectrum(spectra[0], grid, alpha, out=work), box)
-        plus = inverse_on_box(shear_spectrum(spectra[2], grid, alpha, out=work), box)
-        del work
+    strip = strip or _Strip(triple)
+    grid = strip.grid
+    mask, box, f, f_q, f_p, minus, plus = strip.fields(alpha)
     amp = np.abs(f)
     ratio = np.conj(minus)
     ratio *= plus
@@ -248,7 +292,7 @@ def _hj_residual_2d(triple: tuple, alpha: float, name: str, spectra: list | None
     f = np.conj(f)  # S_x from conj(f) * f_x, in that operand order
     S_q = hbar * np.imag(np.multiply(f, f_q)) / dens
     S_p = hbar * np.imag(np.multiply(f, f_p)) / dens
-    if alpha == 0.0:
+    if alpha == 0.0:  # the exact gradients of the kernel the product lacks
         S_q -= p
         S_p -= q
     ham = ExtendedHamiltonian.from_params(params, alpha)
@@ -331,8 +375,8 @@ class AlphaSweepResult:
     the faithful affine observable.
 
     ``reports`` are the per-alpha residual reports with their norms and
-    metadata only, without the n^2 ``fields`` arrays, so a sweep holds the
-    same memory however many alphas it has (call
+    metadata only, without their box crops and whole-grid mask, so a sweep
+    holds the same memory however many alphas it has (call
     :func:`hj_residual_transformed` for one alpha's fields).
     """
 
@@ -367,15 +411,15 @@ def alpha_sweep(snapshots: Sequence[WaveFunction], alphas: Sequence[float]) -> A
 
     ``snapshots`` are as for :func:`hj_residual_transformed`; ``alphas``
     must pass :func:`validate_alphas`, and the reports follow that order.
-    The three :func:`~epsqp.eps_core.chi_spectrum` spectra are built once
-    and every alpha is evaluated from them in one pass (alpha = 0 reads the
-    states instead).
+    The momentum strip of the states, with its three blocks of chi's
+    q-spectrum, is built once and every alpha is sheared from it (alpha = 0
+    reads the states' 1D factors instead): no n x n array is formed.
     """
     alphas = validate_alphas(alphas)
     triple = snapshot_triple(snapshots)
-    spectra = [chi_spectrum(s) for s in triple[:3]]
+    strip = _Strip(triple)
     reports = tuple(
-        replace(_hj_residual_2d(triple, a, _transformed_name(a), spectra), fields={}) for a in alphas
+        replace(_hj_residual_2d(triple, a, _transformed_name(a), strip), fields={}) for a in alphas
     )
     coefficients = tuple(r.metadata["fitted_coefficient"] for r in reports)
     return AlphaSweepResult(

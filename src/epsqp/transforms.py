@@ -63,6 +63,34 @@ def shear_spectrum(
     return out
 
 
+def shear_kernels(grid: Grid2D, alpha: float, band: NDArray[np.int_]) -> NDArray[np.complex128]:
+    """``U_alpha`` on q-spectrum columns ``band`` as :func:`shear_strip` kernels: ``[0, b]``
+    is the ``ifft`` over p of column b's multiplier ``exp(2 pi i alpha a b / n)``, the
+    Dirichlet kernel ``D_n(d + alpha b)``, and ``[1, b]`` that of the multiplier times
+    ``i u_a``, for the p derivative.  From the exact multiplier they are accurate to
+    rounding in absolute terms, as the mask edge needs; closed forms of D_n are not."""
+    n = grid.q_axis.n_points
+    step = 1 << (n.bit_length() // 2)  # a = coarse + fine: about 2 sqrt(n) exponentials a column
+    phase = (2j * np.pi * alpha / n) * band[:, None, None]
+    kernels = np.empty((2, len(band), n), dtype=complex)
+    coarse = np.exp(phase * np.fft.fftfreq(n // step, 1.0 / n)[:, None])  # in FFT order
+    np.multiply(coarse, np.exp(phase * np.arange(step)), out=kernels[0].reshape(len(band), n // step, step))
+    np.multiply(kernels[0], 1j * grid.p_axis.wavenumbers, out=kernels[1])
+    return np.fft.ifft(kernels, axis=2, out=kernels)
+
+
+def shear_strip(kernel: NDArray, block: NDArray, rows: slice, out_rows: slice) -> NDArray[np.complex128]:
+    """``out[i, b] = sum_j kernel[b, (i - j) mod n] block[j, b]``, i in ``out_rows`` and j in
+    ``rows``: a q-spectrum block on p ``rows`` convolved by :func:`shear_kernels` onto any
+    rows.  Summed by ``np.einsum`` over a Toeplitz view, not by BLAS, a row depends neither
+    on the BLAS thread count nor on the other rows."""
+    n = kernel.shape[1]
+    (r0, r1), (s0, s1) = (r.indices(n)[:2] for r in (out_rows, rows))
+    offsets = (r0 - s1 + 1 + np.arange(r1 - r0 + s1 - s0 - 1)) % n
+    toeplitz = sliding_window_view(kernel[:, offsets], s1 - s0, axis=1)  # [b, i, w]: r_i - s_(m-1-w)
+    return np.einsum("biw,wb->ib", toeplitz, block[::-1])
+
+
 def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> NDArray[np.complex128]:
     """``U_alpha`` applied to a phase-space field, as a new complex array: its spectrum
     is sheared in place by :func:`shear_spectrum`.  Successive transforms compose
@@ -110,9 +138,9 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     return PhaseSpaceField(w, grid)
 
 
-def _wigner_blocks(psi: WaveFunction, grid: Grid2D):
-    """Yield ``(cols, W[:, cols])`` for the q-column blocks of :func:`wigner_direct`'s W,
-    each of at most ``numerics._BLOCK`` elements, as new float64 arrays.
+def _wigner_blocks(psi: WaveFunction, grid: Grid2D, columns: slice = slice(None)):
+    """Yield ``(cols, W[:, cols])`` for the q-column blocks of :func:`wigner_direct`'s W over
+    ``columns``, each of at most ``numerics._BLOCK`` elements, as new float64 arrays.
 
     A block's values are bitwise those of the whole W: every step below acts on one q
     column at a time.
@@ -130,7 +158,9 @@ def _wigner_blocks(psi: WaveFunction, grid: Grid2D):
     # plant a mirror copy of the distribution half an extent away in q.
     padded = np.pad(spectral_resample(psi.values), n)  # spacing dq/2
     windows = sliding_window_view(padded, 2 * n + 1)[::2]
-    for cols in row_blocks((n, n)):
+    start, stop, _ = columns.indices(n)
+    for block in row_blocks((stop - start, n)):
+        cols = slice(start + block.start, min(start + block.stop, stop))
         window = windows[cols]
         # Lag l = k - n pairs window[:, k] with conj(window[:, 2n - k]).  The conjugate
         # comes first: numpy's vectorised complex product is not bitwise commutative.
@@ -157,16 +187,19 @@ def wigner_equation_residual(snapshots: Sequence[WaveFunction]) -> ResidualRepor
 
     Only the box of the centre W's amplitude mask is evaluated, with the
     gradients of :func:`mask_box_gradients`, and the ``residual`` field is
-    NaN off the mask.
+    NaN off the mask.  W at t +- dt is built on the box columns only.
     """
     minus, center, plus, dt = snapshot_triple(snapshots)
     grid = Grid2D(center.grid, center.params.hbar)
     mask, box, _, w_q, w_p = mask_box_gradients(wigner_direct(center, grid).values, grid)
 
+    def w_box(psi):
+        return np.concatenate([w[box[0]] for _, w in _wigner_blocks(psi, grid, box[1])], axis=1)
+
     m = center.params.mass
     p = grid.p_axis.points[box[0], None]
     v_prime = center.params.potential.derivative(grid.q_axis.points[None, box[1]])
-    w_t = (wigner_direct(plus, grid).values[box] - wigner_direct(minus, grid).values[box]) / (2.0 * dt)
+    w_t = (w_box(plus) - w_box(minus)) / (2.0 * dt)
     residual = w_t + (p / m) * np.real(w_q) - v_prime * np.real(w_p)
 
     return residual_report(

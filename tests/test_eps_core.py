@@ -15,6 +15,7 @@ from epsqp.eps_core import (
     ExtendedHamiltonian,
     PhaseSpaceField,
     chi_build,
+    chi_q_spectrum,
     chi_spectrum,
     expectation,
 )
@@ -80,6 +81,19 @@ def test_chi_spectrum_is_the_fft2_of_chi(harmonic_params, lo, hi, hbar, n):
     got = chi_spectrum(psi)
     assert got.shape == g2.shape and got.dtype == np.complex128
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("rows, band", [(slice(90, 150), np.arange(-59, 60)), (slice(None), np.arange(256) - 128)])
+def test_chi_q_spectrum_is_a_block_of_chis_q_spectrum(harmonic_params, rows, band):
+    # chi's q-spectrum on any p rows and signed q wavenumbers, also off the integer
+    # q_min / dq row phase: rows and columns (band mod n) of fft(chi) along q
+    params = replace(harmonic_params, hbar=0.7)
+    q_grid = make_grid(256, -9.3, 10.7)
+    psi = ho_coherent_state(q_grid, params, q0=0.5, p0=0.3, t=0.4)
+    expected = np.fft.fft(chi_build(psi, Grid2D(q_grid, params.hbar)).values, axis=1)
+    got = chi_q_spectrum(psi, rows, band)
+    assert got.shape == (len(range(256)[rows]), len(band))
+    assert np.max(np.abs(got - expected[rows][:, band % 256])) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_chi_spectrum_needs_a_position_state(q_grid, harmonic_params):

@@ -18,6 +18,7 @@ from epsqp.numerics import (
     Potential,
     amplitude_mask,
     fft2_passes,
+    grown_span,
     log_amplitude,
     log_curvature,
     make_grid,
@@ -29,6 +30,7 @@ from epsqp.numerics import (
     spectral_derivative,
     spectral_derivative_2d,
     spectral_resample,
+    strip_mask_box,
 )
 
 HYP = settings(max_examples=30, deadline=None)
@@ -254,6 +256,40 @@ def test_mask_box_grows_by_one_cell_and_keeps_the_wrap():
     assert mask_box(mask) == (slice(None), slice(None))
     with pytest.raises(ValueError, match="empty mask"):
         mask_box(np.zeros((8, 8), dtype=bool))
+
+
+def test_grown_span_takes_the_axis_whole_past_an_edge():
+    hit = np.zeros(32, dtype=bool)
+    hit[[10, 14]] = True
+    assert grown_span(hit, 0) == slice(10, 15)
+    assert grown_span(hit, 10) == slice(0, 25)
+    assert grown_span(hit, 11) == slice(None)
+    with pytest.raises(ValueError, match="empty mask"):
+        grown_span(np.zeros(8, dtype=bool), 1)
+
+
+def test_strip_mask_box_places_the_strip_and_guards_its_edges():
+    # a field known on p rows 6 .. 10 of a 16 x 16 grid: its mask sits on those rows of
+    # the whole grid, and its box is that mask's
+    values = np.zeros((5, 16), dtype=complex)
+    values[2, 3:6] = 1.0
+    values[3, 4] = 1e-7  # under the node threshold
+    mask, box = strip_mask_box(values, slice(6, 11))
+    expected = np.zeros((16, 16), dtype=bool)
+    expected[8, 3:6] = True
+    np.testing.assert_array_equal(mask, expected)
+    assert box == (slice(7, 10), slice(2, 7))
+    for row in (0, 4):  # a mask on an edge row of the strip may go on past it
+        edge = values.copy()
+        edge[row, 9] = 1e-3
+        with pytest.raises(ValueError, match="edge of its momentum strip"):
+            strip_mask_box(edge, slice(6, 11))
+    # a strip that is the whole axis has no such edge, and its mask may wrap
+    whole = np.zeros((16, 16))
+    whole[[0, 15], 4] = 1.0
+    assert strip_mask_box(whole, slice(None))[1] == (slice(None), slice(3, 6))
+    with pytest.raises(ValueError, match="empty mask"):
+        strip_mask_box(np.zeros((5, 16)), slice(6, 11))
 
 
 # ---------------------------------------------------------------------------

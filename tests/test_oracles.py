@@ -11,7 +11,9 @@ both parameter sets, the coherent state from q0 = 0.5 at t = 0.4:
   complex constant, the FFT round trip's absolute floor read at the mask edge.
 
 Shears at other alpha read 1.6e-7 at unit constants (the p-Nyquist defect) and are
-left to the change that mends it.
+left to the change that mends it.  The momentum strip of the HJ residuals shears the
+same: 3.6e-10 at alpha = -1, and at the other alphas never more than the whole-grid
+shear's error plus that floor.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from oracles import coherent_chi, coherent_wigner, sheared_ground_chi
 
 from epsqp.eps_core import chi_build
 from epsqp.numerics import Grid2D, PhysicalParams, Potential, amplitude_mask, make_grid
+from epsqp.quantum_potential import _Strip
 from epsqp.reports import fit_global_constant
 from epsqp.states import ho_coherent_state
 from epsqp.transforms import apply_extended_transform, wigner_direct
@@ -75,3 +78,23 @@ def test_ground_chi_shear_matches_the_cohen_form(n, params, alpha):
     shape = sheared_ground_chi(params, g2, alpha)
     c = fit_global_constant(sheared, shape, amplitude_mask(np.abs(shape)))
     assert _relative_error(sheared, c * shape) < 3.7e-9
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.75, -0.7, -0.5, -0.25])
+def test_strip_shear_matches_the_cohen_form(n, params, alpha):
+    # the sheared centre field of the HJ residuals' momentum strip, on its box,
+    # against the closed form: at alpha = -1 within the floor bound above, and
+    # elsewhere no further from it than the whole-grid shear is (6-8e-7 at unit
+    # constants), up to that floor
+    g, g2 = _grids(n, params)
+    states = [ho_coherent_state(g, params, 0.0, 0.0, t) for t in (T - 1e-3, T, T + 1e-3)]
+    mask, box, f, *_ = _Strip(states).fields(alpha)
+    shape = sheared_ground_chi(params, g2, alpha)[box]
+    whole = apply_extended_transform(chi_build(states[1], g2), alpha)[box]
+    inside = mask[box]
+
+    def error(field):
+        c = fit_global_constant(field, shape, inside)
+        return np.max(np.abs(field - c * shape)[inside] / np.abs(c * shape)[inside])
+
+    assert error(f) < (3.7e-9 if alpha == -1.0 else error(whole) + 3.7e-9)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from epsqp import numerics
-from epsqp.eps_core import chi_build
+from epsqp.eps_core import chi_build, chi_spectrum
 from epsqp.numerics import (
     PhysicalParams,
     Potential,
@@ -22,6 +22,7 @@ from epsqp.numerics import (
     spectral_derivative_2d,
 )
 from epsqp.quantum_potential import (
+    _Strip,
     alpha_sweep,
     hj_residual_eps,
     hj_residual_p,
@@ -337,9 +338,10 @@ def test_shears_leave_the_caller_chi_unchanged(q_grid, grid2, harmonic_params):
     [*((v, a) for v in ("chi", "random") for a in (-1.0, -0.75, -0.5, -0.25)), ("wigner", 0.0)],
 )
 def test_mask_box_gradients_match_whole_grid_derivatives(sweep_inputs, chi_inputs, values, alpha):
-    # every phase-space residual takes its mask, box and gradients from
-    # mask_box_gradients: a sheared chi, any complex field, a real Wigner
-    # function.  On the box they must be the whole-grid derivatives.
+    # the Wigner residual takes its mask, box and gradients from
+    # mask_box_gradients, which must serve any field: a sheared chi, any
+    # complex field, a real Wigner function.  On the box they must be the
+    # whole-grid derivatives.
     center = chi_inputs[1]
     grid = center.grid
     if values == "chi":
@@ -368,16 +370,17 @@ def test_mask_box_gradients_match_whole_grid_derivatives(sweep_inputs, chi_input
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-@pytest.mark.parametrize("alpha, passes", [(-0.75, (11, 8, 2300)), (0.0, (5, 2, 360))])
+@pytest.mark.parametrize("alpha, passes", [(-0.75, (9, 7, 425)), (0.0, (5, 2, 7))])
 def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, grid2, alpha, passes):
-    # alpha != 0: each snapshot's chi_spectrum is two 1D transforms of the
-    # state (its phi and fft(psi)) and one forward p pass; then two inverse
-    # passes for the sheared centre and for each sheared t +- dt field, and
-    # one round trip per gradient.  alpha = 0 builds no spectra: the phi of
-    # each state, and one round trip per gradient.  The last entry
-    # bounds the forward and inverse lanes together: at n = 256 the box
-    # prunes alpha = -0.75 to 2290 lanes (its 16 whole passes are 4096) and
-    # alpha = 0 to 349 (4 whole passes are 1024).
+    # Both: the phi of each state for the momentum strip.  alpha != 0: each
+    # snapshot's strip block of chi's q-spectrum is two 1D transforms (its phi
+    # and fft(psi)); one inverse pass builds both shear kernel tables, then one
+    # inverse q pass per field: the centre on the strip for its mask, and on
+    # the box rows the centre, its two gradients and the t +- dt fields.
+    # alpha = 0 differentiates psi and phi in 1D.  The last entry bounds the
+    # forward and inverse lanes together: at n = 256 the 55-row strip and the
+    # 28-row box take alpha = -0.75 to 422 lanes (218 of them the kernels of
+    # its 109 band columns; its 16 whole passes are 4096) and alpha = 0 to 7.
     calls = dict.fromkeys(("fft", "ifft", "fft2", "ifft2"), 0)
     lanes = dict.fromkeys(calls, 0)
     for name in calls:
@@ -391,6 +394,47 @@ def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, grid2, alpha
     assert calls == {"fft": passes[0], "ifft": passes[1], "fft2": 0, "ifft2": 0}
     whole = (passes[0] + passes[1]) * grid2.shape[0]
     assert sum(lanes.values()) <= passes[2] < whole
+
+
+@pytest.mark.parametrize(
+    "n, rolled", [(64, False), (128, False), (256, False), (1024, False), (64, True), (128, True), (256, True)]
+)
+def test_strip_fields_match_the_whole_grid_shear(harmonic_params, n, rolled):
+    # The strip applies the whole-grid discrete shear, restricted to the rows phi
+    # occupies: on the mask its fields are the whole-grid path's, chi_spectrum
+    # -> shear_spectrum -> ifft2, to rounding read a millionth of the peak down.
+    # At alpha = 2 the field leaves the strip and its rows must grow.
+    # Rolled by n/2 in p (times (-1)^j), phi straddles the p edge and the strip
+    # takes the whole axis (at n = 1024 that costs n^3 a product, so not there).
+    # Bounds: a decade over the worst measured at these n and alphas, 9.9e-10
+    # for the fields and f_p and 2.3e-8 for f_q, whose relative error peaks
+    # beside its zero line at alpha = -1/2 (the whole-grid floor itself).
+    states = _state_triplet(make_grid(n, -10.0, 10.0), harmonic_params)
+    if rolled:
+        states = [replace(s, values=s.values * (-1.0) ** np.arange(n)) for s in states]
+    strip = _Strip(states)
+    grid = strip.grid
+    assert (strip.rows == slice(None)) == rolled
+    for alpha in (-1.0, -0.95, -0.75, -0.7, -0.5, -0.25, -0.05, 0.25, -1.5, 2.0):
+        whole = []
+        for psi in states:
+            spectrum = chi_spectrum(psi)
+            whole.append(np.fft.ifft2(shear_spectrum(spectrum, grid, alpha, out=spectrum)))
+        mask, box, *fields = strip.fields(alpha)
+        np.testing.assert_array_equal(mask, amplitude_mask(np.abs(whole[1])))
+        inside = mask[box]
+        expected = (
+            whole[1],
+            spectral_derivative_2d(whole[1], grid, axis=1),
+            spectral_derivative_2d(whole[1], grid, axis=0),
+            whole[0],
+            whole[2],
+        )
+        bounds = (9.9e-9, 2.3e-7, 9.9e-9, 9.9e-9, 9.9e-9)
+        for name, got, want, bound in zip(("f", "f_q", "f_p", "minus", "plus"), fields, expected, bounds):
+            want = want[box]
+            err = np.max(np.abs(got - want)[inside] / np.abs(want)[inside])
+            assert err < bound, (alpha, name, err)
 
 
 def _array_bytes(obj) -> int:
@@ -417,45 +461,45 @@ def test_alpha_sweep_memory_does_not_grow_with_alphas(harmonic_params):
 
 
 def test_alpha_sweep_frees_its_sheared_fields(temporary_arrays, harmonic_params):
-    # The sweep holds the three chi spectra and the engine one work buffer;
-    # the sheared centre field and its amplitude mask set the peak, every
-    # later array is box-sized and nothing outside the engine keeps a
-    # sheared field, so the peak stays under 5.0 n x n arrays (measured
-    # 4.81).
+    # The sweep holds the three 55 x 109 strip blocks; per alpha the engine
+    # holds two 109 x n shear kernel tables, the centre on the 55 strip rows
+    # and the box-row fields, and nothing outside the engine keeps a sheared
+    # field.  The whole-grid bool mask is the one n x n array: the peak stays
+    # under 1.1 n x n complex arrays (measured 1.02).
     n = 512
     q_grid = make_grid(n, -10.0, 10.0)
     snaps = _state_triplet(q_grid, harmonic_params)
     alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
-    assert temporary_arrays(lambda: alpha_sweep(snaps, alphas), n) <= 5.0
+    assert temporary_arrays(lambda: alpha_sweep(snaps, alphas), n) <= 1.1
 
 
 def test_alpha_sweep_peaks_as_low_with_alpha_zero(temporary_arrays, harmonic_params):
-    # alpha = 0 differentiates the product psi(q) conj(phi(p)) beside the
-    # three spectra the sheared alphas read: the sweep peaks under 5.0 n x n
-    # arrays with alpha = 0 as without it (measured 4.81 and 4.78).
+    # alpha = 0 forms the product psi(q) conj(phi(p)) on the strip rows only:
+    # the sweep peaks under 1.1 n x n arrays with alpha = 0 as without it
+    # (measured 1.02 and 0.99).
     n = 512
     snaps = _state_triplet(make_grid(n, -10.0, 10.0), harmonic_params)
     peaks = [
         temporary_arrays(lambda: alpha_sweep(snaps, alphas), n)
         for alphas in ((-1.0, -0.75, -0.5, -0.25, 0.0), (-1.0, -0.75, -0.5, -0.25))
     ]
-    assert max(peaks) <= 5.0
-    assert peaks[0] <= peaks[1] + 0.25
+    assert max(peaks) <= 1.1
+    assert peaks[0] <= peaks[1] + 0.05
 
 
 def test_eps_residual_allocates_little(temporary_arrays, harmonic_params):
-    # from the states the engine builds one n x n field, the centre product,
-    # with its amplitude and mask; the returned report's fields are crops of
-    # the mask box and the evaluation itself works on the box: the peak stays
-    # under 1.75 n x n arrays (measured 1.67)
+    # the engine forms the centre product on the 58 strip rows only, with its
+    # amplitude and mask, and the box fields from the 1D factors; the returned
+    # report holds box crops and the whole-grid bool mask: the peak stays
+    # under 0.7 n x n arrays (measured 0.63)
     n = 512
     snaps = _state_triplet(make_grid(n, -10.0, 10.0), harmonic_params)
-    assert temporary_arrays(lambda: hj_residual_eps(snaps), n) <= 1.75
+    assert temporary_arrays(lambda: hj_residual_eps(snaps), n) <= 0.7
 
 
 def _whole_grid(monkeypatch):
     """Make every engine evaluate on the whole grid instead of the mask box: all of
-    them take their box from ``numerics.mask_box_gradients``."""
+    them take their box from ``numerics.mask_box``."""
     monkeypatch.setattr(numerics, "mask_box", lambda mask: (slice(None), slice(None)))
 
 
@@ -522,6 +566,15 @@ def test_residual_fields_are_box_crops(sweep_inputs, grid2, engine):
         whole = _on_grid(crop, box, mask.shape)
         assert whole.shape == grid2.shape and np.isnan(whole[~mask]).all()
         np.testing.assert_array_equal(whole[box], crop)
+
+
+@pytest.mark.parametrize("evaluate", [hj_residual_eps, partial(hj_residual_transformed, alpha=-0.75)])
+def test_a_mask_past_its_strip_is_a_value_error(monkeypatch, sweep_inputs, evaluate):
+    # a strip cut where |phi| is 1e-3 of its peak is narrower than the 1e-6 amplitude
+    # mask, which then reaches the strip's edge rows inside the p axis
+    monkeypatch.setattr("epsqp.quantum_potential.STRIP_TAIL", 1e-3)
+    with pytest.raises(ValueError, match="edge of its momentum strip"):
+        evaluate(sweep_inputs)
 
 
 @pytest.mark.parametrize("engine", ["eps", "transformed", "wigner"])

@@ -15,8 +15,11 @@ from epsqp.eps_core import ExtendedHamiltonian, chi_build, chi_spectrum
 from epsqp.numerics import Grid2D, make_grid, spectral_resample
 from epsqp.reports import l2
 from epsqp.transforms import (
+    _wigner_blocks,
     apply_extended_transform,
+    shear_kernels,
     shear_spectrum,
+    shear_strip,
     wigner_direct,
     wigner_equation_residual,
 )
@@ -81,6 +84,50 @@ def test_shear_spectrum_matches_direct_exponential(lo, hi, hbar):
             err = np.max(np.abs(multiplier - direct))
             assert err <= 4.0 * eps * math.pi * abs(alpha) * n, (n, alpha, err)
         assert np.all(shear_spectrum(ones, g2, 0.0, out=ones) == 1.0)
+
+
+@pytest.mark.parametrize("lo, hi, hbar", [(-10.0, 10.0, 1.0), (-3.0, 5.0, 0.7)])
+def test_shear_kernels_are_the_ifft_of_the_shear_multiplier(lo, hi, hbar):
+    # column b of U_alpha's multiplier exp(i alpha hbar u v_b), and that times i u for
+    # the p derivative, each inverted along p.  The coarse-times-fine exponentials
+    # round phases of size up to pi |alpha| |b|, so the difference is bounded by a few
+    # eps * pi |alpha| max|b| (times max|u| for the derivative).  At alpha b integer the
+    # kernel is the exact shift by -alpha b cells.
+    eps = np.finfo(float).eps
+    for n in (8, 64, 256):
+        g2 = Grid2D(make_grid(n, lo, hi), hbar)
+        u = g2.p_axis.wavenumbers
+        for band in (np.arange(1 - n // 4, n // 4), np.arange(n) - n // 2):
+            v = 2.0 * np.pi * band / g2.q_axis.extent
+            for alpha in (-1.0, -0.75, -0.7, -0.5, 0.3, -1.5):
+                kernels = shear_kernels(g2, alpha, band)
+                multiplier = np.exp(1j * alpha * hbar * v[:, None] * u[None, :])
+                bound = 4.0 * eps * math.pi * abs(alpha) * np.abs(band).max()
+                assert np.max(np.abs(kernels[0] - np.fft.ifft(multiplier, axis=1))) <= bound
+                direct = np.fft.ifft(multiplier * (1j * u), axis=1)
+                assert np.max(np.abs(kernels[1] - direct)) <= bound * np.abs(u).max()
+            shift = np.zeros((len(band), n))
+            shift[np.arange(len(band)), band % n] = 1.0
+            bound = 4.0 * eps * math.pi * np.abs(band).max()
+            assert np.max(np.abs(shear_kernels(g2, -1.0, band)[0] - shift)) <= bound
+
+
+def test_shear_strip_is_a_toeplitz_product_per_column():
+    # out[i, b] = sum_j kernel[b, (i - j) mod n] block[j, b], on any output rows, and a
+    # row's values do not depend on which other rows are asked for
+    rng = np.random.default_rng(3)
+    n, nb = 32, 5
+    kernel = rng.normal(size=(nb, n)) + 1j * rng.normal(size=(nb, n))
+    block = rng.normal(size=(6, nb)) + 1j * rng.normal(size=(6, nb))
+    rows = slice(20, 26)
+    full = shear_strip(kernel, block, rows, slice(None))
+    expected = np.zeros((n, nb), dtype=complex)
+    for i in range(n):
+        for j in range(20, 26):
+            expected[i] += kernel[:, (i - j) % n] * block[j - 20]
+    np.testing.assert_allclose(full, expected, rtol=0.0, atol=1e-13)
+    for out_rows in (slice(0, 3), slice(17, 30), slice(31, 32)):
+        np.testing.assert_array_equal(shear_strip(kernel, block, rows, out_rows), full[out_rows])
 
 
 @pytest.mark.parametrize(
@@ -226,6 +273,25 @@ def test_wigner_direct_is_the_same_in_one_block_or_many(monkeypatch, harmonic_pa
     for w in fields[1:]:
         assert w.strides == whole.strides
         np.testing.assert_array_equal(w, whole)
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_wigner_blocks_of_a_column_range_are_those_of_w(monkeypatch, harmonic_params, n):
+    # the Wigner residual builds W at t +- dt on its box columns only: the blocks that
+    # cover a column range are those columns of the whole W, bit for bit, whatever the
+    # block size
+    g = make_grid(n, -10.0, 10.0)
+    g2 = Grid2D(g, harmonic_params.hbar)
+    psi = ho_coherent_state(g, harmonic_params, q0=1.0, p0=0.5, t=0.3)
+    whole = wigner_direct(psi, g2).values
+    for block in (numerics._BLOCK, 3 * n):
+        monkeypatch.setattr(numerics, "_BLOCK", block)
+        for columns in (slice(None), slice(5, n // 2 + 3), slice(n - 1, n)):
+            blocks = list(_wigner_blocks(psi, g2, columns))
+            assert [c.start for c, _ in blocks][0] == columns.indices(n)[0]
+            assert all(a.stop == b.start for (a, _), (b, _) in zip(blocks, blocks[1:]))
+            got = np.concatenate([w for _, w in blocks], axis=1)
+            np.testing.assert_array_equal(got, whole[:, columns])
 
 
 def test_wigner_rejects_momentum_space_input(q_grid, grid2, harmonic_params):
