@@ -23,7 +23,7 @@ equation takes the classical transport form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,41 +35,53 @@ from .numerics import (
     PhysicalParams,
     pq_factors,
     row_blocks,
+    shear_strip,
 )
 from .states import WaveFunction, to_momentum_space
 
 
 @dataclass(frozen=True)
 class PhaseSpaceField:
-    """A field's values on its ``(p, q)`` grid, whose hbar is the field's: chi from
-    :func:`chi_build` is complex128, W from :func:`~epsqp.transforms.wigner_direct` float64.
+    """A field's values on the p ``rows`` of its ``(p, q)`` grid (all of them by default),
+    whose hbar is the field's: chi from :func:`chi_build` is complex128, W from
+    :func:`~epsqp.transforms.wigner_direct` float64.
     """
 
     values: NDArray
     grid: Grid2D
+    rows: slice = field(default_factory=lambda: slice(None))
 
     def __post_init__(self):
-        if np.shape(self.values) != self.grid.shape:
-            raise GridError(f"values shape {np.shape(self.values)} does not match grid {self.grid.shape}")
+        shape = (len(range(self.grid.shape[0])[self.rows]), self.grid.shape[1])
+        if np.shape(self.values) != shape:
+            raise GridError(f"values shape {np.shape(self.values)} does not match grid rows {shape}")
 
 
 def chi_build(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     """Assemble ``chi(p, q) = psi(q) conj(phi(p)) exp(-i p q / hbar)``, with ``phi``
-    the momentum-space form of the position-space state ``psi``.
+    the momentum-space form of the position-space state ``psi``: :func:`chi_rows` on every
+    row.  ``grid`` must be ``Grid2D(psi.grid, psi.params.hbar)``.
+    """
+    chi = chi_rows(psi, slice(None))  # rejects a momentum-space state
+    if grid != chi.grid:
+        raise GridError("grid is not the state's phase-space grid")
+    return chi
 
-    ``grid`` must be ``Grid2D(psi.grid, psi.params.hbar)``.
+
+def chi_rows(psi: WaveFunction, rows: slice) -> PhaseSpaceField:
+    """:func:`chi_build`'s chi of the position-space state ``psi`` on the p ``rows`` only.
+
     Written in two passes from the kernel's :func:`~epsqp.numerics.pq_factors`, not
     as the inverse q pass of :func:`chi_spectrum`: an FFT's absolute rounding floor
     would swamp chi at the mask edge, where |chi| is 1e-6 of its peak, while this
     product is accurate relative to each sample.
     """
     phi = to_momentum_space(psi)  # rejects a momentum-space state
-    if grid != Grid2D(psi.grid, psi.params.hbar):
-        raise GridError("grid is not the state's phase-space grid")
+    grid = Grid2D(psi.grid, psi.params.hbar)
     hankel, row, col = pq_factors(grid)
-    values = hankel * (row * np.conj(phi.values))[:, None]
+    values = hankel[rows] * (row[rows] * np.conj(phi.values[rows]))[:, None]
     values *= (col * psi.values)[None, :]
-    return PhaseSpaceField(values, grid)
+    return PhaseSpaceField(values, grid, rows)
 
 
 def chi_spectrum(psi: WaveFunction) -> NDArray[np.complex128]:
@@ -147,7 +159,7 @@ class ExtendedHamiltonian:
         )
 
     def apply(self, field: PhaseSpaceField) -> NDArray[np.complex128]:
-        """Apply the operator to the field's raw values:
+        """Apply the operator to the field's raw values, on its rows:
 
             H' f = -hbar^2 A f_qq - i hbar B p f_q
                    - hbar^2 C f_pp - i hbar (D q + E) f_p
@@ -157,24 +169,37 @@ class ExtendedHamiltonian:
 
         Along each axis, with wavenumber k, both orders are the one spectral
         multiplier ``hbar k (hbar A k + B p)`` (q) or ``hbar k (hbar C k + D q + E)``
-        (p), applied to the axis spectrum in row blocks: one forward and one inverse
-        FFT per axis, and no n x n multiplier.
+        (p).  The q multiplier is applied to each row's spectrum in row blocks, and so
+        is the p multiplier to the column spectra of a whole-grid field: one forward and
+        one inverse FFT per axis, and no n x n multiplier.  On a strip of rows, whose
+        columns are not whole, the p terms are :func:`~epsqp.numerics.shear_strip`
+        Toeplitz sums of the inverse FFTs of ``hbar^2 C k^2`` and ``hbar k``: the field
+        is taken as 0 off its rows.
         """
-        grid = field.grid
+        grid, values = field.grid, field.values
         hbar = grid.hbar
-        p = grid.p_axis.points[:, None]
+        p = grid.p_axis.points[field.rows, None]
         q = grid.q_axis.points[None, :]
-        out = None
-        for axis, k, second, first in (
-            (1, grid.q_axis.wavenumbers[None, :], self.A, self.B * p),
-            (0, grid.p_axis.wavenumbers[:, None], self.C, self.D * q + self.E),
-        ):
-            k, first = np.broadcast_to(k, grid.shape), np.broadcast_to(first, grid.shape)
-            spectrum = np.fft.fft(field.values, axis=axis)
-            for rows in row_blocks(grid.shape):
+
+        def multiplier_pass(axis, k, second, first):
+            k, first = np.broadcast_to(k, values.shape), np.broadcast_to(first, values.shape)
+            spectrum = np.fft.fft(values, axis=axis)
+            for rows in row_blocks(values.shape):
                 spectrum[rows] *= hbar * k[rows] * (hbar * second * k[rows] + first[rows])
-            np.fft.ifft(spectrum, axis=axis, out=spectrum)
-            out = spectrum if out is None else np.add(out, spectrum, out=out)
+            return np.fft.ifft(spectrum, axis=axis, out=spectrum)
+
+        out = multiplier_pass(1, grid.q_axis.wavenumbers[None, :], self.A, self.B * p)
+        if values.shape == grid.shape:
+            p_terms = multiplier_pass(0, grid.p_axis.wavenumbers[:, None], self.C, self.D * q + self.E)
+            return np.add(out, p_terms, out=out)
+        u = grid.p_axis.wavenumbers
+        second, first = (
+            shear_strip(np.fft.ifft(kernel), values, field.rows, field.rows)
+            for kernel in (hbar * u * (hbar * self.C * u), hbar * u)
+        )
+        first *= self.D * q + self.E
+        out += second
+        out += first
         return out
 
 
@@ -183,34 +208,29 @@ class ExtendedHamiltonian:
 # ---------------------------------------------------------------------------
 
 
-def expectation(observable: NDArray, chi: PhaseSpaceField) -> float:
-    """Phase-space average ``int O conj(chi) dp dq / int conj(chi) dp dq``.
+def expectation(chi: PhaseSpaceField, of_p: NDArray | float = 0.0, of_q: NDArray | float = 0.0) -> float:
+    """Phase-space average of ``O = of_p(p) + of_q(q)``,
+    ``int O conj(chi) dp dq / int conj(chi) dp dq``, over the field's rows.
 
-    ``observable`` is any array that broadcasts to the field's ``[i_p, i_q]``
-    grid: a full ``(n_p, n_q)`` array, a p-only ``p_axis.points[:, None]``
-    column or a q-only ``q_axis.points[None, :]`` row; any other shape
-    raises :class:`GridError`.  A p-only or q-only observable is averaged
-    over the marginal of chi, chi summed over the other axis, without an
-    n x n temporary.  The normalisation by the bare integral of ``conj(chi)``
-    makes the average independent of the Fourier convention's overall
-    constants.  The ratio is real for physical observables; a relative
-    imaginary part above 1e-8 raises, as does a vanishing normalisation
-    integral.
+    ``of_p`` holds the p part's values on the whole p axis (or one constant) and
+    ``of_q`` the q part's on the q axis; any other shape raises :class:`GridError`.
+    Each part is averaged over chi's marginal, chi summed over the other axis, and
+    both share the normalisation integral, so no 2D temporary is formed.  That
+    normalisation by the bare integral of ``conj(chi)`` makes the average
+    independent of the Fourier convention's overall constants.  The ratio is real
+    for physical observables; a relative imaginary part above 1e-8 raises, as does a
+    vanishing normalisation integral.
     """
-    observable = np.asarray(observable)
-    try:
-        np.broadcast_to(observable, chi.grid.shape)
-    except ValueError:
-        raise GridError("observable does not broadcast to the field grid") from None
-    shape = (1,) * (2 - observable.ndim) + observable.shape
-    constant = tuple(axis for axis in (0, 1) if shape[axis] == 1)  # axes the observable ignores
-    values = chi.values.sum(axis=constant, keepdims=True) if constant else chi.values
-    weight = np.conj(values) * chi.grid.cell
-    den = np.sum(weight)
+    n_p, n_q = chi.grid.shape
+    parts = [np.asarray(of_p), np.asarray(of_q)]
+    if any(part.shape not in ((), (n,)) for part, n in zip(parts, (n_p, n_q))):
+        raise GridError("an observable part does not match its axis")
+    weight_p, weight_q = (np.conj(chi.values.sum(axis=axis)) * chi.grid.cell for axis in (1, 0))
+    den = np.sum(weight_q)
     if abs(den) < 1e-12:
         raise ValueError("normalisation integral of the distribution vanishes")
-    num = np.sum(observable * weight)
-    ratio = num / den
+    of_p = np.broadcast_to(parts[0], (n_p,))[chi.rows]
+    ratio = (np.sum(of_p * weight_p) + np.sum(parts[1] * weight_q)) / den
     if abs(ratio.imag) > 1e-8 * max(1.0, abs(ratio.real)):
         raise ValueError(f"expectation value has imaginary part {ratio.imag:.3e}")
     return float(ratio.real)

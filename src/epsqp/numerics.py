@@ -24,6 +24,11 @@ from numpy.typing import NDArray
 #: ...) are considered undefined and masked out.
 NODE_THRESHOLD = 1e-6
 
+#: |phi| level, relative to its peak, down to which the momentum strip reaches: the tails
+#: left out stay at rounding where a sheared field is 1e-6 of its peak, above phi's own
+#: floor (3e-17 at n = 256).  Twelve rows past the node mask left 8e-13 at m, k, hbar = 2, 1.5, 0.7.
+STRIP_TAIL = 1e-15
+
 #: Snapshot times closer than this count as equal.
 TIME_ATOL = 1e-12
 
@@ -210,19 +215,21 @@ def row_blocks(shape: tuple) -> list[slice]:
     return [slice(r, r + step) for r in range(0, shape[0], step)]
 
 
-def mask_box_gradients(values: NDArray, grid: Grid2D) -> tuple:
-    """A whole 2D field's amplitude mask, and the field with its spectral gradients on
-    the mask's box.
+def mask_box_gradients(blocks, grid: Grid2D, rows: slice) -> tuple:
+    """A 2D field's amplitude mask, and the field with its spectral gradients on the mask's
+    box, from the field's q-column blocks ``(cols, values[:, cols])`` in column order, of
+    which only the p ``rows`` (which must hold the mask) are kept.
 
-    ``f_q`` is :func:`spectral_derivative_2d` of the box rows and ``f_p`` that of the
-    box columns, so only those lanes are transformed.  Returns ``(mask, box, f, f_q,
-    f_p)`` with ``box = mask_box(mask)`` and the fields as new box-sized arrays.
+    ``f_p`` is :func:`spectral_derivative_2d` of each block while it holds whole columns,
+    and ``f_q`` that of the box rows.  Returns ``(mask, box, f, f_q, f_p)`` with the mask
+    and ``box`` of :func:`strip_mask_box` and the fields as box-sized arrays.
     """
-    mask = amplitude_mask(np.abs(values))
-    rows, cols = box = mask_box(mask)
-    f_q = spectral_derivative_2d(values[rows], grid, axis=1)[:, cols].copy()
-    f_p = spectral_derivative_2d(values[:, cols], grid, axis=0)[rows].copy()
-    return mask, box, values[box].copy(), f_q, f_p
+    parts = [(block[rows].copy(), spectral_derivative_2d(block, grid, axis=0)[rows].copy()) for _, block in blocks]
+    f, f_p = (np.concatenate(part, axis=1) for part in zip(*parts))
+    mask, box = strip_mask_box(f, rows)
+    local, cols = within(box[0], rows, grid.q_axis.n_points), box[1]
+    f_q = spectral_derivative_2d(f[local], grid, axis=1)[:, cols]
+    return mask, box, f[local, cols], f_q, f_p[local, cols]
 
 
 def relative_curvature(amplitude: NDArray, spacing: float, axis: int = 0) -> NDArray[np.float64]:
@@ -380,6 +387,26 @@ def mask_box(mask: NDArray[np.bool_]) -> tuple[slice, slice]:
     """Row and column slices of a 2D mask's bounding box, grown by one cell so that
     it holds every neighbour a 3-point stencil reads at a masked cell."""
     return grown_span(mask.any(axis=1), 1), grown_span(mask.any(axis=0), 1)
+
+
+def within(span: slice, rows: slice, n: int) -> slice:
+    """``span``, a slice of an axis of n points that lies inside ``rows``, as a slice of a
+    block that holds only ``rows``."""
+    span, rows = range(n)[span], range(n)[rows]
+    return slice(span.start - rows.start, span.stop - rows.start)
+
+
+def shear_strip(kernel: NDArray, block: NDArray, rows: slice, out_rows: slice) -> NDArray[np.complex128]:
+    """``out[i, b] = sum_j kernel[b, (i - j) mod n] block[j, b]``, i in ``out_rows`` and j in
+    ``rows`` (``kernel[(i - j) mod n]`` for a 1D kernel, the same for every column): a block
+    on p ``rows`` convolved along p by a shear or derivative kernel onto any rows.  Summed
+    by ``np.einsum`` over a Toeplitz view, not by BLAS, a row depends neither on the BLAS
+    thread count nor on the other rows."""
+    n = kernel.shape[-1]
+    (r0, r1), (s0, s1) = (r.indices(n)[:2] for r in (out_rows, rows))
+    offsets = (r0 - s1 + 1 + np.arange(r1 - r0 + s1 - s0 - 1)) % n
+    toeplitz = sliding_window_view(kernel[..., offsets], s1 - s0, axis=-1)  # [b, i, w]: r_i - s_(m-1-w)
+    return np.einsum("biw,wb->ib" if kernel.ndim == 2 else "iw,wb->ib", toeplitz, block[::-1])
 
 
 def strip_mask_box(values: NDArray, rows: slice) -> tuple:

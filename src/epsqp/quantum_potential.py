@@ -57,12 +57,14 @@ from numpy.typing import NDArray
 
 from .eps_core import ExtendedHamiltonian, chi_q_spectrum
 from .numerics import (
+    STRIP_TAIL,
     Grid2D,
     amplitude_mask,
     grown_span,
     log_amplitude,
     log_curvature,
     relative_curvature,
+    shear_strip,
     snapshot_triple,
     spectral_derivative,
     strip_mask_box,
@@ -77,7 +79,7 @@ from .reports import (
     snapshot_metadata,
 )
 from .states import WaveFunction, to_momentum_space
-from .transforms import shear_kernels, shear_strip
+from .transforms import shear_kernels
 
 
 # ---------------------------------------------------------------------------
@@ -182,22 +184,16 @@ def hj_residual_p(snapshots: Sequence[WaveFunction]) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-#: |phi| level, relative to its peak, down to which the momentum strip reaches: the tails
-#: left out stay at rounding where a sheared field is 1e-6 of its peak, above phi's own
-#: floor (3e-17 at n = 256).  Twelve rows past the node mask left 8e-13 at m, k, hbar = 2, 1.5, 0.7.
-STRIP_TAIL = 1e-15
-
-
 class _Strip:
-    """The momentum strip of a snapshot triple: the p ``rows`` where some |phi| exceeds
+    """The momentum strip of position-space states: the p ``rows`` where some |phi| exceeds
     :data:`STRIP_TAIL` of its peak, grown by one row (the whole axis past an edge), and
     the ``blocks`` of their chi q-spectra there.  Column b pairs rows i and i + b of phi,
     so on m rows the ``band`` is the signed columns |b| < m, or all n.
     """
 
-    def __init__(self, triple: tuple):
-        self.states = triple[:3]
-        self.grid = Grid2D(triple[1].grid, triple[1].params.hbar)
+    def __init__(self, states: Sequence[WaveFunction]):
+        self.states = tuple(states)
+        self.grid = Grid2D(self.states[0].grid, self.states[0].params.hbar)
         self.phis = tuple(np.conj(to_momentum_space(s).values) for s in self.states)
         self.hit = np.logical_or.reduce([np.abs(phi) > STRIP_TAIL * np.abs(phi).max() for phi in self.phis])
         self.rows = grown_span(self.hit, 1)
@@ -209,15 +205,34 @@ class _Strip:
     def blocks(self) -> tuple:
         return tuple(chi_q_spectrum(s, self.rows, self.band) for s in self.states)
 
+    def out_rows(self, alpha: float) -> slice:
+        """The rows chi sheared by alpha occupies: p is a convex combination of phi's
+        arguments p + alpha hbar v and p + (1 + alpha) hbar v."""
+        return grown_span(self.hit, 1 + math.ceil(max(alpha, -1.0 - alpha, 0.0) * self.size))
+
+    def shear(self, alpha: float):
+        """``shear(i, rows, kernel=0)``: state i's chi sheared by alpha as its q-spectrum on
+        ``rows``, or (``kernel=1``) that of its p derivative."""
+        kernels = shear_kernels(self.grid, alpha, self.band)
+        return lambda i, rows, kernel=0: shear_strip(kernels[kernel], self.blocks[i], self.rows, rows)
+
+    def q_pass(self, spectrum: NDArray) -> NDArray[np.complex128]:
+        """Rows of a field from their q-spectrum on the band: one length-n inverse q pass each."""
+        n = self.grid.q_axis.n_points
+        values = np.zeros((len(spectrum), n), dtype=complex)
+        values[:, self.band % n] = spectrum
+        return np.fft.ifft(values, axis=1, out=values)
+
     def fields(self, alpha: float) -> tuple:
-        """``(mask, box, f, f_q, f_p, minus, plus)``: the centre field's whole-grid mask and
-        box, and on the box the field, its spectral gradients and the t -+ dt fields.
+        """``(mask, box, f, f_q, f_p, minus, plus)`` of a snapshot triple: the centre field's
+        whole-grid mask and box, and on the box the field, its spectral gradients and the
+        t -+ dt fields.
 
         Sheared by alpha, chi is formed on the rows it occupies for the mask and on the box
-        rows for the fields, each row then one length-n inverse q pass.  At alpha = 0 the
-        field is psi(q) conj(phi(p)): chi's kernel exp(-i p q / hbar) would carry its
-        p-spectrum past the coarse momentum Nyquist on the outer mask rows, and, static and
-        unimodular, it leaves S_t and the mask alone, so the engine adds its gradients.
+        rows for the fields.  At alpha = 0 the field is psi(q) conj(phi(p)): chi's kernel
+        exp(-i p q / hbar) would carry its p-spectrum past the coarse momentum Nyquist on the
+        outer mask rows, and, static and unimodular, it leaves S_t and the mask alone, so the
+        engine adds its gradients.
         """
         grid, psis, phis = self.grid, [s.values for s in self.states], self.phis
         if alpha == 0.0:
@@ -228,26 +243,13 @@ class _Strip:
             f_p = spectral_derivative(phis[1], grid.p_axis)[rows, None] * psis[1][None, cols]
             return mask, box, f, f_q, f_p, minus, plus
 
-        kernels = shear_kernels(grid, alpha, self.band)
-        n = grid.q_axis.n_points
-        columns = self.band % n
-
-        def shear(i: int, rows: slice, kernel: int = 0):
-            return shear_strip(kernels[kernel], self.blocks[i], self.rows, rows)
-
-        def q_pass(spectrum):
-            values = np.zeros((len(spectrum), n), dtype=complex)
-            values[:, columns] = spectrum
-            return np.fft.ifft(values, axis=1, out=values)
-
-        # p is a convex combination of phi's arguments p + alpha hbar v, p + (1 + alpha) hbar v
-        out_rows = grown_span(self.hit, 1 + math.ceil(max(alpha, -1.0 - alpha, 0.0) * self.size))
-        mask, box = strip_mask_box(q_pass(shear(1, out_rows)), out_rows)
+        shear, out_rows = self.shear(alpha), self.out_rows(alpha)
+        mask, box = strip_mask_box(self.q_pass(shear(1, out_rows)), out_rows)
         rows, cols = box
         spectrum = shear(1, rows)
-        f_q = spectrum * (1j * grid.q_axis.wavenumbers[columns])
+        f_q = spectrum * (1j * grid.q_axis.wavenumbers[self.band % grid.q_axis.n_points])
         fields = (spectrum, f_q, shear(1, rows, kernel=1), shear(0, rows), shear(2, rows))
-        return (mask, box, *(q_pass(s)[:, cols] for s in fields))
+        return (mask, box, *(self.q_pass(s)[:, cols] for s in fields))
 
 
 def _hj_residual_2d(triple: tuple, alpha: float, name: str, strip: _Strip | None = None) -> ResidualReport:
@@ -277,7 +279,7 @@ def _hj_residual_2d(triple: tuple, alpha: float, name: str, strip: _Strip | None
     _, center, _, dt = triple
     params = center.params
     m, hbar = params.mass, params.hbar
-    strip = strip or _Strip(triple)
+    strip = strip or _Strip(triple[:3])
     grid = strip.grid
     mask, box, f, f_q, f_p, minus, plus = strip.fields(alpha)
     amp = np.abs(f)
@@ -417,7 +419,7 @@ def alpha_sweep(snapshots: Sequence[WaveFunction], alphas: Sequence[float]) -> A
     """
     alphas = validate_alphas(alphas)
     triple = snapshot_triple(snapshots)
-    strip = _Strip(triple)
+    strip = _Strip(triple[:3])
     reports = tuple(
         replace(_hj_residual_2d(triple, a, _transformed_name(a), strip), fields={}) for a in alphas
     )

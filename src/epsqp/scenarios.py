@@ -25,7 +25,7 @@ from .classical import (
     legendre_residual,
     translate_initial_conditions,
 )
-from .eps_core import ExtendedHamiltonian, PhaseSpaceField, chi_build, chi_spectrum, expectation
+from .eps_core import ExtendedHamiltonian, PhaseSpaceField, chi_rows, chi_spectrum, expectation
 from .numerics import (
     Grid2D,
     GridError,
@@ -34,10 +34,11 @@ from .numerics import (
     amplitude_mask,
     fft2_passes,
     make_grid,
-    mask_box,
-    row_blocks,
+    strip_mask_box,
+    within,
 )
 from .quantum_potential import (
+    _Strip,
     alpha_sweep,
     hj_residual_eps,
     hj_residual_p,
@@ -353,29 +354,13 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
         g, g2 = _grids(cfg, n)
         return g, g2, ho_coherent_state(g, params, cfg.q0, cfg.p0, cfg.eval_time)
 
-    # The other resolutions are fitted first, from W's column blocks, so no
-    # whole W there and no grid_n field is held while the 2 grid_n fit runs.
+    # chi's -1/2 shear is fitted against W at n/2, n and 2n, each from W's column
+    # blocks and the shear on its momentum strip, so no n^2 field is held
     sizes = sorted({max(cfg.grid_n // 2, 8), cfg.grid_n, cfg.grid_n * 2})
-    constants = {}
-    for n in sizes:
-        if n != cfg.grid_n:
-            _, g2, psi = coherent(n)
-            constants[n] = _fit_wigner_constant(_sheared_chi(psi, g2), _wigner_blocks(psi, g2))
-    # at grid_n the whole W also serves the deviation and the marginals
-    g, g2, psi = coherent(cfg.grid_n)
-    w = wigner_direct(psi, g2).values
-    sheared = _sheared_chi(psi, g2)
-    c_mid = constants[cfg.grid_n] = _fit_wigner_constant(
-        sheared, ((cols, w[:, cols]) for cols in row_blocks(w.shape))
-    )
-    # ||sheared - c w|| / ||sheared||, summed over fixed blocks: no full-size temporary
-    num = den = 0.0
-    for rows in row_blocks(sheared.shape):
-        block = sheared[rows]
-        num += np.sum(np.abs(block - c_mid * w[rows]) ** 2)
-        den += np.sum(np.abs(block) ** 2)
-    del sheared
-    report.check("wigner-shear-rel-l2", math.sqrt(num / den))
+    fits = {n: _wigner_fit(coherent(n)[2]) for n in sizes}
+    constants = {n: fit[0] for n, fit in fits.items()}
+    c_mid, deviation, marginal_q, marginal_p = fits[cfg.grid_n]
+    report.check("wigner-shear-rel-l2", deviation)
     spread = max(
         abs(constants[a] - constants[b]) for a in sizes for b in sizes if a < b
     )
@@ -394,54 +379,77 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
 
     # ground-state closed form: W(p, q) = 2 exp(-q^2 - p^2) in natural units
     # (general: 2 exp(-m w q^2 / hbar - p^2 / (m w hbar))), peak value 2 at
-    # any hbar in the lag-y measure of wigner_direct.
-    psi_g = ho_coherent_state(g, params, 0.0, 0.0, 0.0)
-    w_g = wigner_direct(psi_g, g2).values
-    p, q = g2.p_axis.points[:, None], g.points[None, :]
+    # any hbar in the lag-y measure of wigner_direct; compared column block by block.
+    g, g2, psi = coherent(cfg.grid_n)
+    p = g2.p_axis.points[:, None]
     m, hbar, w_freq = params.mass, params.hbar, params.omega
-    w_exact = 2.0 * np.exp(-m * w_freq * q**2 / hbar - p**2 / (m * w_freq * hbar))
-    report.check("wigner-groundstate-profile-max-err", float(np.max(np.abs(w_g - w_exact))))
     i_p0 = int(np.argmin(np.abs(g2.p_axis.points)))
     i_q0 = int(np.argmin(np.abs(g.points)))
-    peak_err = abs(float(w_g[i_p0, i_q0] - w_exact[i_p0, i_q0]))  # w_exact = 2 at a sample on the origin
+    profile_err = peak_err = 0.0
+    for cols, w_g in _wigner_blocks(ho_coherent_state(g, params, 0.0, 0.0, 0.0), g2):
+        q = g.points[None, cols]
+        w_exact = 2.0 * np.exp(-m * w_freq * q**2 / hbar - p**2 / (m * w_freq * hbar))
+        profile_err = max(profile_err, float(np.max(np.abs(w_g - w_exact))))
+        if i_q0 in range(g.n_points)[cols]:  # w_exact = 2 at a sample on the origin
+            j = i_q0 - cols.start
+            peak_err = abs(float(w_g[i_p0, j] - w_exact[i_p0, j]))
+    report.check("wigner-groundstate-profile-max-err", profile_err)
     report.check("wigner-groundstate-peak-err", peak_err)
 
     # marginals of the coherent-state Wigner function: integrating out p
     # leaves 2 pi hbar |psi(q)|^2, integrating out q leaves 2 pi hbar
     # |phi(p)|^2 (the correlation integral runs over the lag y, without the
     # 1/(2 pi hbar) prefactor).
-    marginals = (("q", psi, g2.p_axis.spacing), ("p", to_momentum_space(psi), g.spacing))
-    for axis, state, spacing in marginals:
-        marginal = w.sum(axis=int(axis == "p")) * spacing
+    marginals = (
+        ("q", psi, marginal_q * g2.p_axis.spacing), ("p", to_momentum_space(psi), marginal_p * g.spacing)
+    )
+    for axis, state, marginal in marginals:
         density = 2.0 * np.pi * params.hbar * np.abs(state.values) ** 2
         err = float(np.max(np.abs(marginal - density)) / np.max(density))
         report.check(f"wigner-marginal-{axis}-rel-err", err)
 
     # rebuilt from the state when exported: the report holds no n^2 array
     axes = {"kind": "2d", "p": g2.p_axis.points, "q": g.points}
+
+    def sheared_chi() -> np.ndarray:  # chi's spectrum, sheared and inverted in place
+        return fft2_passes(shear_spectrum(chi_spectrum(psi), g2, -0.5), inverse=True, in_place=True)
+
     report.field_bundles = {
         "wigner": lambda: {**axes, "values": wigner_direct(psi, g2).values},
-        "sheared-chi": lambda: {**axes, "values": _sheared_chi(psi, g2)},
+        "sheared-chi": lambda: {**axes, "values": sheared_chi()},
     }
     return report
 
 
-def _sheared_chi(psi: WaveFunction, g2: Grid2D) -> np.ndarray:
-    """chi's -1/2 shear: its spectrum, sheared and inverted in place (one n^2 complex array)."""
-    sheared = chi_spectrum(psi)
-    shear_spectrum(sheared, g2, -0.5, out=sheared)
-    return fft2_passes(sheared, inverse=True, in_place=True)
+def _wigner_fit(psi: WaveFunction) -> tuple:
+    """The least-squares ``c`` of ``sheared = c W``, ``||sheared - c W|| / ||sheared||``, and W's
+    q and p marginals (W summed over p, over q), for chi's -1/2 shear and the real W of ``psi``.
 
-
-def _fit_wigner_constant(sheared: np.ndarray, blocks) -> complex:
-    """Least-squares ``c`` of ``sheared = c W`` from the real W's q-column blocks ``(cols, W[:, cols])``."""
-    num = den = 0.0
-    for cols, block in blocks:
-        num += np.einsum("ij,ij->", block, sheared[:, cols])
-        den += np.einsum("ij,ij->", block, block)
+    The shear is formed on the momentum strip's rows it occupies and counts as 0 off them,
+    so the sums of W^2 still run over every row: W is read one q-column block at a time
+    from ``_wigner_blocks`` and kept on those rows only.
+    """
+    strip = _Strip([psi])
+    rows = strip.out_rows(-0.5)
+    sheared = strip.q_pass(strip.shear(-0.5)(0, rows))
+    n = psi.grid.n_points
+    span = range(n)[rows]
+    w = np.empty(sheared.shape)
+    num = den = off = 0.0
+    marginal_q, marginal_p = np.empty(n), np.zeros(n)
+    for cols, block in _wigner_blocks(psi, strip.grid):
+        w[:, cols] = block[rows]
+        num += np.sum(w[:, cols] * sheared[:, cols])  # pairwise sums of block-sized products
+        den += np.sum(block * block)
+        for outside in (block[: span.start], block[span.stop :]):
+            off += np.sum(outside * outside)
+        marginal_q[cols] = block.sum(axis=0)
+        marginal_p += block.sum(axis=1)
     if den == 0.0:
         raise ValueError("cannot fit a constant against a zero basis")
-    return complex(num / den)
+    c = complex(num / den)
+    deviation = np.sum(np.abs(sheared - c * w) ** 2) + abs(c) ** 2 * off
+    return c, math.sqrt(deviation / np.sum(np.abs(sheared) ** 2)), marginal_q, marginal_p
 
 
 def scenario_alpha_sweep(cfg: ScenarioConfig) -> ScenarioReport:
@@ -546,10 +554,11 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     )
 
     # --- averaging rule ------------------------------------------------------
-    chi_g = chi_build(psi_g, g2)
-    p, q = g2.p_axis.points[:, None], g.points[None, :]
-    q2_val = expectation(q**2, chi_g)
-    h_val = expectation(p**2 / (2.0 * m) + 0.5 * k * q**2, chi_g)
+    # on each chi's momentum strip; every observable is a p part plus a q part
+    chi_g = chi_rows(psi_g, _Strip([psi_g]).rows)
+    p, q = g2.p_axis.points, g.points
+    q2_val = expectation(chi_g, of_q=q**2)
+    h_val = expectation(chi_g, of_p=p**2 / (2.0 * m), of_q=0.5 * k * q**2)
     report.check("expectation-q2-ground-err", abs(q2_val - hbar / (2.0 * m * w_freq)))
     report.check("expectation-energy-ground-err", abs(h_val - 0.5 * hbar * w_freq))
 
@@ -558,13 +567,13 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     for i in range(10):
         t_i = i * period / 10.0
         psi_i = ho_coherent_state(g, params, cfg.q0, cfg.p0, t_i)
-        chi_i = chi_build(psi_i, g2)
+        chi_i = chi_rows(psi_i, _Strip([psi_i]).rows)
         q_c = cfg.q0 * math.cos(w_freq * t_i) + cfg.p0 / (m * w_freq) * math.sin(w_freq * t_i)
         p_c = cfg.p0 * math.cos(w_freq * t_i) - m * w_freq * cfg.q0 * math.sin(w_freq * t_i)
         worst_track = max(
             worst_track,
-            abs(expectation(q, chi_i) - q_c),
-            abs(expectation(p, chi_i) - p_c),
+            abs(expectation(chi_i, of_q=q) - q_c),
+            abs(expectation(chi_i, of_p=p) - p_c),
         )
     report.check("expectation-trajectory-tracking", worst_track)
 
@@ -657,23 +666,22 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
     q_term, mask, box = (coarse.fields[key] for key in ("q_term", "mask", "box"))
     del coarse  # its residual, classical-form and quantum-term fields
 
-    # dynamical equation: i hbar d(chi)/dt = H' chi at the operator level
-    plus, minus = (chi_build(s, g2).values for s in (snaps[2], snaps[0]))
+    # dynamical equation: i hbar d(chi)/dt = H' chi at the operator level, on the
+    # momentum strip of the snapshots (chi is below rounding off it)
+    rows = _Strip(snaps).rows
+    plus, minus = (chi_rows(s, rows).values for s in (snaps[2], snaps[0]))
     lhs = 1j * hbar * (plus - minus) / (2.0 * cfg.dt)
-    del plus, minus
     psi_t = snaps[1]
-    center = chi_build(psi_t, g2)
+    center = chi_rows(psi_t, rows)
     lhs -= ham.apply(center)
     report.check("eps-evolution-residual-l2", l2(lhs, g2.cell))
-    del lhs
 
     # stationary pair: energy phases cancel in psi phi*, so H' chi = 0
-    chi_g = chi_build(ho_coherent_state(g, params, 0.0, 0.0, 0.0), g2)
+    psi_g = ho_coherent_state(g, params, 0.0, 0.0, 0.0)
+    chi_g = chi_rows(psi_g, _Strip([psi_g]).rows)
     report.check("eps-stationary-max", float(np.max(np.abs(ham.apply(chi_g)))))
-    del chi_g
 
     joint = _check_separable(report, center, psi_t, to_momentum_space(psi_t))
-    del center
 
     # the q-curvature quantum term of the 2D identity equals the 1D quantum
     # potential of the psi factor, broadcast over p
@@ -695,13 +703,15 @@ def _check_separable(
     """Record the separable-structure checks of chi = psi(q) conj(phi(p)) exp(-i p q / hbar):
     |chi| = |psi| |phi|, and theta = arg chi + p q / hbar equals arg psi - arg phi modulo 2 pi,
     so its centred cross difference vanishes.  Evaluated on the box of chi's amplitude mask,
-    from wrapped phases: each compared quantity is 0 where the structure holds, so wrapping
-    cannot alias it.  Returns the joint mask of chi, psi and phi on the whole grid."""
-    mask = amplitude_mask(np.abs(chi.values))
-    rows, cols = box = mask_box(mask)
+    which must lie inside chi's rows, from wrapped phases: each compared quantity is 0 where
+    the structure holds, so wrapping cannot alias it.  Returns the joint mask of chi, psi and
+    phi on the whole grid."""
+    mask, box = strip_mask_box(chi.values, chi.rows)
+    rows, cols = box
     r_p, r_q = np.abs(phi.values), np.abs(psi.values)
     joint = mask & amplitude_mask(r_p)[:, None] & amplitude_mask(r_q)[None, :]
-    inside, values = joint[box], chi.values[box]
+    inside = joint[box]
+    values = chi.values[within(rows, chi.rows, len(r_q)), cols]
     outer = r_p[rows, None] * r_q[None, cols]
     report.check("eps-amplitude-factorization", np.max(np.abs(np.abs(values) - outer)[inside] / outer[inside]))
 

@@ -24,23 +24,23 @@ from numpy.typing import NDArray
 
 from .eps_core import PhaseSpaceField
 from .numerics import (
+    STRIP_TAIL,
     Grid2D,
     GridError,
     fft2_passes,
+    grown_span,
     mask_box_gradients,
     row_blocks,
     snapshot_triple,
     spectral_resample,
 )
 from .reports import ResidualReport, residual_report, snapshot_metadata
-from .states import WaveFunction
+from .states import WaveFunction, to_momentum_space
 
 
-def shear_spectrum(
-    spectrum: NDArray[np.complex128], grid: Grid2D, alpha: float, out: NDArray[np.complex128]
-) -> NDArray[np.complex128]:
-    """Write ``U_alpha``'s ``exp(+i alpha hbar u v) * spectrum`` into ``out`` (which may be
-    ``spectrum``) for an ``fft2`` spectrum on ``grid``, and return ``out``.
+def shear_spectrum(spectrum: NDArray[np.complex128], grid: Grid2D, alpha: float) -> NDArray[np.complex128]:
+    """Multiply an ``fft2`` spectrum on ``grid`` in place by ``U_alpha``'s ``exp(+i alpha hbar u v)``,
+    and return it.
 
     There ``alpha hbar u_a v_b = 2 pi alpha a b / n`` for the integer wavenumber indices
     ``a, b``, and ``2 a b = (a + b)^2 - a^2 - b^2`` makes the multiplier the Hankel view
@@ -57,10 +57,10 @@ def shear_spectrum(
     halves = (slice(None, n // 2), slice(n // 2, None))  # FFT order; the centred block is the other half
     for a, centred_a in zip(halves, halves[::-1]):
         for b, centred_b in zip(halves, halves[::-1]):
-            np.multiply(spectrum[a, b], hankel[centred_a, centred_b], out=out[a, b])
-    out *= chirp[:, None]
-    out *= chirp[None, :]
-    return out
+            spectrum[a, b] *= hankel[centred_a, centred_b]
+    spectrum *= chirp[:, None]
+    spectrum *= chirp[None, :]
+    return spectrum
 
 
 def shear_kernels(grid: Grid2D, alpha: float, band: NDArray[np.int_]) -> NDArray[np.complex128]:
@@ -79,25 +79,12 @@ def shear_kernels(grid: Grid2D, alpha: float, band: NDArray[np.int_]) -> NDArray
     return np.fft.ifft(kernels, axis=2, out=kernels)
 
 
-def shear_strip(kernel: NDArray, block: NDArray, rows: slice, out_rows: slice) -> NDArray[np.complex128]:
-    """``out[i, b] = sum_j kernel[b, (i - j) mod n] block[j, b]``, i in ``out_rows`` and j in
-    ``rows``: a q-spectrum block on p ``rows`` convolved by :func:`shear_kernels` onto any
-    rows.  Summed by ``np.einsum`` over a Toeplitz view, not by BLAS, a row depends neither
-    on the BLAS thread count nor on the other rows."""
-    n = kernel.shape[1]
-    (r0, r1), (s0, s1) = (r.indices(n)[:2] for r in (out_rows, rows))
-    offsets = (r0 - s1 + 1 + np.arange(r1 - r0 + s1 - s0 - 1)) % n
-    toeplitz = sliding_window_view(kernel[:, offsets], s1 - s0, axis=1)  # [b, i, w]: r_i - s_(m-1-w)
-    return np.einsum("biw,wb->ib", toeplitz, block[::-1])
-
-
 def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> NDArray[np.complex128]:
     """``U_alpha`` applied to a phase-space field, as a new complex array: its spectrum
     is sheared in place by :func:`shear_spectrum`.  Successive transforms compose
     additively in alpha.
     """
-    spectrum = fft2_passes(field.values)
-    shear_spectrum(spectrum, field.grid, alpha, out=spectrum)
+    spectrum = shear_spectrum(fft2_passes(field.values), field.grid, alpha)
     return fft2_passes(spectrum, inverse=True, in_place=True)
 
 
@@ -187,11 +174,15 @@ def wigner_equation_residual(snapshots: Sequence[WaveFunction]) -> ResidualRepor
 
     Only the box of the centre W's amplitude mask is evaluated, with the
     gradients of :func:`mask_box_gradients`, and the ``residual`` field is
-    NaN off the mask.  W at t +- dt is built on the box columns only.
+    NaN off the mask.  The centre W is kept on the p rows where its phi
+    exceeds :data:`STRIP_TAIL` of its peak, W's p support, and W at t +- dt
+    is built on the box columns only.
     """
     minus, center, plus, dt = snapshot_triple(snapshots)
     grid = Grid2D(center.grid, center.params.hbar)
-    mask, box, _, w_q, w_p = mask_box_gradients(wigner_direct(center, grid).values, grid)
+    phi = np.abs(to_momentum_space(center).values)
+    rows = grown_span(phi > STRIP_TAIL * phi.max(), 1)
+    mask, box, _, w_q, w_p = mask_box_gradients(_wigner_blocks(center, grid), grid, rows)
 
     def w_box(psi):
         return np.concatenate([w[box[0]] for _, w in _wigner_blocks(psi, grid, box[1])], axis=1)

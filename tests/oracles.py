@@ -66,3 +66,21 @@ def sheared_ground_chi(params, grid, alpha: float):
     Q = grid.q_axis.points[None, :] * np.sqrt(m * w / hbar)
     x = 0.5 + alpha
     return np.exp(-(P**2 + Q**2 + 4j * x * P * Q) / (1.0 + 4.0 * x**2))
+
+
+def coherent_chi_dt(psi, grid, q0: float, p0: float):
+    """``d chi / dt`` of :func:`coherent_chi`: ``chi (L_psi + conj(L_phi))`` with the logarithmic
+    time derivatives of the closed forms, from ``dq_c/dt = p_c / m`` and ``dp_c/dt = -m w^2 q_c``:
+
+        L_psi = m w (q - q_c) qdot / hbar + i (pdot q - (pdot q_c + p_c qdot) / 2) / hbar - i w / 2
+        L_phi = (p - p_c) pdot / (m w hbar) + i ((pdot q_c + p_c qdot) / 2 - p qdot) / hbar - i w / 2
+    """
+    params = psi.params
+    m, hbar, w = params.mass, params.hbar, params.omega
+    q_c, p_c = coherent_center(params, q0, p0, psi.t)
+    qdot, pdot = p_c / m, -m * w * w * q_c
+    p, q = grid.p_axis.points[:, None], grid.q_axis.points[None, :]
+    mixed = 0.5 * (pdot * q_c + p_c * qdot)
+    log_psi = m * w * (q - q_c) * qdot / hbar + 1j * (pdot * q - mixed) / hbar - 0.5j * w
+    log_phi = (p - p_c) * pdot / (m * w * hbar) + 1j * (mixed - p * qdot) / hbar - 0.5j * w
+    return coherent_chi(psi, grid, q0, p0) * (log_psi + np.conj(log_phi))

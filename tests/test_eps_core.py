@@ -16,6 +16,7 @@ from epsqp.eps_core import (
     PhaseSpaceField,
     chi_build,
     chi_q_spectrum,
+    chi_rows,
     chi_spectrum,
     expectation,
 )
@@ -29,6 +30,7 @@ from epsqp.numerics import (
     make_grid,
     spectral_derivative_2d,
 )
+from epsqp.quantum_potential import _Strip
 from epsqp.states import ho_coherent_state, to_momentum_space
 from epsqp.transforms import wigner_direct
 
@@ -315,12 +317,17 @@ def test_evolution_identity_for_coherent_distribution(q_grid, grid2, harmonic_pa
 
 def test_rhs_allocates_one_work_buffer(temporary_arrays, harmonic_params):
     # the image (the q-axis term) and one p-axis spectrum, in n x n complex
-    # arrays; each multiplier is applied in row blocks (measured 2.15)
+    # arrays; each multiplier is applied in row blocks (measured 2.15).  On
+    # the 55-row momentum strip the image, the Toeplitz sums of the p terms
+    # and the row block's multiplier temporaries (measured 0.36).  The limits
+    # are those plus about 10 %.
     n = 512
     g = make_grid(n, -10.0, 10.0)
-    chi = _chi_at(g, Grid2D(g, harmonic_params.hbar), harmonic_params, 1.0, 0.5, 0.3)[0]
+    chi, psi = _chi_at(g, Grid2D(g, harmonic_params.hbar), harmonic_params, 1.0, 0.5, 0.3)
+    strip = chi_rows(psi, _Strip([psi]).rows)
     ham = ExtendedHamiltonian.from_params(harmonic_params)
-    assert temporary_arrays(lambda: ham.apply(chi), n) <= 2.5
+    assert temporary_arrays(lambda: ham.apply(chi), n) <= 2.4
+    assert temporary_arrays(lambda: ham.apply(strip), n) <= 0.4
 
 
 # ---------------------------------------------------------------------------
@@ -329,56 +336,57 @@ def test_rhs_allocates_one_work_buffer(temporary_arrays, harmonic_params):
 
 
 def test_ground_state_moments(ground_chi, grid2, harmonic_params):
-    P, Q = grid2.p_axis.points[:, None], grid2.q_axis.points[None, :]
+    p, q = grid2.p_axis.points, grid2.q_axis.points
     m = harmonic_params.mass
     k = harmonic_params.potential.k
-    assert expectation(Q**2, ground_chi) == pytest.approx(0.5, abs=1e-8)
-    assert expectation(P**2 / (2 * m) + 0.5 * k * Q**2, ground_chi) == pytest.approx(
-        0.5, abs=1e-8
-    )
-    assert expectation(Q, ground_chi) == pytest.approx(0.0, abs=1e-10)
+    assert expectation(ground_chi, of_q=q**2) == pytest.approx(0.5, abs=1e-8)
+    assert expectation(ground_chi, of_p=p**2 / (2 * m), of_q=0.5 * k * q**2) == pytest.approx(0.5, abs=1e-8)
+    assert expectation(ground_chi, of_q=q) == pytest.approx(0.0, abs=1e-10)
 
 
 def test_coherent_first_moments_track_the_orbit(q_grid, grid2, harmonic_params):
     t = 0.6
     chi, _ = _chi_at(q_grid, grid2, harmonic_params, 1.0, 0.0, t)
-    P, Q = grid2.p_axis.points[:, None], grid2.q_axis.points[None, :]
-    assert expectation(Q, chi) == pytest.approx(math.cos(t), abs=1e-8)
-    assert expectation(P, chi) == pytest.approx(-math.sin(t), abs=1e-8)
+    assert expectation(chi, of_q=grid2.q_axis.points) == pytest.approx(math.cos(t), abs=1e-8)
+    assert expectation(chi, of_p=grid2.p_axis.points) == pytest.approx(-math.sin(t), abs=1e-8)
 
 
 def test_expectation_validation(grid2, harmonic_params, ground_chi):
     with pytest.raises(GridError):
-        expectation(np.ones(4), ground_chi)
+        expectation(ground_chi, of_q=np.ones(4))
+    with pytest.raises(GridError):
+        expectation(ground_chi, of_p=np.ones(grid2.shape))
     zero = PhaseSpaceField(np.zeros(grid2.shape), grid2)
     with pytest.raises(ValueError):
-        expectation(np.ones(grid2.shape), zero)
+        expectation(zero, of_q=np.ones(grid2.shape[1]))
 
 
 @pytest.mark.parametrize("axis", ["p", "q"])
-def test_expectation_broadcasts_one_axis_observables(grid2, ground_chi, axis):
-    # a p-only (n, 1) column or a q-only (1, n) row is averaged over a
-    # marginal of chi: the value of the full n x n array it broadcasts to, up
-    # to the rounding of the other summation order; other shapes still raise
-    points = grid2.p_axis.points[:, None] if axis == "p" else grid2.q_axis.points[None, :]
-    observable = points**2 + points
-    full = np.broadcast_to(observable, grid2.shape).copy()
-    want = expectation(full, ground_chi)
-    assert expectation(observable, ground_chi) == pytest.approx(want, rel=0.0, abs=1e-15)
-    short = observable[:-1] if axis == "p" else observable[:, :-1]
-    with pytest.raises(GridError):
-        expectation(short, ground_chi)
-    with pytest.raises(GridError):
-        expectation(full[None], ground_chi)
+def test_expectation_broadcasts_one_axis_observables(grid2, ground_state, ground_chi, axis):
+    # a p part or a q part is averaged over a marginal of chi: the value of the
+    # whole-grid average sum(O conj(chi)) / sum(conj(chi)) of the n x n array it
+    # broadcasts to, up to the rounding of the other summation order, also from
+    # chi on its momentum strip only; a part of another shape raises
+    points = grid2.p_axis.points if axis == "p" else grid2.q_axis.points
+    part = points**2 + points
+    full = np.broadcast_to(part[:, None] if axis == "p" else part[None, :], grid2.shape)
+    weight = np.conj(ground_chi.values)
+    want = (np.sum(full * weight) / np.sum(weight)).real
+    strip = chi_rows(ground_state, _Strip([ground_state]).rows)
+    for chi in (ground_chi, strip):
+        assert expectation(chi, **{f"of_{axis}": part}) == pytest.approx(want, rel=0.0, abs=1e-15)
+        with pytest.raises(GridError):
+            expectation(chi, **{f"of_{axis}": part[:-1]})
+        with pytest.raises(GridError):
+            expectation(chi, **{f"of_{axis}": full})
 
 
 @pytest.mark.parametrize("axis", ["p", "q"])
 def test_one_axis_expectation_builds_no_full_size_temporary(temporary_arrays, harmonic_params, axis):
-    # a p-only or q-only observable reads chi through its marginal: the peak
-    # allocation stays far below one n x n complex array (a full-size
-    # observable takes the 2D path, two n x n temporaries)
+    # each part reads chi through its marginal: the peak allocation stays far
+    # below one n x n complex array even for a whole-grid chi
     n = 512
     g = make_grid(n, -10.0, 10.0)
     chi = _chi_at(g, Grid2D(g, harmonic_params.hbar), harmonic_params, 1.0, 0.5, 0.3)[0]
-    points = chi.grid.p_axis.points[:, None] if axis == "p" else chi.grid.q_axis.points[None, :]
-    assert temporary_arrays(lambda: expectation(points, chi), n) <= 0.05
+    points = chi.grid.p_axis.points if axis == "p" else chi.grid.q_axis.points
+    assert temporary_arrays(lambda: expectation(chi, **{f"of_{axis}": points}), n) <= 0.05

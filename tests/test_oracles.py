@@ -14,6 +14,15 @@ Shears at other alpha read 1.6e-7 at unit constants (the p-Nyquist defect) and a
 left to the change that mends it.  The momentum strip of the HJ residuals shears the
 same: 3.6e-10 at alpha = -1, and at the other alphas never more than the whole-grid
 shear's error plus that floor.
+
+The strip kernels, chi on the p rows phi occupies (``chi_rows``) and H' there:
+
+* H' chi against i hbar d(chi)/dt from the closed form's time derivative: 3.6e-10 of
+  the peak at unit constants and 3.5e-12 at (2, 1.5, 0.7), the p-Nyquist defect again:
+  on the outer mask columns chi's kernel exp(-i p q / hbar) carries its p-spectrum to
+  the momentum Nyquist, so relative to each sample the error reaches 6e-5 there;
+* chi's marginals against sqrt(2 pi hbar) |psi|^2 and |phi|^2: 9.7e-15 of the peak, and
+  ``expectation`` against <q>, <p>, <q^2> and <H>: 1.3e-15 absolute.
 """
 
 from __future__ import annotations
@@ -21,14 +30,30 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from oracles import coherent_chi, coherent_wigner, sheared_ground_chi
+from oracles import (
+    coherent_center,
+    coherent_chi,
+    coherent_chi_dt,
+    coherent_phi,
+    coherent_wigner,
+    sheared_ground_chi,
+)
 
-from epsqp.eps_core import chi_build
-from epsqp.numerics import Grid2D, PhysicalParams, Potential, amplitude_mask, make_grid
+from epsqp.eps_core import ExtendedHamiltonian, chi_build, chi_rows, expectation
+from epsqp.numerics import (
+    Grid2D,
+    PhysicalParams,
+    Potential,
+    amplitude_mask,
+    make_grid,
+    mask_box,
+    mask_box_gradients,
+    spectral_derivative_2d,
+)
 from epsqp.quantum_potential import _Strip
 from epsqp.reports import fit_global_constant
 from epsqp.states import ho_coherent_state
-from epsqp.transforms import apply_extended_transform, wigner_direct
+from epsqp.transforms import _wigner_blocks, apply_extended_transform, wigner_direct
 
 Q0, T = 0.5, 0.4
 PARAMS = {
@@ -98,3 +123,71 @@ def test_strip_shear_matches_the_cohen_form(n, params, alpha):
         return np.max(np.abs(field - c * shape)[inside] / np.abs(c * shape)[inside])
 
     assert error(f) < (3.7e-9 if alpha == -1.0 else error(whole) + 3.7e-9)
+
+
+# i hbar d(chi)/dt = H' chi to the peak: a decade over the measured 3.6e-10 and 3.5e-12
+EVOLUTION_BOUND = {"unit": 3.6e-9, "m2-k1.5-hbar0.7": 3.5e-11}
+
+
+@pytest.fixture(params=list(PARAMS))
+def named_params(request):
+    return request.param, PARAMS[request.param]
+
+
+def _strip_chi(n, params, t=T):
+    g, g2 = _grids(n, params)
+    psi = ho_coherent_state(g, params, Q0, 0.0, t)
+    return g2, psi, chi_rows(psi, _Strip([psi]).rows)
+
+
+def test_strip_evolution_operator_matches_the_time_derivative(n, named_params):
+    name, params = named_params
+    g2, psi, chi = _strip_chi(n, params)
+    got = ExtendedHamiltonian.from_params(params).apply(chi)
+    exact = 1j * params.hbar * coherent_chi_dt(psi, g2, Q0, 0.0)[chi.rows]
+    assert np.max(np.abs(got - exact)) < EVOLUTION_BOUND[name] * np.max(np.abs(exact))
+
+
+def test_strip_marginals_and_expectations_match_the_moments(n, params):
+    g2, psi, chi = _strip_chi(n, params)
+    m, hbar, w, k = params.mass, params.hbar, params.omega, params.potential.k
+    p, q = g2.p_axis.points, g2.q_axis.points
+    scale = np.sqrt(2.0 * np.pi * hbar)
+    for marginal, density in (
+        (chi.values.sum(axis=0) * g2.p_axis.spacing, np.abs(psi.values) ** 2),
+        (chi.values.sum(axis=1) * g2.q_axis.spacing, np.abs(coherent_phi(params, p, Q0, 0.0, T)[chi.rows]) ** 2),
+    ):
+        assert np.max(np.abs(marginal - scale * density)) < 1e-13 * scale * np.max(density)
+    q_c, p_c = coherent_center(params, Q0, 0.0, T)
+    q2 = q_c**2 + hbar / (2.0 * m * w)
+    for parts, exact in (
+        ({"of_q": q}, q_c),
+        ({"of_p": p}, p_c),
+        ({"of_q": q**2}, q2),
+        ({"of_p": p**2 / (2.0 * m), "of_q": 0.5 * k * q**2}, p_c**2 / (2.0 * m) + 0.5 * hbar * w + 0.5 * k * q_c**2),
+    ):
+        assert abs(expectation(chi, **parts) - exact) < 1e-14
+
+
+# Strip against whole grid at n = 128 and 256: chi_rows is chi_build's rows bit for bit;
+# H' on the strip is the whole-grid apply's rows to 2.4e-13 of the peak (a decade over
+# the measured 2.4e-14: the Toeplitz sums round differently from the column FFTs); the
+# Wigner residual's centre W and gradients, kept on phi's rows from whole-column blocks,
+# are wigner_direct's and its spectral derivatives on the mask box, the mask too.
+@pytest.mark.parametrize("strip_n", [128, 256])
+def test_strip_fields_equal_the_whole_grid_kernels(strip_n, params):
+    g2, psi, chi = _strip_chi(strip_n, params)
+    whole = chi_build(psi, g2)
+    np.testing.assert_array_equal(chi.values, whole.values[chi.rows])
+    for alpha in (0.0, -0.5):
+        ham = ExtendedHamiltonian.from_params(params, alpha)
+        want = ham.apply(whole)[chi.rows]
+        assert np.max(np.abs(ham.apply(chi) - want)) < 2.4e-13 * np.max(np.abs(want))
+
+    w = wigner_direct(psi, g2).values
+    mask, box, f, f_q, f_p = mask_box_gradients(_wigner_blocks(psi, g2), g2, chi.rows)
+    np.testing.assert_array_equal(mask, amplitude_mask(np.abs(w)))
+    assert box == mask_box(mask)
+    np.testing.assert_array_equal(f, w[box])
+    np.testing.assert_array_equal(f_p, spectral_derivative_2d(w, g2, axis=0)[box])
+    np.testing.assert_array_equal(f_q, spectral_derivative_2d(w[box[0]], g2, axis=1)[:, box[1]])

@@ -16,6 +16,7 @@ from epsqp.numerics import (
     PhysicalParams,
     Potential,
     amplitude_mask,
+    grown_span,
     make_grid,
     mask_box,
     mask_box_gradients,
@@ -340,8 +341,9 @@ def test_shears_leave_the_caller_chi_unchanged(q_grid, grid2, harmonic_params):
 def test_mask_box_gradients_match_whole_grid_derivatives(sweep_inputs, chi_inputs, values, alpha):
     # the Wigner residual takes its mask, box and gradients from
     # mask_box_gradients, which must serve any field: a sheared chi, any
-    # complex field, a real Wigner function.  On the box they must be the
-    # whole-grid derivatives.
+    # complex field, a real Wigner function, given as whole-column blocks and
+    # kept on p rows that hold its mask (all rows for the random field).  On
+    # the box they must be the whole-grid derivatives.
     center = chi_inputs[1]
     grid = center.grid
     if values == "chi":
@@ -352,9 +354,10 @@ def test_mask_box_gradients_match_whole_grid_derivatives(sweep_inputs, chi_input
     else:
         f = wigner_direct(sweep_inputs[1], grid).values
     if alpha != 0.0:
-        spectrum = np.fft.fft2(f)
-        f = np.fft.ifft2(shear_spectrum(spectrum, grid, alpha, out=spectrum))
-    mask, box, *fields = mask_box_gradients(f, grid)
+        f = np.fft.ifft2(shear_spectrum(np.fft.fft2(f), grid, alpha))
+    rows = slice(None) if values == "random" else grown_span(amplitude_mask(np.abs(f)).any(axis=1), 3)
+    blocks = ((slice(c, c + 48), f[:, c : c + 48]) for c in range(0, grid.shape[1], 48))
+    mask, box, *fields = mask_box_gradients(blocks, grid, rows)
     np.testing.assert_array_equal(mask, amplitude_mask(np.abs(f)))
     assert box == mask_box(mask)
     if values != "random":
@@ -418,8 +421,7 @@ def test_strip_fields_match_the_whole_grid_shear(harmonic_params, n, rolled):
     for alpha in (-1.0, -0.95, -0.75, -0.7, -0.5, -0.25, -0.05, 0.25, -1.5, 2.0):
         whole = []
         for psi in states:
-            spectrum = chi_spectrum(psi)
-            whole.append(np.fft.ifft2(shear_spectrum(spectrum, grid, alpha, out=spectrum)))
+            whole.append(np.fft.ifft2(shear_spectrum(chi_spectrum(psi), grid, alpha)))
         mask, box, *fields = strip.fields(alpha)
         np.testing.assert_array_equal(mask, amplitude_mask(np.abs(whole[1])))
         inside = mask[box]

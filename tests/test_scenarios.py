@@ -17,7 +17,7 @@ import epsqp.scenarios as scenarios
 import test_acceptance
 from epsqp.eps_core import chi_build, chi_spectrum
 from epsqp.numerics import amplitude_mask, fft2_passes
-from epsqp.quantum_potential import AlphaSweepResult, hj_residual_eps
+from epsqp.quantum_potential import AlphaSweepResult, _Strip, hj_residual_eps
 from epsqp.reports import ResidualReport, fit_global_constant, fit_line
 from epsqp.scenarios import (
     CHECKS,
@@ -34,7 +34,7 @@ from epsqp.scenarios import (
     to_json,
 )
 from epsqp.states import ho_coherent_state, to_momentum_space
-from epsqp.transforms import _wigner_blocks, shear_spectrum, wigner_direct
+from epsqp.transforms import shear_spectrum, wigner_direct
 
 
 def _strict_loads(text: str):
@@ -316,21 +316,21 @@ def test_wigner_peak_reference_needs_no_sample_at_the_origin():
 @pytest.mark.parametrize(
     "scenario, limit",
     [
-        (scenarios.scenario_eps_residuals, 4.5),
-        (scenarios.scenario_all, 5.1),
-        (scenarios.scenario_linear_gaussian, 2.6),
-        (scenarios.scenario_wigner_equivalence, 4.6),
+        (scenarios.scenario_eps_residuals, 1.12),
+        (scenarios.scenario_all, 1.11),
+        (scenarios.scenario_linear_gaussian, 0.67),
+        (scenarios.scenario_wigner_equivalence, 1.05),
+        (scenarios.scenario_harmonic_coherent, 0.66),
     ],
 )
 def test_scenarios_free_their_fields(temporary_arrays, scenario, limit):
     # Traced peak in n x n complex arrays at n = 512, the returned reports
-    # included: each n^2 array is freed after its last read, a halving check
-    # holds one snapshot triplet at a time, the eps checks build chi from
-    # states only where they read it whole, residual fields are mask-box
-    # crops, the Wigner fits shear chi's spectrum in place, built without
-    # chi, and the n/2 and 2n fits read W one column block at a time
-    # (measured 4.24, 4.79, 2.40 and 4.27; the 2n = 1024 sheared chi alone
-    # is 4 of them).
+    # included: each phase-space field lives on the momentum strip, the p rows
+    # its states' phi occupy, apart from whole-grid bool masks; a halving check
+    # holds one snapshot triplet at a time, residual fields are mask-box crops,
+    # and W is read one column block at a time (measured 1.02, 1.01, 0.61, 0.96
+    # and 0.60; the limits are those plus about 10 %).  Inside run all the peak is
+    # alpha-sweep's (1.00): the shear kernel tables of its strip.
     n = 512
     assert temporary_arrays(lambda: scenario(ScenarioConfig(grid_n=n)), n) <= limit
 
@@ -343,8 +343,7 @@ def _expected_bundles(name: str, cfg: ScenarioConfig) -> dict:
     coherent = partial(ho_coherent_state, g, params, cfg.q0, cfg.p0)
     if name == "wigner-equivalence":
         psi = coherent(cfg.eval_time)
-        spectrum = chi_spectrum(psi)
-        sheared = shear_spectrum(spectrum, g2, -0.5, out=np.empty_like(spectrum))
+        sheared = shear_spectrum(chi_spectrum(psi), g2, -0.5)
         return {"wigner": wigner_direct(psi, g2).values, "sheared-chi": fft2_passes(sheared, inverse=True)}
     t, dt = cfg.eval_time, cfg.dt
     fields = hj_residual_eps([coherent(t - dt), coherent(t), coherent(t + dt)]).fields
@@ -374,24 +373,35 @@ def test_reports_hold_no_phase_space_field(retained_arrays, name):
     "domain", [{}, {"q_min": -9.3, "q_max": 10.7, "hbar": 0.7}], ids=["default", "off-grid"]
 )
 def test_wigner_constant_from_column_blocks(domain, n):
-    # The n/2 and 2n fits sum W S and W^2 over q-column blocks of W.  The
-    # blocks' constant is within 1e-15 of compensated (math.fsum) sums of the
-    # same products, and within 2e-15 of fit_global_constant's one einsum pass
-    # over the whole fields, whose own error reaches 1.7e-15 (measured: at
-    # most 0.7e-15 and 1.5e-15).
+    # Each fit shears chi on its momentum strip, counts the shear as 0 off it, and
+    # sums over W's column blocks.  Against fit_global_constant's one einsum pass over
+    # the whole-grid fields (whose own error reaches 1.7e-15) the constant is within
+    # 2e-15; against compensated (math.fsum) sums of the strip products within 1e-15.
+    # Its deviation from W is no larger than the whole-grid shear's, which adds that
+    # shear's rounding off the strip (measured 3.7-7.8e-12 against 5.5-9.1e-12 at unit
+    # hbar).  W's marginals are those of the whole W to 1e-14 of their peak.
+    # (Measured: at most 1.4e-15, 4.2e-16 and 3.0e-15.)
     cfg = ScenarioConfig(**domain)
     g, g2 = scenarios._grids(cfg, n)
     psi = ho_coherent_state(g, scenarios._harmonic_params(cfg), cfg.q0, cfg.p0, cfg.eval_time)
-    sheared = scenarios._sheared_chi(psi, g2)
-    got = scenarios._fit_wigner_constant(sheared, _wigner_blocks(psi, g2))
+    got, deviation, marginal_q, marginal_p = scenarios._wigner_fit(psi)
+    sheared = fft2_passes(shear_spectrum(chi_spectrum(psi), g2, -0.5), inverse=True)
     w = wigner_direct(psi, g2).values
     whole = fit_global_constant(sheared, w)
     assert abs(got - whole) <= 2e-15 * abs(whole)
+    whole_deviation = math.sqrt(np.sum(np.abs(sheared - whole * w) ** 2) / np.sum(np.abs(sheared) ** 2))
+    assert deviation <= whole_deviation
+    for got_marginal, axis in ((marginal_q, 0), (marginal_p, 1)):
+        want = w.sum(axis=axis)
+        assert np.max(np.abs(got_marginal - want)) <= 1e-14 * np.max(want)
 
     def fsum(products):
         return math.fsum(math.fsum(row.tolist()) for row in products)
 
-    compensated = fsum(w * sheared.real) / fsum(w * w)  # the imaginary part is ~1e-16 of it
+    strip = _Strip([psi])
+    rows = strip.out_rows(-0.5)
+    on_strip = strip.q_pass(strip.shear(-0.5)(0, rows))
+    compensated = fsum(w[rows] * on_strip.real) / fsum(w * w)  # the imaginary part is ~1e-16 of it
     assert abs(got.real - compensated) <= 1e-15 * abs(compensated)
 
 
