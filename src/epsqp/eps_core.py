@@ -24,6 +24,7 @@ equation takes the classical transport form.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -33,11 +34,17 @@ from .numerics import (
     Grid2D,
     GridError,
     PhysicalParams,
+    grown_span,
     pq_factors,
     row_blocks,
     shear_strip,
 )
 from .states import WaveFunction, to_momentum_space
+
+#: |phi| level, relative to its peak, down to which the momentum strip reaches: the tails
+#: left out stay at rounding where a sheared field is 1e-6 of its peak, above phi's own
+#: floor (3e-17 at n = 256).  Twelve rows past the node mask left 8e-13 at m, k, hbar = 2, 1.5, 0.7.
+STRIP_TAIL = 1e-15
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,7 @@ def chi_rows(psi: WaveFunction, rows: slice) -> PhaseSpaceField:
     """:func:`chi_build`'s chi of the position-space state ``psi`` on the p ``rows`` only.
 
     Written in two passes from the kernel's :func:`~epsqp.numerics.pq_factors`, not
-    as the inverse q pass of :func:`chi_spectrum`: an FFT's absolute rounding floor
+    as the inverse q pass of :func:`chi_q_spectrum`: an FFT's absolute rounding floor
     would swamp chi at the mask edge, where |chi| is 1e-6 of its peak, while this
     product is accurate relative to each sample.
     """
@@ -84,11 +91,11 @@ def chi_rows(psi: WaveFunction, rows: slice) -> PhaseSpaceField:
     return PhaseSpaceField(values, grid, rows)
 
 
-def chi_spectrum(psi: WaveFunction) -> NDArray[np.complex128]:
-    """``fft2`` of :func:`chi_build`'s chi of the position-space state ``psi`` on its
-    phase-space grid, without chi: one p pass of its whole :func:`chi_q_spectrum`."""
-    spectrum = chi_q_spectrum(psi, slice(None), np.arange(psi.grid.n_points))
-    return np.fft.fft(spectrum, axis=0, out=spectrum)
+def strip_rows(states: Sequence[WaveFunction], grow: int = 1) -> slice:
+    """The momentum strip of states in either space: the p rows where some |phi| exceeds
+    :data:`STRIP_TAIL` of its peak, grown by ``grow`` rows (the whole axis past an edge)."""
+    phis = [np.abs((s if s.space == "p" else to_momentum_space(s)).values) for s in states]
+    return grown_span(np.logical_or.reduce([phi > STRIP_TAIL * phi.max() for phi in phis]), grow)
 
 
 def chi_q_spectrum(psi: WaveFunction, rows: slice, band: NDArray[np.int_]) -> NDArray[np.complex128]:

@@ -24,11 +24,6 @@ from numpy.typing import NDArray
 #: ...) are considered undefined and masked out.
 NODE_THRESHOLD = 1e-6
 
-#: |phi| level, relative to its peak, down to which the momentum strip reaches: the tails
-#: left out stay at rounding where a sheared field is 1e-6 of its peak, above phi's own
-#: floor (3e-17 at n = 256).  Twelve rows past the node mask left 8e-13 at m, k, hbar = 2, 1.5, 0.7.
-STRIP_TAIL = 1e-15
-
 #: Snapshot times closer than this count as equal.
 TIME_ATOL = 1e-12
 
@@ -193,16 +188,6 @@ def spectral_derivative_2d(values: NDArray, grid: Grid2D, axis: int, order: int 
     spectrum = np.fft.fft(values, axis=axis)
     spectrum *= (1j * k) ** order
     return np.fft.ifft(spectrum, axis=axis, out=spectrum)
-
-
-def fft2_passes(values: NDArray, inverse: bool = False, in_place: bool = False) -> NDArray[np.complex128]:
-    """``np.fft.fft2`` (``ifft2`` if ``inverse``) as numpy's own two one-axis passes, q then p.
-
-    Bitwise equal to ``fft2``, but into one new array, or ``in_place`` into complex ``values``.
-    """
-    transform = np.fft.ifft if inverse else np.fft.fft
-    out = transform(values, axis=1, out=values if in_place else None)
-    return transform(out, axis=0, out=out)
 
 
 #: Element count of one row block: bounds the temporaries of a blockwise pass.

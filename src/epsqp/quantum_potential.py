@@ -55,12 +55,10 @@ from typing import Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .eps_core import ExtendedHamiltonian, chi_q_spectrum
+from .eps_core import ExtendedHamiltonian, chi_q_spectrum, strip_rows
 from .numerics import (
-    STRIP_TAIL,
     Grid2D,
     amplitude_mask,
-    grown_span,
     log_amplitude,
     log_curvature,
     relative_curvature,
@@ -185,19 +183,18 @@ def hj_residual_p(snapshots: Sequence[WaveFunction]) -> ResidualReport:
 
 
 class _Strip:
-    """The momentum strip of position-space states: the p ``rows`` where some |phi| exceeds
-    :data:`STRIP_TAIL` of its peak, grown by one row (the whole axis past an edge), and
-    the ``blocks`` of their chi q-spectra there.  Column b pairs rows i and i + b of phi,
-    so on m rows the ``band`` is the signed columns |b| < m, or all n.
+    """The momentum strip of position-space states, their :func:`~epsqp.eps_core.strip_rows`
+    ``rows``, and the ``blocks`` of their chi q-spectra there.  Column b pairs rows i and
+    i + b of phi, so on m rows the ``band`` is the signed columns |b| < m, or all n.
     """
 
     def __init__(self, states: Sequence[WaveFunction]):
         self.states = tuple(states)
         self.grid = Grid2D(self.states[0].grid, self.states[0].params.hbar)
-        self.phis = tuple(np.conj(to_momentum_space(s).values) for s in self.states)
-        self.hit = np.logical_or.reduce([np.abs(phi) > STRIP_TAIL * np.abs(phi).max() for phi in self.phis])
-        self.rows = grown_span(self.hit, 1)
-        n = len(self.hit)
+        self.momenta = tuple(to_momentum_space(s) for s in self.states)
+        self.phis = tuple(np.conj(phi.values) for phi in self.momenta)
+        self.rows = strip_rows(self.momenta)
+        n = self.grid.shape[0]
         self.size = len(range(n)[self.rows])
         self.band = np.arange(1 - self.size, self.size) if 2 * self.size <= n else np.arange(n) - n // 2
 
@@ -208,13 +205,18 @@ class _Strip:
     def out_rows(self, alpha: float) -> slice:
         """The rows chi sheared by alpha occupies: p is a convex combination of phi's
         arguments p + alpha hbar v and p + (1 + alpha) hbar v."""
-        return grown_span(self.hit, 1 + math.ceil(max(alpha, -1.0 - alpha, 0.0) * self.size))
+        return strip_rows(self.momenta, 1 + math.ceil(max(alpha, -1.0 - alpha, 0.0) * self.size))
 
     def shear(self, alpha: float):
         """``shear(i, rows, kernel=0)``: state i's chi sheared by alpha as its q-spectrum on
         ``rows``, or (``kernel=1``) that of its p derivative."""
         kernels = shear_kernels(self.grid, alpha, self.band)
         return lambda i, rows, kernel=0: shear_strip(kernels[kernel], self.blocks[i], self.rows, rows)
+
+    def sheared(self, alpha: float) -> tuple:
+        """``(rows, values)``: the first state's chi sheared by alpha on the rows it occupies."""
+        rows = self.out_rows(alpha)
+        return rows, self.q_pass(self.shear(alpha)(0, rows))
 
     def q_pass(self, spectrum: NDArray) -> NDArray[np.complex128]:
         """Rows of a field from their q-spectrum on the band: one length-n inverse q pass each."""

@@ -25,14 +25,13 @@ from .classical import (
     legendre_residual,
     translate_initial_conditions,
 )
-from .eps_core import ExtendedHamiltonian, PhaseSpaceField, chi_rows, chi_spectrum, expectation
+from .eps_core import ExtendedHamiltonian, PhaseSpaceField, chi_rows, expectation, strip_rows
 from .numerics import (
     Grid2D,
     GridError,
     PhysicalParams,
     Potential,
     amplitude_mask,
-    fft2_passes,
     make_grid,
     strip_mask_box,
     within,
@@ -54,7 +53,7 @@ from .states import (
     splitstep_propagate,
     to_momentum_space,
 )
-from .transforms import _wigner_blocks, shear_spectrum, wigner_direct, wigner_equation_residual
+from .transforms import _wigner_blocks, wigner_direct, wigner_equation_residual
 
 REGISTRY_VERSION = "1.0"
 
@@ -411,8 +410,11 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
     # rebuilt from the state when exported: the report holds no n^2 array
     axes = {"kind": "2d", "p": g2.p_axis.points, "q": g.points}
 
-    def sheared_chi() -> np.ndarray:  # chi's spectrum, sheared and inverted in place
-        return fft2_passes(shear_spectrum(chi_spectrum(psi), g2, -0.5), inverse=True, in_place=True)
+    def sheared_chi() -> np.ndarray:  # the fit's field, zero off its rows
+        rows, sheared = _Strip([psi]).sheared(-0.5)
+        values = np.zeros(g2.shape, dtype=complex)
+        values[rows] = sheared
+        return values
 
     report.field_bundles = {
         "wigner": lambda: {**axes, "values": wigner_direct(psi, g2).values},
@@ -430,8 +432,7 @@ def _wigner_fit(psi: WaveFunction) -> tuple:
     from ``_wigner_blocks`` and kept on those rows only.
     """
     strip = _Strip([psi])
-    rows = strip.out_rows(-0.5)
-    sheared = strip.q_pass(strip.shear(-0.5)(0, rows))
+    rows, sheared = strip.sheared(-0.5)
     n = psi.grid.n_points
     span = range(n)[rows]
     w = np.empty(sheared.shape)
@@ -555,7 +556,7 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
 
     # --- averaging rule ------------------------------------------------------
     # on each chi's momentum strip; every observable is a p part plus a q part
-    chi_g = chi_rows(psi_g, _Strip([psi_g]).rows)
+    chi_g = chi_rows(psi_g, strip_rows([psi_g]))
     p, q = g2.p_axis.points, g.points
     q2_val = expectation(chi_g, of_q=q**2)
     h_val = expectation(chi_g, of_p=p**2 / (2.0 * m), of_q=0.5 * k * q**2)
@@ -567,7 +568,7 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     for i in range(10):
         t_i = i * period / 10.0
         psi_i = ho_coherent_state(g, params, cfg.q0, cfg.p0, t_i)
-        chi_i = chi_rows(psi_i, _Strip([psi_i]).rows)
+        chi_i = chi_rows(psi_i, strip_rows([psi_i]))
         q_c = cfg.q0 * math.cos(w_freq * t_i) + cfg.p0 / (m * w_freq) * math.sin(w_freq * t_i)
         p_c = cfg.p0 * math.cos(w_freq * t_i) - m * w_freq * cfg.q0 * math.sin(w_freq * t_i)
         worst_track = max(
@@ -668,7 +669,7 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
 
     # dynamical equation: i hbar d(chi)/dt = H' chi at the operator level, on the
     # momentum strip of the snapshots (chi is below rounding off it)
-    rows = _Strip(snaps).rows
+    rows = strip_rows(snaps)
     plus, minus = (chi_rows(s, rows).values for s in (snaps[2], snaps[0]))
     lhs = 1j * hbar * (plus - minus) / (2.0 * cfg.dt)
     psi_t = snaps[1]
@@ -678,7 +679,7 @@ def _eps_harmonic(report: ScenarioReport, cfg: ScenarioConfig, g, g2: Grid2D) ->
 
     # stationary pair: energy phases cancel in psi phi*, so H' chi = 0
     psi_g = ho_coherent_state(g, params, 0.0, 0.0, 0.0)
-    chi_g = chi_rows(psi_g, _Strip([psi_g]).rows)
+    chi_g = chi_rows(psi_g, strip_rows([psi_g]))
     report.check("eps-stationary-max", float(np.max(np.abs(ham.apply(chi_g)))))
 
     joint = _check_separable(report, center, psi_t, to_momentum_space(psi_t))

@@ -22,45 +22,17 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
-from .eps_core import PhaseSpaceField
+from .eps_core import PhaseSpaceField, strip_rows
 from .numerics import (
-    STRIP_TAIL,
     Grid2D,
     GridError,
-    fft2_passes,
-    grown_span,
     mask_box_gradients,
     row_blocks,
     snapshot_triple,
     spectral_resample,
 )
 from .reports import ResidualReport, residual_report, snapshot_metadata
-from .states import WaveFunction, to_momentum_space
-
-
-def shear_spectrum(spectrum: NDArray[np.complex128], grid: Grid2D, alpha: float) -> NDArray[np.complex128]:
-    """Multiply an ``fft2`` spectrum on ``grid`` in place by ``U_alpha``'s ``exp(+i alpha hbar u v)``,
-    and return it.
-
-    There ``alpha hbar u_a v_b = 2 pi alpha a b / n`` for the integer wavenumber indices
-    ``a, b``, and ``2 a b = (a + b)^2 - a^2 - b^2`` makes the multiplier the Hankel view
-    ``[i, j] -> h[i + j]`` of ``h = exp(i pi alpha s^2 / n)``, ``s = -n .. n-2``, in
-    centred order, times ``chirp = exp(-i pi alpha a^2 / n)`` in FFT order on each axis.
-    Each quadrant is multiplied by its block of the view, so from 2n - 1 exponentials
-    and no n x n multiplier.
-    """
-    n = grid.q_axis.n_points
-    s = np.arange(-n, n - 1)
-    table = np.exp(1j * (np.pi * alpha / n) * (s * s))
-    chirp = np.fft.ifftshift(np.conj(table[n // 2 : 3 * n // 2]))
-    hankel = sliding_window_view(table, n)
-    halves = (slice(None, n // 2), slice(n // 2, None))  # FFT order; the centred block is the other half
-    for a, centred_a in zip(halves, halves[::-1]):
-        for b, centred_b in zip(halves, halves[::-1]):
-            spectrum[a, b] *= hankel[centred_a, centred_b]
-    spectrum *= chirp[:, None]
-    spectrum *= chirp[None, :]
-    return spectrum
+from .states import WaveFunction
 
 
 def shear_kernels(grid: Grid2D, alpha: float, band: NDArray[np.int_]) -> NDArray[np.complex128]:
@@ -80,12 +52,22 @@ def shear_kernels(grid: Grid2D, alpha: float, band: NDArray[np.int_]) -> NDArray
 
 
 def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> NDArray[np.complex128]:
-    """``U_alpha`` applied to a phase-space field, as a new complex array: its spectrum
-    is sheared in place by :func:`shear_spectrum`.  Successive transforms compose
-    additively in alpha.
+    """``U_alpha`` applied to a whole-grid phase-space field (a :class:`GridError` on fewer
+    rows), as a new complex array: the reference of the strip shear.  Successive transforms
+    compose additively in alpha.  Two one-axis FFT passes (q, then p) into one buffer, each
+    p-spectrum row ``a`` times ``exp(i alpha hbar u_a v_b) = exp(2 pi i alpha a b / n)``
+    (``a, b`` the integer wavenumber indices: no n x n multiplier), two inverse passes.
     """
-    spectrum = shear_spectrum(fft2_passes(field.values), field.grid, alpha)
-    return fft2_passes(spectrum, inverse=True, in_place=True)
+    if np.shape(field.values) != field.grid.shape:
+        raise GridError("the whole-grid shear needs a field on every p row")
+    n = field.grid.q_axis.n_points
+    index = np.fft.fftfreq(n, 1.0 / n)
+    spectrum = np.fft.fft(field.values, axis=1)
+    np.fft.fft(spectrum, axis=0, out=spectrum)
+    for a, row in zip(index, spectrum):
+        row *= np.exp((2j * np.pi * alpha / n) * (a * index))
+    np.fft.ifft(spectrum, axis=1, out=spectrum)
+    return np.fft.ifft(spectrum, axis=0, out=spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +156,12 @@ def wigner_equation_residual(snapshots: Sequence[WaveFunction]) -> ResidualRepor
 
     Only the box of the centre W's amplitude mask is evaluated, with the
     gradients of :func:`mask_box_gradients`, and the ``residual`` field is
-    NaN off the mask.  The centre W is kept on the p rows where its phi
-    exceeds :data:`STRIP_TAIL` of its peak, W's p support, and W at t +- dt
-    is built on the box columns only.
+    NaN off the mask.  The centre W is kept on its :func:`~epsqp.eps_core.strip_rows`,
+    W's p support, and W at t +- dt is built on the box columns only.
     """
     minus, center, plus, dt = snapshot_triple(snapshots)
     grid = Grid2D(center.grid, center.params.hbar)
-    phi = np.abs(to_momentum_space(center).values)
-    rows = grown_span(phi > STRIP_TAIL * phi.max(), 1)
+    rows = strip_rows([center])
     mask, box, _, w_q, w_p = mask_box_gradients(_wigner_blocks(center, grid), grid, rows)
 
     def w_box(psi):

@@ -17,8 +17,8 @@ from epsqp.eps_core import (
     chi_build,
     chi_q_spectrum,
     chi_rows,
-    chi_spectrum,
     expectation,
+    strip_rows,
 )
 from epsqp.numerics import (
     Grid2D,
@@ -26,11 +26,9 @@ from epsqp.numerics import (
     PhysicalParams,
     Potential,
     amplitude_mask,
-    fft2_passes,
     make_grid,
     spectral_derivative_2d,
 )
-from epsqp.quantum_potential import _Strip
 from epsqp.states import ho_coherent_state, to_momentum_space
 from epsqp.transforms import wigner_direct
 
@@ -70,38 +68,44 @@ def test_chi_build_matches_the_direct_product(harmonic_params):
     assert np.max(np.abs(chi_build(psi, g2).values - direct)) < bound
 
 
-@pytest.mark.parametrize("lo, hi, hbar", [(-10.0, 10.0, 1.0), (-9.3, 10.7, 0.7)])
-@pytest.mark.parametrize("n", [64, 256, 1024])
-def test_chi_spectrum_is_the_fft2_of_chi(harmonic_params, lo, hi, hbar, n):
-    # the (p, v) product and one p pass equal fft2 of chi_build's chi to
-    # rounding, also where q_min / dq is not an integer (-9.3 / (20 / n))
+@pytest.mark.parametrize(
+    "rows, band, n, lo, hi, hbar",
+    [
+        (slice(90, 150), np.arange(-59, 60), 256, -9.3, 10.7, 0.7),
+        (slice(None), np.arange(256) - 128, 256, -9.3, 10.7, 0.7),
+        *(
+            (slice(None), None, n, *domain)
+            for n in (64, 256, 1024)
+            for domain in ((-10.0, 10.0, 1.0), (-9.3, 10.7, 0.7))
+        ),
+    ],
+    ids=["rows0-band0", "rows1-band1", *(f"whole-{n}-{d}" for n in (64, 256, 1024) for d in ("default", "off-grid"))],
+)
+def test_chi_q_spectrum_is_a_block_of_chis_q_spectrum(harmonic_params, rows, band, n, lo, hi, hbar):
+    # chi's q-spectrum on any p rows and signed q wavenumbers, also off the integer
+    # q_min / dq row phase (-9.3 / (20 / n)): rows and columns (band mod n) of fft(chi)
+    # along q.  On all rows and the whole band (None: in FFT order), one p pass of it is
+    # fft2 of chi to rounding.
     params = replace(harmonic_params, hbar=hbar)
     q_grid = make_grid(n, lo, hi)
-    g2 = Grid2D(q_grid, hbar)
     psi = ho_coherent_state(q_grid, params, q0=0.5, p0=0.3, t=0.4)
-    expected = fft2_passes(chi_build(psi, g2).values)
-    got = chi_spectrum(psi)
-    assert got.shape == g2.shape and got.dtype == np.complex128
+    chi = chi_build(psi, Grid2D(q_grid, params.hbar)).values
+    got = chi_q_spectrum(psi, rows, np.arange(n) if band is None else band)
+    if band is None:
+        expected = np.fft.fft2(chi)
+        got = np.fft.fft(got, axis=0)
+        assert got.shape == chi.shape and got.dtype == np.complex128
+    else:
+        expected = np.fft.fft(chi, axis=1)
+        assert got.shape == (len(range(n)[rows]), len(band))
+        expected = expected[rows][:, band % n]
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
-@pytest.mark.parametrize("rows, band", [(slice(90, 150), np.arange(-59, 60)), (slice(None), np.arange(256) - 128)])
-def test_chi_q_spectrum_is_a_block_of_chis_q_spectrum(harmonic_params, rows, band):
-    # chi's q-spectrum on any p rows and signed q wavenumbers, also off the integer
-    # q_min / dq row phase: rows and columns (band mod n) of fft(chi) along q
-    params = replace(harmonic_params, hbar=0.7)
-    q_grid = make_grid(256, -9.3, 10.7)
-    psi = ho_coherent_state(q_grid, params, q0=0.5, p0=0.3, t=0.4)
-    expected = np.fft.fft(chi_build(psi, Grid2D(q_grid, params.hbar)).values, axis=1)
-    got = chi_q_spectrum(psi, rows, band)
-    assert got.shape == (len(range(256)[rows]), len(band))
-    assert np.max(np.abs(got - expected[rows][:, band % 256])) <= 1e-14 * np.max(np.abs(expected))
-
-
-def test_chi_spectrum_needs_a_position_state(q_grid, harmonic_params):
+def test_chi_q_spectrum_needs_a_position_state(q_grid, harmonic_params):
     psi = ho_coherent_state(q_grid, harmonic_params, q0=0.5, p0=0.0, t=0.0)
     with pytest.raises(ValueError, match="position-space"):
-        chi_spectrum(to_momentum_space(psi))
+        chi_q_spectrum(to_momentum_space(psi), slice(None), np.arange(q_grid.n_points))
 
 
 @pytest.mark.parametrize(
@@ -324,7 +328,7 @@ def test_rhs_allocates_one_work_buffer(temporary_arrays, harmonic_params):
     n = 512
     g = make_grid(n, -10.0, 10.0)
     chi, psi = _chi_at(g, Grid2D(g, harmonic_params.hbar), harmonic_params, 1.0, 0.5, 0.3)
-    strip = chi_rows(psi, _Strip([psi]).rows)
+    strip = chi_rows(psi, strip_rows([psi]))
     ham = ExtendedHamiltonian.from_params(harmonic_params)
     assert temporary_arrays(lambda: ham.apply(chi), n) <= 2.4
     assert temporary_arrays(lambda: ham.apply(strip), n) <= 0.4
@@ -372,7 +376,7 @@ def test_expectation_broadcasts_one_axis_observables(grid2, ground_state, ground
     full = np.broadcast_to(part[:, None] if axis == "p" else part[None, :], grid2.shape)
     weight = np.conj(ground_chi.values)
     want = (np.sum(full * weight) / np.sum(weight)).real
-    strip = chi_rows(ground_state, _Strip([ground_state]).rows)
+    strip = chi_rows(ground_state, strip_rows([ground_state]))
     for chi in (ground_chi, strip):
         assert expectation(chi, **{f"of_{axis}": part}) == pytest.approx(want, rel=0.0, abs=1e-15)
         with pytest.raises(GridError):

@@ -17,7 +17,6 @@ from epsqp.numerics import (
     PhysicalParams,
     Potential,
     amplitude_mask,
-    fft2_passes,
     grown_span,
     log_amplitude,
     log_curvature,
@@ -127,17 +126,6 @@ def test_spectral_derivative_2d_axis_semantics():
     fp = spectral_derivative_2d(f, g2, axis=0, order=1)
     np.testing.assert_allclose(fq, 1j * kq * f, atol=1e-9)
     np.testing.assert_allclose(fp, 1j * kp * f, atol=1e-9)
-
-
-@pytest.mark.parametrize("n", [2**e for e in range(3, 11)])
-def test_fft2_passes_are_bitwise_numpy(n):
-    rng = np.random.default_rng(n)
-    x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    assert np.array_equal(fft2_passes(x), np.fft.fft2(x))
-    assert np.array_equal(fft2_passes(x, inverse=True), np.fft.ifft2(x))
-    expected = np.fft.ifft2(x)
-    assert fft2_passes(x, inverse=True, in_place=True) is x
-    assert np.array_equal(x, expected)
 
 
 def test_spectral_resample_evaluates_trig_interpolant():

@@ -39,7 +39,7 @@ from oracles import (
     sheared_ground_chi,
 )
 
-from epsqp.eps_core import ExtendedHamiltonian, chi_build, chi_rows, expectation
+from epsqp.eps_core import ExtendedHamiltonian, chi_build, chi_rows, expectation, strip_rows
 from epsqp.numerics import (
     Grid2D,
     PhysicalParams,
@@ -137,7 +137,7 @@ def named_params(request):
 def _strip_chi(n, params):
     g, g2 = _grids(n, params)
     psi = ho_coherent_state(g, params, Q0, 0.0, T)
-    return g2, psi, chi_rows(psi, _Strip([psi]).rows)
+    return g2, psi, chi_rows(psi, strip_rows([psi]))
 
 
 def test_strip_evolution_operator_matches_the_time_derivative(n, named_params):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from epsqp import numerics
-from epsqp.eps_core import chi_build, chi_spectrum
+from epsqp.eps_core import PhaseSpaceField, chi_build
 from epsqp.numerics import (
     PhysicalParams,
     Potential,
@@ -39,7 +39,6 @@ from epsqp.states import (
 )
 from epsqp.transforms import (
     apply_extended_transform,
-    shear_spectrum,
     wigner_direct,
     wigner_equation_residual,
 )
@@ -320,9 +319,9 @@ def test_alpha_sweep_equals_per_alpha_residuals(sweep_inputs):
 
 
 def test_shears_leave_the_caller_chi_unchanged(q_grid, grid2, harmonic_params):
-    # shear_spectrum may write into the spectrum it reads, and the sweep
-    # shears spectra it builds from the states: every shear must still leave
-    # the caller's chi and states as they were, bit for bit
+    # the whole-grid shear transforms in place in a buffer of its own, and the
+    # sweep shears spectra it builds from the states: every shear must still
+    # leave the caller's chi and states as they were, bit for bit
     states = _state_triplet(q_grid, harmonic_params)
     chi = chi_build(states[1], grid2)
     held = [chi, *states]
@@ -354,7 +353,7 @@ def test_mask_box_gradients_match_whole_grid_derivatives(sweep_inputs, chi_input
     else:
         f = wigner_direct(sweep_inputs[1], grid).values
     if alpha != 0.0:
-        f = np.fft.ifft2(shear_spectrum(np.fft.fft2(f), grid, alpha))
+        f = apply_extended_transform(PhaseSpaceField(f, grid), alpha)
     rows = slice(None) if values == "random" else grown_span(amplitude_mask(np.abs(f)).any(axis=1), 3)
     blocks = ((slice(c, c + 48), f[:, c : c + 48]) for c in range(0, grid.shape[1], 48))
     mask, box, *fields = mask_box_gradients(blocks, grid, rows)
@@ -404,8 +403,8 @@ def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, grid2, alpha
 )
 def test_strip_fields_match_the_whole_grid_shear(harmonic_params, n, rolled):
     # The strip applies the whole-grid discrete shear, restricted to the rows phi
-    # occupies: on the mask its fields are the whole-grid path's, chi_spectrum
-    # -> shear_spectrum -> ifft2, to rounding read a millionth of the peak down.
+    # occupies: on the mask its fields are the whole-grid path's, chi_build ->
+    # apply_extended_transform, to rounding read a millionth of the peak down.
     # At alpha = 2 the field leaves the strip and its rows must grow.
     # Rolled by n/2 in p (times (-1)^j), phi straddles the p edge and the strip
     # takes the whole axis (at n = 1024 that costs n^3 a product, so not there).
@@ -421,7 +420,7 @@ def test_strip_fields_match_the_whole_grid_shear(harmonic_params, n, rolled):
     for alpha in (-1.0, -0.95, -0.75, -0.7, -0.5, -0.25, -0.05, 0.25, -1.5, 2.0):
         whole = []
         for psi in states:
-            whole.append(np.fft.ifft2(shear_spectrum(chi_spectrum(psi), grid, alpha)))
+            whole.append(apply_extended_transform(chi_build(psi, grid), alpha))
         mask, box, *fields = strip.fields(alpha)
         np.testing.assert_array_equal(mask, amplitude_mask(np.abs(whole[1])))
         inside = mask[box]
@@ -570,11 +569,14 @@ def test_residual_fields_are_box_crops(sweep_inputs, grid2, engine):
         np.testing.assert_array_equal(whole[box], crop)
 
 
-@pytest.mark.parametrize("evaluate", [hj_residual_eps, partial(hj_residual_transformed, alpha=-0.75)])
+@pytest.mark.parametrize(
+    "evaluate", [hj_residual_eps, partial(hj_residual_transformed, alpha=-0.75), wigner_equation_residual]
+)
 def test_a_mask_past_its_strip_is_a_value_error(monkeypatch, sweep_inputs, evaluate):
-    # a strip cut where |phi| is 1e-3 of its peak is narrower than the 1e-6 amplitude
-    # mask, which then reaches the strip's edge rows inside the p axis
-    monkeypatch.setattr("epsqp.quantum_potential.STRIP_TAIL", 1e-3)
+    # a strip cut where |phi| is 1e-2 of its peak is narrower than the 1e-6 amplitude
+    # mask, which then reaches the strip's edge rows inside the p axis (W's mask is
+    # narrower than chi's: cut at 1e-3 it still fits its strip)
+    monkeypatch.setattr("epsqp.eps_core.STRIP_TAIL", 1e-2)
     with pytest.raises(ValueError, match="edge of its momentum strip"):
         evaluate(sweep_inputs)
 

@@ -15,8 +15,8 @@ import pytest
 
 import epsqp.scenarios as scenarios
 import test_acceptance
-from epsqp.eps_core import chi_build, chi_spectrum
-from epsqp.numerics import amplitude_mask, fft2_passes
+from epsqp.eps_core import chi_build
+from epsqp.numerics import amplitude_mask
 from epsqp.quantum_potential import AlphaSweepResult, _Strip, hj_residual_eps
 from epsqp.reports import ResidualReport, fit_global_constant, fit_line
 from epsqp.scenarios import (
@@ -34,7 +34,7 @@ from epsqp.scenarios import (
     to_json,
 )
 from epsqp.states import ho_coherent_state, to_momentum_space
-from epsqp.transforms import shear_spectrum, wigner_direct
+from epsqp.transforms import apply_extended_transform, wigner_direct
 
 
 def _strict_loads(text: str):
@@ -335,16 +335,23 @@ def test_scenarios_free_their_fields(temporary_arrays, scenario, limit):
     assert temporary_arrays(lambda: scenario(ScenarioConfig(grid_n=n)), n) <= limit
 
 
+#: The sheared-chi bundle against the whole-grid shear, relative to its peak: a decade over
+#: the 7.9e-13 measured at n = 512 (8.1e-13 at 256 and 1024, 2.2e-12 at 64), all of it on the
+#: rows past the strip, where the bundle is 0 (4e-16 on the strip rows).
+SHEARED_CHI_BOUND = 8e-12
+
+
 def _expected_bundles(name: str, cfg: ScenarioConfig) -> dict:
     """The 2-D bundle values of ``name``, built as the scenario builds the fields
-    its checks read."""
+    its checks read; the sheared chi is the whole-grid shear, which the bundle
+    must match only to rounding (see :data:`SHEARED_CHI_BOUND`)."""
     params = scenarios._harmonic_params(cfg)
     g, g2 = scenarios._grids(cfg)
     coherent = partial(ho_coherent_state, g, params, cfg.q0, cfg.p0)
     if name == "wigner-equivalence":
         psi = coherent(cfg.eval_time)
-        sheared = shear_spectrum(chi_spectrum(psi), g2, -0.5)
-        return {"wigner": wigner_direct(psi, g2).values, "sheared-chi": fft2_passes(sheared, inverse=True)}
+        sheared = apply_extended_transform(chi_build(psi, g2), -0.5)
+        return {"wigner": wigner_direct(psi, g2).values, "sheared-chi": sheared}
     t, dt = cfg.eval_time, cfg.dt
     fields = hj_residual_eps([coherent(t - dt), coherent(t), coherent(t + dt)]).fields
     q_term = np.full(g2.shape, np.nan)  # the box crop on the whole grid; NaN off the mask
@@ -357,7 +364,9 @@ def test_reports_hold_no_phase_space_field(retained_arrays, name):
     # A report keeps no n^2 array once its scenario returns: each 2-D field
     # bundle is a function that rebuilds its field from 1-D states or box
     # crops when it is exported (measured 0.04 and 0.03 n x n complex arrays
-    # at n = 512, 1.53 and 0.57 with the fields in the report)
+    # at n = 512, 1.53 and 0.57 with the fields in the report).  The sheared-chi
+    # bundle is the Wigner fit's strip field, exactly 0 off its rows, and matches the
+    # whole-grid shear to SHEARED_CHI_BOUND of its peak; the others are bitwise.
     n = 512
     cfg = ScenarioConfig(grid_n=n)
     held, report = retained_arrays(lambda: run_scenario(name, cfg), n)
@@ -365,7 +374,16 @@ def test_reports_hold_no_phase_space_field(retained_arrays, name):
     expected = _expected_bundles(name, cfg)
     assert set(report.field_bundles) == set(expected)
     for key, build in report.field_bundles.items():
-        np.testing.assert_array_equal(build()["values"], expected[key])
+        got = build()["values"]
+        if key != "sheared-chi":
+            np.testing.assert_array_equal(got, expected[key])
+            continue
+        g, _ = scenarios._grids(cfg)
+        psi = ho_coherent_state(g, scenarios._harmonic_params(cfg), cfg.q0, cfg.p0, cfg.eval_time)
+        off = np.ones(n, dtype=bool)
+        off[_Strip([psi]).out_rows(-0.5)] = False
+        assert np.all(got[off] == 0.0)
+        assert np.max(np.abs(got - expected[key])) <= SHEARED_CHI_BOUND * np.max(np.abs(expected[key]))
 
 
 @pytest.mark.parametrize("n", [64, 512, 2048])
@@ -378,19 +396,21 @@ def test_wigner_constant_from_column_blocks(domain, n):
     # the whole-grid fields (whose own error reaches 1.7e-15) the constant is within
     # 2e-15; against compensated (math.fsum) sums of the strip products within 1e-15.
     # Its deviation from W is no larger than the whole-grid shear's, which adds that
-    # shear's rounding off the strip (measured 3.7-7.8e-12 against 5.5-9.1e-12 at unit
-    # hbar).  W's marginals are those of the whole W to 1e-14 of their peak.
-    # (Measured: at most 1.4e-15, 4.2e-16 and 3.0e-15.)
+    # shear's values off the strip (measured 3.8e-12 against 5.6e-12 at n = 512 and
+    # unit hbar), up to 1e-16: off-grid at n = 64 both sit on the hbar = 0.7 aliasing
+    # floor, 1.06058633990e-8 and 1.06058633828e-8, a gap of 1.6e-17 (rounding-level
+    # deviations here are 1.0-1.2e-15).  W's marginals are those of the whole W to
+    # 1e-14 of their peak.  (Measured: at most 1.4e-15, 4.2e-16 and 3.0e-15.)
     cfg = ScenarioConfig(**domain)
     g, g2 = scenarios._grids(cfg, n)
     psi = ho_coherent_state(g, scenarios._harmonic_params(cfg), cfg.q0, cfg.p0, cfg.eval_time)
     got, deviation, marginal_q, marginal_p = scenarios._wigner_fit(psi)
-    sheared = fft2_passes(shear_spectrum(chi_spectrum(psi), g2, -0.5), inverse=True)
+    sheared = apply_extended_transform(chi_build(psi, g2), -0.5)
     w = wigner_direct(psi, g2).values
     whole = fit_global_constant(sheared, w)
     assert abs(got - whole) <= 2e-15 * abs(whole)
     whole_deviation = math.sqrt(np.sum(np.abs(sheared - whole * w) ** 2) / np.sum(np.abs(sheared) ** 2))
-    assert deviation <= whole_deviation
+    assert deviation <= whole_deviation + 1e-16
     for got_marginal, axis in ((marginal_q, 0), (marginal_p, 1)):
         want = w.sum(axis=axis)
         assert np.max(np.abs(got_marginal - want)) <= 1e-14 * np.max(want)
@@ -398,9 +418,7 @@ def test_wigner_constant_from_column_blocks(domain, n):
     def fsum(products):
         return math.fsum(math.fsum(row.tolist()) for row in products)
 
-    strip = _Strip([psi])
-    rows = strip.out_rows(-0.5)
-    on_strip = strip.q_pass(strip.shear(-0.5)(0, rows))
+    rows, on_strip = _Strip([psi]).sheared(-0.5)
     compensated = fsum(w[rows] * on_strip.real) / fsum(w * w)  # the imaginary part is ~1e-16 of it
     assert abs(got.real - compensated) <= 1e-15 * abs(compensated)
 

@@ -11,14 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from epsqp import numerics
-from epsqp.eps_core import ExtendedHamiltonian, chi_build, chi_spectrum
-from epsqp.numerics import Grid2D, make_grid, shear_strip, spectral_resample
+from epsqp.eps_core import ExtendedHamiltonian, PhaseSpaceField, chi_build, chi_rows
+from epsqp.numerics import Grid2D, GridError, make_grid, shear_strip, spectral_resample
 from epsqp.reports import l2
 from epsqp.transforms import (
     _wigner_blocks,
     apply_extended_transform,
     shear_kernels,
-    shear_spectrum,
     wigner_direct,
     wigner_equation_residual,
 )
@@ -67,22 +66,31 @@ def test_shear_inverts_exactly(ground_chi, alpha):
 
 
 @pytest.mark.parametrize("lo, hi, hbar", [(-10.0, 10.0, 1.0), (-3.0, 5.0, 0.7)])
-def test_shear_spectrum_matches_direct_exponential(lo, hi, hbar):
-    # Sheared, an all-ones spectrum is the multiplier itself.  The chirp
-    # factorisation rounds phases of size up to pi |alpha| n (the direct
-    # argument alpha hbar u v reaches pi |alpha| n / 2), so the difference
-    # is bounded by a few eps * pi |alpha| n.
+def test_apply_extended_transform_matches_direct_exponential(lo, hi, hbar):
+    # A unit impulse at (0, 0) has an all-ones spectrum, so fft2 of its shear is the
+    # multiplier itself.  The phases 2 pi alpha a b / n reach pi |alpha| n / 2 and the
+    # FFT round trip adds a few eps, so the difference is bounded by a few
+    # eps * pi |alpha| n.  At alpha = 0 the shear is the bare FFT round trip.
     eps = np.finfo(float).eps
     for n in (2**k for k in range(3, 12)):
         g2 = Grid2D(make_grid(n, lo, hi), hbar)
         u, v = g2.p_axis.wavenumbers, g2.q_axis.wavenumbers
-        ones = np.ones(g2.shape, dtype=complex)
+        impulse = np.zeros(g2.shape, dtype=complex)
+        impulse[0, 0] = 1.0
+        field = PhaseSpaceField(impulse, g2)
         for alpha in (-1.0, -0.75, -0.7, -0.5, -0.25, 0.3):
             direct = np.exp(1j * alpha * hbar * u[:, None] * v[None, :])
-            multiplier = shear_spectrum(ones.copy(), g2, alpha)
+            multiplier = np.fft.fft2(apply_extended_transform(field, alpha))
             err = np.max(np.abs(multiplier - direct))
             assert err <= 4.0 * eps * math.pi * abs(alpha) * n, (n, alpha, err)
-        assert np.all(shear_spectrum(ones, g2, 0.0) == 1.0)
+        assert np.array_equal(apply_extended_transform(field, 0.0), np.fft.ifft2(np.fft.fft2(impulse)))
+
+
+def test_apply_extended_transform_rejects_a_strip_field(harmonic_params):
+    # the whole-grid shear of a field on some p rows only would be a wrong field, not an error
+    strip = chi_rows(ho_coherent_state(make_grid(64, -10.0, 10.0), harmonic_params, 0.0, 0.0, 0.0), slice(10, 50))
+    with pytest.raises(GridError, match="every p row"):
+        apply_extended_transform(strip, -0.5)
 
 
 @pytest.mark.parametrize("lo, hi, hbar", [(-10.0, 10.0, 1.0), (-3.0, 5.0, 0.7)])
@@ -132,31 +140,26 @@ def test_shear_strip_is_a_toeplitz_product_per_column():
 @pytest.mark.parametrize(
     "kernel, limit",
     [
-        ("shear_spectrum", 0.25),
         ("apply_extended_transform", 1.25),
         ("wigner_direct", 1.25),
         ("chi_build", 1.25),
-        ("chi_spectrum", 1.25),
     ],
 )
 def test_phase_space_kernels_allocate_little(temporary_arrays, harmonic_params, kernel, limit):
     # peak allocation beyond the inputs, in n x n complex arrays, returned
-    # array included: no multiplier, no fft2 intermediate, no n x n lag
-    # correlation, no complex W, W folded one column block at a time, no n^2
-    # index table, no chi for its spectrum (measured 0.13 for a shear in place,
-    # then 1.10, 0.76, 1.07 and 1.10)
+    # array included: no multiplier (the shear multiplies one spectrum row at a
+    # time), no fft2 intermediate, no n x n lag correlation, no complex W, W
+    # folded one column block at a time, no n^2 index table (measured 1.01, 0.73
+    # and 1.08)
     n = 512
     g = make_grid(n, -10.0, 10.0)
     g2 = Grid2D(g, harmonic_params.hbar)
     psi = ho_coherent_state(g, harmonic_params, q0=1.0, p0=0.5, t=0.3)
     chi = chi_build(psi, g2)
-    spectrum = np.fft.fft2(chi.values)
     calls = {
-        "shear_spectrum": lambda: shear_spectrum(spectrum, g2, -0.5),
         "apply_extended_transform": lambda: apply_extended_transform(chi, -0.5),
         "wigner_direct": lambda: wigner_direct(psi, g2),
         "chi_build": lambda: chi_build(psi, g2),
-        "chi_spectrum": lambda: chi_spectrum(psi),
     }
     assert temporary_arrays(calls[kernel], n) <= limit
 
