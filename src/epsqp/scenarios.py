@@ -581,12 +581,12 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     # --- split-step cross-checks ---------------------------------------------
     psi0 = ho_coherent_state(g, params, cfg.q0, cfg.p0, 0.0)
     t_half_period = math.pi / w_freq
-    evolved = splitstep_propagate(psi0, t_half_period, dt=5e-3)
+    evolved = splitstep_propagate(psi0, t_half_period)
     analytic = ho_coherent_state(g, params, cfg.q0, cfg.p0, t_half_period)
     diff = replace(evolved, values=evolved.values - analytic.values).norm()
     report.check("coherent-splitstep-l2", diff)
 
-    ground_evolved = splitstep_propagate(psi_g, period, dt=5e-3)
+    ground_evolved = splitstep_propagate(psi_g, period)
     overlap = abs(
         complex(np.sum(np.conj(psi_g.values) * ground_evolved.values) * g.spacing)
     )
@@ -613,7 +613,7 @@ def scenario_linear_gaussian(cfg: ScenarioConfig) -> ScenarioReport:
         report, cfg, gaussian, wigner_equation_residual, "wigner-eq-linear-l2", "wigner-eq-linear-order"
     )
 
-    evolved = splitstep_propagate(gaussian(0.0), 0.5, dt=5e-3)
+    evolved = splitstep_propagate(gaussian(0.0), 0.5)
     diff = replace(evolved, values=evolved.values - gaussian(0.5).values).norm()
     report.check("linear-splitstep-l2", diff)
 
@@ -776,11 +776,13 @@ def scenario_classical_appendix(cfg: ScenarioConfig) -> ScenarioReport:
     )
     report.check("el-energy-drift", drift)
 
-    rng = np.random.default_rng(20240801)
-    samples = rng.uniform(-2.0, 2.0, size=(100, 2))
-    res_h = legendre_residual(params, [tuple(s) for s in samples])
+    # 100 points of the R2 Kronecker sequence in [-2, 2]^2 (g is the plastic
+    # number, the real root of g^3 = g + 1): deterministic, low-discrepancy
+    g = 1.3247179572447460
+    samples = [(4.0 * ((0.5 + i / g) % 1.0) - 2.0, 4.0 * ((0.5 + i / g**2) % 1.0) - 2.0) for i in range(1, 101)]
+    res_h = legendre_residual(params, samples)
     report.check("legendre-residual-harmonic", res_h)
-    res_l = legendre_residual(_linear_params(cfg), [tuple(s) for s in samples])
+    res_l = legendre_residual(_linear_params(cfg), samples)
     report.check("legendre-residual-linear", res_l)
 
     return report

@@ -80,6 +80,24 @@ def test_report_is_independent_of_the_blas_thread_count():
     assert outs[0] == outs[1]
 
 
+def test_run_all_leaves_numpy_random_and_hashlib_unloaded():
+    # numpy.random pulls in secrets, hashlib and OpenSSL's _hashlib, about
+    # 6 MB of peak RSS; no scenario draws random numbers.  A subprocess,
+    # because the test suite itself imports numpy.random
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from epsqp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['run', 'all', '--grid-n', '64'])\n"
+        "print(json.dumps([code, [m for m in ('numpy.random', 'hashlib', '_hashlib') if m in sys.modules]]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    code, loaded = json.loads(proc.stdout)
+    assert code == 1  # n = 64 keeps its two known failures
+    assert loaded == []
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 # ---------------------------------------------------------------------------

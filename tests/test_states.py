@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from epsqp.numerics import PhysicalParams, Potential
 from epsqp.states import (
+    YOSHIDA6_WEIGHTS,
     ho_coherent_state,
     ho_eigenstate,
     linear_potential_gaussian,
@@ -180,7 +181,7 @@ def test_ground_state_momentum_profile(q_grid, harmonic_params):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("dt", [1e-4, 5e-3])
+@pytest.mark.parametrize("dt", [0.02, 5e-3])
 def test_splitstep_tracks_coherent_state(q_grid, harmonic_params, dt):
     t_final = math.pi / 4.0
     psi0 = ho_coherent_state(q_grid, harmonic_params, q0=1.0, p0=0.0, t=0.0)
@@ -192,7 +193,7 @@ def test_splitstep_tracks_coherent_state(q_grid, harmonic_params, dt):
     assert abs(evolved.norm() - 1.0) < 1e-12
 
 
-@pytest.mark.parametrize("dt", [1e-4, 5e-3])
+@pytest.mark.parametrize("dt", [0.02, 5e-3])
 def test_splitstep_tracks_linear_gaussian(q_grid, linear_params, dt):
     t_final = 0.5
     psi0 = linear_potential_gaussian(
@@ -207,10 +208,18 @@ def test_splitstep_tracks_linear_gaussian(q_grid, linear_params, dt):
     assert err < 1e-8
 
 
-def test_splitstep_is_fourth_order(q_grid, harmonic_params):
+def test_yoshida_weights_are_palindromic_and_sum_to_one():
+    # a symmetric composition of Strang steps that covers the whole step
+    assert YOSHIDA6_WEIGHTS == YOSHIDA6_WEIGHTS[::-1]
+    assert len(YOSHIDA6_WEIGHTS) == 7
+    assert abs(sum(YOSHIDA6_WEIGHTS) - 1.0) <= 1e-15
+
+
+def test_splitstep_is_sixth_order(q_grid, harmonic_params):
     # the harmonic-coherent scenario's half-period cross-check: halving dt
-    # must cut the error by 2^4 = 16 up to the next-order term; a
-    # second-order scheme would give 4
+    # must cut the error by 2^6 = 64 up to the next-order term (measured
+    # 69); a fourth-order scheme would give 16.  Below dt = 0.04 the error
+    # nears its rounding floor, 1e-13
     t_final = math.pi
     psi0 = ho_coherent_state(q_grid, harmonic_params, q0=0.5, p0=0.0, t=0.0)
     exact = ho_coherent_state(q_grid, harmonic_params, q0=0.5, p0=0.0, t=t_final)
@@ -219,4 +228,4 @@ def test_splitstep_is_fourth_order(q_grid, harmonic_params):
         evolved = splitstep_propagate(psi0, t_final, dt=dt)
         return np.sqrt(np.sum(np.abs(evolved.values - exact.values) ** 2) * q_grid.spacing)
 
-    assert err(5e-3) / err(2.5e-3) >= 14.0
+    assert err(0.08) / err(0.04) >= 50.0
