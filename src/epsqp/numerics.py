@@ -200,23 +200,6 @@ def row_blocks(shape: tuple) -> list[slice]:
     return [slice(r, r + step) for r in range(0, shape[0], step)]
 
 
-def mask_box_gradients(blocks, grid: Grid2D, rows: slice) -> tuple:
-    """A 2D field's amplitude mask, and the field with its spectral gradients on the mask's
-    box, from the field's q-column blocks ``(cols, values[:, cols])`` in column order, of
-    which only the p ``rows`` (which must hold the mask) are kept.
-
-    ``f_p`` is :func:`spectral_derivative_2d` of each block while it holds whole columns,
-    and ``f_q`` that of the box rows.  Returns ``(mask, box, f, f_q, f_p)`` with the mask
-    and ``box`` of :func:`strip_mask_box` and the fields as box-sized arrays.
-    """
-    parts = [(block[rows].copy(), spectral_derivative_2d(block, grid, axis=0)[rows].copy()) for _, block in blocks]
-    f, f_p = (np.concatenate(part, axis=1) for part in zip(*parts))
-    mask, box = strip_mask_box(f, rows)
-    local, cols = within(box[0], rows, grid.q_axis.n_points), box[1]
-    f_q = spectral_derivative_2d(f[local], grid, axis=1)[:, cols]
-    return mask, box, f[local, cols], f_q, f_p[local, cols]
-
-
 def relative_curvature(amplitude: NDArray, spacing: float, axis: int = 0) -> NDArray[np.float64]:
     """``R''/R`` for a strictly positive amplitude, evaluated in log space.
 

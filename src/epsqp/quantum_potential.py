@@ -66,6 +66,7 @@ from .numerics import (
     snapshot_triple,
     spectral_derivative,
     strip_mask_box,
+    within,
 )
 from .reports import (
     LineFit,
@@ -246,9 +247,10 @@ class _Strip:
             return mask, box, f, f_q, f_p, minus, plus
 
         shear, out_rows = self.shear(alpha), self.out_rows(alpha)
-        mask, box = strip_mask_box(self.q_pass(shear(1, out_rows)), out_rows)
+        spectrum = shear(1, out_rows)
+        mask, box = strip_mask_box(self.q_pass(spectrum), out_rows)
         rows, cols = box
-        spectrum = shear(1, rows)
+        spectrum = spectrum[within(rows, out_rows, grid.q_axis.n_points)].copy()  # frees the other rows
         f_q = spectrum * (1j * grid.q_axis.wavenumbers[self.band % grid.q_axis.n_points])
         fields = (spectrum, f_q, shear(1, rows, kernel=1), shear(0, rows), shear(2, rows))
         return (mask, box, *(self.q_pass(s)[:, cols] for s in fields))

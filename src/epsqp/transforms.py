@@ -26,10 +26,12 @@ from .eps_core import PhaseSpaceField, strip_rows
 from .numerics import (
     Grid2D,
     GridError,
-    mask_box_gradients,
     row_blocks,
     snapshot_triple,
+    spectral_derivative_2d,
     spectral_resample,
+    strip_mask_box,
+    within,
 )
 from .reports import ResidualReport, residual_report, snapshot_metadata
 from .states import WaveFunction
@@ -101,25 +103,21 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     Lag ``+n`` replaces the unpaired ``-n`` of a sum over ``-n .. n-1``; both
     read the zero padding of a state that decays at the edge.
     """
-    w = np.empty(grid.shape[::-1]).T  # W[p, q] with contiguous q columns, as the blocks are
-    for cols, block in _wigner_blocks(psi, grid):
-        w[:, cols] = block
-    return PhaseSpaceField(w, grid)
+    return PhaseSpaceField(_wigner_box(psi, grid, (slice(None), slice(None))), grid)
 
 
-def _wigner_blocks(psi: WaveFunction, grid: Grid2D, columns: slice = slice(None)):
+def _wigner_blocks(psi: WaveFunction, grid: Grid2D, columns: slice = slice(None), dp: bool = False):
     """Yield ``(cols, W[:, cols])`` for the q-column blocks of :func:`wigner_direct`'s W over
-    ``columns``, each of at most ``numerics._BLOCK`` elements, as new float64 arrays.
-
-    A block's values are bitwise those of the whole W: every step below acts on one q
-    column at a time.
-    """
+    ``columns``, each of at most ``numerics._BLOCK`` elements, as new float64 arrays bitwise
+    those of the whole W; with ``dp``, dW/dp's: each lag y weighted by -i y / hbar before the
+    fold, exact where a spectral p derivative of W is not (a folded bin holds two lags)."""
     if psi.space != "q":
         raise ValueError("wigner_direct expects a position-space state")
     if grid != Grid2D(psi.grid, psi.params.hbar):
         raise GridError("grid is not the state's phase-space grid")
     n = grid.q_axis.n_points
     h = n // 2
+    lag = (-1j * grid.q_axis.spacing / grid.hbar) * np.arange(h + 1)  # -i y / hbar at lag m
 
     # Row i of ``windows`` holds psi at q_i + (k - n) dq / 2, k = 0 .. 2n.
     # Shifts that leave the domain read the zero padding.  Wrapping them
@@ -134,12 +132,37 @@ def _wigner_blocks(psi: WaveFunction, grid: Grid2D, columns: slice = slice(None)
         # Lag l = k - n pairs window[:, k] with conj(window[:, 2n - k]).  The conjugate
         # comes first: numpy's vectorised complex product is not bitwise commutative.
         folded = np.conj(window[:, n : h - 1 : -1]) * window[:, n : n + h + 1]  # C_m
-        folded += np.conj(window[:, 2 * n : n + h - 1 : -1]) * window[:, : h + 1]  # conj(C_(n-m))
+        wrapped = np.conj(window[:, 2 * n : n + h - 1 : -1]) * window[:, : h + 1]  # conj(C_(n-m))
+        if dp:
+            folded *= lag
+            wrapped *= lag - lag[1] * n  # lag m - n
+        folded += wrapped
+        del wrapped  # not held across the yield
         folded[:, 1::2] *= -1.0
         # np.fft.hfft, without the conjugated copy of its input
         block = np.fft.irfft(np.conj(folded, out=folded), n, axis=1, norm="forward").T
         block *= grid.q_axis.spacing
         yield cols, block
+
+
+def _wigner_centre(psi: WaveFunction, grid: Grid2D) -> tuple:
+    """``(mask, box, w, w_q, w_p)``: the mask of ``psi``'s W (formed on its momentum strip, W's p
+    support) and its box, and on the box W, its q FFT derivative and the lag-weighted dW/dp."""
+    rows = strip_rows([psi])
+    w = _wigner_box(psi, grid, (rows, slice(None)))
+    mask, box = strip_mask_box(w, rows)
+    w = w[within(box[0], rows, grid.q_axis.n_points)]
+    w_q = np.real(spectral_derivative_2d(w, grid, axis=1)[:, box[1]])
+    return mask, box, w[:, box[1]], w_q, _wigner_box(psi, grid, box, dp=True)
+
+
+def _wigner_box(psi: WaveFunction, grid: Grid2D, box: tuple, dp: bool = False) -> NDArray[np.float64]:
+    """W of ``psi`` (dW/dp with ``dp``) on ``box``, from its columns' blocks only and in their layout."""
+    n = grid.q_axis.n_points
+    out = np.empty((len(range(n)[box[1]]), len(range(n)[box[0]]))).T
+    for cols, block in _wigner_blocks(psi, grid, box[1], dp):
+        out[:, within(cols, box[1], n)] = block[box[0]]
+    return out
 
 
 def wigner_equation_residual(snapshots: Sequence[WaveFunction]) -> ResidualReport:
@@ -152,26 +175,17 @@ def wigner_equation_residual(snapshots: Sequence[WaveFunction]) -> ResidualRepor
 
     sampled at the centre time vanishes up to O(dt^2) and spectral error.
     ``snapshots`` are position-space states at t - dt, t, t + dt; W of each
-    is their :func:`wigner_direct` on the centre's phase-space grid.
-
-    Only the box of the centre W's amplitude mask is evaluated, with the
-    gradients of :func:`mask_box_gradients`, and the ``residual`` field is
-    NaN off the mask.  The centre W is kept on its :func:`~epsqp.eps_core.strip_rows`,
-    W's p support, and W at t +- dt is built on the box columns only.
+    is their :func:`wigner_direct` on the centre's phase-space grid.  Only the box of the
+    centre W's amplitude mask is evaluated, from :func:`_wigner_centre` and W at t +- dt on
+    the box; the ``residual`` field is NaN off the mask.
     """
     minus, center, plus, dt = snapshot_triple(snapshots)
     grid = Grid2D(center.grid, center.params.hbar)
-    rows = strip_rows([center])
-    mask, box, _, w_q, w_p = mask_box_gradients(_wigner_blocks(center, grid), grid, rows)
-
-    def w_box(psi):
-        return np.concatenate([w[box[0]] for _, w in _wigner_blocks(psi, grid, box[1])], axis=1)
-
-    m = center.params.mass
+    mask, box, _, w_q, w_p = _wigner_centre(center, grid)
     p = grid.p_axis.points[box[0], None]
     v_prime = center.params.potential.derivative(grid.q_axis.points[None, box[1]])
-    w_t = (w_box(plus) - w_box(minus)) / (2.0 * dt)
-    residual = w_t + (p / m) * np.real(w_q) - v_prime * np.real(w_p)
+    w_t = (_wigner_box(plus, grid, box) - _wigner_box(minus, grid, box)) / (2.0 * dt)
+    residual = w_t + (p / center.params.mass) * w_q - v_prime * w_p
 
     return residual_report(
         "wigner-equation", residual, mask, grid.cell, snapshot_metadata(center, dt),

@@ -52,6 +52,16 @@ def coherent_wigner(params, grid, q0: float, p0: float, t: float):
     return 2.0 * np.exp(-m * w * (q - q_c) ** 2 / hbar - (p - p_c) ** 2 / (m * w * hbar))
 
 
+def coherent_wigner_gradients(params, grid, q0: float, p0: float, t: float) -> tuple:
+    """``(dW/dp, dW/dq)`` of :func:`coherent_wigner`: ``-2 (p - p_c) / (m w hbar) W`` and
+    ``-2 m w (q - q_c) / hbar W``."""
+    m, hbar, w = params.mass, params.hbar, params.omega
+    q_c, p_c = coherent_center(params, q0, p0, t)
+    p, q = grid.p_axis.points[:, None], grid.q_axis.points[None, :]
+    wigner = coherent_wigner(params, grid, q0, p0, t)
+    return -2.0 * (p - p_c) / (m * w * hbar) * wigner, -2.0 * m * w * (q - q_c) / hbar * wigner
+
+
 def sheared_ground_chi(params, grid, alpha: float):
     """``U_alpha chi`` of the ground state up to one constant, in the Cohen class
     (Cohen, J. Math. Phys. 7, 781 (1966)): with ``x = 1/2 + alpha`` and the scaled

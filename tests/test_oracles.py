@@ -7,6 +7,10 @@ both parameter sets, the coherent state from q0 = 0.5 at t = 0.4:
   exp(-i p q / hbar), whose argument reaches a few hundred, and of phi's FFT;
 * wigner_direct: 8.6e-11 relative and 2e-14 absolute, an absolute rounding floor
   of 1e-16 of the peak read at the mask edge, where W is 1e-6 of its peak;
+* the Wigner residual's gradients on its box, relative to their peak on the mask:
+  2.8e-14 for dW/dp, the lag-weighted sum, and 3.9e-14 for dW/dq, the q FFT of the
+  box rows, both at n = 1024 (a spectral p derivative of W's columns read 3.5e-11:
+  one folded bin holds two lags, and cannot weight each by its own -i y / hbar);
 * the alpha in {-1, 0} shears of the ground chi: 3.7e-10 relative after one fitted
   complex constant, the FFT round trip's absolute floor read at the mask edge.
 
@@ -36,6 +40,7 @@ from oracles import (
     coherent_chi_dt,
     coherent_phi,
     coherent_wigner,
+    coherent_wigner_gradients,
     sheared_ground_chi,
 )
 
@@ -47,13 +52,11 @@ from epsqp.numerics import (
     amplitude_mask,
     make_grid,
     mask_box,
-    mask_box_gradients,
-    spectral_derivative_2d,
 )
 from epsqp.quantum_potential import _Strip
 from epsqp.reports import fit_global_constant
 from epsqp.states import ho_coherent_state
-from epsqp.transforms import _wigner_blocks, apply_extended_transform, wigner_direct
+from epsqp.transforms import _wigner_centre, apply_extended_transform, wigner_direct
 
 Q0, T = 0.5, 0.4
 PARAMS = {
@@ -173,8 +176,8 @@ def test_strip_marginals_and_expectations_match_the_moments(n, params):
 # H' on the strip is the whole-grid apply's rows to 2.4e-13 of the peak (a decade over
 # the measured 2.4e-14: the Toeplitz sums round differently from the column FFTs); the
 # Wigner residual's centre W, kept on phi's rows from whole-column blocks, is wigner_direct's
-# on the mask box, bit for bit, the mask and box too, and its gradients are the whole W's
-# spectral derivatives to 1e-14 of their peak (measured equal: each FFT lane is the same).
+# on the mask box, bit for bit, the mask and box too (its gradients have closed forms:
+# test_wigner_residual_gradients_match_their_closed_forms).
 @pytest.mark.parametrize("strip_n", [128, 256])
 def test_strip_fields_equal_the_whole_grid_kernels(strip_n, params):
     g2, psi, chi = _strip_chi(strip_n, params)
@@ -186,10 +189,16 @@ def test_strip_fields_equal_the_whole_grid_kernels(strip_n, params):
         assert np.max(np.abs(ham.apply(chi) - want)) < 2.4e-13 * np.max(np.abs(want))
 
     w = wigner_direct(psi, g2).values
-    mask, box, f, f_q, f_p = mask_box_gradients(_wigner_blocks(psi, g2), g2, chi.rows)
+    mask, box, f, *_ = _wigner_centre(psi, g2)
     np.testing.assert_array_equal(mask, amplitude_mask(np.abs(w)))
     assert box == mask_box(mask)
     np.testing.assert_array_equal(f, w[box])
-    for got, want in ((f_p, spectral_derivative_2d(w, g2, axis=0)[box]),
-                      (f_q, spectral_derivative_2d(w[box[0]], g2, axis=1)[:, box[1]])):
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_wigner_residual_gradients_match_their_closed_forms(n, params):
+    g, g2 = _grids(n, params)
+    mask, box, _, w_q, w_p = _wigner_centre(ho_coherent_state(g, params, Q0, 0.0, T), g2)
+    inside = mask[box]
+    exact_p, exact_q = coherent_wigner_gradients(params, g2, Q0, 0.0, T)
+    for got, exact, bound in ((w_p, exact_p[box], 2.8e-13), (w_q, exact_q[box], 3.9e-13)):
+        assert np.max(np.abs(got - exact)[inside]) < bound * np.max(np.abs(exact)[inside])

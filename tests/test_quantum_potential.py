@@ -11,15 +11,13 @@ import numpy as np
 import pytest
 
 from epsqp import numerics
-from epsqp.eps_core import PhaseSpaceField, chi_build
+from epsqp.eps_core import chi_build
 from epsqp.numerics import (
     PhysicalParams,
     Potential,
     amplitude_mask,
-    grown_span,
     make_grid,
     mask_box,
-    mask_box_gradients,
     spectral_derivative_2d,
 )
 from epsqp.quantum_potential import (
@@ -39,7 +37,6 @@ from epsqp.states import (
 )
 from epsqp.transforms import (
     apply_extended_transform,
-    wigner_direct,
     wigner_equation_residual,
 )
 
@@ -268,11 +265,6 @@ def sweep_inputs(q_grid, harmonic_params):
     return _state_triplet(q_grid, harmonic_params)
 
 
-@pytest.fixture(scope="module")
-def chi_inputs(sweep_inputs, grid2):
-    return [chi_build(psi, grid2) for psi in sweep_inputs]
-
-
 def test_alpha_sweep_finds_the_vanishing_point(sweep_inputs):
     alphas = (-1.0, -0.75, -0.5, -0.25, 0.0)
     res = alpha_sweep(sweep_inputs, alphas)
@@ -331,45 +323,6 @@ def test_shears_leave_the_caller_chi_unchanged(q_grid, grid2, harmonic_params):
     hj_residual_transformed(states, 0.0)
     alpha_sweep(states, (-1.0, -0.75, -0.5, -0.25, 0.0))
     assert [s.values.tobytes() for s in held] == before
-
-
-@pytest.mark.parametrize(
-    "values, alpha",
-    [*((v, a) for v in ("chi", "random") for a in (-1.0, -0.75, -0.5, -0.25)), ("wigner", 0.0)],
-)
-def test_mask_box_gradients_match_whole_grid_derivatives(sweep_inputs, chi_inputs, values, alpha):
-    # the Wigner residual takes its mask, box and gradients from
-    # mask_box_gradients, which must serve any field: a sheared chi, any
-    # complex field, a real Wigner function, given as whole-column blocks and
-    # kept on p rows that hold its mask (all rows for the random field).  On
-    # the box they must be the whole-grid derivatives.
-    center = chi_inputs[1]
-    grid = center.grid
-    if values == "chi":
-        f = center.values
-    elif values == "random":
-        rng = np.random.default_rng(7)
-        f = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
-    else:
-        f = wigner_direct(sweep_inputs[1], grid).values
-    if alpha != 0.0:
-        f = apply_extended_transform(PhaseSpaceField(f, grid), alpha)
-    rows = slice(None) if values == "random" else grown_span(amplitude_mask(np.abs(f)).any(axis=1), 3)
-    blocks = ((slice(c, c + 48), f[:, c : c + 48]) for c in range(0, grid.shape[1], 48))
-    mask, box, *fields = mask_box_gradients(blocks, grid, rows)
-    np.testing.assert_array_equal(mask, amplitude_mask(np.abs(f)))
-    assert box == mask_box(mask)
-    if values != "random":
-        assert box != (slice(None), slice(None))
-    expected = (
-        f,
-        spectral_derivative_2d(f, grid, axis=1),
-        spectral_derivative_2d(f, grid, axis=0),
-    )
-    for got, want in zip(fields, expected):
-        want = want[box]
-        assert got.shape == want.shape
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("alpha, passes", [(-0.75, (9, 7, 425)), (0.0, (5, 2, 7))])
@@ -500,8 +453,10 @@ def test_eps_residual_allocates_little(temporary_arrays, harmonic_params):
 
 def _whole_grid(monkeypatch):
     """Make every engine evaluate on the whole grid instead of the mask box: all of
-    them take their box from ``numerics.mask_box``."""
+    them take their box from ``numerics.mask_box``, and the sheared centre, whose box
+    rows are cut from the rows it occupies, then occupies every row."""
     monkeypatch.setattr(numerics, "mask_box", lambda mask: (slice(None), slice(None)))
+    monkeypatch.setattr(_Strip, "out_rows", lambda self, alpha: slice(None))
 
 
 def _on_grid(crop, box, shape):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from epsqp import numerics
+from epsqp import numerics, transforms
 from epsqp.eps_core import ExtendedHamiltonian, PhaseSpaceField, chi_build, chi_rows
 from epsqp.numerics import Grid2D, GridError, make_grid, shear_strip, spectral_resample
 from epsqp.reports import l2
@@ -327,6 +327,34 @@ def test_wigner_transport_for_falling_packet(q_grid, linear_params):
     ]
     rep = wigner_equation_residual(snaps)
     assert rep.l2_norm < 1e-4
+
+
+def test_wigner_residual_reads_only_the_box_columns(monkeypatch, coherent_triplet_factory):
+    # W is built on every column once, for the centre's mask; dW/dp (the lag-weighted
+    # blocks) and W at t +- dt on the mask box's columns only, and no spectral p
+    # derivative of W is taken: the only one is dW/dq along q, on the box rows
+    blocks, derivative = transforms._wigner_blocks, numerics.spectral_derivative_2d
+    calls, axes = [], []
+
+    def recorded_blocks(psi, grid, columns=slice(None), dp=False):
+        calls.append((psi.t, columns.start, columns.stop, dp))
+        return blocks(psi, grid, columns, dp)
+
+    def recorded_derivative(values, grid, axis, order=1):
+        axes.append(axis)
+        return derivative(values, grid, axis, order)
+
+    monkeypatch.setattr(transforms, "_wigner_blocks", recorded_blocks)
+    for module in (numerics, transforms):
+        monkeypatch.setattr(module, "spectral_derivative_2d", recorded_derivative)
+    snaps = coherent_triplet_factory()
+    cols = wigner_equation_residual(snaps).fields["box"][1]
+    assert cols != slice(None)
+    t = [s.t for s in snaps]
+    expected = [(t[1], None, None, False), (t[1], cols.start, cols.stop, True)]
+    expected += [(t[i], cols.start, cols.stop, False) for i in (0, 2)]
+    assert axes == [1]
+    assert sorted(calls, key=repr) == sorted(expected, key=repr)
 
 
 def test_wigner_residual_needs_position_states(coherent_triplet_factory):
