@@ -316,7 +316,7 @@ def spectral_resample(values: NDArray) -> NDArray[np.complex128]:
 def snapshot_triple(snapshots) -> tuple:
     """Unpack snapshots at ``t - dt, t, t + dt`` into ``(minus, center, plus, dt)``.
 
-    Snapshots are states.  All three must share parameters and grid and be
+    Snapshots are states.  All three must share parameters, space and grid and be
     equally spaced in ``t``.
     """
     if len(snapshots) != 3:
@@ -325,7 +325,7 @@ def snapshot_triple(snapshots) -> tuple:
     for s in snapshots:
         if s.params != center.params:
             raise ValueError("snapshots carry different physical parameters")
-        if s.grid != center.grid:
+        if s.grid != center.grid or s.space != center.space:
             raise ValueError("snapshots live on different grids")
     dt_lo, dt_hi = center.t - minus.t, plus.t - center.t
     if dt_lo <= 0 or abs(dt_hi - dt_lo) > TIME_ATOL:

@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -116,66 +116,55 @@ def quantum_potential(state: WaveFunction) -> NDArray[np.float64]:
 # ---------------------------------------------------------------------------
 
 
-def _hj_setup(snapshots: Sequence[WaveFunction], space: str) -> tuple:
-    """Common 1D setup: action derivatives and quantum potential at the centre.
-
-    The snapshots must be ``space``-space states.  Returns ``(params, grid,
-    metadata, mask, S_t, S_x, Q)`` with the metadata every 1D report shares
-    and ``Q`` the centre's :func:`quantum_potential`.  The action is
-    S = +hbar arg(f) in both spaces (see the module docstring).
+def _hj_1d(center: WaveFunction, space: str, name: str, terms: Callable) -> Callable:
+    """The 1D residual at a ``space``-space ``center`` as ``at(minus, plus)``, its report with
+    S_t from the snapshots at t -+ dt.  The classical form is S_t plus ``terms(S_x, x, m, V)``
+    in that order, the quantum term the centre's :func:`quantum_potential`, and ``full =
+    classical_form + quantum_term`` exactly.  S = +hbar arg(f) in both spaces.
     """
-    if any(s.space != space for s in snapshots):
+    if center.space != space:
         raise ValueError(f"snapshots must be {space}-space states")
-    minus, center, plus, dt = snapshot_triple(snapshots)
-    params = center.params
-    grid = center.grid
-    c = center.values
+    grid, c, hbar = center.grid, center.values, center.params.hbar
     quantum = quantum_potential(center)
     mask = ~np.isnan(quantum)  # the centre's amplitude mask
     dens = np.where(mask, np.abs(c) ** 2, 1.0)
-
-    hbar = params.hbar
-    S_t = hbar * np.angle(plus.values * np.conj(minus.values)) / (2.0 * dt)
     S_x = hbar * np.imag(np.conj(c) * spectral_derivative(c, grid, order=1)) / dens
-    return params, grid, snapshot_metadata(center, dt), mask, S_t, S_x, quantum
+    terms = terms(S_x, grid.points, center.params.mass, center.params.potential)
+
+    def at(minus: WaveFunction, plus: WaveFunction) -> ResidualReport:
+        minus, _, plus, dt = snapshot_triple([minus, center, plus])
+        S_t = hbar * np.angle(plus.values * np.conj(minus.values)) / (2.0 * dt)
+        classical = sum(terms, S_t)
+        return residual_report(
+            name, classical + quantum, mask, grid.spacing, snapshot_metadata(center, dt),
+            classical=classical, quantum=quantum,
+        )
+
+    return at
 
 
-def hj_residual_q(snapshots: Sequence[WaveFunction]) -> ResidualReport:
-    """Residual of the position-space modified Hamilton-Jacobi equation.
+def hj_residual_q(center: WaveFunction) -> Callable:
+    """Residual of the position-space modified Hamilton-Jacobi equation, as :func:`_hj_1d`:
 
         dS/dt + (dS/dq)^2 / 2m + V(q) + Q,   Q = -(hbar^2/2m) R''/R
 
-    evaluated at the centre snapshot; the classical-form residual (the
-    quantum term deleted) and the quantum potential itself are carried in
-    the fields, with ``full = classical_form + quantum_term`` holding
-    exactly as array arithmetic.
+    with the classical-form residual (the quantum term deleted) and the quantum potential
+    itself carried in the fields.
     """
-    params, grid, metadata, mask, S_t, S_q, quantum = _hj_setup(snapshots, "q")
-    classical = S_t + S_q**2 / (2.0 * params.mass) + params.potential.value(grid.points)
-    return residual_report(
-        "qspace-hj", classical + quantum, mask, grid.spacing, metadata,
-        classical=classical, quantum=quantum, fields={"mask": mask},
-    )
+    return _hj_1d(center, "q", "qspace-hj", lambda S_q, q, m, pot: (S_q**2 / (2.0 * m), pot.value(q)))
 
 
-def hj_residual_p(snapshots: Sequence[WaveFunction]) -> ResidualReport:
-    """Residual of the momentum-space modified Hamilton-Jacobi equation for
-    V = k q^2/2 + b q:
+def hj_residual_p(center: WaveFunction) -> Callable:
+    """Residual of the momentum-space modified Hamilton-Jacobi equation for V = k q^2/2 + b q,
+    as :func:`hj_residual_q`:
 
         dS/dt + p^2/2m + (k/2)(dS/dp)^2 - b dS/dp + Q_p,   Q_p = -(hbar^2 k/2) R''/R
 
-    with classical-form and quantum-term fields carried alongside, the same
-    way as :func:`hj_residual_q`.  For a linear potential (k = 0) the quantum
-    term is exactly zero: the equation is first order in d/dp and classical
-    already.  Action convention S = +hbar arg(phi).
+    For a linear potential (k = 0) the quantum term is exactly zero: the equation is first
+    order in d/dp and classical already.  Action convention S = +hbar arg(phi).
     """
-    params, grid, metadata, mask, S_t, S_p, quantum = _hj_setup(snapshots, "p")
-    pot = params.potential
-    classical = S_t + grid.points**2 / (2.0 * params.mass) + pot.k / 2.0 * S_p**2 - pot.b * S_p
-    return residual_report(
-        f"pspace-hj-{pot.kind}", classical + quantum, mask, grid.spacing, metadata,
-        classical=classical, quantum=quantum, fields={"mask": mask},
-    )
+    terms = lambda S_p, p, m, pot: (p**2 / (2.0 * m), pot.k / 2.0 * S_p**2, -(pot.b * S_p))
+    return _hj_1d(center, "p", f"pspace-hj-{center.params.potential.kind}", terms)
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +173,10 @@ def hj_residual_p(snapshots: Sequence[WaveFunction]) -> ResidualReport:
 
 
 class _Strip:
-    """The momentum strip of position-space states, their :func:`~epsqp.eps_core.strip_rows`
-    ``rows``, and the ``blocks`` of their chi q-spectra there.  Column b pairs rows i and
-    i + b of phi, so on m rows the ``band`` is the signed columns |b| < m, or all n.
+    """The momentum strip of position-space states, the first of them the centre, their
+    :func:`~epsqp.eps_core.strip_rows` ``rows``, and the ``blocks`` of their chi q-spectra
+    there.  Column b pairs rows i and i + b of phi, so on m rows the ``band`` is the signed
+    columns |b| < m, or all n.
     """
 
     def __init__(self, states: Sequence[WaveFunction]):
@@ -227,9 +217,9 @@ class _Strip:
         return np.fft.ifft(values, axis=1, out=values)
 
     def fields(self, alpha: float) -> tuple:
-        """``(mask, box, f, f_q, f_p, minus, plus)`` of a snapshot triple: the centre field's
-        whole-grid mask and box, and on the box the field, its spectral gradients and the
-        t -+ dt fields.
+        """``(mask, box, f, f_q, f_p, *others)``: the centre field's whole-grid mask and box,
+        and on the box the field, its spectral gradients and the other states' fields (of
+        ``[center, minus, plus]``, those at t -+ dt).
 
         Sheared by alpha, chi is formed on the rows it occupies for the mask and on the box
         rows for the fields.  At alpha = 0 the field is psi(q) conj(phi(p)): chi's kernel
@@ -239,34 +229,31 @@ class _Strip:
         """
         grid, psis, phis = self.grid, [s.values for s in self.states], self.phis
         if alpha == 0.0:
-            mask, box = strip_mask_box(phis[1][self.rows, None] * psis[1][None, :], self.rows)
+            mask, box = strip_mask_box(phis[0][self.rows, None] * psis[0][None, :], self.rows)
             rows, cols = box
-            f, minus, plus = (phis[i][rows, None] * psis[i][None, cols] for i in (1, 0, 2))
-            f_q = phis[1][rows, None] * spectral_derivative(psis[1], grid.q_axis)[None, cols]
-            f_p = spectral_derivative(phis[1], grid.p_axis)[rows, None] * psis[1][None, cols]
-            return mask, box, f, f_q, f_p, minus, plus
+            f, *others = (phi[rows, None] * psi[None, cols] for phi, psi in zip(phis, psis))
+            f_q = phis[0][rows, None] * spectral_derivative(psis[0], grid.q_axis)[None, cols]
+            f_p = spectral_derivative(phis[0], grid.p_axis)[rows, None] * psis[0][None, cols]
+            return mask, box, f, f_q, f_p, *others
 
         shear, out_rows = self.shear(alpha), self.out_rows(alpha)
-        spectrum = shear(1, out_rows)
+        spectrum = shear(0, out_rows)
         mask, box = strip_mask_box(self.q_pass(spectrum), out_rows)
         rows, cols = box
         spectrum = spectrum[within(rows, out_rows, grid.q_axis.n_points)].copy()  # frees the other rows
         f_q = spectrum * (1j * grid.q_axis.wavenumbers[self.band % grid.q_axis.n_points])
-        fields = (spectrum, f_q, shear(1, rows, kernel=1), shear(0, rows), shear(2, rows))
+        fields = (spectrum, f_q, shear(0, rows, kernel=1), *(shear(i, rows) for i in range(1, len(psis))))
         return (mask, box, *(self.q_pass(s)[:, cols] for s in fields))
 
 
-def _hj_residual_2d(triple: tuple, alpha: float, name: str, strip: _Strip | None = None) -> ResidualReport:
+def _hj_residual_2d(center: WaveFunction, alpha: float, name: str, fields: tuple) -> Callable:
     """Shared engine for the phase-space modified Hamilton-Jacobi residual.
 
-    ``triple`` is the unpacked ``(minus, center, plus, dt)`` of three
-    position-space states; their chi lives on the phase-space grid of the
-    centre's q axis.  Only the box of the centre field's amplitude mask is
-    evaluated, with the mask, box and fields of :meth:`_Strip.fields` (a
-    sweep passes one ``strip`` for all its alphas).  The estimators of the
-    module docstring are applied to these fields: the phase of the
-    plus/minus snapshot ratio is immune to the catastrophic cancellation a
-    literal difference of the sheared fields would suffer near the mask edge.
+    ``fields`` are the first five of :meth:`_Strip.fields`: the centre field's mask and box,
+    and on the box the field and its gradients, on the phase-space grid of the
+    position-space ``center``'s q axis.  Returns ``at(minus, plus, dt)``, the report with
+    S_t from the phase of the ratio of the box fields at t -+ dt, immune to the catastrophic
+    cancellation a literal difference of the sheared fields would suffer near the mask edge.
 
     Residual pieces:
 
@@ -280,17 +267,11 @@ def _hj_residual_2d(triple: tuple, alpha: float, name: str, strip: _Strip | None
     identity fixes at 1/2 + alpha (``expected_coefficient``).  The report's
     fields are box crops, NaN off the mask.
     """
-    _, center, _, dt = triple
+    mask, box, f, f_q, f_p = fields
     params = center.params
     m, hbar = params.mass, params.hbar
-    strip = strip or _Strip(triple[:3])
-    grid = strip.grid
-    mask, box, f, f_q, f_p, minus, plus = strip.fields(alpha)
+    grid = Grid2D(center.grid, hbar)
     amp = np.abs(f)
-    ratio = np.conj(minus)
-    ratio *= plus
-    S_t = hbar * np.angle(ratio) / (2.0 * dt)
-
     inside = mask[box]
     p = grid.p_axis.points[box[0], None]
     q = grid.q_axis.points[None, box[1]]
@@ -302,7 +283,7 @@ def _hj_residual_2d(triple: tuple, alpha: float, name: str, strip: _Strip | None
         S_q -= p
         S_p -= q
     ham = ExtendedHamiltonian.from_params(params, alpha)
-    classical = S_t + ham.evaluate_classical(S_q, S_p, p, q)
+    hamiltonian = ham.evaluate_classical(S_q, S_p, p, q)
     log_amp = log_amplitude(amp)  # one log for both curvature ratios
     rqq = log_curvature(log_amp, grid.q_axis.spacing, axis=1)  # R_qq / R
     rpp = log_curvature(log_amp, grid.p_axis.spacing, axis=0)  # R_pp / R
@@ -311,33 +292,47 @@ def _hj_residual_2d(triple: tuple, alpha: float, name: str, strip: _Strip | None
     T = -(hbar**2) * (rqq / m - params.potential.k * rpp)
     x = 0.5 + alpha
     quantum = x * T
+    term_l2 = masked_l2(T, inside, grid.cell)
+    q_term = np.where(inside, -(hbar**2) * ham.A * rqq, np.nan)
 
-    fitted = -np.real(fit_global_constant(classical, T, inside))
-    metadata = {
-        "alpha": alpha,
-        "expected_coefficient": x,
-        "fitted_coefficient": fitted,
-        **snapshot_metadata(center, dt),
-        "term_basis_l2": masked_l2(T, inside, grid.cell),
-        "remainder_l2": masked_l2(classical + fitted * T, inside, grid.cell),
-    }
-    fields = {"q_term": np.where(inside, -(hbar**2) * ham.A * rqq, np.nan), "mask": mask}
-    return residual_report(
-        name, classical + quantum, mask, grid.cell, metadata,
-        classical=classical, quantum=quantum, fields=fields, box=box,
-    )
+    def at(minus: NDArray, plus: NDArray, dt: float) -> ResidualReport:
+        ratio = np.conj(minus)
+        ratio *= plus
+        S_t = hbar * np.angle(ratio) / (2.0 * dt)
+        classical = S_t + hamiltonian
+        fitted = -np.real(fit_global_constant(classical, T, inside))
+        metadata = {
+            "alpha": alpha,
+            "expected_coefficient": x,
+            "fitted_coefficient": fitted,
+            **snapshot_metadata(center, dt),
+            "term_basis_l2": term_l2,
+            "remainder_l2": masked_l2(classical + fitted * T, inside, grid.cell),
+        }
+        return residual_report(
+            name, classical + quantum, mask, grid.cell, metadata,
+            classical=classical, quantum=quantum, fields={"q_term": q_term}, box=box,
+        )
+
+    return at
 
 
-def hj_residual_eps(snapshots: Sequence[WaveFunction]) -> ResidualReport:
-    """Residual of the phase-space modified Hamilton-Jacobi identity for chi.
-
-    ``snapshots`` are position-space states at t - dt, t, t + dt.  This is
-    the alpha = 0 member of the sheared family: both curvature terms enter
-    at coefficient 1/2 (the p-term carries k, so it vanishes for a linear
-    potential).
+def hj_residual_eps(center: WaveFunction) -> Callable:
+    """Residual of the phase-space modified Hamilton-Jacobi identity for chi at the
+    position-space ``center``, as ``at(minus, plus)`` of the states at t -+ dt: the alpha = 0
+    member of the sheared family, formed on the centre's own momentum strip.  Both curvature
+    terms enter at coefficient 1/2 (the p-term carries k: zero for a linear potential).
     """
-    triple = snapshot_triple(snapshots)
-    return _hj_residual_2d(triple, 0.0, f"eps-hj-{triple[1].params.potential.kind}")
+    fields = _Strip([center]).fields(0.0)
+    evaluate = _hj_residual_2d(center, 0.0, f"eps-hj-{center.params.potential.kind}", fields)
+    rows, cols = fields[1]
+
+    def at(minus: WaveFunction, plus: WaveFunction) -> ResidualReport:
+        minus, _, plus, dt = snapshot_triple([minus, center, plus])
+        pair = (np.conj(to_momentum_space(s).values)[rows, None] * s.values[None, cols] for s in (minus, plus))
+        return evaluate(*pair, dt)
+
+    return at
 
 
 def _transformed_name(alpha: float) -> str:
@@ -354,7 +349,9 @@ def hj_residual_transformed(snapshots: Sequence[WaveFunction], alpha: float) -> 
     term; at alpha = -1/2 the two coincide and the classical equation holds
     on its own.
     """
-    return _hj_residual_2d(snapshot_triple(snapshots), alpha, _transformed_name(alpha))
+    minus, center, plus, dt = snapshot_triple(snapshots)
+    fields = _Strip([center, minus, plus]).fields(alpha)
+    return _hj_residual_2d(center, alpha, _transformed_name(alpha), fields[:5])(*fields[5:], dt)
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +419,15 @@ def alpha_sweep(snapshots: Sequence[WaveFunction], alphas: Sequence[float]) -> A
     reads the states' 1D factors instead): no n x n array is formed.
     """
     alphas = validate_alphas(alphas)
-    triple = snapshot_triple(snapshots)
-    strip = _Strip(triple[:3])
-    reports = tuple(
-        replace(_hj_residual_2d(triple, a, _transformed_name(a), strip), fields={}) for a in alphas
-    )
+    minus, center, plus, dt = snapshot_triple(snapshots)
+    strip = _Strip([center, minus, plus])
+
+    def report(alpha: float) -> ResidualReport:  # one alpha's fields at a time
+        fields = strip.fields(alpha)
+        at = _hj_residual_2d(center, alpha, _transformed_name(alpha), fields[:5])
+        return replace(at(*fields[5:], dt), fields={})
+
+    reports = tuple(map(report, alphas))
     coefficients = tuple(r.metadata["fitted_coefficient"] for r in reports)
     return AlphaSweepResult(
         alphas=alphas,

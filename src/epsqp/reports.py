@@ -89,9 +89,9 @@ def residual_report(
     The arrays cover the ``box`` crop of ``mask``'s grid.  Norms are taken
     over the mask with the integration ``measure``; the norms of the
     classical form and of the quantum term are added to ``metadata`` when
-    those pieces are given.  With ``fields`` the report carries them plus the
-    ``box`` and the residual, classical form and quantum term on it, NaN off
-    the mask; without, no arrays.
+    those pieces are given.  The report's fields are the residual, classical
+    form and quantum term on the box, NaN off the mask, the ``box``, the
+    ``mask`` and the caller's extra ``fields``.
     """
     inside = mask[box]
     if classical is not None:
@@ -99,12 +99,11 @@ def residual_report(
         metadata["classical_form_max"] = masked_max(classical, inside)
     if quantum is not None:
         metadata["quantum_term_l2"] = masked_l2(quantum, inside, measure)
-    if fields is not None:
-        pieces = {"residual": full, "classical_form": classical, "quantum_term": quantum}
-        crops = {k: np.where(inside, v, np.nan) for k, v in pieces.items() if v is not None}
-        fields = crops | {"box": box} | fields
+    pieces = {"residual": full, "classical_form": classical, "quantum_term": quantum}
+    crops = {k: np.where(inside, v, np.nan) for k, v in pieces.items() if v is not None}
     l2_norm, peak = masked_l2(full, inside, measure), masked_max(full, inside)
-    return ResidualReport(name, l2_norm, peak, masked_fraction(mask), metadata, fields or {})
+    fields = crops | {"box": box, "mask": mask} | (fields or {})
+    return ResidualReport(name, l2_norm, peak, masked_fraction(mask), metadata, fields)
 
 
 @dataclass(frozen=True)

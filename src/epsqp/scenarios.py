@@ -293,25 +293,20 @@ def _grids(cfg: ScenarioConfig, n: int | None = None):
     return g, Grid2D(g, cfg.hbar)
 
 
-def _triplet(state: Callable[[float], WaveFunction], t: float, dt: float) -> list[WaveFunction]:
-    """``state`` at t - dt, t, t + dt."""
-    return [state(tt) for tt in (t - dt, t, t + dt)]
-
-
 def _check_halving(
     report: ScenarioReport,
     cfg: ScenarioConfig,
     snapshot: Callable[[float], object],
-    residual: Callable[[list], ResidualReport],
+    residual: Callable[[object], Callable[[object, object], ResidualReport]],
     l2_name: str,
     rate_name: str,
 ) -> tuple[ResidualReport, list]:
     """Record ``residual`` of ``snapshot`` around ``cfg.eval_time`` at dt and dt/2.
 
     ``snapshot(t)`` returns what ``residual`` reads at time t: a state or its
-    momentum-space form.  The centre snapshot is built once for both
-    triplets; the dt/2 triplet is evaluated first and only its L2 norm kept,
-    so one triplet is alive at a time.
+    momentum-space form.  ``residual(center)`` builds the centre once and
+    returns ``at(minus, plus)``, evaluated at the dt/2 pair first, of which
+    only the L2 norm is kept, so one pair is alive at a time.
     Adds the dt residual (norms and metadata, not its fields), its L2
     check, and a second-order convergence check: the halving ratio, or for
     an ``order`` kind its log2, the observed order.  A zero residual leaves
@@ -320,9 +315,10 @@ def _check_halving(
     """
     t, dt, half = cfg.eval_time, cfg.dt, cfg.dt / 2.0
     center = snapshot(t)
-    fine_l2 = residual([snapshot(t - half), center, snapshot(t + half)]).l2_norm
+    at = residual(center)
+    fine_l2 = at(snapshot(t - half), snapshot(t + half)).l2_norm
     snaps = [snapshot(t - dt), center, snapshot(t + dt)]
-    coarse = residual(snaps)
+    coarse = at(snaps[0], snaps[2])
     report.residuals.append(replace(coarse, fields={}))
     report.check(l2_name, coarse.l2_norm)
     with np.errstate(divide="ignore", invalid="ignore"):  # x/0 = inf, 0/0 = nan
@@ -466,7 +462,7 @@ def scenario_alpha_sweep(cfg: ScenarioConfig) -> ScenarioReport:
     def run_sweep(n: int):
         g, _ = _grids(cfg, n)
         coherent = partial(ho_coherent_state, g, params, cfg.q0, cfg.p0)
-        return alpha_sweep(_triplet(coherent, cfg.eval_time, cfg.dt), cfg.alphas)
+        return alpha_sweep([coherent(cfg.eval_time + s * cfg.dt) for s in (-1, 0, 1)], cfg.alphas)
 
     sweep = run_sweep(cfg.grid_n)
     report.check("alpha-sweep-fit-r2", sweep.fit.r_squared)
@@ -546,7 +542,8 @@ def scenario_harmonic_coherent(cfg: ScenarioConfig) -> ScenarioReport:
     # potential (stationary state: time phase supplies -E, potential the
     # rest), so the full residual, their sum, vanishes pointwise -------------
     ground = partial(ho_coherent_state, g, params, 0.0, 0.0)
-    r_gq = hj_residual_q(_triplet(ground, cfg.eval_time, cfg.dt))
+    minus, center, plus = (ground(cfg.eval_time + s * cfg.dt) for s in (-1, 0, 1))
+    r_gq = hj_residual_q(center)(minus, plus)
     report.check("hj-q-term-deletion-pointwise", r_gq.max_norm)
 
     # --- Wigner transport equation + convergence order ----------------------

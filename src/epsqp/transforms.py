@@ -16,7 +16,7 @@ reported, never silently absorbed).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -165,29 +165,30 @@ def _wigner_box(psi: WaveFunction, grid: Grid2D, box: tuple, dp: bool = False) -
     return out
 
 
-def wigner_equation_residual(snapshots: Sequence[WaveFunction]) -> ResidualReport:
-    """Residual of the Wigner evolution equation from three time snapshots.
+def wigner_equation_residual(center: WaveFunction) -> Callable:
+    """Residual of the Wigner evolution equation at the position-space state ``center``.
 
     For linear and harmonic potentials the Wigner function obeys the
     classical transport equation, so the residual
 
         dW/dt + (p/m) dW/dq - V'(q) dW/dp
 
-    sampled at the centre time vanishes up to O(dt^2) and spectral error.
-    ``snapshots`` are position-space states at t - dt, t, t + dt; W of each
-    is their :func:`wigner_direct` on the centre's phase-space grid.  Only the box of the
+    sampled at the centre time vanishes up to O(dt^2) and spectral error.  Returns
+    ``at(minus, plus)``, the report with dW/dt from the states at t -+ dt; W of each is
+    their :func:`wigner_direct` on the centre's phase-space grid.  Only the box of the
     centre W's amplitude mask is evaluated, from :func:`_wigner_centre` and W at t +- dt on
     the box; the ``residual`` field is NaN off the mask.
     """
-    minus, center, plus, dt = snapshot_triple(snapshots)
     grid = Grid2D(center.grid, center.params.hbar)
     mask, box, _, w_q, w_p = _wigner_centre(center, grid)
     p = grid.p_axis.points[box[0], None]
     v_prime = center.params.potential.derivative(grid.q_axis.points[None, box[1]])
-    w_t = (_wigner_box(plus, grid, box) - _wigner_box(minus, grid, box)) / (2.0 * dt)
-    residual = w_t + (p / center.params.mass) * w_q - v_prime * w_p
+    transport, force = (p / center.params.mass) * w_q, v_prime * w_p
 
-    return residual_report(
-        "wigner-equation", residual, mask, grid.cell, snapshot_metadata(center, dt),
-        fields={"mask": mask}, box=box,
-    )
+    def at(minus: WaveFunction, plus: WaveFunction) -> ResidualReport:
+        minus, _, plus, dt = snapshot_triple([minus, center, plus])
+        w_t = (_wigner_box(plus, grid, box) - _wigner_box(minus, grid, box)) / (2.0 * dt)
+        metadata = snapshot_metadata(center, dt)
+        return residual_report("wigner-equation", w_t + transport - force, mask, grid.cell, metadata, box=box)
+
+    return at

@@ -43,6 +43,25 @@ def coherent_chi(psi, grid, q0: float, p0: float):
     return psi.values[None, :] * np.conj(phi)[:, None] * np.exp(-1j * p * q / grid.hbar)
 
 
+def coherent_chi_q_spectrum(params, grid, q0: float, p0: float, t: float, rows: slice, band):
+    """``chi_q_spectrum`` of the coherent state on the p ``rows`` and q wavenumber columns
+    ``band``, from :func:`coherent_phi` alone: with ``k_i = i - n/2`` and ``kappa`` the q
+    wavenumber of index ``(k_i + b) mod n``,
+
+        conj(phi(p_i)) exp(-i p_i q_min / hbar) (sqrt(2 pi hbar) / dq) exp(i kappa q_min) phi(hbar kappa).
+
+    ``fft(psi)`` at ``kappa`` is the Riemann sum of phi's Fourier integral, shifted to
+    start at ``q_min``; the state's decay puts its aliasing below rounding.
+    """
+    hbar, q_axis = params.hbar, grid.q_axis
+    n, q_min = q_axis.n_points, q_axis.min
+    p = grid.p_axis.points[rows]
+    kappa = q_axis.wavenumbers[(np.arange(n)[rows, None] - n // 2 + band[None, :]) % n]
+    row = np.conj(coherent_phi(params, p, q0, p0, t)) * np.exp(-1j * p * q_min / hbar)
+    column = np.exp(1j * kappa * q_min) * coherent_phi(params, hbar * kappa, q0, p0, t)
+    return np.sqrt(2.0 * np.pi * hbar) / q_axis.spacing * row[:, None] * column
+
+
 def coherent_wigner(params, grid, q0: float, p0: float, t: float):
     """``W = 2 exp(-m w (q - q_c)^2 / hbar - (p - p_c)^2 / (m w hbar))``, in the lag measure
     of ``wigner_direct`` (peak 2 at any hbar; Hillery et al., Phys. Rep. 106, 121 (1984))."""

@@ -41,6 +41,12 @@ from epsqp.transforms import (
 )
 
 
+def centred(engine, snapshots):
+    """``engine``'s report of the snapshots at t - dt, t, t + dt: its centre's ``at`` of the pair."""
+    minus, center, plus = snapshots
+    return engine(center)(minus, plus)
+
+
 def _state_triplet(q_grid, params, t=0.4, dt=1e-3, q0=0.5, p0=0.0, linear=False):
     if linear:
         state = partial(linear_potential_gaussian, q_grid, params, q0, p0, math.sqrt(0.5))
@@ -104,7 +110,7 @@ def test_quantum_potential_rejects_an_all_zero_state(q_grid, harmonic_params):
 
 def test_position_space_residual_harmonic(coherent_triplet_factory):
     snaps = coherent_triplet_factory()
-    rep = hj_residual_q(snaps)
+    rep = centred(hj_residual_q, snaps)
     assert rep.l2_norm < 1e-5
     # the decomposition is exact as array arithmetic
     full = rep.fields["residual"]
@@ -127,7 +133,7 @@ def test_1d_residual_quantum_term_is_the_quantum_potential(
     snaps = _state_triplet(q_grid, linear_params if linear else harmonic_params, linear=linear)
     if space == "p":
         snaps = [to_momentum_space(s) for s in snaps]
-    rep = (hj_residual_q if space == "q" else hj_residual_p)(snaps)
+    rep = centred(hj_residual_q if space == "q" else hj_residual_p, snaps)
     mask = rep.fields["mask"]
     values = quantum_potential(snaps[1])
     assert np.array_equal(rep.fields["quantum_term"][mask], values[mask])
@@ -135,13 +141,13 @@ def test_1d_residual_quantum_term_is_the_quantum_potential(
 
 
 def test_position_space_residual_halves_with_dt(coherent_triplet_factory):
-    l2 = hj_residual_q(coherent_triplet_factory(dt=1e-3)).l2_norm
-    l2_half = hj_residual_q(coherent_triplet_factory(dt=5e-4)).l2_norm
+    l2 = centred(hj_residual_q, coherent_triplet_factory(dt=1e-3)).l2_norm
+    l2_half = centred(hj_residual_q, coherent_triplet_factory(dt=5e-4)).l2_norm
     assert l2 / l2_half >= 3.5  # second-order time stencil
 
 
 def test_position_space_residual_linear(linear_triplet_factory):
-    rep = hj_residual_q(linear_triplet_factory())
+    rep = centred(hj_residual_q, linear_triplet_factory())
     assert rep.l2_norm < 1e-5
 
 
@@ -156,25 +162,24 @@ def _p_triplet(state, t=0.4, dt=1e-3):
 
 def test_momentum_space_residual_linear(linear_triplet_factory, q_grid):
     snaps = [to_momentum_space(s) for s in linear_triplet_factory()]
-    rep = hj_residual_p(snaps)
+    rep = centred(hj_residual_p, snaps)
     assert rep.name == "pspace-hj-linear"
     assert rep.l2_norm < 1e-5
     # first-order equation: the quantum term is exactly zero
     assert rep.metadata["quantum_term_l2"] == 0.0
-    rep = hj_residual_p(
-        _p_triplet(partial(linear_potential_gaussian, q_grid, _M2_LINEAR, 0.5, 0.0, math.sqrt(0.5)))
-    )
+    falling = partial(linear_potential_gaussian, q_grid, _M2_LINEAR, 0.5, 0.0, math.sqrt(0.5))
+    rep = centred(hj_residual_p, _p_triplet(falling))
     assert rep.l2_norm < 1e-5
     assert rep.metadata["quantum_term_l2"] == 0.0
 
 
 def test_momentum_space_residual_harmonic(coherent_triplet_factory, q_grid):
     snaps = [to_momentum_space(s) for s in coherent_triplet_factory()]
-    rep = hj_residual_p(snaps)
+    rep = centred(hj_residual_p, snaps)
     assert rep.name == "pspace-hj-harmonic"
     assert rep.l2_norm < 1e-5
     coherent = partial(ho_coherent_state, q_grid, _M2_HARMONIC, 0.5, 0.0)
-    assert hj_residual_p(_p_triplet(coherent)).l2_norm < 1e-5
+    assert centred(hj_residual_p, _p_triplet(coherent)).l2_norm < 1e-5
 
 
 @pytest.mark.parametrize(
@@ -184,24 +189,25 @@ def test_momentum_space_residual_harmonic(coherent_triplet_factory, q_grid):
 def test_momentum_space_residual_guards(
     residual, potential, coherent_triplet_factory, linear_triplet_factory
 ):
-    # every 1D residual rejects the other space and a pair of snapshots
+    # every 1D residual rejects a centre in the other space, and a pair there
     own = linear_triplet_factory() if potential == "linear" else coherent_triplet_factory()
     if potential is None:
         space, wrong_space = "q", [to_momentum_space(s) for s in own]
     else:
         space, wrong_space, own = "p", own, [to_momentum_space(s) for s in own]
     with pytest.raises(ValueError, match=f"{space}-space"):
-        residual(wrong_space)
-    with pytest.raises(ValueError, match="three snapshots"):
-        residual(own[:2])
+        residual(wrong_space[1])
+    with pytest.raises(ValueError, match="different grids"):
+        residual(own[1])(wrong_space[0], wrong_space[2])
 
 
 def test_snapshot_validation(coherent_triplet_factory):
     snaps = coherent_triplet_factory()
-    with pytest.raises(ValueError):
-        hj_residual_q(snaps[:2])
-    with pytest.raises(ValueError):
-        hj_residual_q([snaps[0], snaps[0], snaps[2]])  # unequal spacing
+    at = hj_residual_q(snaps[1])
+    with pytest.raises(ValueError, match="equally spaced"):
+        at(snaps[0], snaps[1])  # unequal spacing
+    with pytest.raises(ValueError, match="equally spaced"):  # dt <= 0
+        at(snaps[2], snaps[0])
 
 
 # ---------------------------------------------------------------------------
@@ -210,23 +216,27 @@ def test_snapshot_validation(coherent_triplet_factory):
 
 
 def test_eps_residual_harmonic(q_grid, harmonic_params):
-    rep = hj_residual_eps(_state_triplet(q_grid, harmonic_params))
+    rep = centred(hj_residual_eps, _state_triplet(q_grid, harmonic_params))
     assert rep.name == "eps-hj-harmonic"
     assert rep.l2_norm < 1e-5
 
 
 def test_eps_residual_linear(q_grid, linear_params):
-    rep = hj_residual_eps(_state_triplet(q_grid, linear_params, linear=True))
+    rep = centred(hj_residual_eps, _state_triplet(q_grid, linear_params, linear=True))
     assert rep.name == "eps-hj-linear"
     assert rep.l2_norm < 1e-5
 
 
 def test_eps_residual_needs_three_snapshots(q_grid, harmonic_params):
+    # a position-space centre, and a pair of position-space states equally spaced about it
     snaps = _state_triplet(q_grid, harmonic_params)
-    with pytest.raises(ValueError, match="three snapshots"):
-        hj_residual_eps(snaps[:2])
     with pytest.raises(ValueError, match="position-space"):
-        hj_residual_eps([to_momentum_space(s) for s in snaps])
+        hj_residual_eps(to_momentum_space(snaps[1]))
+    at = hj_residual_eps(snaps[1])
+    with pytest.raises(ValueError, match="different grids"):
+        at(*(to_momentum_space(s) for s in snaps[::2]))
+    with pytest.raises(ValueError, match="equally spaced"):
+        at(snaps[0], snaps[1])
 
 
 def test_classical_form_suffices_only_at_minus_half(q_grid, harmonic_params):
@@ -234,7 +244,7 @@ def test_classical_form_suffices_only_at_minus_half(q_grid, harmonic_params):
     classical_half = rep_half.metadata["classical_form_l2"]
     assert classical_half < 1e-5
     # at alpha = 0 the classical form fails by the full quantum term
-    rep_zero = hj_residual_eps(_state_triplet(q_grid, harmonic_params))
+    rep_zero = centred(hj_residual_eps, _state_triplet(q_grid, harmonic_params))
     classical_zero = rep_zero.metadata["classical_form_l2"]
     assert classical_zero > 100.0 * classical_half
 
@@ -246,7 +256,7 @@ def test_eps_residual_vanishes_on_the_stationary_pair(harmonic_params, n):
     # gradients (-p into S_q, -q into S_p): the coefficient the data demands
     # is 1/2 and the residual vanishes, both to rounding
     states = _state_triplet(make_grid(n, -10.0, 10.0), harmonic_params, q0=0.0)
-    rep = hj_residual_eps(states)
+    rep = centred(hj_residual_eps, states)
     assert abs(rep.metadata["fitted_coefficient"] - 0.5) <= 1e-8
     assert rep.l2_norm <= 1e-8
     same = hj_residual_transformed(states, 0.0)
@@ -367,7 +377,7 @@ def test_strip_fields_match_the_whole_grid_shear(harmonic_params, n, rolled):
     states = _state_triplet(make_grid(n, -10.0, 10.0), harmonic_params)
     if rolled:
         states = [replace(s, values=s.values * (-1.0) ** np.arange(n)) for s in states]
-    strip = _Strip(states)
+    strip = _Strip([states[1], states[0], states[2]])  # the centre first
     grid = strip.grid
     assert (strip.rows == slice(None)) == rolled
     for alpha in (-1.0, -0.95, -0.75, -0.7, -0.5, -0.25, -0.05, 0.25, -1.5, 2.0):
@@ -442,13 +452,14 @@ def test_alpha_sweep_peaks_as_low_with_alpha_zero(temporary_arrays, harmonic_par
 
 
 def test_eps_residual_allocates_little(temporary_arrays, harmonic_params):
-    # the engine forms the centre product on the 58 strip rows only, with its
-    # amplitude and mask, and the box fields from the 1D factors; the returned
-    # report holds box crops and the whole-grid bool mask: the peak stays
-    # under 0.7 n x n arrays (measured 0.63)
+    # the engine forms the centre product on the centre's 55 strip rows only, with
+    # its amplitude and mask, and the box fields from the 1D factors, the pair's
+    # once the centre's terms are built; the returned report holds box crops and
+    # the whole-grid bool mask: the peak stays under 0.52 n x n arrays (measured
+    # 0.47, and 0.67 while the triple form held the pair beside the centre)
     n = 512
     snaps = _state_triplet(make_grid(n, -10.0, 10.0), harmonic_params)
-    assert temporary_arrays(lambda: hj_residual_eps(snaps), n) <= 0.7
+    assert temporary_arrays(lambda: centred(hj_residual_eps, snaps), n) <= 0.52
 
 
 def _whole_grid(monkeypatch):
@@ -489,7 +500,7 @@ def test_box_evaluation_keeps_a_wrapping_mask(monkeypatch, sweep_inputs, grid2, 
     shift = (lambda v: np.roll(v, n // 2)) if axis == 1 else (lambda v: v * (-1.0) ** np.arange(n))
     states = [replace(s, values=shift(s.values)) for s in sweep_inputs]
     evaluations = (
-        lambda: hj_residual_eps(states),
+        lambda: centred(hj_residual_eps, states),
         lambda: hj_residual_transformed(states, -0.75),
     )
     boxed = [evaluate() for evaluate in evaluations]
@@ -506,9 +517,9 @@ def test_residual_fields_are_box_crops(sweep_inputs, grid2, engine):
     # every 2D field of a residual report is a crop of the mask's box, NaN
     # off the mask, so on the whole grid it is NaN off the mask
     if engine == "wigner":
-        rep = wigner_equation_residual(sweep_inputs)
+        rep = centred(wigner_equation_residual, sweep_inputs)
     elif engine == "eps":
-        rep = hj_residual_eps(sweep_inputs)
+        rep = centred(hj_residual_eps, sweep_inputs)
     else:
         rep = hj_residual_transformed(sweep_inputs, -0.75)
     mask, box = rep.fields["mask"], rep.fields["box"]
@@ -533,16 +544,44 @@ def test_a_mask_past_its_strip_is_a_value_error(monkeypatch, sweep_inputs, evalu
     # narrower than chi's: cut at 1e-3 it still fits its strip)
     monkeypatch.setattr("epsqp.eps_core.STRIP_TAIL", 1e-2)
     with pytest.raises(ValueError, match="edge of its momentum strip"):
-        evaluate(sweep_inputs)
+        evaluate(sweep_inputs) if isinstance(evaluate, partial) else centred(evaluate, sweep_inputs)
 
 
 @pytest.mark.parametrize("engine", ["eps", "transformed", "wigner"])
 def test_empty_mask_is_a_value_error(sweep_inputs, grid2, engine):
     zeros = [replace(s, values=np.zeros(grid2.q_axis.n_points)) for s in sweep_inputs]
     evaluate = {
-        "eps": hj_residual_eps,
+        "eps": partial(centred, hj_residual_eps),
         "transformed": partial(hj_residual_transformed, alpha=-0.75),
-        "wigner": wigner_equation_residual,
+        "wigner": partial(centred, wigner_equation_residual),
     }[engine]
     with pytest.raises(ValueError, match="empty mask"):
         evaluate(zeros)
+
+
+def _same_bits(got, want):
+    """The two reports are equal bit for bit: name, norms, metadata and every field."""
+    assert (got.name, got.l2_norm, got.max_norm, got.masked_fraction) == (
+        want.name, want.l2_norm, want.max_norm, want.masked_fraction
+    )
+    assert got.metadata == want.metadata
+    assert got.fields.keys() == want.fields.keys()
+    for key, value in want.fields.items():
+        if isinstance(value, np.ndarray):
+            assert got.fields[key].dtype == value.dtype and got.fields[key].tobytes() == value.tobytes(), key
+        else:
+            assert got.fields[key] == value, key
+
+
+@pytest.mark.parametrize("engine", [hj_residual_q, hj_residual_p, hj_residual_eps, wigner_equation_residual])
+def test_a_pair_leaves_its_centre_untouched(q_grid, harmonic_params, engine):
+    # A halving check evaluates one centre at the dt/2 pair, then at the dt pair: an
+    # in-place step on a centre array (S_q -= p, f = conj(f), ratio *= plus) would
+    # change the second report, which must be a fresh centre's, bit for bit.
+    coherent = partial(ho_coherent_state, q_grid, harmonic_params, 0.5, 0.0)
+    snapshot = (lambda t: to_momentum_space(coherent(t))) if engine is hj_residual_p else coherent
+    t, dt = 0.4, 1e-3
+    at = engine(snapshot(t))
+    at(snapshot(t - dt / 2), snapshot(t + dt / 2))
+    pair = snapshot(t - dt), snapshot(t + dt)
+    _same_bits(at(*pair), engine(snapshot(t))(*pair))

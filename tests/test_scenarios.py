@@ -7,6 +7,7 @@ from __future__ import annotations
 import inspect
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 from functools import partial
 
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 import epsqp.scenarios as scenarios
+from epsqp import quantum_potential, transforms
 import test_acceptance
 from epsqp.eps_core import chi_build
 from epsqp.numerics import amplitude_mask
@@ -136,8 +138,8 @@ def _halving(cfg: ScenarioConfig, order: bool, coarse_l2: float, fine_l2: float)
     coarse = ResidualReport("r", coarse_l2, coarse_l2, 0.0, fields={"residual": [coarse_l2]})
     fine = ResidualReport("r", fine_l2, fine_l2, 0.0)
 
-    def residual(snaps):  # the snapshots are their times: dt triplets span 2 dt
-        return coarse if snaps[2] - snaps[0] > 1.5 * cfg.dt else fine
+    def residual(center):  # the snapshots are their times: dt pairs span 2 dt
+        return lambda minus, plus: coarse if plus - minus > 1.5 * cfg.dt else fine
 
     returned, snaps = _check_halving(report, cfg, lambda t: t, residual, *HALVING_PAIRS[order])
     assert returned is coarse
@@ -303,6 +305,26 @@ def test_halving_checks_build_each_snapshot_once(monkeypatch, scenario, counted)
     assert calls == pytest.approx(expected, abs=1e-15)
 
 
+def test_run_all_builds_one_centre_per_halving_pair(monkeypatch):
+    # The dt and dt/2 pairs of a halving check share one centre: the Wigner residual's
+    # in the harmonic and linear batteries, the 1D one in hj-q, hj-p-harmonic, the
+    # ground state's term deletion, hj-q-linear and pspace-linear, and the eps one in
+    # its harmonic and linear checks (the sweep's alpha = 0 is the strip's, named apart).
+    calls = Counter()
+    for module, name in (
+        (transforms, "_wigner_centre"), (quantum_potential, "_hj_1d"), (quantum_potential, "_hj_residual_2d")
+    ):
+        def counting(*args, _name=name, _original=getattr(module, name)):
+            calls[args[2] if _name == "_hj_residual_2d" else _name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    run_scenario("all", ScenarioConfig(grid_n=64))
+    assert calls["_wigner_centre"] == 2
+    assert calls["_hj_1d"] == 5
+    assert calls["eps-hj-harmonic"] == calls["eps-hj-linear"] == 1
+
+
 def test_wigner_peak_reference_needs_no_sample_at_the_origin():
     # q_min / dq = -59.52 on this domain, so no q sample sits at 0 and the
     # peak check must compare with the closed form at the nearest sample
@@ -318,18 +340,19 @@ def test_wigner_peak_reference_needs_no_sample_at_the_origin():
     [
         (scenarios.scenario_eps_residuals, 1.12),
         (scenarios.scenario_all, 1.11),
-        (scenarios.scenario_linear_gaussian, 0.67),
+        (scenarios.scenario_linear_gaussian, 0.46),
         (scenarios.scenario_wigner_equivalence, 1.05),
-        (scenarios.scenario_harmonic_coherent, 0.66),
+        (scenarios.scenario_harmonic_coherent, 0.47),
     ],
 )
 def test_scenarios_free_their_fields(temporary_arrays, scenario, limit):
     # Traced peak in n x n complex arrays at n = 512, the returned reports
     # included: each phase-space field lives on the momentum strip, the p rows
     # its states' phi occupy, apart from whole-grid bool masks; a halving check
-    # holds one snapshot triplet at a time, residual fields are mask-box crops,
-    # and W is read one column block at a time (measured 1.02, 1.01, 0.61, 0.96
-    # and 0.60; the limits are those plus about 10 %).  Inside run all the peak is
+    # holds one centre and one pair of snapshots at a time, residual fields are
+    # mask-box crops, and W is read one column block at a time (measured 0.99,
+    # 1.01, 0.42, 0.96 and 0.43; each limit is about 10 % over its measurement,
+    # eps-residuals' over an earlier 1.02).  Inside run all the peak is
     # alpha-sweep's (1.00): the shear kernel tables of its strip.
     n = 512
     assert temporary_arrays(lambda: scenario(ScenarioConfig(grid_n=n)), n) <= limit
@@ -353,7 +376,7 @@ def _expected_bundles(name: str, cfg: ScenarioConfig) -> dict:
         sheared = apply_extended_transform(chi_build(psi, g2), -0.5)
         return {"wigner": wigner_direct(psi, g2).values, "sheared-chi": sheared}
     t, dt = cfg.eval_time, cfg.dt
-    fields = hj_residual_eps([coherent(t - dt), coherent(t), coherent(t + dt)]).fields
+    fields = hj_residual_eps(coherent(t))(coherent(t - dt), coherent(t + dt)).fields
     q_term = np.full(g2.shape, np.nan)  # the box crop on the whole grid; NaN off the mask
     q_term[fields["box"]] = fields["q_term"]
     return {"eps-quantum-q-term": q_term}

@@ -27,6 +27,7 @@ from epsqp.states import (
     linear_potential_gaussian,
     to_momentum_space,
 )
+from test_quantum_potential import centred
 
 HYP = settings(max_examples=25, deadline=None)
 
@@ -313,7 +314,7 @@ def test_stationary_wigner_residual_vanishes(q_grid, harmonic_params):
         ho_coherent_state(q_grid, harmonic_params, q0=0.0, p0=0.0, t=s * dt)
         for s in (-1, 0, 1)
     ]
-    rep = wigner_equation_residual(snaps)
+    rep = centred(wigner_equation_residual, snaps)
     assert rep.l2_norm < 1e-6
 
 
@@ -325,7 +326,7 @@ def test_wigner_transport_for_falling_packet(q_grid, linear_params):
         )
         for s in (-1, 0, 1)
     ]
-    rep = wigner_equation_residual(snaps)
+    rep = centred(wigner_equation_residual, snaps)
     assert rep.l2_norm < 1e-4
 
 
@@ -348,7 +349,7 @@ def test_wigner_residual_reads_only_the_box_columns(monkeypatch, coherent_triple
     for module in (numerics, transforms):
         monkeypatch.setattr(module, "spectral_derivative_2d", recorded_derivative)
     snaps = coherent_triplet_factory()
-    cols = wigner_equation_residual(snaps).fields["box"][1]
+    cols = centred(wigner_equation_residual, snaps).fields["box"][1]
     assert cols != slice(None)
     t = [s.t for s in snaps]
     expected = [(t[1], None, None, False), (t[1], cols.start, cols.stop, True)]
@@ -359,18 +360,22 @@ def test_wigner_residual_reads_only_the_box_columns(monkeypatch, coherent_triple
 
 def test_wigner_residual_needs_position_states(coherent_triplet_factory):
     # the residual builds W of each state itself, from the position-space form
+    snaps = coherent_triplet_factory()
     with pytest.raises(ValueError, match="position-space"):
-        wigner_equation_residual([to_momentum_space(s) for s in coherent_triplet_factory()])
+        wigner_equation_residual(to_momentum_space(snaps[1]))
+    with pytest.raises(ValueError, match="different grids"):
+        wigner_equation_residual(snaps[1])(*(to_momentum_space(s) for s in snaps[::2]))
 
 
 def test_wigner_residual_rejects_bad_triples(ground_state, grid2):
     at = [replace(ground_state, t=t) for t in (0.0, 1e-3, 2e-3, 3e-3)]
-    with pytest.raises(ValueError, match="exactly three"):
-        wigner_equation_residual(at[:2])
+    pair = wigner_equation_residual(at[1])
     with pytest.raises(ValueError, match="equally spaced"):
-        wigner_equation_residual([at[0], at[1], at[3]])
+        pair(at[0], at[3])
     with pytest.raises(ValueError, match="equally spaced"):  # dt <= 0
-        wigner_equation_residual(at[2::-1])
+        pair(at[2], at[0])
     shifted = make_grid(grid2.q_axis.n_points, -8.0, 8.0)
     with pytest.raises(ValueError, match="different grids"):
-        wigner_equation_residual([at[0], at[1], replace(at[2], grid=shifted)])
+        pair(at[0], replace(at[2], grid=shifted))
+    with pytest.raises(ValueError, match="different physical parameters"):
+        pair(at[0], replace(at[2], params=replace(at[2].params, mass=2.0)))
