@@ -36,7 +36,6 @@ from .numerics import (
     PhysicalParams,
     grown_span,
     pq_factors,
-    row_blocks,
     shear_strip,
 )
 from .states import WaveFunction, to_momentum_space
@@ -174,38 +173,23 @@ class ExtendedHamiltonian:
         At alpha = 0 and on chi this is the right-hand side of the dynamical
         equation ``i hbar d(chi)/dt = H' chi``.
 
-        Along each axis, with wavenumber k, both orders are the one spectral
-        multiplier ``hbar k (hbar A k + B p)`` (q) or ``hbar k (hbar C k + D q + E)``
-        (p).  The q multiplier is applied to each row's spectrum in row blocks, and so
-        is the p multiplier to the column spectra of a whole-grid field: one forward and
-        one inverse FFT per axis, and no n x n multiplier.  On a strip of rows, whose
-        columns are not whole, the p terms are :func:`~epsqp.numerics.shear_strip`
-        Toeplitz sums of the inverse FFTs of ``hbar^2 C k^2`` and ``hbar k``: the field
-        is taken as 0 off its rows.
+        Along q, with wavenumber k, both orders are the one spectral multiplier
+        ``hbar k (hbar A k + B p)`` of each row's spectrum: one forward and one inverse
+        FFT.  Along p, whose columns need not be whole on the field's rows, the terms are
+        :func:`~epsqp.numerics.shear_strip` Toeplitz sums of the inverse FFTs of
+        ``hbar^2 C u^2`` and ``hbar u`` (u the p wavenumber), the field taken as 0 off its
+        rows; on every row the sum is cyclic, the spectral multiplier to rounding, at
+        O(n^3).  The two sums are added into the result one at a time.
         """
-        grid, values = field.grid, field.values
+        grid, values, rows = field.grid, field.values, field.rows
         hbar = grid.hbar
-        p = grid.p_axis.points[field.rows, None]
-        q = grid.q_axis.points[None, :]
-
-        def multiplier_pass(axis, k, second, first):
-            k, first = np.broadcast_to(k, values.shape), np.broadcast_to(first, values.shape)
-            spectrum = np.fft.fft(values, axis=axis)
-            for rows in row_blocks(values.shape):
-                spectrum[rows] *= hbar * k[rows] * (hbar * second * k[rows] + first[rows])
-            return np.fft.ifft(spectrum, axis=axis, out=spectrum)
-
-        out = multiplier_pass(1, grid.q_axis.wavenumbers[None, :], self.A, self.B * p)
-        if values.shape == grid.shape:
-            p_terms = multiplier_pass(0, grid.p_axis.wavenumbers[:, None], self.C, self.D * q + self.E)
-            return np.add(out, p_terms, out=out)
-        u = grid.p_axis.wavenumbers
-        second, first = (
-            shear_strip(np.fft.ifft(kernel), values, field.rows, field.rows)
-            for kernel in (hbar * u * (hbar * self.C * u), hbar * u)
-        )
-        first *= self.D * q + self.E
-        out += second
+        k, u = grid.q_axis.wavenumbers, grid.p_axis.wavenumbers
+        out = np.fft.fft(values, axis=1)
+        out *= hbar * k * (hbar * self.A * k + self.B * grid.p_axis.points[rows, None])
+        np.fft.ifft(out, axis=1, out=out)
+        out += shear_strip(np.fft.ifft(hbar * u * (hbar * self.C * u)), values, rows, rows)
+        first = shear_strip(np.fft.ifft(hbar * u), values, rows, rows)
+        first *= self.D * grid.q_axis.points + self.E
         out += first
         return out
 

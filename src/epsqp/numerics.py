@@ -190,16 +190,6 @@ def spectral_derivative_2d(values: NDArray, grid: Grid2D, axis: int, order: int 
     return np.fft.ifft(spectrum, axis=axis, out=spectrum)
 
 
-#: Element count of one row block: bounds the temporaries of a blockwise pass.
-_BLOCK = 2**15
-
-
-def row_blocks(shape: tuple) -> list[slice]:
-    """Row slices of a 2D ``shape``, each of at most ``_BLOCK`` elements or one row."""
-    step = max(1, _BLOCK // shape[1])
-    return [slice(r, r + step) for r in range(0, shape[0], step)]
-
-
 def relative_curvature(amplitude: NDArray, spacing: float, axis: int = 0) -> NDArray[np.float64]:
     """``R''/R`` for a strictly positive amplitude, evaluated in log space.
 

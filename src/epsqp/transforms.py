@@ -26,7 +26,6 @@ from .eps_core import PhaseSpaceField, strip_rows
 from .numerics import (
     Grid2D,
     GridError,
-    row_blocks,
     snapshot_triple,
     spectral_derivative_2d,
     spectral_resample,
@@ -35,6 +34,9 @@ from .numerics import (
 )
 from .reports import ResidualReport, residual_report, snapshot_metadata
 from .states import WaveFunction
+
+#: Element count of one q-column block of W: bounds the temporaries of the lag sums.
+_BLOCK = 2**15
 
 
 def shear_kernels(grid: Grid2D, alpha: float, band: NDArray[np.int_]) -> NDArray[np.complex128]:
@@ -108,7 +110,7 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
 
 def _wigner_blocks(psi: WaveFunction, grid: Grid2D, columns: slice = slice(None), dp: bool = False):
     """Yield ``(cols, W[:, cols])`` for the q-column blocks of :func:`wigner_direct`'s W over
-    ``columns``, each of at most ``numerics._BLOCK`` elements, as new float64 arrays bitwise
+    ``columns``, each of at most :data:`_BLOCK` elements, as new float64 arrays bitwise
     those of the whole W; with ``dp``, dW/dp's: each lag y weighted by -i y / hbar before the
     fold, exact where a spectral p derivative of W is not (a folded bin holds two lags)."""
     if psi.space != "q":
@@ -126,8 +128,9 @@ def _wigner_blocks(psi: WaveFunction, grid: Grid2D, columns: slice = slice(None)
     padded = np.pad(spectral_resample(psi.values), n)  # spacing dq/2
     windows = sliding_window_view(padded, 2 * n + 1)[::2]
     start, stop, _ = columns.indices(n)
-    for block in row_blocks((stop - start, n)):
-        cols = slice(start + block.start, min(start + block.stop, stop))
+    step = max(1, _BLOCK // n)
+    for first in range(start, stop, step):
+        cols = slice(first, min(first + step, stop))
         window = windows[cols]
         # Lag l = k - n pairs window[:, k] with conj(window[:, 2n - k]).  The conjugate
         # comes first: numpy's vectorised complex product is not bitwise commutative.

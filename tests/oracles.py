@@ -1,9 +1,11 @@
-"""Closed forms of the harmonic Gaussian family on a phase-space grid, at general (m, k, hbar).
+"""Closed forms of the harmonic Gaussian family on a phase-space grid, at general (m, k, hbar),
+and of the spreading Gaussian in the linear potential V = b q, at general (m, b, hbar).
 
 Each is written from its formula alone, with no FFT, so it referees the spectral
 paths of ``epsqp`` rather than repeating them.  Arrays are indexed ``[i_p, i_q]``
 like the package's phase-space fields.  The coherent state is ``ho_coherent_state``'s:
-centre ``(q_c, p_c)`` on the classical trajectory from ``(q0, p0)`` at ``t = 0``.
+centre ``(q_c, p_c)`` on the classical trajectory from ``(q0, p0)`` at ``t = 0``; the
+linear one is ``linear_potential_gaussian``'s, from ``(q0, p0)`` and width ``sigma0``.
 """
 
 from __future__ import annotations
@@ -38,8 +40,12 @@ def coherent_phi(params, p, q0: float, p0: float, t: float):
 def coherent_chi(psi, grid, q0: float, p0: float):
     """``chi = psi(q) conj(phi(p)) exp(-i p q / hbar)`` of the coherent state ``psi`` (the
     closed-form ``ho_coherent_state`` from ``(q0, p0)``) with :func:`coherent_phi`."""
+    return _chi(psi, grid, coherent_phi(psi.params, grid.p_axis.points, q0, p0, psi.t))
+
+
+def _chi(psi, grid, phi):
+    """``psi(q) conj(phi(p)) exp(-i p q / hbar)`` with the kernel's exponential taken directly."""
     p, q = grid.p_axis.points[:, None], grid.q_axis.points[None, :]
-    phi = coherent_phi(psi.params, grid.p_axis.points, q0, p0, psi.t)
     return psi.values[None, :] * np.conj(phi)[:, None] * np.exp(-1j * p * q / grid.hbar)
 
 
@@ -113,3 +119,63 @@ def coherent_chi_dt(psi, grid, q0: float, p0: float):
     log_psi = m * w * (q - q_c) * qdot / hbar + 1j * (pdot * q - mixed) / hbar - 0.5j * w
     log_phi = (p - p_c) * pdot / (m * w * hbar) + 1j * (mixed - p * qdot) / hbar - 0.5j * w
     return coherent_chi(psi, grid, q0, p0) * (log_psi + np.conj(log_phi))
+
+
+def _linear_path(params, q0: float, p0: float, sigma0: float, t: float) -> tuple:
+    """``(q_c, p_c, c_t, gamma)`` of ``linear_potential_gaussian`` at ``t``."""
+    m, hbar, b = params.mass, params.hbar, params.potential.b
+    q_c = q0 + p0 * t / m - 0.5 * b * t**2 / m
+    p_c = p0 - b * t
+    c_t = 1.0 + 0.5j * hbar * t / (m * sigma0**2)
+    gamma = p0**2 * t / (2 * m) - b * q0 * t - p0 * b * t**2 / m + b**2 * t**3 / (3 * m)
+    return q_c, p_c, c_t, gamma
+
+
+def linear_phi(params, p, q0: float, p0: float, sigma0: float, t: float):
+    """The linear-potential Gaussian's momentum amplitude, the Fourier integral of its psi
+    (the Gaussian integral cancels psi's ``c_t^(-1/2)``):
+
+        phi(p) = (2 pi hbar)^(-1/2) (2 pi sigma0^2)^(-1/4) (4 pi sigma0^2)^(1/2)
+                 exp(i gamma / hbar) exp(-i p q_c / hbar) exp(-sigma0^2 c_t (p - p_c)^2 / hbar^2)
+    """
+    hbar = params.hbar
+    q_c, p_c, c_t, gamma = _linear_path(params, q0, p0, sigma0, t)
+    return (
+        (2.0 * np.pi * hbar) ** -0.5
+        * (2.0 * np.pi * sigma0**2) ** -0.25
+        * (4.0 * np.pi * sigma0**2) ** 0.5
+        * np.exp(1j * (gamma - p * q_c) / hbar)
+        * np.exp(-(sigma0**2) * c_t * (p - p_c) ** 2 / hbar**2)
+    )
+
+
+def linear_chi(psi, grid, q0: float, p0: float, sigma0: float):
+    """``chi = psi(q) conj(phi(p)) exp(-i p q / hbar)`` of the linear-potential Gaussian
+    ``psi`` (the closed-form ``linear_potential_gaussian``) with :func:`linear_phi`."""
+    return _chi(psi, grid, linear_phi(psi.params, grid.p_axis.points, q0, p0, sigma0, psi.t))
+
+
+def linear_chi_dt(psi, grid, q0: float, p0: float, sigma0: float):
+    """``d chi / dt`` of :func:`linear_chi`: ``chi (L_psi + conj(L_phi))`` with the logarithmic
+    time derivatives of the closed forms, from ``dq_c/dt = p_c / m``, ``dp_c/dt = -b``,
+    ``dc_t/dt = i hbar / (2 m sigma0^2)`` and ``dgamma/dt = p_c^2 / (2 m) - b q_c``:
+
+        L_psi = -cdot / (2 c_t) + (q - q_c) qdot / (2 sigma0^2 c_t) + (q - q_c)^2 cdot / (4 sigma0^2 c_t^2)
+                + i (pdot (q - q_c) - p_c qdot + gdot) / hbar
+        L_phi = i (gdot - p qdot) / hbar - sigma0^2 (cdot (p - p_c) - 2 c_t pdot) (p - p_c) / hbar^2
+    """
+    params = psi.params
+    m, hbar, b = params.mass, params.hbar, params.potential.b
+    q_c, p_c, c_t, _ = _linear_path(params, q0, p0, sigma0, psi.t)
+    qdot, pdot, cdot = p_c / m, -b, 0.5j * hbar / (m * sigma0**2)
+    gdot = p_c**2 / (2.0 * m) - b * q_c
+    p, q = grid.p_axis.points[:, None], grid.q_axis.points[None, :]
+    x, s2 = q - q_c, sigma0**2
+    log_psi = (
+        -0.5 * cdot / c_t
+        + x * qdot / (2.0 * s2 * c_t)
+        + x**2 * cdot / (4.0 * s2 * c_t**2)
+        + 1j * (pdot * x - p_c * qdot + gdot) / hbar
+    )
+    log_phi = 1j * (gdot - p * qdot) / hbar - s2 * (cdot * (p - p_c) - 2.0 * c_t * pdot) * (p - p_c) / hbar**2
+    return linear_chi(psi, grid, q0, p0, sigma0) * (log_psi + np.conj(log_phi))

@@ -225,16 +225,31 @@ def test_operator_action_on_plane_wave(grid2, harmonic_params):
     assert np.max(np.abs(got - expected)) < 1e-9 * np.max(np.abs(expected))
 
 
+def spectral_terms(ham, f, grid):
+    """``(coefficient, term)`` for each of H''s four terms on the whole-grid values ``f``,
+    each derivative one ``spectral_derivative_2d`` FFT pair along its axis: H' f is minus
+    the sum of the terms, the reference of ``apply``."""
+    hbar = grid.hbar
+    p, q = grid.p_axis.points[:, None], grid.q_axis.points[None, :]
+    return [
+        (ham.A, hbar**2 * ham.A * spectral_derivative_2d(f, grid, axis=1, order=2)),
+        (ham.B, 1j * hbar * ham.B * p * spectral_derivative_2d(f, grid, axis=1, order=1)),
+        (ham.C, hbar**2 * ham.C * spectral_derivative_2d(f, grid, axis=0, order=2)),
+        (ham.D or ham.E, 1j * hbar * (ham.D * q + ham.E) * spectral_derivative_2d(f, grid, axis=0, order=1)),
+    ]
+
+
 @pytest.mark.parametrize("alpha", [0.0, -0.25, -0.5])
 @pytest.mark.parametrize("potential", ["harmonic", "linear"])
 @pytest.mark.parametrize("values", ["chi", "random"])
 def test_operator_takes_one_forward_transform_per_axis(
     monkeypatch, ground_chi, harmonic_params, linear_params, alpha, potential, values
 ):
-    # the first and second derivative along an axis share one spectral
-    # multiplier, so one forward and one inverse FFT; the sum equals the
-    # per-term spectral_derivative_2d sum to rounding of the terms (for the
-    # stationary ground chi at alpha = 0 they cancel to rounding level)
+    # the first and second q derivative share one spectral multiplier, so one
+    # forward and one inverse FFT along q; the p terms are Toeplitz sums of two
+    # 1-D kernels (their inverse FFTs take no axis), so no FFT runs along p; the
+    # sum equals the per-term spectral_derivative_2d sum to rounding of the terms
+    # (for the stationary ground chi at alpha = 0 they cancel to rounding level)
     params = harmonic_params if potential == "harmonic" else linear_params
     grid = ground_chi.grid
     if values == "chi":
@@ -244,14 +259,7 @@ def test_operator_takes_one_forward_transform_per_axis(
         f = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     field = PhaseSpaceField(f, grid)
     ham = ExtendedHamiltonian.from_params(params, alpha)
-    hbar = params.hbar
-    p, q = grid.p_axis.points[:, None], grid.q_axis.points[None, :]
-    terms = [
-        (ham.A, hbar**2 * ham.A * spectral_derivative_2d(f, grid, axis=1, order=2)),
-        (ham.B, 1j * hbar * ham.B * p * spectral_derivative_2d(f, grid, axis=1, order=1)),
-        (ham.C, hbar**2 * ham.C * spectral_derivative_2d(f, grid, axis=0, order=2)),
-        (ham.D or ham.E, 1j * hbar * (ham.D * q + ham.E) * spectral_derivative_2d(f, grid, axis=0, order=1)),
-    ]
+    terms = spectral_terms(ham, f, grid)
     expected = -sum(term for coefficient, term in terms if coefficient != 0.0)
 
     forward, inverse = [], []
@@ -259,7 +267,7 @@ def test_operator_takes_one_forward_transform_per_axis(
     monkeypatch.setattr(np.fft, "fft", lambda *a, **k: forward.append(k.get("axis")) or fft(*a, **k))
     monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: inverse.append(k.get("axis")) or ifft(*a, **k))
     got = ham.apply(field)
-    assert sorted(forward) == sorted(inverse) == [0, 1]
+    assert forward == [1] and inverse == [1, None, None]
     scale = max(np.max(np.abs(term)) for coefficient, term in terms if coefficient != 0.0)
     assert np.max(np.abs(got - expected)) <= 1e-13 * scale
     if values == "chi" and potential == "harmonic" and alpha == 0.0:
@@ -320,18 +328,17 @@ def test_evolution_identity_for_coherent_distribution(q_grid, grid2, harmonic_pa
 
 
 def test_rhs_allocates_one_work_buffer(temporary_arrays, harmonic_params):
-    # the image (the q-axis term) and one p-axis spectrum, in n x n complex
-    # arrays; each multiplier is applied in row blocks (measured 2.15).  On
-    # the 55-row momentum strip the image, the Toeplitz sums of the p terms
-    # and the row block's multiplier temporaries (measured 0.36).  The limits
-    # are those plus about 10 %.
+    # the image (the q-axis term) and one Toeplitz sum of a p term at a time,
+    # in n x n complex arrays (measured 2.04).  On the 55-row momentum strip
+    # the image, one p-term sum and the q multiplier's real temporaries
+    # (measured 0.25).  The limits are those plus about 10 %.
     n = 512
     g = make_grid(n, -10.0, 10.0)
     chi, psi = _chi_at(g, Grid2D(g, harmonic_params.hbar), harmonic_params, 1.0, 0.5, 0.3)
     strip = chi_rows(psi, strip_rows([psi]))
     ham = ExtendedHamiltonian.from_params(harmonic_params)
-    assert temporary_arrays(lambda: ham.apply(chi), n) <= 2.4
-    assert temporary_arrays(lambda: ham.apply(strip), n) <= 0.4
+    assert temporary_arrays(lambda: ham.apply(chi), n) <= 2.25
+    assert temporary_arrays(lambda: ham.apply(strip), n) <= 0.28
 
 
 # ---------------------------------------------------------------------------

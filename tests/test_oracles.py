@@ -27,6 +27,18 @@ The strip kernels, chi on the p rows phi occupies (``chi_rows``) and H' there:
   the momentum Nyquist, so relative to each sample the error reaches 6e-5 there;
 * chi's marginals against sqrt(2 pi hbar) |psi|^2 and |phi|^2: 9.7e-15 of the peak, and
   ``expectation`` against <q>, <p>, <q^2> and <H>: 1.3e-15 absolute.
+
+The linear-potential Gaussian (V = b q) from q0 = 0.5, p0 = 0 and sigma0 = sqrt(1/2) at
+t = 0.4, with (m, hbar, b) = (1, 1, 1) and (2, 0.7, 0.7), the first closed form to referee
+H''s E = -b term (the harmonic family has E = 0), relative to the peak:
+
+* ``to_momentum_space`` against ``linear_phi`` and ``chi_rows`` on the momentum strip
+  against ``linear_chi``: 9.8e-15 at most, at n = 1024 and unit constants, the rounding
+  of phi's FFT and of chi's kernel; bound 1e-13;
+* strip H' chi against i hbar d(chi)/dt from ``linear_chi_dt`` on chi's mask: 1.3e-9 at
+  unit constants and 7.7e-11 at (2, 0.7, 0.7), both at n = 128 and falling with n, the
+  p-Nyquist defect of the coherent case above (a finite difference of ``linear_chi`` in
+  t agrees with ``linear_chi_dt`` to its own O(dt^2)); bounds 1.3e-8 and 7.7e-10.
 """
 
 from __future__ import annotations
@@ -42,6 +54,9 @@ from oracles import (
     coherent_phi,
     coherent_wigner,
     coherent_wigner_gradients,
+    linear_chi,
+    linear_chi_dt,
+    linear_phi,
     sheared_ground_chi,
 )
 
@@ -56,8 +71,9 @@ from epsqp.numerics import (
 )
 from epsqp.quantum_potential import _Strip
 from epsqp.reports import fit_global_constant
-from epsqp.states import ho_coherent_state
+from epsqp.states import ho_coherent_state, linear_potential_gaussian, to_momentum_space
 from epsqp.transforms import _wigner_centre, apply_extended_transform, wigner_direct
+from test_eps_core import spectral_terms
 
 Q0, T = 0.5, 0.4
 PARAMS = {
@@ -191,8 +207,9 @@ def test_strip_marginals_and_expectations_match_the_moments(n, params):
 
 
 # Strip against whole grid at n = 128 and 256: chi_rows is chi_build's rows bit for bit;
-# H' on the strip is the whole-grid apply's rows to 2.4e-13 of the peak (a decade over
-# the measured 2.4e-14: the Toeplitz sums round differently from the column FFTs); the
+# H' on the strip is the per-term spectral_derivative_2d sum of the whole-grid chi (one
+# FFT pair per term, independent of apply) on the strip rows, to 2.4e-13 of the peak (measured
+# 1.8e-14 at most: the Toeplitz sums round differently from the per-term FFTs); the
 # Wigner residual's centre W, kept on phi's rows from whole-column blocks, is wigner_direct's
 # on the mask box, bit for bit, the mask and box too (its gradients have closed forms:
 # test_wigner_residual_gradients_match_their_closed_forms).
@@ -203,7 +220,7 @@ def test_strip_fields_equal_the_whole_grid_kernels(strip_n, params):
     np.testing.assert_array_equal(chi.values, whole.values[chi.rows])
     for alpha in (0.0, -0.5):
         ham = ExtendedHamiltonian.from_params(params, alpha)
-        want = ham.apply(whole)[chi.rows]
+        want = -sum(term for _, term in spectral_terms(ham, whole.values, g2))[chi.rows]
         assert np.max(np.abs(ham.apply(chi) - want)) < 2.4e-13 * np.max(np.abs(want))
 
     w = wigner_direct(psi, g2).values
@@ -220,3 +237,43 @@ def test_wigner_residual_gradients_match_their_closed_forms(n, params):
     exact_p, exact_q = coherent_wigner_gradients(params, g2, Q0, 0.0, T)
     for got, exact, bound in ((w_p, exact_p[box], 2.8e-13), (w_q, exact_q[box], 3.9e-13)):
         assert np.max(np.abs(got - exact)[inside]) < bound * np.max(np.abs(exact)[inside])
+
+
+LINEAR = {
+    "unit": PhysicalParams(mass=1.0, hbar=1.0, potential=Potential(b=1.0)),
+    "m2-hbar0.7-b0.7": PhysicalParams(mass=2.0, hbar=0.7, potential=Potential(b=0.7)),
+}
+LINEAR_STATE = (Q0, 0.0, np.sqrt(0.5))  # q0, p0, sigma0
+# i hbar d(chi)/dt = H' chi to the peak: a decade over the measured 1.3e-9 and 7.7e-11
+LINEAR_EVOLUTION_BOUND = {"unit": 1.3e-8, "m2-hbar0.7-b0.7": 7.7e-10}
+
+
+@pytest.fixture(params=list(LINEAR))
+def linear(request):
+    return request.param, LINEAR[request.param]
+
+
+def _linear_strip_chi(n, params):
+    g, g2 = _grids(n, params)
+    psi = linear_potential_gaussian(g, params, *LINEAR_STATE, T)
+    return g2, psi, chi_rows(psi, strip_rows([psi]))
+
+
+def test_linear_phi_and_strip_chi_match_their_closed_forms(n, linear):
+    _, params = linear
+    g2, psi, chi = _linear_strip_chi(n, params)
+    phi = to_momentum_space(psi)
+    for got, exact in (
+        (phi.values, linear_phi(params, phi.grid.points, *LINEAR_STATE, T)),
+        (chi.values, linear_chi(psi, g2, *LINEAR_STATE)[chi.rows]),
+    ):
+        assert np.max(np.abs(got - exact)) < 1e-13 * np.max(np.abs(exact))
+
+
+def test_linear_strip_evolution_operator_matches_the_time_derivative(n, linear):
+    name, params = linear
+    g2, psi, chi = _linear_strip_chi(n, params)
+    got = ExtendedHamiltonian.from_params(params).apply(chi)
+    exact = 1j * params.hbar * linear_chi_dt(psi, g2, *LINEAR_STATE)[chi.rows]
+    mask = amplitude_mask(np.abs(chi.values))
+    assert np.max(np.abs(got - exact)[mask]) < LINEAR_EVOLUTION_BOUND[name] * np.max(np.abs(exact)[mask])

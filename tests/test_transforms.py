@@ -261,15 +261,15 @@ def test_wigner_matches_half_shear_of_chi(q_grid, harmonic_params):
 
 @pytest.mark.parametrize("n", [64, 256])
 def test_wigner_direct_is_the_same_in_one_block_or_many(monkeypatch, harmonic_params, n):
-    # wigner_direct assembles W from q-column blocks of at most numerics._BLOCK
+    # wigner_direct assembles W from q-column blocks of at most transforms._BLOCK
     # elements: one block, the default blocks and one column per block give the same
     # values, in the (p, q) transpose of a C-ordered (q, p) array
     g = make_grid(n, -10.0, 10.0)
     g2 = Grid2D(g, harmonic_params.hbar)
     psi = ho_coherent_state(g, harmonic_params, q0=1.0, p0=0.5, t=0.3)
     fields = []
-    for block in (n * n, numerics._BLOCK, 1):
-        monkeypatch.setattr(numerics, "_BLOCK", block)
+    for block in (n * n, transforms._BLOCK, 1):
+        monkeypatch.setattr(transforms, "_BLOCK", block)
         fields.append(wigner_direct(psi, g2).values)
     whole = fields[0]
     assert whole.dtype == np.float64 and whole.strides == (8, 8 * n) and whole.T.flags.c_contiguous
@@ -287,8 +287,8 @@ def test_wigner_blocks_of_a_column_range_are_those_of_w(monkeypatch, harmonic_pa
     g2 = Grid2D(g, harmonic_params.hbar)
     psi = ho_coherent_state(g, harmonic_params, q0=1.0, p0=0.5, t=0.3)
     whole = wigner_direct(psi, g2).values
-    for block in (numerics._BLOCK, 3 * n):
-        monkeypatch.setattr(numerics, "_BLOCK", block)
+    for block in (transforms._BLOCK, 3 * n):
+        monkeypatch.setattr(transforms, "_BLOCK", block)
         for columns in (slice(None), slice(5, n // 2 + 3), slice(n - 1, n)):
             blocks = list(_wigner_blocks(psi, g2, columns))
             assert [c.start for c, _ in blocks][0] == columns.indices(n)[0]
