@@ -9,6 +9,11 @@ repeated runs; wall-clock timing goes to stderr only.
 
 from __future__ import annotations
 
+import os
+
+# before numpy loads OpenBLAS: no report value goes through BLAS, whose idle pool would spin
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import dataclasses
 import json

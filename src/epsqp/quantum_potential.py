@@ -62,10 +62,11 @@ from .numerics import (
     log_amplitude,
     log_curvature,
     relative_curvature,
-    shear_strip,
     snapshot_triple,
     spectral_derivative,
     strip_mask_box,
+    strip_offsets,
+    toeplitz_sum,
     within,
 )
 from .reports import (
@@ -191,7 +192,8 @@ class _Strip:
 
     @cached_property
     def blocks(self) -> tuple:
-        return tuple(chi_q_spectrum(s, self.rows, self.band) for s in self.states)
+        """The chi q-spectra, flipped once into the layout :func:`toeplitz_sum` reads."""
+        return tuple(np.ascontiguousarray(chi_q_spectrum(s, self.rows, self.band)[::-1].T) for s in self.states)
 
     def out_rows(self, alpha: float) -> slice:
         """The rows chi sheared by alpha occupies: p is a convex combination of phi's
@@ -200,9 +202,10 @@ class _Strip:
 
     def shear(self, alpha: float):
         """``shear(i, rows, kernel=0)``: state i's chi sheared by alpha as its q-spectrum on
-        ``rows``, or (``kernel=1``) that of its p derivative."""
-        kernels = shear_kernels(self.grid, alpha, self.band)
-        return lambda i, rows, kernel=0: shear_strip(kernels[kernel], self.blocks[i], self.rows, rows)
+        ``rows`` inside ``out_rows(alpha)``, or (``kernel=1``) that of its p derivative."""
+        out_rows, n = self.out_rows(alpha), self.grid.q_axis.n_points
+        kernels = shear_kernels(self.grid, alpha, self.band, strip_offsets(self.rows, out_rows, n))
+        return lambda i, rows, kernel=0: toeplitz_sum(kernels[kernel], self.blocks[i], within(rows, out_rows, n))
 
     def sheared(self, alpha: float) -> tuple:
         """``(rows, values)``: the first state's chi sheared by alpha on the rows it occupies."""

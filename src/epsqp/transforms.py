@@ -35,24 +35,29 @@ from .numerics import (
 from .reports import ResidualReport, residual_report, snapshot_metadata
 from .states import WaveFunction
 
-#: Element count of one q-column block of W: bounds the temporaries of the lag sums.
+#: Element count of one q-column block of W or of the shear kernels: bounds the temporaries.
 _BLOCK = 2**15
 
 
-def shear_kernels(grid: Grid2D, alpha: float, band: NDArray[np.int_]) -> NDArray[np.complex128]:
-    """``U_alpha`` on q-spectrum columns ``band`` as :func:`shear_strip` kernels: ``[0, b]``
-    is the ``ifft`` over p of column b's multiplier ``exp(2 pi i alpha a b / n)``, the
-    Dirichlet kernel ``D_n(d + alpha b)``, and ``[1, b]`` that of the multiplier times
-    ``i u_a``, for the p derivative.  From the exact multiplier they are accurate to
-    rounding in absolute terms, as the mask edge needs; closed forms of D_n are not."""
+def shear_kernels(grid: Grid2D, alpha: float, band: NDArray[np.int_], offsets: NDArray) -> NDArray[np.complex128]:
+    """``U_alpha`` on q-spectrum columns ``band`` as :func:`~epsqp.numerics.toeplitz_sum` kernels
+    at the p ``offsets`` (mod n), inverted a block of columns at a time: ``[0, b]`` is the ``ifft``
+    over p of column b's multiplier ``exp(2 pi i alpha a b / n)``, the Dirichlet kernel ``D_n(d +
+    alpha b)``, and ``[1, b]`` that of the multiplier times ``i u_a``, for the p derivative.  From
+    the exact multiplier they are accurate to rounding in absolute terms, as the mask edge needs;
+    closed forms of D_n are not."""
     n = grid.q_axis.n_points
     step = 1 << (n.bit_length() // 2)  # a = coarse + fine: about 2 sqrt(n) exponentials a column
-    phase = (2j * np.pi * alpha / n) * band[:, None, None]
-    kernels = np.empty((2, len(band), n), dtype=complex)
-    coarse = np.exp(phase * np.fft.fftfreq(n // step, 1.0 / n)[:, None])  # in FFT order
-    np.multiply(coarse, np.exp(phase * np.arange(step)), out=kernels[0].reshape(len(band), n // step, step))
-    np.multiply(kernels[0], 1j * grid.p_axis.wavenumbers, out=kernels[1])
-    return np.fft.ifft(kernels, axis=2, out=kernels)
+    width = max(1, _BLOCK // (2 * n))  # band columns per FFT block
+    out = np.empty((2, len(band), len(offsets)), dtype=complex)
+    for first in range(0, len(band), width):
+        phase = (2j * np.pi * alpha / n) * band[first : first + width, None, None]
+        kernels = np.empty((2, len(phase), n), dtype=complex)
+        coarse = np.exp(phase * np.fft.fftfreq(n // step, 1.0 / n)[:, None])  # in FFT order
+        np.multiply(coarse, np.exp(phase * np.arange(step)), out=kernels[0].reshape(len(phase), n // step, step))
+        np.multiply(kernels[0], 1j * grid.p_axis.wavenumbers, out=kernels[1])
+        out[:, first : first + width] = np.fft.ifft(kernels, axis=2, out=kernels)[..., offsets % n]
+    return out
 
 
 def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> NDArray[np.complex128]:

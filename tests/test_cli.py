@@ -80,6 +80,39 @@ def test_report_is_independent_of_the_blas_thread_count():
     assert outs[0] == outs[1]
 
 
+#: Prints the OpenBLAS thread count of a process that imports the CLI, read through
+#: OpenBLAS's own getter (None where numpy bundles no OpenBLAS).
+_BLAS_THREADS = """
+import ctypes, glob, os
+import epsqp.cli
+import numpy
+threads = None
+for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads", "openblas_get_num_threads"):
+        getter = getattr(lib, symbol, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            threads = getter()
+            break
+print(threads)
+"""
+
+
+@pytest.mark.parametrize("setting, expected", [(None, 1), ("2", 2)])
+def test_the_cli_starts_one_blas_thread_unless_told_otherwise(setting, expected):
+    # nothing the CLI reports goes through BLAS, so it starts no worker pool to spin on
+    # the other cores; an explicit OPENBLAS_NUM_THREADS is kept
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    proc = subprocess.run([sys.executable, "-c", _BLAS_THREADS], capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "None":
+        pytest.skip("numpy bundles no OpenBLAS to ask")
+    assert int(proc.stdout) == expected
+
+
 def test_run_all_leaves_numpy_random_and_hashlib_unloaded():
     # numpy.random pulls in secrets, hashlib and OpenSSL's _hashlib, about
     # 6 MB of peak RSS; no scenario draws random numbers.  A subprocess,

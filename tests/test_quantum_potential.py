@@ -335,13 +335,14 @@ def test_shears_leave_the_caller_chi_unchanged(q_grid, grid2, harmonic_params):
     assert [s.values.tobytes() for s in held] == before
 
 
-@pytest.mark.parametrize("alpha, passes", [(-0.75, (9, 7, 425)), (0.0, (5, 2, 7))])
+@pytest.mark.parametrize("alpha, passes", [(-0.75, (9, 8, 425)), (0.0, (5, 2, 7))])
 def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, grid2, alpha, passes):
     # Both: the phi of each state for the momentum strip.  alpha != 0: each
     # snapshot's strip block of chi's q-spectrum is two 1D transforms (its phi
-    # and fft(psi)); one inverse pass builds both shear kernel tables, then one
-    # inverse q pass per field: the centre on the strip for its mask, and on
-    # the box rows the centre, its two gradients and the t +- dt fields.
+    # and fft(psi)); two inverse passes of at most 64 band columns each build
+    # both shear kernel tables, then one inverse q pass per field: the centre
+    # on the strip for its mask, and on the box rows the centre, its two
+    # gradients and the t +- dt fields.
     # alpha = 0 differentiates psi and phi in 1D.  The last entry bounds the
     # forward and inverse lanes together: at n = 256 the 55-row strip and the
     # 28-row box take alpha = -0.75 to 422 lanes (218 of them the kernels of

@@ -9,10 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from epsqp import numerics, transforms
 from epsqp.eps_core import ExtendedHamiltonian, PhaseSpaceField, chi_build, chi_rows
-from epsqp.numerics import Grid2D, GridError, make_grid, shear_strip, spectral_resample
+from epsqp.numerics import (
+    Grid2D,
+    GridError,
+    make_grid,
+    shear_strip,
+    spectral_resample,
+    strip_offsets,
+    toeplitz_sum,
+)
 from epsqp.reports import l2
 from epsqp.transforms import (
     _wigner_blocks,
@@ -97,27 +106,45 @@ def test_apply_extended_transform_rejects_a_strip_field(harmonic_params):
 @pytest.mark.parametrize("lo, hi, hbar", [(-10.0, 10.0, 1.0), (-3.0, 5.0, 0.7)])
 def test_shear_kernels_are_the_ifft_of_the_shear_multiplier(lo, hi, hbar):
     # column b of U_alpha's multiplier exp(i alpha hbar u v_b), and that times i u for
-    # the p derivative, each inverted along p.  The coarse-times-fine exponentials
-    # round phases of size up to pi |alpha| |b|, so the difference is bounded by a few
-    # eps * pi |alpha| max|b| (times max|u| for the derivative).  At alpha b integer the
-    # kernel is the exact shift by -alpha b cells.
+    # the p derivative, each inverted along p and read at the offsets (mod n) of a
+    # Toeplitz sum from a strip onto wider rows, or of the whole axis onto itself, which
+    # wraps.  The coarse-times-fine exponentials round phases of size up to pi |alpha|
+    # |b|, so the difference is bounded by a few eps * pi |alpha| max|b| (times max|u|
+    # for the derivative).  At alpha b integer the kernel is the exact shift by -alpha b cells.
     eps = np.finfo(float).eps
     for n in (8, 64, 256):
         g2 = Grid2D(make_grid(n, lo, hi), hbar)
         u = g2.p_axis.wavenumbers
-        for band in (np.arange(1 - n // 4, n // 4), np.arange(n) - n // 2):
+        strip = (slice(3 * n // 8, 5 * n // 8), slice(n // 4, 3 * n // 4))
+        for band, (rows, out_rows) in (
+            (np.arange(1 - n // 4, n // 4), strip),
+            (np.arange(n) - n // 2, (slice(None), slice(None))),
+        ):
+            offsets = strip_offsets(rows, out_rows, n)
+            taken = offsets % n
             v = 2.0 * np.pi * band / g2.q_axis.extent
             for alpha in (-1.0, -0.75, -0.7, -0.5, 0.3, -1.5):
-                kernels = shear_kernels(g2, alpha, band)
+                kernels = shear_kernels(g2, alpha, band, offsets)
                 multiplier = np.exp(1j * alpha * hbar * v[:, None] * u[None, :])
                 bound = 4.0 * eps * math.pi * abs(alpha) * np.abs(band).max()
-                assert np.max(np.abs(kernels[0] - np.fft.ifft(multiplier, axis=1))) <= bound
-                direct = np.fft.ifft(multiplier * (1j * u), axis=1)
+                assert np.max(np.abs(kernels[0] - np.fft.ifft(multiplier, axis=1)[:, taken])) <= bound
+                direct = np.fft.ifft(multiplier * (1j * u), axis=1)[:, taken]
                 assert np.max(np.abs(kernels[1] - direct)) <= bound * np.abs(u).max()
             shift = np.zeros((len(band), n))
             shift[np.arange(len(band)), band % n] = 1.0
             bound = 4.0 * eps * math.pi * np.abs(band).max()
-            assert np.max(np.abs(shear_kernels(g2, -1.0, band)[0] - shift)) <= bound
+            assert np.max(np.abs(shear_kernels(g2, -1.0, band, offsets)[0] - shift[:, taken])) <= bound
+
+
+def test_shear_kernels_hold_only_the_offsets_the_strip_reads():
+    # at n = 1024 a 55-row strip sheared onto 111 rows reads m_out + m - 1 = 165 offsets
+    # of each of its 109 columns' kernels: the table holds those, not all n
+    n, m, m_out = 1024, 55, 111
+    g2 = Grid2D(make_grid(n, -10.0, 10.0), 1.0)
+    rows, out_rows = slice(485, 485 + m), slice(457, 457 + m_out)
+    band = np.arange(1 - m, m)
+    kernels = shear_kernels(g2, -0.75, band, strip_offsets(rows, out_rows, n))
+    assert kernels.shape == (2, len(band), m_out + m - 1)
 
 
 def test_shear_strip_is_a_toeplitz_product_per_column():
@@ -136,6 +163,31 @@ def test_shear_strip_is_a_toeplitz_product_per_column():
     np.testing.assert_allclose(full, expected, rtol=0.0, atol=1e-13)
     for out_rows in (slice(0, 3), slice(17, 30), slice(31, 32)):
         np.testing.assert_array_equal(shear_strip(kernel, block, rows, out_rows), full[out_rows])
+
+
+@pytest.mark.parametrize("n", [64, 512])
+def test_shear_strip_adds_in_the_order_of_the_row_major_einsum(n):
+    # flipping the block to (column, reversed row), by a view in shear_strip or as the
+    # contiguous copy the sweep's strip keeps, so that the summed index is contiguous in
+    # both operands, changes no bit: the same products are added in the same order as
+    # the einsum over the reversed rows of the block as given
+    rng = np.random.default_rng(n)
+    m = n // 8
+    rows = slice(n // 2 - m // 2, n // 2 - m // 2 + m)
+    cases = (
+        (rng.normal(size=(2 * m - 1, n)) + 1j * rng.normal(size=(2 * m - 1, n)), (m, 2 * m - 1), "biw,wb->ib"),
+        (rng.normal(size=n) + 1j * rng.normal(size=n), (m, n), "iw,wb->ib"),
+    )
+    for kernel, shape, subscripts in cases:
+        block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for out_rows in (rows, slice(rows.start - m, rows.stop + m), slice(0, 5), slice(None)):
+            (r0, r1), (s0, s1) = (r.indices(n)[:2] for r in (out_rows, rows))
+            offsets = (r0 - s1 + 1 + np.arange(r1 - r0 + s1 - s0 - 1)) % n
+            toeplitz = sliding_window_view(kernel[..., offsets], s1 - s0, axis=-1)
+            old = np.einsum(subscripts, toeplitz, block[::-1])
+            np.testing.assert_array_equal(shear_strip(kernel, block, rows, out_rows), old)
+            flipped = np.ascontiguousarray(block[::-1].T)
+            np.testing.assert_array_equal(toeplitz_sum(kernel[..., offsets], flipped), old)
 
 
 @pytest.mark.parametrize(
