@@ -53,7 +53,7 @@ from .states import (
     splitstep_propagate,
     to_momentum_space,
 )
-from .transforms import _wigner_blocks, wigner_direct, wigner_equation_residual
+from .transforms import _wigner_blocks, _wigner_window, wigner_direct, wigner_equation_residual
 
 REGISTRY_VERSION = "1.0"
 
@@ -374,20 +374,28 @@ def scenario_wigner_equivalence(cfg: ScenarioConfig) -> ScenarioReport:
 
     # ground-state closed form: W(p, q) = 2 exp(-q^2 - p^2) in natural units
     # (general: 2 exp(-m w q^2 / hbar - p^2 / (m w hbar))), peak value 2 at
-    # any hbar in the lag-y measure of wigner_direct; compared column block by block.
+    # any hbar in the lag-y measure of wigner_direct; compared column block by block on
+    # the ground state's W window.  Off it W counts as 0, so its error there is the
+    # closed form's largest value, at the off-window p and the q nearest the origin.
     g, g2, psi = coherent(cfg.grid_n)
-    p = g2.p_axis.points[:, None]
     m, hbar, w_freq = params.mass, params.hbar, params.omega
-    i_p0 = int(np.argmin(np.abs(g2.p_axis.points)))
+
+    def w_exact(p, q):
+        return 2.0 * np.exp(-m * w_freq * q**2 / hbar - p**2 / (m * w_freq * hbar))
+
+    p = g2.p_axis.points
+    i_p0 = int(np.argmin(np.abs(p)))
     i_q0 = int(np.argmin(np.abs(g.points)))
-    profile_err = peak_err = 0.0
-    for cols, w_g in _wigner_blocks(ho_coherent_state(g, params, 0.0, 0.0, 0.0), g2):
-        q = g.points[None, cols]
-        w_exact = 2.0 * np.exp(-m * w_freq * q**2 / hbar - p**2 / (m * w_freq * hbar))
-        profile_err = max(profile_err, float(np.max(np.abs(w_g - w_exact))))
+    ground = ho_coherent_state(g, params, 0.0, 0.0, 0.0)
+    window = _wigner_window(ground, strip_rows([ground]))
+    off = np.delete(p, np.arange(g.n_points)[window])
+    profile_err = float(w_exact(off[np.argmin(np.abs(off))], g.points[i_q0])) if off.size else 0.0
+    peak_err = 0.0
+    for cols, w_g in _wigner_blocks(ground, g2, window=window):
+        err = np.abs(w_g - w_exact(p[window, None], g.points[None, cols]))
+        profile_err = max(profile_err, float(np.max(err)))
         if i_q0 in range(g.n_points)[cols]:  # w_exact = 2 at a sample on the origin
-            j = i_q0 - cols.start
-            peak_err = abs(float(w_g[i_p0, j] - w_exact[i_p0, j]))
+            peak_err = float(err[i_p0 - window.start, i_q0 - cols.start])
     report.check("wigner-groundstate-profile-max-err", profile_err)
     report.check("wigner-groundstate-peak-err", peak_err)
 
@@ -423,25 +431,27 @@ def _wigner_fit(psi: WaveFunction) -> tuple:
     """The least-squares ``c`` of ``sheared = c W``, ``||sheared - c W|| / ||sheared||``, and W's
     q and p marginals (W summed over p, over q), for chi's -1/2 shear and the real W of ``psi``.
 
-    The shear is formed on the momentum strip's rows it occupies and counts as 0 off them,
-    so the sums of W^2 still run over every row: W is read one q-column block at a time
-    from ``_wigner_blocks`` and kept on those rows only.
+    The shear is formed on the momentum strip's rows it occupies and counts as 0 off them;
+    W is read one q-column block at a time from ``_wigner_blocks`` on its window, the rows
+    that cover the strip and the shear's, and counts as 0 off it: the sums of W^2, the
+    off-shear |c W|^2 and the marginals run over the window rows.
     """
     strip = _Strip([psi])
     rows, sheared = strip.sheared(-0.5)
     n = psi.grid.n_points
-    span = range(n)[rows]
+    window = _wigner_window(psi, rows)
+    inside = within(rows, window, n)
     w = np.empty(sheared.shape)
     num = den = off = 0.0
     marginal_q, marginal_p = np.empty(n), np.zeros(n)
-    for cols, block in _wigner_blocks(psi, strip.grid):
-        w[:, cols] = block[rows]
+    for cols, block in _wigner_blocks(psi, strip.grid, window=window):
+        w[:, cols] = block[inside]
         num += np.sum(w[:, cols] * sheared[:, cols])  # pairwise sums of block-sized products
         den += np.sum(block * block)
-        for outside in (block[: span.start], block[span.stop :]):
+        for outside in (block[: inside.start], block[inside.stop :]):
             off += np.sum(outside * outside)
         marginal_q[cols] = block.sum(axis=0)
-        marginal_p += block.sum(axis=1)
+        marginal_p[window] += block.sum(axis=1)
     if den == 0.0:
         raise ValueError("cannot fit a constant against a zero basis")
     c = complex(num / den)

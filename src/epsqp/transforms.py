@@ -113,44 +113,74 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
     return PhaseSpaceField(_wigner_box(psi, grid, (slice(None), slice(None))), grid)
 
 
-def _wigner_blocks(psi: WaveFunction, grid: Grid2D, columns: slice = slice(None), dp: bool = False):
-    """Yield ``(cols, W[:, cols])`` for the q-column blocks of :func:`wigner_direct`'s W over
-    ``columns``, each of at most :data:`_BLOCK` elements, as new float64 arrays bitwise
-    those of the whole W; with ``dp``, dW/dp's: each lag y weighted by -i y / hbar before the
-    fold, exact where a spectral p derivative of W is not (a folded bin holds two lags)."""
+def _wigner_window(psi: WaveFunction, rows: slice) -> slice:
+    """The p rows :func:`_wigner_blocks` builds W of ``psi`` on to read ``rows``: the fewest,
+    a power of two M, that cover ``psi``'s momentum strip and ``rows``, centred on them and
+    clamped inside the axis (the whole axis for a whole-axis strip or request).  W's p
+    support is the strip's, so the aliases of rows M apart that the window folds onto its
+    rows are W's tails past :data:`~epsqp.eps_core.STRIP_TAIL`; a window chosen from
+    ``rows`` alone would fold in strip rows outside them."""
+    n = psi.grid.n_points
+    if len(range(n)[rows]) == n:
+        return slice(0, n)
+    spans = [range(n)[s] for s in (strip_rows([psi]), rows)]
+    lo, hi = min(s.start for s in spans), max(s.stop for s in spans)
+    size = min(n, 1 << max(hi - lo - 1, 1).bit_length())
+    start = min(max(lo - (size - (hi - lo)) // 2, 0), n - size)
+    return slice(start, start + size)
+
+
+def _wigner_blocks(
+    psi: WaveFunction, grid: Grid2D, columns: slice = slice(None), dp: bool = False, window: slice = slice(None)
+):
+    """Yield ``(cols, W[window, cols])`` for the q-column blocks of :func:`wigner_direct`'s W
+    over ``columns``, each of at most :data:`_BLOCK` elements, as new float64 arrays; with
+    ``dp``, dW/dp's: each lag y weighted by -i y / hbar before the fold, exact where a
+    spectral p derivative of W is not (a folded bin holds two lags).
+
+    On the whole axis the blocks are bitwise those of the whole W.  ``window`` of M = n / k
+    rows (from :func:`_wigner_window`) decimates the lag sum instead: every k-th lag, folded
+    modulo M into one length-M transform per column, returns W summed over the rows M apart
+    (Markel, IEEE Trans. Audio Electroacoust. 19, 305 (1971)), so grid row j is output
+    ``j mod M``.  At even k the row phase ``(-1)^(k l)`` of the lag-l sum is 1."""
     if psi.space != "q":
         raise ValueError("wigner_direct expects a position-space state")
     if grid != Grid2D(psi.grid, psi.params.hbar):
         raise GridError("grid is not the state's phase-space grid")
     n = grid.q_axis.n_points
-    h = n // 2
-    lag = (-1j * grid.q_axis.spacing / grid.hbar) * np.arange(h + 1)  # -i y / hbar at lag m
+    first_row, stop_row, _ = window.indices(n)
+    size = stop_row - first_row
+    k = n // size  # lag stride; the window is n / k rows
+    h = size // 2
+    dy = k * grid.q_axis.spacing  # the decimated lag spacing, exact: k is a power of two
+    lag = (-1j * dy / grid.hbar) * np.arange(h + 1)  # -i y / hbar at decimated lag m
 
-    # Row i of ``windows`` holds psi at q_i + (k - n) dq / 2, k = 0 .. 2n.
+    # Row i of ``windows`` holds psi at q_i + (j - n) dq / 2, j = 0 .. 2n.
     # Shifts that leave the domain read the zero padding.  Wrapping them
     # around instead would correlate the state with its periodic image and
     # plant a mirror copy of the distribution half an extent away in q.
     padded = np.pad(spectral_resample(psi.values), n)  # spacing dq/2
     windows = sliding_window_view(padded, 2 * n + 1)[::2]
     start, stop, _ = columns.indices(n)
-    step = max(1, _BLOCK // n)
+    step = max(1, _BLOCK // size)  # columns per block of M rows
     for first in range(start, stop, step):
         cols = slice(first, min(first + step, stop))
-        window = windows[cols]
-        # Lag l = k - n pairs window[:, k] with conj(window[:, 2n - k]).  The conjugate
-        # comes first: numpy's vectorised complex product is not bitwise commutative.
-        folded = np.conj(window[:, n : h - 1 : -1]) * window[:, n : n + h + 1]  # C_m
-        wrapped = np.conj(window[:, 2 * n : n + h - 1 : -1]) * window[:, : h + 1]  # conj(C_(n-m))
+        lags = windows[cols, ::k]  # column j = 0 .. 2M holds psi at q_i + (j - M) dy / 2
+        # Lag l pairs lags[:, M + l] with conj(lags[:, M - l]).  The conjugate comes
+        # first: numpy's vectorised complex product is not bitwise commutative.
+        folded = np.conj(lags[:, size : h - 1 : -1]) * lags[:, size : size + h + 1]  # C_m
+        wrapped = np.conj(lags[:, 2 * size : size + h - 1 : -1]) * lags[:, : h + 1]  # conj(C_(M-m))
         if dp:
             folded *= lag
-            wrapped *= lag - lag[1] * n  # lag m - n
+            wrapped *= lag - lag[1] * size  # lag m - M
         folded += wrapped
         del wrapped  # not held across the yield
-        folded[:, 1::2] *= -1.0
+        if k == 1:
+            folded[:, 1::2] *= -1.0
         # np.fft.hfft, without the conjugated copy of its input
-        block = np.fft.irfft(np.conj(folded, out=folded), n, axis=1, norm="forward").T
-        block *= grid.q_axis.spacing
-        yield cols, block
+        block = np.fft.irfft(np.conj(folded, out=folded), size, axis=1, norm="forward").T
+        block *= dy
+        yield cols, (np.roll(block, -first_row, axis=0) if first_row % size else block)
 
 
 def _wigner_centre(psi: WaveFunction, grid: Grid2D) -> tuple:
@@ -165,11 +195,14 @@ def _wigner_centre(psi: WaveFunction, grid: Grid2D) -> tuple:
 
 
 def _wigner_box(psi: WaveFunction, grid: Grid2D, box: tuple, dp: bool = False) -> NDArray[np.float64]:
-    """W of ``psi`` (dW/dp with ``dp``) on ``box``, from its columns' blocks only and in their layout."""
+    """W of ``psi`` (dW/dp with ``dp``) on ``box``, from its columns' blocks on its
+    :func:`_wigner_window` only and in their layout."""
     n = grid.q_axis.n_points
+    window = _wigner_window(psi, box[0])
+    rows = within(box[0], window, n)
     out = np.empty((len(range(n)[box[1]]), len(range(n)[box[0]]))).T
-    for cols, block in _wigner_blocks(psi, grid, box[1], dp):
-        out[:, within(cols, box[1], n)] = block[box[0]]
+    for cols, block in _wigner_blocks(psi, grid, box[1], dp, window):
+        out[:, within(cols, box[1], n)] = block[rows]
     return out
 
 

@@ -149,6 +149,21 @@ def linear_phi(params, p, q0: float, p0: float, sigma0: float, t: float):
     )
 
 
+def linear_wigner(params, grid, q0: float, p0: float, sigma0: float, t: float):
+    """``linear_potential_gaussian``'s W in the lag measure of ``wigner_direct``: its initial
+    W, ``2 exp(-(q - q0)^2 / (2 sigma0^2) - 2 sigma0^2 (p - p0)^2 / hbar^2)``, carried along
+    the classical flow of V = b q, which W follows exactly for a potential of degree at most
+    two (Hillery et al., Phys. Rep. 106, 121 (1984)): (q, p) at t starts from
+    ``(q - q_c - (p - p_c) t / m + q0, p - p_c + p0)``, so
+
+        W = 2 exp(-(q - q_c - (p - p_c) t / m)^2 / (2 sigma0^2) - 2 sigma0^2 (p - p_c)^2 / hbar^2)
+    """
+    m, hbar = params.mass, params.hbar
+    q_c, p_c, _, _ = _linear_path(params, q0, p0, sigma0, t)
+    p, q = grid.p_axis.points[:, None] - p_c, grid.q_axis.points[None, :] - q_c
+    return 2.0 * np.exp(-((q - p * t / m) ** 2) / (2.0 * sigma0**2) - 2.0 * sigma0**2 * p**2 / hbar**2)
+
+
 def linear_chi(psi, grid, q0: float, p0: float, sigma0: float):
     """``chi = psi(q) conj(phi(p)) exp(-i p q / hbar)`` of the linear-potential Gaussian
     ``psi`` (the closed-form ``linear_potential_gaussian``) with :func:`linear_phi`."""

@@ -12,19 +12,25 @@ from hypothesis import strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from epsqp import numerics, transforms
-from epsqp.eps_core import ExtendedHamiltonian, PhaseSpaceField, chi_build, chi_rows
+from epsqp.eps_core import ExtendedHamiltonian, PhaseSpaceField, chi_build, chi_rows, strip_rows
 from epsqp.numerics import (
     Grid2D,
     GridError,
+    PhysicalParams,
+    Potential,
     make_grid,
     shear_strip,
     spectral_resample,
     strip_offsets,
     toeplitz_sum,
+    within,
 )
 from epsqp.reports import l2
 from epsqp.transforms import (
     _wigner_blocks,
+    _wigner_box,
+    _wigner_centre,
+    _wigner_window,
     apply_extended_transform,
     shear_kernels,
     wigner_direct,
@@ -349,6 +355,91 @@ def test_wigner_blocks_of_a_column_range_are_those_of_w(monkeypatch, harmonic_pa
             np.testing.assert_array_equal(got, whole[:, columns])
 
 
+# ---------------------------------------------------------------------------
+# W on its window of rows: the decimated lag sum
+# ---------------------------------------------------------------------------
+
+#: The coherent state from q0 = 0.5 at t = 0.4 on three phase-space grids: unit constants,
+#: (m, k, hbar) = (2, 1.5, 0.7), and hbar = 0.7 on a domain with no q sample at 0.
+WINDOW_CASES = {
+    "unit": (PhysicalParams(mass=1.0, hbar=1.0, potential=Potential(k=1.0)), (-10.0, 10.0)),
+    "m2-k1.5-hbar0.7": (PhysicalParams(mass=2.0, hbar=0.7, potential=Potential(k=1.5)), (-10.0, 10.0)),
+    "off-grid": (PhysicalParams(mass=1.0, hbar=0.7, potential=Potential(k=1.0)), (-9.3, 10.7)),
+}
+#: W (dW/dp) on its window against the whole lag sum, relative to the whole field's peak:
+#: a decade over the worst measured over the cases of WINDOW_CASES at n = 64 to 2048 and
+#: the p-edge states, 4.5e-16 (2.1e-15), both at n = 2048 and (m, k, hbar) = (2, 1.5, 0.7).
+WINDOW_BOUND = {False: 4.5e-15, True: 2.1e-14}
+
+
+def _window_state(case, n, q0=0.5, p0=0.0, t=0.4):
+    params, (lo, hi) = WINDOW_CASES[case]
+    g = make_grid(n, lo, hi)
+    return ho_coherent_state(g, params, q0, p0, t), Grid2D(g, params.hbar)
+
+
+def _blocks(psi, g2, dp=False, window=slice(None)):
+    return np.concatenate([w for _, w in _wigner_blocks(psi, g2, dp=dp, window=window)], axis=1)
+
+
+def _assert_window_matches_whole(psi, g2, window):
+    for dp in (False, True):
+        whole = _blocks(psi, g2, dp) if dp else wigner_direct(psi, g2).values
+        got = _blocks(psi, g2, dp, window)
+        assert np.max(np.abs(got - whole[window])) <= WINDOW_BOUND[dp] * np.max(np.abs(whole))
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 1024, 2048])
+@pytest.mark.parametrize("case", list(WINDOW_CASES))
+def test_windowed_wigner_matches_the_whole_lag_sum(case, n):
+    # W's p support is phi's strip, the same ~55 rows at any n on the paired grid: W and
+    # dW/dp on a power-of-two window that covers it, from every k-th lag, are the whole
+    # lag sum's rows to rounding; from n = 256 on the window is a fraction of the axis
+    psi, g2 = _window_state(case, n)
+    strip = range(n)[strip_rows([psi])]
+    window = _wigner_window(psi, strip_rows([psi]))
+    size = window.stop - window.start
+    assert size & (size - 1) == 0 and window.start <= strip.start and strip.stop <= window.stop
+    assert size <= 128 if n >= 256 else size <= n
+    _assert_window_matches_whole(psi, g2, window)
+
+
+@pytest.mark.parametrize("p0, window", [(-11.0, slice(0, 64)), (11.0, slice(64, 128))])
+def test_windowed_wigner_next_to_a_p_edge(p0, window):
+    # a strip a few rows from a p edge: the window is clamped inside [0, n), not wrapped
+    psi, g2 = _window_state("unit", 128, q0=0.0, p0=p0, t=0.0)
+    strip = strip_rows([psi])
+    assert strip != slice(None) and _wigner_window(psi, strip) == window
+    _assert_window_matches_whole(psi, g2, window)
+
+
+def test_a_whole_axis_strip_keeps_the_whole_lag_sum():
+    # at n = 32 phi's strip is the whole p axis: the window is too (k = 1), and every W the
+    # residual and the fits read is wigner_direct's, bit for bit
+    psi, g2 = _window_state("unit", 32)
+    strip = strip_rows([psi])
+    assert strip == slice(None) and _wigner_window(psi, strip) == slice(0, 32)
+    for dp in (False, True):
+        np.testing.assert_array_equal(_blocks(psi, g2, dp, slice(0, 32)), _blocks(psi, g2, dp))
+    _, box, f, *_ = _wigner_centre(psi, g2)
+    np.testing.assert_array_equal(f, wigner_direct(psi, g2).values[box])
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+def test_box_rows_read_the_window_of_the_strip(n):
+    # ten rows to one side of the strip read the values the strip request reads, bit for
+    # bit: the window comes from the strip, never from the requested rows alone, whose
+    # smaller window would fold the strip rows outside them onto them
+    psi, g2 = _window_state("unit", n)
+    strip = strip_rows([psi])
+    first = range(n)[strip].start + 12
+    rows, cols = slice(first, first + 10), slice(n // 4, 3 * n // 4)
+    assert _wigner_window(psi, rows) == _wigner_window(psi, strip)
+    for dp in (False, True):
+        on_strip = _wigner_box(psi, g2, (strip, cols), dp)
+        np.testing.assert_array_equal(_wigner_box(psi, g2, (rows, cols), dp), on_strip[within(rows, strip, n)])
+
+
 def test_wigner_rejects_momentum_space_input(q_grid, grid2, harmonic_params):
     psi = ho_coherent_state(q_grid, harmonic_params, q0=0.0, p0=0.0, t=0.0)
     with pytest.raises(ValueError):
@@ -385,13 +476,15 @@ def test_wigner_transport_for_falling_packet(q_grid, linear_params):
 def test_wigner_residual_reads_only_the_box_columns(monkeypatch, coherent_triplet_factory):
     # W is built on every column once, for the centre's mask; dW/dp (the lag-weighted
     # blocks) and W at t +- dt on the mask box's columns only, and no spectral p
-    # derivative of W is taken: the only one is dW/dq along q, on the box rows
+    # derivative of W is taken: the only one is dW/dq along q, on the box rows.  Each
+    # state's W is built on its window, the rows that cover its own strip and the box
+    # rows, so the centre's two calls share one window
     blocks, derivative = transforms._wigner_blocks, numerics.spectral_derivative_2d
     calls, axes = [], []
 
-    def recorded_blocks(psi, grid, columns=slice(None), dp=False):
-        calls.append((psi.t, columns.start, columns.stop, dp))
-        return blocks(psi, grid, columns, dp)
+    def recorded_blocks(psi, grid, columns=slice(None), dp=False, window=slice(None)):
+        calls.append((psi.t, columns.start, columns.stop, dp, window.start, window.stop))
+        return blocks(psi, grid, columns, dp, window)
 
     def recorded_derivative(values, grid, axis, order=1):
         axes.append(axis)
@@ -401,11 +494,15 @@ def test_wigner_residual_reads_only_the_box_columns(monkeypatch, coherent_triple
     for module in (numerics, transforms):
         monkeypatch.setattr(module, "spectral_derivative_2d", recorded_derivative)
     snaps = coherent_triplet_factory()
-    cols = centred(wigner_equation_residual, snaps).fields["box"][1]
+    rows, cols = centred(wigner_equation_residual, snaps).fields["box"]
     assert cols != slice(None)
     t = [s.t for s in snaps]
-    expected = [(t[1], None, None, False), (t[1], cols.start, cols.stop, True)]
-    expected += [(t[i], cols.start, cols.stop, False) for i in (0, 2)]
+    n = snaps[1].grid.n_points
+    windows = [_wigner_window(s, rows) for s in snaps]
+    assert windows[1] == _wigner_window(snaps[1], strip_rows([snaps[1]]))
+    assert all(w.stop - w.start < n for w in windows)
+    expected = [(t[1], None, None, False, windows[1].start, windows[1].stop)]
+    expected += [(t[i], cols.start, cols.stop, i == 1, windows[i].start, windows[i].stop) for i in range(3)]
     assert axes == [1]
     assert sorted(calls, key=repr) == sorted(expected, key=repr)
 
