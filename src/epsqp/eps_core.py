@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from numpy.typing import NDArray
 
 from .numerics import (
@@ -77,10 +76,10 @@ def chi_build(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
 def chi_rows(psi: WaveFunction, rows: slice) -> PhaseSpaceField:
     """:func:`chi_build`'s chi of the position-space state ``psi`` on the p ``rows`` only.
 
-    Written in two passes from the kernel's :func:`~epsqp.numerics.pq_factors`, not
-    as the inverse q pass of :func:`chi_q_spectrum`: an FFT's absolute rounding floor
-    would swamp chi at the mask edge, where |chi| is 1e-6 of its peak, while this
-    product is accurate relative to each sample.
+    Written in two passes from the kernel's :func:`~epsqp.numerics.pq_factors`, not as
+    the inverse q pass of chi's q-spectrum: an FFT's absolute rounding floor would swamp
+    chi at the mask edge, where |chi| is 1e-6 of its peak, while this product is accurate
+    relative to each sample.
     """
     phi = to_momentum_space(psi)  # rejects a momentum-space state
     grid = Grid2D(psi.grid, psi.params.hbar)
@@ -95,21 +94,6 @@ def strip_rows(states: Sequence[WaveFunction], grow: int = 1) -> slice:
     :data:`STRIP_TAIL` of its peak, grown by ``grow`` rows (the whole axis past an edge)."""
     phis = [np.abs((s if s.space == "p" else to_momentum_space(s)).values) for s in states]
     return grown_span(np.logical_or.reduce([phi > STRIP_TAIL * phi.max() for phi in phis]), grow)
-
-
-def chi_q_spectrum(psi: WaveFunction, rows: slice, band: NDArray[np.int_]) -> NDArray[np.complex128]:
-    """The q-spectrum of :func:`chi_build`'s chi of ``psi`` on the p ``rows`` and the
-    consecutive q wavenumbers ``band`` (modulo n): chi's (p, v) form (Cohen, J. Math. Phys.
-    7, 781 (1966)), ``conj(phi_i) exp(-2 pi i k_i x / n) fft(psi)[(k_i + b) mod n]`` with
-    ``k_i = i - n/2`` and ``x = q_min / dq``, the row phase reduced modulo n as in
-    :func:`pq_factors`: one product with a Hankel view ``[i, b] -> e[i + b]`` of fft(psi).
-    """
-    phi = to_momentum_space(psi)  # rejects a momentum-space state
-    n, x = psi.grid.n_points, psi.grid.min / psi.grid.spacing
-    k = np.arange(n)[rows] - n // 2
-    row = np.exp((-2j * np.pi / n) * np.mod(k * x, n)) * np.conj(phi.values[rows])
-    extended = np.fft.fft(psi.values)[(k[0] + band[0] + np.arange(len(k) + len(band) - 1)) % n]
-    return sliding_window_view(extended, len(band)) * row[:, None]
 
 
 # ---------------------------------------------------------------------------

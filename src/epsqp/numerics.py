@@ -354,28 +354,22 @@ def within(span: slice, rows: slice, n: int) -> slice:
     return slice(span.start - rows.start, span.stop - rows.start)
 
 
-def strip_offsets(rows: slice, out_rows: slice, n: int) -> NDArray[np.int_]:
-    """The offsets ``i - j``, ascending, of rows i in ``out_rows`` and j in ``rows`` of n."""
-    (r0, r1), (s0, s1) = (r.indices(n)[:2] for r in (out_rows, rows))
-    return np.arange(r0 - s1 + 1, r1 - s0)
-
-
-def toeplitz_sum(window: NDArray, flipped: NDArray, rows: slice = slice(None)) -> NDArray[np.complex128]:
-    """``out[i, b] = sum_w window[b, i + w] flipped[b, w]``, ``i`` in ``rows`` (``window[i + w]``
-    for a 1D window): a block on m p rows, flipped to (column, reversed row), convolved along p
-    by a kernel at its :func:`strip_offsets`.  Summed by ``np.einsum`` over a Toeplitz view, not
-    by BLAS, a row depends neither on the BLAS thread count nor on the other rows."""
-    toeplitz = sliding_window_view(window, flipped.shape[-1], axis=-1)[..., rows, :]
-    return np.einsum("biw,bw->ib" if window.ndim == 2 else "iw,bw->ib", toeplitz, flipped)
+def toeplitz_sum(window: NDArray, flipped: NDArray) -> NDArray[np.complex128]:
+    """``out[i, b] = sum_w window[i + w] flipped[b, w]``: a block on m p rows, flipped to
+    (column, reversed row), convolved along p by a kernel read at the offsets of its rows.
+    Summed by ``np.einsum`` over a Toeplitz view, not by BLAS, a row depends neither on the
+    BLAS thread count nor on the other rows."""
+    return np.einsum("iw,bw->ib", sliding_window_view(window, flipped.shape[-1]), flipped)
 
 
 def shear_strip(kernel: NDArray, block: NDArray, rows: slice, out_rows: slice) -> NDArray[np.complex128]:
-    """``out[i, b] = sum_j kernel[b, (i - j) mod n] block[j, b]``, i in ``out_rows`` and j in
-    ``rows`` (``kernel[(i - j) mod n]`` for a 1D kernel, the same for every column): a block
-    on p ``rows`` convolved along p by a shear or derivative kernel onto any rows, as a
-    :func:`toeplitz_sum` of the block flipped by a view (a copy would be field-sized)."""
+    """``out[i, b] = sum_j kernel[(i - j) mod n] block[j, b]``, i in ``out_rows`` and j in
+    ``rows``: a block on p ``rows`` convolved along p by a derivative kernel onto any rows,
+    as a :func:`toeplitz_sum` of the block flipped by a view (a copy would be field-sized)
+    and of the kernel at the offsets ``i - j``, ascending."""
     n = kernel.shape[-1]
-    return toeplitz_sum(kernel[..., strip_offsets(rows, out_rows, n) % n], block[::-1].T)
+    (r0, r1), (s0, s1) = (r.indices(n)[:2] for r in (out_rows, rows))
+    return toeplitz_sum(kernel[np.arange(r0 - s1 + 1, r1 - s0) % n], block[::-1].T)
 
 
 def strip_mask_box(values: NDArray, rows: slice) -> tuple:

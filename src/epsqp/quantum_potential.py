@@ -49,13 +49,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .eps_core import ExtendedHamiltonian, chi_q_spectrum, strip_rows
+from .eps_core import ExtendedHamiltonian, strip_rows
 from .numerics import (
     Grid2D,
     amplitude_mask,
@@ -65,8 +64,6 @@ from .numerics import (
     snapshot_triple,
     spectral_derivative,
     strip_mask_box,
-    strip_offsets,
-    toeplitz_sum,
     within,
 )
 from .reports import (
@@ -79,7 +76,7 @@ from .reports import (
     snapshot_metadata,
 )
 from .states import WaveFunction, to_momentum_space
-from .transforms import shear_kernels
+from .transforms import sheared_q_spectrum
 
 
 # ---------------------------------------------------------------------------
@@ -174,43 +171,29 @@ def hj_residual_p(center: WaveFunction) -> Callable:
 
 
 class _Strip:
-    """The momentum strip of position-space states, the first of them the centre, their
-    :func:`~epsqp.eps_core.strip_rows` ``rows``, and the ``blocks`` of their chi q-spectra
-    there.  Column b pairs rows i and i + b of phi, so on m rows the ``band`` is the signed
-    columns |b| < m, or all n.
+    """The momentum strip of position-space states, the first of them the centre, and their
+    :func:`~epsqp.eps_core.strip_rows` ``rows``.  Column b pairs rows i and i + b of phi, so on
+    m rows the ``band`` is the signed q wavenumber columns |b| < m, or all n.
     """
 
     def __init__(self, states: Sequence[WaveFunction]):
         self.states = tuple(states)
         self.grid = Grid2D(self.states[0].grid, self.states[0].params.hbar)
         self.momenta = tuple(to_momentum_space(s) for s in self.states)
-        self.phis = tuple(np.conj(phi.values) for phi in self.momenta)
         self.rows = strip_rows(self.momenta)
         n = self.grid.shape[0]
         self.size = len(range(n)[self.rows])
         self.band = np.arange(1 - self.size, self.size) if 2 * self.size <= n else np.arange(n) - n // 2
-
-    @cached_property
-    def blocks(self) -> tuple:
-        """The chi q-spectra, flipped once into the layout :func:`toeplitz_sum` reads."""
-        return tuple(np.ascontiguousarray(chi_q_spectrum(s, self.rows, self.band)[::-1].T) for s in self.states)
 
     def out_rows(self, alpha: float) -> slice:
         """The rows chi sheared by alpha occupies: p is a convex combination of phi's
         arguments p + alpha hbar v and p + (1 + alpha) hbar v."""
         return strip_rows(self.momenta, 1 + math.ceil(max(alpha, -1.0 - alpha, 0.0) * self.size))
 
-    def shear(self, alpha: float):
-        """``shear(i, rows, kernel=0)``: state i's chi sheared by alpha as its q-spectrum on
-        ``rows`` inside ``out_rows(alpha)``, or (``kernel=1``) that of its p derivative."""
-        out_rows, n = self.out_rows(alpha), self.grid.q_axis.n_points
-        kernels = shear_kernels(self.grid, alpha, self.band, strip_offsets(self.rows, out_rows, n))
-        return lambda i, rows, kernel=0: toeplitz_sum(kernels[kernel], self.blocks[i], within(rows, out_rows, n))
-
     def sheared(self, alpha: float) -> tuple:
         """``(rows, values)``: the first state's chi sheared by alpha on the rows it occupies."""
         rows = self.out_rows(alpha)
-        return rows, self.q_pass(self.shear(alpha)(0, rows))
+        return rows, self.q_pass(sheared_q_spectrum(self.states[:1], alpha, rows, self.band)[0])
 
     def q_pass(self, spectrum: NDArray) -> NDArray[np.complex128]:
         """Rows of a field from their q-spectrum on the band: one length-n inverse q pass each."""
@@ -224,14 +207,16 @@ class _Strip:
         and on the box the field, its spectral gradients and the other states' fields (of
         ``[center, minus, plus]``, those at t -+ dt).
 
-        Sheared by alpha, chi is formed on the rows it occupies for the mask and on the box
-        rows for the fields.  At alpha = 0 the field is psi(q) conj(phi(p)): chi's kernel
-        exp(-i p q / hbar) would carry its p-spectrum past the coarse momentum Nyquist on the
-        outer mask rows, and, static and unimodular, it leaves S_t and the mask alone, so the
-        engine adds its gradients.
+        Sheared by alpha, the q-spectra of the fields and of the centre's p derivative are
+        formed by :func:`~epsqp.transforms.sheared_q_spectrum` on the rows the centre occupies,
+        for its mask, and brought to q on the box rows.  At alpha = 0 the field is psi(q)
+        conj(phi(p)): chi's kernel exp(-i p q / hbar) would carry its p-spectrum past the coarse
+        momentum Nyquist on the outer mask rows, and, static and unimodular, it leaves S_t and
+        the mask alone, so the engine adds its gradients.
         """
-        grid, psis, phis = self.grid, [s.values for s in self.states], self.phis
+        grid, psis = self.grid, [s.values for s in self.states]
         if alpha == 0.0:
+            phis = [np.conj(phi.values) for phi in self.momenta]
             mask, box = strip_mask_box(phis[0][self.rows, None] * psis[0][None, :], self.rows)
             rows, cols = box
             f, *others = (phi[rows, None] * psi[None, cols] for phi, psi in zip(phis, psis))
@@ -239,14 +224,13 @@ class _Strip:
             f_p = spectral_derivative(phis[0], grid.p_axis)[rows, None] * psis[0][None, cols]
             return mask, box, f, f_q, f_p, *others
 
-        shear, out_rows = self.shear(alpha), self.out_rows(alpha)
-        spectrum = shear(0, out_rows)
+        n, out_rows = grid.q_axis.n_points, self.out_rows(alpha)
+        spectrum, *others, f_p = sheared_q_spectrum(self.states, alpha, out_rows, self.band, dp=True)
         mask, box = strip_mask_box(self.q_pass(spectrum), out_rows)
         rows, cols = box
-        spectrum = spectrum[within(rows, out_rows, grid.q_axis.n_points)].copy()  # frees the other rows
-        f_q = spectrum * (1j * grid.q_axis.wavenumbers[self.band % grid.q_axis.n_points])
-        fields = (spectrum, f_q, shear(0, rows, kernel=1), *(shear(i, rows) for i in range(1, len(psis))))
-        return (mask, box, *(self.q_pass(s)[:, cols] for s in fields))
+        spectrum, f_p, *others = (s[within(rows, out_rows, n)] for s in (spectrum, f_p, *others))
+        f_q = spectrum * (1j * grid.q_axis.wavenumbers[self.band % n])
+        return (mask, box, *(self.q_pass(s)[:, cols] for s in (spectrum, f_q, f_p, *others)))
 
 
 def _hj_residual_2d(center: WaveFunction, alpha: float, name: str, fields: tuple) -> Callable:
@@ -417,9 +401,9 @@ def alpha_sweep(snapshots: Sequence[WaveFunction], alphas: Sequence[float]) -> A
 
     ``snapshots`` are as for :func:`hj_residual_transformed`; ``alphas``
     must pass :func:`validate_alphas`, and the reports follow that order.
-    The momentum strip of the states, with its three blocks of chi's
-    q-spectrum, is built once and every alpha is sheared from it (alpha = 0
-    reads the states' 1D factors instead): no n x n array is formed.
+    The momentum strip of the states is found once, and every alpha shears
+    their 1D factors onto it (alpha = 0 forms the product of psi and phi
+    instead): no n x n array is formed.
     """
     alphas = validate_alphas(alphas)
     minus, center, plus, dt = snapshot_triple(snapshots)

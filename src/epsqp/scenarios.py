@@ -89,7 +89,7 @@ CHECKS: dict[str, CheckSpec] = {
     "alpha-sweep-fit-r2": CheckSpec(0.999, "fit"),
     "alpha-sweep-zero-crossing-err": CheckSpec(1e-3, "rounding"),
     "alpha-sweep-vanishing-ratio": CheckSpec(1e-6, "rounding"),
-    "alpha-sweep-full-residual-max": CheckSpec(1e-5, "bound"),
+    "alpha-sweep-full-residual-max": CheckSpec(1e-5, "dt2-floor"),
     "alpha-sweep-classical-at-minus-half": CheckSpec(1e-5, "bound"),
     "alpha-sweep-classical-needed-off-center": CheckSpec(1e-3, "nonzero"),
     "alpha-sweep-grid-stability": CheckSpec(1e-4, "rounding"),

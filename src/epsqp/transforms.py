@@ -16,7 +16,7 @@ reported, never silently absorbed).
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -35,29 +35,62 @@ from .numerics import (
 from .reports import ResidualReport, residual_report, snapshot_metadata
 from .states import WaveFunction
 
-#: Element count of one q-column block of W or of the shear kernels: bounds the temporaries.
+#: Element count of one column block of W or of the shifted factors: bounds the temporaries.
 _BLOCK = 2**15
 
 
-def shear_kernels(grid: Grid2D, alpha: float, band: NDArray[np.int_], offsets: NDArray) -> NDArray[np.complex128]:
-    """``U_alpha`` on q-spectrum columns ``band`` as :func:`~epsqp.numerics.toeplitz_sum` kernels
-    at the p ``offsets`` (mod n), inverted a block of columns at a time: ``[0, b]`` is the ``ifft``
-    over p of column b's multiplier ``exp(2 pi i alpha a b / n)``, the Dirichlet kernel ``D_n(d +
-    alpha b)``, and ``[1, b]`` that of the multiplier times ``i u_a``, for the p derivative.  From
-    the exact multiplier they are accurate to rounding in absolute terms, as the mask edge needs;
-    closed forms of D_n are not."""
-    n = grid.q_axis.n_points
-    step = 1 << (n.bit_length() // 2)  # a = coarse + fine: about 2 sqrt(n) exponentials a column
-    width = max(1, _BLOCK // (2 * n))  # band columns per FFT block
-    out = np.empty((2, len(band), len(offsets)), dtype=complex)
-    for first in range(0, len(band), width):
-        phase = (2j * np.pi * alpha / n) * band[first : first + width, None, None]
-        kernels = np.empty((2, len(phase), n), dtype=complex)
-        coarse = np.exp(phase * np.fft.fftfreq(n // step, 1.0 / n)[:, None])  # in FFT order
-        np.multiply(coarse, np.exp(phase * np.arange(step)), out=kernels[0].reshape(len(phase), n // step, step))
-        np.multiply(kernels[0], 1j * grid.p_axis.wavenumbers, out=kernels[1])
-        out[:, first : first + width] = np.fft.ifft(kernels, axis=2, out=kernels)[..., offsets % n]
-    return out
+def sheared_q_spectrum(
+    states: Sequence[WaveFunction], alpha: float, rows: slice, band: NDArray[np.int_], dp: bool = False
+) -> list:
+    """The q-spectra of ``U_alpha`` chi of the position-space ``states`` on the p ``rows`` and
+    the q wavenumber columns ``band``, then, with ``dp``, the first one's p derivative's, from
+    1-D factors (Cohen's (p, v) form, J. Math. Phys. 7, 781 (1966)).
+
+    With ``hbar v_b = b dp`` and ``k_i = i - n/2``, chi's q-spectrum is ``conj(F(k_i)) F(k_i +
+    b) dq / sqrt(2 pi hbar)``, ``F(x) = sum_j psi_j exp(-2 pi i x j / n)`` the DFT of psi, and
+    U_alpha reads column b at ``x = k_i + alpha b``.  Each factor is moved, not their product,
+    whose p-conjugate extent (psi's autocorrelation) is twice psi's and aliases at the mask edge.
+
+    F at ``k + s``, ``|s| <= 1/2``, is one length-n FFT of psi times ``exp(-2 pi i s j / n)``
+    (coarse times fine exponentials, about 2 sqrt(n) a shift) read at the integer ``k +
+    round(alpha b)``; columns with equal s share it, and at ``alpha b`` integer it is F itself.
+    j runs over the n positions around the state's peak sigma, so a state that wraps in q
+    moves whole; sigma leaves the column phase ``exp(-2 pi i b sigma / n)``.  The p derivative
+    is the product rule with the factor of ``(-i q / hbar) psi``, q measured from sigma.  The
+    FFTs and the reads go a block of at most half :data:`_BLOCK` elements at a time.
+    """
+    if any(s.space != "q" for s in states):
+        raise ValueError("the sheared q-spectrum expects position-space states")
+    n, dq, hbar = states[0].grid.n_points, states[0].grid.spacing, states[0].params.hbar
+    sigmas = [int(np.argmax(np.abs(s.values))) for s in states]
+    factors = [np.roll(s.values, -sigma) for s, sigma in zip(states, sigmas)]
+    if dp:
+        factors.append(factors[0] * ((-1j * dq / hbar) * np.fft.fftfreq(n, 1.0 / n)))  # j from sigma
+        sigmas.append(sigmas[0])
+    factors = np.array(factors)[:, None, :]
+    whole = np.rint(alpha * band)
+    shifts, which = np.unique(alpha * band - whole, return_inverse=True)  # equal shifts share an FFT
+    lo = (np.arange(n)[rows, None] - n // 2 + whole.astype(int)) % n  # F's reads at k_i + alpha b
+    hi = (lo + band) % n  # and at k_i + (1 + alpha) b
+    step = 1 << (n.bit_length() // 2)  # j = coarse + fine
+    coarse, fine = np.fft.fftfreq(n // step, 1.0 / n)[:, None], np.arange(step)
+    width = max(1, _BLOCK // (2 * len(factors) * n))  # shifts an FFT block, columns a gather
+    out = np.empty((len(factors), len(lo), len(band)), dtype=complex)
+    for first in range(0, len(shifts), width):
+        phase = (-2j * np.pi / n) * shifts[first : first + width, None, None]
+        shifted = factors * (np.exp(phase * coarse) * np.exp(phase * fine)).reshape(-1, n)
+        f = np.fft.fft(shifted, axis=2, out=shifted)
+        block = np.flatnonzero((which >= first) & (which < first + width))
+        for start in range(0, len(block), width):
+            cols = block[start : start + width]
+            read = which[cols] - first
+            at_lo, at_hi = np.conj(f[:, read, lo[:, cols]]), f[:, read, hi[:, cols]]
+            out[: len(states), :, cols] = at_lo[: len(states)] * at_hi[: len(states)]
+            if dp:
+                out[-1][:, cols] = at_lo[-1] * at_hi[0] + at_lo[0] * at_hi[-1]
+    phases = np.exp((-2j * np.pi / n) * ((np.array(sigmas)[:, None] * band) % n))
+    out *= (dq / np.sqrt(2.0 * np.pi * hbar)) * phases[:, None, :]
+    return list(out)
 
 
 def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> NDArray[np.complex128]:

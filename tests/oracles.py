@@ -49,23 +49,39 @@ def _chi(psi, grid, phi):
     return psi.values[None, :] * np.conj(phi)[:, None] * np.exp(-1j * p * q / grid.hbar)
 
 
-def coherent_chi_q_spectrum(params, grid, q0: float, p0: float, t: float, rows: slice, band):
-    """``chi_q_spectrum`` of the coherent state on the p ``rows`` and q wavenumber columns
-    ``band``, from :func:`coherent_phi` alone: with ``k_i = i - n/2`` and ``kappa`` the q
-    wavenumber of index ``(k_i + b) mod n``,
+def coherent_sheared_q_spectrum(params, grid, q0: float, p0: float, t: float, alpha: float, p, band) -> tuple:
+    """``(S, dS/dp)``: the q-spectrum of the coherent state's chi sheared by alpha, on the rows
+    ``p`` (an array of momenta) and the q wavenumber columns ``band``, from
+    :func:`coherent_phi` alone: with ``dp`` the grid's momentum step (so ``hbar v_b = b dp``),
 
-        conj(phi(p_i)) exp(-i p_i q_min / hbar) (sqrt(2 pi hbar) / dq) exp(i kappa q_min) phi(hbar kappa).
+        S = (sqrt(2 pi hbar) / dq) conj(H(p + alpha b dp)) H(p + (1 + alpha) b dp),
 
-    ``fft(psi)`` at ``kappa`` is the Riemann sum of phi's Fourier integral, shifted to
-    start at ``q_min``; the state's decay puts its aliasing below rounding.
+    ``H(p) = sum_l h(p + l n dp)`` and ``h(p) = exp(i p q_min / hbar) phi(p)``, the Fourier
+    integral of psi from ``q_min``.  The images make H periodic in p, as the DFT of psi's samples
+    is (Poisson summation; the state's decay puts its q aliasing below rounding), so a shear that
+    carries an argument past the p axis reads what the discrete one does.  At alpha = 0 this is
+    chi's q-spectrum, ``fft(chi)`` along q.  ``h'/h = -(p - p_c) / (m w hbar) + i (q_min - q_c) / hbar``.
     """
-    hbar, q_axis = params.hbar, grid.q_axis
-    n, q_min = q_axis.n_points, q_axis.min
-    p = grid.p_axis.points[rows]
-    kappa = q_axis.wavenumbers[(np.arange(n)[rows, None] - n // 2 + band[None, :]) % n]
-    row = np.conj(coherent_phi(params, p, q0, p0, t)) * np.exp(-1j * p * q_min / hbar)
-    column = np.exp(1j * kappa * q_min) * coherent_phi(params, hbar * kappa, q0, p0, t)
-    return np.sqrt(2.0 * np.pi * hbar) / q_axis.spacing * row[:, None] * column
+    m, hbar, w = params.mass, params.hbar, params.omega
+    q_min, n, dp = grid.q_axis.min, grid.q_axis.n_points, grid.p_axis.spacing
+    q_c, p_c = coherent_center(params, q0, p0, t)
+    width = 12.0 * np.sqrt(m * w * hbar)  # phi is below 1e-31 of its peak further from p_c
+
+    def factor(x):  # (H, H') at the momenta x
+        h = np.zeros(np.shape(x), dtype=complex)
+        h_p = np.zeros_like(h)
+        for image in range(-4, 5):
+            y = x + image * n * dp
+            if np.any(np.abs(y - p_c) < width):
+                term = np.exp(1j * y * q_min / hbar) * coherent_phi(params, y, q0, p0, t)
+                h += term
+                h_p += term * (-(y - p_c) / (m * w * hbar) + 1j * (q_min - q_c) / hbar)
+        return h, h_p
+
+    p, band = np.asarray(p)[:, None], np.asarray(band)[None, :]
+    (a, a_p), (b, b_p) = factor(p + alpha * band * dp), factor(p + (1.0 + alpha) * band * dp)
+    scale = np.sqrt(2.0 * np.pi * hbar) / grid.q_axis.spacing
+    return scale * np.conj(a) * b, scale * (np.conj(a_p) * b + np.conj(a) * b_p)
 
 
 def coherent_wigner(params, grid, q0: float, p0: float, t: float):

@@ -127,7 +127,7 @@ def test_run_all_leaves_numpy_random_and_hashlib_unloaded():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=300)
     assert proc.returncode == 0, proc.stderr.decode()
     code, loaded = json.loads(proc.stdout)
-    assert code == 1  # n = 64 keeps its two known failures
+    assert code == 1  # n = 64 keeps its known failure, alpha-sweep-grid-stability
     assert loaded == []
 
 

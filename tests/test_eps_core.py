@@ -15,7 +15,6 @@ from epsqp.eps_core import (
     ExtendedHamiltonian,
     PhaseSpaceField,
     chi_build,
-    chi_q_spectrum,
     chi_rows,
     expectation,
     strip_rows,
@@ -30,7 +29,7 @@ from epsqp.numerics import (
     spectral_derivative_2d,
 )
 from epsqp.states import ho_coherent_state, to_momentum_space
-from epsqp.transforms import wigner_direct
+from epsqp.transforms import sheared_q_spectrum, wigner_direct
 
 HYP = settings(max_examples=20, deadline=None)
 
@@ -82,15 +81,15 @@ def test_chi_build_matches_the_direct_product(harmonic_params):
     ids=["rows0-band0", "rows1-band1", *(f"whole-{n}-{d}" for n in (64, 256, 1024) for d in ("default", "off-grid"))],
 )
 def test_chi_q_spectrum_is_a_block_of_chis_q_spectrum(harmonic_params, rows, band, n, lo, hi, hbar):
-    # chi's q-spectrum on any p rows and signed q wavenumbers, also off the integer
-    # q_min / dq row phase (-9.3 / (20 / n)): rows and columns (band mod n) of fft(chi)
-    # along q.  On all rows and the whole band (None: in FFT order), one p pass of it is
-    # fft2 of chi to rounding.
+    # chi's q-spectrum, sheared_q_spectrum at alpha = 0, on any p rows and signed q
+    # wavenumbers, also where q_min / dq is not an integer (-9.3 / (20 / n)): rows and
+    # columns (band mod n) of fft(chi) along q.  On all rows and the whole band (None: in
+    # FFT order), one p pass of it is fft2 of chi to rounding.
     params = replace(harmonic_params, hbar=hbar)
     q_grid = make_grid(n, lo, hi)
     psi = ho_coherent_state(q_grid, params, q0=0.5, p0=0.3, t=0.4)
     chi = chi_build(psi, Grid2D(q_grid, params.hbar)).values
-    got = chi_q_spectrum(psi, rows, np.arange(n) if band is None else band)
+    (got,) = sheared_q_spectrum([psi], 0.0, rows, np.arange(n) if band is None else band)
     if band is None:
         expected = np.fft.fft2(chi)
         got = np.fft.fft(got, axis=0)
@@ -105,7 +104,7 @@ def test_chi_q_spectrum_is_a_block_of_chis_q_spectrum(harmonic_params, rows, ban
 def test_chi_q_spectrum_needs_a_position_state(q_grid, harmonic_params):
     psi = ho_coherent_state(q_grid, harmonic_params, q0=0.5, p0=0.0, t=0.0)
     with pytest.raises(ValueError, match="position-space"):
-        chi_q_spectrum(to_momentum_space(psi), slice(None), np.arange(q_grid.n_points))
+        sheared_q_spectrum([to_momentum_space(psi)], 0.0, slice(None), np.arange(q_grid.n_points))
 
 
 @pytest.mark.parametrize(

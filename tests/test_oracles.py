@@ -11,13 +11,14 @@ both parameter sets, the coherent state from q0 = 0.5 at t = 0.4:
   2.8e-14 for dW/dp, the lag-weighted sum, and 3.9e-14 for dW/dq, the q FFT of the
   box rows, both at n = 1024 (a spectral p derivative of W's columns read 3.5e-11:
   one folded bin holds two lags, and cannot weight each by its own -i y / hbar);
-* the alpha in {-1, 0} shears of the ground chi: 3.7e-10 relative after one fitted
-  complex constant, the FFT round trip's absolute floor read at the mask edge.
+* the alpha in {-1, 0} whole-grid shears of the ground chi: 3.7e-10 relative after one
+  fitted complex constant, the FFT round trip's absolute floor read at the mask edge.
 
-Shears at other alpha read 1.6e-7 at unit constants (the p-Nyquist defect) and are
-left to the change that mends it.  The momentum strip of the HJ residuals shears the
-same: 3.6e-10 at alpha = -1, and at the other alphas never more than the whole-grid
-shear's error plus that floor.
+The whole-grid shear at other alpha reads 1.6e-7 at unit constants: it moves chi's
+product along p, whose p-conjugate extent is twice psi's and aliases at the mask edge.
+The momentum strip of the HJ residuals moves psi's 1-D factors instead, and reads
+1.1e-10 at every alpha (``test_strip_fields_match_the_whole_grid_shear`` referees its
+fields and their gradients at the coherent state's closed form).
 
 The strip kernels, chi on the p rows phi occupies (``chi_rows``) and H' there:
 
@@ -50,8 +51,8 @@ from oracles import (
     coherent_center,
     coherent_chi,
     coherent_chi_dt,
-    coherent_chi_q_spectrum,
     coherent_phi,
+    coherent_sheared_q_spectrum,
     coherent_wigner,
     coherent_wigner_gradients,
     linear_chi,
@@ -61,7 +62,7 @@ from oracles import (
     sheared_ground_chi,
 )
 
-from epsqp.eps_core import ExtendedHamiltonian, chi_build, chi_q_spectrum, chi_rows, expectation, strip_rows
+from epsqp.eps_core import ExtendedHamiltonian, chi_build, chi_rows, expectation, strip_rows
 from epsqp.numerics import (
     Grid2D,
     PhysicalParams,
@@ -73,7 +74,7 @@ from epsqp.numerics import (
 from epsqp.quantum_potential import _Strip
 from epsqp.reports import fit_global_constant
 from epsqp.states import ho_coherent_state, linear_potential_gaussian, to_momentum_space
-from epsqp.transforms import _wigner_box, _wigner_centre, apply_extended_transform, wigner_direct
+from epsqp.transforms import _wigner_box, _wigner_centre, apply_extended_transform, sheared_q_spectrum, wigner_direct
 from test_eps_core import spectral_terms
 
 Q0, T = 0.5, 0.4
@@ -109,11 +110,11 @@ def test_chi_build_matches_its_closed_form(n, params):
     assert _relative_error(chi_build(psi, g2).values, coherent_chi(psi, g2, Q0, 0.0)) < 3.5e-10
 
 
-# chi_q_spectrum against its closed form on the strip rows and all n columns, relative to
-# the peak: a decade over the worst measured, 1.3e-13 at n = 1024 and unit constants
-# (9.0e-14 at (2, 1.5, 0.7); 1.1-3.4e-14 at n = 128 and 256).  The floor grows with n as
-# the closed form's phases kappa q_min and p q_min / hbar, whose rounding it is, reach
-# n pi |q_min| / extent.
+# chi's q-spectrum, the alpha = 0 member of sheared_q_spectrum, and its p derivative's
+# against their closed forms on the strip rows and all n columns, relative to the peak: a
+# decade over the worst measured, 1.3e-13 at n = 1024 and unit constants (9.0e-14 at
+# (2, 1.5, 0.7); 1.1-3.4e-14 at n = 128 and 256).  The floor grows with n as the closed
+# form's phase p q_min / hbar, whose rounding it is, reaches n pi |q_min| / extent.
 CHI_Q_SPECTRUM_BOUND = 1.3e-12
 
 
@@ -121,9 +122,10 @@ def test_chi_q_spectrum_matches_its_closed_form(n, params):
     g, g2 = _grids(n, params)
     psi = ho_coherent_state(g, params, Q0, 0.0, T)
     rows, band = strip_rows([psi]), np.arange(n) - n // 2
-    got = chi_q_spectrum(psi, rows, band)
-    exact = coherent_chi_q_spectrum(params, g2, Q0, 0.0, T, rows, band)
-    assert np.max(np.abs(got - exact)) < CHI_Q_SPECTRUM_BOUND * np.max(np.abs(exact))
+    got = sheared_q_spectrum([psi], 0.0, rows, band, dp=True)
+    exact = coherent_sheared_q_spectrum(params, g2, Q0, 0.0, T, 0.0, g2.p_axis.points[rows], band)
+    for value, want in zip(got, exact):
+        assert np.max(np.abs(value - want)) < CHI_Q_SPECTRUM_BOUND * np.max(np.abs(want))
 
 
 def test_wigner_direct_matches_its_closed_form(n, params):
@@ -145,22 +147,16 @@ def test_ground_chi_shear_matches_the_cohen_form(n, params, alpha):
 
 @pytest.mark.parametrize("alpha", [-1.0, -0.75, -0.7, -0.5, -0.25])
 def test_strip_shear_matches_the_cohen_form(n, params, alpha):
-    # the sheared centre field of the HJ residuals' momentum strip, on its box,
-    # against the closed form: at alpha = -1 within the floor bound above, and
-    # elsewhere no further from it than the whole-grid shear is (6-8e-7 at unit
-    # constants), up to that floor
+    # the sheared centre field of the HJ residuals' momentum strip, on its box, against
+    # the closed form: a decade over the worst measured, 1.1e-10 (n = 1024, unit
+    # constants), at every alpha (the whole-grid shear reads 6-8e-7 off alpha = -1, 0)
     g, g2 = _grids(n, params)
     states = [ho_coherent_state(g, params, 0.0, 0.0, t) for t in (T, T - 1e-3, T + 1e-3)]  # the centre first
     mask, box, f, *_ = _Strip(states).fields(alpha)
     shape = sheared_ground_chi(params, g2, alpha)[box]
-    whole = apply_extended_transform(chi_build(states[0], g2), alpha)[box]
     inside = mask[box]
-
-    def error(field):
-        c = fit_global_constant(field, shape, inside)
-        return np.max(np.abs(field - c * shape)[inside] / np.abs(c * shape)[inside])
-
-    assert error(f) < (3.7e-9 if alpha == -1.0 else error(whole) + 3.7e-9)
+    c = fit_global_constant(f, shape, inside)
+    assert np.max(np.abs(f - c * shape)[inside] / np.abs(c * shape)[inside]) < 1.2e-9
 
 
 # i hbar d(chi)/dt = H' chi to the peak: a decade over the measured 3.6e-10 and 3.5e-12

@@ -9,6 +9,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from oracles import coherent_sheared_q_spectrum
 
 from epsqp import numerics
 from epsqp.eps_core import chi_build
@@ -18,7 +19,7 @@ from epsqp.numerics import (
     amplitude_mask,
     make_grid,
     mask_box,
-    spectral_derivative_2d,
+    within,
 )
 from epsqp.quantum_potential import (
     _Strip,
@@ -335,18 +336,18 @@ def test_shears_leave_the_caller_chi_unchanged(q_grid, grid2, harmonic_params):
     assert [s.values.tobytes() for s in held] == before
 
 
-@pytest.mark.parametrize("alpha, passes", [(-0.75, (9, 8, 425)), (0.0, (5, 2, 7))])
+@pytest.mark.parametrize("alpha, passes", [(-0.75, (4, 6, 218)), (0.0, (5, 2, 7))])
 def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, grid2, alpha, passes):
-    # Both: the phi of each state for the momentum strip.  alpha != 0: each
-    # snapshot's strip block of chi's q-spectrum is two 1D transforms (its phi
-    # and fft(psi)); two inverse passes of at most 64 band columns each build
-    # both shear kernel tables, then one inverse q pass per field: the centre
-    # on the strip for its mask, and on the box rows the centre, its two
+    # Both: the phi of each state for the momentum strip.  alpha != 0: one FFT
+    # pass of the shifted factors, a lane for each state and for the centre's p
+    # derivative at each distinct fractional shift of the band's columns (5 at
+    # alpha = -0.75: 0, +-1/4 and +-1/2), then one inverse q pass per field: the
+    # centre on the strip for its mask, and on the box rows the centre, its two
     # gradients and the t +- dt fields.
     # alpha = 0 differentiates psi and phi in 1D.  The last entry bounds the
     # forward and inverse lanes together: at n = 256 the 55-row strip and the
-    # 28-row box take alpha = -0.75 to 422 lanes (218 of them the kernels of
-    # its 109 band columns; its 16 whole passes are 4096) and alpha = 0 to 7.
+    # 28-row box take alpha = -0.75 to 218 lanes (20 of them the factors; its 16
+    # whole passes are 4096) and alpha = 0 to 7.
     calls = dict.fromkeys(("fft", "ifft", "fft2", "ifft2"), 0)
     lanes = dict.fromkeys(calls, 0)
     for name in calls:
@@ -362,44 +363,71 @@ def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, grid2, alpha
     assert sum(lanes.values()) <= passes[2] < whole
 
 
+STRIP_ALPHAS = (-1.0, -0.95, -0.75, -0.7, -0.5, -0.25, -0.05, 0.25, -1.5, 2.0)
+
+
+def _strip_field_errors(params, q_grid, rolled=False):
+    """The largest error relative to each sample on the mask, over STRIP_ALPHAS, of the
+    strip's five fields (f, f_q, f_p and the fields at t -+ dt) of the coherent state from
+    q0 = 0.5 at t = 0.4 against ``coherent_sheared_q_spectrum``'s on every q column, brought
+    to q by one inverse FFT, and the strip's rows.  Rolled, the states are times (-1)^j, chi
+    rolled by n/2 in p."""
+    n = q_grid.n_points
+    times = (0.4, 0.4 - 1e-3, 0.4 + 1e-3)  # the centre first
+    states = [ho_coherent_state(q_grid, params, 0.5, 0.0, t) for t in times]
+    if rolled:
+        states = [replace(s, values=s.values * (-1.0) ** np.arange(n)) for s in states]
+    strip = _Strip(states)
+    grid = strip.grid
+    columns = np.fft.fftfreq(n, 1.0 / n)
+    worst = np.zeros(5)
+    for alpha in STRIP_ALPHAS:
+        mask, box, *fields = strip.fields(alpha)
+        rows = strip.out_rows(alpha)
+        p = grid.p_axis.points[rows]
+        (f, f_p), (minus, _), (plus, _) = (
+            coherent_sheared_q_spectrum(params, grid, 0.5, 0.0, t, alpha, p, columns) for t in times
+        )
+        spectra = (f, f * (1j * grid.q_axis.wavenumbers), f_p, minus, plus)
+        expected = [np.roll(np.fft.ifft(s, axis=1), n // 2 if rolled else 0, axis=0) for s in spectra]
+        np.testing.assert_array_equal(mask[rows], amplitude_mask(np.abs(expected[0])))
+        assert mask[rows].sum() == mask.sum()
+        inside, crop = mask[box], (within(box[0], rows, n), box[1])
+        for i, (got, want) in enumerate(zip(fields, expected)):
+            want = want[crop]
+            worst[i] = max(worst[i], np.max(np.abs(got - want)[inside] / np.abs(want)[inside]))
+    return strip.rows, worst
+
+
 @pytest.mark.parametrize(
     "n, rolled", [(64, False), (128, False), (256, False), (1024, False), (64, True), (128, True), (256, True)]
 )
 def test_strip_fields_match_the_whole_grid_shear(harmonic_params, n, rolled):
-    # The strip applies the whole-grid discrete shear, restricted to the rows phi
-    # occupies: on the mask its fields are the whole-grid path's, chi_build ->
-    # apply_extended_transform, to rounding read a millionth of the peak down.
-    # At alpha = 2 the field leaves the strip and its rows must grow.
-    # Rolled by n/2 in p (times (-1)^j), phi straddles the p edge and the strip
-    # takes the whole axis (at n = 1024 that costs n^3 a product, so not there).
-    # Bounds: a decade over the worst measured at these n and alphas, 9.9e-10
-    # for the fields and f_p and 2.3e-8 for f_q, whose relative error peaks
-    # beside its zero line at alpha = -1/2 (the whole-grid floor itself).
-    states = _state_triplet(make_grid(n, -10.0, 10.0), harmonic_params)
-    if rolled:
-        states = [replace(s, values=s.values * (-1.0) ** np.arange(n)) for s in states]
-    strip = _Strip([states[1], states[0], states[2]])  # the centre first
-    grid = strip.grid
-    assert (strip.rows == slice(None)) == rolled
-    for alpha in (-1.0, -0.95, -0.75, -0.7, -0.5, -0.25, -0.05, 0.25, -1.5, 2.0):
-        whole = []
-        for psi in states:
-            whole.append(apply_extended_transform(chi_build(psi, grid), alpha))
-        mask, box, *fields = strip.fields(alpha)
-        np.testing.assert_array_equal(mask, amplitude_mask(np.abs(whole[1])))
-        inside = mask[box]
-        expected = (
-            whole[1],
-            spectral_derivative_2d(whole[1], grid, axis=1),
-            spectral_derivative_2d(whole[1], grid, axis=0),
-            whole[0],
-            whole[2],
-        )
-        bounds = (9.9e-9, 2.3e-7, 9.9e-9, 9.9e-9, 9.9e-9)
-        for name, got, want, bound in zip(("f", "f_q", "f_p", "minus", "plus"), fields, expected, bounds):
-            want = want[box]
-            err = np.max(np.abs(got - want)[inside] / np.abs(want)[inside])
-            assert err < bound, (alpha, name, err)
+    # The strip's fields are the whole grid's sheared chi, its gradients and the fields
+    # at t -+ dt on the rows it occupies, refereed by the closed form of the coherent
+    # state's, periodic in p as the discrete shear is: at alpha = 0.25, -1.5 and 2 and
+    # n = 64 and 128 an argument passes the p axis.  At alpha = 2 the field leaves the
+    # strip and its rows must grow.  Rolled by n/2 in p (times (-1)^j), phi straddles the
+    # p edge and the strip takes the whole axis (n^2 products, so not at n = 1024).
+    # Bounds: a decade over the worst measured, 5.6e-10 for f and the fields at t -+ dt
+    # and 1.1e-8 for f_q, whose relative error peaks beside its zero line at alpha =
+    # -1/2; f_p, measured 1.3e-9 (beside its zero line too), keeps the 9.9e-9 it had
+    # against the whole-grid shear, which reads 4.2-5.2e-6 off the closed form at the
+    # mask edge: it moves chi's product, whose p-conjugate extent aliases there.
+    rows, errors = _strip_field_errors(harmonic_params, make_grid(n, -10.0, 10.0), rolled)
+    assert (rows == slice(None)) == rolled
+    assert np.all(errors < (5.6e-9, 1.1e-7, 9.9e-9, 5.6e-9, 5.6e-9)), errors
+
+
+@pytest.mark.parametrize("n", [64, 128, 256, 1024])
+def test_strip_fields_match_the_closed_form_off_the_grid(harmonic_params, n):
+    # as above on a domain whose q_min / dq is not an integer, with no sample at q = 0,
+    # at hbar = 0.7.  Bounds a decade over the worst measured: 5.3e-10 for f and the
+    # fields at t -+ dt, and for the gradients, beside their zero lines at alpha = -1/2,
+    # 2.6e-8 (f_q) and 6.1e-9 (f_p), where each reads 1e-9 of |f|
+    params = replace(harmonic_params, hbar=0.7)
+    _, errors = _strip_field_errors(params, make_grid(n, -9.3, 10.7))
+    assert np.all(errors < (5.3e-9, 2.6e-7, 6.1e-8, 5.3e-9, 5.3e-9)), errors
 
 
 def _array_bytes(obj) -> int:
@@ -426,11 +454,12 @@ def test_alpha_sweep_memory_does_not_grow_with_alphas(harmonic_params):
 
 
 def test_alpha_sweep_frees_its_sheared_fields(temporary_arrays, harmonic_params):
-    # The sweep holds the three 55 x 109 strip blocks; per alpha the engine
-    # holds two 109 x n shear kernel tables, the centre on the 55 strip rows
-    # and the box-row fields, and nothing outside the engine keeps a sheared
-    # field.  The whole-grid bool mask is the one n x n array: the peak stays
-    # under 1.1 n x n complex arrays (measured 1.02).
+    # Per alpha the engine holds a block of at most 2^14 shifted factors at a
+    # time, the centre's q-spectrum and its p derivative's on the 55 strip rows
+    # and 109 band columns, the centre on the strip rows and the box-row fields,
+    # and nothing outside the engine keeps a sheared field.  The whole-grid bool
+    # mask is the one n x n array: the peak stays under 1.1 n x n complex arrays
+    # (measured 0.72).
     n = 512
     q_grid = make_grid(n, -10.0, 10.0)
     snaps = _state_triplet(q_grid, harmonic_params)
@@ -441,7 +470,7 @@ def test_alpha_sweep_frees_its_sheared_fields(temporary_arrays, harmonic_params)
 def test_alpha_sweep_peaks_as_low_with_alpha_zero(temporary_arrays, harmonic_params):
     # alpha = 0 forms the product psi(q) conj(phi(p)) on the strip rows only:
     # the sweep peaks under 1.1 n x n arrays with alpha = 0 as without it
-    # (measured 1.02 and 0.99).
+    # (measured 0.72 and 0.69).
     n = 512
     snaps = _state_triplet(make_grid(n, -10.0, 10.0), harmonic_params)
     peaks = [

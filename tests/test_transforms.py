@@ -21,7 +21,6 @@ from epsqp.numerics import (
     make_grid,
     shear_strip,
     spectral_resample,
-    strip_offsets,
     toeplitz_sum,
     within,
 )
@@ -32,7 +31,7 @@ from epsqp.transforms import (
     _wigner_centre,
     _wigner_window,
     apply_extended_transform,
-    shear_kernels,
+    sheared_q_spectrum,
     wigner_direct,
     wigner_equation_residual,
 )
@@ -109,63 +108,19 @@ def test_apply_extended_transform_rejects_a_strip_field(harmonic_params):
         apply_extended_transform(strip, -0.5)
 
 
-@pytest.mark.parametrize("lo, hi, hbar", [(-10.0, 10.0, 1.0), (-3.0, 5.0, 0.7)])
-def test_shear_kernels_are_the_ifft_of_the_shear_multiplier(lo, hi, hbar):
-    # column b of U_alpha's multiplier exp(i alpha hbar u v_b), and that times i u for
-    # the p derivative, each inverted along p and read at the offsets (mod n) of a
-    # Toeplitz sum from a strip onto wider rows, or of the whole axis onto itself, which
-    # wraps.  The coarse-times-fine exponentials round phases of size up to pi |alpha|
-    # |b|, so the difference is bounded by a few eps * pi |alpha| max|b| (times max|u|
-    # for the derivative).  At alpha b integer the kernel is the exact shift by -alpha b cells.
-    eps = np.finfo(float).eps
-    for n in (8, 64, 256):
-        g2 = Grid2D(make_grid(n, lo, hi), hbar)
-        u = g2.p_axis.wavenumbers
-        strip = (slice(3 * n // 8, 5 * n // 8), slice(n // 4, 3 * n // 4))
-        for band, (rows, out_rows) in (
-            (np.arange(1 - n // 4, n // 4), strip),
-            (np.arange(n) - n // 2, (slice(None), slice(None))),
-        ):
-            offsets = strip_offsets(rows, out_rows, n)
-            taken = offsets % n
-            v = 2.0 * np.pi * band / g2.q_axis.extent
-            for alpha in (-1.0, -0.75, -0.7, -0.5, 0.3, -1.5):
-                kernels = shear_kernels(g2, alpha, band, offsets)
-                multiplier = np.exp(1j * alpha * hbar * v[:, None] * u[None, :])
-                bound = 4.0 * eps * math.pi * abs(alpha) * np.abs(band).max()
-                assert np.max(np.abs(kernels[0] - np.fft.ifft(multiplier, axis=1)[:, taken])) <= bound
-                direct = np.fft.ifft(multiplier * (1j * u), axis=1)[:, taken]
-                assert np.max(np.abs(kernels[1] - direct)) <= bound * np.abs(u).max()
-            shift = np.zeros((len(band), n))
-            shift[np.arange(len(band)), band % n] = 1.0
-            bound = 4.0 * eps * math.pi * np.abs(band).max()
-            assert np.max(np.abs(shear_kernels(g2, -1.0, band, offsets)[0] - shift[:, taken])) <= bound
-
-
-def test_shear_kernels_hold_only_the_offsets_the_strip_reads():
-    # at n = 1024 a 55-row strip sheared onto 111 rows reads m_out + m - 1 = 165 offsets
-    # of each of its 109 columns' kernels: the table holds those, not all n
-    n, m, m_out = 1024, 55, 111
-    g2 = Grid2D(make_grid(n, -10.0, 10.0), 1.0)
-    rows, out_rows = slice(485, 485 + m), slice(457, 457 + m_out)
-    band = np.arange(1 - m, m)
-    kernels = shear_kernels(g2, -0.75, band, strip_offsets(rows, out_rows, n))
-    assert kernels.shape == (2, len(band), m_out + m - 1)
-
-
 def test_shear_strip_is_a_toeplitz_product_per_column():
-    # out[i, b] = sum_j kernel[b, (i - j) mod n] block[j, b], on any output rows, and a
+    # out[i, b] = sum_j kernel[(i - j) mod n] block[j, b], on any output rows, and a
     # row's values do not depend on which other rows are asked for
     rng = np.random.default_rng(3)
     n, nb = 32, 5
-    kernel = rng.normal(size=(nb, n)) + 1j * rng.normal(size=(nb, n))
+    kernel = rng.normal(size=n) + 1j * rng.normal(size=n)
     block = rng.normal(size=(6, nb)) + 1j * rng.normal(size=(6, nb))
     rows = slice(20, 26)
     full = shear_strip(kernel, block, rows, slice(None))
     expected = np.zeros((n, nb), dtype=complex)
     for i in range(n):
         for j in range(20, 26):
-            expected[i] += kernel[:, (i - j) % n] * block[j - 20]
+            expected[i] += kernel[(i - j) % n] * block[j - 20]
     np.testing.assert_allclose(full, expected, rtol=0.0, atol=1e-13)
     for out_rows in (slice(0, 3), slice(17, 30), slice(31, 32)):
         np.testing.assert_array_equal(shear_strip(kernel, block, rows, out_rows), full[out_rows])
@@ -173,27 +128,41 @@ def test_shear_strip_is_a_toeplitz_product_per_column():
 
 @pytest.mark.parametrize("n", [64, 512])
 def test_shear_strip_adds_in_the_order_of_the_row_major_einsum(n):
-    # flipping the block to (column, reversed row), by a view in shear_strip or as the
-    # contiguous copy the sweep's strip keeps, so that the summed index is contiguous in
-    # both operands, changes no bit: the same products are added in the same order as
-    # the einsum over the reversed rows of the block as given
+    # flipping the block to (column, reversed row), by a view in shear_strip or as a
+    # contiguous copy, so that the summed index is contiguous in both operands, changes no
+    # bit: the same products are added in the same order as the einsum over the reversed
+    # rows of the block as given
     rng = np.random.default_rng(n)
     m = n // 8
     rows = slice(n // 2 - m // 2, n // 2 - m // 2 + m)
-    cases = (
-        (rng.normal(size=(2 * m - 1, n)) + 1j * rng.normal(size=(2 * m - 1, n)), (m, 2 * m - 1), "biw,wb->ib"),
-        (rng.normal(size=n) + 1j * rng.normal(size=n), (m, n), "iw,wb->ib"),
-    )
-    for kernel, shape, subscripts in cases:
-        block = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        for out_rows in (rows, slice(rows.start - m, rows.stop + m), slice(0, 5), slice(None)):
-            (r0, r1), (s0, s1) = (r.indices(n)[:2] for r in (out_rows, rows))
-            offsets = (r0 - s1 + 1 + np.arange(r1 - r0 + s1 - s0 - 1)) % n
-            toeplitz = sliding_window_view(kernel[..., offsets], s1 - s0, axis=-1)
-            old = np.einsum(subscripts, toeplitz, block[::-1])
-            np.testing.assert_array_equal(shear_strip(kernel, block, rows, out_rows), old)
-            flipped = np.ascontiguousarray(block[::-1].T)
-            np.testing.assert_array_equal(toeplitz_sum(kernel[..., offsets], flipped), old)
+    kernel = rng.normal(size=n) + 1j * rng.normal(size=n)
+    block = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+    for out_rows in (rows, slice(rows.start - m, rows.stop + m), slice(0, 5), slice(None)):
+        (r0, r1), (s0, s1) = (r.indices(n)[:2] for r in (out_rows, rows))
+        offsets = (r0 - s1 + 1 + np.arange(r1 - r0 + s1 - s0 - 1)) % n
+        toeplitz = sliding_window_view(kernel[offsets], s1 - s0)
+        old = np.einsum("iw,wb->ib", toeplitz, block[::-1])
+        np.testing.assert_array_equal(shear_strip(kernel, block, rows, out_rows), old)
+        flipped = np.ascontiguousarray(block[::-1].T)
+        np.testing.assert_array_equal(toeplitz_sum(kernel[offsets], flipped), old)
+
+
+@pytest.mark.parametrize("shift", [1, 37, 128, 253])
+def test_sheared_q_spectrum_follows_a_shift_in_q(harmonic_params, shift):
+    # psi rolled by s cells moves chi and every sheared member of it by s dq in q: column
+    # b of the q-spectrum and of its p derivative's takes the phase exp(-2 pi i b s / n),
+    # at any alpha, also where the rolled state straddles the q edge.  Bound: a decade over
+    # the factors' rounding, measured 1.2e-15 of the peak.
+    n = 256
+    psi = ho_coherent_state(make_grid(n, -9.3, 10.7), replace(harmonic_params, hbar=0.7), 0.5, 0.3, 0.4)
+    rolled = replace(psi, values=np.roll(psi.values, shift))
+    rows, band = strip_rows([psi]), np.arange(-40, 41)
+    phase = np.exp(-2j * np.pi * band * shift / n)
+    for alpha in (-1.0, -0.7, -0.5, 0.25, -1.5):
+        want = sheared_q_spectrum([psi], alpha, rows, band, dp=True)
+        got = sheared_q_spectrum([rolled], alpha, rows, band, dp=True)
+        for value, exact in zip(got, want):
+            assert np.max(np.abs(value - exact * phase)) < 1.2e-14 * np.max(np.abs(exact)), (alpha, shift)
 
 
 @pytest.mark.parametrize(
