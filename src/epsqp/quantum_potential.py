@@ -205,40 +205,29 @@ class _Strip:
     def fields(self, alpha: float) -> tuple:
         """``(mask, box, f, f_q, f_p, *others)``: the centre field's whole-grid mask and box,
         and on the box the field, its spectral gradients and the other states' fields (of
-        ``[center, minus, plus]``, those at t -+ dt).
+        ``[center, minus, plus]``, those at t -+ dt), of chi sheared by alpha, 0 included.
 
-        Sheared by alpha, the q-spectra of the fields and of the centre's p derivative are
-        formed by :func:`~epsqp.transforms.sheared_q_spectrum` on the rows the centre occupies,
-        for its mask, and brought to q on the box rows.  At alpha = 0 the field is psi(q)
-        conj(phi(p)): chi's kernel exp(-i p q / hbar) would carry its p-spectrum past the coarse
-        momentum Nyquist on the outer mask rows, and, static and unimodular, it leaves S_t and
-        the mask alone, so the engine adds its gradients.
+        The q-spectra of the fields and of the centre's p derivative are formed by
+        :func:`~epsqp.transforms.sheared_q_spectrum` on the rows the centre occupies, for its
+        mask, and brought to q on the box rows.
         """
-        grid, psis = self.grid, [s.values for s in self.states]
-        if alpha == 0.0:
-            phis = [np.conj(phi.values) for phi in self.momenta]
-            mask, box = strip_mask_box(phis[0][self.rows, None] * psis[0][None, :], self.rows)
-            rows, cols = box
-            f, *others = (phi[rows, None] * psi[None, cols] for phi, psi in zip(phis, psis))
-            f_q = phis[0][rows, None] * spectral_derivative(psis[0], grid.q_axis)[None, cols]
-            f_p = spectral_derivative(phis[0], grid.p_axis)[rows, None] * psis[0][None, cols]
-            return mask, box, f, f_q, f_p, *others
-
-        n, out_rows = grid.q_axis.n_points, self.out_rows(alpha)
+        q_axis, out_rows = self.grid.q_axis, self.out_rows(alpha)
+        n = q_axis.n_points
         spectrum, *others, f_p = sheared_q_spectrum(self.states, alpha, out_rows, self.band, dp=True)
         mask, box = strip_mask_box(self.q_pass(spectrum), out_rows)
         rows, cols = box
         spectrum, f_p, *others = (s[within(rows, out_rows, n)] for s in (spectrum, f_p, *others))
-        f_q = spectrum * (1j * grid.q_axis.wavenumbers[self.band % n])
+        f_q = spectrum * (1j * q_axis.wavenumbers[self.band % n])
         return (mask, box, *(self.q_pass(s)[:, cols] for s in (spectrum, f_q, f_p, *others)))
 
 
 def _hj_residual_2d(center: WaveFunction, alpha: float, name: str, fields: tuple) -> Callable:
     """Shared engine for the phase-space modified Hamilton-Jacobi residual.
 
-    ``fields`` are the first five of :meth:`_Strip.fields`: the centre field's mask and box,
-    and on the box the field and its gradients, on the phase-space grid of the
-    position-space ``center``'s q axis.  Returns ``at(minus, plus, dt)``, the report with
+    ``fields`` are ``(mask, box, f, f_q, f_p)``: the centre field's mask and box, and on the
+    box the field and its gradients, on the phase-space grid of the position-space
+    ``center``'s q axis (the first five of :meth:`_Strip.fields`, or
+    :func:`hj_residual_eps`'s).  Returns ``at(minus, plus, dt)``, the report with
     S_t from the phase of the ratio of the box fields at t -+ dt, immune to the catastrophic
     cancellation a literal difference of the sheared fields would suffer near the mask edge.
 
@@ -266,9 +255,6 @@ def _hj_residual_2d(center: WaveFunction, alpha: float, name: str, fields: tuple
     f = np.conj(f)  # S_x from conj(f) * f_x, in that operand order
     S_q = hbar * np.imag(np.multiply(f, f_q)) / dens
     S_p = hbar * np.imag(np.multiply(f, f_p)) / dens
-    if alpha == 0.0:  # the exact gradients of the kernel the product lacks
-        S_q -= p
-        S_p -= q
     ham = ExtendedHamiltonian.from_params(params, alpha)
     hamiltonian = ham.evaluate_classical(S_q, S_p, p, q)
     log_amp = log_amplitude(amp)  # one log for both curvature ratios
@@ -309,10 +295,25 @@ def hj_residual_eps(center: WaveFunction) -> Callable:
     position-space ``center``, as ``at(minus, plus)`` of the states at t -+ dt: the alpha = 0
     member of the sheared family, formed on the centre's own momentum strip.  Both curvature
     terms enter at coefficient 1/2 (the p-term carries k: zero for a linear potential).
+
+    The field is the product ``f = conj(phi(p)) psi(q)``, accurate relative to each sample out
+    to the mask edge, where an inverse q pass of chi's q-spectrum has an absolute rounding
+    floor.  Its gradients carry those of chi's kernel ``exp(-i p q / hbar)``, ``f_q =
+    conj(phi) psi' - (i p / hbar) f`` and ``f_p = conj(phi)' psi - (i q / hbar) f``: chi's own
+    with the kernel's modulus taken out.  The static, unimodular kernel leaves S_t and the mask
+    alone.
     """
-    fields = _Strip([center]).fields(0.0)
-    evaluate = _hj_residual_2d(center, 0.0, f"eps-hj-{center.params.potential.kind}", fields)
-    rows, cols = fields[1]
+    hbar = center.params.hbar
+    grid, momentum = Grid2D(center.grid, hbar), to_momentum_space(center)  # rejects a p-space centre
+    strip = strip_rows([momentum])
+    phi, psi = np.conj(momentum.values), center.values
+    mask, box = strip_mask_box(phi[strip, None] * psi[None, :], strip)
+    rows, cols = box
+    p, q = grid.p_axis.points[rows, None], grid.q_axis.points[None, cols]
+    f = phi[rows, None] * psi[None, cols]
+    f_q = phi[rows, None] * spectral_derivative(psi, grid.q_axis)[None, cols] - (1j / hbar) * p * f
+    f_p = spectral_derivative(phi, grid.p_axis)[rows, None] * psi[None, cols] - (1j / hbar) * q * f
+    evaluate = _hj_residual_2d(center, 0.0, f"eps-hj-{center.params.potential.kind}", (mask, box, f, f_q, f_p))
 
     def at(minus: WaveFunction, plus: WaveFunction) -> ResidualReport:
         minus, _, plus, dt = snapshot_triple([minus, center, plus])
@@ -401,9 +402,8 @@ def alpha_sweep(snapshots: Sequence[WaveFunction], alphas: Sequence[float]) -> A
 
     ``snapshots`` are as for :func:`hj_residual_transformed`; ``alphas``
     must pass :func:`validate_alphas`, and the reports follow that order.
-    The momentum strip of the states is found once, and every alpha shears
-    their 1D factors onto it (alpha = 0 forms the product of psi and phi
-    instead): no n x n array is formed.
+    The momentum strip of the states is found once, and every alpha, 0
+    included, shears their 1D factors onto it: no n x n array is formed.
     """
     alphas = validate_alphas(alphas)
     minus, center, plus, dt = snapshot_triple(snapshots)

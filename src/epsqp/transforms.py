@@ -147,7 +147,7 @@ def wigner_direct(psi: WaveFunction, grid: Grid2D) -> PhaseSpaceField:
 
 
 def _wigner_window(psi: WaveFunction, rows: slice) -> slice:
-    """The p rows :func:`_wigner_blocks` builds W of ``psi`` on to read ``rows``: the fewest,
+    """The p rows :func:`_wigner_box` builds W of ``psi`` on to read ``rows``: the fewest,
     a power of two M, that cover ``psi``'s momentum strip and ``rows``, centred on them and
     clamped inside the axis (the whole axis for a whole-axis strip or request).  W's p
     support is the strip's, so the aliases of rows M apart that the window folds onto its
@@ -163,59 +163,6 @@ def _wigner_window(psi: WaveFunction, rows: slice) -> slice:
     return slice(start, start + size)
 
 
-def _wigner_blocks(
-    psi: WaveFunction, grid: Grid2D, columns: slice = slice(None), dp: bool = False, window: slice = slice(None)
-):
-    """Yield ``(cols, W[window, cols])`` for the q-column blocks of :func:`wigner_direct`'s W
-    over ``columns``, each of at most :data:`_BLOCK` elements, as new float64 arrays; with
-    ``dp``, dW/dp's: each lag y weighted by -i y / hbar before the fold, exact where a
-    spectral p derivative of W is not (a folded bin holds two lags).
-
-    On the whole axis the blocks are bitwise those of the whole W.  ``window`` of M = n / k
-    rows (from :func:`_wigner_window`) decimates the lag sum instead: every k-th lag, folded
-    modulo M into one length-M transform per column, returns W summed over the rows M apart
-    (Markel, IEEE Trans. Audio Electroacoust. 19, 305 (1971)), so grid row j is output
-    ``j mod M``.  At even k the row phase ``(-1)^(k l)`` of the lag-l sum is 1."""
-    if psi.space != "q":
-        raise ValueError("wigner_direct expects a position-space state")
-    if grid != Grid2D(psi.grid, psi.params.hbar):
-        raise GridError("grid is not the state's phase-space grid")
-    n = grid.q_axis.n_points
-    first_row, stop_row, _ = window.indices(n)
-    size = stop_row - first_row
-    k = n // size  # lag stride; the window is n / k rows
-    h = size // 2
-    dy = k * grid.q_axis.spacing  # the decimated lag spacing, exact: k is a power of two
-    lag = (-1j * dy / grid.hbar) * np.arange(h + 1)  # -i y / hbar at decimated lag m
-
-    # Row i of ``windows`` holds psi at q_i + (j - n) dq / 2, j = 0 .. 2n.
-    # Shifts that leave the domain read the zero padding.  Wrapping them
-    # around instead would correlate the state with its periodic image and
-    # plant a mirror copy of the distribution half an extent away in q.
-    padded = np.pad(spectral_resample(psi.values), n)  # spacing dq/2
-    windows = sliding_window_view(padded, 2 * n + 1)[::2]
-    start, stop, _ = columns.indices(n)
-    step = max(1, _BLOCK // size)  # columns per block of M rows
-    for first in range(start, stop, step):
-        cols = slice(first, min(first + step, stop))
-        lags = windows[cols, ::k]  # column j = 0 .. 2M holds psi at q_i + (j - M) dy / 2
-        # Lag l pairs lags[:, M + l] with conj(lags[:, M - l]).  The conjugate comes
-        # first: numpy's vectorised complex product is not bitwise commutative.
-        folded = np.conj(lags[:, size : h - 1 : -1]) * lags[:, size : size + h + 1]  # C_m
-        wrapped = np.conj(lags[:, 2 * size : size + h - 1 : -1]) * lags[:, : h + 1]  # conj(C_(M-m))
-        if dp:
-            folded *= lag
-            wrapped *= lag - lag[1] * size  # lag m - M
-        folded += wrapped
-        del wrapped  # not held across the yield
-        if k == 1:
-            folded[:, 1::2] *= -1.0
-        # np.fft.hfft, without the conjugated copy of its input
-        block = np.fft.irfft(np.conj(folded, out=folded), size, axis=1, norm="forward").T
-        block *= dy
-        yield cols, (np.roll(block, -first_row, axis=0) if first_row % size else block)
-
-
 def _wigner_centre(psi: WaveFunction, grid: Grid2D) -> tuple:
     """``(mask, box, w, w_q, w_p)``: the mask of ``psi``'s W (formed on its momentum strip, W's p
     support) and its box, and on the box W, its q FFT derivative and the lag-weighted dW/dp."""
@@ -228,14 +175,56 @@ def _wigner_centre(psi: WaveFunction, grid: Grid2D) -> tuple:
 
 
 def _wigner_box(psi: WaveFunction, grid: Grid2D, box: tuple, dp: bool = False) -> NDArray[np.float64]:
-    """W of ``psi`` (dW/dp with ``dp``) on ``box``, from its columns' blocks on its
-    :func:`_wigner_window` only and in their layout."""
+    """:func:`wigner_direct`'s W of ``psi`` on ``box``, as a new float64 array in the (p, q)
+    transpose of a C-ordered (q, p) one; with ``dp``, dW/dp's: each lag y weighted by
+    -i y / hbar before the fold, exact where a spectral p derivative of W is not (a folded bin
+    holds two lags).  The q columns go a block of at most :data:`_BLOCK` elements at a time.
+
+    On the whole p axis it is the whole lag sum.  On fewer rows it is built on their
+    :func:`_wigner_window` of M = n / k rows, from every k-th lag, folded modulo M into one
+    length-M transform per column: that returns W summed over the rows M apart (Markel, IEEE
+    Trans. Audio Electroacoust. 19, 305 (1971)), so grid row j is output ``j mod M``.  At even
+    k the row phase ``(-1)^(k l)`` of the lag-l sum is 1."""
+    if psi.space != "q":
+        raise ValueError("wigner_direct expects a position-space state")
+    if grid != Grid2D(psi.grid, psi.params.hbar):
+        raise GridError("grid is not the state's phase-space grid")
     n = grid.q_axis.n_points
     window = _wigner_window(psi, box[0])
-    rows = within(box[0], window, n)
-    out = np.empty((len(range(n)[box[1]]), len(range(n)[box[0]]))).T
-    for cols, block in _wigner_blocks(psi, grid, box[1], dp, window):
-        out[:, within(cols, box[1], n)] = block[rows]
+    size = window.stop - window.start
+    k = n // size  # lag stride; the window is n / k rows
+    h = size // 2
+    dy = k * grid.q_axis.spacing  # the decimated lag spacing, exact: k is a power of two
+    lag = (-1j * dy / grid.hbar) * np.arange(h + 1)  # -i y / hbar at decimated lag m
+    rows = np.arange(n)[box[0]] % size  # the output row of each grid row
+
+    # Row i of ``windows`` holds psi at q_i + (j - n) dq / 2, j = 0 .. 2n.
+    # Shifts that leave the domain read the zero padding.  Wrapping them
+    # around instead would correlate the state with its periodic image and
+    # plant a mirror copy of the distribution half an extent away in q.
+    padded = np.pad(spectral_resample(psi.values), n)  # spacing dq/2
+    windows = sliding_window_view(padded, 2 * n + 1)[::2]
+    start, stop, _ = box[1].indices(n)
+    out = np.empty((stop - start, len(rows))).T
+    step = max(1, _BLOCK // size)  # columns per block of M rows
+    for first in range(start, stop, step):
+        cols = slice(first, min(first + step, stop))
+        lags = windows[cols, ::k]  # column j = 0 .. 2M holds psi at q_i + (j - M) dy / 2
+        # Lag l pairs lags[:, M + l] with conj(lags[:, M - l]).  The conjugate comes
+        # first: numpy's vectorised complex product is not bitwise commutative.
+        folded = np.conj(lags[:, size : h - 1 : -1]) * lags[:, size : size + h + 1]  # C_m
+        wrapped = np.conj(lags[:, 2 * size : size + h - 1 : -1]) * lags[:, : h + 1]  # conj(C_(M-m))
+        if dp:
+            folded *= lag
+            wrapped *= lag - lag[1] * size  # lag m - M
+        folded += wrapped
+        del wrapped  # not held across the transform
+        if k == 1:
+            folded[:, 1::2] *= -1.0
+        # np.fft.hfft, without the conjugated copy of its input
+        block = np.fft.irfft(np.conj(folded, out=folded), size, axis=1, norm="forward").T
+        block *= dy
+        out[:, first - start : cols.stop - start] = block[rows]
     return out
 
 

@@ -52,20 +52,33 @@ def _chi(psi, grid, phi):
 def coherent_sheared_q_spectrum(params, grid, q0: float, p0: float, t: float, alpha: float, p, band) -> tuple:
     """``(S, dS/dp)``: the q-spectrum of the coherent state's chi sheared by alpha, on the rows
     ``p`` (an array of momenta) and the q wavenumber columns ``band``, from
-    :func:`coherent_phi` alone: with ``dp`` the grid's momentum step (so ``hbar v_b = b dp``),
+    :func:`coherent_phi` alone, as :func:`_sheared_q_spectrum`; ``phi'/phi = -(p - p_c) / (m w
+    hbar) - i q_c / hbar``.  At alpha = 0 this is chi's q-spectrum, ``fft(chi)`` along q.
+    """
+    m, hbar, w = params.mass, params.hbar, params.omega
+    q_c, p_c = coherent_center(params, q0, p0, t)
+    return _sheared_q_spectrum(
+        grid, alpha, p, band, p_c,
+        12.0 * np.sqrt(m * w * hbar),  # phi is below 1e-31 of its peak further from p_c
+        lambda y: coherent_phi(params, y, q0, p0, t),
+        lambda y: -(y - p_c) / (m * w * hbar) - 1j * q_c / hbar,
+    )
+
+
+def _sheared_q_spectrum(grid, alpha: float, p, band, p_c: float, width: float, phi, slope) -> tuple:
+    """``(S, dS/dp)`` of a chi sheared by alpha, on the rows ``p`` and the q wavenumber
+    columns ``band``, from its state's momentum amplitude ``phi`` and ``slope = phi'/phi``,
+    callables of p, and phi's centre ``p_c`` and ``width``, past which it is below rounding:
+    with ``dp`` the grid's momentum step (so ``hbar v_b = b dp``),
 
         S = (sqrt(2 pi hbar) / dq) conj(H(p + alpha b dp)) H(p + (1 + alpha) b dp),
 
     ``H(p) = sum_l h(p + l n dp)`` and ``h(p) = exp(i p q_min / hbar) phi(p)``, the Fourier
     integral of psi from ``q_min``.  The images make H periodic in p, as the DFT of psi's samples
     is (Poisson summation; the state's decay puts its q aliasing below rounding), so a shear that
-    carries an argument past the p axis reads what the discrete one does.  At alpha = 0 this is
-    chi's q-spectrum, ``fft(chi)`` along q.  ``h'/h = -(p - p_c) / (m w hbar) + i (q_min - q_c) / hbar``.
+    carries an argument past the p axis reads what the discrete one does.
     """
-    m, hbar, w = params.mass, params.hbar, params.omega
-    q_min, n, dp = grid.q_axis.min, grid.q_axis.n_points, grid.p_axis.spacing
-    q_c, p_c = coherent_center(params, q0, p0, t)
-    width = 12.0 * np.sqrt(m * w * hbar)  # phi is below 1e-31 of its peak further from p_c
+    hbar, q_min, n, dp = grid.hbar, grid.q_axis.min, grid.q_axis.n_points, grid.p_axis.spacing
 
     def factor(x):  # (H, H') at the momenta x
         h = np.zeros(np.shape(x), dtype=complex)
@@ -73,9 +86,9 @@ def coherent_sheared_q_spectrum(params, grid, q0: float, p0: float, t: float, al
         for image in range(-4, 5):
             y = x + image * n * dp
             if np.any(np.abs(y - p_c) < width):
-                term = np.exp(1j * y * q_min / hbar) * coherent_phi(params, y, q0, p0, t)
+                term = np.exp(1j * y * q_min / hbar) * phi(y)
                 h += term
-                h_p += term * (-(y - p_c) / (m * w * hbar) + 1j * (q_min - q_c) / hbar)
+                h_p += term * (slope(y) + 1j * q_min / hbar)
         return h, h_p
 
     p, band = np.asarray(p)[:, None], np.asarray(band)[None, :]
@@ -162,6 +175,22 @@ def linear_phi(params, p, q0: float, p0: float, sigma0: float, t: float):
         * (4.0 * np.pi * sigma0**2) ** 0.5
         * np.exp(1j * (gamma - p * q_c) / hbar)
         * np.exp(-(sigma0**2) * c_t * (p - p_c) ** 2 / hbar**2)
+    )
+
+
+def linear_sheared_q_spectrum(
+    params, grid, q0: float, p0: float, sigma0: float, t: float, alpha: float, p, band
+) -> tuple:
+    """``(S, dS/dp)``: the q-spectrum of the linear-potential Gaussian's chi sheared by alpha,
+    as :func:`coherent_sheared_q_spectrum`, from :func:`linear_phi`, whose chirp ``c_t`` makes
+    ``phi'/phi = -i q_c / hbar - 2 sigma0^2 c_t (p - p_c) / hbar^2``."""
+    hbar = params.hbar
+    q_c, p_c, c_t, _ = _linear_path(params, q0, p0, sigma0, t)
+    return _sheared_q_spectrum(
+        grid, alpha, p, band, p_c,
+        8.5 * hbar / sigma0,  # |phi| = exp(-sigma0^2 (p - p_c)^2 / hbar^2), below 1e-31 further out
+        lambda y: linear_phi(params, y, q0, p0, sigma0, t),
+        lambda y: -1j * q_c / hbar - 2.0 * sigma0**2 * c_t * (y - p_c) / hbar**2,
     )
 
 

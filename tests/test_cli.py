@@ -214,8 +214,9 @@ def test_bad_config_values_fail_before_any_scenario(capsys, tmp_path, flag):
     # the configuration is validated when it is built and unknown flags
     # (such as --parallel) are rejected by the parser, so 'run all' stops
     # with a usage error instead of a numerical failure midway; a dict is
-    # passed as a --config file, and the error names its key
-    key = None
+    # passed as a --config file, and the error names its key, as it names
+    # grid_n for --grid-n and dt for --dt
+    key = {"--grid-n": "grid_n", "--dt": "dt"}.get(flag.partition("=")[0]) if isinstance(flag, str) else None
     if isinstance(flag, dict):
         (key,) = flag
         cfg_file = tmp_path / "cfg.json"

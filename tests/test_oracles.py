@@ -39,7 +39,11 @@ H''s E = -b term (the harmonic family has E = 0), relative to the peak:
 * strip H' chi against i hbar d(chi)/dt from ``linear_chi_dt`` on chi's mask: 1.3e-9 at
   unit constants and 7.7e-11 at (2, 0.7, 0.7), both at n = 128 and falling with n, the
   p-Nyquist defect of the coherent case above (a finite difference of ``linear_chi`` in
-  t agrees with ``linear_chi_dt`` to its own O(dt^2)); bounds 1.3e-8 and 7.7e-10.
+  t agrees with ``linear_chi_dt`` to its own O(dt^2)); bounds 1.3e-8 and 7.7e-10;
+* ``sheared_q_spectrum`` at alpha = -1, -1/2 and 0 against ``linear_sheared_q_spectrum``,
+  on the rows the sheared chi occupies and all n columns: 1.1e-14 for the spectrum and
+  2.9e-14 for its p derivative's, both at n = 1024 and unit constants, the rounding of
+  the closed form's phase as in ``CHI_Q_SPECTRUM_BOUND``; bounds 1.1e-13 and 2.9e-13.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from oracles import (
     linear_chi,
     linear_chi_dt,
     linear_phi,
+    linear_sheared_q_spectrum,
     linear_wigner,
     sheared_ground_chi,
 )
@@ -279,6 +284,20 @@ def test_linear_strip_evolution_operator_matches_the_time_derivative(n, linear):
     exact = 1j * params.hbar * linear_chi_dt(psi, g2, *LINEAR_STATE)[chi.rows]
     mask = amplitude_mask(np.abs(chi.values))
     assert np.max(np.abs(got - exact)[mask]) < LINEAR_EVOLUTION_BOUND[name] * np.max(np.abs(exact)[mask])
+
+
+@pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.0])
+def test_linear_sheared_q_spectrum_matches_its_closed_form(n, linear, alpha):
+    # the strip shear of a chirped phi (c_t complex at t = 0.4), the factor kernel every
+    # alpha of the HJ residuals reads, 0 included; bounds in the module docstring
+    _, params = linear
+    g, g2 = _grids(n, params)
+    psi = linear_potential_gaussian(g, params, *LINEAR_STATE, T)
+    rows, band = _Strip([psi]).out_rows(alpha), np.arange(n) - n // 2
+    got = sheared_q_spectrum([psi], alpha, rows, band, dp=True)
+    exact = linear_sheared_q_spectrum(params, g2, *LINEAR_STATE, T, alpha, g2.p_axis.points[rows], band)
+    for value, want, bound in zip(got, exact, (1.1e-13, 2.9e-13)):
+        assert np.max(np.abs(value - want)) < bound * np.max(np.abs(want))
 
 
 # linear_potential_gaussian's W on its strip rows, built on its window from every k-th lag,

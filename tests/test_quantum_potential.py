@@ -253,16 +253,20 @@ def test_classical_form_suffices_only_at_minus_half(q_grid, harmonic_params):
 @pytest.mark.parametrize("n", [128, 256, 1024])
 def test_eps_residual_vanishes_on_the_stationary_pair(harmonic_params, n):
     # q0 = p0 = 0: the energy phases cancel in psi(q) conj(phi(p)), so S_t is
-    # zero and no dt^2 floor hides a wrong restoration of the kernel's
-    # gradients (-p into S_q, -q into S_p): the coefficient the data demands
-    # is 1/2 and the residual vanishes, both to rounding
+    # zero and no dt^2 floor hides a wrong fold of the kernel's gradients
+    # (-i p / hbar into f_q, -i q / hbar into f_p): the coefficient the data
+    # demands is 1/2 and the residual vanishes, both to rounding.  The factor
+    # kernel's alpha = 0 has the same mask and meets both within a decade of
+    # its measured 2.1e-11 and 1.6-6.0e-8 at n = 128-1024: its inverse q pass
+    # has an absolute rounding floor at the mask edge, which the product lacks
     states = _state_triplet(make_grid(n, -10.0, 10.0), harmonic_params, q0=0.0)
     rep = centred(hj_residual_eps, states)
     assert abs(rep.metadata["fitted_coefficient"] - 0.5) <= 1e-8
     assert rep.l2_norm <= 1e-8
     same = hj_residual_transformed(states, 0.0)
-    summary = lambda r: (r.l2_norm, r.max_norm, r.masked_fraction, r.metadata)
-    assert summary(same) == summary(rep)
+    assert same.masked_fraction == rep.masked_fraction
+    assert abs(same.metadata["fitted_coefficient"] - 0.5) <= 2e-10
+    assert same.l2_norm <= 6e-7
 
 
 # ---------------------------------------------------------------------------
@@ -336,18 +340,18 @@ def test_shears_leave_the_caller_chi_unchanged(q_grid, grid2, harmonic_params):
     assert [s.values.tobytes() for s in held] == before
 
 
-@pytest.mark.parametrize("alpha, passes", [(-0.75, (4, 6, 218)), (0.0, (5, 2, 7))])
+@pytest.mark.parametrize("alpha, passes", [(-0.75, (4, 6, 218)), (0.0, (4, 6, 242))])
 def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, grid2, alpha, passes):
-    # Both: the phi of each state for the momentum strip.  alpha != 0: one FFT
-    # pass of the shifted factors, a lane for each state and for the centre's p
-    # derivative at each distinct fractional shift of the band's columns (5 at
-    # alpha = -0.75: 0, +-1/4 and +-1/2), then one inverse q pass per field: the
-    # centre on the strip for its mask, and on the box rows the centre, its two
-    # gradients and the t +- dt fields.
-    # alpha = 0 differentiates psi and phi in 1D.  The last entry bounds the
-    # forward and inverse lanes together: at n = 256 the 55-row strip and the
-    # 28-row box take alpha = -0.75 to 218 lanes (20 of them the factors; its 16
-    # whole passes are 4096) and alpha = 0 to 7.
+    # The phi of each state for the momentum strip, then one FFT pass of the
+    # shifted factors, a lane for each state and for the centre's p derivative
+    # at each distinct fractional shift of the band's columns (5 at alpha =
+    # -0.75: 0, +-1/4 and +-1/2; 1 at alpha = 0), then one inverse q pass per
+    # field: the centre on the strip for its mask, and on the box rows the
+    # centre, its two gradients and the t +- dt fields.  The last entry bounds
+    # the forward and inverse lanes together: at n = 256 the 55-row strip and
+    # the 28-row box take alpha = -0.75 to 218 lanes (20 of them the factors;
+    # its 16 whole passes are 4096), and the 36-row box of alpha = 0 to 242 (4
+    # of them the factors).
     calls = dict.fromkeys(("fft", "ifft", "fft2", "ifft2"), 0)
     lanes = dict.fromkeys(calls, 0)
     for name in calls:
@@ -468,9 +472,9 @@ def test_alpha_sweep_frees_its_sheared_fields(temporary_arrays, harmonic_params)
 
 
 def test_alpha_sweep_peaks_as_low_with_alpha_zero(temporary_arrays, harmonic_params):
-    # alpha = 0 forms the product psi(q) conj(phi(p)) on the strip rows only:
-    # the sweep peaks under 1.1 n x n arrays with alpha = 0 as without it
-    # (measured 0.72 and 0.69).
+    # alpha = 0 shears the 1-D factors onto the strip rows like every other
+    # alpha: the sweep peaks under 1.1 n x n arrays with alpha = 0 as without
+    # it (measured 0.72 and 0.69).
     n = 512
     snaps = _state_triplet(make_grid(n, -10.0, 10.0), harmonic_params)
     peaks = [

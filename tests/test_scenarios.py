@@ -37,6 +37,7 @@ from epsqp.scenarios import (
 )
 from epsqp.states import ho_coherent_state, to_momentum_space
 from epsqp.transforms import apply_extended_transform, wigner_direct
+from oracles import coherent_sheared_q_spectrum, coherent_wigner
 
 
 def _strict_loads(text: str):
@@ -309,7 +310,8 @@ def test_run_all_builds_one_centre_per_halving_pair(monkeypatch):
     # The dt and dt/2 pairs of a halving check share one centre: the Wigner residual's
     # in the harmonic and linear batteries, the 1D one in hj-q, hj-p-harmonic, the
     # ground state's term deletion, hj-q-linear and pspace-linear, and the eps one in
-    # its harmonic and linear checks (the sweep's alpha = 0 is the strip's, named apart).
+    # its harmonic and linear checks (the sweep's alpha = 0, from the shear's factor
+    # kernel like every other alpha, is named apart).
     calls = Counter()
     for module, name in (
         (transforms, "_wigner_centre"), (quantum_potential, "_hj_1d"), (quantum_potential, "_hj_residual_2d")
@@ -362,10 +364,11 @@ def test_scenarios_free_their_fields(temporary_arrays, scenario, limit):
     # included: each phase-space field lives on the momentum strip, the p rows
     # its states' phi occupy, apart from whole-grid bool masks; a halving check
     # holds one centre and one pair of snapshots at a time, residual fields are
-    # mask-box crops, W is read one column block at a time on its window of rows,
+    # mask-box crops, W is built on the rows it is read on, from a window of rows,
     # and a shear moves 1-D factors a block of columns at a time (measured 0.91,
-    # 0.90, 0.30, 0.86, 0.42 and 0.69; every limit but harmonic-coherent's, set over
-    # an earlier peak of 0.43, is about 10 % over its measurement).
+    # 0.90, 0.30, 0.80, 0.42 and 0.69; every limit but wigner-equivalence's and
+    # harmonic-coherent's, set over earlier peaks of 0.86 and 0.43, is about 10 %
+    # over its measurement).
     n = 512
     assert temporary_arrays(lambda: scenario(ScenarioConfig(grid_n=n)), n) <= limit
 
@@ -426,36 +429,35 @@ def test_reports_hold_no_phase_space_field(retained_arrays, name):
     "domain", [{}, {"q_min": -9.3, "q_max": 10.7, "hbar": 0.7}], ids=["default", "off-grid"]
 )
 def test_wigner_constant_from_column_blocks(domain, n):
-    # Each fit shears chi on its momentum strip, counts the shear as 0 off it, and
-    # sums over W's column blocks.  Against fit_global_constant's one einsum pass over
-    # the whole-grid fields (whose own error reaches 1.7e-15) the constant is within
-    # 2e-15; against compensated (math.fsum) sums of the strip products within 1e-15.
-    # Its deviation from W is no larger than the whole-grid shear's, which adds that
-    # shear's values off the strip (measured 3.8e-12 against 5.6e-12 at n = 512 and
-    # unit hbar), up to 1e-16: off-grid at n = 64 both sit on the hbar = 0.7 aliasing
-    # floor, 1.06058633990e-8 and 1.06058633828e-8, a gap of 1.6e-17 (rounding-level
-    # deviations here are 1.0-1.2e-15).  W's marginals are those of the whole W to
-    # 1e-14 of their peak.  (Measured: at most 1.4e-15, 4.2e-16 and 3.0e-15.)
+    # The fit shears chi on its momentum strip and builds W on the same rows, a q-column
+    # block at a time, and counts both as 0 off them, where the closed-form W is below
+    # 3.6e-33 of its peak.  Refereed by
+    # the same fit of the closed forms on those rows (coherent_sheared_q_spectrum at alpha =
+    # -1/2, brought to q by one inverse FFT, and coherent_wigner), each bound a decade over
+    # the worst measured: the constant to 2.5e-15 of itself and the deviation to 2.2e-15
+    # (both off the grid at n = 512, the closed forms' own rounding; off the grid at n = 64
+    # both deviations sit on the hbar = 0.7 aliasing floor, 1.06e-8), and W's q and p
+    # marginals to 4.0e-15 and 2.2e-14 of their peaks (at n = 2048), against the closed
+    # form's sums over the whole grid.
     cfg = ScenarioConfig(**domain)
     g, g2 = scenarios._grids(cfg, n)
-    psi = ho_coherent_state(g, scenarios._harmonic_params(cfg), cfg.q0, cfg.p0, cfg.eval_time)
+    params = scenarios._harmonic_params(cfg)
+    at = (params, g2, cfg.q0, cfg.p0, cfg.eval_time)
+    psi = ho_coherent_state(g, params, cfg.q0, cfg.p0, cfg.eval_time)
     got, deviation, marginal_q, marginal_p = scenarios._wigner_fit(psi)
-    sheared = apply_extended_transform(chi_build(psi, g2), -0.5)
-    w = wigner_direct(psi, g2).values
-    whole = fit_global_constant(sheared, w)
-    assert abs(got - whole) <= 2e-15 * abs(whole)
-    whole_deviation = math.sqrt(np.sum(np.abs(sheared - whole * w) ** 2) / np.sum(np.abs(sheared) ** 2))
-    assert deviation <= whole_deviation + 1e-16
-    for got_marginal, axis in ((marginal_q, 0), (marginal_p, 1)):
+    rows = _Strip([psi]).out_rows(-0.5)
+    spectrum, _ = coherent_sheared_q_spectrum(*at, -0.5, g2.p_axis.points[rows], np.fft.fftfreq(n, 1.0 / n))
+    sheared, w = np.fft.ifft(spectrum, axis=1), coherent_wigner(*at)
+    off = np.ones(n, dtype=bool)
+    off[rows] = False
+    assert np.max(w[off], initial=0.0) <= 3.6e-32 * np.max(w)
+    exact = fit_global_constant(sheared, w[rows])
+    assert abs(got - exact) <= 2.5e-14 * abs(exact)
+    exact_deviation = math.sqrt(np.sum(np.abs(sheared - exact * w[rows]) ** 2) / np.sum(np.abs(sheared) ** 2))
+    assert abs(deviation - exact_deviation) <= 2.2e-14
+    for got_marginal, axis, bound in ((marginal_q, 0, 4.0e-14), (marginal_p, 1, 2.2e-13)):
         want = w.sum(axis=axis)
-        assert np.max(np.abs(got_marginal - want)) <= 1e-14 * np.max(want)
-
-    def fsum(products):
-        return math.fsum(math.fsum(row.tolist()) for row in products)
-
-    rows, on_strip = _Strip([psi]).sheared(-0.5)
-    compensated = fsum(w[rows] * on_strip.real) / fsum(w * w)  # the imaginary part is ~1e-16 of it
-    assert abs(got.real - compensated) <= 1e-15 * abs(compensated)
+        assert np.max(np.abs(got_marginal - want)) <= bound * np.max(want)
 
 
 def test_wigner_equivalence_transforms_no_column_longer_than_its_window(monkeypatch):

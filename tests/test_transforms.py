@@ -26,7 +26,6 @@ from epsqp.numerics import (
 )
 from epsqp.reports import l2
 from epsqp.transforms import (
-    _wigner_blocks,
     _wigner_box,
     _wigner_centre,
     _wigner_window,
@@ -307,9 +306,8 @@ def test_wigner_direct_is_the_same_in_one_block_or_many(monkeypatch, harmonic_pa
 
 @pytest.mark.parametrize("n", [64, 256])
 def test_wigner_blocks_of_a_column_range_are_those_of_w(monkeypatch, harmonic_params, n):
-    # the Wigner residual builds W at t +- dt on its box columns only: the blocks that
-    # cover a column range are those columns of the whole W, bit for bit, whatever the
-    # block size
+    # the Wigner residual builds W at t +- dt on its box columns only: W on a column range
+    # is those columns of the whole W, bit for bit, whatever the block size
     g = make_grid(n, -10.0, 10.0)
     g2 = Grid2D(g, harmonic_params.hbar)
     psi = ho_coherent_state(g, harmonic_params, q0=1.0, p0=0.5, t=0.3)
@@ -317,11 +315,7 @@ def test_wigner_blocks_of_a_column_range_are_those_of_w(monkeypatch, harmonic_pa
     for block in (transforms._BLOCK, 3 * n):
         monkeypatch.setattr(transforms, "_BLOCK", block)
         for columns in (slice(None), slice(5, n // 2 + 3), slice(n - 1, n)):
-            blocks = list(_wigner_blocks(psi, g2, columns))
-            assert [c.start for c, _ in blocks][0] == columns.indices(n)[0]
-            assert all(a.stop == b.start for (a, _), (b, _) in zip(blocks, blocks[1:]))
-            got = np.concatenate([w for _, w in blocks], axis=1)
-            np.testing.assert_array_equal(got, whole[:, columns])
+            np.testing.assert_array_equal(_wigner_box(psi, g2, (slice(None), columns)), whole[:, columns])
 
 
 # ---------------------------------------------------------------------------
@@ -347,14 +341,14 @@ def _window_state(case, n, q0=0.5, p0=0.0, t=0.4):
     return ho_coherent_state(g, params, q0, p0, t), Grid2D(g, params.hbar)
 
 
-def _blocks(psi, g2, dp=False, window=slice(None)):
-    return np.concatenate([w for _, w in _wigner_blocks(psi, g2, dp=dp, window=window)], axis=1)
+def _rows(psi, g2, rows, dp=False):
+    return _wigner_box(psi, g2, (rows, slice(None)), dp)
 
 
 def _assert_window_matches_whole(psi, g2, window):
     for dp in (False, True):
-        whole = _blocks(psi, g2, dp) if dp else wigner_direct(psi, g2).values
-        got = _blocks(psi, g2, dp, window)
+        whole = _rows(psi, g2, slice(None), dp) if dp else wigner_direct(psi, g2).values
+        got = _rows(psi, g2, window, dp)
         assert np.max(np.abs(got - whole[window])) <= WINDOW_BOUND[dp] * np.max(np.abs(whole))
 
 
@@ -389,7 +383,7 @@ def test_a_whole_axis_strip_keeps_the_whole_lag_sum():
     strip = strip_rows([psi])
     assert strip == slice(None) and _wigner_window(psi, strip) == slice(0, 32)
     for dp in (False, True):
-        np.testing.assert_array_equal(_blocks(psi, g2, dp, slice(0, 32)), _blocks(psi, g2, dp))
+        np.testing.assert_array_equal(_rows(psi, g2, strip, dp), _rows(psi, g2, slice(0, 32), dp))
     _, box, f, *_ = _wigner_centre(psi, g2)
     np.testing.assert_array_equal(f, wigner_direct(psi, g2).values[box])
 
@@ -443,35 +437,37 @@ def test_wigner_transport_for_falling_packet(q_grid, linear_params):
 
 
 def test_wigner_residual_reads_only_the_box_columns(monkeypatch, coherent_triplet_factory):
-    # W is built on every column once, for the centre's mask; dW/dp (the lag-weighted
-    # blocks) and W at t +- dt on the mask box's columns only, and no spectral p
+    # W is built on every column once, on the centre's strip for its mask; dW/dp (the
+    # lag-weighted sum) and W at t +- dt on the mask box only, and no spectral p
     # derivative of W is taken: the only one is dW/dq along q, on the box rows.  Each
     # state's W is built on its window, the rows that cover its own strip and the box
     # rows, so the centre's two calls share one window
-    blocks, derivative = transforms._wigner_blocks, numerics.spectral_derivative_2d
+    wigner_box, derivative = transforms._wigner_box, numerics.spectral_derivative_2d
     calls, axes = [], []
 
-    def recorded_blocks(psi, grid, columns=slice(None), dp=False, window=slice(None)):
-        calls.append((psi.t, columns.start, columns.stop, dp, window.start, window.stop))
-        return blocks(psi, grid, columns, dp, window)
+    def recorded_box(psi, grid, box, dp=False):
+        window = _wigner_window(psi, box[0])
+        calls.append((psi.t, box, dp, window.start, window.stop))
+        return wigner_box(psi, grid, box, dp)
 
     def recorded_derivative(values, grid, axis, order=1):
         axes.append(axis)
         return derivative(values, grid, axis, order)
 
-    monkeypatch.setattr(transforms, "_wigner_blocks", recorded_blocks)
+    monkeypatch.setattr(transforms, "_wigner_box", recorded_box)
     for module in (numerics, transforms):
         monkeypatch.setattr(module, "spectral_derivative_2d", recorded_derivative)
     snaps = coherent_triplet_factory()
-    rows, cols = centred(wigner_equation_residual, snaps).fields["box"]
-    assert cols != slice(None)
+    box = centred(wigner_equation_residual, snaps).fields["box"]
+    assert box[1] != slice(None)
     t = [s.t for s in snaps]
     n = snaps[1].grid.n_points
-    windows = [_wigner_window(s, rows) for s in snaps]
-    assert windows[1] == _wigner_window(snaps[1], strip_rows([snaps[1]]))
+    strip = strip_rows([snaps[1]])
+    windows = [_wigner_window(s, box[0]) for s in snaps]
+    assert windows[1] == _wigner_window(snaps[1], strip)
     assert all(w.stop - w.start < n for w in windows)
-    expected = [(t[1], None, None, False, windows[1].start, windows[1].stop)]
-    expected += [(t[i], cols.start, cols.stop, i == 1, windows[i].start, windows[i].stop) for i in range(3)]
+    expected = [(t[1], (strip, slice(None)), False, windows[1].start, windows[1].stop)]
+    expected += [(t[i], box, i == 1, windows[i].start, windows[i].stop) for i in range(3)]
     assert axes == [1]
     assert sorted(calls, key=repr) == sorted(expected, key=repr)
 
