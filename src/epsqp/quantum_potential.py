@@ -76,7 +76,7 @@ from .reports import (
     snapshot_metadata,
 )
 from .states import WaveFunction, to_momentum_space
-from .transforms import sheared_q_spectrum
+from .transforms import ShiftedFactors, sheared_spectra
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,9 @@ def hj_residual_p(center: WaveFunction) -> Callable:
 class _Strip:
     """The momentum strip of position-space states, the first of them the centre, and their
     :func:`~epsqp.eps_core.strip_rows` ``rows``.  Column b pairs rows i and i + b of phi, so on
-    m rows the ``band`` is the signed q wavenumber columns |b| < m, or all n.
+    m rows the ``band`` is the signed q wavenumber columns |b| < m, or all n.  The states' shifted
+    factors (:class:`~epsqp.transforms.ShiftedFactors`, with the centre's p derivative) are built
+    once, for every alpha's :func:`~epsqp.transforms.sheared_spectra`.
     """
 
     def __init__(self, states: Sequence[WaveFunction]):
@@ -184,41 +186,46 @@ class _Strip:
         n = self.grid.shape[0]
         self.size = len(range(n)[self.rows])
         self.band = np.arange(1 - self.size, self.size) if 2 * self.size <= n else np.arange(n) - n // 2
+        self.factors = ShiftedFactors(self.states, self.band, dp=True)
 
     def out_rows(self, alpha: float) -> slice:
         """The rows chi sheared by alpha occupies: p is a convex combination of phi's
-        arguments p + alpha hbar v and p + (1 + alpha) hbar v."""
-        return strip_rows(self.momenta, 1 + math.ceil(max(alpha, -1.0 - alpha, 0.0) * self.size))
+        arguments p + alpha hbar v and p + (1 + alpha) hbar v, on the strip for alpha in [-1, 0]."""
+        grow = math.ceil(max(alpha, -1.0 - alpha, 0.0) * self.size)
+        return strip_rows(self.momenta, 1 + grow) if grow else self.rows
 
     def sheared(self, alpha: float) -> tuple:
         """``(rows, values)``: the first state's chi sheared by alpha on the rows it occupies."""
         rows = self.out_rows(alpha)
-        return rows, self.q_pass(sheared_q_spectrum(self.states[:1], alpha, rows, self.band)[0])
+        return rows, self.q_pass(sheared_spectra(self.factors, alpha, rows)[0])[0]
 
-    def q_pass(self, spectrum: NDArray) -> NDArray[np.complex128]:
-        """Rows of a field from their q-spectrum on the band: one length-n inverse q pass each."""
-        n = self.grid.q_axis.n_points
-        values = np.zeros((len(spectrum), n), dtype=complex)
-        values[:, self.band % n] = spectrum
-        return np.fft.ifft(values, axis=1, out=values)
+    def q_pass(self, *spectra: NDArray) -> NDArray[np.complex128]:
+        """``[field, row, q]``: fields on rows from their column-major q-spectra on the band, by
+        one stacked length-n inverse q pass."""
+        n, cut = self.grid.q_axis.n_points, -self.band[0]  # the columns b < 0 go to the top
+        values = np.zeros((len(spectra), n, spectra[0].shape[1]), dtype=complex)
+        for value, spectrum in zip(values, spectra):
+            value[: len(self.band) - cut] = spectrum[cut:]
+            value[n - cut :] = spectrum[:cut]
+        return np.fft.ifft(values, axis=1, out=values).swapaxes(1, 2)
 
     def fields(self, alpha: float) -> tuple:
         """``(mask, box, f, f_q, f_p, *others)``: the centre field's whole-grid mask and box,
         and on the box the field, its spectral gradients and the other states' fields (of
         ``[center, minus, plus]``, those at t -+ dt), of chi sheared by alpha, 0 included.
 
-        The q-spectra of the fields and of the centre's p derivative are formed by
-        :func:`~epsqp.transforms.sheared_q_spectrum` on the rows the centre occupies, for its
-        mask, and brought to q on the box rows.
+        The q-spectra of the fields and of the centre's p derivative are formed on the rows the
+        centre occupies.  The centre's inverse q pass there gives its mask and its field on the
+        box; the other fields take one stacked inverse q pass on the box rows.
         """
         q_axis, out_rows = self.grid.q_axis, self.out_rows(alpha)
-        n = q_axis.n_points
-        spectrum, *others, f_p = sheared_q_spectrum(self.states, alpha, out_rows, self.band, dp=True)
-        mask, box = strip_mask_box(self.q_pass(spectrum), out_rows)
-        rows, cols = box
-        spectrum, f_p, *others = (s[within(rows, out_rows, n)] for s in (spectrum, f_p, *others))
-        f_q = spectrum * (1j * q_axis.wavenumbers[self.band % n])
-        return (mask, box, *(self.q_pass(s)[:, cols] for s in (spectrum, f_q, f_p, *others)))
+        spectrum, *others, f_p = sheared_spectra(self.factors, alpha, out_rows)
+        (centre,) = self.q_pass(spectrum)
+        mask, box = strip_mask_box(centre, out_rows)
+        rows, cols = within(box[0], out_rows, q_axis.n_points), box[1]
+        f_q = spectrum[:, rows] * (1j * q_axis.wavenumbers[self.band % q_axis.n_points, None])
+        passes = self.q_pass(f_q, *(s[:, rows] for s in (f_p, *others)))
+        return (mask, box, centre[rows, cols], *passes[:, :, cols])
 
 
 def _hj_residual_2d(center: WaveFunction, alpha: float, name: str, fields: tuple) -> Callable:
@@ -335,8 +342,10 @@ def hj_residual_transformed(snapshots: Sequence[WaveFunction], alpha: float) -> 
     (curvature terms deleted) in the metadata: away from alpha = -1/2 the
     classical form fails by exactly the (1/2 + alpha)-weighted curvature
     term; at alpha = -1/2 the two coincide and the classical equation holds
-    on its own.
+    on its own.  A non-finite alpha raises ``ValueError``.
     """
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     minus, center, plus, dt = snapshot_triple(snapshots)
     fields = _Strip([center, minus, plus]).fields(alpha)
     return _hj_residual_2d(center, alpha, _transformed_name(alpha), fields[:5])(*fields[5:], dt)

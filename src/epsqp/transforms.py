@@ -44,7 +44,31 @@ def sheared_q_spectrum(
 ) -> list:
     """The q-spectra of ``U_alpha`` chi of the position-space ``states`` on the p ``rows`` and
     the q wavenumber columns ``band``, then, with ``dp``, the first one's p derivative's, from
-    1-D factors (Cohen's (p, v) form, J. Math. Phys. 7, 781 (1966)).
+    1-D factors (Cohen's (p, v) form, J. Math. Phys. 7, 781 (1966)): :func:`sheared_spectra` of
+    their :class:`ShiftedFactors`, as (row, column) views.
+    """
+    return list(sheared_spectra(ShiftedFactors(states, band, dp), alpha, rows).swapaxes(1, 2))
+
+
+def _decimal_shifts(alpha: float, band: NDArray[np.int_]) -> tuple:
+    """``(whole, shift)``: ``alpha b = whole + shift``, ``shift`` in [-1/2, 1/2), at each column b
+    of ``band``, alpha read as the decimal ``P / Q`` that ``repr`` writes.  Both are formed from
+    Python integers, so columns of equal ``P b mod Q`` get bitwise-equal shifts, and a tie
+    +-1/2 is always -1/2."""
+    mantissa, _, exponent = repr(float(alpha)).partition("e")
+    units, _, decimals = mantissa.partition(".")
+    scale = int(exponent or 0) - len(decimals)
+    P, Q = int(units + decimals) * 10 ** max(scale, 0), 10 ** max(-scale, 0)
+    b = band.astype(object)  # P b can pass 64 bits
+    whole = (2 * P * b + Q) // (2 * Q)
+    return whole.astype(int), ((P * b - Q * whole) / Q).astype(float)
+
+
+class ShiftedFactors:
+    """What :func:`sheared_spectra` reads at every alpha, built once for a sweep: the
+    position-space ``states`` rolled to their peaks, with ``dp`` the first one's p derivative
+    factor, their column phases on the q wavenumber columns ``band`` and the position grids of
+    the shift exponentials.
 
     With ``hbar v_b = b dp`` and ``k_i = i - n/2``, chi's q-spectrum is ``conj(F(k_i)) F(k_i +
     b) dq / sqrt(2 pi hbar)``, ``F(x) = sum_j psi_j exp(-2 pi i x j / n)`` the DFT of psi, and
@@ -53,44 +77,67 @@ def sheared_q_spectrum(
 
     F at ``k + s``, ``|s| <= 1/2``, is one length-n FFT of psi times ``exp(-2 pi i s j / n)``
     (coarse times fine exponentials, about 2 sqrt(n) a shift) read at the integer ``k +
-    round(alpha b)``; columns with equal s share it, and at ``alpha b`` integer it is F itself.
-    j runs over the n positions around the state's peak sigma, so a state that wraps in q
-    moves whole; sigma leaves the column phase ``exp(-2 pi i b sigma / n)``.  The p derivative
-    is the product rule with the factor of ``(-i q / hbar) psi``, q measured from sigma.  The
-    FFTs and the reads go a block of at most half :data:`_BLOCK` elements at a time.
+    alpha b - s``.  Columns with equal s share it: alpha is read as its decimal (see
+    :func:`_decimal_shifts`), so at alpha = -0.7 the columns take 10 shifts, and at ``alpha b``
+    integer it is F itself.  j runs over the n positions around the state's peak sigma, so a
+    state that wraps in q moves whole; sigma leaves the column phase ``exp(-2 pi i b sigma /
+    n)``.  The p derivative is the product rule with the factor of ``(-i q / hbar) psi``, q
+    measured from sigma.
     """
-    if any(s.space != "q" for s in states):
-        raise ValueError("the sheared q-spectrum expects position-space states")
-    n, dq, hbar = states[0].grid.n_points, states[0].grid.spacing, states[0].params.hbar
-    sigmas = [int(np.argmax(np.abs(s.values))) for s in states]
-    factors = [np.roll(s.values, -sigma) for s, sigma in zip(states, sigmas)]
-    if dp:
-        factors.append(factors[0] * ((-1j * dq / hbar) * np.fft.fftfreq(n, 1.0 / n)))  # j from sigma
-        sigmas.append(sigmas[0])
-    factors = np.array(factors)[:, None, :]
-    whole = np.rint(alpha * band)
-    shifts, which = np.unique(alpha * band - whole, return_inverse=True)  # equal shifts share an FFT
-    lo = (np.arange(n)[rows, None] - n // 2 + whole.astype(int)) % n  # F's reads at k_i + alpha b
-    hi = (lo + band) % n  # and at k_i + (1 + alpha) b
-    step = 1 << (n.bit_length() // 2)  # j = coarse + fine
-    coarse, fine = np.fft.fftfreq(n // step, 1.0 / n)[:, None], np.arange(step)
-    width = max(1, _BLOCK // (2 * len(factors) * n))  # shifts an FFT block, columns a gather
-    out = np.empty((len(factors), len(lo), len(band)), dtype=complex)
-    for first in range(0, len(shifts), width):
+
+    def __init__(self, states: Sequence[WaveFunction], band: NDArray[np.int_], dp: bool = False):
+        if any(s.space != "q" for s in states):
+            raise ValueError("the sheared q-spectrum expects position-space states")
+        n, dq, hbar = states[0].grid.n_points, states[0].grid.spacing, states[0].params.hbar
+        sigmas = [int(np.argmax(np.abs(s.values))) for s in states]
+        factors = [np.roll(s.values, -sigma) for s, sigma in zip(states, sigmas)]
+        if dp:
+            factors.append(factors[0] * ((-1j * dq / hbar) * np.fft.fftfreq(n, 1.0 / n)))  # j from sigma
+            sigmas.append(sigmas[0])
+        self.band, self.n_states, self.dp = band, len(states), dp
+        self.factors = np.array(factors)[:, None, :]
+        phases = np.exp((-2j * np.pi / n) * ((np.array(sigmas)[:, None] * band) % n))
+        self.phases = (dq / np.sqrt(2.0 * np.pi * hbar)) * phases[:, :, None]
+        step = 1 << (n.bit_length() // 2)  # j = coarse + fine
+        self.coarse, self.fine = np.fft.fftfreq(n // step, 1.0 / n)[:, None], np.arange(step)
+
+
+def sheared_spectra(tables: ShiftedFactors, alpha: float, rows: slice) -> NDArray[np.complex128]:
+    """The q-spectra of ``U_alpha`` chi of the states of ``tables``, then the p derivative's, on
+    the consecutive p ``rows``, column-major: ``[factor, column, row]``.  The FFTs go a block of
+    shifts of about half :data:`_BLOCK` elements at a time, and a block is read by one gather,
+    of the runs of rows its columns read, and one product."""
+    factors, (count, _, n) = tables.factors, tables.factors.shape
+    whole, shift = _decimal_shifts(alpha, tables.band)
+    shifts, which = np.unique(shift, return_inverse=True)  # equal shifts share an FFT
+    order = np.argsort(which, kind="stable")  # the columns of a block of shifts together
+    rows = range(n)[rows]
+    if rows.step != 1:
+        raise ValueError("the sheared q-spectrum takes consecutive p rows")
+    lo = (rows.start - n // 2 + whole) % n  # F's reads at k_i + alpha b, from row i = rows.start
+    starts = np.array([lo, (lo + tables.band) % n])[:, order]  # and at k_i + (1 + alpha) b
+    width = max(1, _BLOCK // (2 * count * n))  # shifts an FFT block
+    ends = np.searchsorted(which[order], range(0, len(shifts) + width, width))
+    spectra = np.empty((count, len(tables.band), len(rows)), dtype=complex)
+    padded = np.empty((count, min(width, len(shifts)), n + len(rows) - 1), dtype=complex)  # F, wrapped
+    runs = sliding_window_view(padded, len(rows), axis=2)
+    for first, (start, stop) in zip(range(0, len(shifts), width), zip(ends, ends[1:])):
         phase = (-2j * np.pi / n) * shifts[first : first + width, None, None]
-        shifted = factors * (np.exp(phase * coarse) * np.exp(phase * fine)).reshape(-1, n)
-        f = np.fft.fft(shifted, axis=2, out=shifted)
-        block = np.flatnonzero((which >= first) & (which < first + width))
-        for start in range(0, len(block), width):
-            cols = block[start : start + width]
-            read = which[cols] - first
-            at_lo, at_hi = np.conj(f[:, read, lo[:, cols]]), f[:, read, hi[:, cols]]
-            out[: len(states), :, cols] = at_lo[: len(states)] * at_hi[: len(states)]
-            if dp:
-                out[-1][:, cols] = at_lo[-1] * at_hi[0] + at_lo[0] * at_hi[-1]
-    phases = np.exp((-2j * np.pi / n) * ((np.array(sigmas)[:, None] * band) % n))
-    out *= (dq / np.sqrt(2.0 * np.pi * hbar)) * phases[:, None, :]
-    return list(out)
+        f = padded[:, : len(phase), :n]
+        np.multiply(factors, (np.exp(phase * tables.coarse) * np.exp(phase * tables.fine)).reshape(-1, n), out=f)
+        np.fft.fft(f, axis=2, out=f)
+        padded[:, : len(phase), n:] = f[:, :, : len(rows) - 1]
+        cols = order[start:stop]
+        at_lo, at_hi = runs[:, which[cols] - first, starts[:, start:stop]].swapaxes(0, 1)
+        np.conj(at_lo, out=at_lo)
+        if tables.dp:
+            dp = at_lo[-1] * at_hi[0] + at_lo[0] * at_hi[-1]
+        at_lo[: tables.n_states] *= at_hi[: tables.n_states]
+        if tables.dp:
+            at_lo[-1] = dp
+        spectra[:, cols] = at_lo
+    spectra *= tables.phases
+    return spectra
 
 
 def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> NDArray[np.complex128]:

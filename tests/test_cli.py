@@ -80,6 +80,29 @@ def test_report_is_independent_of_the_blas_thread_count():
     assert outs[0] == outs[1]
 
 
+def test_sweep_reports_are_byte_stable(capsys):
+    # Each distinct alpha-sweep invocation once, each in its own process: the 5-alpha sweep
+    # at n = 256, and perfbench's 21-alpha sweep at n = 512 with OPENBLAS_NUM_THREADS unset
+    # (the CLI then pins one thread), 1 and 2, a numpy floating-point warning an error (exit
+    # 3).  Every run exits 0.  The 5-alpha report equals the same sweep run in this process,
+    # and the three 21-alpha reports are one: byte-stable from run to run and under any BLAS
+    # thread count (the shifted factors are FFTs and products, no BLAS)
+    base = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    few = ("run", "alpha-sweep", "--grid-n", "256", "--alphas=-1,-0.75,-0.5,-0.25,0")
+    dense = ("run", "alpha-sweep", "--grid-n", "512", "--alphas=" + ",".join(str((i - 20) * 5 / 100) for i in range(21)))
+    strict = {"PYTHONWARNINGS": "error::RuntimeWarning"}
+    invocations = [(few, {}), *((dense, strict | threads) for threads in ({}, {"OPENBLAS_NUM_THREADS": "1"},
+                                                                           {"OPENBLAS_NUM_THREADS": "2"}))]
+    outs = []
+    for argv, env in invocations:
+        proc = subprocess.run([sys.executable, "-m", "epsqp", *argv], capture_output=True, timeout=300, env=base | env)
+        assert proc.returncode == 0, (argv, env, proc.stderr.decode())
+        outs.append(proc.stdout)
+    code, here, _ = _run(capsys, *few)
+    assert code == 0 and here.encode() == outs[0]
+    assert outs[1] == outs[2] == outs[3]
+
+
 #: Prints the OpenBLAS thread count of a process that imports the CLI, read through
 #: OpenBLAS's own getter (None where numpy bundles no OpenBLAS).
 _BLAS_THREADS = """

@@ -40,10 +40,11 @@ H''s E = -b term (the harmonic family has E = 0), relative to the peak:
   unit constants and 7.7e-11 at (2, 0.7, 0.7), both at n = 128 and falling with n, the
   p-Nyquist defect of the coherent case above (a finite difference of ``linear_chi`` in
   t agrees with ``linear_chi_dt`` to its own O(dt^2)); bounds 1.3e-8 and 7.7e-10;
-* ``sheared_q_spectrum`` at alpha = -1, -1/2 and 0 against ``linear_sheared_q_spectrum``,
-  on the rows the sheared chi occupies and all n columns: 1.1e-14 for the spectrum and
-  2.9e-14 for its p derivative's, both at n = 1024 and unit constants, the rounding of
-  the closed form's phase as in ``CHI_Q_SPECTRUM_BOUND``; bounds 1.1e-13 and 2.9e-13.
+* ``sheared_q_spectrum`` at alpha = -1, -0.95, -0.7, -0.7 + 2^-40, -1/2 and 0 against
+  ``linear_sheared_q_spectrum``, on the rows the sheared chi occupies and all n columns:
+  1.1e-14 for the spectrum and 2.9e-14 for its p derivative's, both at n = 1024 and unit
+  constants, at every alpha, whether its columns share 20, 10 or no shifts: the rounding
+  of the closed form's phase as in ``CHI_Q_SPECTRUM_BOUND``; bounds 1.1e-13 and 2.9e-13.
 """
 
 from __future__ import annotations
@@ -286,10 +287,12 @@ def test_linear_strip_evolution_operator_matches_the_time_derivative(n, linear):
     assert np.max(np.abs(got - exact)[mask]) < LINEAR_EVOLUTION_BOUND[name] * np.max(np.abs(exact)[mask])
 
 
-@pytest.mark.parametrize("alpha", [-1.0, -0.5, 0.0])
+@pytest.mark.parametrize("alpha", [-1.0, -0.95, -0.7, -0.7 + 2**-40, -0.5, 0.0])
 def test_linear_sheared_q_spectrum_matches_its_closed_form(n, linear, alpha):
     # the strip shear of a chirped phi (c_t complex at t = 0.4), the factor kernel every
-    # alpha of the HJ residuals reads, 0 included; bounds in the module docstring
+    # alpha of the HJ residuals reads, 0 included; bounds in the module docstring.  The
+    # columns of -0.95 and -0.7 share 20 and 10 shifts, those of -0.7 + 2^-40 (written
+    # -0.6999999999990905) one each
     _, params = linear
     g, g2 = _grids(n, params)
     psi = linear_potential_gaussian(g, params, *LINEAR_STATE, T)

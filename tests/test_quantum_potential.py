@@ -303,6 +303,13 @@ def test_alpha_sweep_input_validation(sweep_inputs):
         alpha_sweep([to_momentum_space(s) for s in sweep_inputs], (-1.0, -0.5, 0.0))
 
 
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_transformed_residual_rejects_a_non_finite_alpha(sweep_inputs, alpha):
+    # named at the kernel entry, not a math.ceil or int conversion error from the strip
+    with pytest.raises(ValueError, match=f"alpha must be finite, got {alpha}"):
+        hj_residual_transformed(sweep_inputs, alpha)
+
+
 def test_alpha_sweep_equals_per_alpha_residuals(sweep_inputs):
     # the sweep shears spectra it takes once; each alpha on its own must
     # give the same numbers
@@ -340,18 +347,8 @@ def test_shears_leave_the_caller_chi_unchanged(q_grid, grid2, harmonic_params):
     assert [s.values.tobytes() for s in held] == before
 
 
-@pytest.mark.parametrize("alpha, passes", [(-0.75, (4, 6, 218)), (0.0, (4, 6, 242))])
-def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, grid2, alpha, passes):
-    # The phi of each state for the momentum strip, then one FFT pass of the
-    # shifted factors, a lane for each state and for the centre's p derivative
-    # at each distinct fractional shift of the band's columns (5 at alpha =
-    # -0.75: 0, +-1/4 and +-1/2; 1 at alpha = 0), then one inverse q pass per
-    # field: the centre on the strip for its mask, and on the box rows the
-    # centre, its two gradients and the t +- dt fields.  The last entry bounds
-    # the forward and inverse lanes together: at n = 256 the 55-row strip and
-    # the 28-row box take alpha = -0.75 to 218 lanes (20 of them the factors;
-    # its 16 whole passes are 4096), and the 36-row box of alpha = 0 to 242 (4
-    # of them the factors).
+def _count_fft(monkeypatch) -> tuple:
+    """Count the calls of each one-axis and two-axis ``np.fft`` transform and their lanes."""
     calls = dict.fromkeys(("fft", "ifft", "fft2", "ifft2"), 0)
     lanes = dict.fromkeys(calls, 0)
     for name in calls:
@@ -361,10 +358,35 @@ def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, grid2, alpha
             return _call(a, *args, axis=axis, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return calls, lanes
+
+
+@pytest.mark.parametrize("alpha, passes", [(-0.75, (4, 28)), (0.0, (1, 36)), (-0.7, (10, 28))])
+def test_transformed_residual_fft_passes(monkeypatch, sweep_inputs, alpha, passes):
+    # The phi of each state for the momentum strip (3 calls, a lane each), then
+    # one FFT block of the shifted factors, a lane for each state and for the
+    # centre's p derivative at each distinct fractional shift of the 109 band
+    # columns (4 at alpha = -0.75: 0, +-1/4 and the tie -1/2 = +1/2; 1 at alpha
+    # = 0; 10 at alpha = -0.7, read as -7/10), then two inverse q passes: the
+    # centre on its 55-row strip, for its mask and its field on the box, and one
+    # stacked pass of its two gradients and the t -+ dt fields on the box rows.
+    # ``passes``: the shifts and the box rows, at n = 256
+    shifts, box_rows = passes
+    calls, lanes = _count_fft(monkeypatch)
     hj_residual_transformed(sweep_inputs, alpha)
-    assert calls == {"fft": passes[0], "ifft": passes[1], "fft2": 0, "ifft2": 0}
-    whole = (passes[0] + passes[1]) * grid2.shape[0]
-    assert sum(lanes.values()) <= passes[2] < whole
+    assert calls == {"fft": 4, "ifft": 2, "fft2": 0, "ifft2": 0}
+    assert lanes == {"fft": 3 + 4 * shifts, "ifft": 55 + 4 * box_rows, "fft2": 0, "ifft2": 0}
+
+
+def test_dense_sweep_fft_lanes(monkeypatch, harmonic_params):
+    # perfbench's sweep-dense-n512 runs 21 alphas, -1 to 0 in steps of 0.05, at
+    # n = 512: their band columns take 232 distinct exact shifts, 3 + 4 * 232 =
+    # 931 forward lanes (shifts formed in floats, equal only in their bits, take
+    # 815 and 3,263 lanes)
+    states = _state_triplet(make_grid(512, -10.0, 10.0), harmonic_params)
+    _, lanes = _count_fft(monkeypatch)
+    alpha_sweep(states, [(i - 20) * 5 / 100 for i in range(21)])
+    assert lanes["fft"] <= 1000
 
 
 STRIP_ALPHAS = (-1.0, -0.95, -0.75, -0.7, -0.5, -0.25, -0.05, 0.25, -1.5, 2.0)
