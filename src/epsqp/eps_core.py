@@ -18,7 +18,8 @@ at k = 0) through five coefficients:
 where ``pi_q -> -i hbar d/dq`` and ``pi_p -> -i hbar d/dp`` act on the
 distribution.  The untransformed evolution is the ``alpha = 0`` member; at
 ``alpha = -1/2`` the second-derivative coefficients A and C vanish and the
-equation takes the classical transport form.
+equation takes the classical transport form.  H' acts on chi through chi's 1-D
+factors, by the product rule.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .numerics import (
     GridError,
     PhysicalParams,
     grown_span,
+    position_to_momentum,
     pq_factors,
-    shear_strip,
 )
 from .states import WaveFunction, to_momentum_space
 
@@ -148,33 +149,46 @@ class ExtendedHamiltonian:
             + (self.D * q + self.E) * S_p
         )
 
-    def apply(self, field: PhaseSpaceField) -> NDArray[np.complex128]:
-        """Apply the operator to the field's raw values, on its rows:
+    def apply(self, psi: WaveFunction, rows: slice) -> NDArray[np.complex128]:
+        """``H' chi`` on the p ``rows`` of the product chi of the position-space state ``psi``
+        (:func:`chi_rows`); at alpha = 0 the right-hand side of ``i hbar d(chi)/dt = H' chi``.
 
-            H' f = -hbar^2 A f_qq - i hbar B p f_q
-                   - hbar^2 C f_pp - i hbar (D q + E) f_p
+        The product rule on psi, conj(phi) and the kernel ``K = exp(-i p q / hbar)`` makes
+        ``H' chi / K`` a sum of five outer products of 1-D arrays (``drift = D q + E``):
 
-        At alpha = 0 and on chi this is the right-hand side of the dynamical
-        equation ``i hbar d(chi)/dt = H' chi``.
+            conj(phi)      (x)  -hbar^2 A psi'' + (C q - drift) q psi
+            p conj(phi)    (x)  i hbar (2 A - B) psi'
+            p^2 conj(phi)  (x)  (A - B) psi
+            conj(phi)'     (x)  i hbar (2 C q - drift) psi
+            conj(phi)''    (x)  -hbar^2 C psi
 
-        Along q, with wavenumber k, both orders are the one spectral multiplier
-        ``hbar k (hbar A k + B p)`` of each row's spectrum: one forward and one inverse
-        FFT.  Along p, whose columns need not be whole on the field's rows, the terms are
-        :func:`~epsqp.numerics.shear_strip` Toeplitz sums of the inverse FFTs of
-        ``hbar^2 C u^2`` and ``hbar u`` (u the p wavenumber), the field taken as 0 off its
-        rows; on every row the sum is cyclic, the spectral multiplier to rounding, at
-        O(n^3).  The two sums are added into the result one at a time.
+        psi's two derivatives are spectral, from one FFT pair; conj(phi)'s are exact on any q
+        domain, the transforms of ``(-i q / hbar)^k psi``.  One ``np.einsum``, not BLAS, sums the
+        terms, so no value depends on the BLAS thread count.
         """
-        grid, values, rows = field.grid, field.values, field.rows
-        hbar = grid.hbar
-        k, u = grid.q_axis.wavenumbers, grid.p_axis.wavenumbers
-        out = np.fft.fft(values, axis=1)
-        out *= hbar * k * (hbar * self.A * k + self.B * grid.p_axis.points[rows, None])
-        np.fft.ifft(out, axis=1, out=out)
-        out += shear_strip(np.fft.ifft(hbar * u * (hbar * self.C * u)), values, rows, rows)
-        first = shear_strip(np.fft.ifft(hbar * u), values, rows, rows)
-        first *= self.D * grid.q_axis.points + self.E
-        out += first
+        hbar = psi.params.hbar
+        grid = Grid2D(psi.grid, hbar)
+        phis = [to_momentum_space(psi).values]  # rejects a momentum-space state
+        p, q, psi = grid.p_axis.points[rows], grid.q_axis.points, psi.values
+        slope = -1j * q / hbar  # the kernel's p derivative over the kernel
+        phis += [position_to_momentum(slope**k * psi, grid.q_axis, hbar)[0] for k in (1, 2)]
+        phi, d_phi, dd_phi = np.conj(np.array(phis)[:, rows])
+        ik = 1j * grid.q_axis.wavenumbers
+        d_psi, dd_psi = np.fft.ifft(np.fft.fft(psi) * np.array([ik, ik * ik]))
+        drift = self.D * q + self.E
+        hankel, row, col = pq_factors(grid)
+        out = np.einsum(
+            "ki,kj->ij",
+            row[rows] * np.array([phi, p * phi, p * p * phi, d_phi, dd_phi]),
+            col * np.array([
+                -hbar**2 * self.A * dd_psi + (self.C * q - drift) * q * psi,
+                1j * hbar * (2.0 * self.A - self.B) * d_psi,
+                (self.A - self.B) * psi,
+                1j * hbar * (2.0 * self.C * q - drift) * psi,
+                -hbar**2 * self.C * psi,
+            ]),
+        )
+        out *= hankel[rows]
         return out
 
 

@@ -354,24 +354,6 @@ def within(span: slice, rows: slice, n: int) -> slice:
     return slice(span.start - rows.start, span.stop - rows.start)
 
 
-def toeplitz_sum(window: NDArray, flipped: NDArray) -> NDArray[np.complex128]:
-    """``out[i, b] = sum_w window[i + w] flipped[b, w]``: a block on m p rows, flipped to
-    (column, reversed row), convolved along p by a kernel read at the offsets of its rows.
-    Summed by ``np.einsum`` over a Toeplitz view, not by BLAS, a row depends neither on the
-    BLAS thread count nor on the other rows."""
-    return np.einsum("iw,bw->ib", sliding_window_view(window, flipped.shape[-1]), flipped)
-
-
-def shear_strip(kernel: NDArray, block: NDArray, rows: slice, out_rows: slice) -> NDArray[np.complex128]:
-    """``out[i, b] = sum_j kernel[(i - j) mod n] block[j, b]``, i in ``out_rows`` and j in
-    ``rows``: a block on p ``rows`` convolved along p by a derivative kernel onto any rows,
-    as a :func:`toeplitz_sum` of the block flipped by a view (a copy would be field-sized)
-    and of the kernel at the offsets ``i - j``, ascending."""
-    n = kernel.shape[-1]
-    (r0, r1), (s0, s1) = (r.indices(n)[:2] for r in (out_rows, rows))
-    return toeplitz_sum(kernel[np.arange(r0 - s1 + 1, r1 - s0) % n], block[::-1].T)
-
-
 def strip_mask_box(values: NDArray, rows: slice) -> tuple:
     """The whole-grid amplitude mask of a square field given on its p ``rows`` only, and its
     :func:`mask_box`; a mask on an edge row of ``rows`` inside the axis raises ``ValueError``."""

@@ -97,6 +97,25 @@ def _sheared_q_spectrum(grid, alpha: float, p, band, p_c: float, width: float, p
     return scale * np.conj(a) * b, scale * (np.conj(a_p) * b + np.conj(a) * b_p)
 
 
+def coherent_chi_derivatives(psi, grid, q0: float, p0: float) -> tuple:
+    """``(chi_q, chi_qq, chi_p, chi_pp)`` of :func:`coherent_chi`, each ``chi`` times a closed
+    form in its log derivatives, those of the factors and of the kernel ``exp(-i p q / hbar)``:
+
+        d_q log chi = -m w (q - q_c) / hbar + i (p_c - p) / hbar,  d_q^2 log chi = -m w / hbar
+        d_p log chi = -(p - p_c) / (m w hbar) + i (q_c - q) / hbar,  d_p^2 log chi = -1 / (m w hbar)
+
+    and ``chi_xx = chi ((d_x log chi)^2 + d_x^2 log chi)``.
+    """
+    params = psi.params
+    m, hbar, w = params.mass, params.hbar, params.omega
+    q_c, p_c = coherent_center(params, q0, p0, psi.t)
+    p, q = grid.p_axis.points[:, None], grid.q_axis.points[None, :]
+    chi = coherent_chi(psi, grid, q0, p0)
+    log_q = -m * w * (q - q_c) / hbar + 1j * (p_c - p) / hbar
+    log_p = -(p - p_c) / (m * w * hbar) + 1j * (q_c - q) / hbar
+    return chi * log_q, chi * (log_q**2 - m * w / hbar), chi * log_p, chi * (log_p**2 - 1.0 / (m * w * hbar))
+
+
 def coherent_wigner(params, grid, q0: float, p0: float, t: float):
     """``W = 2 exp(-m w (q - q_c)^2 / hbar - (p - p_c)^2 / (m w hbar))``, in the lag measure
     of ``wigner_direct`` (peak 2 at any hbar; Hillery et al., Phys. Rep. 106, 121 (1984))."""

@@ -22,10 +22,9 @@ fields and their gradients at the coherent state's closed form).
 
 The strip kernels, chi on the p rows phi occupies (``chi_rows``) and H' there:
 
-* H' chi against i hbar d(chi)/dt from the closed form's time derivative: 3.6e-10 of
-  the peak at unit constants and 3.5e-12 at (2, 1.5, 0.7), the p-Nyquist defect again:
-  on the outer mask columns chi's kernel exp(-i p q / hbar) carries its p-spectrum to
-  the momentum Nyquist, so relative to each sample the error reaches 6e-5 there;
+* H' chi against i hbar d(chi)/dt from the closed form's time derivative: 3.7e-12 of
+  the peak at unit constants and 9.0e-13 at (2, 1.5, 0.7), both at n = 1024 and growing
+  as n^2: the rounding of psi's spectral second derivative, eps k_max^2 of its peak;
 * chi's marginals against sqrt(2 pi hbar) |psi|^2 and |phi|^2: 9.7e-15 of the peak, and
   ``expectation`` against <q>, <p>, <q^2> and <H>: 1.3e-15 absolute.
 
@@ -36,10 +35,11 @@ H''s E = -b term (the harmonic family has E = 0), relative to the peak:
 * ``to_momentum_space`` against ``linear_phi`` and ``chi_rows`` on the momentum strip
   against ``linear_chi``: 9.8e-15 at most, at n = 1024 and unit constants, the rounding
   of phi's FFT and of chi's kernel; bound 1e-13;
-* strip H' chi against i hbar d(chi)/dt from ``linear_chi_dt`` on chi's mask: 1.3e-9 at
-  unit constants and 7.7e-11 at (2, 0.7, 0.7), both at n = 128 and falling with n, the
-  p-Nyquist defect of the coherent case above (a finite difference of ``linear_chi`` in
-  t agrees with ``linear_chi_dt`` to its own O(dt^2)); bounds 1.3e-8 and 7.7e-10;
+* strip H' chi against i hbar d(chi)/dt from ``linear_chi_dt`` on chi's mask: 2.0e-12 at
+  unit constants and 7.1e-13 at (2, 0.7, 0.7), both at n = 1024, the floor of the coherent
+  case above (a finite difference of ``linear_chi`` in t agrees with ``linear_chi_dt`` to
+  its own O(dt^2)); bounds 2e-11 and 7.1e-12.  On the domain [0, 20), from q0 = 10.5,
+  where the state lies past L/2 from q = 0: 2.2e-12 at n = 1024 for both; bound 2.2e-11;
 * ``sheared_q_spectrum`` at alpha = -1, -0.95, -0.7, -0.7 + 2^-40, -1/2 and 0 against
   ``linear_sheared_q_spectrum``, on the rows the sheared chi occupies and all n columns:
   1.1e-14 for the spectrum and 2.9e-14 for its p derivative's, both at n = 1024 and unit
@@ -55,6 +55,7 @@ import pytest
 from oracles import (
     coherent_center,
     coherent_chi,
+    coherent_chi_derivatives,
     coherent_chi_dt,
     coherent_phi,
     coherent_sheared_q_spectrum,
@@ -81,7 +82,6 @@ from epsqp.quantum_potential import _Strip
 from epsqp.reports import fit_global_constant
 from epsqp.states import ho_coherent_state, linear_potential_gaussian, to_momentum_space
 from epsqp.transforms import _wigner_box, _wigner_centre, apply_extended_transform, sheared_q_spectrum, wigner_direct
-from test_eps_core import spectral_terms
 
 Q0, T = 0.5, 0.4
 PARAMS = {
@@ -165,8 +165,8 @@ def test_strip_shear_matches_the_cohen_form(n, params, alpha):
     assert np.max(np.abs(f - c * shape)[inside] / np.abs(c * shape)[inside]) < 1.2e-9
 
 
-# i hbar d(chi)/dt = H' chi to the peak: a decade over the measured 3.6e-10 and 3.5e-12
-EVOLUTION_BOUND = {"unit": 3.6e-9, "m2-k1.5-hbar0.7": 3.5e-11}
+# i hbar d(chi)/dt = H' chi to the peak: a decade over the measured 3.7e-12 and 9.0e-13
+EVOLUTION_BOUND = {"unit": 3.7e-11, "m2-k1.5-hbar0.7": 9e-12}
 
 
 @pytest.fixture(params=list(PARAMS))
@@ -183,7 +183,7 @@ def _strip_chi(n, params):
 def test_strip_evolution_operator_matches_the_time_derivative(n, named_params):
     name, params = named_params
     g2, psi, chi = _strip_chi(n, params)
-    got = ExtendedHamiltonian.from_params(params).apply(chi)
+    got = ExtendedHamiltonian.from_params(params).apply(psi, chi.rows)
     exact = 1j * params.hbar * coherent_chi_dt(psi, g2, Q0, 0.0)[chi.rows]
     assert np.max(np.abs(got - exact)) < EVOLUTION_BOUND[name] * np.max(np.abs(exact))
 
@@ -209,24 +209,31 @@ def test_strip_marginals_and_expectations_match_the_moments(n, params):
         assert abs(expectation(chi, **parts) - exact) < 1e-14
 
 
-# Strip against whole grid at n = 128 and 256: chi_rows is chi_build's rows bit for bit;
-# H' on the strip is the per-term spectral_derivative_2d sum of the whole-grid chi (one
-# FFT pair per term, independent of apply) on the strip rows, to 2.4e-13 of the peak (measured
-# 1.8e-14 at most: the Toeplitz sums round differently from the per-term FFTs).  The
-# Wigner residual's centre W, built on its power-of-two window of rows from every k-th
-# lag, has wigner_direct's mask and box; on the box it is wigner_direct's W to 6.7e-15
-# and the closed form's to 6.2e-14 absolute (peak 2) and 8.6e-10 relative on the mask, a
-# decade over the measured 6.7e-16, 6.2e-15 and 8.6e-11 (its gradients have closed forms:
-# test_wigner_residual_gradients_match_their_closed_forms).
+# Strip against whole grid at n = 128 and 256: chi_rows is chi_build's rows bit for bit.
+# H' chi on the strip at alpha = 0 and -1/2 is H' of the closed-form derivatives of chi
+# (coherent_chi_derivatives) to 2.4e-13 of the peak (measured 1.5e-13 and 7.7e-15 at most,
+# the first the floor of the evolution check above); at alpha = 0 that closed form is i hbar
+# d(chi)/dt's to 1e-14 (measured 7.3e-16).  The Wigner residual's centre W, built on its
+# power-of-two window of rows from every k-th lag, has wigner_direct's mask and box; on the
+# box it is wigner_direct's W to 6.7e-15 and the closed form's to 6.2e-14 absolute (peak 2)
+# and 8.6e-10 relative on the mask, a decade over the measured 6.7e-16, 6.2e-15 and 8.6e-11
+# (its gradients have closed forms: test_wigner_residual_gradients_match_their_closed_forms).
 @pytest.mark.parametrize("strip_n", [128, 256])
 def test_strip_fields_equal_the_whole_grid_kernels(strip_n, params):
     g2, psi, chi = _strip_chi(strip_n, params)
     whole = chi_build(psi, g2)
     np.testing.assert_array_equal(chi.values, whole.values[chi.rows])
+    chi_q, chi_qq, chi_p, chi_pp = (d[chi.rows] for d in coherent_chi_derivatives(psi, g2, Q0, 0.0))
+    hbar, p, q = params.hbar, g2.p_axis.points[chi.rows, None], g2.q_axis.points[None, :]
     for alpha in (0.0, -0.5):
         ham = ExtendedHamiltonian.from_params(params, alpha)
-        want = -sum(term for _, term in spectral_terms(ham, whole.values, g2))[chi.rows]
-        assert np.max(np.abs(ham.apply(chi) - want)) < 2.4e-13 * np.max(np.abs(want))
+        q_terms = ham.A * hbar * chi_qq + 1j * ham.B * p * chi_q
+        p_terms = ham.C * hbar * chi_pp + 1j * (ham.D * q + ham.E) * chi_p
+        want = -hbar * (q_terms + p_terms)
+        assert np.max(np.abs(ham.apply(psi, chi.rows) - want)) < 2.4e-13 * np.max(np.abs(want))
+        if alpha == 0.0:
+            exact = 1j * hbar * coherent_chi_dt(psi, g2, Q0, 0.0)[chi.rows]
+            assert np.max(np.abs(want - exact)) < 1e-14 * np.max(np.abs(exact))
 
     w = wigner_direct(psi, g2).values
     mask, box, f, *_ = _wigner_centre(psi, g2)
@@ -252,8 +259,8 @@ LINEAR = {
     "m2-hbar0.7-b0.7": PhysicalParams(mass=2.0, hbar=0.7, potential=Potential(b=0.7)),
 }
 LINEAR_STATE = (Q0, 0.0, np.sqrt(0.5))  # q0, p0, sigma0
-# i hbar d(chi)/dt = H' chi to the peak: a decade over the measured 1.3e-9 and 7.7e-11
-LINEAR_EVOLUTION_BOUND = {"unit": 1.3e-8, "m2-hbar0.7-b0.7": 7.7e-10}
+# i hbar d(chi)/dt = H' chi to the peak: a decade over the measured 2.0e-12 and 7.1e-13
+LINEAR_EVOLUTION_BOUND = {"unit": 2e-11, "m2-hbar0.7-b0.7": 7.1e-12}
 
 
 @pytest.fixture(params=list(LINEAR))
@@ -281,10 +288,26 @@ def test_linear_phi_and_strip_chi_match_their_closed_forms(n, linear):
 def test_linear_strip_evolution_operator_matches_the_time_derivative(n, linear):
     name, params = linear
     g2, psi, chi = _linear_strip_chi(n, params)
-    got = ExtendedHamiltonian.from_params(params).apply(chi)
+    got = ExtendedHamiltonian.from_params(params).apply(psi, chi.rows)
     exact = 1j * params.hbar * linear_chi_dt(psi, g2, *LINEAR_STATE)[chi.rows]
     mask = amplitude_mask(np.abs(chi.values))
     assert np.max(np.abs(got - exact)[mask]) < LINEAR_EVOLUTION_BOUND[name] * np.max(np.abs(exact)[mask])
+
+
+def test_linear_strip_evolution_operator_holds_on_a_translated_domain(n, linear):
+    # the state at q0 = 10.5 on [0, 20), past L/2 from q = 0: conj(phi)'s p derivatives are
+    # the transforms of (-i q / hbar)^k psi at the grid's own q, where a spectral p derivative
+    # of phi would read q - L there (17 times the peak at n = 256); bound in the docstring
+    _, params = linear
+    g = make_grid(n, 0.0, 20.0)
+    g2 = Grid2D(g, params.hbar)
+    state = (10.5, *LINEAR_STATE[1:])
+    psi = linear_potential_gaussian(g, params, *state, T)
+    chi = chi_rows(psi, strip_rows([psi]))
+    got = ExtendedHamiltonian.from_params(params).apply(psi, chi.rows)
+    exact = 1j * params.hbar * linear_chi_dt(psi, g2, *state)[chi.rows]
+    mask = amplitude_mask(np.abs(chi.values))
+    assert np.max(np.abs(got - exact)[mask]) < 2.2e-11 * np.max(np.abs(exact)[mask])
 
 
 @pytest.mark.parametrize("alpha", [-1.0, -0.95, -0.7, -0.7 + 2**-40, -0.5, 0.0])

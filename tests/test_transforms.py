@@ -9,19 +9,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.lib.stride_tricks import sliding_window_view
 
 from epsqp import numerics, transforms
-from epsqp.eps_core import ExtendedHamiltonian, PhaseSpaceField, chi_build, chi_rows, strip_rows
+from epsqp.eps_core import PhaseSpaceField, chi_build, chi_rows, strip_rows
 from epsqp.numerics import (
     Grid2D,
     GridError,
     PhysicalParams,
     Potential,
     make_grid,
-    shear_strip,
     spectral_resample,
-    toeplitz_sum,
     within,
 )
 from epsqp.reports import l2
@@ -107,45 +104,6 @@ def test_apply_extended_transform_rejects_a_strip_field(harmonic_params):
         apply_extended_transform(strip, -0.5)
 
 
-def test_shear_strip_is_a_toeplitz_product_per_column():
-    # out[i, b] = sum_j kernel[(i - j) mod n] block[j, b], on any output rows, and a
-    # row's values do not depend on which other rows are asked for
-    rng = np.random.default_rng(3)
-    n, nb = 32, 5
-    kernel = rng.normal(size=n) + 1j * rng.normal(size=n)
-    block = rng.normal(size=(6, nb)) + 1j * rng.normal(size=(6, nb))
-    rows = slice(20, 26)
-    full = shear_strip(kernel, block, rows, slice(None))
-    expected = np.zeros((n, nb), dtype=complex)
-    for i in range(n):
-        for j in range(20, 26):
-            expected[i] += kernel[(i - j) % n] * block[j - 20]
-    np.testing.assert_allclose(full, expected, rtol=0.0, atol=1e-13)
-    for out_rows in (slice(0, 3), slice(17, 30), slice(31, 32)):
-        np.testing.assert_array_equal(shear_strip(kernel, block, rows, out_rows), full[out_rows])
-
-
-@pytest.mark.parametrize("n", [64, 512])
-def test_shear_strip_adds_in_the_order_of_the_row_major_einsum(n):
-    # flipping the block to (column, reversed row), by a view in shear_strip or as a
-    # contiguous copy, so that the summed index is contiguous in both operands, changes no
-    # bit: the same products are added in the same order as the einsum over the reversed
-    # rows of the block as given
-    rng = np.random.default_rng(n)
-    m = n // 8
-    rows = slice(n // 2 - m // 2, n // 2 - m // 2 + m)
-    kernel = rng.normal(size=n) + 1j * rng.normal(size=n)
-    block = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-    for out_rows in (rows, slice(rows.start - m, rows.stop + m), slice(0, 5), slice(None)):
-        (r0, r1), (s0, s1) = (r.indices(n)[:2] for r in (out_rows, rows))
-        offsets = (r0 - s1 + 1 + np.arange(r1 - r0 + s1 - s0 - 1)) % n
-        toeplitz = sliding_window_view(kernel[offsets], s1 - s0)
-        old = np.einsum("iw,wb->ib", toeplitz, block[::-1])
-        np.testing.assert_array_equal(shear_strip(kernel, block, rows, out_rows), old)
-        flipped = np.ascontiguousarray(block[::-1].T)
-        np.testing.assert_array_equal(toeplitz_sum(kernel[offsets], flipped), old)
-
-
 @pytest.mark.parametrize("shift", [1, 37, 128, 253])
 def test_sheared_q_spectrum_follows_a_shift_in_q(harmonic_params, shift):
     # psi rolled by s cells moves chi and every sheared member of it by s dq in q: column
@@ -189,13 +147,6 @@ def test_phase_space_kernels_allocate_little(temporary_arrays, harmonic_params, 
         "chi_build": lambda: chi_build(psi, g2),
     }
     assert temporary_arrays(calls[kernel], n) <= limit
-
-
-def test_transformed_hamiltonian_is_the_alpha_family(harmonic_params):
-    ham = ExtendedHamiltonian.from_params(harmonic_params, -0.5)
-    assert ham.A == 0.0 and ham.C == 0.0
-    ham0 = ExtendedHamiltonian.from_params(harmonic_params, 0.0)
-    assert ham0.A != 0.0
 
 
 # ---------------------------------------------------------------------------
