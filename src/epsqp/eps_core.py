@@ -97,6 +97,13 @@ def strip_rows(states: Sequence[WaveFunction], grow: int = 1) -> slice:
     return grown_span(np.logical_or.reduce([phi > STRIP_TAIL * phi.max() for phi in phis]), grow)
 
 
+def phi_derivative(psi: WaveFunction, order: int) -> NDArray[np.complex128]:
+    """The ``order``-th p derivative of the momentum-space form of the position-space ``psi``, exact
+    on any q domain: the transform of ``(-i q / hbar)^order psi`` (phi's spectral one wraps q)."""
+    hbar = psi.params.hbar
+    return position_to_momentum((-1j * psi.grid.points / hbar) ** order * psi.values, psi.grid, hbar)[0]
+
+
 # ---------------------------------------------------------------------------
 # extended Hamiltonian family
 # ---------------------------------------------------------------------------
@@ -162,16 +169,15 @@ class ExtendedHamiltonian:
             conj(phi)'     (x)  i hbar (2 C q - drift) psi
             conj(phi)''    (x)  -hbar^2 C psi
 
-        psi's two derivatives are spectral, from one FFT pair; conj(phi)'s are exact on any q
-        domain, the transforms of ``(-i q / hbar)^k psi``.  One ``np.einsum``, not BLAS, sums the
-        terms, so no value depends on the BLAS thread count.
+        psi's two derivatives are spectral, from one FFT pair; conj(phi)'s are :func:`phi_derivative`'s,
+        exact on any q domain.  One ``np.einsum``, not BLAS, sums the terms, so no value depends on
+        the BLAS thread count.
         """
         hbar = psi.params.hbar
         grid = Grid2D(psi.grid, hbar)
         phis = [to_momentum_space(psi).values]  # rejects a momentum-space state
+        phis += [phi_derivative(psi, k) for k in (1, 2)]
         p, q, psi = grid.p_axis.points[rows], grid.q_axis.points, psi.values
-        slope = -1j * q / hbar  # the kernel's p derivative over the kernel
-        phis += [position_to_momentum(slope**k * psi, grid.q_axis, hbar)[0] for k in (1, 2)]
         phi, d_phi, dd_phi = np.conj(np.array(phis)[:, rows])
         ik = 1j * grid.q_axis.wavenumbers
         d_psi, dd_psi = np.fft.ifft(np.fft.fft(psi) * np.array([ik, ik * ik]))

@@ -36,8 +36,8 @@ hold on sampled states, using three estimators chosen for conditioning
   :func:`quantum_potential`, the same profile the scenarios check.
 
 The phase-space residuals apply them only on the bounding box of the
-amplitude mask, grown by one cell for the curvature stencils, and form
-their fields on the few dozen p rows phi occupies at any n (:class:`_Strip`).
+amplitude mask, grown by one cell for the curvature stencils, and form their fields
+on the few dozen p rows phi occupies at any n (:class:`~epsqp.transforms._Strip`).
 
 The momentum-space identities above hold for the action S = +hbar arg(phi)
 (phi = R exp(+i S / hbar)), the same sign as in position space, and the
@@ -54,7 +54,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .eps_core import ExtendedHamiltonian, strip_rows
+from .eps_core import ExtendedHamiltonian, phi_derivative, strip_rows
 from .numerics import (
     Grid2D,
     amplitude_mask,
@@ -64,7 +64,6 @@ from .numerics import (
     snapshot_triple,
     spectral_derivative,
     strip_mask_box,
-    within,
 )
 from .reports import (
     LineFit,
@@ -76,7 +75,7 @@ from .reports import (
     snapshot_metadata,
 )
 from .states import WaveFunction, to_momentum_space
-from .transforms import ShiftedFactors, sheared_spectra
+from .transforms import _Strip
 
 
 # ---------------------------------------------------------------------------
@@ -170,70 +169,12 @@ def hj_residual_p(center: WaveFunction) -> Callable:
 # ---------------------------------------------------------------------------
 
 
-class _Strip:
-    """The momentum strip of position-space states, the first of them the centre, and their
-    :func:`~epsqp.eps_core.strip_rows` ``rows``.  Column b pairs rows i and i + b of phi, so on
-    m rows the ``band`` is the signed q wavenumber columns |b| < m, or all n.  The states' shifted
-    factors (:class:`~epsqp.transforms.ShiftedFactors`, with the centre's p derivative) are built
-    once, for every alpha's :func:`~epsqp.transforms.sheared_spectra`.
-    """
-
-    def __init__(self, states: Sequence[WaveFunction]):
-        self.states = tuple(states)
-        self.grid = Grid2D(self.states[0].grid, self.states[0].params.hbar)
-        self.momenta = tuple(to_momentum_space(s) for s in self.states)
-        self.rows = strip_rows(self.momenta)
-        n = self.grid.shape[0]
-        self.size = len(range(n)[self.rows])
-        self.band = np.arange(1 - self.size, self.size) if 2 * self.size <= n else np.arange(n) - n // 2
-        self.factors = ShiftedFactors(self.states, self.band, dp=True)
-
-    def out_rows(self, alpha: float) -> slice:
-        """The rows chi sheared by alpha occupies: p is a convex combination of phi's
-        arguments p + alpha hbar v and p + (1 + alpha) hbar v, on the strip for alpha in [-1, 0]."""
-        grow = math.ceil(max(alpha, -1.0 - alpha, 0.0) * self.size)
-        return strip_rows(self.momenta, 1 + grow) if grow else self.rows
-
-    def sheared(self, alpha: float) -> tuple:
-        """``(rows, values)``: the first state's chi sheared by alpha on the rows it occupies."""
-        rows = self.out_rows(alpha)
-        return rows, self.q_pass(sheared_spectra(self.factors, alpha, rows)[0])[0]
-
-    def q_pass(self, *spectra: NDArray) -> NDArray[np.complex128]:
-        """``[field, row, q]``: fields on rows from their column-major q-spectra on the band, by
-        one stacked length-n inverse q pass."""
-        n, cut = self.grid.q_axis.n_points, -self.band[0]  # the columns b < 0 go to the top
-        values = np.zeros((len(spectra), n, spectra[0].shape[1]), dtype=complex)
-        for value, spectrum in zip(values, spectra):
-            value[: len(self.band) - cut] = spectrum[cut:]
-            value[n - cut :] = spectrum[:cut]
-        return np.fft.ifft(values, axis=1, out=values).swapaxes(1, 2)
-
-    def fields(self, alpha: float) -> tuple:
-        """``(mask, box, f, f_q, f_p, *others)``: the centre field's whole-grid mask and box,
-        and on the box the field, its spectral gradients and the other states' fields (of
-        ``[center, minus, plus]``, those at t -+ dt), of chi sheared by alpha, 0 included.
-
-        The q-spectra of the fields and of the centre's p derivative are formed on the rows the
-        centre occupies.  The centre's inverse q pass there gives its mask and its field on the
-        box; the other fields take one stacked inverse q pass on the box rows.
-        """
-        q_axis, out_rows = self.grid.q_axis, self.out_rows(alpha)
-        spectrum, *others, f_p = sheared_spectra(self.factors, alpha, out_rows)
-        (centre,) = self.q_pass(spectrum)
-        mask, box = strip_mask_box(centre, out_rows)
-        rows, cols = within(box[0], out_rows, q_axis.n_points), box[1]
-        f_q = spectrum[:, rows] * (1j * q_axis.wavenumbers[self.band % q_axis.n_points, None])
-        passes = self.q_pass(f_q, *(s[:, rows] for s in (f_p, *others)))
-        return (mask, box, centre[rows, cols], *passes[:, :, cols])
-
-
 def _hj_residual_2d(center: WaveFunction, alpha: float, name: str, fields: tuple) -> Callable:
     """Shared engine for the phase-space modified Hamilton-Jacobi residual.
 
     ``fields`` are ``(mask, box, f, f_q, f_p)``: the centre field's mask and box, and on the
     box the field and its gradients, on the phase-space grid of the position-space
-    ``center``'s q axis (the first five of :meth:`_Strip.fields`, or
+    ``center``'s q axis (the first five of :meth:`~epsqp.transforms._Strip.fields`, or
     :func:`hj_residual_eps`'s).  Returns ``at(minus, plus, dt)``, the report with
     S_t from the phase of the ratio of the box fields at t -+ dt, immune to the catastrophic
     cancellation a literal difference of the sheared fields would suffer near the mask edge.
@@ -307,8 +248,8 @@ def hj_residual_eps(center: WaveFunction) -> Callable:
     to the mask edge, where an inverse q pass of chi's q-spectrum has an absolute rounding
     floor.  Its gradients carry those of chi's kernel ``exp(-i p q / hbar)``, ``f_q =
     conj(phi) psi' - (i p / hbar) f`` and ``f_p = conj(phi)' psi - (i q / hbar) f``: chi's own
-    with the kernel's modulus taken out.  The static, unimodular kernel leaves S_t and the mask
-    alone.
+    with the kernel's modulus taken out, conj(phi)' exact (:func:`~epsqp.eps_core.phi_derivative`).
+    The static, unimodular kernel leaves S_t and the mask alone.
     """
     hbar = center.params.hbar
     grid, momentum = Grid2D(center.grid, hbar), to_momentum_space(center)  # rejects a p-space centre
@@ -319,7 +260,7 @@ def hj_residual_eps(center: WaveFunction) -> Callable:
     p, q = grid.p_axis.points[rows, None], grid.q_axis.points[None, cols]
     f = phi[rows, None] * psi[None, cols]
     f_q = phi[rows, None] * spectral_derivative(psi, grid.q_axis)[None, cols] - (1j / hbar) * p * f
-    f_p = spectral_derivative(phi, grid.p_axis)[rows, None] * psi[None, cols] - (1j / hbar) * q * f
+    f_p = np.conj(phi_derivative(center, 1))[rows, None] * psi[None, cols] - (1j / hbar) * q * f
     evaluate = _hj_residual_2d(center, 0.0, f"eps-hj-{center.params.potential.kind}", (mask, box, f, f_q, f_p))
 
     def at(minus: WaveFunction, plus: WaveFunction) -> ResidualReport:

@@ -37,7 +37,6 @@ from .numerics import (
     within,
 )
 from .quantum_potential import (
-    _Strip,
     alpha_sweep,
     hj_residual_eps,
     hj_residual_p,
@@ -53,7 +52,7 @@ from .states import (
     splitstep_propagate,
     to_momentum_space,
 )
-from .transforms import _wigner_box, wigner_direct, wigner_equation_residual
+from .transforms import _Strip, _wigner_box, wigner_direct, wigner_equation_residual
 
 REGISTRY_VERSION = "1.0"
 

@@ -12,10 +12,14 @@ family of distributions.  At ``alpha = -1/2`` the result is the Wigner
 function up to a global constant, which this module verifies against a
 direct correlation-integral construction (the constant is fitted and
 reported, never silently absorbed).
+
+:func:`apply_extended_transform` shears a whole-grid field; :class:`_Strip`
+shears chi on its momentum strip from its 1-D factors, built once for every alpha.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,21 +37,10 @@ from .numerics import (
     within,
 )
 from .reports import ResidualReport, residual_report, snapshot_metadata
-from .states import WaveFunction
+from .states import WaveFunction, to_momentum_space
 
-#: Element count of one column block of W or of the shifted factors: bounds the temporaries.
+#: Element count of one column block of W or of the strip's shifted factors: bounds the temporaries.
 _BLOCK = 2**15
-
-
-def sheared_q_spectrum(
-    states: Sequence[WaveFunction], alpha: float, rows: slice, band: NDArray[np.int_], dp: bool = False
-) -> list:
-    """The q-spectra of ``U_alpha`` chi of the position-space ``states`` on the p ``rows`` and
-    the q wavenumber columns ``band``, then, with ``dp``, the first one's p derivative's, from
-    1-D factors (Cohen's (p, v) form, J. Math. Phys. 7, 781 (1966)): :func:`sheared_spectra` of
-    their :class:`ShiftedFactors`, as (row, column) views.
-    """
-    return list(sheared_spectra(ShiftedFactors(states, band, dp), alpha, rows).swapaxes(1, 2))
 
 
 def _decimal_shifts(alpha: float, band: NDArray[np.int_]) -> tuple:
@@ -64,11 +57,12 @@ def _decimal_shifts(alpha: float, band: NDArray[np.int_]) -> tuple:
     return whole.astype(int), ((P * b - Q * whole) / Q).astype(float)
 
 
-class ShiftedFactors:
-    """What :func:`sheared_spectra` reads at every alpha, built once for a sweep: the
-    position-space ``states`` rolled to their peaks, with ``dp`` the first one's p derivative
-    factor, their column phases on the q wavenumber columns ``band`` and the position grids of
-    the shift exponentials.
+class _Strip:
+    """The momentum strip ``rows`` (:func:`~epsqp.eps_core.strip_rows`) of position-space states,
+    the first of them the centre, and what every alpha's shear of their chi reads there.  Column
+    b pairs rows i and i + b of phi, so on m rows the ``band`` is the signed q wavenumber columns
+    |b| < m, or all n.  The factors (Cohen's (p, v) form, J. Math. Phys. 7, 781 (1966)) are the
+    states rolled to their peaks and the centre's p derivative factor.
 
     With ``hbar v_b = b dp`` and ``k_i = i - n/2``, chi's q-spectrum is ``conj(F(k_i)) F(k_i +
     b) dq / sqrt(2 pi hbar)``, ``F(x) = sum_j psi_j exp(-2 pi i x j / n)`` the DFT of psi, and
@@ -76,68 +70,102 @@ class ShiftedFactors:
     whose p-conjugate extent (psi's autocorrelation) is twice psi's and aliases at the mask edge.
 
     F at ``k + s``, ``|s| <= 1/2``, is one length-n FFT of psi times ``exp(-2 pi i s j / n)``
-    (coarse times fine exponentials, about 2 sqrt(n) a shift) read at the integer ``k +
-    alpha b - s``.  Columns with equal s share it: alpha is read as its decimal (see
+    (coarse times fine exponentials, about 2 sqrt(n) a shift) read at the integer ``k + alpha b
+    - s``.  Columns with equal s share it: alpha is read as its decimal (see
     :func:`_decimal_shifts`), so at alpha = -0.7 the columns take 10 shifts, and at ``alpha b``
     integer it is F itself.  j runs over the n positions around the state's peak sigma, so a
-    state that wraps in q moves whole; sigma leaves the column phase ``exp(-2 pi i b sigma /
-    n)``.  The p derivative is the product rule with the factor of ``(-i q / hbar) psi``, q
-    measured from sigma.
+    state that wraps in q moves whole; sigma leaves the column phase ``exp(-2 pi i b sigma / n)``.
+    The p derivative is the product rule with the factor of ``(-i q / hbar) psi``, q from sigma.
     """
 
-    def __init__(self, states: Sequence[WaveFunction], band: NDArray[np.int_], dp: bool = False):
-        if any(s.space != "q" for s in states):
-            raise ValueError("the sheared q-spectrum expects position-space states")
-        n, dq, hbar = states[0].grid.n_points, states[0].grid.spacing, states[0].params.hbar
+    def __init__(self, states: Sequence[WaveFunction]):
+        self.momenta = tuple(to_momentum_space(s) for s in states)  # rejects a momentum-space state
+        self.grid = Grid2D(states[0].grid, states[0].params.hbar)
+        n, dq, hbar = states[0].grid.n_points, states[0].grid.spacing, self.grid.hbar
+        self.rows = strip_rows(self.momenta)
+        self.size = len(range(n)[self.rows])
+        self.band = np.arange(1 - self.size, self.size) if 2 * self.size <= n else np.arange(n) - n // 2
         sigmas = [int(np.argmax(np.abs(s.values))) for s in states]
         factors = [np.roll(s.values, -sigma) for s, sigma in zip(states, sigmas)]
-        if dp:
-            factors.append(factors[0] * ((-1j * dq / hbar) * np.fft.fftfreq(n, 1.0 / n)))  # j from sigma
-            sigmas.append(sigmas[0])
-        self.band, self.n_states, self.dp = band, len(states), dp
+        factors.append(factors[0] * ((-1j * dq / hbar) * np.fft.fftfreq(n, 1.0 / n)))  # j from sigma
+        sigmas.append(sigmas[0])
         self.factors = np.array(factors)[:, None, :]
-        phases = np.exp((-2j * np.pi / n) * ((np.array(sigmas)[:, None] * band) % n))
+        phases = np.exp((-2j * np.pi / n) * ((np.array(sigmas)[:, None] * self.band) % n))
         self.phases = (dq / np.sqrt(2.0 * np.pi * hbar)) * phases[:, :, None]
         step = 1 << (n.bit_length() // 2)  # j = coarse + fine
         self.coarse, self.fine = np.fft.fftfreq(n // step, 1.0 / n)[:, None], np.arange(step)
 
+    def out_rows(self, alpha: float) -> slice:
+        """The rows chi sheared by alpha occupies: p is a convex combination of phi's
+        arguments p + alpha hbar v and p + (1 + alpha) hbar v, on the strip for alpha in [-1, 0]."""
+        grow = math.ceil(max(alpha, -1.0 - alpha, 0.0) * self.size)
+        return strip_rows(self.momenta, 1 + grow) if grow else self.rows
 
-def sheared_spectra(tables: ShiftedFactors, alpha: float, rows: slice) -> NDArray[np.complex128]:
-    """The q-spectra of ``U_alpha`` chi of the states of ``tables``, then the p derivative's, on
-    the consecutive p ``rows``, column-major: ``[factor, column, row]``.  The FFTs go a block of
-    shifts of about half :data:`_BLOCK` elements at a time, and a block is read by one gather,
-    of the runs of rows its columns read, and one product."""
-    factors, (count, _, n) = tables.factors, tables.factors.shape
-    whole, shift = _decimal_shifts(alpha, tables.band)
-    shifts, which = np.unique(shift, return_inverse=True)  # equal shifts share an FFT
-    order = np.argsort(which, kind="stable")  # the columns of a block of shifts together
-    rows = range(n)[rows]
-    if rows.step != 1:
-        raise ValueError("the sheared q-spectrum takes consecutive p rows")
-    lo = (rows.start - n // 2 + whole) % n  # F's reads at k_i + alpha b, from row i = rows.start
-    starts = np.array([lo, (lo + tables.band) % n])[:, order]  # and at k_i + (1 + alpha) b
-    width = max(1, _BLOCK // (2 * count * n))  # shifts an FFT block
-    ends = np.searchsorted(which[order], range(0, len(shifts) + width, width))
-    spectra = np.empty((count, len(tables.band), len(rows)), dtype=complex)
-    padded = np.empty((count, min(width, len(shifts)), n + len(rows) - 1), dtype=complex)  # F, wrapped
-    runs = sliding_window_view(padded, len(rows), axis=2)
-    for first, (start, stop) in zip(range(0, len(shifts), width), zip(ends, ends[1:])):
-        phase = (-2j * np.pi / n) * shifts[first : first + width, None, None]
-        f = padded[:, : len(phase), :n]
-        np.multiply(factors, (np.exp(phase * tables.coarse) * np.exp(phase * tables.fine)).reshape(-1, n), out=f)
-        np.fft.fft(f, axis=2, out=f)
-        padded[:, : len(phase), n:] = f[:, :, : len(rows) - 1]
-        cols = order[start:stop]
-        at_lo, at_hi = runs[:, which[cols] - first, starts[:, start:stop]].swapaxes(0, 1)
-        np.conj(at_lo, out=at_lo)
-        if tables.dp:
+    def spectra(self, alpha: float, rows: slice) -> NDArray[np.complex128]:
+        """The q-spectra of ``U_alpha`` chi of the states, then the centre's p derivative's, on
+        the consecutive p ``rows`` and the band, column-major: ``[field, column, row]``.  The
+        FFTs go a block of shifts of about half :data:`_BLOCK` elements at a time, and a block
+        is read by one gather, of the runs of rows its columns read, and one product."""
+        factors, (count, _, n) = self.factors, self.factors.shape
+        whole, shift = _decimal_shifts(alpha, self.band)
+        shifts, which = np.unique(shift, return_inverse=True)  # equal shifts share an FFT
+        order = np.argsort(which, kind="stable")  # the columns of a block of shifts together
+        rows = range(n)[rows]
+        lo = (rows.start - n // 2 + whole) % n  # F's reads at k_i + alpha b, from row i = rows.start
+        starts = np.array([lo, (lo + self.band) % n])[:, order]  # and at k_i + (1 + alpha) b
+        width = max(1, _BLOCK // (2 * count * n))  # shifts an FFT block
+        ends = np.searchsorted(which[order], range(0, len(shifts) + width, width))
+        spectra = np.empty((count, len(self.band), len(rows)), dtype=complex)
+        padded = np.empty((count, min(width, len(shifts)), n + len(rows) - 1), dtype=complex)  # F, wrapped
+        runs = sliding_window_view(padded, len(rows), axis=2)
+        for first, (start, stop) in zip(range(0, len(shifts), width), zip(ends, ends[1:])):
+            phase = (-2j * np.pi / n) * shifts[first : first + width, None, None]
+            f = padded[:, : len(phase), :n]
+            np.multiply(factors, (np.exp(phase * self.coarse) * np.exp(phase * self.fine)).reshape(-1, n), out=f)
+            np.fft.fft(f, axis=2, out=f)
+            padded[:, : len(phase), n:] = f[:, :, : len(rows) - 1]
+            cols = order[start:stop]
+            at_lo, at_hi = runs[:, which[cols] - first, starts[:, start:stop]].swapaxes(0, 1)
+            np.conj(at_lo, out=at_lo)
             dp = at_lo[-1] * at_hi[0] + at_lo[0] * at_hi[-1]
-        at_lo[: tables.n_states] *= at_hi[: tables.n_states]
-        if tables.dp:
+            at_lo[:-1] *= at_hi[:-1]
             at_lo[-1] = dp
-        spectra[:, cols] = at_lo
-    spectra *= tables.phases
-    return spectra
+            spectra[:, cols] = at_lo
+        spectra *= self.phases
+        return spectra
+
+    def sheared(self, alpha: float) -> tuple:
+        """``(rows, values)``: the first state's chi sheared by alpha on the rows it occupies."""
+        rows = self.out_rows(alpha)
+        return rows, self.q_pass(self.spectra(alpha, rows)[0])[0]
+
+    def q_pass(self, *spectra: NDArray) -> NDArray[np.complex128]:
+        """``[field, row, q]``: fields on rows from their column-major q-spectra on the band, by
+        one stacked length-n inverse q pass."""
+        n, cut = self.grid.q_axis.n_points, -self.band[0]  # the columns b < 0 go to the top
+        values = np.zeros((len(spectra), n, spectra[0].shape[1]), dtype=complex)
+        for value, spectrum in zip(values, spectra):
+            value[: len(self.band) - cut] = spectrum[cut:]
+            value[n - cut :] = spectrum[:cut]
+        return np.fft.ifft(values, axis=1, out=values).swapaxes(1, 2)
+
+    def fields(self, alpha: float) -> tuple:
+        """``(mask, box, f, f_q, f_p, *others)``: the centre field's whole-grid mask and box,
+        and on the box the field, its spectral gradients and the other states' fields (of
+        ``[center, minus, plus]``, those at t -+ dt), of chi sheared by alpha, 0 included.
+
+        The q-spectra of the fields and of the centre's p derivative are formed on the rows the
+        centre occupies.  The centre's inverse q pass there gives its mask and its field on the
+        box; the other fields take one stacked inverse q pass on the box rows.
+        """
+        q_axis, out_rows = self.grid.q_axis, self.out_rows(alpha)
+        spectrum, *others, f_p = self.spectra(alpha, out_rows)
+        (centre,) = self.q_pass(spectrum)
+        mask, box = strip_mask_box(centre, out_rows)
+        rows, cols = within(box[0], out_rows, q_axis.n_points), box[1]
+        f_q = spectrum[:, rows] * (1j * q_axis.wavenumbers[self.band % q_axis.n_points, None])
+        passes = self.q_pass(f_q, *(s[:, rows] for s in (f_p, *others)))
+        return (mask, box, centre[rows, cols], *passes[:, :, cols])
 
 
 def apply_extended_transform(field: PhaseSpaceField, alpha: float) -> NDArray[np.complex128]:

@@ -40,8 +40,8 @@ H''s E = -b term (the harmonic family has E = 0), relative to the peak:
   case above (a finite difference of ``linear_chi`` in t agrees with ``linear_chi_dt`` to
   its own O(dt^2)); bounds 2e-11 and 7.1e-12.  On the domain [0, 20), from q0 = 10.5,
   where the state lies past L/2 from q = 0: 2.2e-12 at n = 1024 for both; bound 2.2e-11;
-* ``sheared_q_spectrum`` at alpha = -1, -0.95, -0.7, -0.7 + 2^-40, -1/2 and 0 against
-  ``linear_sheared_q_spectrum``, on the rows the sheared chi occupies and all n columns:
+* the strip's spectra at alpha = -1, -0.95, -0.7, -0.7 + 2^-40, -1/2 and 0 against
+  ``linear_sheared_q_spectrum``, on the rows the sheared chi occupies and the strip's band:
   1.1e-14 for the spectrum and 2.9e-14 for its p derivative's, both at n = 1024 and unit
   constants, at every alpha, whether its columns share 20, 10 or no shifts: the rounding
   of the closed form's phase as in ``CHI_Q_SPECTRUM_BOUND``; bounds 1.1e-13 and 2.9e-13.
@@ -78,10 +78,9 @@ from epsqp.numerics import (
     make_grid,
     mask_box,
 )
-from epsqp.quantum_potential import _Strip
 from epsqp.reports import fit_global_constant
 from epsqp.states import ho_coherent_state, linear_potential_gaussian, to_momentum_space
-from epsqp.transforms import _wigner_box, _wigner_centre, apply_extended_transform, sheared_q_spectrum, wigner_direct
+from epsqp.transforms import _Strip, _wigner_box, _wigner_centre, apply_extended_transform, wigner_direct
 
 Q0, T = 0.5, 0.4
 PARAMS = {
@@ -116,8 +115,8 @@ def test_chi_build_matches_its_closed_form(n, params):
     assert _relative_error(chi_build(psi, g2).values, coherent_chi(psi, g2, Q0, 0.0)) < 3.5e-10
 
 
-# chi's q-spectrum, the alpha = 0 member of sheared_q_spectrum, and its p derivative's
-# against their closed forms on the strip rows and all n columns, relative to the peak: a
+# chi's q-spectrum, the strip's alpha = 0 member, and its p derivative's against their
+# closed forms on the strip rows and the strip's band, relative to the peak: a
 # decade over the worst measured, 1.3e-13 at n = 1024 and unit constants (9.0e-14 at
 # (2, 1.5, 0.7); 1.1-3.4e-14 at n = 128 and 256).  The floor grows with n as the closed
 # form's phase p q_min / hbar, whose rounding it is, reaches n pi |q_min| / extent.
@@ -127,9 +126,9 @@ CHI_Q_SPECTRUM_BOUND = 1.3e-12
 def test_chi_q_spectrum_matches_its_closed_form(n, params):
     g, g2 = _grids(n, params)
     psi = ho_coherent_state(g, params, Q0, 0.0, T)
-    rows, band = strip_rows([psi]), np.arange(n) - n // 2
-    got = sheared_q_spectrum([psi], 0.0, rows, band, dp=True)
-    exact = coherent_sheared_q_spectrum(params, g2, Q0, 0.0, T, 0.0, g2.p_axis.points[rows], band)
+    strip = _Strip([psi])
+    got = strip.spectra(0.0, strip.rows).swapaxes(1, 2)
+    exact = coherent_sheared_q_spectrum(params, g2, Q0, 0.0, T, 0.0, g2.p_axis.points[strip.rows], strip.band)
     for value, want in zip(got, exact):
         assert np.max(np.abs(value - want)) < CHI_Q_SPECTRUM_BOUND * np.max(np.abs(want))
 
@@ -319,9 +318,10 @@ def test_linear_sheared_q_spectrum_matches_its_closed_form(n, linear, alpha):
     _, params = linear
     g, g2 = _grids(n, params)
     psi = linear_potential_gaussian(g, params, *LINEAR_STATE, T)
-    rows, band = _Strip([psi]).out_rows(alpha), np.arange(n) - n // 2
-    got = sheared_q_spectrum([psi], alpha, rows, band, dp=True)
-    exact = linear_sheared_q_spectrum(params, g2, *LINEAR_STATE, T, alpha, g2.p_axis.points[rows], band)
+    strip = _Strip([psi])
+    rows = strip.out_rows(alpha)
+    got = strip.spectra(alpha, rows).swapaxes(1, 2)
+    exact = linear_sheared_q_spectrum(params, g2, *LINEAR_STATE, T, alpha, g2.p_axis.points[rows], strip.band)
     for value, want, bound in zip(got, exact, (1.1e-13, 2.9e-13)):
         assert np.max(np.abs(value - want)) < bound * np.max(np.abs(want))
 

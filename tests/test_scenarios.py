@@ -19,7 +19,7 @@ from epsqp import quantum_potential, transforms
 import test_acceptance
 from epsqp.eps_core import chi_build
 from epsqp.numerics import amplitude_mask
-from epsqp.quantum_potential import AlphaSweepResult, _Strip, hj_residual_eps
+from epsqp.quantum_potential import AlphaSweepResult, hj_residual_eps
 from epsqp.reports import ResidualReport, fit_global_constant, fit_line
 from epsqp.scenarios import (
     CHECKS,
@@ -36,7 +36,7 @@ from epsqp.scenarios import (
     to_json,
 )
 from epsqp.states import ho_coherent_state, to_momentum_space
-from epsqp.transforms import apply_extended_transform, wigner_direct
+from epsqp.transforms import _Strip, apply_extended_transform, wigner_direct
 from oracles import coherent_sheared_q_spectrum, coherent_wigner
 
 
@@ -325,6 +325,20 @@ def test_run_all_builds_one_centre_per_halving_pair(monkeypatch):
     assert calls["_wigner_centre"] == 2
     assert calls["_hj_1d"] == 5
     assert calls["eps-hj-harmonic"] == calls["eps-hj-linear"] == 1
+
+
+def test_a_sweep_builds_its_strip_once(monkeypatch, coherent_triplet_factory):
+    # What the shear reads at every alpha is built once per set of states: one strip per
+    # alpha_sweep call, and two per alpha-sweep scenario (its sweeps at n and n/2).  The
+    # FFT lane count cannot tell: a strip per alpha adds only the 3 lanes of its phis
+    built = []
+    init = _Strip.__init__
+    monkeypatch.setattr(_Strip, "__init__", lambda self, states: built.append(len(states)) or init(self, states))
+    cfg = ScenarioConfig(grid_n=64)
+    quantum_potential.alpha_sweep(coherent_triplet_factory(), cfg.alphas)
+    assert built == [3]
+    scenarios.scenario_alpha_sweep(cfg)
+    assert built == [3, 3, 3]
 
 
 def test_wigner_peak_reference_needs_no_sample_at_the_origin():

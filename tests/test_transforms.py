@@ -23,11 +23,11 @@ from epsqp.numerics import (
 )
 from epsqp.reports import l2
 from epsqp.transforms import (
+    _Strip,
     _wigner_box,
     _wigner_centre,
     _wigner_window,
     apply_extended_transform,
-    sheared_q_spectrum,
     wigner_direct,
     wigner_equation_residual,
 )
@@ -113,11 +113,12 @@ def test_sheared_q_spectrum_follows_a_shift_in_q(harmonic_params, shift):
     n = 256
     psi = ho_coherent_state(make_grid(n, -9.3, 10.7), replace(harmonic_params, hbar=0.7), 0.5, 0.3, 0.4)
     rolled = replace(psi, values=np.roll(psi.values, shift))
-    rows, band = strip_rows([psi]), np.arange(-40, 41)
-    phase = np.exp(-2j * np.pi * band * shift / n)
+    strip, moved = _Strip([psi]), _Strip([rolled])
+    np.testing.assert_array_equal(moved.band, strip.band)
+    phase = np.exp(-2j * np.pi * strip.band[:, None] * shift / n)
     for alpha in (-1.0, -0.7, -0.5, 0.25, -1.5):
-        want = sheared_q_spectrum([psi], alpha, rows, band, dp=True)
-        got = sheared_q_spectrum([rolled], alpha, rows, band, dp=True)
+        want = strip.spectra(alpha, strip.rows)
+        got = moved.spectra(alpha, strip.rows)
         for value, exact in zip(got, want):
             assert np.max(np.abs(value - exact * phase)) < 1.2e-14 * np.max(np.abs(exact)), (alpha, shift)
 
